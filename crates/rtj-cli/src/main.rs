@@ -24,20 +24,16 @@
 //! rtjc graph <file.rtj>        run and emit the ownership graph (DOT)
 //! rtjc lower <file.rtj>        translate to RTSJ Java (Section 2.6)
 //! rtjc fig11 [--format json]   regenerate paper Figure 11
-//! rtjc fig12 [--smoke] [--format json] [--engine tree|vm]  regenerate Figure 12
+//! rtjc fig12 [--smoke] [--format json]  regenerate Figure 12
 //! rtjc report <snapshot.json>...  render metrics/checker/fig12/load snapshots
 //! rtjc bench <name>            print a corpus program's source
-//! rtjc bench scaled:N --format json  tree-vs-VM engine comparison
-//!                              (an rtj-bench/v1 document)
-//! rtjc bench incremental[:N] [--batches B] [--seed S] [--jobs J]
-//!                              incremental re-check latency baseline
-//!                              (an rtj-check-bench/v1 document,
-//!                              persisted as BENCH_check.json)
+//! rtjc bench scaled:N          print the N-replica multi-class corpus
+//! rtjc bench edits:N [--batches B] [--seed S]
+//!                              print a seeded rtj-edits/v1 edit script
+//!                              over scaled:N (for `check --edits`)
 //! rtjc serve --rounds R        multi-tenant batch serving (saturation)
 //! rtjc load --rate HZ --duration-ms MS  open-loop Poisson load
 //!                              (both emit rtj-load/v1; see SERVER.md)
-//! rtjc servebench              regenerate the rtj-serve-bench/v1 serving
-//!                              baseline: worker sweep + overload row
 //! ```
 //!
 //! `run --trace`/`run --metrics`, `check --profile`, and `report` are
@@ -45,12 +41,14 @@
 //! runtime metrics snapshots are `rtj-metrics/v1` documents, checker
 //! snapshots are `rtj-checker-metrics/v1` documents, and `report`
 //! renders any mix of those plus `rtj-fig12/v1` documents (from `fig12
-//! --format json`), `rtj-load/v1` serving reports (from `serve`/`load`),
-//! `rtj-serve-bench/v1` baselines (from `servebench`), and
-//! `rtj-check-bench/v1` incremental-checker baselines (from `bench
-//! incremental:N`) — given both a checker and a runtime snapshot it
-//! appends the combined static-cost vs. checks-elided view. `FILE` may
-//! be `-` for stdout.
+//! --format json`), `rtj-load/v1` serving reports (from `serve`/`load`)
+//! and the flight recorder's `rtj-server-trace/v1` and `rtj-timeline/v1`
+//! documents — given both a checker and a runtime snapshot it appends
+//! the combined static-cost vs. checks-elided view. `FILE` may be `-`
+//! for stdout. Every command rejects a flag it does not take with a
+//! one-line `unknown flag` error.
+//!
+//! Performance is measured by the benchmark in `perfbench/`, not here.
 
 use rtj_interp::{build, run_checked, Engine, RunConfig, TraceCapture};
 use rtj_runtime::{CheckMode, CheckerMetrics, Json, MetricsSnapshot};
@@ -146,55 +144,15 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }),
-        // fig11 counts source lines, so `--engine` is accepted (for a
-        // uniform interface with run/fig12) but has nothing to select.
-        Some("fig11") => {
-            match parse_format(&args[1..]).and_then(|j| parse_engine(&args[1..]).map(|_| j)) {
-                Ok(json) => {
-                    let rows = rtj_corpus::fig11();
-                    if json {
-                        println!("{}", rtj_corpus::fig11_json(&rows));
-                    } else {
-                        print!("{}", rtj_corpus::render_fig11(&rows));
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("fig12") => {
-            match parse_format(&args[1..]).and_then(|j| parse_engine(&args[1..]).map(|e| (j, e))) {
-                Ok((json, engine)) => {
-                    let scale = if args.iter().any(|a| a == "--smoke") {
-                        rtj_corpus::Scale::Smoke
-                    } else {
-                        rtj_corpus::Scale::Paper
-                    };
-                    let rows = rtj_corpus::fig12_on(scale, engine);
-                    if json {
-                        println!("{}", rtj_corpus::fig12_json(&rows));
-                    } else {
-                        print!("{}", rtj_corpus::render_fig12(&rows));
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
+        Some("fig11") => fig11_cmd(&args[1..]),
+        Some("fig12") => fig12_cmd(&args[1..]),
         Some("report") => report_cmd(&args[1..]),
         Some("bench") => bench_cmd(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]),
         Some("load") => load_cmd(&args[1..]),
-        Some("servebench") => servebench_cmd(&args[1..]),
         _ => {
             eprintln!(
-                "usage: rtjc <check|run|fmt|fig11|fig12|report|bench|serve|load|servebench> [args]\n\
+                "usage: rtjc <check|run|fmt|graph|lower|advise|fig11|fig12|report|bench|serve|load> [args]\n\
                  \n\
                  check [--stats] [--format json] [--jobs N] [--explain]\n\
                  \x20     [--profile[=FILE]] [--trace-format chrome|jsonl]\n\
@@ -218,23 +176,16 @@ fn main() -> ExitCode {
                  lower <file>        translate to RTSJ Java (paper Section 2.6)\n\
                  advise <file>       run once and suggest LT region sizes\n\
                  fig11 [--format json]           regenerate paper Figure 11\n\
-                 fig12 [--smoke] [--format json] [--engine tree|vm]\n\
-                 \x20                   regenerate paper Figure 12\n\
+                 fig12 [--smoke] [--format json] regenerate paper Figure 12\n\
                  report <snapshot.json>...  render the report(s) from any mix of\n\
                  \x20                   rtj-metrics/v1, rtj-checker-metrics/v1,\n\
                  \x20                   rtj-fig12/v1, rtj-load/v1,\n\
-                 \x20                   rtj-serve-bench/v1, rtj-check-bench/v1,\n\
                  \x20                   rtj-server-trace/v1, and rtj-timeline/v1\n\
                  \x20                   documents\n\
-                 bench <name|scaled[:N]> [--format json] [--iters N]\n\
-                 \x20                   print a corpus program, or with --format\n\
-                 \x20                   json run it under both engines and emit\n\
-                 \x20                   an rtj-bench/v1 comparison document\n\
-                 bench incremental[:N] [--batches B] [--seed S] [--jobs J]\n\
-                 \x20     [--iters I] [--edits-out FILE] [--format json]\n\
-                 \x20                   measure incremental re-checking against a\n\
-                 \x20                   from-scratch check on scaled_classes(N) and\n\
-                 \x20                   emit an rtj-check-bench/v1 baseline\n\
+                 bench <name|scaled[:N]|edits[:N]> [--batches B] [--seed S]\n\
+                 \x20                   print a benchmark input: a corpus program,\n\
+                 \x20                   the N-replica multi-class corpus, or a\n\
+                 \x20                   seeded rtj-edits/v1 script over it\n\
                  serve [--rounds R] [--workers N] [--programs a,b] [--variants K]\n\
                  \x20     [--modes static,dynamic,audit] [--engine vm|tree|both]\n\
                  \x20     [--queue-capacity Q] [--deadline-us D] [--stall-us S]\n\
@@ -250,13 +201,7 @@ fn main() -> ExitCode {
                  \x20                   *.timeline.json rtj-timeline/v1 document)\n\
                  load [--rate HZ] [--duration-ms MS] [--seed S] + serve's flags\n\
                  \x20                   open-loop Poisson load at a target arrival\n\
-                 \x20                   rate; both emit rtj-load/v1 (see SERVER.md)\n\
-                 servebench [--rounds R] [--stall-us S] [--rate HZ]\n\
-                 \x20     [--duration-ms MS] [--seed S] [--deadline-us D]\n\
-                 \x20     [--telemetry[=FILE]] [--format json] [--out FILE]\n\
-                 \x20                   regenerate the rtj-serve-bench/v1 baseline:\n\
-                 \x20                   a 1/2/4/8-worker sweep plus a deadline-shed\n\
-                 \x20                   overload row (BENCH_serve.json)"
+                 \x20                   rate; both emit rtj-load/v1 (see SERVER.md)"
             );
             ExitCode::FAILURE
         }
@@ -377,7 +322,7 @@ fn check_cmd(args: &[String]) -> ExitCode {
                 }
             }
         } else if a.starts_with("--") {
-            eprintln!("unknown flag `{a}`; {USAGE}");
+            eprintln!("{}", unexpected_arg(a, USAGE));
             return ExitCode::FAILURE;
         } else {
             file = Some(a.clone());
@@ -663,8 +608,12 @@ fn run_cmd(args: &[String]) -> ExitCode {
             metrics_out = Some("-".to_string());
         } else if a.starts_with("--") {
             eprintln!(
-                "unknown flag `{a}`; usage: rtjc run [--static|--dynamic|--audit] \
-                 [--engine tree|vm] [--trace FILE] [--metrics[=FILE]] <file>"
+                "{}",
+                unexpected_arg(
+                    a,
+                    "usage: rtjc run [--static|--dynamic|--audit] [--engine tree|vm] \
+                     [--trace FILE] [--metrics[=FILE]] <file>"
+                )
             );
             return ExitCode::FAILURE;
         } else {
@@ -734,270 +683,19 @@ fn run_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// `rtjc bench <name|scaled[:N]> [--format json] [--iters N]`.
-///
-/// In text mode, prints the named corpus program's source (`scaled[:N]`
-/// prints the synthetic checker-throughput corpus). With `--format
-/// json`, instead *runs* the workload under both execution engines —
-/// the tree-walker and the bytecode VM — and writes an `rtj-bench/v1`
-/// document comparing their wall-clock times (for `scaled[:N]`, the
-/// measured workload is the N-replica interpreter-throughput corpus,
-/// `rtj_corpus::scaled_vm_workload`, whose runtime actually exercises
-/// the engines; plain corpus names measure that program at smoke scale).
-fn bench_cmd(args: &[String]) -> ExitCode {
-    const USAGE: &str = "usage: rtjc bench <name|scaled[:N]|incremental[:N]> [--format json] \
-                         [--iters N] [--batches B] [--seed S] [--jobs J] [--edits-out FILE]";
-    let json = match parse_format(args) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut iters = 3u32;
-    let mut batches = 24usize;
-    let mut seed = 1u64;
-    let mut jobs = 1usize;
-    let mut edits_out: Option<String> = None;
-    let mut name: Option<&String> = None;
-    let mut it = args.iter();
-    // Numeric flags share one parse shape: `--flag N` or `--flag=N`.
-    macro_rules! numeric_flag {
-        ($a:expr, $it:expr, $flag:literal, $target:ident) => {
-            if let Some(n) = $a.strip_prefix(concat!($flag, "=")) {
-                match n.parse() {
-                    Ok(n) => {
-                        $target = n;
-                        continue;
-                    }
-                    Err(_) => {
-                        eprintln!("{} expects a number, got `{n}`", $flag);
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else if $a == $flag {
-                match $it.next().map(|n| n.parse()) {
-                    Some(Ok(n)) => {
-                        $target = n;
-                        continue;
-                    }
-                    _ => {
-                        eprintln!("{} expects a number", $flag);
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-        };
-    }
-    while let Some(a) = it.next() {
-        numeric_flag!(a, it, "--iters", iters);
-        numeric_flag!(a, it, "--batches", batches);
-        numeric_flag!(a, it, "--seed", seed);
-        numeric_flag!(a, it, "--jobs", jobs);
-        if let Some(p) = a.strip_prefix("--edits-out=") {
-            edits_out = Some(p.to_string());
-        } else if a == "--edits-out" {
-            match it.next() {
-                Some(p) => edits_out = Some(p.clone()),
-                None => {
-                    eprintln!("--edits-out expects a file argument (`-` for stdout)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if a == "--format" {
-            // value validated by parse_format; just skip it here
-            if it.next().is_none() {
-                eprintln!("--format expects `text` or `json`");
-                return ExitCode::FAILURE;
-            }
-        } else if a.starts_with("--") {
-            // --format=... handled by parse_format; reject the rest
-            if !a.starts_with("--format=") {
-                eprintln!("unknown flag `{a}`; {USAGE}");
-                return ExitCode::FAILURE;
-            }
-        } else {
-            name = Some(a);
-        }
-    }
-    let Some(name) = name else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    if name == "incremental" || name.starts_with("incremental:") {
-        let copies = match name.strip_prefix("incremental:") {
-            None | Some("") => 64,
-            Some(n) => match n.parse() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("`incremental:` expects a replica count, got `{n}`");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        return bench_incremental(
-            copies,
-            batches,
-            seed,
-            jobs,
-            iters,
-            json,
-            edits_out.as_deref(),
-        );
-    }
-    let scaled_n = if name == "scaled" || name.starts_with("scaled:") {
-        match name.strip_prefix("scaled:") {
-            None | Some("") => Some(8),
-            Some(n) => match n.parse() {
-                Ok(n) => Some(n),
-                Err(_) => {
-                    eprintln!("`scaled:` expects a block count, got `{n}`");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    } else {
-        None
-    };
-    if !json {
-        match scaled_n {
-            Some(n) => {
-                print!("{}", rtj_corpus::scaled_classes(n));
-                return ExitCode::SUCCESS;
-            }
-            None => {
-                let benches = rtj_corpus::all(rtj_corpus::Scale::Paper);
-                return match benches.iter().find(|b| b.name == name.as_str()) {
-                    Some(b) => {
-                        print!("{}", b.source);
-                        ExitCode::SUCCESS
-                    }
-                    None => {
-                        eprintln!(
-                            "unknown benchmark `{name}`; available: {}, scaled[:N]",
-                            benches
-                                .iter()
-                                .map(|b| b.name)
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        );
-                        ExitCode::FAILURE
-                    }
-                };
-            }
-        }
-    }
-    let (workload, programs): (String, Vec<(String, String)>) = match scaled_n {
-        Some(n) => (
-            format!("scaled:{n}"),
-            vec![(format!("scaled:{n}"), rtj_corpus::scaled_vm_workload(n))],
-        ),
-        None => {
-            let benches = rtj_corpus::all(rtj_corpus::Scale::Smoke);
-            let Some(b) = benches.iter().find(|b| b.name == name.as_str()) else {
-                eprintln!("unknown benchmark `{name}`");
-                return ExitCode::FAILURE;
-            };
-            (name.clone(), vec![(b.name.to_owned(), b.source.clone())])
-        }
-    };
-    let rows: Vec<rtj_corpus::EngineBenchRow> = programs
-        .iter()
-        .map(|(n, src)| rtj_corpus::bench_engines(n, src, CheckMode::Static, iters))
-        .collect();
-    println!(
-        "{}",
-        rtj_corpus::bench_json(&rows, &workload, CheckMode::Static)
-    );
-    ExitCode::SUCCESS
-}
-
-/// `rtjc bench incremental:N`: the incremental re-check latency baseline.
-///
-/// Measures, on `scaled_classes(copies)` at `--jobs` workers:
-///
-/// 1. the median from-scratch `check_program_in` wall clock over
-///    `--iters` runs (parse excluded);
-/// 2. the engine's cache-cold initial pass;
-/// 3. one incremental re-check per generated edit batch (also parse
-///    excluded — the same program text is parsed on both sides).
-///
-/// Emits the `rtj-check-bench/v1` document (persisted as
-/// `BENCH_check.json`); `--edits-out` additionally writes the generated
-/// `rtj-edits/v1` script so `rtjc check --edits` can replay the exact
-/// same batches.
-fn bench_incremental(
-    copies: usize,
-    batches: usize,
-    seed: u64,
-    jobs: usize,
-    iters: u32,
-    json: bool,
-    edits_out: Option<&str>,
-) -> ExitCode {
+/// `rtjc fig11 [--format json]`: regenerate paper Figure 11, as a text
+/// table or as its `rtj-fig11/v1` document.
+fn fig11_cmd(args: &[String]) -> ExitCode {
     let run = || -> Result<ExitCode, String> {
-        let source = rtj_corpus::scaled_classes(copies);
-        let program =
-            rtj_lang::parse_program(&source).map_err(|e| format!("scaled corpus: {e}"))?;
-        let opts = rtj_types::CheckOptions {
-            jobs,
-            profile: false,
-        };
-        let mut full_ms: Vec<f64> = Vec::new();
-        for _ in 0..iters.max(1) {
-            let prog = program.clone();
-            let t0 = std::time::Instant::now();
-            if rtj_types::check_program_in(prog, &opts).is_err() {
-                return Err("scaled corpus failed the from-scratch check".to_string());
-            }
-            full_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let (json, rest) = take_format(args)?;
+        if let Some(a) = rest.first() {
+            return Err(unexpected_arg(a, "usage: rtjc fig11 [--format json]"));
         }
-        full_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let full_check_ms = rtj_types::incremental::percentile(&full_ms, 50.0);
-
-        let mut engine = rtj_types::IncrementalChecker::new(opts);
-        let initial = engine
-            .check_source(&source)
-            .map_err(|e| format!("scaled corpus: {e}"))?;
-        let script = rtj_corpus::edit_batches(copies, batches, seed);
-        if let Some(dest) = edits_out {
-            write_output(
-                dest,
-                &format!("{}\n", rtj_corpus::edits_json(&script).render()),
-            )?;
-        }
-        let mut rows = Vec::with_capacity(script.batches.len());
-        for b in &script.batches {
-            let out = engine
-                .recheck(&[rtj_types::ClassEdit {
-                    class: b.class.clone(),
-                    source: b.source.clone(),
-                }])
-                .map_err(|e| format!("batch {}: {e}", b.id))?;
-            rows.push(rtj_types::EditBenchRow {
-                batch: b.id,
-                kind: b.kind.clone(),
-                dirty: out.dirty.len(),
-                reused: out.reused,
-                recheck_ms: out.check_ns as f64 / 1e6,
-                errors: out.errors.len(),
-                hit_rate: out.stats.hit_rate(),
-            });
-        }
-        let report = rtj_types::CheckBenchReport {
-            workload: format!("scaled:{copies}"),
-            classes: program.classes.len(),
-            jobs,
-            seed,
-            batches,
-            full_check_ms,
-            initial_check_ms: initial.check_ns as f64 / 1e6,
-            rows,
-        };
+        let rows = rtj_corpus::fig11();
         if json {
-            println!("{}", report.to_json().render());
+            println!("{}", rtj_corpus::fig11_json(&rows));
         } else {
-            print!("{}", report.render_report());
+            print!("{}", rtj_corpus::render_fig11(&rows));
         }
         Ok(ExitCode::SUCCESS)
     };
@@ -1007,15 +705,135 @@ fn bench_incremental(
     })
 }
 
+/// `rtjc fig12 [--smoke] [--format json]`: regenerate paper Figure 12 at
+/// Paper scale (Smoke scale with `--smoke`), as a text table or as its
+/// `rtj-fig12/v1` document.
+fn fig12_cmd(args: &[String]) -> ExitCode {
+    let run = || -> Result<ExitCode, String> {
+        let (json, rest) = take_format(args)?;
+        let mut scale = rtj_corpus::Scale::Paper;
+        for a in &rest {
+            if a != "--smoke" {
+                return Err(unexpected_arg(
+                    a,
+                    "usage: rtjc fig12 [--smoke] [--format json]",
+                ));
+            }
+            scale = rtj_corpus::Scale::Smoke;
+        }
+        let rows = rtj_corpus::fig12(scale);
+        if json {
+            println!("{}", rtj_corpus::fig12_json(&rows));
+        } else {
+            print!("{}", rtj_corpus::render_fig12(&rows));
+        }
+        Ok(ExitCode::SUCCESS)
+    };
+    run().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// `rtjc bench <name|scaled[:N]|edits[:N]> [--batches B] [--seed S]`:
+/// print a benchmark input. A corpus name prints that program's source,
+/// `scaled[:N]` the N-replica multi-class corpus
+/// (`rtj_corpus::scaled_classes`), and `edits[:N]` the seeded
+/// `rtj-edits/v1` script of `--batches` single-class edits over that
+/// corpus, which `rtjc check --edits` replays. `N` defaults to 8 for
+/// both, so `bench scaled` and `bench edits` pair up.
+fn bench_cmd(args: &[String]) -> ExitCode {
+    const USAGE: &str = "usage: rtjc bench <name|scaled[:N]|edits[:N]> [--batches B] [--seed S]";
+    let run = || -> Result<String, String> {
+        let mut batches = None;
+        let mut seed = None;
+        let mut name = None;
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            let (flag, inline) = match a.split_once('=') {
+                Some((f, v)) => (f, Some(v)),
+                None => (a.as_str(), None),
+            };
+            let target = match flag {
+                "--batches" => &mut batches,
+                "--seed" => &mut seed,
+                _ if a.starts_with("--") || name.is_some() => return Err(unexpected_arg(a, USAGE)),
+                _ => {
+                    name = Some(a.as_str());
+                    continue;
+                }
+            };
+            let value = inline
+                .or_else(|| it.next().map(String::as_str))
+                .ok_or_else(|| format!("{flag} expects a number"))?;
+            *target = Some(
+                value
+                    .parse::<u64>()
+                    .map_err(|_| format!("{flag} expects a number, got `{value}`"))?,
+            );
+        }
+        let name = name.ok_or(USAGE)?;
+        if let Some(n) = replica_count(name, "edits")? {
+            let script =
+                rtj_corpus::edit_batches(n, batches.unwrap_or(24) as usize, seed.unwrap_or(1));
+            return Ok(format!("{}\n", rtj_corpus::edits_json(&script).render()));
+        }
+        if batches.is_some() || seed.is_some() {
+            return Err(format!(
+                "--batches and --seed apply to `edits:N` only; {USAGE}"
+            ));
+        }
+        if let Some(n) = replica_count(name, "scaled")? {
+            return Ok(rtj_corpus::scaled_classes(n));
+        }
+        let benches = rtj_corpus::all(rtj_corpus::Scale::Paper);
+        match benches.iter().find(|b| b.name == name) {
+            Some(b) => Ok(b.source.clone()),
+            None => Err(format!(
+                "unknown benchmark `{name}`; available: {}, scaled[:N], edits[:N]",
+                benches
+                    .iter()
+                    .map(|b| b.name)
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )),
+        }
+    };
+    match run() {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The replica count of a `prefix[:N]` benchmark name (8 when `N` is
+/// omitted), or `None` when `name` is not of that form.
+fn replica_count(name: &str, prefix: &str) -> Result<Option<usize>, String> {
+    match name.strip_prefix(prefix) {
+        Some("" | ":") => Ok(Some(8)),
+        Some(rest) => match rest.strip_prefix(':') {
+            Some(n) => n
+                .parse()
+                .map(Some)
+                .map_err(|_| format!("`{prefix}:` expects a replica count, got `{n}`")),
+            None => Ok(None),
+        },
+        None => Ok(None),
+    }
+}
+
 /// Every versioned document schema `rtjc report` can render, in the
 /// order they are listed in error messages and the usage text.
-const SUPPORTED_SCHEMAS: [&str; 8] = [
+const SUPPORTED_SCHEMAS: [&str; 6] = [
     rtj_runtime::METRICS_SCHEMA,
     rtj_types::CHECKER_METRICS_SCHEMA,
     rtj_corpus::FIG12_SCHEMA,
     rtj_server::LOAD_SCHEMA,
-    rtj_server::SERVE_BENCH_SCHEMA,
-    rtj_types::CHECK_BENCH_SCHEMA,
     rtj_server::SERVER_TRACE_SCHEMA,
     rtj_server::TIMELINE_SCHEMA,
 ];
@@ -1024,20 +842,24 @@ const SUPPORTED_SCHEMAS: [&str; 8] = [
 /// of observability documents — `rtj-metrics/v1` (from `rtjc run
 /// --metrics`), `rtj-checker-metrics/v1` (from `rtjc check --profile` or
 /// `check --stats --format json`), `rtj-fig12/v1` (from `rtjc fig12
-/// --format json`), and `rtj-check-bench/v1` (from `rtjc bench
-/// incremental:N`). Given both a checker and a runtime document, a
-/// combined static-cost vs. dynamic-checks-elided section follows the
-/// per-document reports.
+/// --format json`), `rtj-load/v1` (from `rtjc serve`/`load`), and the
+/// flight recorder's `rtj-server-trace/v1` and `rtj-timeline/v1`. Given
+/// both a checker and a runtime document, a combined static-cost vs.
+/// dynamic-checks-elided section follows the per-document reports.
 fn report_cmd(args: &[String]) -> ExitCode {
-    let paths: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    if paths.is_empty() {
-        eprintln!("usage: rtjc report <snapshot.json>...");
+    const USAGE: &str = "usage: rtjc report <snapshot.json>...";
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        eprintln!("{}", unexpected_arg(flag, USAGE));
+        return ExitCode::FAILURE;
+    }
+    if args.is_empty() {
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
     let mut checker: Option<rtj_types::CheckerSnapshot> = None;
     let mut runtime: Option<MetricsSnapshot> = None;
     let mut out = String::new();
-    for (i, path) in paths.iter().enumerate() {
+    for (i, path) in args.iter().enumerate() {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -1106,32 +928,6 @@ fn report_cmd(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            Some(rtj_server::SERVE_BENCH_SCHEMA) => {
-                match rtj_server::ServeBenchReport::from_json(&doc) {
-                    Ok(report) => {
-                        out += &report.render_report();
-                        for (_, snap) in &report.overload.mode_metrics {
-                            match &mut runtime {
-                                Some(agg) => agg.merge(snap),
-                                None => runtime = Some(snap.clone()),
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            Some(rtj_types::CHECK_BENCH_SCHEMA) => {
-                match rtj_types::CheckBenchReport::from_json(&doc) {
-                    Ok(report) => out += &report.render_report(),
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             Some(rtj_server::SERVER_TRACE_SCHEMA) => {
                 match rtj_server::ServerTrace::from_json(&doc) {
                     Ok(trace) => out += &trace.render_report(),
@@ -1266,7 +1062,7 @@ fn render_fig12_document(doc: &Json) -> Result<String, String> {
     Ok(out)
 }
 
-/// Telemetry flags shared by `rtjc serve`/`load`/`servebench`:
+/// Telemetry flags shared by `rtjc serve`/`load`:
 /// `--telemetry[=FILE]` turns the flight recorder on (and optionally
 /// writes the trace document to FILE plus the timeline to the sibling
 /// `*.timeline.json`), `--trace-format chrome|jsonl` selects the trace
@@ -1327,7 +1123,7 @@ fn write_telemetry(cli: &TelemetryCli, telemetry: &rtj_server::Telemetry) -> Res
 /// command-specific flags.
 type ServeFlags = (rtj_server::ServeConfig, TelemetryCli, Vec<String>);
 
-/// Parses the shared serve/load/servebench flags (see [`ServeFlags`]).
+/// Parses the shared serve/load flags (see [`ServeFlags`]).
 fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
     use rtj_server::ServeConfig;
     let mut cfg = ServeConfig::default();
@@ -1470,7 +1266,7 @@ type TailFlags = (bool, Option<String>, Option<String>, Vec<Option<f64>>);
 /// `--rounds`, `--rate`). Returns (json, out, sessions, named values) or
 /// an error on leftovers.
 fn parse_tail_flags(rest: &[String], named: &[&str]) -> Result<TailFlags, String> {
-    let json = parse_format(rest)?;
+    let (json, rest) = take_format(rest)?;
     let mut out = None;
     let mut sessions = None;
     let mut values: Vec<Option<f64>> = vec![None; named.len()];
@@ -1490,9 +1286,6 @@ fn parse_tail_flags(rest: &[String], named: &[&str]) -> Result<TailFlags, String
             }
         };
         match flag.as_str() {
-            "--format" => {
-                value_of(&mut it)?;
-            }
             "--out" => out = Some(value_of(&mut it)?),
             "--sessions" => sessions = Some(value_of(&mut it)?),
             f => {
@@ -1559,9 +1352,6 @@ fn load_cmd(args: &[String]) -> ExitCode {
             duration: std::time::Duration::from_millis(values[1].unwrap_or(1000.0) as u64),
             seed: values[2].unwrap_or(1.0) as u64,
         };
-        if plan.rate_hz <= 0.0 {
-            return Err("--rate must be positive".into());
-        }
         let outcome = rtj_server::run_load(&cfg, &plan).map_err(|e| e.to_string())?;
         if let Some(path) = &sessions {
             write_sessions_file(path, &outcome.serve.results)?;
@@ -1579,107 +1369,6 @@ fn load_cmd(args: &[String]) -> ExitCode {
     })
 }
 
-/// `rtjc servebench`: regenerate the checked-in `rtj-serve-bench/v1`
-/// serving baseline (`BENCH_serve.json`). Two parts:
-///
-/// 1. **Worker sweep** — the same fixed saturation batch (`--rounds`
-///    complete mix rounds, no pacing, no shedding) at 1/2/4/8 workers,
-///    with a simulated downstream stall per session (`--stall-us`,
-///    default 250) so the sweep measures executor concurrency rather
-///    than host core count. Each row records throughput and an FNV-1a
-///    fingerprint over the deterministic per-session results; equal
-///    fingerprints prove byte-identity across worker counts.
-/// 2. **Overload row** — an open-loop run far past the knee (`--rate`,
-///    default 60000/s for `--duration-ms`, default 250) with a
-///    per-session deadline (`--deadline-us`, default 20000) so overload
-///    surfaces as a measured `sessions.shed` count instead of unbounded
-///    queue growth.
-fn servebench_cmd(args: &[String]) -> ExitCode {
-    let run = || -> Result<ExitCode, String> {
-        let (mut cfg, telemetry, rest) = parse_serve_flags(args)?;
-        let (json, out, sessions, values) =
-            parse_tail_flags(&rest, &["--rounds", "--rate", "--duration-ms", "--seed"])?;
-        if sessions.is_some() {
-            return Err("--sessions applies to `serve`/`load`, not `servebench`".into());
-        }
-        let rounds = values[0].unwrap_or(40.0) as u64;
-        let rate_hz = values[1].unwrap_or(60000.0);
-        let duration = std::time::Duration::from_millis(values[2].unwrap_or(250.0) as u64);
-        let seed = values[3].unwrap_or(1.0) as u64;
-
-        // The sweep: deterministic fixed workload, no shedding, stalls on.
-        let mut sweep_cfg = cfg.clone();
-        sweep_cfg.deadline = None;
-        if sweep_cfg.stall_us == 0 {
-            sweep_cfg.stall_us = 250;
-        }
-        let mut rows = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            sweep_cfg.workers = workers;
-            let start = std::time::Instant::now();
-            let outcome = rtj_server::run_batch(&sweep_cfg, rounds).map_err(|e| e.to_string())?;
-            let duration_ms = start.elapsed().as_millis().max(1) as u64;
-            let executed = outcome.results.iter().filter(|r| r.shed.is_none()).count() as u64;
-            rows.push(rtj_server::SweepRow {
-                workers,
-                sessions: executed,
-                duration_ms,
-                throughput_hz: executed as f64 * 1000.0 / duration_ms as f64,
-                stolen: outcome.stats.stolen,
-                fingerprint: rtj_server::results_fingerprint(&outcome.results),
-            });
-        }
-
-        // The overload row: same shape as the historical BENCH_serve
-        // baseline (2 workers unless overridden), now with shedding.
-        if cfg.workers == 0 {
-            cfg.workers = 2;
-        }
-        if cfg.deadline.is_none() {
-            cfg.deadline = Some(std::time::Duration::from_micros(20_000));
-        }
-        let plan = rtj_server::LoadPlan {
-            rate_hz,
-            duration,
-            seed,
-        };
-        let outcome = rtj_server::run_load(&cfg, &plan).map_err(|e| e.to_string())?;
-        if let Some(t) = &outcome.serve.telemetry {
-            // `--telemetry=FILE` exports the overload run's documents.
-            // The sweep runs above also recorded (cfg.telemetry is set
-            // before the clone), so their fingerprints witness that the
-            // instrumented path leaves results byte-identical.
-            write_telemetry(&telemetry, t)?;
-        }
-        let workload = format!("{} x{}", cfg.programs.join(","), cfg.variants);
-        let overload = rtj_server::LoadReport::from_load(&outcome, workload);
-
-        let report = rtj_server::ServeBenchReport {
-            overload,
-            sweep_rounds: rounds,
-            sweep_stall_us: sweep_cfg.stall_us,
-            rows,
-        };
-        if let Some(path) = &out {
-            if let Err(e) = write_output(path, &(report.render() + "\n")) {
-                return Err(e.to_string());
-            }
-        }
-        if json {
-            if out.as_deref() != Some("-") {
-                println!("{}", report.render());
-            }
-        } else {
-            print!("{}", report.render_report());
-        }
-        Ok(ExitCode::SUCCESS)
-    };
-    run().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        ExitCode::FAILURE
-    })
-}
-
 /// Maps an `--engine` value to an [`Engine`].
 fn engine_from_str(v: &str) -> Option<Engine> {
     match v {
@@ -1689,48 +1378,42 @@ fn engine_from_str(v: &str) -> Option<Engine> {
     }
 }
 
-/// Parses `--engine tree|vm` (both forms); defaults to the VM.
-fn parse_engine(args: &[String]) -> Result<Engine, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = if let Some(v) = a.strip_prefix("--engine=") {
-            v.to_string()
-        } else if a == "--engine" {
-            it.next()
-                .cloned()
-                .ok_or("--engine expects `tree` or `vm`")?
-        } else {
-            continue;
-        };
-        return engine_from_str(&value)
-            .ok_or_else(|| format!("unknown engine `{value}`; expected `tree` or `vm`"));
-    }
-    Ok(Engine::default())
-}
-
-/// Parses `--format text|json` (both `--format json` and `--format=json`
-/// forms); defaults to text.
-fn parse_format(args: &[String]) -> Result<bool, String> {
+/// Splits `--format text|json` (both the `--format json` and the
+/// `--format=json` form) off `args`: whether JSON was asked for, and the
+/// remaining arguments.
+fn take_format(args: &[String]) -> Result<(bool, Vec<String>), String> {
+    let mut json = false;
+    let mut rest = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let value = if let Some(v) = a.strip_prefix("--format=") {
-            v.to_string()
+            v
         } else if a == "--format" {
-            it.next()
-                .cloned()
-                .ok_or("--format expects `text` or `json`")?
+            it.next().ok_or("--format expects `text` or `json`")?
         } else {
+            rest.push(a.clone());
             continue;
         };
-        return match value.as_str() {
-            "json" => Ok(true),
-            "text" => Ok(false),
-            other => Err(format!(
-                "unknown format `{other}`; expected `text` or `json`"
-            )),
+        json = match value {
+            "json" => true,
+            "text" => false,
+            other => {
+                return Err(format!(
+                    "unknown format `{other}`; expected `text` or `json`"
+                ))
+            }
         };
     }
-    Ok(false)
+    Ok((json, rest))
+}
+
+/// The one-line error for an argument a command does not take.
+fn unexpected_arg(arg: &str, usage: &str) -> String {
+    if arg.starts_with("--") {
+        format!("unknown flag `{arg}`; {usage}")
+    } else {
+        format!("unexpected argument `{arg}`; {usage}")
+    }
 }
 
 /// Writes `text` to `path`, with `-` meaning stdout.
@@ -1784,8 +1467,17 @@ fn print_stats(s: &rtj_types::CheckStats) {
     eprintln!("wall time       : {:?}", s.elapsed);
 }
 
+/// Runs a one-file command (`rtjc <cmd> <file>`, with `args[0]` the
+/// command name) on the file's source; the command takes no flags.
 fn with_file(args: &[String], f: impl FnOnce(&str) -> ExitCode) -> ExitCode {
-    let Some(path) = args.iter().skip(1).find(|a| !a.starts_with("--")) else {
+    if let Some(flag) = args[1..].iter().find(|a| a.starts_with("--")) {
+        eprintln!(
+            "{}",
+            unexpected_arg(flag, &format!("usage: rtjc {} <file>", args[0]))
+        );
+        return ExitCode::FAILURE;
+    }
+    let Some(path) = args.get(1) else {
         eprintln!("missing file argument");
         return ExitCode::FAILURE;
     };

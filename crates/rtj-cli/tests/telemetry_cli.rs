@@ -162,8 +162,6 @@ fn report_rejects_unknown_and_missing_schema_with_one_line_error() {
         "rtj-checker-metrics/v1",
         "rtj-fig12/v1",
         "rtj-load/v1",
-        "rtj-serve-bench/v1",
-        "rtj-check-bench/v1",
         "rtj-server-trace/v1",
         "rtj-timeline/v1",
     ] {

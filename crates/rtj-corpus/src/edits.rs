@@ -1,6 +1,7 @@
 //! Seeded single-class edit batches against [`scaled_classes`], the
-//! workload of the incremental re-checking bench (`rtjc bench
-//! incremental:N`) and of the CI differential smoke (`rtjc check --edits`).
+//! edit replay of the benchmark's `check` workload (`perfbench/`) and,
+//! printed by `rtjc bench edits:N`, of the CI differential smoke (`rtjc
+//! check --edits`).
 //!
 //! Each batch replaces one whole class declaration of one replica with a
 //! batch-unique variant:

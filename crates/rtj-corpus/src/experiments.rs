@@ -11,7 +11,7 @@
 
 use crate::metrics::annotation_report;
 use crate::programs::{all, BenchProgram, Category, Scale};
-use rtj_interp::{build, run_checked, Engine, RunConfig, RunOutcome};
+use rtj_interp::{build, run_checked, RunConfig, RunOutcome};
 use rtj_runtime::{CheckMode, Json, MetricsSnapshot};
 
 /// Schema identifier for [`fig11_json`] documents.
@@ -19,9 +19,6 @@ pub const FIG11_SCHEMA: &str = "rtj-fig11/v1";
 
 /// Schema identifier for [`fig12_json`] documents.
 pub const FIG12_SCHEMA: &str = "rtj-fig12/v1";
-
-/// Schema identifier for [`bench_json`] documents.
-pub const BENCH_SCHEMA: &str = "rtj-bench/v1";
 
 /// One row of Figure 11.
 #[derive(Debug, Clone)]
@@ -125,32 +122,20 @@ pub struct Fig12Row {
     pub static_metrics: MetricsSnapshot,
 }
 
-/// Runs one benchmark in both modes with the default engine and returns
-/// its Figure 12 row.
+/// Runs one benchmark in both modes and returns its Figure 12 row. The
+/// row does not depend on the execution engine: both engines produce
+/// identical virtual-cycle accounting and metrics snapshots (see
+/// `tests/vm_differential.rs`).
 ///
 /// # Panics
 ///
 /// Panics if the benchmark fails to build or run — corpus programs are
 /// supposed to be well-typed and terminate.
 pub fn fig12_row(bench: &BenchProgram) -> Fig12Row {
-    fig12_row_on(bench, Engine::default())
-}
-
-/// Runs one benchmark in both modes on the given engine and returns its
-/// Figure 12 row. The row is engine-independent by construction: both
-/// engines produce identical virtual-cycle accounting and metrics
-/// snapshots (see `tests/vm_differential.rs`).
-///
-/// # Panics
-///
-/// Panics if the benchmark fails to build or run.
-pub fn fig12_row_on(bench: &BenchProgram, engine: Engine) -> Fig12Row {
     let checked =
         build(&bench.source).unwrap_or_else(|e| panic!("{}: failed to build: {e}", bench.name));
     let run = |mode: CheckMode| -> RunOutcome {
-        let mut cfg = RunConfig::new(mode);
-        cfg.engine = engine;
-        let out = run_checked(&checked, cfg);
+        let out = run_checked(&checked, RunConfig::new(mode));
         assert!(
             out.error.is_none(),
             "{} ({mode:?}): runtime error: {:?}",
@@ -192,134 +177,9 @@ pub fn fig12_row_on(bench: &BenchProgram, engine: Engine) -> Fig12Row {
     }
 }
 
-/// Computes Figure 12 (dynamic checking overhead) for every benchmark
-/// with the default engine.
+/// Computes Figure 12 (dynamic checking overhead) for every benchmark.
 pub fn fig12(scale: Scale) -> Vec<Fig12Row> {
-    fig12_on(scale, Engine::default())
-}
-
-/// Computes Figure 12 for every benchmark on the given engine.
-pub fn fig12_on(scale: Scale, engine: Engine) -> Vec<Fig12Row> {
-    all(scale).iter().map(|b| fig12_row_on(b, engine)).collect()
-}
-
-/// One row of an engine-comparison benchmark: the same program run under
-/// the tree-walker and the bytecode VM.
-#[derive(Debug, Clone)]
-pub struct EngineBenchRow {
-    /// Workload name.
-    pub name: String,
-    /// Best-of-N wall time of the tree-walking engine, in nanoseconds.
-    pub tree_wall_ns: u64,
-    /// Best-of-N wall time of the bytecode VM, in nanoseconds.
-    pub vm_wall_ns: u64,
-    /// `tree_wall_ns / vm_wall_ns` — how much faster the VM is.
-    pub speedup: f64,
-    /// Virtual cycles of the run — asserted identical across engines.
-    pub cycles: u64,
-    /// Dynamic checks performed — asserted identical across engines.
-    pub checks: u64,
-}
-
-/// Benchmarks one program under both engines, asserting the engines
-/// agree on everything the virtual machine model defines (cycles,
-/// metrics snapshot, print trace) before comparing wall time. Each
-/// engine runs `iters` times; the row records the fastest run.
-///
-/// # Panics
-///
-/// Panics if the program fails to build or run, or if the engines
-/// diverge on any deterministic observable.
-pub fn bench_engines(name: &str, source: &str, mode: CheckMode, iters: u32) -> EngineBenchRow {
-    let checked = build(source).unwrap_or_else(|e| panic!("{name}: failed to build: {e}"));
-    let iters = iters.max(1);
-    let run = |engine: Engine| -> (u64, RunOutcome) {
-        let mut best = u64::MAX;
-        let mut last = None;
-        for _ in 0..iters {
-            let mut cfg = RunConfig::new(mode);
-            cfg.engine = engine;
-            let out = run_checked(&checked, cfg);
-            assert!(out.error.is_none(), "{name} ({engine}): {:?}", out.error);
-            best = best.min(out.wall.as_nanos() as u64);
-            last = Some(out);
-        }
-        (best, last.expect("at least one iteration"))
-    };
-    let (tree_wall_ns, tree) = run(Engine::Tree);
-    let (vm_wall_ns, vm) = run(Engine::Vm);
-    assert_eq!(tree.cycles, vm.cycles, "{name}: engines disagree on cycles");
-    assert_eq!(tree.trace, vm.trace, "{name}: engines disagree on output");
-    assert_eq!(
-        tree.metrics, vm.metrics,
-        "{name}: engines disagree on the metrics snapshot"
-    );
-    EngineBenchRow {
-        name: name.to_owned(),
-        tree_wall_ns,
-        vm_wall_ns,
-        speedup: tree_wall_ns as f64 / vm_wall_ns.max(1) as f64,
-        cycles: vm.cycles,
-        checks: vm.metrics.checks_performed(),
-    }
-}
-
-/// Geometric mean of the rows' speedups (1.0 for an empty slice).
-pub fn geomean_speedup(rows: &[EngineBenchRow]) -> f64 {
-    if rows.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = rows.iter().map(|r| r.speedup.max(1e-9).ln()).sum();
-    (log_sum / rows.len() as f64).exp()
-}
-
-/// Serializes engine-comparison rows as an `rtj-bench/v1` JSON document.
-///
-/// Unlike the fig11/fig12 documents, this one records *wall-clock*
-/// measurements and is therefore machine-dependent; `cycles` and
-/// `checks` are included so readers can verify the engines ran the same
-/// virtual work.
-pub fn bench_json(rows: &[EngineBenchRow], workload: &str, mode: CheckMode) -> String {
-    Json::obj(vec![
-        ("schema", Json::Str(BENCH_SCHEMA.into())),
-        ("workload", Json::Str(workload.into())),
-        ("mode", Json::Str(mode.name().into())),
-        ("geomean_speedup", Json::Float(geomean_speedup(rows))),
-        (
-            "rows",
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj(vec![
-                            ("name", Json::Str(r.name.clone())),
-                            ("tree_wall_ns", Json::Int(r.tree_wall_ns as i64)),
-                            ("vm_wall_ns", Json::Int(r.vm_wall_ns as i64)),
-                            ("speedup", Json::Float(r.speedup)),
-                            ("cycles", Json::Int(r.cycles as i64)),
-                            ("checks", Json::Int(r.checks as i64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render()
-}
-
-/// Renders engine-comparison rows as an aligned text table.
-pub fn render_bench(rows: &[EngineBenchRow]) -> String {
-    let mut out = String::from(
-        "Engine comparison: tree-walker vs bytecode VM (wall clock)\n\
-         workload          tree-ns      vm-ns   speedup     cycles   checks\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<14} {:>10} {:>10} {:>8.2}x {:>10} {:>8}\n",
-            r.name, r.tree_wall_ns, r.vm_wall_ns, r.speedup, r.cycles, r.checks,
-        ));
-    }
-    out.push_str(&format!("geomean speedup: {:.2}x\n", geomean_speedup(rows)));
-    out
+    all(scale).iter().map(fig12_row).collect()
 }
 
 /// Ablation: how the Figure 12 overhead of a benchmark scales with the

@@ -25,10 +25,8 @@ pub mod programs;
 
 pub use edits::{edit_batches, edits_json, parse_edits, EditBatch, EditScript, EDITS_SCHEMA};
 pub use experiments::{
-    bench_engines, bench_json, fig11, fig11_json, fig12, fig12_json, fig12_on, fig12_row,
-    fig12_row_on, geomean_speedup, paper_ratio, render_bench, render_fig11, render_fig12,
-    EngineBenchRow, Fig11Row, Fig12Row, BENCH_SCHEMA, FIG11_SCHEMA, FIG12_SCHEMA, PAPER_FIG11,
-    PAPER_FIG12,
+    fig11, fig11_json, fig12, fig12_json, fig12_row, paper_ratio, render_fig11, render_fig12,
+    Fig11Row, Fig12Row, FIG11_SCHEMA, FIG12_SCHEMA, PAPER_FIG11, PAPER_FIG12,
 };
 pub use metrics::{annotation_report, AnnotationReport};
 pub use programs::{

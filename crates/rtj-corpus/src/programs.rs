@@ -1703,7 +1703,7 @@ class Leaf{i}<Owner o> extends Mid{i}<o> {{
 /// field reads/writes, and integer arithmetic — the paths where the
 /// bytecode VM's flat dispatch and inline caches pay off against the
 /// tree-walker. Replica `i` gets globally distinct class names, so
-/// call/field sites see distinct layouts and the benchmark also covers
+/// call/field sites see distinct layouts and the workload also covers
 /// cache-fill behaviour, not just steady-state hits.
 pub fn scaled_vm_workload(copies: usize) -> String {
     let copies = copies.max(1);

@@ -28,10 +28,7 @@
 //! concurrency* over the mode-matched admitted population. With
 //! [`ServeConfig::deadline`] set, sessions past their deadline are
 //! **shed** (at admission or in queue) instead of queued without bound.
-//! The checked-in serving baseline is the composite
-//! [`report::SERVE_BENCH_SCHEMA`] (`rtj-serve-bench/v1`) document: an
-//! overload row plus a fixed-workload worker sweep with per-row result
-//! fingerprints. Architecture and schema reference: `SERVER.md`.
+//! Architecture and schema reference: `SERVER.md`.
 //!
 //! With [`ServeConfig::telemetry`] set, the server also runs a **flight
 //! recorder** ([`telemetry`]): a per-worker scheduling event log drained
@@ -67,8 +64,7 @@ pub mod telemetry;
 pub use executor::{Executor, ExecutorProbe, ExecutorStats, Job, ProbeSample};
 pub use load::{run_load, LoadOutcome, LoadPlan};
 pub use report::{
-    AttributionGroup, LatencySummary, LoadGroup, LoadLedger, LoadReport, ServeBenchReport,
-    SweepRow, LOAD_SCHEMA, SERVE_BENCH_SCHEMA,
+    AttributionGroup, LatencySummary, LoadGroup, LoadLedger, LoadReport, LOAD_SCHEMA,
 };
 pub use server::{run_batch, ServeConfig, ServeError, ServeOutcome, Server, ShedStats};
 pub use session::{results_fingerprint, SessionResult, SessionSpec, ShedStage};

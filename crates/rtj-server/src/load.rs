@@ -83,18 +83,39 @@ impl Lcg {
     }
 }
 
+/// The highest arrival rate [`run_load`] accepts: one arrival per
+/// nanosecond, the resolution of the [`Duration`] gaps it schedules.
+/// Above it most gaps round to zero and the window would never close.
+const MAX_RATE_HZ: f64 = 1e9;
+
 /// Drives `server` with the plan's Poisson arrivals, tops up to a whole
 /// mix round, drains, and returns everything measured.
+///
+/// # Errors
+///
+/// Fails if the server cannot start, or if `plan.rate_hz` is out of
+/// range: above one arrival per nanosecond (1e9/s), or without a mean
+/// gap `1 / rate` that is a valid [`Duration`] (NaN, zero, negative, or
+/// so low the gap overflows).
 pub fn run_load(cfg: &ServeConfig, plan: &LoadPlan) -> Result<LoadOutcome, ServeError> {
-    assert!(plan.rate_hz > 0.0, "rate must be positive");
+    if plan.rate_hz > MAX_RATE_HZ || Duration::try_from_secs_f64(1.0 / plan.rate_hz).is_err() {
+        return Err(ServeError {
+            message: format!(
+                "rate must be positive, at most {MAX_RATE_HZ:e} sessions/s and with a \
+                 mean gap that fits a Duration, got {:?}",
+                plan.rate_hz
+            ),
+        });
+    }
     let server = Server::start(cfg)?;
     let mut rng = Lcg(plan.seed.wrapping_mul(2654435769).wrapping_add(1));
     let start = Instant::now();
     let mut offset = Duration::ZERO;
     let mut session = 0u64;
 
-    loop {
-        offset += Duration::from_secs_f64(rng.next_exp(plan.rate_hz));
+    // A gap too long for a `Duration` lies past any window.
+    while let Ok(gap) = Duration::try_from_secs_f64(rng.next_exp(plan.rate_hz)) {
+        offset = offset.saturating_add(gap);
         if offset >= plan.duration {
             break;
         }

@@ -1,5 +1,4 @@
-//! The versioned `rtj-load/v1` serving report and the `rtj-serve-bench/v1`
-//! baseline document.
+//! The versioned `rtj-load/v1` serving report.
 //!
 //! One load (or batch-serve) run renders to a single JSON document:
 //! run-level totals (including the `sessions.shed` overload block),
@@ -8,9 +7,7 @@
 //! snapshots (accumulated in the worker shards), and the Figure-12
 //! ledger computed over the mode-matched admitted population. `rtjc
 //! report` accepts these documents alongside metrics/checker/fig12
-//! documents. [`ServeBenchReport`] bundles an overload run with a
-//! fixed-workload worker sweep — the checked-in `BENCH_serve.json`
-//! baseline. Schemas documented in `SERVER.md`.
+//! documents. Schema documented in `SERVER.md`.
 
 use rtj_interp::Engine;
 use rtj_runtime::{CheckMode, Histogram, Json, JsonError, MetricsSnapshot};
@@ -22,10 +19,6 @@ use crate::telemetry::{SessionStages, STAGE_NAMES};
 
 /// Version tag of the serving-report schema.
 pub const LOAD_SCHEMA: &str = "rtj-load/v1";
-
-/// Version tag of the serving-baseline schema (overload row + worker
-/// sweep).
-pub const SERVE_BENCH_SCHEMA: &str = "rtj-serve-bench/v1";
 
 /// Exact order statistics over one group's wall-clock samples, plus a
 /// log₂ histogram (same bucketing as `rtj-metrics/v1` cost histograms)
@@ -883,203 +876,6 @@ impl LoadReport {
                 l.matched_sessions,
             );
         }
-        out
-    }
-}
-
-/// One row of the worker sweep: a fixed saturation batch run at one
-/// worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepRow {
-    /// Worker-thread count of this row.
-    pub workers: usize,
-    /// Sessions executed (the batch size; constant across rows).
-    pub sessions: u64,
-    /// Wall-clock time to drain the batch, milliseconds.
-    pub duration_ms: u64,
-    /// Executed sessions per second.
-    pub throughput_hz: f64,
-    /// Sessions executed by a non-owner worker.
-    pub stolen: u64,
-    /// FNV-1a fingerprint over the deterministic per-session results —
-    /// equal across rows ⇔ byte-identical results at every worker count.
-    pub fingerprint: u64,
-}
-
-impl SweepRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("workers", Json::Int(self.workers as i64)),
-            ("sessions", Json::Int(self.sessions as i64)),
-            ("duration_ms", Json::Int(self.duration_ms as i64)),
-            ("throughput_hz", Json::Float(self.throughput_hz)),
-            ("stolen", Json::Int(self.stolen as i64)),
-            (
-                "fingerprint",
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<SweepRow, JsonError> {
-        let int = |k: &str| -> Result<u64, JsonError> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(format!("missing sweep `{k}`")))
-        };
-        let fingerprint = v
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing sweep `fingerprint`"))?;
-        Ok(SweepRow {
-            workers: int("workers")? as usize,
-            sessions: int("sessions")?,
-            duration_ms: int("duration_ms")?,
-            throughput_hz: v
-                .get("throughput_hz")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("missing sweep `throughput_hz`"))?,
-            stolen: int("stolen")?,
-            fingerprint: u64::from_str_radix(fingerprint, 16)
-                .map_err(|_| bad("bad sweep `fingerprint`"))?,
-        })
-    }
-}
-
-/// The `rtj-serve-bench/v1` baseline document: one overload load run
-/// (deadline shedding active) plus a fixed-workload saturation-batch
-/// sweep over worker counts, with per-row result fingerprints proving
-/// byte-identity across the sweep.
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// The overload row: an open-loop run far past the knee, with
-    /// deadline shedding keeping the queue bounded.
-    pub overload: LoadReport,
-    /// Mix rounds per sweep row (the fixed batch).
-    pub sweep_rounds: u64,
-    /// Simulated downstream stall per session in the sweep (µs); worker
-    /// scaling of I/O-shaped load is what the sweep isolates.
-    pub sweep_stall_us: u64,
-    /// One row per worker count, ascending.
-    pub rows: Vec<SweepRow>,
-}
-
-impl ServeBenchReport {
-    /// Throughput of the last row over the first (e.g. 8 workers vs 1).
-    pub fn speedup(&self) -> f64 {
-        match (self.rows.first(), self.rows.last()) {
-            (Some(first), Some(last)) if first.throughput_hz > 0.0 => {
-                last.throughput_hz / first.throughput_hz
-            }
-            _ => 0.0,
-        }
-    }
-
-    /// Whether every sweep row produced byte-identical per-session
-    /// results (equal fingerprints).
-    pub fn identical_results(&self) -> bool {
-        self.rows
-            .windows(2)
-            .all(|w| w[0].fingerprint == w[1].fingerprint)
-    }
-
-    /// Serialises to the versioned document.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::Str(SERVE_BENCH_SCHEMA.into())),
-            ("overload", self.overload.to_json()),
-            (
-                "sweep",
-                Json::obj(vec![
-                    ("rounds", Json::Int(self.sweep_rounds as i64)),
-                    ("stall_us", Json::Int(self.sweep_stall_us as i64)),
-                    (
-                        "rows",
-                        Json::Arr(self.rows.iter().map(SweepRow::to_json).collect()),
-                    ),
-                    ("speedup", Json::Float(self.speedup())),
-                    ("identical_results", Json::Bool(self.identical_results())),
-                ]),
-            ),
-        ])
-    }
-
-    /// Parses a document produced by [`ServeBenchReport::to_json`].
-    pub fn from_json(v: &Json) -> Result<ServeBenchReport, JsonError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some(SERVE_BENCH_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("expected {SERVE_BENCH_SCHEMA}, got {other}"))),
-            None => return Err(bad("missing `schema`")),
-        }
-        let overload =
-            LoadReport::from_json(v.get("overload").ok_or_else(|| bad("missing `overload`"))?)?;
-        let sweep = v.get("sweep").ok_or_else(|| bad("missing `sweep`"))?;
-        let mut rows = Vec::new();
-        for row in sweep
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `sweep.rows`"))?
-        {
-            rows.push(SweepRow::from_json(row)?);
-        }
-        Ok(ServeBenchReport {
-            overload,
-            sweep_rounds: sweep
-                .get("rounds")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `sweep.rounds`"))?,
-            sweep_stall_us: sweep.get("stall_us").and_then(Json::as_u64).unwrap_or(0),
-            rows,
-        })
-    }
-
-    /// Parses the rendered text form.
-    pub fn parse(text: &str) -> Result<ServeBenchReport, JsonError> {
-        ServeBenchReport::from_json(&Json::parse(text)?)
-    }
-
-    /// Renders the JSON document.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Renders the human-readable baseline: the overload report, then
-    /// the sweep table.
-    pub fn render_report(&self) -> String {
-        let mut out = String::new();
-        out += &format!("serving baseline ({SERVE_BENCH_SCHEMA})\n\n");
-        out += "== overload row (deadline shedding) ==\n";
-        out += &self.overload.render_report();
-        out += &format!(
-            "\n== worker sweep ({} rounds/row, {} µs stall) ==\n",
-            self.sweep_rounds, self.sweep_stall_us
-        );
-        out += &format!(
-            "{:>7} {:>9} {:>11} {:>13} {:>7}  {}\n",
-            "workers", "sessions", "drain ms", "sessions/s", "stolen", "fingerprint"
-        );
-        for row in &self.rows {
-            out += &format!(
-                "{:>7} {:>9} {:>11} {:>13.0} {:>7}  {:016x}\n",
-                row.workers,
-                row.sessions,
-                row.duration_ms,
-                row.throughput_hz,
-                row.stolen,
-                row.fingerprint
-            );
-        }
-        out += &format!(
-            "\nspeedup {:.2}x ({} → {} workers), results {}\n",
-            self.speedup(),
-            self.rows.first().map_or(0, |r| r.workers),
-            self.rows.last().map_or(0, |r| r.workers),
-            if self.identical_results() {
-                "byte-identical across the sweep"
-            } else {
-                "DIVERGED"
-            }
-        );
         out
     }
 }

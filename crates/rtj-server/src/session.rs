@@ -102,8 +102,8 @@ impl SessionResult {
 }
 
 /// FNV-1a over the deterministic keys of every **executed** session, in
-/// order — the byte-identity witness the worker sweep stores: equal
-/// fingerprints across worker counts mean equal per-session results.
+/// order — the byte-identity witness: equal fingerprints across worker
+/// counts mean equal per-session results.
 pub fn results_fingerprint(results: &[SessionResult]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut byte = |b: u8| {

@@ -1,6 +1,6 @@
 //! Overload behaviour of the multi-tenant server: deadline shedding
-//! (admission and queue), panic containment, and the `sessions.shed` /
-//! `rtj-serve-bench/v1` report surfaces.
+//! (admission and queue), panic containment, and the `sessions.shed`
+//! report surface.
 //!
 //! Shedding is a wall-clock decision, so these tests construct the
 //! overload deterministically — a zero deadline sheds everything at
@@ -11,8 +11,7 @@
 use rtj_interp::Engine;
 use rtj_runtime::CheckMode;
 use rtj_server::{
-    results_fingerprint, run_batch, LoadReport, ServeBenchReport, ServeConfig, SessionResult,
-    ShedStage, SweepRow,
+    results_fingerprint, run_batch, LoadReport, ServeConfig, SessionResult, ShedStage,
 };
 use std::time::Duration;
 
@@ -149,39 +148,4 @@ fn shed_counts_round_trip_through_the_load_document() {
     if report.shed_total() > 0 {
         assert!(parsed.render_report().contains("shed"));
     }
-}
-
-#[test]
-fn serve_bench_report_round_trips_and_derives() {
-    let overload = {
-        let mut cfg = small_config(2);
-        cfg.deadline = Some(Duration::ZERO);
-        let outcome = run_batch(&cfg, 2).expect("serve");
-        LoadReport::from_serve(&outcome, "overload".into(), 50_000.0, 20)
-    };
-    let row = |workers: usize, duration_ms: u64| SweepRow {
-        workers,
-        sessions: 144,
-        duration_ms,
-        throughput_hz: 144.0 * 1000.0 / duration_ms as f64,
-        stolen: if workers > 1 { 3 } else { 0 },
-        fingerprint: 0xdead_beef_cafe_f00d,
-    };
-    let report = ServeBenchReport {
-        overload,
-        sweep_rounds: 36,
-        sweep_stall_us: 250,
-        rows: vec![row(1, 400), row(2, 210), row(4, 120), row(8, 90)],
-    };
-    assert!(report.identical_results());
-    assert!((report.speedup() - 400.0 / 90.0).abs() < 1e-9);
-
-    let parsed = ServeBenchReport::parse(&report.render()).expect("parses");
-    assert_eq!(report.render(), parsed.render());
-    assert_eq!(parsed.rows.len(), 4);
-    assert_eq!(parsed.rows[3].fingerprint, 0xdead_beef_cafe_f00d);
-    assert_eq!(parsed.overload.shed_total(), report.overload.shed_total());
-    let human = parsed.render_report();
-    assert!(human.contains("worker sweep"));
-    assert!(human.contains("byte-identical"));
 }

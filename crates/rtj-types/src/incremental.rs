@@ -41,10 +41,6 @@
 //! The region-kind and inheritance well-formedness passes are cached the
 //! same way (per declaration), and the `main` block is always re-checked
 //! (it is a fraction of a percent of the total).
-//!
-//! [`CheckBenchReport`] is the persisted checker-latency baseline
-//! (`rtj-check-bench/v1`, `BENCH_check.json`), produced by
-//! `rtjc bench incremental:N` and rendered by `rtjc report`.
 
 use crate::check::{CheckOptions, CheckStats, Checker};
 use crate::env::{Effects, Env, JudgmentCounters};
@@ -59,15 +55,11 @@ use rtj_lang::fingerprint::{
     class_refs, fingerprint_class, fingerprint_region_kind, ClassFingerprint,
 };
 use rtj_lang::intern::Symbol;
-use rtj_lang::json::{Json, JsonError};
 use rtj_lang::parser::{parse_program, ParseError};
 use rtj_lang::span::Span;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Schema identifier for [`CheckBenchReport`] documents.
-pub const CHECK_BENCH_SCHEMA: &str = "rtj-check-bench/v1";
 
 /// A single-class edit: replace the declaration of `class` with `source`
 /// (the full replacement declaration text, `class ... { ... }`).
@@ -696,266 +688,6 @@ fn shift_span(s: Span, delta: i64) -> Span {
     }
 }
 
-// --------------------------------------------------------------- benching
-
-/// One re-check measurement in a [`CheckBenchReport`].
-#[derive(Debug, Clone)]
-pub struct EditBenchRow {
-    /// Batch index (application order).
-    pub batch: usize,
-    /// Edit kind: `"body"` or `"signature"`.
-    pub kind: String,
-    /// Classes re-checked (the dirty closure).
-    pub dirty: usize,
-    /// Class units reused from cache.
-    pub reused: usize,
-    /// Re-check wall clock in milliseconds (parse excluded).
-    pub recheck_ms: f64,
-    /// Diagnostics after the batch.
-    pub errors: usize,
-    /// Judgment-cache hit rate of the merged stats, in `[0, 1]`.
-    pub hit_rate: f64,
-}
-
-/// The persisted checker-latency baseline (`rtj-check-bench/v1`): a full
-/// from-scratch check versus per-edit incremental re-checks on the same
-/// scaled workload. The analogue of `BENCH_interp.json` (VM speedup) and
-/// `BENCH_serve.json` (serving throughput) for the checker.
-#[derive(Debug, Clone)]
-pub struct CheckBenchReport {
-    /// Workload label, e.g. `"scaled:64"`.
-    pub workload: String,
-    /// Classes in the workload.
-    pub classes: usize,
-    /// `--jobs` used for both sides.
-    pub jobs: usize,
-    /// Seed of the edit generator.
-    pub seed: u64,
-    /// Edit batches applied.
-    pub batches: usize,
-    /// Median from-scratch `check_program_in` wall clock, ms (parse
-    /// excluded — the incremental side excludes it too).
-    pub full_check_ms: f64,
-    /// The engine's initial (cache-cold) pass, ms.
-    pub initial_check_ms: f64,
-    /// Per-batch measurements.
-    pub rows: Vec<EditBenchRow>,
-}
-
-impl CheckBenchReport {
-    /// Median re-check latency over body-only batches, ms.
-    pub fn body_p50_ms(&self) -> f64 {
-        percentile(&self.kind_ms("body"), 50.0)
-    }
-
-    /// 95th-percentile re-check latency over body-only batches, ms.
-    pub fn body_p95_ms(&self) -> f64 {
-        percentile(&self.kind_ms("body"), 95.0)
-    }
-
-    /// Median re-check latency over signature batches, ms.
-    pub fn sig_p50_ms(&self) -> f64 {
-        percentile(&self.kind_ms("signature"), 50.0)
-    }
-
-    /// 95th-percentile re-check latency over signature batches, ms.
-    pub fn sig_p95_ms(&self) -> f64 {
-        percentile(&self.kind_ms("signature"), 95.0)
-    }
-
-    /// Median body-only re-check speedup over the from-scratch check —
-    /// the headline number (target: ≥10x at `scaled_classes(64)`).
-    pub fn body_speedup_p50(&self) -> f64 {
-        let p50 = self.body_p50_ms();
-        if p50 > 0.0 {
-            self.full_check_ms / p50
-        } else {
-            0.0
-        }
-    }
-
-    fn kind_ms(&self, kind: &str) -> Vec<f64> {
-        let mut v: Vec<f64> = self
-            .rows
-            .iter()
-            .filter(|r| r.kind == kind)
-            .map(|r| r.recheck_ms)
-            .collect();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        v
-    }
-
-    /// Serializes to a versioned `rtj-check-bench/v1` document.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("schema", Json::Str(CHECK_BENCH_SCHEMA.to_string())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("classes", Json::Int(self.classes as i64)),
-            ("jobs", Json::Int(self.jobs as i64)),
-            ("seed", Json::Int(self.seed as i64)),
-            ("batches", Json::Int(self.batches as i64)),
-            ("full_check_ms", Json::Float(self.full_check_ms)),
-            ("initial_check_ms", Json::Float(self.initial_check_ms)),
-            (
-                "summary",
-                Json::obj(vec![
-                    ("body_p50_ms", Json::Float(self.body_p50_ms())),
-                    ("body_p95_ms", Json::Float(self.body_p95_ms())),
-                    ("sig_p50_ms", Json::Float(self.sig_p50_ms())),
-                    ("sig_p95_ms", Json::Float(self.sig_p95_ms())),
-                    ("body_speedup_p50", Json::Float(self.body_speedup_p50())),
-                ]),
-            ),
-            (
-                "rows",
-                Json::Arr(
-                    self.rows
-                        .iter()
-                        .map(|r| {
-                            Json::obj(vec![
-                                ("batch", Json::Int(r.batch as i64)),
-                                ("kind", Json::Str(r.kind.clone())),
-                                ("dirty", Json::Int(r.dirty as i64)),
-                                ("reused", Json::Int(r.reused as i64)),
-                                ("recheck_ms", Json::Float(r.recheck_ms)),
-                                ("errors", Json::Int(r.errors as i64)),
-                                ("hit_rate", Json::Float(r.hit_rate)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Parses an `rtj-check-bench/v1` document.
-    ///
-    /// # Errors
-    ///
-    /// Rejects documents with a missing/unknown schema or missing fields.
-    pub fn from_json(v: &Json) -> Result<CheckBenchReport, JsonError> {
-        let fail = |m: &str| JsonError {
-            at: 0,
-            message: m.to_string(),
-        };
-        match v.get("schema").and_then(Json::as_str) {
-            Some(CHECK_BENCH_SCHEMA) => {}
-            other => {
-                return Err(fail(&format!(
-                    "expected schema {CHECK_BENCH_SCHEMA:?}, found {other:?}"
-                )))
-            }
-        }
-        let f64_of = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| fail(&format!("missing number `{k}`")))
-        };
-        let u64_of = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| fail(&format!("missing integer `{k}`")))
-        };
-        let mut rows = Vec::new();
-        for r in v
-            .get("rows")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| fail("missing `rows`"))?
-        {
-            let g64 = |k: &str| {
-                r.get(k)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| fail(&format!("row missing `{k}`")))
-            };
-            rows.push(EditBenchRow {
-                batch: g64("batch")? as usize,
-                kind: r
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| fail("row missing `kind`"))?
-                    .to_string(),
-                dirty: g64("dirty")? as usize,
-                reused: g64("reused")? as usize,
-                recheck_ms: g64("recheck_ms")?,
-                errors: g64("errors")? as usize,
-                hit_rate: g64("hit_rate")?,
-            });
-        }
-        Ok(CheckBenchReport {
-            workload: v
-                .get("workload")
-                .and_then(Json::as_str)
-                .ok_or_else(|| fail("missing `workload`"))?
-                .to_string(),
-            classes: u64_of("classes")? as usize,
-            jobs: u64_of("jobs")? as usize,
-            seed: u64_of("seed")?,
-            batches: u64_of("batches")? as usize,
-            full_check_ms: f64_of("full_check_ms")?,
-            initial_check_ms: f64_of("initial_check_ms")?,
-            rows,
-        })
-    }
-
-    /// Human-readable rendering (used by `rtjc report` and the bench's
-    /// text mode).
-    pub fn render_report(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Incremental check bench — {} ({} classes, jobs {}, seed {})\n",
-            self.workload, self.classes, self.jobs, self.seed
-        ));
-        out.push_str(&format!(
-            "  full check (median)    {:>10.3} ms   (parse excluded on both sides)\n",
-            self.full_check_ms
-        ));
-        out.push_str(&format!(
-            "  initial engine pass    {:>10.3} ms\n",
-            self.initial_check_ms
-        ));
-        out.push_str(&format!(
-            "  body-only re-check     {:>10.3} ms p50   {:>8.3} ms p95   {:>6.1}x speedup (p50)\n",
-            self.body_p50_ms(),
-            self.body_p95_ms(),
-            self.body_speedup_p50()
-        ));
-        if self.rows.iter().any(|r| r.kind == "signature") {
-            out.push_str(&format!(
-                "  signature re-check     {:>10.3} ms p50   {:>8.3} ms p95\n",
-                self.sig_p50_ms(),
-                self.sig_p95_ms()
-            ));
-        }
-        out.push_str(&format!(
-            "  {:>5}  {:>10}  {:>6}  {:>6}  {:>12}  {:>6}  {:>8}\n",
-            "batch", "kind", "dirty", "reused", "recheck ms", "errors", "hit rate"
-        ));
-        for r in &self.rows {
-            out.push_str(&format!(
-                "  {:>5}  {:>10}  {:>6}  {:>6}  {:>12.3}  {:>6}  {:>7.1}%\n",
-                r.batch,
-                r.kind,
-                r.dirty,
-                r.reused,
-                r.recheck_ms,
-                r.errors,
-                r.hit_rate * 100.0
-            ));
-        }
-        out
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice (the same
-/// convention the serving reports use). Empty input yields `0.0`.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1027,42 +759,5 @@ mod tests {
             }])
             .unwrap_err();
         assert!(matches!(err, RecheckError::UnknownClass(_)));
-    }
-
-    #[test]
-    fn bench_report_round_trips() {
-        let rep = CheckBenchReport {
-            workload: "scaled:8".to_string(),
-            classes: 48,
-            jobs: 1,
-            seed: 1,
-            batches: 2,
-            full_check_ms: 4.0,
-            initial_check_ms: 4.2,
-            rows: vec![
-                EditBenchRow {
-                    batch: 0,
-                    kind: "body".to_string(),
-                    dirty: 1,
-                    reused: 47,
-                    recheck_ms: 0.25,
-                    errors: 0,
-                    hit_rate: 0.5,
-                },
-                EditBenchRow {
-                    batch: 1,
-                    kind: "signature".to_string(),
-                    dirty: 3,
-                    reused: 45,
-                    recheck_ms: 1.5,
-                    errors: 0,
-                    hit_rate: 0.5,
-                },
-            ],
-        };
-        let back = CheckBenchReport::from_json(&rep.to_json()).unwrap();
-        assert_eq!(back.rows.len(), 2);
-        assert!((back.body_speedup_p50() - 16.0).abs() < 1e-9);
-        assert!(back.render_report().contains("16.0x"));
     }
 }

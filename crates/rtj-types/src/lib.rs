@@ -70,10 +70,7 @@ pub mod table;
 pub use check::{check_program, check_program_in, CheckOptions, CheckStats, Checked};
 pub use env::{Effects, Env, FamilyCounters, JudgmentCounters};
 pub use error::TypeError;
-pub use incremental::{
-    CheckBenchReport, ClassEdit, EditBenchRow, IncrementalChecker, RecheckError, RecheckOutcome,
-    CHECK_BENCH_SCHEMA,
-};
+pub use incremental::{ClassEdit, IncrementalChecker, RecheckError, RecheckOutcome};
 pub use kind::Kind;
 pub use owner::Owner;
 pub use profile::{CheckProfile, CheckerSnapshot, PhaseSpan, CHECKER_METRICS_SCHEMA};
