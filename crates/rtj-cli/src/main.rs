@@ -431,9 +431,11 @@ fn check_cmd(args: &[String]) -> ExitCode {
 }
 
 /// One line summarizing an incremental pass, for the watch/edits flows.
-fn recheck_summary(out: &rtj_types::RecheckOutcome) -> String {
+/// `wall` is the whole engine call, source to verdict; the checking time
+/// beside it excludes lexing and parsing.
+fn recheck_summary(out: &rtj_types::RecheckOutcome, wall: std::time::Duration) -> String {
     format!(
-        "{} of {} classes re-checked ({} reused, {}) in {:.3} ms, {} error{}",
+        "{} of {} classes re-checked ({} reused, {}) in {:.3} ms ({:.3} ms checking), {} error{}",
         out.dirty.len(),
         out.classes,
         out.reused,
@@ -442,6 +444,7 @@ fn recheck_summary(out: &rtj_types::RecheckOutcome) -> String {
         } else {
             "table reused"
         },
+        wall.as_secs_f64() * 1e3,
         out.check_ns as f64 / 1e6,
         out.errors.len(),
         if out.errors.len() == 1 { "" } else { "s" }
@@ -463,9 +466,10 @@ fn check_watch(path: &str, watch_max: Option<u64>, opts: rtj_types::CheckOptions
             last_mtime = mtime;
             match std::fs::read_to_string(path) {
                 Ok(src) => {
+                    let t0 = std::time::Instant::now();
                     match engine.check_source(&src) {
                         Ok(out) => {
-                            println!("[watch] {path}: {}", recheck_summary(&out));
+                            println!("[watch] {path}: {}", recheck_summary(&out, t0.elapsed()));
                             for t in &out.errors {
                                 eprintln!("{}", rtj_lang::diag::render(&src, t.span, &t.message));
                             }
@@ -509,6 +513,7 @@ fn check_edits(
         let doc = Json::parse(&text).map_err(|e| format!("{edits_path}: {e}"))?;
         let script = rtj_corpus::parse_edits(&doc).map_err(|e| format!("{edits_path}: {e}"))?;
         let mut engine = rtj_types::IncrementalChecker::new(opts);
+        let t0 = std::time::Instant::now();
         let mut last = match engine.check_source(&src) {
             Ok(out) => out,
             Err(e) => {
@@ -516,8 +521,9 @@ fn check_edits(
                 return Ok(ExitCode::FAILURE);
             }
         };
-        println!("initial: {}", recheck_summary(&last));
+        println!("initial: {}", recheck_summary(&last, t0.elapsed()));
         for b in &script.batches {
+            let t0 = std::time::Instant::now();
             let out = engine
                 .recheck(&[rtj_types::ClassEdit {
                     class: b.class.clone(),
@@ -529,7 +535,7 @@ fn check_edits(
                 b.id,
                 b.kind,
                 b.class,
-                recheck_summary(&out)
+                recheck_summary(&out, t0.elapsed())
             );
             last = out;
         }

@@ -167,3 +167,29 @@ fn bench_edits_replays_over_bench_scaled() {
     );
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Source text is UTF-8: a string literal keeps its multi-byte
+/// characters, and a stray one is reported whole.
+#[test]
+fn non_ascii_source_reads_as_utf8() {
+    let dir = scratch_dir();
+    fs::write(dir.join("hello.rtj"), "{ print(\"héllo ✓\"); }\n").expect("write program");
+    let out = rtjc(&["run", "hello.rtj"], &dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.starts_with("héllo ✓\n"), "{stdout}");
+
+    fs::write(dir.join("stray.rtj"), "{ let x = 1; é }\n").expect("write program");
+    let out = rtjc(&["check", "stray.rtj"], &dir);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.starts_with("error: unrecognized character `é`\n"),
+        "{err}"
+    );
+    assert!(
+        err.contains("\n     |              ^\n"),
+        "one caret under `é`: {err}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}

@@ -1829,6 +1829,20 @@ class A5<Owner o> { Missing5<o> f; }
 "#
             .to_owned(),
         ),
+        (
+            // Table-level errors: the structural checks walk hash maps,
+            // so these come out in a different order on every run unless
+            // the table sorts them.
+            "unknown-superclasses",
+            r#"class B0<Owner o> extends Unknown<o> { }
+class B1<Owner o> extends Unknown<o> { }
+class B2<Owner o> extends Unknown<o> { }
+class B3<Owner o> extends Unknown<o> { }
+class B4<Owner o> extends Unknown<o> { }
+{ }
+"#
+            .to_owned(),
+        ),
     ]
 }
 

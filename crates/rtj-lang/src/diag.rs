@@ -31,14 +31,13 @@ pub fn render(src: &str, span: Span, message: &str) -> String {
     if let Some(text) = src.lines().nth(line as usize - 1) {
         let gutter = format!("{line:>4}");
         out.push_str(&format!("     |\n{gutter} | {text}\n     | "));
-        for _ in 1..col {
-            out.push(' ');
-        }
-        let remaining = (text.len() as u32).saturating_sub(col - 1).max(1);
-        let width = span.len().clamp(1, remaining);
-        for _ in 0..width {
-            out.push('^');
-        }
+        // Columns count bytes; the caret line counts characters, so it
+        // stays under multi-byte text.
+        let at = (col as usize - 1).min(text.len());
+        let end = (at + span.len() as usize).min(text.len());
+        let chars = |range: std::ops::Range<usize>| text.get(range).map(|s| s.chars().count());
+        out.push_str(&" ".repeat(chars(0..at).unwrap_or(at)));
+        out.push_str(&"^".repeat(chars(at..end).unwrap_or(end - at).max(1)));
         out.push('\n');
     }
     out
@@ -72,6 +71,17 @@ pub fn render_with_notes(src: &str, span: Span, message: &str, notes: &[String])
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn caret_counts_characters_not_bytes() {
+        let src = "let é = \"ü\" # x;";
+        let at = src.find('#').unwrap() as u32;
+        let caret = |pad: usize| format!("     | {}^\n", " ".repeat(pad));
+        let out = render(src, Span::new(at, at + 1), "boom");
+        assert!(out.ends_with(&caret(12)), "{out}");
+        let out = render(src, Span::new(4, 6), "boom");
+        assert!(out.ends_with(&caret(4)), "{out}");
+    }
 
     #[test]
     fn renders_caret_under_span() {

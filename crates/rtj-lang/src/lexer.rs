@@ -41,22 +41,58 @@ impl std::error::Error for LexError {}
 /// assert_eq!(toks.last().unwrap().kind, TokenKind::Eof);
 /// ```
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    Lexer::new(src).run()
+    lex_at(src, 0)
+}
+
+/// Lexes `src` as the text that starts at byte `base` of a larger source:
+/// every token and error span is offset by `base`, so a fragment lexed on
+/// its own carries the spans it would have in the whole file.
+///
+/// # Errors
+///
+/// The same as [`lex`].
+///
+/// # Examples
+///
+/// ```
+/// use rtj_lang::lexer::lex_at;
+/// use rtj_lang::span::Span;
+/// let toks = lex_at("class A {}", 100).unwrap();
+/// assert_eq!(toks[1].span, Span::new(106, 107));
+/// ```
+pub fn lex_at(src: &str, base: u32) -> Result<Vec<Token>, LexError> {
+    Lexer::new(src, base).run()
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
+    base: u32,
     pos: usize,
     tokens: Vec<Token>,
 }
 
 impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
+    fn new(text: &'a str, base: u32) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            text,
+            src: text.as_bytes(),
+            base,
             pos: 0,
             tokens: Vec::new(),
         }
+    }
+
+    /// The whole (possibly multi-byte) character starting at byte `at`.
+    fn char_at(&self, at: usize) -> char {
+        self.text[at..]
+            .chars()
+            .next()
+            .expect("lexer stays on char boundaries")
+    }
+
+    fn span(&self, start: usize) -> Span {
+        Span::new(self.base + start as u32, self.base + self.pos as u32)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -74,16 +110,14 @@ impl<'a> Lexer<'a> {
     }
 
     fn push(&mut self, kind: TokenKind, start: usize) {
-        self.tokens.push(Token {
-            kind,
-            span: Span::new(start as u32, self.pos as u32),
-        });
+        let span = self.span(start);
+        self.tokens.push(Token { kind, span });
     }
 
     fn error(&self, message: impl Into<String>, start: usize) -> LexError {
         LexError {
             message: message.into(),
-            span: Span::new(start as u32, self.pos as u32),
+            span: self.span(start),
         }
     }
 
@@ -168,7 +202,12 @@ impl<'a> Lexer<'a> {
                     Some(b'\\') => value.push('\\'),
                     _ => return Err(self.error("invalid escape sequence", start)),
                 },
-                Some(c) => value.push(c as char),
+                Some(c) if c.is_ascii() => value.push(c as char),
+                Some(_) => {
+                    let c = self.char_at(self.pos - 1);
+                    value.push(c);
+                    self.pos += c.len_utf8() - 1;
+                }
             }
         }
         self.push(TokenKind::Str(value), start);
@@ -220,10 +259,10 @@ impl<'a> Lexer<'a> {
                     return Err(self.error("expected `||`", start));
                 }
             }
-            other => {
-                return Err(
-                    self.error(format!("unrecognized character `{}`", other as char), start)
-                );
+            _ => {
+                let c = self.char_at(start);
+                self.pos = start + c.len_utf8();
+                return Err(self.error(format!("unrecognized character `{c}`"), start));
             }
         };
         self.push(kind, start);
@@ -326,5 +365,29 @@ mod tests {
         let toks = lex("ab cd").unwrap();
         assert_eq!(toks[0].span, crate::span::Span::new(0, 2));
         assert_eq!(toks[1].span, crate::span::Span::new(3, 5));
+    }
+
+    #[test]
+    fn base_offset_shifts_every_span() {
+        let whole = "x = 1; class A { int v; }";
+        let cut = whole.find("class").unwrap();
+        let tail = lex(whole).unwrap().split_off(4);
+        assert_eq!(lex_at(&whole[cut..], cut as u32).unwrap(), tail);
+        let err = lex_at("a # b", 40).unwrap_err();
+        assert_eq!(err.span, Span::new(42, 43));
+    }
+
+    #[test]
+    fn string_literals_keep_multibyte_characters() {
+        assert_eq!(kinds("\"héllo ✓ 𝄞\""), vec![Str("héllo ✓ 𝄞".into()), Eof]);
+        let toks = lex("\"é\" x").unwrap();
+        assert_eq!(toks[1].span, Span::new(5, 6), "spans count bytes");
+    }
+
+    #[test]
+    fn stray_multibyte_character_is_reported_whole() {
+        let err = lex("x é y").unwrap_err();
+        assert_eq!(err.message, "unrecognized character `é`");
+        assert_eq!(err.span, Span::new(2, 4));
     }
 }

@@ -55,6 +55,6 @@ pub use fingerprint::{
 };
 pub use intern::Symbol;
 pub use json::{Json, JsonError};
-pub use parser::{parse_expr, parse_program, ParseError};
+pub use parser::{parse_block_at, parse_class_at, parse_expr, parse_program, ParseError};
 pub use pretty::pretty_program;
 pub use span::Span;

@@ -8,7 +8,7 @@
 
 use crate::ast::*;
 use crate::intern::Symbol;
-use crate::lexer::{lex, LexError};
+use crate::lexer::{lex, lex_at, LexError};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::fmt;
@@ -56,6 +56,45 @@ impl From<LexError> for ParseError {
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
     Parser::new(tokens).program()
+}
+
+/// Parses `src` as exactly one class declaration that starts at byte
+/// `base` of a larger source, so every span is the one a whole-file parse
+/// would give it. Leading and trailing trivia are allowed here; callers
+/// that need the declaration to fill `src` compare its span.
+///
+/// # Errors
+///
+/// Returns the first lexical or syntactic error, including any text
+/// after the declaration's closing brace.
+///
+/// # Examples
+///
+/// ```
+/// use rtj_lang::parser::parse_class_at;
+/// let c = parse_class_at("class A<Owner o> { int x; }", 40)?;
+/// assert_eq!((c.span.start, c.span.end), (40, 67));
+/// assert!(parse_class_at("class A<Owner o> { } class B<Owner o> { }", 0).is_err());
+/// # Ok::<(), rtj_lang::parser::ParseError>(())
+/// ```
+pub fn parse_class_at(src: &str, base: u32) -> Result<ClassDecl, ParseError> {
+    let mut p = Parser::new(lex_at(src, base)?);
+    let decl = p.class_decl()?;
+    p.expect(&TokenKind::Eof)?;
+    Ok(decl)
+}
+
+/// Parses `src` as a program's main block, starting at byte `base` of the
+/// whole source: one block, then only trivia to the end.
+///
+/// # Errors
+///
+/// Returns the first lexical or syntactic error encountered.
+pub fn parse_block_at(src: &str, base: u32) -> Result<Block, ParseError> {
+    let mut p = Parser::new(lex_at(src, base)?);
+    let block = p.block()?;
+    p.expect(&TokenKind::Eof)?;
+    Ok(block)
 }
 
 /// Parses a single expression (useful for tests and the REPL-ish CLI).
@@ -1025,6 +1064,24 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fragments_parse_to_the_whole_file_nodes() {
+        let src = "class A<Owner o> { int v; }\n\
+                   class B<Owner o> { A<o> a; int get() { return this.a.v; } }\n\
+                   { let x = 1; print(x); } // trailing\n";
+        let whole = parse_program(src).unwrap();
+        let b = &whole.classes[1];
+        let (lo, hi) = (b.span.start as usize, b.span.end as usize);
+        let frag = parse_class_at(&src[lo..hi], b.span.start).unwrap();
+        // Debug output, because `Ident` equality ignores spans.
+        assert_eq!(format!("{frag:?}"), format!("{b:?}"));
+        let m = whole.main.span.start as usize;
+        let main = parse_block_at(&src[m..], whole.main.span.start).unwrap();
+        assert_eq!(format!("{main:?}"), format!("{:?}", whole.main));
+        assert!(parse_class_at("class A<Owner o> { int v; ", 0).is_err());
+        assert!(parse_class_at("regionKind K { }", 0).is_err());
+    }
 
     #[test]
     fn parse_empty_main() {

@@ -41,6 +41,14 @@
 //! The region-kind and inheritance well-formedness passes are cached the
 //! same way (per declaration), and the `main` block is always re-checked
 //! (it is a fraction of a percent of the total).
+//!
+//! Parsing is reused too. A batch of body edits takes the **fragment
+//! path**: each edited declaration is parsed on its own at its splice
+//! offset, `main` from its own text, and every other class is known by its
+//! name and current start alone — no other declaration is parsed,
+//! elaborated or dropped. Renames, signature edits, text with leading or
+//! trailing trivia, and parse errors parse the whole source. DESIGN.md §9
+//! states the route rule and why both parses agree.
 
 use crate::check::{CheckOptions, CheckStats, Checker};
 use crate::env::{Effects, Env, JudgmentCounters};
@@ -50,12 +58,12 @@ use crate::owner::Owner;
 use crate::profile::{CheckProfile, PhaseSpan};
 use crate::stype::SType;
 use crate::table::ProgramTable;
-use rtj_lang::ast::Program;
+use rtj_lang::ast::{Block, ClassDecl, Program};
 use rtj_lang::fingerprint::{
     class_refs, fingerprint_class, fingerprint_region_kind, ClassFingerprint,
 };
 use rtj_lang::intern::Symbol;
-use rtj_lang::parser::{parse_program, ParseError};
+use rtj_lang::parser::{parse_block_at, parse_class_at, parse_program, ParseError};
 use rtj_lang::span::Span;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
@@ -114,9 +122,13 @@ pub struct RecheckOutcome {
     /// Whether the pass rebuilt the [`ProgramTable`] from scratch
     /// (signature/region-kind/class-set change — or the first pass).
     pub full_rebuild: bool,
-    /// Wall-clock nanoseconds of the checking work, parsing excluded
-    /// (parse time is reported separately by the drivers; both sides of
-    /// the bench speedup exclude it).
+    /// Whether the pass parsed the whole source. `false` only on the
+    /// fragment path of [`IncrementalChecker::recheck`], which parses the
+    /// edited declarations and `main` and nothing else.
+    pub whole_parse: bool,
+    /// Wall-clock nanoseconds of the checking work, parsing excluded.
+    /// Edit-to-verdict latency is the whole `recheck` (or `check_source`)
+    /// call; this is the part of it that is not lexing or parsing.
     pub check_ns: u64,
 }
 
@@ -150,18 +162,99 @@ struct RkCache {
     judgments: JudgmentCounters,
 }
 
+/// Where the declarations of the stored source sit. A whole-source parse
+/// records it; edit splicing keeps it in step with the text.
+#[derive(Debug, Clone, Default)]
+struct Layout {
+    /// Class names and spans, in declaration order.
+    classes: Vec<(Symbol, Span)>,
+    /// Region-kind names and spans, in declaration order.
+    region_kinds: Vec<(Symbol, Span)>,
+    /// Byte offset of the main block's opening brace.
+    main: u32,
+}
+
+impl Layout {
+    fn of(prog: &Program) -> Layout {
+        Layout {
+            classes: prog.classes.iter().map(|c| (c.name.name, c.span)).collect(),
+            region_kinds: prog
+                .region_kinds
+                .iter()
+                .map(|rk| (rk.name.name, rk.span))
+                .collect(),
+            main: prog.main.span.start,
+        }
+    }
+
+    /// Records that class `idx`'s text was replaced by `len` bytes: its
+    /// span now ends `len` bytes after its start, and every declaration
+    /// after it (`main` included) moves by the change in length.
+    fn splice(&mut self, idx: usize, len: usize) {
+        let Span { start, end } = self.classes[idx].1;
+        let delta = len as i64 - i64::from(end - start);
+        self.classes[idx].1.end = start + len as u32;
+        for (_, s) in self.classes.iter_mut().chain(&mut self.region_kinds) {
+            if s.start >= end {
+                *s = shift_span(*s, delta);
+            }
+        }
+        self.main = (i64::from(self.main) + delta) as u32;
+    }
+}
+
+/// One class of a pass, in declaration order.
+struct Slot {
+    name: Symbol,
+    /// Where the declaration starts in the current source.
+    start: u32,
+    /// The parsed declaration: every class's on the whole-source path,
+    /// only the re-checked ones' on the fragment path.
+    decl: Option<ClassDecl>,
+    /// Fresh fingerprints when the class re-checks; `None` when its
+    /// cached results are reused.
+    dirty: Option<ClassFingerprint>,
+}
+
+/// One region kind of a pass, in declaration order.
+struct RkSlot {
+    name: Symbol,
+    start: u32,
+    /// The fingerprint when the region kind re-checks (the table was
+    /// rebuilt); `None` when its cached results are reused.
+    fresh: Option<u64>,
+}
+
+/// A pass after its route is decided: what the shared back half
+/// ([`IncrementalChecker::finish`]) checks, reuses and commits.
+struct Pass {
+    start: Instant,
+    phases: Vec<PhaseSpan>,
+    table: ProgramTable,
+    /// Whether `table` is the cached one (no signature changed), so clean
+    /// classes reuse their well-formedness results too.
+    reused_table: bool,
+    classes: Vec<Slot>,
+    region_kinds: Vec<RkSlot>,
+    main: Block,
+    whole_parse: bool,
+}
+
 /// The incremental re-check engine. See the module docs for the contract
 /// and the reuse strategy.
 #[derive(Debug, Default)]
 pub struct IncrementalChecker {
     opts: CheckOptions,
     source: String,
-    /// Class name → its span in `source` (for edit splicing).
-    decl_spans: Vec<(Symbol, Span)>,
+    layout: Layout,
     /// Table from the last pass whose build succeeded.
     table: Option<ProgramTable>,
     units: HashMap<Symbol, UnitCache>,
     rkinds: HashMap<Symbol, RkCache>,
+    /// The last pass stopped at a table error after storing its source,
+    /// so the caches describe an older text: the next pass fingerprints
+    /// every class and parses the whole source.
+    stale: bool,
 }
 
 impl IncrementalChecker {
@@ -192,7 +285,9 @@ impl IncrementalChecker {
     }
 
     /// Applies a batch of single-class edits to the stored source and
-    /// re-checks the dirty closure.
+    /// re-checks the dirty closure. A batch of body edits takes the
+    /// fragment path (only the edited declarations and `main` are
+    /// parsed); anything else parses the whole edited source.
     ///
     /// # Errors
     ///
@@ -201,33 +296,142 @@ impl IncrementalChecker {
     /// source does not parse. Either way the engine state is unchanged.
     pub fn recheck(&mut self, edits: &[ClassEdit]) -> Result<RecheckOutcome, RecheckError> {
         let mut source = self.source.clone();
-        let mut spans = self.decl_spans.clone();
+        let mut layout = self.layout.clone();
+        let mut edited: Vec<usize> = Vec::with_capacity(edits.len());
         for e in edits {
-            let idx = spans
+            let idx = layout
+                .classes
                 .iter()
                 .position(|(n, _)| n.as_str() == e.class)
                 .ok_or_else(|| RecheckError::UnknownClass(e.class.clone()))?;
-            let (lo, hi) = (spans[idx].1.start as usize, spans[idx].1.end as usize);
-            source.replace_range(lo..hi, &e.source);
-            let delta = e.source.len() as i64 - (hi - lo) as i64;
-            spans[idx].1.end = (hi as i64 + delta) as u32;
-            for (j, (_, s)) in spans.iter_mut().enumerate() {
-                if j != idx && s.start as usize >= hi {
-                    s.start = (s.start as i64 + delta) as u32;
-                    s.end = (s.end as i64 + delta) as u32;
-                }
+            let span = layout.classes[idx].1;
+            source.replace_range(span.start as usize..span.end as usize, &e.source);
+            layout.splice(idx, e.source.len());
+            if !edited.contains(&idx) {
+                edited.push(idx);
+            }
+        }
+        if !self.stale {
+            if let Some(out) = self.recheck_fragments(&source, &layout, &edited) {
+                self.source = source;
+                self.layout = layout;
+                return Ok(out);
             }
         }
         let prog = parse_program(&source).map_err(RecheckError::Parse)?;
-        // The splice only rewrote the named declarations' text, so only
-        // those classes need structural re-fingerprinting — the dominant
-        // cost of a pass once everything else is cache hits.
-        let touched: HashSet<String> = edits.iter().map(|e| e.class.clone()).collect();
-        Ok(self.process(source, prog, Some(&touched)))
+        // The splice only rewrote the named declarations, so only those
+        // classes need structural re-fingerprinting — the dominant cost of
+        // a pass once everything else is cache hits. After a table error
+        // the caches lag the text, so every class is hashed.
+        let touched: Option<HashSet<String>> =
+            (!self.stale).then(|| edits.iter().map(|e| e.class.clone()).collect());
+        Ok(self.process(source, prog, touched.as_ref()))
     }
 
-    /// One checking pass over a parsed program: diff fingerprints, decide
-    /// the dirty set, check it, merge with cached results, commit.
+    /// The fragment path: re-checks a batch of body edits without parsing
+    /// any declaration but the edited ones. Returns `None`, with the
+    /// engine untouched, unless every edited declaration parses on its
+    /// own at its splice offset, fills its text exactly (no leading or
+    /// trailing trivia, which could lex differently against the text
+    /// around it), keeps its name, and keeps its signature fingerprint.
+    /// Then a whole-source parse would yield the same declarations with
+    /// the same spans, and every other class is known by its name and
+    /// current start alone.
+    fn recheck_fragments(
+        &mut self,
+        source: &str,
+        layout: &Layout,
+        edited: &[usize],
+    ) -> Option<RecheckOutcome> {
+        let table = self.table.as_ref()?;
+        let mut parsed = Vec::with_capacity(edited.len());
+        for &i in edited {
+            let (name, span) = layout.classes[i];
+            let text = &source[span.start as usize..span.end as usize];
+            let decl = parse_class_at(text, span.start).ok()?;
+            if decl.span != span || decl.name.name != name {
+                return None;
+            }
+            parsed.push((i, decl));
+        }
+        let main = parse_block_at(&source[layout.main as usize..], layout.main).ok()?;
+
+        let start = Instant::now();
+        let profiling = self.opts.profile;
+        let mut phases: Vec<PhaseSpan> = Vec::new();
+
+        let p0 = profiling.then(|| start.elapsed());
+        // If the route holds, the class set and every formal count are
+        // unchanged, so the kept table has the counts a whole-program pass
+        // would use. An edit that changes its own class's count fails the
+        // signature check below whatever counts it was completed with.
+        let formals = |n: Symbol| table.formal_count(n);
+        for (_, decl) in &mut parsed {
+            infer::apply_class_defaults(decl, &formals);
+        }
+        if let Some(p0) = p0 {
+            phases.push(PhaseSpan::leaf("lower", p0, start.elapsed() - p0));
+        }
+
+        let p0 = profiling.then(|| start.elapsed());
+        let mut fresh = Vec::with_capacity(parsed.len());
+        for (i, decl) in parsed {
+            let fp = fingerprint_class(&decl);
+            if self.units.get(&decl.name.name)?.sig != fp.sig {
+                return None;
+            }
+            fresh.push((i, decl, fp));
+        }
+        let mut table = self.table.take().expect("checked above");
+        for (_, decl, _) in &fresh {
+            table.refresh_class_decl(decl.name.name, decl);
+        }
+        fresh.sort_unstable_by_key(|(i, _, _)| *i);
+        let mut fresh = fresh.into_iter().peekable();
+        let classes = layout
+            .classes
+            .iter()
+            .enumerate()
+            .map(|(i, &(name, span))| {
+                let (decl, dirty) = fresh
+                    .next_if(|(j, _, _)| *j == i)
+                    .filter(|(_, _, fp)| self.units[&name].full != fp.full)
+                    .map(|(_, decl, fp)| (decl, fp))
+                    .unzip();
+                Slot {
+                    name,
+                    start: span.start,
+                    decl,
+                    dirty,
+                }
+            })
+            .collect();
+        let region_kinds = layout
+            .region_kinds
+            .iter()
+            .map(|&(name, span)| RkSlot {
+                name,
+                start: span.start,
+                fresh: None,
+            })
+            .collect();
+        if let Some(p0) = p0 {
+            phases.push(PhaseSpan::leaf("table", p0, start.elapsed() - p0));
+        }
+        Some(self.finish(Pass {
+            start,
+            phases,
+            table,
+            reused_table: true,
+            classes,
+            region_kinds,
+            main,
+            whole_parse: false,
+        }))
+    }
+
+    /// One checking pass over a parsed program: diff fingerprints and
+    /// decide the dirty set, then [`IncrementalChecker::finish`].
     ///
     /// `touched`, when given, is the set of class names whose declaration
     /// text may differ from the cached pass — every other declaration is
@@ -247,7 +451,7 @@ impl IncrementalChecker {
         let profiling = self.opts.profile;
         let mut phases: Vec<PhaseSpan> = Vec::new();
 
-        self.decl_spans = prog.classes.iter().map(|c| (c.name.name, c.span)).collect();
+        self.layout = Layout::of(&prog);
         self.source = source;
 
         // lower: exactly the from-scratch phase (idempotent, ~2% of a full
@@ -261,22 +465,20 @@ impl IncrementalChecker {
         // table: fingerprint, diff, and rebuild-or-patch.
         let p0 = profiling.then(|| start.elapsed());
         let total = prog.classes.len();
+        let cached_fp = |c: &ClassDecl| {
+            if touched?.contains(c.name.name.as_str()) {
+                return None;
+            }
+            let u = self.units.get(&c.name.name)?;
+            Some(ClassFingerprint {
+                sig: u.sig,
+                full: u.full,
+            })
+        };
         let fps: Vec<ClassFingerprint> = prog
             .classes
             .iter()
-            .map(|c| {
-                if let Some(touched) = touched {
-                    if !touched.contains(c.name.name.as_str()) {
-                        if let Some(u) = self.units.get(&c.name.name) {
-                            return ClassFingerprint {
-                                sig: u.sig,
-                                full: u.full,
-                            };
-                        }
-                    }
-                }
-                fingerprint_class(c)
-            })
+            .map(|c| cached_fp(c).unwrap_or_else(|| fingerprint_class(c)))
             .collect();
         let rkfps: Vec<u64> = prog
             .region_kinds
@@ -333,7 +535,9 @@ impl IncrementalChecker {
                 Err(errors) => {
                     // From-scratch parity: the driver returns table errors
                     // alone, before any unit runs. Keep the caches at the
-                    // last good pass so the next diff is against it.
+                    // last good pass so the next diff is against it; the
+                    // source has moved on, so that diff hashes everything.
+                    self.stale = true;
                     let elapsed = start.elapsed();
                     return RecheckOutcome {
                         errors,
@@ -347,6 +551,7 @@ impl IncrementalChecker {
                         reused: 0,
                         classes: total,
                         full_rebuild: true,
+                        whole_parse: true,
                         check_ns: elapsed.as_nanos() as u64,
                     };
                 }
@@ -388,40 +593,102 @@ impl IncrementalChecker {
             }
             built
         };
+        let classes = std::mem::take(&mut prog.classes)
+            .into_iter()
+            .zip(fps)
+            .zip(dirty)
+            .map(|((c, fp), dirty)| Slot {
+                name: c.name.name,
+                start: c.span.start,
+                // A dirty class is committed with fresh fingerprints: a
+                // cached one predates any change to the formal counts its
+                // bare class types were completed with.
+                dirty: dirty.then(|| match cached_fp(&c) {
+                    Some(_) => fingerprint_class(&c),
+                    None => fp,
+                }),
+                decl: Some(c),
+            })
+            .collect();
+        let region_kinds = prog
+            .region_kinds
+            .iter()
+            .zip(rkfps)
+            .map(|(rk, fp)| RkSlot {
+                name: rk.name.name,
+                start: rk.span.start,
+                fresh: (!fast).then_some(fp),
+            })
+            .collect();
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("table", p0, start.elapsed() - p0));
         }
+        self.finish(Pass {
+            start,
+            phases,
+            table,
+            reused_table: fast,
+            classes,
+            region_kinds,
+            main: prog.main,
+            whole_parse: true,
+        })
+    }
+
+    /// The back half every committed pass shares: check what is dirty,
+    /// shift what is clean, merge in from-scratch order, commit.
+    fn finish(&mut self, pass: Pass) -> RecheckOutcome {
+        let Pass {
+            start,
+            mut phases,
+            table,
+            reused_table,
+            mut classes,
+            region_kinds,
+            mut main,
+            whole_parse,
+        } = pass;
+        let profiling = self.opts.profile;
+        let total = classes.len();
 
         // wf: region kinds, then inheritance, both per declaration (a
         // fresh `Checker` per unit absorbs the same environments in the
         // same order as the from-scratch single-pass prelude, so errors
-        // and counters are identical). Fast path reuses clean units.
+        // and counters are identical). A rebuilt table re-checks every
+        // declaration; a reused one re-checks only the dirty classes.
         let p0 = profiling.then(|| start.elapsed());
-        let mut rk_results: Vec<(Vec<TypeError>, JudgmentCounters)> =
-            Vec::with_capacity(prog.region_kinds.len());
-        for rk in &prog.region_kinds {
-            if fast {
-                let cached = self.rkinds.get(&rk.name.name).expect("rk set unchanged");
-                let delta = i64::from(rk.span.start) - i64::from(cached.start);
-                rk_results.push((shift_errors(&cached.errors, delta), cached.judgments));
-            } else {
+        let rk_results: Vec<(Vec<TypeError>, JudgmentCounters)> = region_kinds
+            .iter()
+            .map(|rk| {
+                if rk.fresh.is_some() {
+                    let info = table.region_kind(rk.name).expect("built from this program");
+                    let mut ck = Checker::new(&table);
+                    ck.check_region_kind(&info.decl);
+                    (std::mem::take(&mut ck.errors), ck.judgments)
+                } else {
+                    let cached = &self.rkinds[&rk.name];
+                    let delta = i64::from(rk.start) - i64::from(cached.start);
+                    (shift_errors(&cached.errors, delta), cached.judgments)
+                }
+            })
+            .collect();
+        let cls_wf: Vec<(Vec<TypeError>, JudgmentCounters)> = classes
+            .iter()
+            .map(|c| {
+                if reused_table && c.dirty.is_none() {
+                    let cached = &self.units[&c.name];
+                    let delta = i64::from(c.start) - i64::from(cached.start);
+                    return (shift_errors(&cached.wf_errors, delta), cached.wf_judgments);
+                }
+                let decl = c
+                    .decl
+                    .as_ref()
+                    .expect("only a clean class of a fragment pass is unparsed");
                 let mut ck = Checker::new(&table);
-                ck.check_region_kind(rk);
-                rk_results.push((std::mem::take(&mut ck.errors), ck.judgments));
-            }
-        }
-        let mut cls_wf: Vec<(Vec<TypeError>, JudgmentCounters)> = Vec::with_capacity(total);
-        for (i, c) in prog.classes.iter().enumerate() {
-            if fast && !dirty[i] {
-                let cached = self.units.get(&c.name.name).expect("class set unchanged");
-                let delta = i64::from(c.span.start) - i64::from(cached.start);
-                cls_wf.push((shift_errors(&cached.wf_errors, delta), cached.wf_judgments));
-            } else {
-                let mut ck = Checker::new(&table);
-                ck.check_inheritance(std::slice::from_ref(c));
-                cls_wf.push((std::mem::take(&mut ck.errors), ck.judgments));
-            }
-        }
+                ck.check_inheritance(std::slice::from_ref(decl));
+                (std::mem::take(&mut ck.errors), ck.judgments)
+            })
+            .collect();
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("wf", p0, start.elapsed() - p0));
         }
@@ -434,9 +701,8 @@ impl IncrementalChecker {
                 .unwrap_or(1),
             n => n,
         };
-        let dirty_count = dirty.iter().filter(|d| **d).count();
+        let dirty_count = classes.iter().filter(|c| c.dirty.is_some()).count();
         let workers = jobs_resolved.min(dirty_count.max(1));
-        let mut classes = std::mem::take(&mut prog.classes);
         let p0 = profiling.then(|| start.elapsed());
         type FreshUnit = (
             Vec<TypeError>,
@@ -444,46 +710,41 @@ impl IncrementalChecker {
             JudgmentCounters,
             Option<(Duration, Duration)>,
         );
+        let check_unit = |c: &mut ClassDecl| -> FreshUnit {
+            let c0 = profiling.then(|| start.elapsed());
+            let mut ck = Checker::new(&table);
+            ck.check_class(c);
+            let t = c0.map(|c0| (c0, start.elapsed() - c0));
+            (
+                std::mem::take(&mut ck.errors),
+                ck.methods_checked,
+                ck.judgments,
+                t,
+            )
+        };
         let mut fresh: Vec<Option<FreshUnit>> = (0..total).map(|_| None).collect();
+        let mut queue = classes
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, c)| c.dirty.is_some())
+            .map(|(i, c)| (i, c.decl.as_mut().expect("a dirty class is parsed")));
         if workers <= 1 {
-            for (i, c) in classes.iter_mut().enumerate().filter(|(i, _)| dirty[*i]) {
-                let c0 = profiling.then(|| start.elapsed());
-                let mut ck = Checker::new(&table);
-                ck.check_class(c);
-                let t = c0.map(|c0| (c0, start.elapsed() - c0));
-                fresh[i] = Some((
-                    std::mem::take(&mut ck.errors),
-                    ck.methods_checked,
-                    ck.judgments,
-                    t,
-                ));
+            for (i, c) in queue {
+                fresh[i] = Some(check_unit(c));
             }
         } else {
-            let dirty = &dirty;
-            let queue = Mutex::new(classes.iter_mut().enumerate().filter(|(i, _)| dirty[*i]));
+            let queue = Mutex::new(&mut queue);
             let results: Vec<Vec<(usize, FreshUnit)>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         let queue = &queue;
-                        let table = &table;
+                        let check_unit = &check_unit;
                         s.spawn(move || {
                             let mut units = Vec::new();
                             loop {
                                 let item = queue.lock().unwrap().next();
                                 let Some((i, c)) = item else { break };
-                                let c0 = profiling.then(|| start.elapsed());
-                                let mut ck = Checker::new(table);
-                                ck.check_class(c);
-                                let t = c0.map(|c0| (c0, start.elapsed() - c0));
-                                units.push((
-                                    i,
-                                    (
-                                        std::mem::take(&mut ck.errors),
-                                        ck.methods_checked,
-                                        ck.judgments,
-                                        t,
-                                    ),
-                                ));
+                                units.push((i, check_unit(c)));
                             }
                             units
                         })
@@ -496,28 +757,30 @@ impl IncrementalChecker {
             }
         }
         // Per-class final results, cached or fresh.
-        let mut unit_final: Vec<FreshUnit> = Vec::with_capacity(total);
-        for (i, c) in classes.iter().enumerate() {
-            if dirty[i] {
-                unit_final.push(fresh[i].take().expect("dirty unit was checked"));
-            } else {
-                let cached = self.units.get(&c.name.name).expect("clean unit is cached");
-                let delta = i64::from(c.span.start) - i64::from(cached.start);
-                unit_final.push((
-                    shift_errors(&cached.errors, delta),
-                    cached.methods_checked,
-                    cached.judgments,
-                    None,
-                ));
-            }
-        }
+        let unit_final: Vec<FreshUnit> = classes
+            .iter()
+            .zip(&mut fresh)
+            .map(|(c, fresh)| match fresh.take() {
+                Some(unit) => unit,
+                None => {
+                    let cached = &self.units[&c.name];
+                    let delta = i64::from(c.start) - i64::from(cached.start);
+                    (
+                        shift_errors(&cached.errors, delta),
+                        cached.methods_checked,
+                        cached.judgments,
+                        None,
+                    )
+                }
+            })
+            .collect();
         if let Some(p0) = p0 {
             let children = classes
                 .iter()
                 .zip(&unit_final)
                 .map(|(c, (_, _, _, t))| {
                     let (s0, w) = t.unwrap_or((Duration::ZERO, Duration::ZERO));
-                    PhaseSpan::leaf(format!("class {}", c.name.name), s0, w)
+                    PhaseSpan::leaf(format!("class {}", c.name), s0, w)
                 })
                 .collect();
             phases.push(PhaseSpan {
@@ -534,7 +797,7 @@ impl IncrementalChecker {
         let mut ck = Checker::new(&table);
         let mut env = Env::base();
         let x: Effects = [Owner::Heap, Owner::Immortal].into_iter().collect();
-        for s in &mut prog.main.stmts {
+        for s in &mut main.stmts {
             ck.check_stmt(&mut env, &x, &Owner::Heap, &SType::Void, false, s);
         }
         ck.absorb_env(&env);
@@ -549,11 +812,7 @@ impl IncrementalChecker {
         let mut all: Vec<TypeError> = Vec::new();
         let mut judgments = JudgmentCounters::default();
         let mut methods_checked = 0usize;
-        for (errs, j) in &rk_results {
-            all.extend(errs.iter().cloned());
-            judgments.absorb(j);
-        }
-        for (errs, j) in &cls_wf {
+        for (errs, j) in rk_results.iter().chain(&cls_wf) {
             all.extend(errs.iter().cloned());
             judgments.absorb(j);
         }
@@ -566,80 +825,69 @@ impl IncrementalChecker {
         judgments.absorb(&main_judgments);
         all.sort_by_key(|e| e.span);
 
-        // Commit the new cache state.
+        // Commit. With the table reused, class and region-kind sets are
+        // unchanged and a clean entry's stored `(start, errors)` pair stays
+        // internally consistent (the shift delta is recomputed against it
+        // every pass), so only the dirty entries are rewritten. A rebuilt
+        // table re-ran every well-formedness check, so every entry is.
         let dirty_names: Vec<Symbol> = classes
             .iter()
-            .zip(&dirty)
-            .filter(|(_, d)| **d)
-            .map(|(c, _)| c.name.name)
+            .filter(|c| c.dirty.is_some())
+            .map(|c| c.name)
             .collect();
-        if fast {
-            // Class and region-kind sets are unchanged, and a clean entry's
-            // stored `(start, errors)` pair stays internally consistent (the
-            // shift delta is recomputed against it every pass) — so only the
-            // dirty entries need rewriting.
-            for (i, ((c, (errors, m, j, _)), (wf_errors, wf_j))) in
-                classes.iter().zip(unit_final).zip(cls_wf).enumerate()
-            {
-                if !dirty[i] {
-                    continue;
-                }
-                let u = self
-                    .units
-                    .get_mut(&c.name.name)
-                    .expect("class set unchanged");
-                u.full = fps[i].full;
-                u.start = c.span.start;
-                u.refs = class_refs(c);
-                u.wf_errors = wf_errors;
-                u.wf_judgments = wf_j;
-                u.errors = errors;
-                u.methods_checked = m;
-                u.judgments = j;
-            }
+        let mut old = if reused_table {
+            HashMap::new()
         } else {
-            let mut old_units = std::mem::take(&mut self.units);
-            for (i, ((c, (errors, m, j, _)), (wf_errors, wf_j))) in
-                classes.iter().zip(unit_final).zip(cls_wf).enumerate()
-            {
-                let refs = if dirty[i] {
-                    class_refs(c)
-                } else {
-                    old_units
-                        .remove(&c.name.name)
-                        .map(|u| u.refs)
-                        .unwrap_or_else(|| class_refs(c))
-                };
-                self.units.insert(
-                    c.name.name,
-                    UnitCache {
-                        sig: fps[i].sig,
-                        full: fps[i].full,
-                        start: c.span.start,
-                        refs,
-                        wf_errors,
-                        wf_judgments: wf_j,
-                        errors,
-                        methods_checked: m,
-                        judgments: j,
-                    },
-                );
-            }
+            std::mem::take(&mut self.units)
+        };
+        for ((c, (errors, m, j, _)), (wf_errors, wf_j)) in
+            classes.iter().zip(unit_final).zip(cls_wf)
+        {
+            let (sig, full, refs) = match c.dirty {
+                Some(fp) => {
+                    let decl = c.decl.as_ref().expect("a dirty class is parsed");
+                    (fp.sig, fp.full, class_refs(decl))
+                }
+                None if reused_table => continue,
+                None => {
+                    let u = old.remove(&c.name).expect("clean unit is cached");
+                    (u.sig, u.full, u.refs)
+                }
+            };
+            self.units.insert(
+                c.name,
+                UnitCache {
+                    sig,
+                    full,
+                    start: c.start,
+                    refs,
+                    wf_errors,
+                    wf_judgments: wf_j,
+                    errors,
+                    methods_checked: m,
+                    judgments: j,
+                },
+            );
+        }
+        if !reused_table {
             self.rkinds.clear();
-            for ((rk, fp), unit) in prog.region_kinds.iter().zip(&rkfps).zip(&rk_results) {
-                let (errors, j) = unit.clone();
+            for (rk, (errors, judgments)) in region_kinds.iter().zip(rk_results) {
+                let fp = rk
+                    .fresh
+                    .expect("a rebuilt table re-checks every region kind");
                 self.rkinds.insert(
-                    rk.name.name,
+                    rk.name,
                     RkCache {
-                        fp: *fp,
-                        start: rk.span.start,
+                        fp,
+                        start: rk.start,
                         errors,
-                        judgments: j,
+                        judgments,
                     },
                 );
             }
         }
         self.table = Some(table);
+        self.stale = false;
 
         let elapsed = start.elapsed();
         let stats = CheckStats {
@@ -656,7 +904,8 @@ impl IncrementalChecker {
             dirty: dirty_names,
             reused: total - dirty_count,
             classes: total,
-            full_rebuild: !fast,
+            full_rebuild: !reused_table,
+            whole_parse,
             check_ns: elapsed.as_nanos() as u64,
         }
     }
@@ -728,6 +977,7 @@ mod tests {
         let names: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
         assert_eq!(names, vec!["B"]);
         assert_eq!(out.reused, 1);
+        assert!(!out.whole_parse, "a body edit parses only its fragment");
     }
 
     #[test]
@@ -744,6 +994,7 @@ mod tests {
             .unwrap();
         assert!(out.ok(), "{:?}", out.errors);
         assert!(out.full_rebuild);
+        assert!(out.whole_parse, "a signature edit parses the whole source");
         let names: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
         assert_eq!(names, vec!["B", "A"], "A references B and must re-check");
     }
@@ -759,5 +1010,132 @@ mod tests {
             }])
             .unwrap_err();
         assert!(matches!(err, RecheckError::UnknownClass(_)));
+    }
+
+    /// Class templates for the replay below: `{pad}` sits in a method
+    /// body (a body edit), `{extra}` before the closing brace (a
+    /// signature edit).
+    const TEMPLATES: [(&str, &str); 4] = [
+        ("Item", "class Item<Owner o> { int v; int get() { {pad}return this.v; } {extra}}"),
+        (
+            "Node",
+            "class Node<Owner o> { Item<o> item; Node next; \
+             int sum() { let s = 0; {pad}return s; } {extra}}",
+        ),
+        (
+            "Base",
+            "class Base<Owner o> { int tag; \
+             int bump(int x) { {pad}this.tag = this.tag + x; return this.tag; } {extra}}",
+        ),
+        (
+            "Leaf",
+            "class Leaf<Owner o> extends Base<o> { int probe() { {pad}return this.bump(1); } {extra}}",
+        ),
+    ];
+
+    /// Region kinds sit between the classes, so body edits move them too.
+    fn replay_source() -> String {
+        let decl = |i: usize| TEMPLATES[i].1.replace("{pad}", "").replace("{extra}", "");
+        format!(
+            "// replay\n{}\nregionKind Pool extends SharedRegion {{ Item head; }}\n{}\n{}\n\
+             regionKind Lane extends SharedRegion {{ Node<this> head; }}\n{}\n\
+             {{ let n = new Node<heap>; print(n.sum()); }}\n",
+            decl(0),
+            decl(1),
+            decl(2),
+            decl(3)
+        )
+    }
+
+    /// Seeded batches of one or two edits: mostly body edits (some ill
+    /// typed), plus signature edits and trailing comments, which take the
+    /// whole-source path.
+    fn replay_batch(state: &mut u64, id: usize) -> Vec<ClassEdit> {
+        let mut next = || {
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*state >> 33) as usize
+        };
+        let edits = 1 + next() % 2;
+        (0..edits)
+            .map(|_| {
+                let (class, template) = TEMPLATES[next() % TEMPLATES.len()];
+                let width = "x".repeat(next() % 12);
+                let (pad, extra, tail) = match next() % 8 {
+                    0..=4 => (format!("let p{id}{width} = {id}; "), String::new(), ""),
+                    5 => (format!("let p{id} = oops{id}; "), String::new(), ""),
+                    6 => (
+                        String::new(),
+                        format!("int m{id}{width}() {{ return {id}; }} "),
+                        "",
+                    ),
+                    _ => (String::new(), String::new(), " // note"),
+                };
+                let text = template.replace("{pad}", &pad).replace("{extra}", &extra);
+                ClassEdit {
+                    class: class.to_string(),
+                    source: text + tail,
+                }
+            })
+            .collect()
+    }
+
+    /// After every batch of two seeded replays, the spliced layout is a
+    /// fresh parse's, and each fragment-parsed declaration the table holds
+    /// renders exactly as the fresh parse's elaborated one. Debug output is
+    /// compared because `Ident` equality ignores spans.
+    #[test]
+    fn fragment_path_tracks_a_fresh_parse() {
+        let mut routes = [0usize; 2];
+        for seed in [3u64, 17] {
+            let mut eng = IncrementalChecker::new(CheckOptions::default());
+            assert!(eng.check_source(&replay_source()).unwrap().ok());
+            let mut state = seed;
+            for id in 0..32 {
+                let batch = replay_batch(&mut state, id);
+                let out = eng.recheck(&batch).unwrap();
+                routes[usize::from(out.whole_parse)] += 1;
+
+                let mut fresh = parse_program(eng.source()).unwrap();
+                let layout = Layout::of(&fresh);
+                assert_eq!(eng.layout.classes, layout.classes, "seed {seed} batch {id}");
+                assert_eq!(
+                    eng.layout.region_kinds, layout.region_kinds,
+                    "seed {seed} batch {id}"
+                );
+                assert_eq!(eng.layout.main, layout.main, "seed {seed} batch {id}");
+
+                let scratch = check_program_in(fresh.clone(), &CheckOptions::default());
+                assert_eq!(
+                    out.errors,
+                    scratch.err().unwrap_or_default(),
+                    "seed {seed} batch {id}"
+                );
+
+                infer::apply_declaration_defaults(&mut fresh);
+                if !out.whole_parse {
+                    let table = eng.table.as_ref().unwrap();
+                    for e in &batch {
+                        let want = fresh.classes.iter().find(|c| c.name.name == *e.class);
+                        let have = &table.class(e.class.as_str()).unwrap().decl;
+                        assert_eq!(
+                            format!("{:?}", have),
+                            format!("{:?}", want.unwrap()),
+                            "seed {seed} batch {id}: table decl of {}",
+                            e.class
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            routes[0] >= 32,
+            "most batches take the fragment path: {routes:?}"
+        );
+        assert!(
+            routes[1] >= 8,
+            "signature edits and comments fall back: {routes:?}"
+        );
     }
 }

@@ -21,7 +21,7 @@
 use crate::owner::Owner;
 use crate::stype::SType;
 use crate::table::{MethodSig, ProgramTable};
-use rtj_lang::ast::{ClassType, OwnerRef, Program, Type};
+use rtj_lang::ast::{ClassDecl, OwnerRef, Program, Type};
 use rtj_lang::intern::Symbol;
 use rtj_lang::span::Span;
 use std::collections::HashMap;
@@ -36,18 +36,13 @@ fn class_formal_counts(p: &Program) -> HashMap<Symbol, usize> {
     m
 }
 
-fn fill_class_type(ct: &mut ClassType, counts: &HashMap<Symbol, usize>, default: &OwnerRef) {
-    if !ct.owners.is_empty() {
-        return;
-    }
-    if let Some(&n) = counts.get(&ct.name.name) {
-        ct.owners = vec![default.clone(); n];
-    }
-}
-
-fn fill_type(ty: &mut Type, counts: &HashMap<Symbol, usize>, default: &OwnerRef) {
+fn fill_type(ty: &mut Type, formals: &dyn Fn(Symbol) -> Option<usize>, default: &OwnerRef) {
     if let Type::Class(ct) = ty {
-        fill_class_type(ct, counts, default);
+        if ct.owners.is_empty() {
+            if let Some(n) = formals(ct.name.name) {
+                ct.owners = vec![default.clone(); n];
+            }
+        }
     }
 }
 
@@ -58,26 +53,36 @@ fn fill_type(ty: &mut Type, counts: &HashMap<Symbol, usize>, default: &OwnerRef)
 /// are left untouched.
 pub fn apply_declaration_defaults(p: &mut Program) {
     let counts = class_formal_counts(p);
+    let formals = |n: Symbol| counts.get(&n).copied();
     for c in &mut p.classes {
-        let field_default = match c.formals.first() {
-            Some(f) => OwnerRef::Name(f.name),
-            None => continue, // rejected later by the table's WF checks
-        };
-        for f in &mut c.fields {
-            fill_type(&mut f.ty, &counts, &field_default);
-        }
-        let sig_default = OwnerRef::InitialRegion(Span::DUMMY);
-        for m in &mut c.methods {
-            fill_type(&mut m.ret, &counts, &sig_default);
-            for param in &mut m.params {
-                fill_type(&mut param.ty, &counts, &sig_default);
-            }
-        }
+        apply_class_defaults(c, &formals);
     }
     let portal_default = OwnerRef::This(Span::DUMMY);
     for rk in &mut p.region_kinds {
         for f in &mut rk.portals {
-            fill_type(&mut f.ty, &counts, &portal_default);
+            fill_type(&mut f.ty, &formals, &portal_default);
+        }
+    }
+}
+
+/// The class half of [`apply_declaration_defaults`], for one declaration.
+/// `formals` gives the owner-formal count of a class name (`None` for an
+/// unknown name, which is left bare): the whole program's counts, or
+/// [`ProgramTable::formal_count`] when one class is re-elaborated against
+/// a table built earlier.
+pub fn apply_class_defaults(c: &mut ClassDecl, formals: &dyn Fn(Symbol) -> Option<usize>) {
+    let field_default = match c.formals.first() {
+        Some(f) => OwnerRef::Name(f.name),
+        None => return, // rejected later by the table's WF checks
+    };
+    for f in &mut c.fields {
+        fill_type(&mut f.ty, formals, &field_default);
+    }
+    let sig_default = OwnerRef::InitialRegion(Span::DUMMY);
+    for m in &mut c.methods {
+        fill_type(&mut m.ret, formals, &sig_default);
+        for param in &mut m.params {
+            fill_type(&mut param.ty, formals, &sig_default);
         }
     }
 }

@@ -215,7 +215,7 @@ impl ProgramTable {
     /// # Errors
     ///
     /// Returns every structural error found (duplicates, cycles, unknown
-    /// superclasses/kinds, arity mismatches on `extends`).
+    /// superclasses/kinds, arity mismatches on `extends`), sorted by span.
     pub fn build(p: &Program) -> Result<ProgramTable, Vec<TypeError>> {
         let mut errors = Vec::new();
         let mut classes = HashMap::new();
@@ -284,6 +284,12 @@ impl ProgramTable {
         if errors.is_empty() {
             Ok(table)
         } else {
+            // The checks walk hash maps, so their order varies run to run.
+            // A declaration's own errors are pushed in a fixed order, so a
+            // stable sort fixes the order; the message breaks the one tie
+            // across declarations (two region kinds that reach the same
+            // unknown super kind report it at the same span).
+            errors.sort_by(|a, b| a.span.cmp(&b.span).then_with(|| a.message.cmp(&b.message)));
             Err(errors)
         }
     }
@@ -325,6 +331,16 @@ impl ProgramTable {
     /// Looks up a class.
     pub fn class(&self, name: impl Into<Symbol>) -> Option<&ClassInfo> {
         self.classes.get(&name.into())
+    }
+
+    /// Number of owner formals of class `name` (one for the built-in
+    /// `Object`), or `None` if no such class exists: the counts
+    /// [`crate::infer::apply_class_defaults`] completes bare types with.
+    pub fn formal_count(&self, name: Symbol) -> Option<usize> {
+        if name == "Object" {
+            return Some(1);
+        }
+        self.classes.get(&name).map(|c| c.formal_names.len())
     }
 
     /// Looks up a region kind.

@@ -3,13 +3,26 @@
 //! accept/reject decision, byte-identical span-sorted diagnostics, the
 //! same judgment counters, and the same structural profile — at every
 //! worker count, across cumulative edit batches, error introduction and
-//! healing, and edits that shift cached diagnostics.
+//! healing, edits that shift cached diagnostics, and edits that must fall
+//! back from the fragment path to a whole-source parse.
 
 use rtjava::corpus::{edit_batches, scaled_classes};
 use rtjava::lang::parse_program;
 use rtjava::types::{
-    check_program_in, CheckOptions, CheckerSnapshot, ClassEdit, IncrementalChecker, TypeError,
+    check_program_in, CheckOptions, CheckerSnapshot, ClassEdit, IncrementalChecker, RecheckError,
+    RecheckOutcome, TypeError,
 };
+use std::sync::{Mutex, MutexGuard};
+
+/// Structural snapshots record the process-global interner's size, so a
+/// test that interns new names while another sits between its engine and
+/// scratch captures would make them differ. Each test holds this lock for
+/// its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn opts(jobs: usize) -> CheckOptions {
     CheckOptions {
@@ -31,7 +44,7 @@ fn scratch(src: &str, jobs: usize) -> Result<CheckerSnapshot, Vec<TypeError>> {
 fn assert_matches_scratch(
     label: &str,
     engine: &IncrementalChecker,
-    out: &rtjava::types::RecheckOutcome,
+    out: &RecheckOutcome,
     jobs: usize,
 ) {
     match scratch(engine.source(), jobs) {
@@ -76,6 +89,7 @@ fn decl_text(src: &str, name: &str) -> String {
 
 #[test]
 fn cumulative_edit_batches_match_from_scratch() {
+    let _serial = serial();
     for jobs in [1, 4] {
         let mut engine = IncrementalChecker::new(opts(jobs));
         let initial = engine.check_source(&scaled_classes(8)).expect("parses");
@@ -86,6 +100,15 @@ fn cumulative_edit_batches_match_from_scratch() {
             let out = engine
                 .recheck(&[as_edit(b)])
                 .unwrap_or_else(|e| panic!("batch {}: {e}", b.id));
+            // Body and error edits keep their signatures, so they take the
+            // fragment path; signature edits parse the whole source.
+            assert_eq!(
+                out.whole_parse,
+                b.kind == "signature",
+                "batch {} ({}) took the wrong route",
+                b.id,
+                b.kind
+            );
             assert_matches_scratch(
                 &format!("jobs={jobs} batch {} ({})", b.id, b.kind),
                 &engine,
@@ -98,6 +121,7 @@ fn cumulative_edit_batches_match_from_scratch() {
 
 #[test]
 fn signature_edit_dirties_exactly_the_dependent_closure() {
+    let _serial = serial();
     let script = edit_batches(4, 48, 11);
     let sig = script
         .batches
@@ -129,6 +153,7 @@ fn signature_edit_dirties_exactly_the_dependent_closure() {
 
 #[test]
 fn body_edit_rechecks_only_the_edited_class() {
+    let _serial = serial();
     let script = edit_batches(4, 48, 11);
     let body = script
         .batches
@@ -148,6 +173,7 @@ fn body_edit_rechecks_only_the_edited_class() {
 
 #[test]
 fn error_edit_and_heal_match_from_scratch() {
+    let _serial = serial();
     let pristine = scaled_classes(4);
     let script = edit_batches(4, 48, 11);
     let bad = script
@@ -179,6 +205,7 @@ fn error_edit_and_heal_match_from_scratch() {
 
 #[test]
 fn body_edit_shifts_cached_diagnostics_of_later_classes() {
+    let _serial = serial();
     let pristine = scaled_classes(4);
     let mut engine = IncrementalChecker::new(opts(1));
     engine.check_source(&pristine).expect("parses");
@@ -215,4 +242,198 @@ fn body_edit_shifts_cached_diagnostics_of_later_classes() {
     let dirty: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
     assert_eq!(dirty, ["Stack0"], "only the padded class re-checks");
     assert_matches_scratch("error shifted", &engine, &out, 1);
+}
+
+/// Applies one edit, asserts it took the whole-source path, and compares
+/// the outcome with a from-scratch check of the edited source.
+fn assert_falls_back(label: &str, engine: &mut IncrementalChecker, edit: ClassEdit) {
+    let out = engine
+        .recheck(&[edit])
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert!(out.whole_parse, "{label}: must parse the whole source");
+    assert_matches_scratch(label, engine, &out, 1);
+}
+
+#[test]
+fn every_generated_body_edit_takes_the_fragment_path() {
+    let _serial = serial();
+    let mut engine = IncrementalChecker::new(opts(1));
+    engine.check_source(&scaled_classes(4)).expect("parses");
+    let script = edit_batches(4, 48, 29);
+    let mut fragments = 0;
+    for b in &script.batches {
+        let out = engine.recheck(&[as_edit(b)]).expect("applies");
+        if b.kind != "signature" {
+            assert!(
+                !out.whole_parse,
+                "batch {} ({}) parsed everything",
+                b.id, b.kind
+            );
+            assert!(
+                !out.full_rebuild,
+                "batch {} ({}) rebuilt the table",
+                b.id, b.kind
+            );
+            fragments += 1;
+        }
+    }
+    assert!(fragments >= 24, "{fragments} of 48 batches were body edits");
+}
+
+#[test]
+fn edits_outside_the_fragment_rule_fall_back_and_match_from_scratch() {
+    let _serial = serial();
+    let pristine = scaled_classes(4);
+    let mut engine = IncrementalChecker::new(opts(1));
+    engine.check_source(&pristine).expect("parses");
+    let stack = decl_text(&pristine, "Stack1");
+
+    // A trailing comment would swallow whatever follows it on the line.
+    let edit = |class: &str, source: String| ClassEdit {
+        class: class.to_string(),
+        source,
+    };
+    assert_falls_back(
+        "trailing comment",
+        &mut engine,
+        edit("Stack1", format!("{stack} // note")),
+    );
+    // Two declarations in one edit add a class.
+    assert_falls_back(
+        "two declarations",
+        &mut engine,
+        edit(
+            "Stack1",
+            format!("{stack}\nclass Extra<Owner o> {{ int z; }}"),
+        ),
+    );
+    // A rename leaves `main`'s reference to the old name dangling.
+    assert_falls_back(
+        "rename",
+        &mut engine,
+        edit(
+            "Stack0",
+            decl_text(&pristine, "Stack0").replacen("Stack0", "Stack0x", 1),
+        ),
+    );
+    assert_falls_back(
+        "rename back",
+        &mut engine,
+        edit("Stack0x", decl_text(&pristine, "Stack0")),
+    );
+}
+
+#[test]
+fn unbalanced_brace_reports_the_whole_source_parse_error() {
+    let _serial = serial();
+    let pristine = scaled_classes(4);
+    let mut engine = IncrementalChecker::new(opts(1));
+    engine.check_source(&pristine).expect("parses");
+
+    let stack = decl_text(&pristine, "Stack2");
+    let broken = stack.replacen("let c = 0;", "let c = 0; {", 1);
+    let lo = pristine.find(&stack).unwrap();
+    let spliced = format!(
+        "{}{}{}",
+        &pristine[..lo],
+        broken,
+        &pristine[lo + stack.len()..]
+    );
+    let expected = parse_program(&spliced).expect_err("the brace is unbalanced");
+    match engine.recheck(&[ClassEdit {
+        class: "Stack2".to_string(),
+        source: broken,
+    }]) {
+        Err(RecheckError::Parse(e)) => assert_eq!(e, expected),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert_eq!(
+        engine.source(),
+        pristine,
+        "a parse error leaves the engine as it was"
+    );
+
+    // The next good batch still takes the fragment path and agrees.
+    let body = stack.replacen("let c = 0;", "let c = 0; let d = c;", 1);
+    let out = engine
+        .recheck(&[ClassEdit {
+            class: "Stack2".to_string(),
+            source: body,
+        }])
+        .expect("applies");
+    assert!(!out.whole_parse);
+    assert_matches_scratch("after parse error", &engine, &out, 1);
+}
+
+#[test]
+fn formal_count_edit_redefaults_dependents() {
+    let _serial = serial();
+    // `Holder`'s field names `Item` bare, so its elaborated owners follow
+    // `Item`'s formal count; `User` reads through that field.
+    let src = "class Item<Owner o> { int v; }\n\
+               class Holder<Owner o> { Item f; int get() { return this.f.v; } }\n\
+               class User<Owner o> { Holder<o> h; int read() { return this.h.f.v; } }\n\
+               { let h = new Holder<heap>; print(h.get()); }\n";
+    let mut engine = IncrementalChecker::new(opts(1));
+    assert!(engine.check_source(src).expect("parses").ok());
+    let item = |formals: &str| ClassEdit {
+        class: "Item".to_string(),
+        source: format!("class Item<{formals}> {{ int v; }}"),
+    };
+    let holder = |field: &str, ret: &str| ClassEdit {
+        class: "Holder".to_string(),
+        source: format!("class Holder<Owner o> {{ {field} f; int get() {{ return {ret}; }} }}"),
+    };
+    assert_falls_back("two formals", &mut engine, item("Owner o, Owner p"));
+    // `Holder` was last fingerprinted while `Item` had one formal. Spelled
+    // out at that count, its signature hashes as it did then, but `User`
+    // now reads a field of the wrong arity.
+    let out = engine
+        .recheck(&[holder("Item<o>", "this.f.v")])
+        .expect("applies");
+    assert_eq!(out.errors.len(), 3, "{:?}", out.errors);
+    assert_matches_scratch("dependent spelled at the old count", &engine, &out, 1);
+    let out = engine
+        .recheck(&[holder("Item", "this.f.v + 1")])
+        .expect("applies");
+    assert_matches_scratch("dependent body edit", &engine, &out, 1);
+    assert_falls_back("one formal", &mut engine, item("Owner o"));
+    let out = engine
+        .recheck(&[holder("Item", "this.f.v")])
+        .expect("applies");
+    assert_matches_scratch("dependent restored", &engine, &out, 1);
+}
+
+#[test]
+fn body_edit_after_a_table_error_matches_from_scratch() {
+    let _serial = serial();
+    let pristine = scaled_classes(2);
+    let mut engine = IncrementalChecker::new(opts(1));
+    engine.check_source(&pristine).expect("parses");
+
+    let base = decl_text(&pristine, "Base0").replacen(
+        "class Base0<Owner o>",
+        "class Base0<Owner o> extends Nope<o>",
+        1,
+    );
+    let out = engine
+        .recheck(&[ClassEdit {
+            class: "Base0".to_string(),
+            source: base,
+        }])
+        .expect("applies");
+    assert_eq!(out.errors.len(), 3, "{:?}", out.errors);
+    assert_matches_scratch("table error", &engine, &out, 1);
+
+    // The table error left the caches behind the text: this body edit
+    // must not trust them, nor take the fragment path.
+    let stack = decl_text(&pristine, "Stack1").replacen("let c = 0;", "let c = 0; let d = c;", 1);
+    let out = engine
+        .recheck(&[ClassEdit {
+            class: "Stack1".to_string(),
+            source: stack,
+        }])
+        .expect("applies");
+    assert!(out.whole_parse);
+    assert_matches_scratch("body edit after table error", &engine, &out, 1);
 }
