@@ -1165,6 +1165,9 @@ fn parse_serve_flags(args: &[String]) -> Result<ServeFlags, String> {
                 cfg.variants = value_of(&mut it)?
                     .parse()
                     .map_err(|_| "--variants expects a number".to_string())?;
+                if cfg.variants == 0 {
+                    return Err("--variants must be positive".into());
+                }
             }
             "--programs" => {
                 cfg.programs = value_of(&mut it)?.split(',').map(str::to_string).collect();
@@ -1263,24 +1266,24 @@ fn emit_load_report(
 }
 
 /// Parsed serve/load tail flags: `--format json`?, `--out FILE`,
-/// `--sessions FILE`, and the values of the caller-named numeric flags,
-/// in the order they were named.
-type TailFlags = (bool, Option<String>, Option<String>, Vec<Option<f64>>);
+/// `--sessions FILE`, and the values of the caller-named flags, in the
+/// order they were named (see [`flag_number`]).
+type TailFlags = (bool, Option<String>, Option<String>, Vec<Option<String>>);
 
 /// Command-specific tail flags of serve/load: `--format`, `--out`,
-/// `--sessions`, and any numeric flags the caller names (e.g.
+/// `--sessions`, and any value flags the caller names (e.g.
 /// `--rounds`, `--rate`). Returns (json, out, sessions, named values) or
-/// an error on leftovers.
-fn parse_tail_flags(rest: &[String], named: &[&str]) -> Result<TailFlags, String> {
+/// the [`unexpected_arg`] error for the first leftover.
+fn parse_tail_flags(rest: &[String], named: &[&str], usage: &str) -> Result<TailFlags, String> {
     let (json, rest) = take_format(rest)?;
     let mut out = None;
     let mut sessions = None;
-    let mut values: Vec<Option<f64>> = vec![None; named.len()];
+    let mut values: Vec<Option<String>> = vec![None; named.len()];
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let (flag, inline) = match a.split_once('=') {
-            Some((f, v)) => (f.to_string(), Some(v.to_string())),
-            None => (a.clone(), None),
+            Some((f, v)) if f.starts_with("--") => (f.to_string(), Some(v.to_string())),
+            _ => (a.clone(), None),
         };
         let value_of = |it: &mut std::slice::Iter<String>| -> Result<String, String> {
             match &inline {
@@ -1295,16 +1298,35 @@ fn parse_tail_flags(rest: &[String], named: &[&str]) -> Result<TailFlags, String
             "--out" => out = Some(value_of(&mut it)?),
             "--sessions" => sessions = Some(value_of(&mut it)?),
             f => {
-                if let Some(idx) = named.iter().position(|n| *n == f) {
-                    let v = value_of(&mut it)?;
-                    values[idx] = Some(v.parse().map_err(|_| format!("{f} expects a number"))?);
-                } else {
-                    return Err(format!("unknown flag `{f}`"));
-                }
+                let idx = named
+                    .iter()
+                    .position(|n| *n == f)
+                    .ok_or_else(|| unexpected_arg(f, usage))?;
+                values[idx] = Some(value_of(&mut it)?);
             }
         }
     }
     Ok((json, out, sessions, values))
+}
+
+/// What [`flag_number`] reports an integer flag expects.
+const INTEGER: &str = "a non-negative integer";
+
+/// Parses the value a numeric tail flag was given, or returns `default`
+/// if the flag is absent. `expects` names the accepted values in the
+/// one-line error.
+fn flag_number<T: std::str::FromStr>(
+    flag: &str,
+    value: &Option<String>,
+    default: T,
+    expects: &str,
+) -> Result<T, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{flag} expects {expects}, got `{v}`")),
+    }
 }
 
 /// Writes one line per **executed** session — its deterministic key — so
@@ -1324,8 +1346,13 @@ fn write_sessions_file(path: &str, results: &[rtj_server::SessionResult]) -> Res
 fn serve_cmd(args: &[String]) -> ExitCode {
     let run = || -> Result<ExitCode, String> {
         let (cfg, telemetry, rest) = parse_serve_flags(args)?;
-        let (json, out, sessions, values) = parse_tail_flags(&rest, &["--rounds"])?;
-        let rounds = values[0].unwrap_or(8.0) as u64;
+        let (json, out, sessions, values) = parse_tail_flags(
+            &rest,
+            &["--rounds"],
+            "usage: rtjc serve [--rounds R] [serving flags] [--format json] [--out FILE] \
+             [--sessions FILE]",
+        )?;
+        let rounds = flag_number("--rounds", &values[0], 8, INTEGER)?;
         let start = std::time::Instant::now();
         let outcome = rtj_server::run_batch(&cfg, rounds).map_err(|e| e.to_string())?;
         let elapsed_ms = start.elapsed().as_millis().max(1) as u64;
@@ -1351,12 +1378,21 @@ fn serve_cmd(args: &[String]) -> ExitCode {
 fn load_cmd(args: &[String]) -> ExitCode {
     let run = || -> Result<ExitCode, String> {
         let (cfg, telemetry, rest) = parse_serve_flags(args)?;
-        let (json, out, sessions, values) =
-            parse_tail_flags(&rest, &["--rate", "--duration-ms", "--seed"])?;
+        let (json, out, sessions, values) = parse_tail_flags(
+            &rest,
+            &["--rate", "--duration-ms", "--seed"],
+            "usage: rtjc load [--rate HZ] [--duration-ms MS] [--seed S] [serving flags] \
+             [--format json] [--out FILE] [--sessions FILE]",
+        )?;
         let plan = rtj_server::LoadPlan {
-            rate_hz: values[0].unwrap_or(2000.0),
-            duration: std::time::Duration::from_millis(values[1].unwrap_or(1000.0) as u64),
-            seed: values[2].unwrap_or(1.0) as u64,
+            rate_hz: flag_number("--rate", &values[0], 2000.0, "a number")?,
+            duration: std::time::Duration::from_millis(flag_number(
+                "--duration-ms",
+                &values[1],
+                1000,
+                INTEGER,
+            )?),
+            seed: flag_number("--seed", &values[2], 1, INTEGER)?,
         };
         let outcome = rtj_server::run_load(&cfg, &plan).map_err(|e| e.to_string())?;
         if let Some(path) = &sessions {

@@ -146,6 +146,57 @@ fn load_rejects_a_rate_above_one_per_nanosecond() {
     load_at("1e12");
 }
 
+#[test]
+fn serve_rejects_rounds_that_are_not_a_count() {
+    for rounds in ["-1", "NaN", "2.7", "1e30"] {
+        fails_with(
+            &["serve", "--rounds", rounds],
+            &format!("--rounds expects a non-negative integer, got `{rounds}`"),
+        );
+    }
+}
+
+#[test]
+fn serve_rejects_rounds_whose_session_count_overflows() {
+    fails_with(
+        &[
+            "serve",
+            "--rounds",
+            "18446744073709551615",
+            "--workers",
+            "1",
+        ],
+        "overflow the session count",
+    );
+}
+
+#[test]
+fn serve_rejects_zero_variants() {
+    fails_with(&["serve", "--variants", "0"], "--variants must be positive");
+}
+
+#[test]
+fn load_rejects_a_duration_or_seed_that_is_not_a_count() {
+    fails_with(
+        &["load", "--duration-ms", "-5"],
+        "--duration-ms expects a non-negative integer, got `-5`",
+    );
+    fails_with(
+        &["load", "--seed", "1.5"],
+        "--seed expects a non-negative integer, got `1.5`",
+    );
+}
+
+#[test]
+fn serve_and_load_report_a_stray_positional_as_an_argument() {
+    fails_with(
+        &["serve", "--telemetry", "out.json"],
+        "unexpected argument `out.json`",
+    );
+    fails_with(&["load", "extra"], "unexpected argument `extra`");
+    fails_with(&["serve", "--bogus"], "unknown flag `--bogus`");
+}
+
 /// `bench edits:N` prints the `rtj-edits/v1` script over `bench
 /// scaled:N` that `check --edits` replays.
 #[test]

@@ -14,8 +14,8 @@
 //!
 //! With no sink installed (the default), the emission paths reduce to a
 //! single `Option` discriminant test; no event is constructed and no
-//! string is formatted. The `trace_overhead` benchmark in `crates/bench`
-//! keeps this honest.
+//! string is formatted. Every run the benchmark in `perfbench/` times
+//! untraced takes this path.
 //!
 //! # Determinism
 //!

@@ -108,8 +108,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// A server start-up failure: unknown program name or a variant that
-/// failed to build (parse/type-check).
+/// A serving failure: an unknown program name, a variant that failed to
+/// build (parse/type-check), or a workload out of range (a load rate or
+/// a batch too large to count).
 #[derive(Debug)]
 pub struct ServeError {
     /// Human-readable description.
@@ -640,9 +641,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// Runs `rounds` complete mix rounds as fast as the workers allow (no
 /// pacing) and returns the results — the `rtjc serve` entry point and
 /// the saturation benchmark.
+///
+/// Fails if the server cannot start, or if the session count
+/// `rounds × mix length` overflows a `u64`.
 pub fn run_batch(cfg: &ServeConfig, rounds: u64) -> Result<ServeOutcome, ServeError> {
     let server = Server::start(cfg)?;
-    let sessions = rounds * server.mix_len() as u64;
+    let mix_len = server.mix_len() as u64;
+    let Some(sessions) = rounds.checked_mul(mix_len) else {
+        server.finish();
+        return Err(ServeError {
+            message: format!("{rounds} rounds of {mix_len} sessions overflow the session count"),
+        });
+    };
     for session in 0..sessions {
         server.submit(session, Instant::now());
     }

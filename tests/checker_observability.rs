@@ -1,7 +1,8 @@
 //! Acceptance tests for the static-checker observability layer
 //! (OBSERVABILITY.md "Static-checker observability"):
 //!
-//! * self-profiling is opt-in (no span tree unless requested) and two
+//! * self-profiling is opt-in (no span tree unless requested), leaves
+//!   the judgment counters as they are without it, and two
 //!   profiled runs at the same `--jobs` produce *structurally*
 //!   identical `rtj-checker-metrics/v1` snapshots — same span tree
 //!   shape, judgment counters, and interner footprint, with only the
@@ -44,6 +45,22 @@ fn profiling_is_opt_in() {
     assert!(
         checked.profile.is_none(),
         "no span tree without opts.profile"
+    );
+}
+
+#[test]
+fn profiling_leaves_the_judgment_counters_unchanged() {
+    let program = parse_program(&scaled_classes(12)).expect("parses");
+    let check = |profile| {
+        check_program_in(program.clone(), &CheckOptions { jobs: 1, profile }).expect("well-typed")
+    };
+    let off = check(false);
+    let on = check(true);
+    assert!(off.profile.is_none(), "no span tree when profiling is off");
+    assert!(on.profile.is_some(), "a span tree when profiling is on");
+    assert_eq!(
+        off.stats.judgments, on.stats.judgments,
+        "profiling must not change the judgment cache traffic"
     );
 }
 

@@ -1,8 +1,9 @@
 //! Every corpus benchmark typechecks and runs identically in all three
 //! check modes, never fails a check in audit mode (Theorems 3 and 4), and
-//! is never faster with checks than without.
+//! is never faster with checks than without. The Figure 11 and Figure 12
+//! documents match their checked-in goldens byte for byte.
 
-use rtjava::corpus::{all, Scale};
+use rtjava::corpus::{all, fig11, fig11_json, fig12, fig12_json, Scale};
 use rtjava::interp::{build, run_checked, RunConfig};
 use rtjava::runtime::CheckMode;
 
@@ -64,7 +65,7 @@ fn corpus_never_uses_the_gc_heap_for_primary_data() {
 #[test]
 fn annotations_are_a_small_fraction() {
     // Figure 11's qualitative claim: little programming overhead.
-    for row in rtjava::corpus::fig11() {
+    for row in fig11() {
         let frac = row.annotated as f64 / row.loc as f64;
         assert!(
             frac < 0.40,
@@ -78,7 +79,7 @@ fn annotations_are_a_small_fraction() {
 
 #[test]
 fn micro_benchmarks_have_the_largest_overheads() {
-    let rows = rtjava::corpus::fig12(Scale::Smoke);
+    let rows = fig12(Scale::Smoke);
     let overhead = |n: &str| rows.iter().find(|r| r.name == n).unwrap().overhead;
     let micro_min = overhead("Array").min(overhead("Tree"));
     for other in ["Water", "Barnes", "ImageRec", "http", "game", "phone"] {
@@ -90,4 +91,40 @@ fn micro_benchmarks_have_the_largest_overheads() {
             overhead(other)
         );
     }
+}
+
+/// Asserts `actual` equals the golden file `tests/golden/{name}`,
+/// showing where the two first differ.
+fn assert_golden(name: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
+    if golden != actual {
+        let at = golden
+            .bytes()
+            .zip(actual.bytes())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let near = |s: &str| {
+            String::from_utf8_lossy(&s.as_bytes()[at..(at + 60).min(s.len())]).into_owned()
+        };
+        panic!(
+            "{name} differs at byte {at}: golden `{}`, got `{}`",
+            near(&golden),
+            near(actual)
+        );
+    }
+}
+
+/// `rtjc fig11 --format json` and `rtjc fig12 --smoke --format json`
+/// are deterministic; regenerate the goldens with those commands when a
+/// change to the figures is intended.
+#[test]
+fn figure_documents_match_their_goldens() {
+    assert_golden("fig11.json", &format!("{}\n", fig11_json(&fig11())));
+    assert_golden(
+        "fig12_smoke.json",
+        &format!("{}\n", fig12_json(&fig12(Scale::Smoke))),
+    );
 }

@@ -160,8 +160,9 @@ fn serving_docs_cross_reference_each_other() {
         "EXPERIMENTS.md must cite the perfbench benchmark"
     );
     assert!(
-        exp.contains("--telemetry") && exp.contains("flight_recorder"),
-        "EXPERIMENTS.md must state the flight-recorder regen commands"
+        exp.contains("--telemetry") && exp.contains("trace.overhead.batch_sessions_per_s"),
+        "EXPERIMENTS.md must state the flight-recorder regen commands and \
+         the metric that measures its overhead"
     );
 
     let readme = read_doc("README.md");

@@ -4,6 +4,8 @@
 //! * metrics snapshots and event traces are byte-identical across
 //!   repeated runs and across checker `--jobs` settings;
 //! * every trace line is valid JSON with the event envelope fields;
+//! * tracing is observation only: capture off, ring and full give the
+//!   same virtual clock, metrics and program output;
 //! * elision accounting balances per check kind: a `Static` run elides
 //!   exactly the checks the `Dynamic` run performs, because the
 //!   deterministic scheduler visits the same sites.
@@ -128,6 +130,34 @@ fn ring_capture_keeps_only_the_tail() {
         &full_events[full_events.len() - 8..],
         "the ring holds the most recent events"
     );
+}
+
+#[test]
+fn tracing_changes_neither_cycles_nor_metrics_nor_output() {
+    for bench in all(Scale::Smoke) {
+        let checked = build(&bench.source).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+        for mode in [CheckMode::Dynamic, CheckMode::Static, CheckMode::Audit] {
+            let run = |capture| {
+                let mut cfg = RunConfig::new(mode);
+                cfg.events = capture;
+                run_checked(&checked, cfg)
+            };
+            let off = run(TraceCapture::Off);
+            assert!(
+                off.error.is_none(),
+                "{} {mode:?}: {:?}",
+                bench.name,
+                off.error
+            );
+            for capture in [TraceCapture::Ring(256), TraceCapture::Full] {
+                let traced = run(capture);
+                let at = format!("{} {mode:?} {capture:?}", bench.name);
+                assert_eq!(off.cycles, traced.cycles, "{at}: tracing cost virtual time");
+                assert_eq!(off.metrics, traced.metrics, "{at}: tracing changed metrics");
+                assert_eq!(off.trace, traced.trace, "{at}: tracing changed the output");
+            }
+        }
+    }
 }
 
 #[test]
