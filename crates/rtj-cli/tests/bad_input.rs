@@ -27,12 +27,20 @@ fn scratch_dir() -> PathBuf {
 }
 
 /// Runs `rtjc args` in `dir`, failing the test if it has not exited
-/// within 20 s (an out-of-range load rate used to spin forever). Output
-/// goes through files, so a chatty child never blocks on a full pipe.
+/// within 20 s (an out-of-range load rate used to spin forever).
 fn rtjc(args: &[&str], dir: &Path) -> Output {
+    output_of(Command::new(env!("CARGO_BIN_EXE_rtjc")).args(args), dir)
+}
+
+/// Runs `cmd` in `dir` with a 20 s deadline. Output goes through files,
+/// so a chatty child never blocks on a full pipe.
+fn output_of(cmd: &mut Command, dir: &Path) -> Output {
+    let args: Vec<_> = cmd
+        .get_args()
+        .map(|a| a.to_string_lossy().into_owned())
+        .collect();
     let (out_path, err_path) = (dir.join("stdout"), dir.join("stderr"));
-    let mut child = Command::new(env!("CARGO_BIN_EXE_rtjc"))
-        .args(args)
+    let mut child = cmd
         .current_dir(dir)
         .stdout(File::create(&out_path).expect("stdout file"))
         .stderr(File::create(&err_path).expect("stderr file"))
@@ -46,7 +54,7 @@ fn rtjc(args: &[&str], dir: &Path) -> Output {
         if Instant::now() > deadline {
             child.kill().ok();
             child.wait().ok();
-            panic!("rtjc {args:?} did not exit within 20 s");
+            panic!("{args:?} did not exit within 20 s");
         }
         std::thread::sleep(Duration::from_millis(20));
     };
@@ -241,6 +249,49 @@ fn non_ascii_source_reads_as_utf8() {
     assert!(
         err.contains("\n     |              ^\n"),
         "one caret under `é`: {err}"
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A program that forks more threads than the address space has room
+/// for halts with a one-line runtime error instead of a panic. Under a
+/// 1 GB `ulimit -v`, the 16 MiB stacks of 200 forked threads cannot all
+/// be mapped.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_fork_that_cannot_start_a_thread_halts_the_run() {
+    let dir = scratch_dir();
+    fs::write(
+        dir.join("forks.rtj"),
+        "regionKind Mailbox extends SharedRegion { Note<this> note; }\n\
+         class Note<Owner o> { int v; }\n\
+         class Waiter<Mailbox r> {\n\
+             void run(RHandle<r> h) accesses r {\n\
+                 let n = h.note;\n\
+                 while (n == null) { yield(); n = h.note; }\n\
+             }\n\
+         }\n\
+         {\n\
+             (RHandle<Mailbox : VT r> h) {\n\
+                 let i = 0;\n\
+                 while (i < 200) { fork (new Waiter<r>).run(h); i = i + 1; }\n\
+                 h.note = new Note<r>;\n\
+             }\n\
+         }\n",
+    )
+    .expect("write program");
+    let script = format!(
+        "ulimit -v 1000000; exec '{}' run forks.rtj",
+        env!("CARGO_BIN_EXE_rtjc")
+    );
+    let out = output_of(Command::new("sh").args(["-c", &script]), &dir);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(
+        err.lines()
+            .any(|l| l.starts_with("runtime error:") && l.contains("cannot start program thread")),
+        "{err}"
     );
     fs::remove_dir_all(&dir).ok();
 }

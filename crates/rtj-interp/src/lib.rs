@@ -41,13 +41,13 @@
 pub mod bytecode;
 pub mod eval;
 pub mod layout;
-pub mod machine;
+mod machine;
 pub mod vm;
 
 use eval::{Evaluator, ProgramData};
 use layout::Layouts;
-use machine::Machine;
 pub use machine::RunError;
+use machine::{Machine, State};
 use rtj_runtime::{
     CheckMode, CostModel, JsonlSink, MetricsSnapshot, RingSink, Runtime, Stats, ThreadId,
 };
@@ -71,9 +71,9 @@ pub enum TraceCapture {
 
 /// Which execution engine interprets the program.
 ///
-/// Both engines run on the same [`Machine`] and produce byte-identical
-/// virtual-cycle accounting, `rtj-metrics/v1` snapshots, and trace event
-/// sequences; they differ only in host-level speed.
+/// Both engines run on the same scheduler and runtime and produce
+/// byte-identical virtual-cycle accounting, `rtj-metrics/v1` snapshots,
+/// and trace event sequences; they differ only in host-level speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The reference tree-walking interpreter ([`eval::Evaluator`]).
@@ -231,10 +231,11 @@ pub fn run_checked(checked: &Checked, cfg: RunConfig) -> RunOutcome {
 /// Runs a prepared program on a fresh, session-local [`Runtime`].
 ///
 /// Reentrant: `&Prepared` is immutable shared state, every mutable piece
-/// of run state (runtime, machine, engine frames, inline caches) is local
-/// to this call, so any number of sessions may execute the same
+/// of run state (runtime, scheduler, engine frames, inline caches) is
+/// local to this call, so any number of sessions may execute the same
 /// [`Prepared`] concurrently and each observes the deterministic
-/// single-tenant outcome.
+/// single-tenant outcome. A program that never forks runs on the calling
+/// thread and takes no lock once it has started.
 pub fn run_prepared(prepared: &Prepared, cfg: RunConfig) -> RunOutcome {
     let data = Arc::clone(&prepared.data);
     let mut rt = Runtime::new(cfg.mode, cfg.cost);
@@ -245,54 +246,34 @@ pub fn run_prepared(prepared: &Prepared, cfg: RunConfig) -> RunOutcome {
         TraceCapture::Ring(n) => rt.set_trace_sink(Box::new(RingSink::new(n))),
         TraceCapture::Full => rt.set_trace_sink(Box::new(JsonlSink::new())),
     }
-    let machine = Arc::new(Machine::new(rt, cfg.max_steps));
+    let machine = Arc::new(Machine::default());
+    let st = State::new(rt, cfg.max_steps);
     let start = Instant::now();
     let main_tid = ThreadId(0);
-    let result = match cfg.engine {
-        Engine::Tree => {
-            let mut ev = Evaluator::new(Arc::clone(&machine), data, main_tid, false);
-            ev.run_main()
-        }
+    let (mut st, result) = match cfg.engine {
+        Engine::Tree => Evaluator::new(Arc::clone(&machine), st, data, main_tid, false).run_main(),
         Engine::Vm => {
             let prog = Arc::clone(&prepared.bytecode);
-            let mut vm = vm::Vm::new(Arc::clone(&machine), data, prog, main_tid, false);
-            vm.run_main()
+            vm::Vm::new(Arc::clone(&machine), st, data, prog, main_tid, false).run_main()
         }
     };
     if let Err(e) = &result {
-        machine.halt(e.clone());
+        st.halt(e.clone());
     }
-    let joined = machine.join_all(main_tid);
-    machine.finish(main_tid);
-    let error = result.err().or(joined.err()).or(machine.halt_error());
+    let mut st = machine.finish_main(st, main_tid);
+    let error = result.err().or_else(|| st.halt_error().cloned());
     let wall = start.elapsed();
-    let (cycles, stats, metrics, trace) = machine.with(|rt| {
-        (
-            rt.now(),
-            rt.stats(),
-            rt.metrics_snapshot(),
-            rt.trace().to_vec(),
-        )
-    });
-    let events = machine
-        .with(|rt| rt.take_trace_sink())
-        .map(|mut sink| sink.drain_jsonl());
-    let graph = if cfg.capture_graph {
-        Some(machine.with(|rt| rt.ownership_dot()))
-    } else {
-        None
-    };
-    let region_peaks = machine.with(|rt| rt.region_peaks());
+    let rt = &mut st.rt;
     RunOutcome {
-        cycles,
-        stats,
-        metrics,
-        trace,
-        events,
+        cycles: rt.now(),
+        stats: rt.stats(),
+        metrics: rt.metrics_snapshot(),
+        trace: rt.trace().to_vec(),
+        events: rt.take_trace_sink().map(|mut sink| sink.drain_jsonl()),
         error,
         wall,
-        graph,
-        region_peaks,
+        graph: cfg.capture_graph.then(|| rt.ownership_dot()),
+        region_peaks: rt.region_peaks(),
     }
 }
 

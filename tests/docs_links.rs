@@ -175,3 +175,147 @@ fn serving_docs_cross_reference_each_other() {
         "README quickstart gone?"
     );
 }
+
+/// `rtj-<crate>::a::b` and `rtj_<crate>::a::b` mentions in `text`, with
+/// `{x, y}` groups expanded: `(crate directory, path after the crate)`.
+fn crate_path_mentions(text: &str) -> Vec<(String, Vec<String>)> {
+    let ident_end = |from: usize| {
+        text[from..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .map_or(text.len(), |n| from + n)
+    };
+    let mut mentions = Vec::new();
+    let mut at = 0;
+    while let Some(found) = text[at..].find("rtj") {
+        let start = at + found;
+        at = start + 3;
+        let prev = text[..start].chars().next_back();
+        if prev.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_')
+            || !(text[at..].starts_with('-') || text[at..].starts_with('_'))
+        {
+            continue;
+        }
+        let name_end = ident_end(at + 1);
+        if name_end == at + 1 || !text[name_end..].starts_with("::") {
+            continue;
+        }
+        let krate = format!("rtj-{}", &text[at + 1..name_end]);
+        let mut paths = vec![Vec::new()];
+        let mut cur = name_end;
+        while text[cur..].starts_with("::") {
+            cur += 2;
+            if text[cur..].starts_with('{') {
+                let Some(close) = text[cur..].find('}') else {
+                    break;
+                };
+                let group: Vec<Vec<String>> = text[cur + 1..cur + close]
+                    .split(',')
+                    .map(|item| item.trim().split("::").map(String::from).collect())
+                    .collect();
+                paths = paths
+                    .iter()
+                    .flat_map(|p| group.iter().map(move |g| [p.clone(), g.clone()].concat()))
+                    .collect();
+                cur += close + 1;
+            } else {
+                let end = ident_end(cur);
+                if end == cur {
+                    break;
+                }
+                for p in &mut paths {
+                    p.push(text[cur..end].to_string());
+                }
+                cur = end;
+            }
+        }
+        mentions.extend(paths.into_iter().map(|p| (krate.clone(), p)));
+        at = cur;
+    }
+    mentions
+}
+
+/// The names a module's source declares public: `pub mod`/`pub fn`
+/// names, and the leaf names of its `pub use` trees.
+fn public_names(source: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for decl in ["pub mod ", "pub fn "] {
+        for (i, _) in source.match_indices(decl) {
+            let rest = &source[i + decl.len()..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            names.push(rest[..end].to_string());
+        }
+    }
+    for (i, _) in source.match_indices("pub use ") {
+        let tree = &source[i + 8..];
+        let tree = &tree[..tree.find(';').unwrap_or(tree.len())];
+        for item in tree.split(['{', '}', ',']) {
+            let item = item.trim();
+            let leaf = match item.split_once(" as ") {
+                Some((_, alias)) => alias.trim(),
+                None => item.rsplit("::").next().unwrap_or(item),
+            };
+            names.push(leaf.to_string());
+        }
+    }
+    names
+}
+
+/// Resolves `path` in `crates/<krate>/src`. Each lowercase segment must
+/// name a module file (`a.rs`, `a/mod.rs`, or `b.rs` under `a/`), or a
+/// `pub mod`, `pub use` re-export or `pub fn` of the module before it.
+/// Capitalised segments (types) are not checked; lowercase segments
+/// after one must be a `pub fn` of the module.
+fn resolve_crate_path(krate: &str, path: &[String]) -> Result<(), String> {
+    let src = repo_root().join("crates").join(krate).join("src");
+    if !src.is_dir() {
+        return Err(format!("no crate `{krate}`"));
+    }
+    let mut dir = src.clone();
+    let mut file = src.join("lib.rs");
+    let mut in_type = false;
+    for seg in path {
+        if seg.starts_with(|c: char| c.is_ascii_uppercase()) {
+            in_type = true;
+            continue;
+        }
+        let module = [dir.join(format!("{seg}.rs")), dir.join(seg).join("mod.rs")]
+            .into_iter()
+            .find(|f| f.is_file());
+        match module {
+            Some(found) if !in_type => {
+                dir = dir.join(seg);
+                file = found;
+            }
+            _ => {
+                let source = fs::read_to_string(&file).unwrap_or_default();
+                if !public_names(&source).contains(seg) {
+                    let shown = file.strip_prefix(repo_root()).unwrap_or(&file);
+                    return Err(format!("`{seg}` is not declared in {}", shown.display()));
+                }
+                // A re-export, function or inline module: nothing below it
+                // is a file of this crate.
+                return Ok(());
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn crate_module_paths_resolve() {
+    let mut broken = Vec::new();
+    for doc in DOCS {
+        for (krate, path) in crate_path_mentions(&read_doc(doc)) {
+            if let Err(e) = resolve_crate_path(&krate, &path) {
+                broken.push(format!("{doc}: `{krate}::{}`: {e}", path.join("::")));
+            }
+        }
+    }
+    assert!(
+        broken.is_empty(),
+        "docs name modules or items that do not exist:\n{}",
+        broken.join("\n")
+    );
+}
