@@ -295,3 +295,32 @@ fn a_fork_that_cannot_start_a_thread_halts_the_run() {
     );
     fs::remove_dir_all(&dir).ok();
 }
+
+/// Input nested far past the parsers' limits is one error and exit 1,
+/// not a stack overflow: a source with 3000 nested parentheses and a
+/// JSON document with 100,000 nested arrays.
+#[test]
+fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+    let dir = scratch_dir();
+    let parens = format!("{{ let x = {}1{}; }}\n", "(".repeat(3000), ")".repeat(3000));
+    fs::write(dir.join("parens.rtj"), parens).expect("write program");
+    let out = rtjc(&["check", "parens.rtj"], &dir);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("overflowed"), "{err}");
+    assert!(
+        err.starts_with("error: nesting deeper than 256 levels\n  --> line 1, column 267\n"),
+        "{err}"
+    );
+
+    fs::write(dir.join("deep.json"), "[".repeat(100_000)).expect("write document");
+    let out = rtjc(&["report", "deep.json"], &dir);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("overflowed"), "{err}");
+    assert_eq!(
+        err,
+        "deep.json: JSON error at byte 128: nesting deeper than 128 levels\n"
+    );
+    fs::remove_dir_all(&dir).ok();
+}

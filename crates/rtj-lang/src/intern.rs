@@ -7,6 +7,13 @@
 //! underlying `&'static str` is embedded in the handle, so reading it
 //! back (display, content ordering) costs nothing.
 //!
+//! Who interns: the [lexer](crate::lexer) interns every identifier and
+//! every string literal (its decoded contents), so tokens carry symbols
+//! and the parser never calls [`Symbol::intern`]. A lex calls it once
+//! per distinct name, through a map of its own from source text to
+//! symbol. The checker and the engines' class layout intern the few
+//! names they refer to themselves, such as `Object`.
+//!
 //! Design notes:
 //!
 //! * The intern table is **global and thread-safe** (`RwLock` around the
@@ -14,8 +21,8 @@
 //!   checking driver. The lock is only touched by [`Symbol::intern`];
 //!   every other operation works on the `&'static str` already in hand.
 //! * Interned strings are leaked (`Box::leak`). The set of distinct
-//!   identifiers in a compilation session is bounded by the source text,
-//!   so this is an arena, not a leak in practice.
+//!   identifiers and string literals in a compilation session is bounded
+//!   by the source text, so this is an arena, not a leak in practice.
 //! * Equality and hashing use the **data pointer**: the table guarantees
 //!   one allocation per distinct string, so pointer equality is string
 //!   equality.
@@ -69,7 +76,8 @@ impl Symbol {
 /// Sizes of the global intern table: `(symbols, bytes)`.
 ///
 /// `symbols` is the number of distinct interned strings alive in the
-/// process and `bytes` the total length of their contents. Reported in
+/// process (identifiers and string literals) and `bytes` the total length
+/// of their contents. Reported in
 /// the checker's `rtj-checker-metrics/v1` snapshot as a proxy for
 /// frontend arena footprint. The table is process-global, so the numbers
 /// are cumulative across every program interned so far.

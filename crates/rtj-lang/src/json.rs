@@ -12,13 +12,20 @@
 //!   rendering is byte-deterministic (a requirement of the determinism
 //!   tests in `tests/observability.rs`);
 //! * [`Json::render`] — compact, stable rendering;
-//! * [`Json::parse`] — a strict recursive-descent parser.
+//! * [`Json::parse`] — a strict recursive-descent parser. Arrays and
+//!   objects nest at most [`MAX_DEPTH`] levels; a deeper document is a
+//!   [`JsonError`] at the bracket that crosses the limit, not a stack
+//!   overflow.
 //!
 //! Numbers are kept as `i64` when they parse exactly as integers
 //! (virtual-cycle counters) and as `f64` otherwise (overhead ratios), so
 //! counter round-trips are loss-free.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Every schema the repository writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Object keys keep insertion order.
 #[derive(Debug, Clone, PartialEq)]
@@ -178,7 +185,7 @@ impl Json {
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let bytes = src.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -227,8 +234,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")));
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
@@ -244,7 +255,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -269,7 +280,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -420,6 +431,27 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        // The error points at the bracket that opens level 129.
+        let e = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (e.at, e.message.as_str()),
+            (128, "nesting deeper than 128 levels")
+        );
+        assert_eq!(
+            Json::parse(&objects(MAX_DEPTH + 1)).unwrap_err().at,
+            5 * 128
+        );
+        // Far past the limit is the same error, not a stack overflow.
+        let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(e.at, 128);
     }
 
     #[test]

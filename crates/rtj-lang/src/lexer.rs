@@ -2,9 +2,17 @@
 //!
 //! The lexer converts a source string into a vector of [`Token`]s, skipping
 //! whitespace and both `//` line and `/* ... */` block comments.
+//!
+//! Names and string literals are interned here, so tokens are `Copy` and
+//! the parser allocates nothing per token. A lex keeps a map from each
+//! name's source text to its [`Symbol`], so a name that recurs is looked
+//! up without a copy of its text and without the global table's lock;
+//! [`Symbol::intern`] runs once per distinct name per lex.
 
+use crate::intern::Symbol;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use std::collections::HashMap;
 use std::fmt;
 
 /// An error produced while lexing.
@@ -70,6 +78,12 @@ struct Lexer<'a> {
     base: u32,
     pos: usize,
     tokens: Vec<Token>,
+    /// The symbol of every name lexed so far, by its source text. The
+    /// names come from outside the program, so the map keeps the default
+    /// hasher, which resists keys crafted to collide.
+    names: HashMap<&'a str, Symbol>,
+    /// Decoding buffer, reused by every string literal.
+    literal: String,
 }
 
 impl<'a> Lexer<'a> {
@@ -79,7 +93,10 @@ impl<'a> Lexer<'a> {
             src: text.as_bytes(),
             base,
             pos: 0,
-            tokens: Vec::new(),
+            // The corpus runs 3.5 to 4.6 source bytes a token.
+            tokens: Vec::with_capacity(text.len() / 3 + 1),
+            names: HashMap::new(),
+            literal: String::new(),
         }
     }
 
@@ -181,14 +198,22 @@ impl<'a> Lexer<'a> {
         ) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii ident");
-        let kind = TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(text.to_owned()));
+        let text: &'a str = &self.text[start..self.pos];
+        let kind = TokenKind::keyword(text).unwrap_or_else(|| {
+            TokenKind::Ident(
+                *self
+                    .names
+                    .entry(text)
+                    .or_insert_with(|| Symbol::intern(text)),
+            )
+        });
         self.push(kind, start);
     }
 
     fn string(&mut self, start: usize) -> Result<(), LexError> {
         self.bump(); // opening quote
-        let mut value = String::new();
+        let mut value = std::mem::take(&mut self.literal);
+        value.clear();
         loop {
             match self.bump() {
                 None | Some(b'\n') => {
@@ -210,7 +235,8 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        self.push(TokenKind::Str(value), start);
+        self.push(TokenKind::Str(Symbol::intern(&value)), start);
+        self.literal = value;
         Ok(())
     }
 

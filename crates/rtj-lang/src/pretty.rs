@@ -3,6 +3,18 @@
 //! `parse_program(pretty(p))` yields an AST equal (modulo spans) to `p`;
 //! this is exercised by round-trip tests and used by the CLI's `fmt`
 //! subcommand and by the annotation-metrics tooling.
+//!
+//! A string literal is written with the four escapes the lexer reads
+//! (`\\`, `\"`, `\n`, `\t`) and every other character raw: a carriage
+//! return, a control character, a combining mark or an astral character
+//! prints as itself.
+//!
+//! A compound operand is parenthesised, except the operand of a unary
+//! operator that is itself unary (`--x`). A left-associative chain or a
+//! run of unary operators therefore prints at the nesting depth it parsed
+//! at. Parentheses the source did not have, as in `a + (-b)`, add a
+//! level each, so such a program close to the parser's
+//! [`MAX_NESTING`](crate::parser::MAX_NESTING) can print past it.
 
 use crate::ast::*;
 use std::fmt::Write as _;
@@ -345,7 +357,7 @@ fn expr_str(e: &Expr) -> String {
     match e {
         Expr::Int(n, _) => n.to_string(),
         Expr::Bool(b, _) => b.to_string(),
-        Expr::Str(s, _) => format!("{s:?}"),
+        Expr::Str(s, _) => string_literal(s),
         Expr::Null(_) => "null".into(),
         Expr::This(_) => "this".into(),
         Expr::Var(id) => id.name.to_string(),
@@ -354,7 +366,10 @@ fn expr_str(e: &Expr) -> String {
                 UnOp::Neg => "-",
                 UnOp::Not => "!",
             };
-            format!("{o}{}", sub_expr_str(expr))
+            match **expr {
+                Expr::Unary { .. } => format!("{o}{}", expr_str(expr)),
+                _ => format!("{o}{}", sub_expr_str(expr)),
+            }
         }
         Expr::Binary { op, lhs, rhs, .. } => {
             format!("{} {op} {}", sub_expr_str(lhs), sub_expr_str(rhs))
@@ -384,6 +399,23 @@ fn expr_str(e: &Expr) -> String {
             format!("{}({})", intrinsic.name(), a.join(", "))
         }
     }
+}
+
+/// `s` as a literal the lexer reads back as `s`.
+fn string_literal(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Like [`expr_str`] but parenthesizes compound sub-expressions so that the
@@ -466,6 +498,27 @@ mod tests {
             }
             "#,
         );
+    }
+
+    #[test]
+    fn string_literals_print_as_the_lexer_reads_them() {
+        // Raw bytes: a combining mark, a carriage return, an escape.
+        let src = "{ print(\"cafe\u{301}\"); print(\"a\rb\"); print(\"\u{1b}[1m\"); }";
+        let printed = pretty_program(&parse_program(src).unwrap());
+        assert!(printed.contains("print(\"cafe\u{301}\");"), "{printed}");
+        assert!(printed.contains("print(\"a\rb\");"), "{printed}");
+        assert!(printed.contains("print(\"\u{1b}[1m\");"), "{printed}");
+        roundtrip_program(src);
+        roundtrip_program("{ print(\"q\\\" b\\\\ n\\n t\\t \u{1d11e}\"); }");
+    }
+
+    #[test]
+    fn unary_runs_print_without_parentheses() {
+        let e = parse_expr("- -!!x").unwrap();
+        assert_eq!(pretty_expr(&e), "--!!x");
+        let e2 = parse_expr(&pretty_expr(&e)).unwrap();
+        assert_eq!(pretty_expr(&e2), "--!!x");
+        assert_eq!(pretty_expr(&parse_expr("-(a + b)").unwrap()), "-(a + b)");
     }
 
     #[test]

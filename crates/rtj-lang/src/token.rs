@@ -1,10 +1,15 @@
 //! Token kinds produced by the [lexer](crate::lexer).
+//!
+//! Tokens are `Copy`: a name or string literal carries the interned
+//! [`Symbol`] of its text rather than a copy of it, so the parser moves
+//! tokens around without allocating.
 
+use crate::intern::Symbol;
 use crate::span::Span;
 use std::fmt;
 
 /// A lexical token: a [`TokenKind`] plus the [`Span`] it covers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
@@ -13,15 +18,16 @@ pub struct Token {
 }
 
 /// The different kinds of lexical tokens in the core language.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
     // Literals and identifiers
     /// An integer literal such as `42`.
     Int(i64),
     /// An identifier or non-keyword name.
-    Ident(String),
-    /// A double-quoted string literal (used only by `print`).
-    Str(String),
+    Ident(Symbol),
+    /// A double-quoted string literal (used only by `print`), with its
+    /// escapes decoded.
+    Str(Symbol),
 
     // Keywords
     /// `class`

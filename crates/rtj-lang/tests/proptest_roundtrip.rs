@@ -3,7 +3,8 @@
 //! For any generated expression or program `p`:
 //! `pretty(parse(pretty(p))) == pretty(p)`. This catches precedence bugs,
 //! missing parentheses, and any surface form the printer can emit but the
-//! parser cannot read.
+//! parser cannot read, such as a string literal with an escape the lexer
+//! does not know.
 
 use proptest::prelude::*;
 use rtj_lang::ast::*;
@@ -32,9 +33,30 @@ fn owner_ref() -> impl Strategy<Value = OwnerRef> {
     ]
 }
 
+/// String-literal contents: any characters, weighted towards those the
+/// printer must escape or must write raw for the lexer to read them back.
+fn literal_text() -> impl Strategy<Value = String> {
+    let tricky = prop_oneof![
+        Just('"'),
+        Just('\\'),
+        Just('\n'),
+        Just('\t'),
+        Just('\r'),
+        Just('\u{0}'),
+        Just('\u{1b}'),
+        Just('\u{7f}'),
+        Just('\u{301}'),   // combining acute accent
+        Just('\u{1d11e}'), // astral: musical symbol G clef
+    ];
+    let any_char = (0u32..0x11_0000).prop_filter_map("a scalar value", char::from_u32);
+    prop::collection::vec(prop_oneof![tricky, any_char, Just('a')], 0..8)
+        .prop_map(|chars| chars.into_iter().collect())
+}
+
 fn expr_strategy() -> BoxedStrategy<Expr> {
     let leaf = prop_oneof![
         (0i64..1000).prop_map(|n| Expr::Int(n, Span::DUMMY)),
+        literal_text().prop_map(|s| Expr::Str(s, Span::DUMMY)),
         any::<bool>().prop_map(|b| Expr::Bool(b, Span::DUMMY)),
         Just(Expr::Null(Span::DUMMY)),
         Just(Expr::This(Span::DUMMY)),
