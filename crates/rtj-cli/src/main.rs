@@ -346,6 +346,24 @@ fn check_cmd(args: &[String]) -> ExitCode {
         eprintln!("--watch and --edits are mutually exclusive");
         return ExitCode::FAILURE;
     }
+    // The incremental flows print one summary line per pass and nothing
+    // else, so a reporting flag would be silently ignored.
+    let incremental = if watch {
+        Some("--watch")
+    } else {
+        edits_path.as_ref().map(|_| "--edits")
+    };
+    if let Some(mode) = incremental {
+        let reporting = [
+            (stats, "--stats"),
+            (explain, "--explain"),
+            (profile_out.is_some(), "--profile"),
+        ];
+        if let Some((_, flag)) = reporting.iter().find(|(set, _)| *set) {
+            eprintln!("{mode} and {flag} are mutually exclusive");
+            return ExitCode::FAILURE;
+        }
+    }
     if watch_max.is_some() && !watch {
         eprintln!("--watch-max requires --watch");
         return ExitCode::FAILURE;
@@ -430,12 +448,13 @@ fn check_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// One line summarizing an incremental pass, for the watch/edits flows.
-/// `wall` is the whole engine call, source to verdict; the checking time
-/// beside it excludes lexing and parsing.
+/// One line summarizing an incremental pass, for the watch/edits flows:
+/// what it re-checked, whether it rebuilt the table, and whether it
+/// parsed the whole source. `wall` is the whole engine call, source to
+/// verdict; the checking time beside it excludes lexing and parsing.
 fn recheck_summary(out: &rtj_types::RecheckOutcome, wall: std::time::Duration) -> String {
     format!(
-        "{} of {} classes re-checked ({} reused, {}) in {:.3} ms ({:.3} ms checking), {} error{}",
+        "{} of {} classes re-checked ({} reused, {}, {}) in {:.3} ms ({:.3} ms checking), {} error{}",
         out.dirty.len(),
         out.classes,
         out.reused,
@@ -443,6 +462,11 @@ fn recheck_summary(out: &rtj_types::RecheckOutcome, wall: std::time::Duration) -
             "full rebuild"
         } else {
             "table reused"
+        },
+        if out.whole_parse {
+            "whole parse"
+        } else {
+            "fragment parse"
         },
         wall.as_secs_f64() * 1e3,
         out.check_ns as f64 / 1e6,
@@ -453,16 +477,18 @@ fn recheck_summary(out: &rtj_types::RecheckOutcome, wall: std::time::Duration) -
 
 /// `rtjc check --watch [--watch-max N] <file>`: poll the file's mtime and
 /// re-check on every change through the fingerprint-keyed incremental
-/// engine. Summaries go to stdout, diagnostics to stderr. `--watch-max`
-/// exits cleanly after N checks (the initial check counts) — the CI
-/// smoke's hook; without it the loop runs until interrupted.
+/// engine, which re-parses only the changed class when an edit stays
+/// inside one. Summaries go to stdout, diagnostics to stderr.
+/// `--watch-max` exits cleanly after N checks (the initial check counts)
+/// — the CI smoke's hook; without it the loop runs until interrupted. A
+/// file that cannot be read at the start fails like a plain `check`.
 fn check_watch(path: &str, watch_max: Option<u64>, opts: rtj_types::CheckOptions) -> ExitCode {
     let mut engine = rtj_types::IncrementalChecker::new(opts);
     let mut last_mtime = None;
     let mut checks = 0u64;
     loop {
         let mtime = std::fs::metadata(path).and_then(|m| m.modified()).ok();
-        if mtime.is_some() && mtime != last_mtime {
+        if checks == 0 || (mtime.is_some() && mtime != last_mtime) {
             last_mtime = mtime;
             match std::fs::read_to_string(path) {
                 Ok(src) => {
@@ -485,6 +511,10 @@ fn check_watch(path: &str, watch_max: Option<u64>, opts: rtj_types::CheckOptions
                             return ExitCode::SUCCESS;
                         }
                     }
+                }
+                Err(e) if checks == 0 => {
+                    eprintln!("cannot read {path}: {e}");
+                    return ExitCode::FAILURE;
                 }
                 Err(e) => eprintln!("cannot read {path}: {e}"),
             }

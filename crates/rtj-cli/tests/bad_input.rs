@@ -227,6 +227,123 @@ fn bench_edits_replays_over_bench_scaled() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `check --watch` on a file it cannot read fails at once, with the
+/// line a plain `check` prints, instead of polling forever.
+#[test]
+fn watch_on_a_missing_file_fails_like_check() {
+    let dir = scratch_dir();
+    let plain = rtjc(&["check", "missing.rtj"], &dir);
+    let watch = rtjc(
+        &["check", "--watch", "--watch-max", "1", "missing.rtj"],
+        &dir,
+    );
+    assert_eq!(plain.status.code(), Some(1));
+    assert_eq!(watch.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&watch.stderr);
+    assert!(err.starts_with("cannot read missing.rtj: "), "{err}");
+    assert_eq!(watch.stderr, plain.stderr);
+    assert!(watch.stdout.is_empty());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// The incremental flows print per-pass summaries only, so the flags
+/// that report on one check are rejected rather than ignored.
+#[test]
+fn watch_and_edits_reject_the_reporting_flags() {
+    for mode in [&["--watch"][..], &["--edits", "edits.json"][..]] {
+        for flag in ["--stats", "--explain", "--profile", "--profile=p.json"] {
+            let mut args = vec!["check"];
+            args.extend_from_slice(mode);
+            args.extend([flag, "cell.rtj"]);
+            let name = flag.split('=').next().unwrap();
+            fails_with(
+                &args,
+                &format!("{} and {name} are mutually exclusive", mode[0]),
+            );
+        }
+    }
+}
+
+/// `check --watch` re-checks a file edited in place. The edit renames a
+/// method two other classes call, a signature edit inside one class, so
+/// it re-parses only the closure; afterwards stderr holds exactly what a
+/// from-scratch `check` of the final text prints.
+#[test]
+fn watch_rechecks_a_file_edited_in_place() {
+    let dir = scratch_dir();
+    let scaled = rtjc(&["bench", "scaled:2"], &dir);
+    let initial = String::from_utf8(scaled.stdout).expect("utf-8 corpus");
+    let file = dir.join("watched.rtj");
+    fs::write(&file, &initial).expect("write program");
+    let (out_path, err_path) = (dir.join("watch.out"), dir.join("watch.err"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rtjc"))
+        .args(["check", "--watch", "--watch-max", "2", "watched.rtj"])
+        .current_dir(&dir)
+        .stdout(File::create(&out_path).expect("stdout file"))
+        .stderr(File::create(&err_path).expect("stderr file"))
+        .spawn()
+        .expect("rtjc runs");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut wait_for = |what: &str, done: &mut dyn FnMut(&mut std::process::Child) -> bool| {
+        while !done(&mut child) {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("--watch never {what}");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    wait_for("checked the initial text", &mut |_| {
+        fs::read_to_string(&out_path).is_ok_and(|s| s.ends_with('\n'))
+    });
+
+    let needle = "class Base1<Owner o> {\n    int tag;\n    int bump(";
+    assert!(initial.contains(needle), "Base1 lost its bump()");
+    let edited = initial.replacen(
+        needle,
+        "class Base1<Owner o> {\n    int tag;\n    int bumped(",
+        1,
+    );
+    fs::write(&file, &edited).expect("edit in place");
+    // A distinct mtime even where the file system's clock is coarse.
+    File::options()
+        .write(true)
+        .open(&file)
+        .and_then(|f| f.set_modified(std::time::SystemTime::now() + Duration::from_secs(2)))
+        .expect("touch");
+    let mut status = None;
+    wait_for("exited after the edit", &mut |c| {
+        status = c.try_wait().expect("wait");
+        status.is_some()
+    });
+    assert!(status.unwrap().success());
+
+    let summary = fs::read_to_string(&out_path).expect("stdout");
+    let lines: Vec<&str> = summary.lines().collect();
+    assert_eq!(lines.len(), 2, "{summary}");
+    assert!(
+        lines[0].contains("(0 reused, full rebuild, whole parse)"),
+        "{summary}"
+    );
+    assert!(
+        lines[1].contains("3 of 12 classes re-checked (9 reused, table reused, fragment parse)"),
+        "{summary}"
+    );
+    let scratch = rtjc(&["check", "watched.rtj"], &dir);
+    assert_eq!(
+        scratch.status.code(),
+        Some(1),
+        "the rename breaks Mid1 and Leaf1"
+    );
+    let watched = fs::read(&err_path).expect("stderr");
+    assert_eq!(
+        String::from_utf8_lossy(&watched),
+        String::from_utf8_lossy(&scratch.stderr)
+    );
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// Source text is UTF-8: a string literal keeps its multi-byte
 /// characters, and a stray one is reported whole.
 #[test]

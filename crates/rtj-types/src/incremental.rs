@@ -17,17 +17,19 @@
 //!   observe; span-free) and a **full** fingerprint (everything, with
 //!   declaration-relative spans). A body-only edit changes `full` but not
 //!   `sig`.
-//! * A **reverse dependency index** is derived from the class/region-kind
-//!   names each declaration mentions. Signature changes (and class or
-//!   region-kind additions/removals) seed a BFS over reversed edges; the
-//!   resulting closure is re-checked. The index is transitive, so names a
-//!   class only reaches through a dependency's members are still covered.
-//! * If **no** signature changed, the cached `ProgramTable` is reused:
-//!   only the edited classes' stored declarations are swapped
-//!   ([`ProgramTable::refresh_class_decl`]), skipping the full structural
-//!   rebuild — at `scaled_classes(64)` the rebuild alone costs ~18% of a
-//!   from-scratch check, which would cap the incremental speedup well
-//!   below its target.
+//! * A **reverse dependency index** maps each class and region-kind name
+//!   to the declarations that mention it. The engine keeps it in step
+//!   with the committed reference sets. Signature changes (and class or
+//!   region-kind additions/removals) seed a BFS over it; the resulting
+//!   closure is re-checked. The closure is transitive, so names a class
+//!   only reaches through a dependency's members are still covered.
+//! * The table is rebuilt only when the class set, a region kind or a
+//!   formal count changes. Otherwise each re-parsed class's entry is
+//!   patched ([`ProgramTable::patch_class`]) and the table's per-class
+//!   structural rules re-run over the closure
+//!   ([`ProgramTable::check_classes`]). At `scaled_classes(512)` the
+//!   rebuild, the reverse index and the closure take ~16 ms; a whole
+//!   signature re-check on the patched table takes ~2 ms.
 //! * Clean classes contribute their cached diagnostics with spans
 //!   **shifted** by the declaration's movement. Equal full fingerprints
 //!   guarantee the declaration's internal layout is unchanged, so the
@@ -42,13 +44,18 @@
 //! same way (per declaration), and the `main` block is always re-checked
 //! (it is a fraction of a percent of the total).
 //!
-//! Parsing is reused too. A batch of body edits takes the **fragment
-//! path**: each edited declaration is parsed on its own at its splice
-//! offset, `main` from its own text, and every other class is known by its
-//! name and current start alone — no other declaration is parsed,
-//! elaborated or dropped. Renames, signature edits, text with leading or
-//! trailing trivia, and parse errors parse the whole source. DESIGN.md §9
-//! states the route rule and why both parses agree.
+//! Parsing is reused too. A batch takes the **fragment path** when every
+//! edited declaration parses on its own at its splice offset, fills its
+//! text exactly, and keeps its name and formal count. Then only the edited
+//! declarations, the unchanged text of the classes in a changed
+//! signature's dirty closure, and `main` are parsed; every other class is
+//! known by its name and current start alone. Renames, formal-count
+//! changes, text with leading or trailing trivia, parse errors, a closure
+//! that reaches a region kind and a structural error on the patched table
+//! parse the whole source. [`IncrementalChecker::check_source`] takes the
+//! same path when the new text differs from the stored one inside a
+//! single class declaration. DESIGN.md §9 states the route rule and why
+//! both parses agree.
 
 use crate::check::{CheckOptions, CheckStats, Checker};
 use crate::env::{Effects, Env, JudgmentCounters};
@@ -60,7 +67,7 @@ use crate::stype::SType;
 use crate::table::ProgramTable;
 use rtj_lang::ast::{Block, ClassDecl, Program};
 use rtj_lang::fingerprint::{
-    class_refs, fingerprint_class, fingerprint_region_kind, ClassFingerprint,
+    class_refs, fingerprint_class, fingerprint_region_kind, region_kind_refs, ClassFingerprint,
 };
 use rtj_lang::intern::Symbol;
 use rtj_lang::parser::{parse_block_at, parse_class_at, parse_program, ParseError};
@@ -119,12 +126,14 @@ pub struct RecheckOutcome {
     pub reused: usize,
     /// Total classes in the program.
     pub classes: usize,
-    /// Whether the pass rebuilt the [`ProgramTable`] from scratch
-    /// (signature/region-kind/class-set change — or the first pass).
+    /// Whether the pass rebuilt the [`ProgramTable`] from scratch: the
+    /// first pass, and whole-source passes that change the class set, a
+    /// region kind or a signature. The fragment path patches the kept
+    /// table instead.
     pub full_rebuild: bool,
     /// Whether the pass parsed the whole source. `false` only on the
-    /// fragment path of [`IncrementalChecker::recheck`], which parses the
-    /// edited declarations and `main` and nothing else.
+    /// fragment path, which parses the edited declarations, the classes
+    /// of a changed signature's dirty closure, and `main`.
     pub whole_parse: bool,
     /// Wall-clock nanoseconds of the checking work, parsing excluded.
     /// Edit-to-verdict latency is the whole `recheck` (or `check_source`)
@@ -160,6 +169,44 @@ struct RkCache {
     start: u32,
     errors: Vec<TypeError>,
     judgments: JudgmentCounters,
+}
+
+/// Reverse dependency index: each class or region-kind name to the
+/// declarations that mention it ([`class_refs`], [`region_kind_refs`]).
+type Dependents = HashMap<Symbol, Vec<Symbol>>;
+
+/// Records that declaration `from` mentions each of `refs`.
+fn link(index: &mut Dependents, from: Symbol, refs: &[Symbol]) {
+    for r in refs {
+        index.entry(*r).or_default().push(from);
+    }
+}
+
+/// Undoes [`link`].
+fn unlink(index: &mut Dependents, from: Symbol, refs: &[Symbol]) {
+    for r in refs {
+        if let Some(deps) = index.get_mut(r) {
+            if let Some(at) = deps.iter().position(|d| *d == from) {
+                deps.swap_remove(at);
+            }
+        }
+    }
+}
+
+/// Every name reachable from `seeds` over `index`: the seeds and each
+/// declaration that mentions one, directly or through other
+/// declarations.
+fn dependent_closure(index: &Dependents, seeds: Vec<Symbol>) -> HashSet<Symbol> {
+    let mut closure = HashSet::new();
+    let mut work = seeds;
+    while let Some(n) = work.pop() {
+        if closure.insert(n) {
+            if let Some(deps) = index.get(&n) {
+                work.extend(deps.iter().copied());
+            }
+        }
+    }
+    closure
 }
 
 /// Where the declarations of the stored source sit. A whole-source parse
@@ -203,13 +250,22 @@ impl Layout {
     }
 }
 
+/// Parses the class declaration at `span` of `source` on its own, at its
+/// offset. `None` unless it parses, fills the span exactly (first token
+/// at its first byte, closing brace at its last) and is called `name`.
+fn parse_fragment(source: &str, (name, span): (Symbol, Span)) -> Option<ClassDecl> {
+    let text = &source[span.start as usize..span.end as usize];
+    let decl = parse_class_at(text, span.start).ok()?;
+    (decl.span == span && decl.name.name == name).then_some(decl)
+}
+
 /// One class of a pass, in declaration order.
 struct Slot {
     name: Symbol,
     /// Where the declaration starts in the current source.
     start: u32,
     /// The parsed declaration: every class's on the whole-source path,
-    /// only the re-checked ones' on the fragment path.
+    /// only the re-parsed ones' on the fragment path.
     decl: Option<ClassDecl>,
     /// Fresh fingerprints when the class re-checks; `None` when its
     /// cached results are reused.
@@ -231,13 +287,17 @@ struct Pass {
     start: Instant,
     phases: Vec<PhaseSpan>,
     table: ProgramTable,
-    /// Whether `table` is the cached one (no signature changed), so clean
-    /// classes reuse their well-formedness results too.
+    /// Whether `table` is the kept one, patched rather than rebuilt, so
+    /// clean classes and region kinds reuse their well-formedness results
+    /// too.
     reused_table: bool,
     classes: Vec<Slot>,
     region_kinds: Vec<RkSlot>,
     main: Block,
     whole_parse: bool,
+    /// Time spent after `start` re-parsing the closure's dependents,
+    /// which [`RecheckOutcome::check_ns`] leaves out.
+    reparse: Duration,
 }
 
 /// The incremental re-check engine. See the module docs for the contract
@@ -251,6 +311,9 @@ pub struct IncrementalChecker {
     table: Option<ProgramTable>,
     units: HashMap<Symbol, UnitCache>,
     rkinds: HashMap<Symbol, RkCache>,
+    /// The reverse dependency index of the committed reference sets
+    /// (`units`' and the region kinds'), kept in step by every commit.
+    dependents: Dependents,
     /// The last pass stopped at a table error after storing its source,
     /// so the caches describe an older text: the next pass fingerprints
     /// every class and parses the whole source.
@@ -275,19 +338,65 @@ impl IncrementalChecker {
     /// Checks a full source text, reusing whatever the fingerprints prove
     /// unchanged since the last pass.
     ///
+    /// After a committed pass, the text is first diffed against
+    /// [`IncrementalChecker::source`] by common prefix and suffix. When
+    /// the changed bytes lie inside one class declaration of the stored
+    /// text, that declaration's new text is re-checked as a
+    /// [`IncrementalChecker::recheck`] edit would be, and an identical
+    /// text re-checks only `main`. Any other change parses the whole
+    /// text.
+    ///
     /// # Errors
     ///
-    /// Returns the parse error if `source` does not parse; the engine
-    /// state is left at the last good pass.
+    /// Returns the parse error if `source` does not parse (the error
+    /// [`parse_program`] gives for it); the engine state is left at the
+    /// last good pass.
     pub fn check_source(&mut self, source: &str) -> Result<RecheckOutcome, ParseError> {
+        if let Some((layout, edited)) = self.diff(source) {
+            return self.recheck_spliced(source.to_string(), layout, &edited);
+        }
         let prog = parse_program(source)?;
         Ok(self.process(source.to_string(), prog, None))
     }
 
+    /// The stored layout spliced for `source`, and the index of the one
+    /// class whose text changed (none for an identical text), when
+    /// `source` differs from the stored text only inside that class
+    /// declaration. Only a committed pass's layout describes its text.
+    fn diff(&self, source: &str) -> Option<(Layout, Vec<usize>)> {
+        if self.table.is_none() || self.stale {
+            return None;
+        }
+        let (old, new) = (self.source.as_bytes(), source.as_bytes());
+        let prefix = old.iter().zip(new).take_while(|(a, b)| a == b).count();
+        if prefix == old.len() && prefix == new.len() {
+            return Some((self.layout.clone(), Vec::new()));
+        }
+        let suffix = old[prefix..]
+            .iter()
+            .rev()
+            .zip(new[prefix..].iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let changed_end = old.len() - suffix;
+        let idx = self
+            .layout
+            .classes
+            .iter()
+            .position(|(_, s)| s.start as usize <= prefix && changed_end <= s.end as usize)?;
+        // The text before the class and after it is unchanged, so the
+        // class's new text takes up the whole difference in length.
+        let Span { start, end } = self.layout.classes[idx].1;
+        let len = (end - start) as usize + new.len() - old.len();
+        let mut layout = self.layout.clone();
+        layout.splice(idx, len);
+        Some((layout, vec![idx]))
+    }
+
     /// Applies a batch of single-class edits to the stored source and
-    /// re-checks the dirty closure. A batch of body edits takes the
-    /// fragment path (only the edited declarations and `main` are
-    /// parsed); anything else parses the whole edited source.
+    /// re-checks the dirty closure, on the fragment path when the batch
+    /// allows it (see the module docs) and on the whole edited source
+    /// otherwise.
     ///
     /// # Errors
     ///
@@ -311,32 +420,49 @@ impl IncrementalChecker {
                 edited.push(idx);
             }
         }
+        self.recheck_spliced(source, layout, &edited)
+            .map_err(RecheckError::Parse)
+    }
+
+    /// Re-checks `source`, whose declarations `layout` records and whose
+    /// text differs from the stored one only inside the classes `edited`
+    /// (indices into `layout.classes`): the fragment path if it applies,
+    /// else the whole source.
+    fn recheck_spliced(
+        &mut self,
+        source: String,
+        layout: Layout,
+        edited: &[usize],
+    ) -> Result<RecheckOutcome, ParseError> {
         if !self.stale {
-            if let Some(out) = self.recheck_fragments(&source, &layout, &edited) {
+            if let Some(out) = self.recheck_fragments(&source, &layout, edited) {
                 self.source = source;
                 self.layout = layout;
                 return Ok(out);
             }
         }
-        let prog = parse_program(&source).map_err(RecheckError::Parse)?;
-        // The splice only rewrote the named declarations, so only those
+        let prog = parse_program(&source)?;
+        // The splice only rewrote the edited declarations, so only those
         // classes need structural re-fingerprinting — the dominant cost of
         // a pass once everything else is cache hits. After a table error
         // the caches lag the text, so every class is hashed.
-        let touched: Option<HashSet<String>> =
-            (!self.stale).then(|| edits.iter().map(|e| e.class.clone()).collect());
+        let touched: Option<HashSet<Symbol>> =
+            (!self.stale).then(|| edited.iter().map(|&i| layout.classes[i].0).collect());
         Ok(self.process(source, prog, touched.as_ref()))
     }
 
-    /// The fragment path: re-checks a batch of body edits without parsing
-    /// any declaration but the edited ones. Returns `None`, with the
+    /// The fragment path: re-checks a batch without parsing any
+    /// declaration but the edited ones and the dependents in the dirty
+    /// closure of their changed signatures. Returns `None`, with the
     /// engine untouched, unless every edited declaration parses on its
     /// own at its splice offset, fills its text exactly (no leading or
     /// trailing trivia, which could lex differently against the text
-    /// around it), keeps its name, and keeps its signature fingerprint.
-    /// Then a whole-source parse would yield the same declarations with
-    /// the same spans, and every other class is known by its name and
-    /// current start alone.
+    /// around it), and keeps its name and its formal count. Then a
+    /// whole-source parse would yield the same declarations with the same
+    /// spans, and every class outside the closure is known by its name
+    /// and current start alone. It also returns `None` when the closure
+    /// reaches a region kind or the patched table breaks a structural
+    /// rule; the whole-source path reports such errors.
     fn recheck_fragments(
         &mut self,
         source: &str,
@@ -346,10 +472,9 @@ impl IncrementalChecker {
         let table = self.table.as_ref()?;
         let mut parsed = Vec::with_capacity(edited.len());
         for &i in edited {
-            let (name, span) = layout.classes[i];
-            let text = &source[span.start as usize..span.end as usize];
-            let decl = parse_class_at(text, span.start).ok()?;
-            if decl.span != span || decl.name.name != name {
+            let decl = parse_fragment(source, layout.classes[i])?;
+            // Other classes' bare types are completed with this count.
+            if table.formal_count(decl.name.name) != Some(decl.formals.len()) {
                 return None;
             }
             parsed.push((i, decl));
@@ -361,10 +486,8 @@ impl IncrementalChecker {
         let mut phases: Vec<PhaseSpan> = Vec::new();
 
         let p0 = profiling.then(|| start.elapsed());
-        // If the route holds, the class set and every formal count are
-        // unchanged, so the kept table has the counts a whole-program pass
-        // would use. An edit that changes its own class's count fails the
-        // signature check below whatever counts it was completed with.
+        // The class set and every formal count are unchanged, so the kept
+        // table has the counts a whole-program pass would use.
         let formals = |n: Symbol| table.formal_count(n);
         for (_, decl) in &mut parsed {
             infer::apply_class_defaults(decl, &formals);
@@ -375,16 +498,45 @@ impl IncrementalChecker {
 
         let p0 = profiling.then(|| start.elapsed());
         let mut fresh = Vec::with_capacity(parsed.len());
+        let mut seeds = Vec::new();
         for (i, decl) in parsed {
             let fp = fingerprint_class(&decl);
             if self.units.get(&decl.name.name)?.sig != fp.sig {
-                return None;
+                seeds.push(decl.name.name);
             }
             fresh.push((i, decl, fp));
         }
+        let closure = dependent_closure(&self.dependents, seeds);
+        if closure.iter().any(|n| self.rkinds.contains_key(n)) {
+            return None;
+        }
+        // Each dependent's text is unchanged since a parse that gave it
+        // this span, so on its own it parses to the same declaration
+        // (DESIGN.md §9), completed with the same counts.
+        let mut reparse = Duration::ZERO;
+        for &name in &closure {
+            if fresh.iter().any(|(_, d, _)| d.name.name == name) {
+                continue;
+            }
+            let i = layout.classes.iter().position(|(n, _)| *n == name)?;
+            let r0 = Instant::now();
+            let mut decl = parse_fragment(source, layout.classes[i])?;
+            reparse += r0.elapsed();
+            infer::apply_class_defaults(&mut decl, &formals);
+            let fp = fingerprint_class(&decl);
+            fresh.push((i, decl, fp));
+        }
         let mut table = self.table.take().expect("checked above");
-        for (_, decl, _) in &fresh {
-            table.refresh_class_decl(decl.name.name, decl);
+        let replaced: Vec<_> = fresh
+            .iter()
+            .filter_map(|(_, decl, _)| table.patch_class(decl))
+            .collect();
+        if table.check_classes(closure.iter().copied()).is_err() {
+            for info in replaced {
+                table.restore_class(info);
+            }
+            self.table = Some(table);
+            return None;
         }
         fresh.sort_unstable_by_key(|(i, _, _)| *i);
         let mut fresh = fresh.into_iter().peekable();
@@ -395,7 +547,9 @@ impl IncrementalChecker {
             .map(|(i, &(name, span))| {
                 let (decl, dirty) = fresh
                     .next_if(|(j, _, _)| *j == i)
-                    .filter(|(_, _, fp)| self.units[&name].full != fp.full)
+                    .filter(|(_, _, fp)| {
+                        closure.contains(&name) || self.units[&name].full != fp.full
+                    })
                     .map(|(_, decl, fp)| (decl, fp))
                     .unzip();
                 Slot {
@@ -427,6 +581,7 @@ impl IncrementalChecker {
             region_kinds,
             main,
             whole_parse: false,
+            reparse,
         }))
     }
 
@@ -445,7 +600,7 @@ impl IncrementalChecker {
         &mut self,
         source: String,
         mut prog: Program,
-        touched: Option<&HashSet<String>>,
+        touched: Option<&HashSet<Symbol>>,
     ) -> RecheckOutcome {
         let start = Instant::now();
         let profiling = self.opts.profile;
@@ -466,7 +621,7 @@ impl IncrementalChecker {
         let p0 = profiling.then(|| start.elapsed());
         let total = prog.classes.len();
         let cached_fp = |c: &ClassDecl| {
-            if touched?.contains(c.name.name.as_str()) {
+            if touched?.contains(&c.name.name) {
                 return None;
             }
             let u = self.units.get(&c.name.name)?;
@@ -523,9 +678,9 @@ impl IncrementalChecker {
                 if cached.full != fp.full {
                     dirty[i] = true;
                     // The structural facts still hold (signature unchanged)
-                    // but spans and bodies moved: swap the stored decl so
-                    // error reporting against this class reads current spans.
-                    table.refresh_class_decl(c.name.name, c);
+                    // but spans and bodies moved: patch the entry so error
+                    // reporting against this class reads current spans.
+                    table.patch_class(c);
                 }
             }
             table
@@ -556,34 +711,20 @@ impl IncrementalChecker {
                     };
                 }
             };
-            // Reverse dependency index over declaration references, then
+            // Reverse dependency index over this text's declarations, then
             // the BFS closure of the seeds. Content-unchanged classes
             // reuse their cached (elaborated) reference sets.
-            let mut reverse: HashMap<Symbol, Vec<Symbol>> = HashMap::new();
+            let mut reverse = Dependents::new();
             for (c, fp) in prog.classes.iter().zip(&fps) {
-                let refs = match self.units.get(&c.name.name) {
-                    Some(u) if u.full == fp.full => u.refs.clone(),
-                    _ => class_refs(c),
-                };
-                for r in refs {
-                    reverse.entry(r).or_default().push(c.name.name);
+                match self.units.get(&c.name.name) {
+                    Some(u) if u.full == fp.full => link(&mut reverse, c.name.name, &u.refs),
+                    _ => link(&mut reverse, c.name.name, &class_refs(c)),
                 }
             }
             for rk in &prog.region_kinds {
-                for r in rtj_lang::fingerprint::region_kind_refs(rk) {
-                    reverse.entry(r).or_default().push(rk.name.name);
-                }
+                link(&mut reverse, rk.name.name, &region_kind_refs(rk));
             }
-            let mut closure: HashSet<Symbol> = HashSet::new();
-            let mut work = seeds;
-            while let Some(n) = work.pop() {
-                if !closure.insert(n) {
-                    continue;
-                }
-                if let Some(deps) = reverse.get(&n) {
-                    work.extend(deps.iter().copied());
-                }
-            }
+            let closure = dependent_closure(&reverse, seeds);
             for (i, (c, fp)) in prog.classes.iter().zip(&fps).enumerate() {
                 dirty[i] = closure.contains(&c.name.name)
                     || self
@@ -632,6 +773,7 @@ impl IncrementalChecker {
             region_kinds,
             main: prog.main,
             whole_parse: true,
+            reparse: Duration::ZERO,
         })
     }
 
@@ -647,6 +789,7 @@ impl IncrementalChecker {
             region_kinds,
             mut main,
             whole_parse,
+            reparse,
         } = pass;
         let profiling = self.opts.profile;
         let total = classes.len();
@@ -825,11 +968,13 @@ impl IncrementalChecker {
         judgments.absorb(&main_judgments);
         all.sort_by_key(|e| e.span);
 
-        // Commit. With the table reused, class and region-kind sets are
+        // Commit. With the table kept, class and region-kind sets are
         // unchanged and a clean entry's stored `(start, errors)` pair stays
         // internally consistent (the shift delta is recomputed against it
-        // every pass), so only the dirty entries are rewritten. A rebuilt
-        // table re-ran every well-formedness check, so every entry is.
+        // every pass), so only the dirty entries are rewritten, and the
+        // reverse index follows their reference sets. A rebuilt table
+        // re-ran every well-formedness check, so every entry is rewritten
+        // and the index re-derived.
         let dirty_names: Vec<Symbol> = classes
             .iter()
             .filter(|c| c.dirty.is_some())
@@ -854,6 +999,10 @@ impl IncrementalChecker {
                     (u.sig, u.full, u.refs)
                 }
             };
+            if let Some(prev) = self.units.get(&c.name).filter(|u| u.refs != refs) {
+                unlink(&mut self.dependents, c.name, &prev.refs);
+                link(&mut self.dependents, c.name, &refs);
+            }
             self.units.insert(
                 c.name,
                 UnitCache {
@@ -870,11 +1019,17 @@ impl IncrementalChecker {
             );
         }
         if !reused_table {
+            self.dependents.clear();
+            for (name, u) in &self.units {
+                link(&mut self.dependents, *name, &u.refs);
+            }
             self.rkinds.clear();
             for (rk, (errors, judgments)) in region_kinds.iter().zip(rk_results) {
                 let fp = rk
                     .fresh
                     .expect("a rebuilt table re-checks every region kind");
+                let info = table.region_kind(rk.name).expect("built from this program");
+                link(&mut self.dependents, rk.name, &region_kind_refs(&info.decl));
                 self.rkinds.insert(
                     rk.name,
                     RkCache {
@@ -906,7 +1061,7 @@ impl IncrementalChecker {
             classes: total,
             full_rebuild: !reused_table,
             whole_parse,
-            check_ns: elapsed.as_nanos() as u64,
+            check_ns: (elapsed - reparse).as_nanos() as u64,
         }
     }
 }
@@ -993,8 +1148,11 @@ mod tests {
             }])
             .unwrap();
         assert!(out.ok(), "{:?}", out.errors);
-        assert!(out.full_rebuild);
-        assert!(out.whole_parse, "a signature edit parses the whole source");
+        assert!(!out.full_rebuild, "a signature edit patches the table");
+        assert!(
+            !out.whole_parse,
+            "a signature edit parses its fragment and its dependents"
+        );
         let names: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
         assert_eq!(names, vec!["B", "A"], "A references B and must re-check");
     }
@@ -1048,8 +1206,9 @@ mod tests {
     }
 
     /// Seeded batches of one or two edits: mostly body edits (some ill
-    /// typed), plus signature edits and trailing comments, which take the
-    /// whole-source path.
+    /// typed), plus signature edits and trailing comments. A signature
+    /// edit to `Item` or `Node` reaches a region kind and a trailing
+    /// comment is trivia, so those take the whole-source path.
     fn replay_batch(state: &mut u64, id: usize) -> Vec<ClassEdit> {
         let mut next = || {
             *state = state
@@ -1082,12 +1241,15 @@ mod tests {
     }
 
     /// After every batch of two seeded replays, the spliced layout is a
-    /// fresh parse's, and each fragment-parsed declaration the table holds
-    /// renders exactly as the fresh parse's elaborated one. Debug output is
-    /// compared because `Ident` equality ignores spans.
+    /// fresh parse's, and each declaration the fragment path parsed (the
+    /// edited ones and the re-parsed dependents of a changed signature)
+    /// is held by the table exactly as the fresh parse's elaborated one.
+    /// Debug output is compared because `Ident` equality ignores spans.
     #[test]
     fn fragment_path_tracks_a_fresh_parse() {
-        let mut routes = [0usize; 2];
+        // Batches by route: fragment, whole source, and fragment batches
+        // that re-parsed a dependent of a changed signature.
+        let mut routes = [0usize; 3];
         for seed in [3u64, 17] {
             let mut eng = IncrementalChecker::new(CheckOptions::default());
             assert!(eng.check_source(&replay_source()).unwrap().ok());
@@ -1096,6 +1258,10 @@ mod tests {
                 let batch = replay_batch(&mut state, id);
                 let out = eng.recheck(&batch).unwrap();
                 routes[usize::from(out.whole_parse)] += 1;
+                assert!(
+                    out.whole_parse || !out.full_rebuild,
+                    "seed {seed} batch {id}: the fragment path patches the table"
+                );
 
                 let mut fresh = parse_program(eng.source()).unwrap();
                 let layout = Layout::of(&fresh);
@@ -1115,27 +1281,38 @@ mod tests {
 
                 infer::apply_declaration_defaults(&mut fresh);
                 if !out.whole_parse {
+                    let dependents: Vec<Symbol> = out
+                        .dirty
+                        .iter()
+                        .copied()
+                        .filter(|n| batch.iter().all(|e| e.class != n.as_str()))
+                        .collect();
+                    routes[2] += usize::from(!dependents.is_empty());
                     let table = eng.table.as_ref().unwrap();
-                    for e in &batch {
-                        let want = fresh.classes.iter().find(|c| c.name.name == *e.class);
-                        let have = &table.class(e.class.as_str()).unwrap().decl;
+                    let parsed = batch.iter().map(|e| Symbol::intern(&e.class));
+                    for name in parsed.chain(dependents) {
+                        let want = fresh.classes.iter().find(|c| c.name.name == name);
+                        let have = &table.class(name).unwrap().decl;
                         assert_eq!(
                             format!("{:?}", have),
                             format!("{:?}", want.unwrap()),
-                            "seed {seed} batch {id}: table decl of {}",
-                            e.class
+                            "seed {seed} batch {id}: table decl of {name}"
                         );
                     }
                 }
             }
         }
         assert!(
-            routes[0] >= 32,
-            "most batches take the fragment path: {routes:?}"
+            routes[0] >= 44,
+            "body edits and signature edits to Base or Leaf take the fragment path: {routes:?}"
         );
         assert!(
-            routes[1] >= 8,
-            "signature edits and comments fall back: {routes:?}"
+            routes[1] >= 12,
+            "trailing comments and signature edits to Item or Node fall back: {routes:?}"
+        );
+        assert!(
+            routes[2] >= 4,
+            "a signature edit to Base re-parses Leaf: {routes:?}"
         );
     }
 }

@@ -112,6 +112,23 @@ pub struct ClassInfo {
     pub constraints: Vec<SConstraint>,
 }
 
+impl ClassInfo {
+    /// The entry [`ProgramTable::build`] makes for a (default-completed)
+    /// class declaration.
+    fn of(c: &ClassDecl) -> ClassInfo {
+        ClassInfo {
+            decl: Arc::new(c.clone()),
+            formal_names: c.formals.iter().map(|f| f.name.name).collect(),
+            formal_kinds: c
+                .formals
+                .iter()
+                .map(|f| resolve_kind(&f.kind, &no_regions))
+                .collect(),
+            constraints: resolve_constraints(&c.where_clauses, &no_regions),
+        }
+    }
+}
+
 /// A region kind with pre-resolved formal kinds and constraints.
 #[derive(Debug, Clone)]
 pub struct RegionKindInfo {
@@ -224,20 +241,7 @@ impl ProgramTable {
                 errors.push(TypeError::new("class `Object` is built in", c.name.span));
                 continue;
             }
-            let formal_names: Vec<Symbol> = c.formals.iter().map(|f| f.name.name).collect();
-            let formal_kinds: Vec<Kind> = c
-                .formals
-                .iter()
-                .map(|f| resolve_kind(&f.kind, &no_regions))
-                .collect();
-            let constraints = resolve_constraints(&c.where_clauses, &no_regions);
-            let info = ClassInfo {
-                decl: Arc::new(c.clone()),
-                formal_names,
-                formal_kinds,
-                constraints,
-            };
-            if classes.insert(c.name.name, info).is_some() {
+            if classes.insert(c.name.name, ClassInfo::of(c)).is_some() {
                 errors.push(TypeError::new(
                     format!("class `{}` is defined twice", c.name),
                     c.name.span,
@@ -277,21 +281,56 @@ impl ProgramTable {
             classes,
             region_kinds,
         };
-        table.check_class_hierarchy(&mut errors);
-        table.check_region_kind_hierarchy(&mut errors);
-        table.check_members_once(&mut errors);
-        table.check_subregion_finiteness(&mut errors);
-        if errors.is_empty() {
-            Ok(table)
-        } else {
-            // The checks walk hash maps, so their order varies run to run.
-            // A declaration's own errors are pushed in a fixed order, so a
-            // stable sort fixes the order; the message breaks the one tie
-            // across declarations (two region kinds that reach the same
-            // unknown super kind report it at the same span).
-            errors.sort_by(|a, b| a.span.cmp(&b.span).then_with(|| a.message.cmp(&b.message)));
-            Err(errors)
+        for info in table.classes.values() {
+            table.check_class_structure(info, &mut errors);
         }
+        table.check_region_kind_hierarchy(&mut errors);
+        table.check_region_kind_members_once(&mut errors);
+        table.check_subregion_finiteness(&mut errors);
+        sorted(errors).map(|()| table)
+    }
+
+    /// Rebuilds the entry of class `decl.name` from `decl` (a
+    /// default-completed declaration), exactly as [`ProgramTable::build`]
+    /// builds it, and returns the entry it replaced; `None`, with the
+    /// table unchanged, if the table holds no such class. No rule is
+    /// checked: [`ProgramTable::check_classes`] re-runs `build`'s
+    /// per-class rules over whatever the new declaration can affect, and
+    /// [`ProgramTable::restore_class`] undoes the patch.
+    ///
+    /// The incremental checker patches every class it re-parses. When
+    /// the class's formal count is unchanged, every other entry is still
+    /// what `build` would make of it, since other declarations are
+    /// completed with that count.
+    pub fn patch_class(&mut self, decl: &ClassDecl) -> Option<ClassInfo> {
+        let info = self.classes.get_mut(&decl.name.name)?;
+        Some(std::mem::replace(info, ClassInfo::of(decl)))
+    }
+
+    /// Puts back an entry [`ProgramTable::patch_class`] replaced.
+    pub fn restore_class(&mut self, info: ClassInfo) {
+        self.classes.insert(info.decl.name.name, info);
+    }
+
+    /// Runs [`ProgramTable::build`]'s per-class structural rules (the
+    /// class hierarchy and `MembersOnce`) over the classes `names`, and
+    /// returns their errors sorted as `build` sorts them. Names the table
+    /// holds no class for are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Every structural error of the named classes.
+    pub fn check_classes(
+        &self,
+        names: impl IntoIterator<Item = Symbol>,
+    ) -> Result<(), Vec<TypeError>> {
+        let mut errors = Vec::new();
+        for name in names {
+            if let Some(info) = self.classes.get(&name) {
+                self.check_class_structure(info, &mut errors);
+            }
+        }
+        sorted(errors)
     }
 
     /// Replaces the stored declarations with `p`'s, keeping the resolved
@@ -312,19 +351,6 @@ impl ProgramTable {
             if let Some(info) = self.region_kinds.get_mut(&rk.name.name) {
                 info.decl = Arc::new(rk.clone());
             }
-        }
-    }
-
-    /// Replaces one class's stored declaration, keeping its resolved
-    /// formal kinds and constraints (the single-class analogue of
-    /// [`ProgramTable::refresh_decls`]). Used by the incremental checker:
-    /// when a class's *signature* fingerprint is unchanged, the structural
-    /// facts `build` computed still hold, but the declaration's spans (and
-    /// possibly its method bodies) moved, so the stored decl — which error
-    /// reporting for that class reads — must be the current one.
-    pub fn refresh_class_decl(&mut self, name: Symbol, decl: &ClassDecl) {
-        if let Some(info) = self.classes.get_mut(&name) {
-            info.decl = Arc::new(decl.clone());
         }
     }
 
@@ -727,87 +753,155 @@ impl ProgramTable {
 
     // ------------------------------------------------- structural WF checks
 
-    fn check_class_hierarchy(&self, errors: &mut Vec<TypeError>) {
-        for (name, info) in &self.classes {
-            // Detect unknown superclasses and cycles by walking up with a
-            // visited set.
-            let mut seen = HashSet::new();
-            seen.insert(*name);
-            let mut cur = info.decl.extends.as_ref().map(|ct| ct.name.name);
-            while let Some(c) = cur {
-                if c == "Object" {
-                    break;
+    /// The per-class rules of [`ProgramTable::build`], for one class:
+    /// its superclass chain is known and acyclic and its `extends` clause
+    /// well-shaped (`WFClasses`), and its members and owner parameters are
+    /// declared once (`MembersOnce`). `build` runs them over every class,
+    /// [`ProgramTable::check_classes`] over the classes an edit can affect.
+    fn check_class_structure(&self, info: &ClassInfo, errors: &mut Vec<TypeError>) {
+        let name = info.decl.name.name;
+        // Detect unknown superclasses and cycles by walking up with a
+        // visited set.
+        let mut seen = HashSet::new();
+        seen.insert(name);
+        let mut cur = info.decl.extends.as_ref().map(|ct| ct.name.name);
+        while let Some(c) = cur {
+            if c == "Object" {
+                break;
+            }
+            if !seen.insert(c) {
+                errors.push(TypeError::new(
+                    format!("cycle in class hierarchy involving `{name}`"),
+                    info.decl.name.span,
+                ));
+                break;
+            }
+            match self.classes.get(&c) {
+                Some(next) => {
+                    cur = next.decl.extends.as_ref().map(|ct| ct.name.name);
                 }
-                if !seen.insert(c) {
+                None => {
                     errors.push(TypeError::new(
-                        format!("cycle in class hierarchy involving `{name}`"),
+                        format!("unknown superclass `{c}` of `{name}`"),
                         info.decl.name.span,
                     ));
                     break;
                 }
-                match self.classes.get(&c) {
-                    Some(next) => {
-                        cur = next.decl.extends.as_ref().map(|ct| ct.name.name);
-                    }
-                    None => {
-                        errors.push(TypeError::new(
-                            format!("unknown superclass `{c}` of `{name}`"),
-                            info.decl.name.span,
-                        ));
-                        break;
-                    }
-                }
             }
-            // The superclass's first owner must be the subclass's first
-            // formal ([SUBTYPE CLASS] shape): this preserves "first owner
-            // owns the object" along the chain.
-            if let Some(ct) = &info.decl.extends {
-                if ct.name.name != "Object" || !ct.owners.is_empty() {
-                    let first_formal = info.formal_names.first();
-                    let ok = match (ct.owners.first(), first_formal) {
-                        (Some(rtj_lang::ast::OwnerRef::Name(id)), Some(f)) => *f == id.name,
-                        _ => false,
-                    };
-                    if !ok {
-                        errors.push(TypeError::new(
-                            format!(
-                                "the first owner of the superclass of `{name}` must be \
-                                 `{name}`'s first formal owner parameter"
-                            ),
-                            ct.span,
-                        ));
-                    }
-                }
-            }
-            // Arity of extends.
-            if let Some(ct) = &info.decl.extends {
-                if let Some(sup) = self.classes.get(&ct.name.name) {
-                    if sup.formal_names.len() != ct.owners.len() {
-                        errors.push(TypeError::new(
-                            format!(
-                                "superclass `{}` expects {} owner argument(s), found {}",
-                                ct.name,
-                                sup.formal_names.len(),
-                                ct.owners.len()
-                            ),
-                            ct.span,
-                        ));
-                    }
-                } else if ct.name.name == "Object" && ct.owners.len() != 1 {
+        }
+        // The superclass's first owner must be the subclass's first
+        // formal ([SUBTYPE CLASS] shape): this preserves "first owner
+        // owns the object" along the chain.
+        if let Some(ct) = &info.decl.extends {
+            if ct.name.name != "Object" || !ct.owners.is_empty() {
+                let first_formal = info.formal_names.first();
+                let ok = match (ct.owners.first(), first_formal) {
+                    (Some(rtj_lang::ast::OwnerRef::Name(id)), Some(f)) => *f == id.name,
+                    _ => false,
+                };
+                if !ok {
                     errors.push(TypeError::new(
-                        "`Object` expects exactly one owner argument",
+                        format!(
+                            "the first owner of the superclass of `{name}` must be \
+                             `{name}`'s first formal owner parameter"
+                        ),
                         ct.span,
                     ));
                 }
             }
-            if info.decl.formals.is_empty() {
+        }
+        // Arity of extends.
+        if let Some(ct) = &info.decl.extends {
+            if let Some(sup) = self.classes.get(&ct.name.name) {
+                if sup.formal_names.len() != ct.owners.len() {
+                    errors.push(TypeError::new(
+                        format!(
+                            "superclass `{}` expects {} owner argument(s), found {}",
+                            ct.name,
+                            sup.formal_names.len(),
+                            ct.owners.len()
+                        ),
+                        ct.span,
+                    ));
+                }
+            } else if ct.name.name == "Object" && ct.owners.len() != 1 {
                 errors.push(TypeError::new(
-                    format!(
-                        "class `{name}` must declare at least one owner parameter \
-                         (the first owner owns the object)"
-                    ),
+                    "`Object` expects exactly one owner argument",
+                    ct.span,
+                ));
+            }
+        }
+        if info.decl.formals.is_empty() {
+            errors.push(TypeError::new(
+                format!(
+                    "class `{name}` must declare at least one owner parameter \
+                     (the first owner owns the object)"
+                ),
+                info.decl.name.span,
+            ));
+        }
+
+        let mut field_names = HashSet::new();
+        for f in &info.decl.fields {
+            if !field_names.insert(f.name.name) {
+                errors.push(TypeError::new(
+                    format!("duplicate field `{}`", f.name),
+                    f.name.span,
+                ));
+            }
+        }
+        let mut method_names = HashSet::new();
+        for m in &info.decl.methods {
+            if !method_names.insert(m.name.name) {
+                errors.push(TypeError::new(
+                    format!("duplicate method `{}` (no overloading)", m.name),
+                    m.name.span,
+                ));
+            }
+            let mut owner_names: HashSet<Symbol> = info.formal_names.iter().copied().collect();
+            for f in &m.formals {
+                if !owner_names.insert(f.name.name) {
+                    errors.push(TypeError::new(
+                        format!(
+                            "method owner parameter `{}` shadows another owner parameter",
+                            f.name
+                        ),
+                        f.name.span,
+                    ));
+                }
+            }
+        }
+        let mut formal_set = HashSet::new();
+        for f in &info.formal_names {
+            if !formal_set.insert(*f) {
+                errors.push(TypeError::new(
+                    format!("duplicate owner parameter `{f}`"),
                     info.decl.name.span,
                 ));
+            }
+        }
+        // Fields inherited from superclasses must not be redeclared.
+        if let Some((sup, sup_args)) = info
+            .decl
+            .extends
+            .as_ref()
+            .filter(|ct| ct.name.name != "Object")
+            .map(|ct| {
+                let args: Vec<Owner> = ct
+                    .owners
+                    .iter()
+                    .map(|o| Owner::resolve(o, no_regions))
+                    .collect();
+                (ct.name.name, args)
+            })
+        {
+            for (fname, _) in self.all_fields(sup, &sup_args) {
+                if field_names.contains(&fname) {
+                    errors.push(TypeError::new(
+                        format!("field `{fname}` is already declared in a superclass"),
+                        info.decl.name.span,
+                    ));
+                }
             }
         }
     }
@@ -855,72 +949,7 @@ impl ProgramTable {
         }
     }
 
-    fn check_members_once(&self, errors: &mut Vec<TypeError>) {
-        for info in self.classes.values() {
-            let mut field_names = HashSet::new();
-            for f in &info.decl.fields {
-                if !field_names.insert(f.name.name) {
-                    errors.push(TypeError::new(
-                        format!("duplicate field `{}`", f.name),
-                        f.name.span,
-                    ));
-                }
-            }
-            let mut method_names = HashSet::new();
-            for m in &info.decl.methods {
-                if !method_names.insert(m.name.name) {
-                    errors.push(TypeError::new(
-                        format!("duplicate method `{}` (no overloading)", m.name),
-                        m.name.span,
-                    ));
-                }
-                let mut owner_names: HashSet<Symbol> = info.formal_names.iter().copied().collect();
-                for f in &m.formals {
-                    if !owner_names.insert(f.name.name) {
-                        errors.push(TypeError::new(
-                            format!(
-                                "method owner parameter `{}` shadows another owner parameter",
-                                f.name
-                            ),
-                            f.name.span,
-                        ));
-                    }
-                }
-            }
-            let mut formal_set = HashSet::new();
-            for f in &info.formal_names {
-                if !formal_set.insert(*f) {
-                    errors.push(TypeError::new(
-                        format!("duplicate owner parameter `{f}`"),
-                        info.decl.name.span,
-                    ));
-                }
-            }
-            // Fields inherited from superclasses must not be redeclared.
-            if let Some((sup, sup_args)) = info
-                .decl
-                .extends
-                .as_ref()
-                .filter(|ct| ct.name.name != "Object")
-                .map(|ct| {
-                    let args: Vec<Owner> = ct
-                        .owners
-                        .iter()
-                        .map(|o| Owner::resolve(o, no_regions))
-                        .collect();
-                    (ct.name.name, args)
-                })
-            {
-                for (fname, _) in self.all_fields(sup, &sup_args) {
-                    if field_names.contains(&fname) {
-                        errors.push(TypeError::new(
-                            format!("field `{fname}` is already declared in a superclass"),
-                            info.decl.name.span,
-                        ));
-                    }
-                }
-            }
-        }
+    fn check_region_kind_members_once(&self, errors: &mut Vec<TypeError>) {
         for info in self.region_kinds.values() {
             let mut names = HashSet::new();
             for f in &info.decl.portals {
@@ -1003,6 +1032,19 @@ impl ProgramTable {
             }
         }
     }
+}
+
+/// Structural errors in a fixed order. The rules walk hash maps, so the
+/// order they find errors in varies run to run; a declaration's own
+/// errors are pushed in a fixed order, so a stable sort fixes it, and the
+/// message breaks the one tie across declarations (two region kinds that
+/// reach the same unknown super kind report it at the same span).
+fn sorted(mut errors: Vec<TypeError>) -> Result<(), Vec<TypeError>> {
+    if errors.is_empty() {
+        return Ok(());
+    }
+    errors.sort_by(|a, b| a.span.cmp(&b.span).then_with(|| a.message.cmp(&b.message)));
+    Err(errors)
 }
 
 /// The signature of a method in its declaring class's own formal context.
@@ -1185,6 +1227,36 @@ mod tests {
         assert!(r.is_err());
         let msgs = r.unwrap_err();
         assert!(msgs.iter().any(|e| e.message.contains("infinite")));
+    }
+
+    #[test]
+    fn a_patched_class_is_checked_by_the_rules_build_applies() {
+        let mut t =
+            table("class B<Owner o> { int x; } class A<Owner o> extends B<o> { int y; } { }")
+                .unwrap();
+        let wider = "class B<Owner o> { int x; int y; }";
+        let patch = parse_program(&format!("{wider} {{ }}")).unwrap();
+        let old = t.patch_class(&patch.classes[0]).expect("B is in the table");
+        assert_eq!(t.class("B").unwrap().decl.fields.len(), 2);
+        let messages =
+            |errs: Vec<TypeError>| -> Vec<String> { errs.into_iter().map(|e| e.message).collect() };
+        let built = table(&format!(
+            "{wider} class A<Owner o> extends B<o> {{ int y; }} {{ }}"
+        ));
+        let want = messages(built.unwrap_err());
+        assert_eq!(want, ["field `y` is already declared in a superclass"]);
+        assert_eq!(messages(t.check_classes(["A".into()]).unwrap_err()), want);
+        assert!(
+            t.check_classes(["B".into()]).is_ok(),
+            "only A breaks a rule"
+        );
+
+        t.restore_class(old);
+        assert_eq!(t.class("B").unwrap().decl.fields.len(), 1);
+        assert!(t.check_classes(["A".into(), "B".into()]).is_ok());
+        let ghost = parse_program("class Ghost<Owner o> { } { }").unwrap();
+        assert!(t.patch_class(&ghost.classes[0]).is_none());
+        assert!(t.class("Ghost").is_none());
     }
 
     #[test]

@@ -100,11 +100,11 @@ fn cumulative_edit_batches_match_from_scratch() {
             let out = engine
                 .recheck(&[as_edit(b)])
                 .unwrap_or_else(|e| panic!("batch {}: {e}", b.id));
-            // Body and error edits keep their signatures, so they take the
-            // fragment path; signature edits parse the whole source.
-            assert_eq!(
-                out.whole_parse,
-                b.kind == "signature",
+            // Every generated edit keeps its class's name and formal count
+            // and reaches no region kind, so each takes the fragment path
+            // and patches the kept table.
+            assert!(
+                !out.whole_parse && !out.full_rebuild,
                 "batch {} ({}) took the wrong route",
                 b.id,
                 b.kind
@@ -135,8 +135,12 @@ fn signature_edit_dirties_exactly_the_dependent_closure() {
     let out = engine.recheck(&[as_edit(sig)]).expect("applies");
     assert!(out.ok(), "{:?}", out.errors);
     assert!(
-        out.full_rebuild,
-        "a signature change must rebuild the table"
+        !out.full_rebuild,
+        "a signature change patches the kept table"
+    );
+    assert!(
+        !out.whole_parse,
+        "a signature change parses only its closure"
     );
     let mut dirty: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
     dirty.sort_unstable();
@@ -260,24 +264,25 @@ fn every_generated_body_edit_takes_the_fragment_path() {
     let mut engine = IncrementalChecker::new(opts(1));
     engine.check_source(&scaled_classes(4)).expect("parses");
     let script = edit_batches(4, 48, 29);
-    let mut fragments = 0;
+    let mut signatures = 0;
     for b in &script.batches {
         let out = engine.recheck(&[as_edit(b)]).expect("applies");
-        if b.kind != "signature" {
-            assert!(
-                !out.whole_parse,
-                "batch {} ({}) parsed everything",
-                b.id, b.kind
-            );
-            assert!(
-                !out.full_rebuild,
-                "batch {} ({}) rebuilt the table",
-                b.id, b.kind
-            );
-            fragments += 1;
-        }
+        assert!(
+            !out.whole_parse,
+            "batch {} ({}) parsed everything",
+            b.id, b.kind
+        );
+        assert!(
+            !out.full_rebuild,
+            "batch {} ({}) rebuilt the table",
+            b.id, b.kind
+        );
+        signatures += usize::from(b.kind == "signature");
     }
-    assert!(fragments >= 24, "{fragments} of 48 batches were body edits");
+    assert!(
+        signatures >= 6,
+        "{signatures} of 48 batches were signature edits"
+    );
 }
 
 #[test]
@@ -436,4 +441,333 @@ fn body_edit_after_a_table_error_matches_from_scratch() {
         .expect("applies");
     assert!(out.whole_parse);
     assert_matches_scratch("body edit after table error", &engine, &out, 1);
+}
+
+/// Checks `src`, applies `edits` as one batch at `--jobs` 1 and 4, and
+/// compares each outcome with a from-scratch check of the edited text.
+/// Returns the `--jobs 1` outcome.
+fn edit_at_both_job_counts(label: &str, src: &str, edits: &[ClassEdit]) -> RecheckOutcome {
+    let mut first = None;
+    for jobs in [1, 4] {
+        let mut engine = IncrementalChecker::new(opts(jobs));
+        assert!(engine.check_source(src).expect("parses").ok(), "{label}");
+        let out = engine
+            .recheck(edits)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_matches_scratch(&format!("{label} (jobs={jobs})"), &engine, &out, jobs);
+        first.get_or_insert(out);
+    }
+    first.expect("two job counts ran")
+}
+
+fn sorted_dirty(out: &RecheckOutcome) -> Vec<&str> {
+    let mut dirty: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
+    dirty.sort_unstable();
+    dirty
+}
+
+/// Asserts a signature edit took the fragment path, re-checked exactly
+/// `dirty`, and reported errors.
+fn assert_fragment_errors(label: &str, out: &RecheckOutcome, dirty: &[&str]) {
+    assert!(
+        !out.whole_parse && !out.full_rebuild,
+        "{label}: took the whole-source path"
+    );
+    assert_eq!(sorted_dirty(out), dirty, "{label}: dirty closure");
+    assert!(!out.ok(), "{label}: the dependents must report errors");
+}
+
+#[test]
+fn removing_a_called_method_reports_errors_in_the_dependents() {
+    let _serial = serial();
+    let src = scaled_classes(2);
+    // `Mid1::poke` and `Leaf1::probe` call `bump`.
+    let edit = ClassEdit {
+        class: "Base1".to_string(),
+        source: "class Base1<Owner o> {\n    int tag;\n}".to_string(),
+    };
+    let out = edit_at_both_job_counts("bump removed", &src, &[edit]);
+    assert_fragment_errors("bump removed", &out, &["Base1", "Leaf1", "Mid1"]);
+}
+
+#[test]
+fn changing_a_parameter_type_rechecks_the_callers() {
+    let _serial = serial();
+    let src = scaled_classes(2);
+    // `Stack1::push` passes an `Item1` to `init`, and `init` stores `v`
+    // into an `Item1` field.
+    let node = decl_text(&src, "Node1").replacen("void init(Item1<vo> v,", "void init(int v,", 1);
+    let edit = ClassEdit {
+        class: "Node1".to_string(),
+        source: node,
+    };
+    let out = edit_at_both_job_counts("int parameter", &src, &[edit]);
+    assert_fragment_errors("int parameter", &out, &["Node1", "Stack1"]);
+}
+
+#[test]
+fn changing_a_formal_kind_keeps_the_count_and_the_fragment_path() {
+    let _serial = serial();
+    let src = scaled_classes(2);
+    // `Node1` and `Stack1` instantiate `Item1` at `vo`, an owner that is
+    // not known to be a region.
+    let edit = ClassEdit {
+        class: "Item1".to_string(),
+        source: "class Item1<Region o> { int v; }".to_string(),
+    };
+    let out = edit_at_both_job_counts("region formal", &src, &[edit]);
+    assert_fragment_errors("region formal", &out, &["Item1", "Node1", "Stack1"]);
+}
+
+#[test]
+fn changing_extends_rechecks_the_subclass() {
+    let _serial = serial();
+    let src = scaled_classes(2);
+    // `Leaf1::probe` calls `link` and `poke`, which `Mid1` declares and
+    // `Base1` does not.
+    let leaf = decl_text(&src, "Leaf1").replacen("extends Mid1<o>", "extends Base1<o>", 1);
+    let edit = ClassEdit {
+        class: "Leaf1".to_string(),
+        source: leaf,
+    };
+    let out = edit_at_both_job_counts("new superclass", &src, &[edit]);
+    assert_fragment_errors("new superclass", &out, &["Leaf1"]);
+}
+
+#[test]
+fn a_field_a_subclass_declares_is_a_table_error_that_falls_back_and_resyncs() {
+    let _serial = serial();
+    let pristine = scaled_classes(2);
+    let base = decl_text(&pristine, "Base1");
+    // `Mid1` declares `peer`; declaring it in `Base1` too breaks
+    // `MembersOnce` on the patched table. Dropping `bump` as well makes
+    // a table left patched after the fallback visible to `Leaf1`.
+    let clash = ClassEdit {
+        class: "Base1".to_string(),
+        source: "class Base1<Owner o> {\n    int tag;\n    int peer;\n}".to_string(),
+    };
+    let out = edit_at_both_job_counts(
+        "inherited field clash",
+        &pristine,
+        std::slice::from_ref(&clash),
+    );
+    assert!(
+        out.whole_parse && out.full_rebuild,
+        "a table error falls back"
+    );
+    assert!(
+        out.errors
+            .iter()
+            .any(|e| e.message.contains("already declared in a superclass")),
+        "{:?}",
+        out.errors
+    );
+
+    for jobs in [1, 4] {
+        let mut engine = IncrementalChecker::new(opts(jobs));
+        engine.check_source(&pristine).expect("parses");
+        engine
+            .recheck(std::slice::from_ref(&clash))
+            .expect("applies");
+        // The table error left the caches behind the text: the heal
+        // parses the whole source and commits, ending the resync.
+        let heal = ClassEdit {
+            class: "Base1".to_string(),
+            source: base.clone(),
+        };
+        let out = engine.recheck(&[heal]).expect("applies");
+        assert!(out.whole_parse, "jobs={jobs}: the resync parses everything");
+        assert_matches_scratch(&format!("healed (jobs={jobs})"), &engine, &out, jobs);
+        let leaf = ClassEdit {
+            class: "Leaf1".to_string(),
+            source: decl_text(&pristine, "Leaf1").replacen("this.link(this);", "", 1),
+        };
+        let out = engine.recheck(&[leaf]).expect("applies");
+        assert!(
+            !out.whole_parse,
+            "jobs={jobs}: a body edit after the resync"
+        );
+        assert_matches_scratch(
+            &format!("Leaf1 calls bump (jobs={jobs})"),
+            &engine,
+            &out,
+            jobs,
+        );
+        let probe = ClassEdit {
+            class: "Base1".to_string(),
+            source: base.replacen("int tag;", "int tag;\n    int more;", 1),
+        };
+        let out = engine.recheck(&[probe]).expect("applies");
+        assert!(
+            !out.whole_parse && !out.full_rebuild,
+            "jobs={jobs}: after the resync a signature edit takes the fragment path"
+        );
+        assert_eq!(sorted_dirty(&out), ["Base1", "Leaf1", "Mid1"]);
+        assert_matches_scratch(&format!("resynced (jobs={jobs})"), &engine, &out, jobs);
+    }
+}
+
+#[test]
+fn a_signature_edit_that_reaches_a_region_kind_falls_back() {
+    let _serial = serial();
+    let src = scaled_classes(2).replacen(
+        "\nclass Item0",
+        "\nregionKind Pool extends SharedRegion { Item0 head; }\nclass Item0",
+        1,
+    );
+    let grown = |class: &str| ClassEdit {
+        class: class.to_string(),
+        source: decl_text(&src, class).replacen(
+            "int v;",
+            "int v; int probe(int x) { return x; }",
+            1,
+        ),
+    };
+    let out = edit_at_both_job_counts("Pool names Item0", &src, &[grown("Item0")]);
+    assert!(
+        out.whole_parse && out.full_rebuild,
+        "a closure that reaches a region kind parses the whole source"
+    );
+    let out = edit_at_both_job_counts("no region kind names Item1", &src, &[grown("Item1")]);
+    assert!(!out.whole_parse && !out.full_rebuild);
+    assert_eq!(sorted_dirty(&out), ["Item1", "Node1", "Stack1"]);
+}
+
+#[test]
+fn a_batch_mixing_a_body_and_a_signature_edit_takes_the_fragment_path() {
+    let _serial = serial();
+    let src = scaled_classes(2);
+    let body = ClassEdit {
+        class: "Stack0".to_string(),
+        source: decl_text(&src, "Stack0").replacen("let c = 0;", "let c = 0; let d = c;", 1),
+    };
+    let signature = ClassEdit {
+        class: "Item1".to_string(),
+        source: "class Item1<Owner o> { int v; int w; }".to_string(),
+    };
+    let out = edit_at_both_job_counts("body and signature", &src, &[body, signature]);
+    assert!(out.ok(), "{:?}", out.errors);
+    assert!(!out.whole_parse && !out.full_rebuild);
+    assert_eq!(sorted_dirty(&out), ["Item1", "Node1", "Stack0", "Stack1"]);
+}
+
+/// The text of `src` with class `class`'s declaration replaced.
+fn spliced(src: &str, class: &str, decl: &str) -> String {
+    let old = decl_text(src, class);
+    let at = src.find(&old).expect("declaration text occurs");
+    format!("{}{decl}{}", &src[..at], &src[at + old.len()..])
+}
+
+#[test]
+fn check_source_rechecks_a_changed_class_through_the_fragment_path() {
+    let _serial = serial();
+    for jobs in [1, 4] {
+        let mut engine = IncrementalChecker::new(opts(jobs));
+        let mut text = scaled_classes(4);
+        engine.check_source(&text).expect("parses");
+        for b in &edit_batches(4, 24, 7).batches {
+            text = spliced(&text, &b.class, &b.source);
+            let out = engine.check_source(&text).expect("parses");
+            let label = format!("jobs={jobs} batch {} ({})", b.id, b.kind);
+            assert!(
+                !out.whole_parse && !out.full_rebuild,
+                "{label}: took the whole-source path"
+            );
+            assert_eq!(engine.source(), text, "{label}");
+            assert_matches_scratch(&label, &engine, &out, jobs);
+        }
+        // An unchanged text re-checks only `main`.
+        let out = engine.check_source(&text).expect("parses");
+        assert!(!out.whole_parse && out.dirty.is_empty());
+        assert_matches_scratch("unchanged text", &engine, &out, jobs);
+    }
+}
+
+#[test]
+fn check_source_parses_the_whole_text_outside_one_class() {
+    let _serial = serial();
+    let pristine = scaled_classes(4);
+    let mut engine = IncrementalChecker::new(opts(1));
+    engine.check_source(&pristine).expect("parses");
+
+    // A change in `main`, or one spanning two declarations, is not
+    // inside one class.
+    let text = pristine.replacen("it.v = 1;", "it.v = 2;", 1);
+    let out = engine.check_source(&text).expect("parses");
+    assert!(out.whole_parse, "an edit in main parses everything");
+    assert_matches_scratch("main edited", &engine, &out, 1);
+    let text = text
+        .replacen(
+            "class Item1<Owner o> { int v; }",
+            "class Item1<Owner o> { int v; int w; }",
+            1,
+        )
+        .replacen(
+            "int tag;\n    int bump",
+            "int tag; int tog;\n    int bump",
+            2,
+        );
+    let out = engine.check_source(&text).expect("parses");
+    assert!(out.whole_parse, "an edit across classes parses everything");
+    assert_matches_scratch("two classes edited", &engine, &out, 1);
+
+    // A parse error inside one class is the whole text's parse error,
+    // and leaves the engine as it was.
+    let broken = spliced(
+        &text,
+        "Stack2",
+        &decl_text(&text, "Stack2").replacen("let c = 0;", "let c = 0; {", 1),
+    );
+    let err = engine.check_source(&broken).expect_err("unbalanced brace");
+    assert_eq!(err, parse_program(&broken).expect_err("unbalanced brace"));
+    assert_eq!(engine.source(), text);
+
+    // Trivia at the edge of a class falls back inside `recheck`.
+    let commented = spliced(
+        &text,
+        "Base2",
+        &format!("{} // note", decl_text(&text, "Base2")),
+    );
+    let out = engine.check_source(&commented).expect("parses");
+    assert!(out.whole_parse, "a trailing comment parses everything");
+    assert_matches_scratch("trailing comment", &engine, &out, 1);
+}
+
+#[test]
+fn a_reference_a_body_edit_adds_joins_later_closures() {
+    let _serial = serial();
+    let pristine = scaled_classes(2);
+    for jobs in [1, 4] {
+        let mut engine = IncrementalChecker::new(opts(jobs));
+        engine.check_source(&pristine).expect("parses");
+        // `Base1` starts reading an `Item1` field in a body edit...
+        let base = decl_text(&pristine, "Base1").replacen(
+            "this.tag = this.tag + x;",
+            "let it = new Item1<o>; this.tag = this.tag + x + it.v;",
+            1,
+        );
+        let out = engine
+            .recheck(&[ClassEdit {
+                class: "Base1".to_string(),
+                source: base,
+            }])
+            .expect("applies");
+        assert!(out.ok(), "{:?}", out.errors);
+        assert_eq!(sorted_dirty(&out), ["Base1"]);
+        // ...so when `Item1` loses that field, `Base1` re-checks with it,
+        // and so do the subclasses that mention `Base1`.
+        let out = engine
+            .recheck(&[ClassEdit {
+                class: "Item1".to_string(),
+                source: "class Item1<Owner o> { int w; }".to_string(),
+            }])
+            .expect("applies");
+        assert!(!out.whole_parse && !out.full_rebuild);
+        assert_eq!(
+            sorted_dirty(&out),
+            ["Base1", "Item1", "Leaf1", "Mid1", "Node1", "Stack1"]
+        );
+        assert!(!out.ok(), "`Base1` reads the missing field");
+        assert_matches_scratch(&format!("jobs={jobs}"), &engine, &out, jobs);
+    }
 }
