@@ -205,6 +205,58 @@ fn serve_and_load_report_a_stray_positional_as_an_argument() {
     fails_with(&["serve", "--bogus"], "unknown flag `--bogus`");
 }
 
+/// Each command takes a fixed number of positional arguments, so an
+/// extra one is an error instead of being dropped or taking the first
+/// one's place, and `-x` is a flag like `--x`.
+#[test]
+fn extra_arguments_are_rejected() {
+    fails_with(
+        &["check", "missing.rtj", "cell.rtj"],
+        "unexpected argument `cell.rtj`",
+    );
+    fails_with(
+        &["fmt", "cell.rtj", "missing.rtj"],
+        "unexpected argument `missing.rtj`",
+    );
+    fails_with(
+        &["graph", "cell.rtj", "missing.rtj"],
+        "unexpected argument `missing.rtj`",
+    );
+    fails_with(&["check", "-x", "cell.rtj"], "unknown flag `-x`");
+}
+
+/// `--metrics` takes a file only as `--metrics=FILE`, so the argument
+/// after a bare `--metrics` is the program, and one more is an error.
+#[test]
+fn run_metrics_takes_its_file_only_after_an_equals_sign() {
+    fails_with(
+        &["run", "--metrics", "out.json", "cell.rtj"],
+        "unexpected argument `cell.rtj`",
+    );
+}
+
+/// `--format` shapes only the `--stats` output, like `--trace-format`
+/// shapes only `--profile`'s.
+#[test]
+fn check_format_requires_stats() {
+    fails_with(
+        &["check", "--format", "json", "cell.rtj"],
+        "--format requires --stats",
+    );
+}
+
+/// Programs and the server run on the bytecode VM; the tree-walker is
+/// the tests' oracle, and no command selects it.
+#[test]
+fn run_serve_and_load_reject_engine() {
+    fails_with(
+        &["run", "--engine", "tree", "cell.rtj"],
+        "unknown flag `--engine`",
+    );
+    fails_with(&["serve", "--engine", "vm"], "unknown flag `--engine`");
+    fails_with(&["load", "--engine", "vm"], "unknown flag `--engine`");
+}
+
 /// `bench edits:N` prints the `rtj-edits/v1` script over `bench
 /// scaled:N` that `check --edits` replays.
 #[test]
@@ -410,6 +462,26 @@ fn a_fork_that_cannot_start_a_thread_halts_the_run() {
             .any(|l| l.starts_with("runtime error:") && l.contains("cannot start program thread")),
         "{err}"
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A server whose worker threads cannot all start fails with one line
+/// instead of a panic. Under a 300 MB `ulimit -v`, the stacks of 200
+/// workers cannot all be mapped.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_worker_that_cannot_start_fails_the_serve() {
+    let dir = scratch_dir();
+    let script = format!(
+        "ulimit -v 300000; exec '{}' serve --rounds 1 --variants 1 --workers 200",
+        env!("CARGO_BIN_EXE_rtjc")
+    );
+    let out = output_of(Command::new("sh").args(["-c", &script]), &dir);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(err.trim_end().lines().count(), 1, "{err}");
+    assert!(err.starts_with("cannot start worker thread "), "{err}");
     fs::remove_dir_all(&dir).ok();
 }
 

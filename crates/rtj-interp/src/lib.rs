@@ -69,11 +69,14 @@ pub enum TraceCapture {
     Full,
 }
 
-/// Which execution engine interprets the program.
+/// Which execution engine interprets the program: the oracle's selector.
 ///
 /// Both engines run on the same scheduler and runtime and produce
 /// byte-identical virtual-cycle accounting, `rtj-metrics/v1` snapshots,
 /// and trace event sequences; they differ only in host-level speed.
+/// Everything outside the tests runs the VM; the tree-walker is the
+/// semantics oracle that `tests/vm_differential.rs` and the
+/// benchmark's correctness gate compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The reference tree-walking interpreter ([`eval::Evaluator`]).
@@ -81,15 +84,6 @@ pub enum Engine {
     /// The bytecode VM with inline caches ([`vm::Vm`]) — the default.
     #[default]
     Vm,
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Engine::Tree => write!(f, "tree"),
-            Engine::Vm => write!(f, "vm"),
-        }
-    }
 }
 
 /// Configuration for one run.
@@ -109,7 +103,8 @@ pub struct RunConfig {
     pub capture_graph: bool,
     /// Structured-event capture (off by default).
     pub events: TraceCapture,
-    /// The execution engine ([`Engine::Vm`] by default).
+    /// The execution engine ([`Engine::Vm`] by default; the tests set
+    /// [`Engine::Tree`] to run the oracle).
     pub engine: Engine,
     /// Session (tenant) identifier stamped on the run's [`Runtime`] — `0`
     /// for standalone runs; the multi-tenant server (`rtj-server`) assigns

@@ -46,6 +46,7 @@
 //! unbounded, the right setting for measuring backlog under overload.
 
 use std::collections::VecDeque;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -155,7 +156,10 @@ impl Executor {
     /// Starts `workers` threads (0 selects the machine's available
     /// parallelism) with one shard each and the given queue capacity
     /// (0 = unbounded).
-    pub fn new(workers: usize, queue_capacity: usize) -> Executor {
+    ///
+    /// Fails with `cannot start worker thread N: …` when the OS refuses
+    /// a thread; the workers already started are stopped first.
+    pub fn new(workers: usize, queue_capacity: usize) -> io::Result<Executor> {
         Executor::with_recorder(workers, queue_capacity, None)
     }
 
@@ -166,7 +170,7 @@ impl Executor {
         workers: usize,
         queue_capacity: usize,
         recorder: Option<Arc<FlightRecorder>>,
-    ) -> Executor {
+    ) -> io::Result<Executor> {
         let workers = resolve_workers(workers);
         if let Some(rec) = &recorder {
             assert!(rec.workers() >= workers, "recorder lane per worker");
@@ -193,19 +197,22 @@ impl Executor {
             capacity: queue_capacity,
             recorder,
         });
-        let handles = (0..workers)
-            .map(|id| {
-                let inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("rtj-worker-{id}"))
-                    .spawn(move || worker_loop(id, &inner))
-                    .expect("spawn worker")
-            })
-            .collect();
-        Executor {
+        let mut executor = Executor {
             inner,
-            workers: handles,
+            workers: Vec::with_capacity(workers),
+        };
+        for id in 0..workers {
+            let inner = Arc::clone(&executor.inner);
+            // On failure, dropping `executor` stops the workers started.
+            let handle = thread::Builder::new()
+                .name(format!("rtj-worker-{id}"))
+                .spawn(move || worker_loop(id, &inner))
+                .map_err(|e| {
+                    io::Error::new(e.kind(), format!("cannot start worker thread {id}: {e}"))
+                })?;
+            executor.workers.push(handle);
         }
+        Ok(executor)
     }
 
     /// Number of worker threads (== number of shards).
@@ -466,7 +473,7 @@ mod tests {
 
     #[test]
     fn executes_every_job_once() {
-        let pool = Executor::new(4, 0);
+        let pool = Executor::new(4, 0).unwrap();
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..1000 {
             let hits = Arc::clone(&hits);
@@ -483,7 +490,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_backpressure() {
-        let pool = Executor::new(2, 8);
+        let pool = Executor::new(2, 8).unwrap();
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..200 {
             let hits = Arc::clone(&hits);
@@ -499,7 +506,7 @@ mod tests {
 
     #[test]
     fn drain_then_reuse() {
-        let pool = Executor::new(3, 0);
+        let pool = Executor::new(3, 0).unwrap();
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..50 {
             let hits = Arc::clone(&hits);
@@ -528,7 +535,7 @@ mod tests {
         // not just the shard's owner), and the jobs sleep long enough
         // that one worker cannot drain the queue before the woken
         // thieves scan it.
-        let pool = Executor::new(4, 0);
+        let pool = Executor::new(4, 0).unwrap();
         let hits = Arc::new(AtomicU64::new(0));
         for _ in 0..64 {
             let hits = Arc::clone(&hits);
@@ -557,7 +564,7 @@ mod tests {
         const WORKERS: usize = 3;
         const EXTRA: usize = 17;
 
-        let pool = Executor::new(WORKERS, 0);
+        let pool = Executor::new(WORKERS, 0).unwrap();
         let gate = Arc::new(AtomicBool::new(false));
         let started = Arc::new(AtomicU64::new(0));
         for shard in 0..WORKERS {
@@ -596,7 +603,7 @@ mod tests {
 
     #[test]
     fn panicking_job_is_contained_and_counted() {
-        let pool = Executor::new(2, 0);
+        let pool = Executor::new(2, 0).unwrap();
         let hits = Arc::new(AtomicU64::new(0));
         for i in 0..20 {
             let hits = Arc::clone(&hits);
@@ -615,7 +622,7 @@ mod tests {
 
     #[test]
     fn worker_index_is_in_range() {
-        let pool = Executor::new(3, 0);
+        let pool = Executor::new(3, 0).unwrap();
         let bad = Arc::new(AtomicU64::new(0));
         for _ in 0..300 {
             let bad = Arc::clone(&bad);

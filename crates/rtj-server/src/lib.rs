@@ -8,7 +8,8 @@
 //! scheduled on a sharded work-stealing [`executor::Executor`]. The only
 //! cross-tenant state is immutable: the global string interner (PR 1)
 //! and the `Arc`-shared compiled program artifacts
-//! ([`rtj_interp::Prepared`]).
+//! ([`rtj_interp::Prepared`]). Every session runs on the bytecode VM;
+//! the tree-walker stays in `rtj-interp` as the test oracle.
 //!
 //! Two drivers sit on top:
 //!
@@ -20,7 +21,7 @@
 //!   measured, not hidden (no coordinated omission).
 //!
 //! Both emit the versioned [`report::LOAD_SCHEMA`] (`rtj-load/v1`)
-//! document: per-(program, mode, engine) tail latencies, per-mode merged
+//! document: per-(program, mode) tail latencies, per-mode merged
 //! `rtj-metrics/v1` snapshots (accumulated incrementally in per-worker
 //! result shards, merged once at drain), the `sessions.shed` overload
 //! block, and the Figure-12 ledger

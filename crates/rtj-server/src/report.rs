@@ -2,14 +2,15 @@
 //!
 //! One load (or batch-serve) run renders to a single JSON document:
 //! run-level totals (including the `sessions.shed` overload block),
-//! per-(program, mode, engine) latency groups with exact p50/p95/p99 and
+//! per-(program, mode) latency groups with exact p50/p95/p99 and
 //! a mergeable log₂-µs histogram, the per-mode **merged** `rtj-metrics/v1`
 //! snapshots (accumulated in the worker shards), and the Figure-12
 //! ledger computed over the mode-matched admitted population. `rtjc
 //! report` accepts these documents alongside metrics/checker/fig12
-//! documents. Schema documented in `SERVER.md`.
+//! documents. Schema documented in `SERVER.md`. Documents written before
+//! the server dropped its engine dimension carry an `engine` key in each
+//! group and attribution group; the parser ignores it.
 
-use rtj_interp::Engine;
 use rtj_runtime::{CheckMode, Histogram, Json, JsonError, MetricsSnapshot};
 
 use crate::load::LoadOutcome;
@@ -129,8 +130,8 @@ impl LatencySummary {
     }
 }
 
-/// One request class: all sessions of one program under one (mode,
-/// engine), with request-side latency (scheduled arrival → completion)
+/// One request class: all sessions of one program under one check mode,
+/// with request-side latency (scheduled arrival → completion)
 /// and server-side service time (engine entry → exit). `requests`,
 /// `latency`, `service`, and `cycles` cover **executed** sessions only;
 /// `shed` counts the sessions of this class the server gave up on.
@@ -140,8 +141,6 @@ pub struct LoadGroup {
     pub program: String,
     /// Check mode of the group.
     pub mode: CheckMode,
-    /// Engine of the group.
-    pub engine: Engine,
     /// Executed requests in the group.
     pub requests: u64,
     /// Requests that halted with a runtime error.
@@ -156,7 +155,7 @@ pub struct LoadGroup {
     pub service: LatencySummary,
 }
 
-/// Per-(program, mode, engine) latency attribution derived from the
+/// Per-(program, mode) latency attribution derived from the
 /// flight recorder's event log: where the group's sessions spent their
 /// time between submission and result merge, as exact nearest-rank
 /// percentiles per stage. Present in `rtj-load/v1` only when the run
@@ -167,8 +166,6 @@ pub struct AttributionGroup {
     pub program: String,
     /// Check mode of the group.
     pub mode: CheckMode,
-    /// Engine of the group.
-    pub engine: Engine,
     /// Sessions with a complete stage chain (executed sessions observed
     /// by the recorder).
     pub sessions: u64,
@@ -185,14 +182,13 @@ pub struct AttributionGroup {
 fn build_attribution(
     stages: &[SessionStages],
     results: &[SessionResult],
-    keys: &[(String, CheckMode, Engine)],
+    keys: &[(String, CheckMode)],
 ) -> Vec<AttributionGroup> {
     let mut groups: Vec<AttributionGroup> = keys
         .iter()
-        .map(|(program, mode, engine)| AttributionGroup {
+        .map(|(program, mode)| AttributionGroup {
             program: program.clone(),
             mode: *mode,
-            engine: *engine,
             sessions: 0,
             stolen: 0,
             stages: Vec::new(),
@@ -205,7 +201,7 @@ fn build_attribution(
             continue;
         };
         let r = &results[idx];
-        let key = (r.spec.program.to_string(), r.spec.mode, r.spec.engine);
+        let key = (r.spec.program.to_string(), r.spec.mode);
         let Some(g) = keys.iter().position(|k| *k == key) else {
             continue;
         };
@@ -231,7 +227,6 @@ impl AttributionGroup {
         Json::obj(vec![
             ("program", Json::Str(self.program.clone())),
             ("mode", Json::Str(self.mode.name().into())),
-            ("engine", Json::Str(self.engine.to_string())),
             ("sessions", Json::Int(self.sessions as i64)),
             ("stolen", Json::Int(self.stolen as i64)),
             (
@@ -268,11 +263,6 @@ impl AttributionGroup {
                 .to_string(),
             mode: CheckMode::parse(mode_name)
                 .ok_or_else(|| bad(format!("bad mode `{mode_name}`")))?,
-            engine: match v.get("engine").and_then(Json::as_str) {
-                Some("vm") => Engine::Vm,
-                Some("tree") => Engine::Tree,
-                other => return Err(bad(format!("bad attribution engine `{other:?}`"))),
-            },
             sessions: v
                 .get("sessions")
                 .and_then(Json::as_u64)
@@ -342,7 +332,7 @@ pub struct LoadReport {
     pub panicked: u64,
     /// Executed sessions per second of wall-clock time.
     pub throughput_hz: f64,
-    /// Per-(program, mode, engine) groups, in deterministic order.
+    /// Per-(program, mode) groups, in deterministic order.
     pub groups: Vec<LoadGroup>,
     /// Per-group latency attribution from the flight recorder; empty
     /// when the run had telemetry off.
@@ -443,34 +433,24 @@ impl LoadReport {
     ) -> LoadReport {
         let results = &outcome.results;
 
-        // Group results by (program, mode, engine), preserving the
-        // deterministic result order (sorted by session id).
-        let mut keys: Vec<(String, CheckMode, Engine)> = Vec::new();
+        // Group results by (program, mode), in program then mode-name
+        // order.
+        let mut keys: Vec<(String, CheckMode)> = Vec::new();
         for r in results {
-            let key = (r.spec.program.to_string(), r.spec.mode, r.spec.engine);
+            let key = (r.spec.program.to_string(), r.spec.mode);
             if !keys.contains(&key) {
                 keys.push(key);
             }
         }
-        keys.sort_by(|a, b| {
-            (a.0.as_str(), a.1.name(), a.2.to_string()).cmp(&(
-                b.0.as_str(),
-                b.1.name(),
-                b.2.to_string(),
-            ))
-        });
+        keys.sort_by(|a, b| (a.0.as_str(), a.1.name()).cmp(&(b.0.as_str(), b.1.name())));
 
         let groups = keys
             .iter()
             .cloned()
-            .map(|(program, mode, engine)| {
+            .map(|(program, mode)| {
                 let members: Vec<&SessionResult> = results
                     .iter()
-                    .filter(|r| {
-                        *r.spec.program == *program
-                            && r.spec.mode == mode
-                            && r.spec.engine == engine
-                    })
+                    .filter(|r| *r.spec.program == *program && r.spec.mode == mode)
                     .collect();
                 let executed: Vec<&&SessionResult> =
                     members.iter().filter(|r| r.shed.is_none()).collect();
@@ -487,7 +467,6 @@ impl LoadReport {
                     ),
                     program,
                     mode,
-                    engine,
                 }
             })
             .collect();
@@ -586,7 +565,6 @@ impl LoadReport {
                             Json::obj(vec![
                                 ("program", Json::Str(g.program.clone())),
                                 ("mode", Json::Str(g.mode.name().into())),
-                                ("engine", Json::Str(g.engine.to_string())),
                                 ("requests", Json::Int(g.requests as i64)),
                                 ("failed", Json::Int(g.failed as i64)),
                                 ("shed", Json::Int(g.shed as i64)),
@@ -669,13 +647,6 @@ impl LoadReport {
             ),
             None => (0, 0),
         };
-        let parse_engine = |s: &str| -> Result<Engine, JsonError> {
-            match s {
-                "vm" => Ok(Engine::Vm),
-                "tree" => Ok(Engine::Tree),
-                other => Err(bad(format!("bad engine `{other}`"))),
-            }
-        };
         let mut groups = Vec::new();
         for g in v
             .get("groups")
@@ -694,11 +665,6 @@ impl LoadReport {
                     .to_string(),
                 mode: CheckMode::parse(mode_name)
                     .ok_or_else(|| bad(format!("bad mode `{mode_name}`")))?,
-                engine: parse_engine(
-                    g.get("engine")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("missing group `engine`"))?,
-                )?,
                 requests: g
                     .get("requests")
                     .and_then(Json::as_u64)
@@ -824,15 +790,14 @@ impl LoadReport {
         );
         out += &format!("throughput    : {:.0} sessions/s\n\n", self.throughput_hz);
         out += &format!(
-            "{:<8} {:<8} {:<6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
-            "program", "mode", "engine", "requests", "shed", "p50 µs", "p95 µs", "p99 µs", "max µs"
+            "{:<8} {:<8} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
+            "program", "mode", "requests", "shed", "p50 µs", "p95 µs", "p99 µs", "max µs"
         );
         for g in &self.groups {
             out += &format!(
-                "{:<8} {:<8} {:<6} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
+                "{:<8} {:<8} {:>8} {:>6} {:>9} {:>9} {:>9} {:>9}\n",
                 g.program,
                 g.mode.name(),
-                g.engine.to_string(),
                 g.requests,
                 g.shed,
                 g.latency.p50_us,
@@ -843,16 +808,15 @@ impl LoadReport {
         }
         if !self.attribution.is_empty() {
             out += &format!(
-                "\nstage attribution (flight recorder)\n{:<8} {:<8} {:<6} {:<9} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
-                "program", "mode", "engine", "stage", "sessions", "p50 µs", "p95 µs", "p99 µs", "max µs"
+                "\nstage attribution (flight recorder)\n{:<8} {:<8} {:<9} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
+                "program", "mode", "stage", "sessions", "p50 µs", "p95 µs", "p99 µs", "max µs"
             );
             for g in &self.attribution {
                 for (stage, summary) in &g.stages {
                     out += &format!(
-                        "{:<8} {:<8} {:<6} {:<9} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
+                        "{:<8} {:<8} {:<9} {:>8} {:>9} {:>9} {:>9} {:>9}\n",
                         g.program,
                         g.mode.name(),
-                        g.engine.to_string(),
                         stage,
                         summary.count,
                         summary.p50_us,

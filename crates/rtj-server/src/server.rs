@@ -14,7 +14,7 @@
 //!
 //! Completed sessions land in **per-worker result shards**: worker `w`
 //! appends to shard `w` (its own `Vec<SessionResult>` plus incrementally
-//! merged per-(mode, engine) `rtj-metrics/v1` accumulators), so the hot
+//! merged per-mode `rtj-metrics/v1` accumulators), so the hot
 //! path never touches a lock another thread wants — the
 //! regions-and-locks framing (Gerakios et al.) applied to the serving
 //! layer: exclusive ownership instead of a global results mutex. The
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use rtj_interp::{prepare, run_prepared, Engine, Prepared, RunConfig, RunError};
+use rtj_interp::{prepare, run_prepared, Prepared, RunConfig, RunError};
 use rtj_runtime::{CheckMode, MetricsSnapshot};
 
 use crate::executor::{resolve_workers, Executor, ExecutorStats};
@@ -64,8 +64,6 @@ pub struct ServeConfig {
     pub variants: u32,
     /// Check modes in the request mix.
     pub modes: Vec<CheckMode>,
-    /// Engines in the request mix.
-    pub engines: Vec<Engine>,
     /// Per-session deadline, measured from the scheduled arrival.
     /// `None` disables shedding. Sessions past their deadline are shed
     /// at admission or in the queue instead of executed.
@@ -81,10 +79,11 @@ pub struct ServeConfig {
     pub panic_session: Option<u64>,
     /// Flight-recorder options. `None` (the default) disables telemetry
     /// entirely: the per-event hooks compile down to one untaken
-    /// `Option` branch each and no sampler thread is spawned, so the
-    /// disabled path costs nothing measurable (asserted by the
-    /// `telemetry_overhead` bench) and session results are byte-identical
-    /// either way (asserted by the fingerprint-identity tests).
+    /// `Option` branch each and no sampler thread is spawned. What
+    /// turning it on costs is perfbench's
+    /// `trace.overhead.batch_sessions_per_s`; session results are
+    /// byte-identical either way (asserted by the fingerprint-identity
+    /// tests).
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -99,7 +98,6 @@ impl Default for ServeConfig {
                 .collect(),
             variants: 4,
             modes: vec![CheckMode::Static, CheckMode::Dynamic, CheckMode::Audit],
-            engines: vec![Engine::Vm],
             deadline: None,
             stall_us: 0,
             panic_session: None,
@@ -109,8 +107,8 @@ impl Default for ServeConfig {
 }
 
 /// A serving failure: an unknown program name, a variant that failed to
-/// build (parse/type-check), or a workload out of range (a load rate or
-/// a batch too large to count).
+/// build (parse/type-check), a thread the server could not start, or a
+/// workload out of range (a load rate or a batch too large to count).
 #[derive(Debug)]
 pub struct ServeError {
     /// Human-readable description.
@@ -126,15 +124,26 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// One entry of the request mix: a compiled (program, variant) under a
-/// (mode, engine). Session id `s` maps to `mix[s % mix.len()]`.
+/// check mode. Session id `s` maps to `mix[s % mix.len()]`.
 struct MixEntry {
     /// Interned program name — cloned per session as a refcount bump,
     /// never a heap copy, so the 60k/s submit path stays allocation-light.
     program: Arc<str>,
     variant: u32,
     mode: CheckMode,
-    engine: Engine,
     prepared: Arc<Prepared>,
+}
+
+impl MixEntry {
+    /// The spec of session `session`, which runs this entry.
+    fn spec(&self, session: u64) -> SessionSpec {
+        SessionSpec {
+            session,
+            program: Arc::clone(&self.program),
+            variant: self.variant,
+            mode: self.mode,
+        }
+    }
 }
 
 /// Sessions shed instead of executed, by stage.
@@ -179,25 +188,25 @@ pub struct ServeOutcome {
 #[derive(Debug, Default)]
 struct ResultShard {
     results: Vec<SessionResult>,
-    /// Incrementally merged per-(mode, engine) snapshots of executed
-    /// sessions — the streaming aggregation that replaces a re-merge
-    /// over every per-session snapshot at report time.
-    metrics: Vec<((CheckMode, Engine), MetricsSnapshot)>,
+    /// Incrementally merged per-mode snapshots of executed sessions —
+    /// the streaming aggregation that replaces a re-merge over every
+    /// per-session snapshot at report time.
+    metrics: Vec<(CheckMode, MetricsSnapshot)>,
 }
 
 impl ResultShard {
     fn record(&mut self, result: SessionResult) {
         if result.shed.is_none() {
-            let key = (result.spec.mode, result.spec.engine);
-            match self.metrics.iter_mut().find(|(k, _)| *k == key) {
+            let mode = result.spec.mode;
+            match self.metrics.iter_mut().find(|(m, _)| *m == mode) {
                 Some((_, merged)) => merged.merge(&result.metrics),
                 None => {
                     let mut merged = MetricsSnapshot {
-                        mode: result.spec.mode,
+                        mode,
                         ..Default::default()
                     };
                     merged.merge(&result.metrics);
-                    self.metrics.push((key, merged));
+                    self.metrics.push((mode, merged));
                 }
             }
         }
@@ -236,19 +245,18 @@ impl Server {
     /// Compiles the request mix and starts the workers.
     ///
     /// The mix is the cross product *mode-major*:
-    /// `modes × engines × programs × variants`. A whole number of mix
+    /// `modes × programs × variants`. A whole number of mix
     /// rounds therefore runs every (program, variant) pair under every
     /// mode equally often, which is what makes the Figure-12 ledger
     /// (`static.elided == dynamic.performed`) hold **exactly** on the
     /// merged per-session snapshots.
     pub fn start(cfg: &ServeConfig) -> Result<Server, ServeError> {
-        if cfg.programs.is_empty() || cfg.modes.is_empty() || cfg.engines.is_empty() {
+        if cfg.programs.is_empty() || cfg.modes.is_empty() {
             return Err(ServeError {
-                message: "empty request mix (need >= 1 program, mode, and engine)".into(),
+                message: "empty request mix (need >= 1 program and mode)".into(),
             });
         }
-        // Compile each (program, variant) once; share across modes and
-        // engines.
+        // Compile each (program, variant) once; share across modes.
         let mut compiled: Vec<(Arc<str>, u32, Arc<Prepared>)> = Vec::new();
         for name in &cfg.programs {
             let sources =
@@ -272,16 +280,13 @@ impl Server {
         }
         let mut mix = Vec::new();
         for mode in &cfg.modes {
-            for engine in &cfg.engines {
-                for (program, variant, prepared) in &compiled {
-                    mix.push(Arc::new(MixEntry {
-                        program: Arc::clone(program),
-                        variant: *variant,
-                        mode: *mode,
-                        engine: *engine,
-                        prepared: Arc::clone(prepared),
-                    }));
-                }
+            for (program, variant, prepared) in &compiled {
+                mix.push(Arc::new(MixEntry {
+                    program: Arc::clone(program),
+                    variant: *variant,
+                    mode: *mode,
+                    prepared: Arc::clone(prepared),
+                }));
             }
         }
         let workers = resolve_workers(cfg.workers);
@@ -289,7 +294,10 @@ impl Server {
             .telemetry
             .as_ref()
             .map(|_| Arc::new(FlightRecorder::new(workers)));
-        let executor = Executor::with_recorder(workers, cfg.queue_capacity, recorder.clone());
+        let executor = Executor::with_recorder(workers, cfg.queue_capacity, recorder.clone())
+            .map_err(|e| ServeError {
+                message: e.to_string(),
+            })?;
         let shards = Arc::new(
             (0..executor.workers())
                 .map(|_| Mutex::new(ResultShard::default()))
@@ -298,6 +306,8 @@ impl Server {
         let shed_admission = Arc::new(AtomicU64::new(0));
         let shed_queue = Arc::new(AtomicU64::new(0));
         let panicked = Arc::new(AtomicU64::new(0));
+        // A sampler that cannot start returns the error, and dropping the
+        // executor stops its workers.
         let sampler = cfg.telemetry.as_ref().map(|t| {
             let probe = executor.probe();
             let rec = Arc::clone(recorder.as_ref().expect("recorder set with telemetry"));
@@ -315,7 +325,11 @@ impl Server {
                     workers: s.workers,
                 }
             })
+            .map_err(|e| ServeError {
+                message: format!("cannot start the telemetry sampler thread: {e}"),
+            })
         });
+        let sampler = sampler.transpose()?;
         Ok(Server {
             executor,
             mix,
@@ -337,7 +351,7 @@ impl Server {
         })
     }
 
-    /// Requests per mix round (`modes × engines × programs × variants`).
+    /// Requests per mix round (`modes × programs × variants`).
     pub fn mix_len(&self) -> usize {
         self.mix.len()
     }
@@ -349,14 +363,7 @@ impl Server {
 
     /// The spec session `session` will run — a pure function of the id.
     pub fn spec(&self, session: u64) -> SessionSpec {
-        let entry = &self.mix[(session as usize) % self.mix.len()];
-        SessionSpec {
-            session,
-            program: Arc::clone(&entry.program),
-            variant: entry.variant,
-            mode: entry.mode,
-            engine: entry.engine,
-        }
+        self.mix[(session as usize) % self.mix.len()].spec(session)
     }
 
     /// Submits session `session`, anchored to `scheduled` for latency
@@ -429,7 +436,6 @@ impl Server {
                     }
                 }
                 let mut cfg = RunConfig::new(entry.mode);
-                cfg.engine = entry.engine;
                 cfg.session = session;
                 if let Some(r) = &rec {
                     r.record(worker, EventKind::RunStart, Some(session));
@@ -459,13 +465,7 @@ impl Server {
                 }
                 let mut result = match outcome {
                     Ok(outcome) => SessionResult {
-                        spec: SessionSpec {
-                            session,
-                            program: Arc::clone(&entry.program),
-                            variant: entry.variant,
-                            mode: entry.mode,
-                            engine: entry.engine,
-                        },
+                        spec: entry.spec(session),
                         cycles: outcome.cycles,
                         metrics: outcome.metrics,
                         output: outcome.trace,
@@ -477,13 +477,7 @@ impl Server {
                     Err(payload) => {
                         let msg = panic_message(payload.as_ref());
                         SessionResult {
-                            spec: SessionSpec {
-                                session,
-                                program: Arc::clone(&entry.program),
-                                variant: entry.variant,
-                                mode: entry.mode,
-                                engine: entry.engine,
-                            },
+                            spec: entry.spec(session),
                             cycles: 0,
                             metrics: MetricsSnapshot {
                                 mode: entry.mode,
@@ -548,22 +542,17 @@ impl Server {
         });
         let shards = Arc::try_unwrap(self.shards).expect("workers stopped");
         let mut results = self.admission_shed.into_inner().unwrap();
-        let mut merged: Vec<((CheckMode, Engine), MetricsSnapshot)> = Vec::new();
+        let mut merged: Vec<(CheckMode, MetricsSnapshot)> = Vec::new();
         for shard in shards {
             let shard = shard.into_inner().unwrap();
             results.extend(shard.results);
-            for (key, snap) in shard.metrics {
-                match merged.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, agg)) => agg.merge(&snap),
-                    None => merged.push((key, snap)),
-                }
-            }
+            merged.extend(shard.metrics);
         }
         results.sort_by_key(|r| r.spec.session);
 
-        // Collapse the per-(mode, engine) accumulators to per-mode, in
-        // first-appearance (session-id) order, so the report is
-        // byte-identical at any worker count.
+        // Merge the shards' per-mode accumulators in first-appearance
+        // (session-id) order, so the report is byte-identical at any
+        // worker count.
         let mut mode_metrics: Vec<(CheckMode, MetricsSnapshot)> = Vec::new();
         for r in results.iter().filter(|r| r.shed.is_none()) {
             if !mode_metrics.iter().any(|(m, _)| *m == r.spec.mode) {
@@ -576,7 +565,7 @@ impl Server {
                 ));
             }
         }
-        for ((mode, _), snap) in &merged {
+        for (mode, snap) in &merged {
             let slot = mode_metrics
                 .iter_mut()
                 .find(|(m, _)| m == mode)
@@ -607,13 +596,7 @@ fn shed_result(
     stage: ShedStage,
 ) -> SessionResult {
     SessionResult {
-        spec: SessionSpec {
-            session,
-            program: Arc::clone(&entry.program),
-            variant: entry.variant,
-            mode: entry.mode,
-            engine: entry.engine,
-        },
+        spec: entry.spec(session),
         cycles: 0,
         metrics: MetricsSnapshot {
             mode: entry.mode,

@@ -1,18 +1,18 @@
 //! Session identity: what one tenant runs and what it produced.
 //!
 //! A **session** is one request-shaped program execution on its own
-//! [`rtj_runtime::Runtime`]. The mix of (program, variant, check mode,
-//! engine) a session runs is a pure function of its session id — see
+//! [`rtj_runtime::Runtime`]. The (program, variant, check mode) a
+//! session runs is a pure function of its session id — see
 //! [`crate::Server::spec`] — so results are reproducible no matter how
 //! the executor interleaves sessions across workers.
 
 use std::sync::Arc;
 
-use rtj_interp::{Engine, RunError};
+use rtj_interp::RunError;
 use rtj_runtime::{CheckMode, MetricsSnapshot};
 
 /// What a session will execute: one request variant of a server program
-/// in one check mode on one engine.
+/// in one check mode, on the bytecode VM.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionSpec {
     /// The session (tenant) id, stamped on the session's `Runtime`.
@@ -25,8 +25,6 @@ pub struct SessionSpec {
     pub variant: u32,
     /// The check mode the session runs under.
     pub mode: CheckMode,
-    /// The execution engine.
-    pub engine: Engine,
 }
 
 /// Where an overloaded server gave up on a session instead of running
@@ -87,12 +85,11 @@ impl SessionResult {
     /// identical values here; the determinism suite compares these.
     pub fn deterministic_key(&self) -> String {
         format!(
-            "session={} program={} variant={} mode={:?} engine={} cycles={} error={:?} output={:?} metrics={}",
+            "session={} program={} variant={} mode={:?} cycles={} error={:?} output={:?} metrics={}",
             self.spec.session,
             self.spec.program,
             self.spec.variant,
             self.spec.mode,
-            self.spec.engine,
             self.cycles,
             self.error,
             self.output,

@@ -442,11 +442,11 @@ pub(crate) struct Sampler {
 }
 
 impl Sampler {
-    /// Spawns the sampler thread.
+    /// Spawns the sampler thread, or fails when the OS refuses it.
     pub(crate) fn start(
         tick: Duration,
         probe: impl Fn() -> TimelineSample + Send + 'static,
-    ) -> Sampler {
+    ) -> std::io::Result<Sampler> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let tick = tick.max(Duration::from_micros(100));
@@ -469,9 +469,8 @@ impl Sampler {
                         slept += chunk;
                     }
                 }
-            })
-            .expect("spawn sampler");
-        Sampler { stop, handle }
+            })?;
+        Ok(Sampler { stop, handle })
     }
 
     /// Stops the thread and returns the samples (including one final

@@ -8,7 +8,6 @@
 //! backlog past the deadline so later sessions shed in queue — rather
 //! than relying on CI box timing.
 
-use rtj_interp::Engine;
 use rtj_runtime::CheckMode;
 use rtj_server::{
     results_fingerprint, run_batch, LoadReport, ServeConfig, SessionResult, ShedStage,
@@ -21,7 +20,6 @@ fn small_config(workers: usize) -> ServeConfig {
         programs: vec!["http".into(), "game".into()],
         variants: 1,
         modes: vec![CheckMode::Static, CheckMode::Dynamic],
-        engines: vec![Engine::Vm],
         ..ServeConfig::default()
     }
 }

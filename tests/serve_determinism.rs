@@ -7,7 +7,7 @@
 //! sessions. These tests pin that property, plus the Figure-12 ledger
 //! on merged snapshots and the `rtj-load/v1` document round-trip.
 
-use rtjava::interp::{run_checked, Engine, RunConfig};
+use rtjava::interp::{run_checked, RunConfig};
 use rtjava::runtime::{CheckMode, MetricsSnapshot};
 use rtjava::server::{run_batch, LoadPlan, LoadReport, ServeConfig, ServeOutcome};
 use std::time::Duration;
@@ -19,7 +19,6 @@ fn smoke_config(workers: usize) -> ServeConfig {
         programs: vec!["http".into(), "game".into(), "phone".into()],
         variants: 2,
         modes: vec![CheckMode::Static, CheckMode::Dynamic, CheckMode::Audit],
-        engines: vec![Engine::Vm, Engine::Tree],
         ..ServeConfig::default()
     }
 }
@@ -63,9 +62,7 @@ fn sessions_match_standalone_runs() {
         let src = rtjava::corpus::request_program(&result.spec.program, result.spec.variant)
             .expect("server program");
         let checked = rtjava::interp::build(&src).expect("builds");
-        let mut solo_cfg = RunConfig::new(result.spec.mode);
-        solo_cfg.engine = result.spec.engine;
-        let solo = run_checked(&checked, solo_cfg);
+        let solo = run_checked(&checked, RunConfig::new(result.spec.mode));
         assert_eq!(result.cycles, solo.cycles, "{:?}", result.spec);
         assert_eq!(result.output, solo.trace, "{:?}", result.spec);
         assert_eq!(
@@ -127,14 +124,14 @@ fn merged_totals_equal_sum_of_sessions_and_ledger_holds() {
 fn batch_runs_complete_rounds() {
     let cfg = smoke_config(3);
     let outcome = run_batch(&cfg, 2).expect("serve");
-    // mix = 3 programs × 2 variants × 3 modes × 2 engines = 36; 2 rounds.
-    assert_eq!(outcome.results.len(), 72);
-    assert_eq!(outcome.stats.submitted, 72);
-    assert_eq!(outcome.stats.completed, 72);
-    // Every mode saw the same multiset of (program, variant, engine).
+    // mix = 3 programs × 2 variants × 3 modes = 18; 2 rounds.
+    assert_eq!(outcome.results.len(), 36);
+    assert_eq!(outcome.stats.submitted, 36);
+    assert_eq!(outcome.stats.completed, 36);
+    // Every mode saw the same multiset of (program, variant).
     let report = LoadReport::from_serve(&outcome, "test".into(), 0.0, 1);
     for g in &report.groups {
-        assert_eq!(g.requests, 4, "{} {:?} {}", g.program, g.mode, g.engine);
+        assert_eq!(g.requests, 4, "{} {:?}", g.program, g.mode);
         assert_eq!(g.failed, 0);
     }
 }
@@ -142,7 +139,6 @@ fn batch_runs_complete_rounds() {
 #[test]
 fn open_loop_load_emits_valid_report() {
     let mut cfg = smoke_config(4);
-    cfg.engines = vec![Engine::Vm];
     cfg.variants = 2;
     let plan = LoadPlan {
         rate_hz: 3000.0,
@@ -198,7 +194,6 @@ fn deterministic_arrival_pattern_is_seed_stable() {
 fn bounded_queue_serves_everything() {
     let mut cfg = smoke_config(2);
     cfg.queue_capacity = 4;
-    cfg.engines = vec![Engine::Vm];
     let outcome = run_batch(&cfg, 2).expect("serve");
     assert_eq!(outcome.stats.submitted, outcome.stats.completed);
     // Backpressure bounds in-flight work: capacity + executing workers.

@@ -15,7 +15,6 @@
 //!    derived from one monotonic clock chain, so their sum never
 //!    exceeds the session's measured latency.
 
-use rtjava::interp::Engine;
 use rtjava::runtime::{CheckMode, Json};
 use rtjava::server::{
     run_batch, run_load, EventKind, LoadPlan, LoadReport, ServeConfig, ServeOutcome, ServerTrace,
@@ -30,7 +29,6 @@ fn traced_config(workers: usize) -> ServeConfig {
         programs: vec!["http".into(), "game".into(), "phone".into()],
         variants: 2,
         modes: vec![CheckMode::Static, CheckMode::Dynamic, CheckMode::Audit],
-        engines: vec![Engine::Vm],
         telemetry: Some(TelemetryConfig::default()),
         ..ServeConfig::default()
     }
@@ -181,12 +179,10 @@ fn stage_sums_never_exceed_measured_latency() {
 
 #[test]
 fn attribution_folds_into_load_report() {
-    let mut cfg = traced_config(2);
-    cfg.engines = vec![Engine::Vm, Engine::Tree];
-    let outcome = run_batch(&cfg, 2).expect("serve");
+    let outcome = run_batch(&traced_config(2), 2).expect("serve");
     let report = LoadReport::from_serve(&outcome, "attribution".into(), 0.0, 1);
     assert!(!report.attribution.is_empty());
-    // Groups mirror the latency groups: one per (program, mode, engine),
+    // Groups mirror the latency groups: one per (program, mode),
     // each carrying every stage with a full latency summary.
     assert_eq!(report.attribution.len(), report.groups.len());
     for group in &report.attribution {

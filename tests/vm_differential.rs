@@ -13,9 +13,10 @@
 //! the graph is excluded because it is not captured by default).
 //!
 //! This is the empirical half of the Figure-12 byte-identity guarantee:
-//! `--engine vm` and `--engine tree` produce the same ledger, so the
-//! paper's `static.elided == dynamic.performed` invariant transfers to
-//! the VM unchanged.
+//! the VM and the tree-walker produce the same ledger, so the paper's
+//! `static.elided == dynamic.performed` invariant transfers to the VM
+//! unchanged. Everything outside the tests runs the VM; the tree-walker
+//! is kept as this oracle.
 //!
 //! Programs that fork are also run repeatedly: the machine's scheduler
 //! decides their interleaving, and every run must repeat the first one
@@ -23,7 +24,8 @@
 //! cannot see a change to its policy; pinned digests of the outcomes
 //! can.
 
-use rtjava::corpus::programs::{all, scaled_vm_workload, Scale};
+use rtjava::corpus::programs::{all, request_variants, scaled_vm_workload, Scale};
+use rtjava::corpus::SERVER_PROGRAMS;
 use rtjava::interp::{build, run_checked, Engine, RunConfig, RunOutcome, TraceCapture};
 use rtjava::lang::fingerprint::Fnv64;
 use rtjava::runtime::CheckMode;
@@ -113,6 +115,21 @@ fn static_mode_agrees_across_engines() {
         &scaled_vm_workload(2),
         CheckMode::Static,
     );
+}
+
+/// The programs the server serves, two request variants each, in every
+/// check mode. The server runs them on the VM only, so this is where
+/// they meet the oracle.
+#[test]
+fn served_request_variants_agree_across_engines() {
+    for name in SERVER_PROGRAMS {
+        let variants = request_variants(name, 2).expect("a server program");
+        for (variant, src) in variants.iter().enumerate() {
+            for mode in CHECK_MODES {
+                assert_identical(&format!("{name} variant {variant}"), src, mode);
+            }
+        }
+    }
 }
 
 /// Error paths: the engines must halt with the same message after the
@@ -239,7 +256,7 @@ fn repeat_and_digest(name: &str, src: &str, mode: CheckMode, gc: bool) -> u64 {
         for i in 0..REPEATS {
             let again = run_cfg(src, mode, engine, gc);
             assert_same(
-                &format!("{name} ({mode:?}, {engine}, run {i})"),
+                &format!("{name} ({mode:?}, {engine:?}, run {i})"),
                 &first,
                 &again,
             );
