@@ -1156,13 +1156,14 @@ fn write_telemetry(
 /// Writes one line per **executed** session — its deterministic key — so
 /// two runs at different worker counts can be compared byte-for-byte
 /// (`diff`), the determinism witness the CI worker-sweep smoke uses.
+/// `-` is stdout.
 fn write_sessions_file(path: &str, results: &[rtj_server::SessionResult]) -> Result<(), String> {
     let mut text = String::new();
     for r in results.iter().filter(|r| r.shed.is_none()) {
         text.push_str(&r.deterministic_key());
         text.push('\n');
     }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+    write_output(path, &text)
 }
 
 /// Reads `path`, failing with the line every command prints.
@@ -1189,6 +1190,8 @@ fn write_output(path: &str, text: &str) -> Result<(), String> {
 fn finished(error: Option<RunError>) -> Result<ExitCode, String> {
     match error {
         None => Ok(ExitCode::SUCCESS),
+        // A region-runtime error already reads `runtime error: …`.
+        Some(e @ RunError::Runtime(_)) => Err(e.to_string()),
         Some(e) => Err(format!("runtime error: {e}")),
     }
 }

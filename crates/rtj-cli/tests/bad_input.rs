@@ -422,6 +422,68 @@ fn non_ascii_source_reads_as_utf8() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A well-typed program whose LT region is sized too small for what it
+/// allocates (`tests/runtime_behavior.rs` runs it too).
+const LT_OVERFLOW: &str = "regionKind K extends SharedRegion { subregion S : LT(64) NoRT s; }\n\
+     regionKind S extends SharedRegion { }\n\
+     class Chunk<Owner o> { int a; int b; int c; }\n\
+     {\n\
+         (RHandle<K : VT r> h) {\n\
+             (RHandle<S sc> hs = h.s) {\n\
+                 let i = 0;\n\
+                 while (i < 10) { let c = new Chunk<sc>; i = i + 1; }\n\
+             }\n\
+         }\n\
+     }\n";
+
+/// Every command that runs a program names a runtime error once.
+#[test]
+fn a_runtime_error_is_reported_with_one_prefix() {
+    let dir = scratch_dir();
+    fs::write(dir.join("lt.rtj"), LT_OVERFLOW).expect("write program");
+    for cmd in ["run", "graph", "advise"] {
+        let out = rtjc(&[cmd, "lt.rtj"], &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "rtjc {cmd}: {err}");
+        assert!(err.contains("capacity exceeded"), "rtjc {cmd}: {err}");
+        assert_eq!(
+            err.matches("runtime error:").count(),
+            1,
+            "rtjc {cmd}: {err}"
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// `--sessions -` writes the session keys to stdout, as every other FILE
+/// output does with `-`, not to a file named `-`.
+#[test]
+fn sessions_dash_is_stdout() {
+    for command in [
+        "serve --rounds 1 --variants 1 --workers 1 --sessions -",
+        "load --rate 500 --duration-ms 100 --workers 1 --sessions -",
+    ] {
+        let dir = scratch_dir();
+        let args: Vec<&str> = command.split(' ').collect();
+        let out = rtjc(&args, &dir);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "rtjc {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout
+                .lines()
+                .next()
+                .is_some_and(|l| l.starts_with("session=0 ")),
+            "rtjc {args:?}: {stdout}"
+        );
+        assert!(!dir.join("-").exists(), "rtjc {args:?} wrote a file `-`");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
 /// A program that forks more threads than the address space has room
 /// for halts with a one-line runtime error instead of a panic. Under a
 /// 1 GB `ulimit -v`, the 16 MiB stacks of 200 forked threads cannot all

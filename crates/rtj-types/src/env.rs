@@ -46,6 +46,13 @@ impl FamilyCounters {
         self.hits += other.hits;
         self.misses += other.misses;
     }
+
+    /// Takes back counters an earlier [`FamilyCounters::absorb`] folded
+    /// in.
+    pub(crate) fn retract(&mut self, other: FamilyCounters) {
+        self.hits -= other.hits;
+        self.misses -= other.misses;
+    }
 }
 
 /// Per-judgment-family cache counters, broken out so `--stats` and the
@@ -96,6 +103,16 @@ impl JudgmentCounters {
         self.subkind.absorb(other.subkind);
         self.rkind.absorb(other.rkind);
         self.handle.absorb(other.handle);
+    }
+
+    /// Takes back counters an earlier [`JudgmentCounters::absorb`] folded
+    /// in, family by family.
+    pub(crate) fn retract(&mut self, other: &JudgmentCounters) {
+        self.ownership.retract(other.ownership);
+        self.outlives.retract(other.outlives);
+        self.subkind.retract(other.subkind);
+        self.rkind.retract(other.rkind);
+        self.handle.retract(other.handle);
     }
 }
 

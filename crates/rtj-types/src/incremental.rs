@@ -27,9 +27,7 @@
 //!   formal count changes. Otherwise each re-parsed class's entry is
 //!   patched ([`ProgramTable::patch_class`]) and the table's per-class
 //!   structural rules re-run over the closure
-//!   ([`ProgramTable::check_classes`]). At `scaled_classes(512)` the
-//!   rebuild, the reverse index and the closure take ~16 ms; a whole
-//!   signature re-check on the patched table takes ~2 ms.
+//!   ([`ProgramTable::check_classes`]).
 //! * Clean classes contribute their cached diagnostics with spans
 //!   **shifted** by the declaration's movement. Equal full fingerprints
 //!   guarantee the declaration's internal layout is unchanged, so the
@@ -56,6 +54,17 @@
 //! same path when the new text differs from the stored one inside a
 //! single class declaration. DESIGN.md §9 states the route rule and why
 //! both parses agree.
+//!
+//! A fragment pass costs what it dirties. On that path the class set and
+//! its order are fixed, so the engine also keeps, between passes, a
+//! name-to-position index, the counters summed over every cached unit,
+//! and the positions of the classes and region kinds whose cached
+//! diagnostics are non-empty. The pass splices the stored source in
+//! place and shifts the layout's spans (a linear pass over 12-byte
+//! entries); past that it touches only the classes it re-parses, the
+//! classes with cached diagnostics, and `main`. A whole-source pass may
+//! move declarations, so it re-derives the index, the diagnostic
+//! positions and the totals.
 
 use crate::check::{CheckOptions, CheckStats, Checker};
 use crate::env::{Effects, Env, JudgmentCounters};
@@ -72,7 +81,8 @@ use rtj_lang::fingerprint::{
 use rtj_lang::intern::Symbol;
 use rtj_lang::parser::{parse_block_at, parse_class_at, parse_program, ParseError};
 use rtj_lang::span::Span;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -162,6 +172,13 @@ struct UnitCache {
     judgments: JudgmentCounters,
 }
 
+impl UnitCache {
+    /// Whether a merge has diagnostics to take from this class.
+    fn has_errors(&self) -> bool {
+        !self.wf_errors.is_empty() || !self.errors.is_empty()
+    }
+}
+
 /// Cached per-region-kind well-formedness results.
 #[derive(Debug, Clone)]
 struct RkCache {
@@ -169,6 +186,28 @@ struct RkCache {
     start: u32,
     errors: Vec<TypeError>,
     judgments: JudgmentCounters,
+}
+
+/// Counters summed over cached units, kept as running sums so a pass
+/// reports from-scratch totals without visiting the units it reuses.
+#[derive(Debug, Clone, Copy, Default)]
+struct Totals {
+    methods_checked: usize,
+    judgments: JudgmentCounters,
+}
+
+impl Totals {
+    fn add(&mut self, u: &UnitCache) {
+        self.methods_checked += u.methods_checked;
+        self.judgments.absorb(&u.wf_judgments);
+        self.judgments.absorb(&u.judgments);
+    }
+
+    fn remove(&mut self, u: &UnitCache) {
+        self.methods_checked -= u.methods_checked;
+        self.judgments.retract(&u.wf_judgments);
+        self.judgments.retract(&u.judgments);
+    }
 }
 
 /// Reverse dependency index: each class or region-kind name to the
@@ -236,17 +275,27 @@ impl Layout {
 
     /// Records that class `idx`'s text was replaced by `len` bytes: its
     /// span now ends `len` bytes after its start, and every declaration
-    /// after it (`main` included) moves by the change in length.
+    /// after it (`main` included) moves by the change in length. An
+    /// empty span stays put, so a splice back restores the layout.
     fn splice(&mut self, idx: usize, len: usize) {
         let Span { start, end } = self.classes[idx].1;
         let delta = len as i64 - i64::from(end - start);
         self.classes[idx].1.end = start + len as u32;
-        for (_, s) in self.classes.iter_mut().chain(&mut self.region_kinds) {
-            if s.start >= end {
-                *s = shift_span(*s, delta);
-            }
+        let later = self.region_kinds.iter_mut().filter(|(_, s)| s.start >= end);
+        for (_, s) in self.classes[idx + 1..].iter_mut().chain(later) {
+            *s = shift_span(*s, delta);
         }
         self.main = (i64::from(self.main) + delta) as u32;
+    }
+
+    /// Each class's position by name, the first one's should a name
+    /// repeat (such a text stops at a table error).
+    fn index(&self) -> HashMap<&'static str, usize> {
+        let mut index = HashMap::with_capacity(self.classes.len());
+        for (i, (name, _)) in self.classes.iter().enumerate() {
+            index.entry(name.as_str()).or_insert(i);
+        }
+        index
     }
 }
 
@@ -259,26 +308,14 @@ fn parse_fragment(source: &str, (name, span): (Symbol, Span)) -> Option<ClassDec
     (decl.span == span && decl.name.name == name).then_some(decl)
 }
 
-/// One class of a pass, in declaration order.
-struct Slot {
-    name: Symbol,
-    /// Where the declaration starts in the current source.
-    start: u32,
-    /// The parsed declaration: every class's on the whole-source path,
-    /// only the re-parsed ones' on the fragment path.
-    decl: Option<ClassDecl>,
+/// A class a pass parsed.
+struct Parsed {
+    /// Its position in the layout.
+    pos: usize,
+    decl: ClassDecl,
     /// Fresh fingerprints when the class re-checks; `None` when its
     /// cached results are reused.
     dirty: Option<ClassFingerprint>,
-}
-
-/// One region kind of a pass, in declaration order.
-struct RkSlot {
-    name: Symbol,
-    start: u32,
-    /// The fingerprint when the region kind re-checks (the table was
-    /// rebuilt); `None` when its cached results are reused.
-    fresh: Option<u64>,
 }
 
 /// A pass after its route is decided: what the shared back half
@@ -291,14 +328,23 @@ struct Pass {
     /// clean classes and region kinds reuse their well-formedness results
     /// too.
     reused_table: bool,
-    classes: Vec<Slot>,
-    region_kinds: Vec<RkSlot>,
+    /// The parsed classes in declaration order: every class on the
+    /// whole-source path, only the re-parsed ones on the fragment path.
+    classes: Vec<Parsed>,
+    /// Each region kind's fingerprint, in declaration order, which a
+    /// rebuilt table commits (every region kind re-checks); the fragment
+    /// path, which keeps the table, computes none.
+    region_kinds: Vec<u64>,
     main: Block,
     whole_parse: bool,
     /// Time spent after `start` re-parsing the closure's dependents,
     /// which [`RecheckOutcome::check_ns`] leaves out.
     reparse: Duration,
 }
+
+/// One undoable splice: the position of the class whose text was
+/// replaced, and the text it had.
+type Undo = (usize, String);
 
 /// The incremental re-check engine. See the module docs for the contract
 /// and the reuse strategy.
@@ -307,6 +353,9 @@ pub struct IncrementalChecker {
     opts: CheckOptions,
     source: String,
     layout: Layout,
+    /// Each class's position in `layout.classes`, by name. Re-derived
+    /// with the layout; the fragment path keeps the class order.
+    index: HashMap<&'static str, usize>,
     /// Table from the last pass whose build succeeded.
     table: Option<ProgramTable>,
     units: HashMap<Symbol, UnitCache>,
@@ -314,6 +363,16 @@ pub struct IncrementalChecker {
     /// The reverse dependency index of the committed reference sets
     /// (`units`' and the region kinds'), kept in step by every commit.
     dependents: Dependents,
+    /// Positions in `layout.classes` of the classes whose cached
+    /// diagnostics are non-empty: the only clean classes a merge visits.
+    noisy: BTreeSet<usize>,
+    /// Positions in `layout.region_kinds` of the region kinds whose
+    /// cached diagnostics are non-empty, in declaration order.
+    noisy_rkinds: Vec<usize>,
+    /// Counters summed over every cached unit: each region kind, each
+    /// class's well-formedness and each class unit. `main` re-checks
+    /// every pass, so it is never kept.
+    totals: Totals,
     /// The last pass stopped at a table error after storing its source,
     /// so the caches describe an older text: the next pass fingerprints
     /// every class and parses the whole source.
@@ -352,25 +411,28 @@ impl IncrementalChecker {
     /// [`parse_program`] gives for it); the engine state is left at the
     /// last good pass.
     pub fn check_source(&mut self, source: &str) -> Result<RecheckOutcome, ParseError> {
-        if let Some((layout, edited)) = self.diff(source) {
-            return self.recheck_spliced(source.to_string(), layout, &edited);
+        if let Some(change) = self.diff(source) {
+            let undo = change.map(|(pos, text)| self.splice(pos, &source[text]));
+            return self.recheck_spliced(undo.into_iter().collect());
         }
         let prog = parse_program(source)?;
-        Ok(self.process(source.to_string(), prog, None))
+        source.clone_into(&mut self.source);
+        Ok(self.process(prog, None))
     }
 
-    /// The stored layout spliced for `source`, and the index of the one
-    /// class whose text changed (none for an identical text), when
-    /// `source` differs from the stored text only inside that class
-    /// declaration. Only a committed pass's layout describes its text.
-    fn diff(&self, source: &str) -> Option<(Layout, Vec<usize>)> {
+    /// The position of the one class whose text differs between the
+    /// stored text and `source`, with the range of its new text in
+    /// `source` (`None` for an identical text), when `source` differs
+    /// from the stored text only inside that class declaration. Only a
+    /// committed pass's layout describes its text.
+    fn diff(&self, source: &str) -> Option<Option<(usize, Range<usize>)>> {
         if self.table.is_none() || self.stale {
             return None;
         }
         let (old, new) = (self.source.as_bytes(), source.as_bytes());
         let prefix = old.iter().zip(new).take_while(|(a, b)| a == b).count();
         if prefix == old.len() && prefix == new.len() {
-            return Some((self.layout.clone(), Vec::new()));
+            return Some(None);
         }
         let suffix = old[prefix..]
             .iter()
@@ -379,18 +441,16 @@ impl IncrementalChecker {
             .take_while(|(a, b)| a == b)
             .count();
         let changed_end = old.len() - suffix;
-        let idx = self
+        let pos = self
             .layout
             .classes
             .iter()
             .position(|(_, s)| s.start as usize <= prefix && changed_end <= s.end as usize)?;
         // The text before the class and after it is unchanged, so the
         // class's new text takes up the whole difference in length.
-        let Span { start, end } = self.layout.classes[idx].1;
+        let Span { start, end } = self.layout.classes[pos].1;
         let len = (end - start) as usize + new.len() - old.len();
-        let mut layout = self.layout.clone();
-        layout.splice(idx, len);
-        Some((layout, vec![idx]))
+        Some(Some((pos, start as usize..start as usize + len)))
     }
 
     /// Applies a batch of single-class edits to the stored source and
@@ -404,80 +464,90 @@ impl IncrementalChecker {
     /// source does not declare; [`RecheckError::Parse`] if the edited
     /// source does not parse. Either way the engine state is unchanged.
     pub fn recheck(&mut self, edits: &[ClassEdit]) -> Result<RecheckOutcome, RecheckError> {
-        let mut source = self.source.clone();
-        let mut layout = self.layout.clone();
-        let mut edited: Vec<usize> = Vec::with_capacity(edits.len());
+        let mut undo = Vec::with_capacity(edits.len());
         for e in edits {
-            let idx = layout
-                .classes
-                .iter()
-                .position(|(n, _)| n.as_str() == e.class)
-                .ok_or_else(|| RecheckError::UnknownClass(e.class.clone()))?;
-            let span = layout.classes[idx].1;
-            source.replace_range(span.start as usize..span.end as usize, &e.source);
-            layout.splice(idx, e.source.len());
-            if !edited.contains(&idx) {
-                edited.push(idx);
-            }
+            let Some(&pos) = self.index.get(e.class.as_str()) else {
+                self.unsplice(undo);
+                return Err(RecheckError::UnknownClass(e.class.clone()));
+            };
+            undo.push(self.splice(pos, &e.source));
         }
-        self.recheck_spliced(source, layout, &edited)
-            .map_err(RecheckError::Parse)
+        self.recheck_spliced(undo).map_err(RecheckError::Parse)
     }
 
-    /// Re-checks `source`, whose declarations `layout` records and whose
-    /// text differs from the stored one only inside the classes `edited`
-    /// (indices into `layout.classes`): the fragment path if it applies,
-    /// else the whole source.
-    fn recheck_spliced(
-        &mut self,
-        source: String,
-        layout: Layout,
-        edited: &[usize],
-    ) -> Result<RecheckOutcome, ParseError> {
+    /// Replaces the text of class `pos` with `text` in the stored source
+    /// and layout, and returns what undoes it.
+    fn splice(&mut self, pos: usize, text: &str) -> Undo {
+        let Span { start, end } = self.layout.classes[pos].1;
+        let range = start as usize..end as usize;
+        let old = self.source[range.clone()].to_string();
+        self.source.replace_range(range, text);
+        self.layout.splice(pos, text.len());
+        (pos, old)
+    }
+
+    /// Undoes a batch's splices, last first.
+    fn unsplice(&mut self, undo: Vec<Undo>) {
+        for (pos, old) in undo.into_iter().rev() {
+            self.splice(pos, &old);
+        }
+    }
+
+    /// Re-checks the stored source after the splices `undo` records: the
+    /// fragment path if it applies, else the whole source. A source that
+    /// does not parse is spliced back, leaving the engine as it was.
+    fn recheck_spliced(&mut self, undo: Vec<Undo>) -> Result<RecheckOutcome, ParseError> {
+        let mut edited: Vec<usize> = Vec::with_capacity(undo.len());
+        for &(pos, _) in &undo {
+            if !edited.contains(&pos) {
+                edited.push(pos);
+            }
+        }
         if !self.stale {
-            if let Some(out) = self.recheck_fragments(&source, &layout, edited) {
-                self.source = source;
-                self.layout = layout;
+            if let Some(out) = self.recheck_fragments(&edited) {
                 return Ok(out);
             }
         }
-        let prog = parse_program(&source)?;
+        let prog = match parse_program(&self.source) {
+            Ok(prog) => prog,
+            Err(e) => {
+                self.unsplice(undo);
+                return Err(e);
+            }
+        };
         // The splice only rewrote the edited declarations, so only those
         // classes need structural re-fingerprinting — the dominant cost of
         // a pass once everything else is cache hits. After a table error
         // the caches lag the text, so every class is hashed.
         let touched: Option<HashSet<Symbol>> =
-            (!self.stale).then(|| edited.iter().map(|&i| layout.classes[i].0).collect());
-        Ok(self.process(source, prog, touched.as_ref()))
+            (!self.stale).then(|| edited.iter().map(|&i| self.layout.classes[i].0).collect());
+        Ok(self.process(prog, touched.as_ref()))
     }
 
     /// The fragment path: re-checks a batch without parsing any
-    /// declaration but the edited ones and the dependents in the dirty
-    /// closure of their changed signatures. Returns `None`, with the
-    /// engine untouched, unless every edited declaration parses on its
-    /// own at its splice offset, fills its text exactly (no leading or
-    /// trailing trivia, which could lex differently against the text
-    /// around it), and keeps its name and its formal count. Then a
-    /// whole-source parse would yield the same declarations with the same
-    /// spans, and every class outside the closure is known by its name
-    /// and current start alone. It also returns `None` when the closure
-    /// reaches a region kind or the patched table breaks a structural
-    /// rule; the whole-source path reports such errors.
-    fn recheck_fragments(
-        &mut self,
-        source: &str,
-        layout: &Layout,
-        edited: &[usize],
-    ) -> Option<RecheckOutcome> {
+    /// declaration but the edited ones (positions `edited`) and the
+    /// dependents in the dirty closure of their changed signatures.
+    /// Returns `None`, with the engine untouched, unless every edited
+    /// declaration parses on its own at its splice offset, fills its
+    /// text exactly (no leading or trailing trivia, which could lex
+    /// differently against the text around it), and keeps its name and
+    /// its formal count. Then a whole-source parse would yield the same
+    /// declarations with the same spans, and every class outside the
+    /// closure is known by its name and current start alone. It also
+    /// returns `None` when the closure reaches a region kind or the
+    /// patched table breaks a structural rule; the whole-source path
+    /// reports such errors.
+    fn recheck_fragments(&mut self, edited: &[usize]) -> Option<RecheckOutcome> {
         let table = self.table.as_ref()?;
+        let (source, layout) = (&self.source, &self.layout);
         let mut parsed = Vec::with_capacity(edited.len());
-        for &i in edited {
-            let decl = parse_fragment(source, layout.classes[i])?;
+        for &pos in edited {
+            let decl = parse_fragment(source, layout.classes[pos])?;
             // Other classes' bare types are completed with this count.
             if table.formal_count(decl.name.name) != Some(decl.formals.len()) {
                 return None;
             }
-            parsed.push((i, decl));
+            parsed.push((pos, decl));
         }
         let main = parse_block_at(&source[layout.main as usize..], layout.main).ok()?;
 
@@ -499,12 +569,12 @@ impl IncrementalChecker {
         let p0 = profiling.then(|| start.elapsed());
         let mut fresh = Vec::with_capacity(parsed.len());
         let mut seeds = Vec::new();
-        for (i, decl) in parsed {
+        for (pos, decl) in parsed {
             let fp = fingerprint_class(&decl);
             if self.units.get(&decl.name.name)?.sig != fp.sig {
                 seeds.push(decl.name.name);
             }
-            fresh.push((i, decl, fp));
+            fresh.push((pos, decl, fp));
         }
         let closure = dependent_closure(&self.dependents, seeds);
         if closure.iter().any(|n| self.rkinds.contains_key(n)) {
@@ -514,17 +584,17 @@ impl IncrementalChecker {
         // this span, so on its own it parses to the same declaration
         // (DESIGN.md §9), completed with the same counts.
         let mut reparse = Duration::ZERO;
-        for &name in &closure {
-            if fresh.iter().any(|(_, d, _)| d.name.name == name) {
+        for name in &closure {
+            let pos = *self.index.get(name.as_str())?;
+            if fresh.iter().any(|(p, _, _)| *p == pos) {
                 continue;
             }
-            let i = layout.classes.iter().position(|(n, _)| *n == name)?;
             let r0 = Instant::now();
-            let mut decl = parse_fragment(source, layout.classes[i])?;
+            let mut decl = parse_fragment(source, layout.classes[pos])?;
             reparse += r0.elapsed();
             infer::apply_class_defaults(&mut decl, &formals);
             let fp = fingerprint_class(&decl);
-            fresh.push((i, decl, fp));
+            fresh.push((pos, decl, fp));
         }
         let mut table = self.table.take().expect("checked above");
         let replaced: Vec<_> = fresh
@@ -538,35 +608,17 @@ impl IncrementalChecker {
             self.table = Some(table);
             return None;
         }
-        fresh.sort_unstable_by_key(|(i, _, _)| *i);
-        let mut fresh = fresh.into_iter().peekable();
-        let classes = layout
-            .classes
-            .iter()
-            .enumerate()
-            .map(|(i, &(name, span))| {
-                let (decl, dirty) = fresh
-                    .next_if(|(j, _, _)| *j == i)
-                    .filter(|(_, _, fp)| {
-                        closure.contains(&name) || self.units[&name].full != fp.full
-                    })
-                    .map(|(_, decl, fp)| (decl, fp))
-                    .unzip();
-                Slot {
-                    name,
-                    start: span.start,
+        fresh.sort_unstable_by_key(|(pos, _, _)| *pos);
+        let classes = fresh
+            .into_iter()
+            .map(|(pos, decl, fp)| {
+                let name = decl.name.name;
+                let dirty = closure.contains(&name) || self.units[&name].full != fp.full;
+                Parsed {
+                    pos,
                     decl,
-                    dirty,
+                    dirty: dirty.then_some(fp),
                 }
-            })
-            .collect();
-        let region_kinds = layout
-            .region_kinds
-            .iter()
-            .map(|&(name, span)| RkSlot {
-                name,
-                start: span.start,
-                fresh: None,
             })
             .collect();
         if let Some(p0) = p0 {
@@ -578,15 +630,15 @@ impl IncrementalChecker {
             table,
             reused_table: true,
             classes,
-            region_kinds,
+            region_kinds: Vec::new(),
             main,
             whole_parse: false,
             reparse,
         }))
     }
 
-    /// One checking pass over a parsed program: diff fingerprints and
-    /// decide the dirty set, then [`IncrementalChecker::finish`].
+    /// One checking pass over the parsed stored source: diff fingerprints
+    /// and decide the dirty set, then [`IncrementalChecker::finish`].
     ///
     /// `touched`, when given, is the set of class names whose declaration
     /// text may differ from the cached pass — every other declaration is
@@ -596,18 +648,13 @@ impl IncrementalChecker {
     /// (in the set) or a new name (not in the unit cache) — both are
     /// hashed fresh; a duplicate of an existing name trips the
     /// duplicate/table-error path before any fingerprint is trusted.
-    fn process(
-        &mut self,
-        source: String,
-        mut prog: Program,
-        touched: Option<&HashSet<Symbol>>,
-    ) -> RecheckOutcome {
+    fn process(&mut self, mut prog: Program, touched: Option<&HashSet<Symbol>>) -> RecheckOutcome {
         let start = Instant::now();
         let profiling = self.opts.profile;
         let mut phases: Vec<PhaseSpan> = Vec::new();
 
         self.layout = Layout::of(&prog);
-        self.source = source;
+        self.index = self.layout.index();
 
         // lower: exactly the from-scratch phase (idempotent, ~2% of a full
         // check; re-running it whole keeps elaborated fingerprints honest).
@@ -738,9 +785,9 @@ impl IncrementalChecker {
             .into_iter()
             .zip(fps)
             .zip(dirty)
-            .map(|((c, fp), dirty)| Slot {
-                name: c.name.name,
-                start: c.span.start,
+            .enumerate()
+            .map(|(pos, ((c, fp), dirty))| Parsed {
+                pos,
                 // A dirty class is committed with fresh fingerprints: a
                 // cached one predates any change to the formal counts its
                 // bare class types were completed with.
@@ -748,17 +795,7 @@ impl IncrementalChecker {
                     Some(_) => fingerprint_class(&c),
                     None => fp,
                 }),
-                decl: Some(c),
-            })
-            .collect();
-        let region_kinds = prog
-            .region_kinds
-            .iter()
-            .zip(rkfps)
-            .map(|(rk, fp)| RkSlot {
-                name: rk.name.name,
-                start: rk.span.start,
-                fresh: (!fast).then_some(fp),
+                decl: c,
             })
             .collect();
         if let Some(p0) = p0 {
@@ -770,7 +807,7 @@ impl IncrementalChecker {
             table,
             reused_table: fast,
             classes,
-            region_kinds,
+            region_kinds: rkfps,
             main: prog.main,
             whole_parse: true,
             reparse: Duration::ZERO,
@@ -778,7 +815,10 @@ impl IncrementalChecker {
     }
 
     /// The back half every committed pass shares: check what is dirty,
-    /// shift what is clean, merge in from-scratch order, commit.
+    /// commit it, then merge the kept diagnostics in from-scratch order.
+    /// On the fragment path it visits only the parsed classes and the
+    /// classes with cached diagnostics (the profile's per-class spans
+    /// aside).
     fn finish(&mut self, pass: Pass) -> RecheckOutcome {
         let Pass {
             start,
@@ -792,7 +832,7 @@ impl IncrementalChecker {
             reparse,
         } = pass;
         let profiling = self.opts.profile;
-        let total = classes.len();
+        let total = self.layout.classes.len();
 
         // wf: region kinds, then inheritance, both per declaration (a
         // fresh `Checker` per unit absorbs the same environments in the
@@ -800,44 +840,36 @@ impl IncrementalChecker {
         // and counters are identical). A rebuilt table re-checks every
         // declaration; a reused one re-checks only the dirty classes.
         let p0 = profiling.then(|| start.elapsed());
-        let rk_results: Vec<(Vec<TypeError>, JudgmentCounters)> = region_kinds
-            .iter()
-            .map(|rk| {
-                if rk.fresh.is_some() {
-                    let info = table.region_kind(rk.name).expect("built from this program");
+        let rk_results: Vec<(Vec<TypeError>, JudgmentCounters)> = if reused_table {
+            Vec::new()
+        } else {
+            self.layout
+                .region_kinds
+                .iter()
+                .map(|&(name, _)| {
+                    let info = table.region_kind(name).expect("built from this program");
                     let mut ck = Checker::new(&table);
                     ck.check_region_kind(&info.decl);
                     (std::mem::take(&mut ck.errors), ck.judgments)
-                } else {
-                    let cached = &self.rkinds[&rk.name];
-                    let delta = i64::from(rk.start) - i64::from(cached.start);
-                    (shift_errors(&cached.errors, delta), cached.judgments)
-                }
-            })
-            .collect();
-        let cls_wf: Vec<(Vec<TypeError>, JudgmentCounters)> = classes
+                })
+                .collect()
+        };
+        let cls_wf: Vec<Option<(Vec<TypeError>, JudgmentCounters)>> = classes
             .iter()
             .map(|c| {
-                if reused_table && c.dirty.is_none() {
-                    let cached = &self.units[&c.name];
-                    let delta = i64::from(c.start) - i64::from(cached.start);
-                    return (shift_errors(&cached.wf_errors, delta), cached.wf_judgments);
-                }
-                let decl = c
-                    .decl
-                    .as_ref()
-                    .expect("only a clean class of a fragment pass is unparsed");
-                let mut ck = Checker::new(&table);
-                ck.check_inheritance(std::slice::from_ref(decl));
-                (std::mem::take(&mut ck.errors), ck.judgments)
+                (c.dirty.is_some() || !reused_table).then(|| {
+                    let mut ck = Checker::new(&table);
+                    ck.check_inheritance(std::slice::from_ref(&c.decl));
+                    (std::mem::take(&mut ck.errors), ck.judgments)
+                })
             })
             .collect();
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("wf", p0, start.elapsed() - p0));
         }
 
-        // classes: check the dirty units (parallel like the from-scratch
-        // driver), reuse the rest from cache with spans shifted.
+        // classes: check the dirty units, in parallel like the
+        // from-scratch driver.
         let jobs_resolved = match self.opts.jobs {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -865,12 +897,12 @@ impl IncrementalChecker {
                 t,
             )
         };
-        let mut fresh: Vec<Option<FreshUnit>> = (0..total).map(|_| None).collect();
+        let mut fresh: Vec<Option<FreshUnit>> = (0..classes.len()).map(|_| None).collect();
         let mut queue = classes
             .iter_mut()
             .enumerate()
             .filter(|(_, c)| c.dirty.is_some())
-            .map(|(i, c)| (i, c.decl.as_mut().expect("a dirty class is parsed")));
+            .map(|(i, c)| (i, &mut c.decl));
         if workers <= 1 {
             for (i, c) in queue {
                 fresh[i] = Some(check_unit(c));
@@ -899,31 +931,24 @@ impl IncrementalChecker {
                 fresh[i] = Some(unit);
             }
         }
-        // Per-class final results, cached or fresh.
-        let unit_final: Vec<FreshUnit> = classes
-            .iter()
-            .zip(&mut fresh)
-            .map(|(c, fresh)| match fresh.take() {
-                Some(unit) => unit,
-                None => {
-                    let cached = &self.units[&c.name];
-                    let delta = i64::from(c.start) - i64::from(cached.start);
-                    (
-                        shift_errors(&cached.errors, delta),
-                        cached.methods_checked,
-                        cached.judgments,
-                        None,
-                    )
-                }
-            })
-            .collect();
         if let Some(p0) = p0 {
-            let children = classes
+            // One span per class, as a from-scratch profile has; a reused
+            // class's is empty.
+            let mut times = classes
                 .iter()
-                .zip(&unit_final)
-                .map(|(c, (_, _, _, t))| {
-                    let (s0, w) = t.unwrap_or((Duration::ZERO, Duration::ZERO));
-                    PhaseSpan::leaf(format!("class {}", c.name), s0, w)
+                .zip(&fresh)
+                .filter_map(|(c, unit)| Some((c.pos, unit.as_ref()?.3?)))
+                .peekable();
+            let children = self
+                .layout
+                .classes
+                .iter()
+                .enumerate()
+                .map(|(i, (name, _))| {
+                    let (s0, w) = times
+                        .next_if(|(pos, _)| *pos == i)
+                        .map_or((Duration::ZERO, Duration::ZERO), |(_, t)| t);
+                    PhaseSpan::leaf(format!("class {name}"), s0, w)
                 })
                 .collect();
             phases.push(PhaseSpan {
@@ -950,73 +975,77 @@ impl IncrementalChecker {
             phases.push(PhaseSpan::leaf("main", p0, start.elapsed() - p0));
         }
 
-        // Merge in from-scratch order: region kinds, inheritance, class
-        // units (declaration order), main; stable span sort.
-        let mut all: Vec<TypeError> = Vec::new();
-        let mut judgments = JudgmentCounters::default();
-        let mut methods_checked = 0usize;
-        for (errs, j) in rk_results.iter().chain(&cls_wf) {
-            all.extend(errs.iter().cloned());
-            judgments.absorb(j);
-        }
-        for (errs, m, j, _) in &unit_final {
-            all.extend(errs.iter().cloned());
-            methods_checked += m;
-            judgments.absorb(j);
-        }
-        all.extend(main_errors);
-        judgments.absorb(&main_judgments);
-        all.sort_by_key(|e| e.span);
-
-        // Commit. With the table kept, class and region-kind sets are
-        // unchanged and a clean entry's stored `(start, errors)` pair stays
-        // internally consistent (the shift delta is recomputed against it
-        // every pass), so only the dirty entries are rewritten, and the
-        // reverse index follows their reference sets. A rebuilt table
-        // re-ran every well-formedness check, so every entry is rewritten
-        // and the index re-derived.
+        // Commit. With the table kept, a clean entry's stored `(start,
+        // errors)` pair stays internally consistent (the merge shifts by
+        // its current start minus the stored one), so only the dirty
+        // entries are rewritten, and the reverse index follows their
+        // reference sets. A rebuilt table re-ran every well-formedness
+        // check, so every entry is rewritten and the index re-derived. On
+        // the fragment path the class order is fixed: the totals and the
+        // positions with diagnostics follow the rewritten entries. A
+        // whole-source pass may have moved declarations, so it re-derives
+        // them.
         let dirty_names: Vec<Symbol> = classes
             .iter()
             .filter(|c| c.dirty.is_some())
-            .map(|c| c.name)
+            .map(|c| c.decl.name.name)
             .collect();
         let mut old = if reused_table {
             HashMap::new()
         } else {
             std::mem::take(&mut self.units)
         };
-        for ((c, (errors, m, j, _)), (wf_errors, wf_j)) in
-            classes.iter().zip(unit_final).zip(cls_wf)
-        {
-            let (sig, full, refs) = match c.dirty {
+        for ((c, unit), wf) in classes.iter().zip(fresh).zip(cls_wf) {
+            let name = c.decl.name.name;
+            let at = self.layout.classes[c.pos].1.start;
+            let entry = match c.dirty {
                 Some(fp) => {
-                    let decl = c.decl.as_ref().expect("a dirty class is parsed");
-                    (fp.sig, fp.full, class_refs(decl))
+                    let (errors, methods_checked, judgments, _) =
+                        unit.expect("a dirty class is checked");
+                    let (wf_errors, wf_judgments) = wf.expect("a dirty class re-checks its wf");
+                    UnitCache {
+                        sig: fp.sig,
+                        full: fp.full,
+                        start: at,
+                        refs: class_refs(&c.decl),
+                        wf_errors,
+                        wf_judgments,
+                        errors,
+                        methods_checked,
+                        judgments,
+                    }
                 }
                 None if reused_table => continue,
                 None => {
-                    let u = old.remove(&c.name).expect("clean unit is cached");
-                    (u.sig, u.full, u.refs)
+                    let u = old.remove(&name).expect("clean unit is cached");
+                    let (wf_errors, wf_judgments) =
+                        wf.expect("a rebuilt table re-checks every class");
+                    UnitCache {
+                        errors: shifted(&u.errors, at, u.start).collect(),
+                        start: at,
+                        wf_errors,
+                        wf_judgments,
+                        ..u
+                    }
                 }
             };
-            if let Some(prev) = self.units.get(&c.name).filter(|u| u.refs != refs) {
-                unlink(&mut self.dependents, c.name, &prev.refs);
-                link(&mut self.dependents, c.name, &refs);
+            if let Some(prev) = self.units.get(&name).filter(|u| u.refs != entry.refs) {
+                unlink(&mut self.dependents, name, &prev.refs);
+                link(&mut self.dependents, name, &entry.refs);
             }
-            self.units.insert(
-                c.name,
-                UnitCache {
-                    sig,
-                    full,
-                    start: c.start,
-                    refs,
-                    wf_errors,
-                    wf_judgments: wf_j,
-                    errors,
-                    methods_checked: m,
-                    judgments: j,
-                },
-            );
+            if whole_parse {
+                self.units.insert(name, entry);
+                continue;
+            }
+            self.totals.add(&entry);
+            if entry.has_errors() {
+                self.noisy.insert(c.pos);
+            } else {
+                self.noisy.remove(&c.pos);
+            }
+            let prev = self.units.insert(name, entry);
+            self.totals
+                .remove(&prev.expect("a fragment pass re-checks only cached classes"));
         }
         if !reused_table {
             self.dependents.clear();
@@ -1024,30 +1053,62 @@ impl IncrementalChecker {
                 link(&mut self.dependents, *name, &u.refs);
             }
             self.rkinds.clear();
-            for (rk, (errors, judgments)) in region_kinds.iter().zip(rk_results) {
-                let fp = rk
-                    .fresh
-                    .expect("a rebuilt table re-checks every region kind");
-                let info = table.region_kind(rk.name).expect("built from this program");
-                link(&mut self.dependents, rk.name, &region_kind_refs(&info.decl));
+            for ((&(name, span), fp), (errors, judgments)) in self
+                .layout
+                .region_kinds
+                .iter()
+                .zip(region_kinds)
+                .zip(rk_results)
+            {
+                let info = table.region_kind(name).expect("built from this program");
+                link(&mut self.dependents, name, &region_kind_refs(&info.decl));
                 self.rkinds.insert(
-                    rk.name,
+                    name,
                     RkCache {
                         fp,
-                        start: rk.start,
+                        start: span.start,
                         errors,
                         judgments,
                     },
                 );
             }
         }
+        if whole_parse {
+            self.rederive();
+        }
         self.table = Some(table);
         self.stale = false;
+
+        // Merge in from-scratch order: region kinds, inheritance, class
+        // units (declaration order), main; stable span sort. Classes and
+        // region kinds without diagnostics add nothing to that sequence,
+        // so visiting only those with some keeps it, and with it the
+        // order in which equal spans (`Span::DUMMY` among them) tie.
+        let mut all: Vec<TypeError> = Vec::new();
+        for &i in &self.noisy_rkinds {
+            let (name, span) = self.layout.region_kinds[i];
+            let rk = &self.rkinds[&name];
+            all.extend(shifted(&rk.errors, span.start, rk.start));
+        }
+        for &i in &self.noisy {
+            let (name, span) = self.layout.classes[i];
+            let u = &self.units[&name];
+            all.extend(shifted(&u.wf_errors, span.start, u.start));
+        }
+        for &i in &self.noisy {
+            let (name, span) = self.layout.classes[i];
+            let u = &self.units[&name];
+            all.extend(shifted(&u.errors, span.start, u.start));
+        }
+        all.extend(main_errors);
+        all.sort_by_key(|e| e.span);
+        let mut judgments = self.totals.judgments;
+        judgments.absorb(&main_judgments);
 
         let elapsed = start.elapsed();
         let stats = CheckStats {
             classes_checked: total,
-            methods_checked,
+            methods_checked: self.totals.methods_checked,
             judgments,
             threads_used: jobs_resolved.min(total.max(1)),
             elapsed,
@@ -1064,22 +1125,40 @@ impl IncrementalChecker {
             check_ns: (elapsed - reparse).as_nanos() as u64,
         }
     }
+
+    /// Re-derives the totals and the positions with diagnostics from the
+    /// caches of the current layout's declarations.
+    fn rederive(&mut self) {
+        self.totals = Totals::default();
+        self.noisy.clear();
+        for (i, (name, _)) in self.layout.classes.iter().enumerate() {
+            let u = &self.units[name];
+            self.totals.add(u);
+            if u.has_errors() {
+                self.noisy.insert(i);
+            }
+        }
+        self.noisy_rkinds.clear();
+        for (i, (name, _)) in self.layout.region_kinds.iter().enumerate() {
+            let rk = &self.rkinds[name];
+            self.totals.judgments.absorb(&rk.judgments);
+            if !rk.errors.is_empty() {
+                self.noisy_rkinds.push(i);
+            }
+        }
+    }
 }
 
-/// Relocates cached diagnostics by the declaration's movement. Dummy
-/// spans (synthesized nodes) are position-independent and stay put.
-fn shift_errors(errors: &[TypeError], delta: i64) -> Vec<TypeError> {
-    if delta == 0 {
-        return errors.to_vec();
-    }
-    errors
-        .iter()
-        .map(|e| {
-            let mut e = e.clone();
-            e.span = shift_span(e.span, delta);
-            e
-        })
-        .collect()
+/// Cached diagnostics of a declaration that started at `cached`,
+/// relocated to its current start `now`. Dummy spans (synthesized nodes)
+/// are position-independent and stay put.
+fn shifted(errors: &[TypeError], now: u32, cached: u32) -> impl Iterator<Item = TypeError> + '_ {
+    let delta = i64::from(now) - i64::from(cached);
+    errors.iter().map(move |e| {
+        let mut e = e.clone();
+        e.span = shift_span(e.span, delta);
+        e
+    })
 }
 
 fn shift_span(s: Span, delta: i64) -> Span {
@@ -1168,6 +1247,44 @@ mod tests {
             }])
             .unwrap_err();
         assert!(matches!(err, RecheckError::UnknownClass(_)));
+    }
+
+    /// A batch rejected after its first edit emptied a class splices it
+    /// back: the source and layout are the last good pass's, and the
+    /// next edit takes the fragment path.
+    #[test]
+    fn a_rejected_batch_restores_the_source_and_layout() {
+        let mut eng = IncrementalChecker::new(CheckOptions::default());
+        eng.check_source(&src()).unwrap();
+        let emptied = |class: &str| ClassEdit {
+            class: class.to_string(),
+            source: String::new(),
+        };
+        let rejected = [
+            vec![emptied("B"), emptied("Zed")],
+            vec![
+                emptied("B"),
+                ClassEdit {
+                    class: "A".to_string(),
+                    source: "class A<Owner o> {".to_string(),
+                },
+            ],
+        ];
+        for batch in &rejected {
+            assert!(eng.recheck(batch).is_err());
+            assert_eq!(eng.source(), src());
+            let layout = Layout::of(&parse_program(&src()).unwrap());
+            assert_eq!(eng.layout.classes, layout.classes);
+            assert_eq!(eng.layout.main, layout.main);
+        }
+        let out = eng
+            .recheck(&[ClassEdit {
+                class: "A".to_string(),
+                source: "class A<Owner o> { B<o> f; int probe() { return this.f.get() + 1; } }"
+                    .to_string(),
+            }])
+            .unwrap();
+        assert!(out.ok() && !out.whole_parse, "{:?}", out.errors);
     }
 
     /// Class templates for the replay below: `{pad}` sits in a method

@@ -24,6 +24,7 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Profiled options: the snapshots then compare the phase-span tree too.
 fn opts(jobs: usize) -> CheckOptions {
     CheckOptions {
         jobs,
@@ -31,23 +32,44 @@ fn opts(jobs: usize) -> CheckOptions {
     }
 }
 
+/// Options with profiling off, the setting the benchmark and `rtjc check
+/// --watch`/`--edits` run with. Without phases the snapshots still compare
+/// `methods_checked` and every judgment family's counters.
+fn unprofiled(jobs: usize) -> CheckOptions {
+    CheckOptions {
+        jobs,
+        profile: false,
+    }
+}
+
 /// From-scratch check of `src`: `Ok` yields the structural snapshot,
 /// `Err` the span-sorted diagnostics.
-fn scratch(src: &str, jobs: usize) -> Result<CheckerSnapshot, Vec<TypeError>> {
+fn scratch(src: &str, opts: &CheckOptions) -> Result<CheckerSnapshot, Vec<TypeError>> {
     let program = parse_program(src).expect("edited source parses");
-    check_program_in(program, &opts(jobs))
+    check_program_in(program, opts)
         .map(|c| CheckerSnapshot::capture(&c.stats, c.profile.as_ref()).structure())
 }
 
 /// Asserts the engine's last outcome is observably identical to checking
-/// `engine.source()` from scratch.
+/// `engine.source()` from scratch with profiling on.
 fn assert_matches_scratch(
     label: &str,
     engine: &IncrementalChecker,
     out: &RecheckOutcome,
     jobs: usize,
 ) {
-    match scratch(engine.source(), jobs) {
+    assert_matches_scratch_with(label, engine, out, &opts(jobs));
+}
+
+/// Asserts the engine's last outcome is observably identical to checking
+/// `engine.source()` from scratch with `opts`, the engine's options.
+fn assert_matches_scratch_with(
+    label: &str,
+    engine: &IncrementalChecker,
+    out: &RecheckOutcome,
+    opts: &CheckOptions,
+) {
+    match scratch(engine.source(), opts) {
         Ok(snap) => {
             assert!(
                 out.ok(),
@@ -90,10 +112,10 @@ fn decl_text(src: &str, name: &str) -> String {
 #[test]
 fn cumulative_edit_batches_match_from_scratch() {
     let _serial = serial();
-    for jobs in [1, 4] {
-        let mut engine = IncrementalChecker::new(opts(jobs));
+    for opts in [opts(1), opts(4), unprofiled(1), unprofiled(4)] {
+        let mut engine = IncrementalChecker::new(opts.clone());
         let initial = engine.check_source(&scaled_classes(8)).expect("parses");
-        assert_matches_scratch("initial", &engine, &initial, jobs);
+        assert_matches_scratch_with("initial", &engine, &initial, &opts);
 
         let script = edit_batches(8, 16, 5);
         for b in &script.batches {
@@ -109,11 +131,11 @@ fn cumulative_edit_batches_match_from_scratch() {
                 b.id,
                 b.kind
             );
-            assert_matches_scratch(
-                &format!("jobs={jobs} batch {} ({})", b.id, b.kind),
+            assert_matches_scratch_with(
+                &format!("{opts:?} batch {} ({})", b.id, b.kind),
                 &engine,
                 &out,
-                jobs,
+                &opts,
             );
         }
     }
@@ -186,76 +208,205 @@ fn error_edit_and_heal_match_from_scratch() {
         .find(|b| b.kind == "body_error")
         .expect("48 batches include an error edit");
 
-    let mut engine = IncrementalChecker::new(opts(2));
-    engine.check_source(&pristine).expect("parses");
+    for opts in [opts(2), unprofiled(2)] {
+        let mut engine = IncrementalChecker::new(opts.clone());
+        engine.check_source(&pristine).expect("parses");
 
-    let out = engine.recheck(&[as_edit(bad)]).expect("applies");
-    assert!(!out.ok(), "the error edit must produce a diagnostic");
-    assert_matches_scratch("error introduced", &engine, &out, 2);
+        let out = engine.recheck(&[as_edit(bad)]).expect("applies");
+        assert!(!out.ok(), "the error edit must produce a diagnostic");
+        assert_matches_scratch_with(&format!("{opts:?} error introduced"), &engine, &out, &opts);
 
-    // Healing: restore the pristine declaration text.
-    let heal = ClassEdit {
-        class: bad.class.clone(),
-        source: decl_text(&pristine, &bad.class),
-    };
-    let out = engine.recheck(&[heal]).expect("applies");
-    assert!(
-        out.ok(),
-        "healing must clear the diagnostic: {:?}",
-        out.errors
-    );
-    assert_matches_scratch("error healed", &engine, &out, 2);
+        // Healing: restore the pristine declaration text.
+        let heal = ClassEdit {
+            class: bad.class.clone(),
+            source: decl_text(&pristine, &bad.class),
+        };
+        let out = engine.recheck(&[heal]).expect("applies");
+        assert!(
+            out.ok(),
+            "healing must clear the diagnostic: {:?}",
+            out.errors
+        );
+        assert_matches_scratch_with(&format!("{opts:?} error healed"), &engine, &out, &opts);
+    }
 }
 
 #[test]
 fn body_edit_shifts_cached_diagnostics_of_later_classes() {
     let _serial = serial();
     let pristine = scaled_classes(4);
-    let mut engine = IncrementalChecker::new(opts(1));
-    engine.check_source(&pristine).expect("parses");
+    for opts in [opts(1), unprofiled(1)] {
+        let mut engine = IncrementalChecker::new(opts.clone());
+        engine.check_source(&pristine).expect("parses");
 
-    // Introduce an error in a late replica, then edit an early class
-    // body so every later declaration moves: the cached diagnostic must
-    // be re-anchored to its new position, not re-derived.
-    let broken = decl_text(&pristine, "Base3").replacen(
-        "this.tag = this.tag + x;",
-        "this.tag = missing + x;",
-        1,
-    );
-    let out = engine
-        .recheck(&[ClassEdit {
-            class: "Base3".to_string(),
-            source: broken,
-        }])
-        .expect("applies");
-    assert!(!out.ok());
-    assert_matches_scratch("error planted", &engine, &out, 1);
+        // Introduce an error in a late replica, then edit an early class
+        // body so every later declaration moves: the cached diagnostic
+        // must be re-anchored to its new position, not re-derived.
+        let broken = decl_text(&pristine, "Base3").replacen(
+            "this.tag = this.tag + x;",
+            "this.tag = missing + x;",
+            1,
+        );
+        let out = engine
+            .recheck(&[ClassEdit {
+                class: "Base3".to_string(),
+                source: broken,
+            }])
+            .expect("applies");
+        assert!(!out.ok());
+        assert_matches_scratch_with(&format!("{opts:?} error planted"), &engine, &out, &opts);
 
-    let padded = decl_text(&pristine, "Stack0").replacen(
-        "let c = 0;",
-        "let c = 0;\n        let padding = 424242;\n        c = c + padding - padding;",
-        1,
-    );
-    let out = engine
-        .recheck(&[ClassEdit {
-            class: "Stack0".to_string(),
-            source: padded,
-        }])
-        .expect("applies");
-    assert!(!out.ok(), "the planted error must survive the body edit");
-    let dirty: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
-    assert_eq!(dirty, ["Stack0"], "only the padded class re-checks");
-    assert_matches_scratch("error shifted", &engine, &out, 1);
+        let padded = decl_text(&pristine, "Stack0").replacen(
+            "let c = 0;",
+            "let c = 0;\n        let padding = 424242;\n        c = c + padding - padding;",
+            1,
+        );
+        let out = engine
+            .recheck(&[ClassEdit {
+                class: "Stack0".to_string(),
+                source: padded,
+            }])
+            .expect("applies");
+        assert!(!out.ok(), "the planted error must survive the body edit");
+        let dirty: Vec<&str> = out.dirty.iter().map(|s| s.as_str()).collect();
+        assert_eq!(dirty, ["Stack0"], "only the padded class re-checks");
+        assert_matches_scratch_with(&format!("{opts:?} error shifted"), &engine, &out, &opts);
+    }
+}
+
+#[test]
+fn errors_in_three_replicas_stay_put_around_body_edits() {
+    let _serial = serial();
+    let pristine = scaled_classes(8);
+    let edit = |class: &str, needle: &str, with: &str| {
+        let text = decl_text(&pristine, class);
+        assert!(text.contains(needle), "{class} lost `{needle}`");
+        ClassEdit {
+            class: class.to_string(),
+            source: text.replacen(needle, with, 1),
+        }
+    };
+    let pad = |class: &str, n: usize| {
+        edit(
+            class,
+            "let c = 0;",
+            &format!("let c = 0;\n        let pad{n} = {n};\n        c = c + pad{n} - pad{n};"),
+        )
+    };
+    // `Base1` and `Base6` read an undeclared variable. `Mid4` overrides
+    // `bump` at the wrong arity, an inheritance error that also breaks
+    // the calls to `bump` in `Mid4` and `Leaf4`.
+    let steps = [
+        ("Base1 broken", edit("Base1", "this.tag + x", "lost1 + x")),
+        (
+            "Mid4 broken",
+            edit(
+                "Mid4",
+                "int poke()",
+                "int bump() { return 0; }\n    int poke()",
+            ),
+        ),
+        ("Base6 broken", edit("Base6", "this.tag + x", "lost6 + x")),
+        ("body edit before them", pad("Stack0", 1)),
+        ("body edit between Base1 and Mid4", pad("Stack2", 2)),
+        ("body edit between Mid4 and Base6", pad("Stack5", 3)),
+        ("body edit after them", pad("Stack7", 4)),
+        (
+            "Mid4 healed",
+            ClassEdit {
+                class: "Mid4".to_string(),
+                source: decl_text(&pristine, "Mid4"),
+            },
+        ),
+        ("body edit before the rest", pad("Stack0", 5)),
+        ("body edit between the rest", pad("Stack4", 6)),
+        ("body edit after the rest", pad("Stack7", 7)),
+    ];
+    for jobs in [1, 4] {
+        let opts = unprofiled(jobs);
+        let mut engine = IncrementalChecker::new(opts.clone());
+        engine.check_source(&pristine).expect("parses");
+        for (label, e) in &steps {
+            let label = format!("jobs={jobs} {label}");
+            let out = engine
+                .recheck(std::slice::from_ref(e))
+                .unwrap_or_else(|err| panic!("{label}: {err}"));
+            assert!(
+                !out.whole_parse && !out.full_rebuild,
+                "{label}: took the whole-source path"
+            );
+            assert!(!out.ok(), "{label}: a planted error remains");
+            assert_matches_scratch_with(&label, &engine, &out, &opts);
+        }
+    }
+}
+
+#[test]
+fn long_replays_match_from_scratch_after_every_batch() {
+    let _serial = serial();
+    let pristine = scaled_classes(8);
+    let opts = unprofiled(1);
+    for seed in [2, 13, 37] {
+        let mut engine = IncrementalChecker::new(opts.clone());
+        engine.check_source(&pristine).expect("parses");
+        let mut broken: Vec<String> = Vec::new();
+        let mut clean = 0;
+        for b in &edit_batches(8, 64, seed).batches {
+            let label = format!("seed {seed} batch {} ({})", b.id, b.kind);
+            let out = engine
+                .recheck(&[as_edit(b)])
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_matches_scratch_with(&label, &engine, &out, &opts);
+            clean += usize::from(out.ok());
+            if b.kind == "body_error" && !broken.contains(&b.class) {
+                broken.push(b.class.clone());
+            }
+            // The script never heals what it breaks. Every fourth batch
+            // restores the broken classes, so the batches after it run
+            // clean and compare the counters an erroring pass left.
+            if b.id % 4 == 3 && !broken.is_empty() {
+                let heal: Vec<ClassEdit> = broken
+                    .drain(..)
+                    .map(|class| ClassEdit {
+                        source: decl_text(&pristine, &class),
+                        class,
+                    })
+                    .collect();
+                let out = engine
+                    .recheck(&heal)
+                    .unwrap_or_else(|e| panic!("{label} heal: {e}"));
+                assert!(out.ok(), "{label} heal: {:?}", out.errors);
+                assert_matches_scratch_with(&format!("{label} heal"), &engine, &out, &opts);
+                clean += 1;
+            }
+        }
+        assert!(
+            clean >= 40,
+            "seed {seed}: only {clean} clean passes compared their counters"
+        );
+    }
 }
 
 /// Applies one edit, asserts it took the whole-source path, and compares
-/// the outcome with a from-scratch check of the edited source.
+/// the outcome with a from-scratch check of the edited source at
+/// `--jobs 1`, profiled.
 fn assert_falls_back(label: &str, engine: &mut IncrementalChecker, edit: ClassEdit) {
+    assert_falls_back_with(label, engine, edit, &opts(1));
+}
+
+/// [`assert_falls_back`] for an engine built with `opts`.
+fn assert_falls_back_with(
+    label: &str,
+    engine: &mut IncrementalChecker,
+    edit: ClassEdit,
+    opts: &CheckOptions,
+) {
+    let label = format!("{opts:?} {label}");
     let out = engine
         .recheck(&[edit])
         .unwrap_or_else(|e| panic!("{label}: {e}"));
     assert!(out.whole_parse, "{label}: must parse the whole source");
-    assert_matches_scratch(label, engine, &out, 1);
+    assert_matches_scratch_with(&label, engine, &out, opts);
 }
 
 #[test]
@@ -289,43 +440,49 @@ fn every_generated_body_edit_takes_the_fragment_path() {
 fn edits_outside_the_fragment_rule_fall_back_and_match_from_scratch() {
     let _serial = serial();
     let pristine = scaled_classes(4);
-    let mut engine = IncrementalChecker::new(opts(1));
-    engine.check_source(&pristine).expect("parses");
     let stack = decl_text(&pristine, "Stack1");
-
-    // A trailing comment would swallow whatever follows it on the line.
     let edit = |class: &str, source: String| ClassEdit {
         class: class.to_string(),
         source,
     };
-    assert_falls_back(
-        "trailing comment",
-        &mut engine,
-        edit("Stack1", format!("{stack} // note")),
-    );
-    // Two declarations in one edit add a class.
-    assert_falls_back(
-        "two declarations",
-        &mut engine,
-        edit(
-            "Stack1",
-            format!("{stack}\nclass Extra<Owner o> {{ int z; }}"),
-        ),
-    );
-    // A rename leaves `main`'s reference to the old name dangling.
-    assert_falls_back(
-        "rename",
-        &mut engine,
-        edit(
-            "Stack0",
-            decl_text(&pristine, "Stack0").replacen("Stack0", "Stack0x", 1),
-        ),
-    );
-    assert_falls_back(
-        "rename back",
-        &mut engine,
-        edit("Stack0x", decl_text(&pristine, "Stack0")),
-    );
+    for opts in [opts(1), unprofiled(1)] {
+        let mut engine = IncrementalChecker::new(opts.clone());
+        engine.check_source(&pristine).expect("parses");
+
+        // A trailing comment would swallow whatever follows it on the line.
+        assert_falls_back_with(
+            "trailing comment",
+            &mut engine,
+            edit("Stack1", format!("{stack} // note")),
+            &opts,
+        );
+        // Two declarations in one edit add a class.
+        assert_falls_back_with(
+            "two declarations",
+            &mut engine,
+            edit(
+                "Stack1",
+                format!("{stack}\nclass Extra<Owner o> {{ int z; }}"),
+            ),
+            &opts,
+        );
+        // A rename leaves `main`'s reference to the old name dangling.
+        assert_falls_back_with(
+            "rename",
+            &mut engine,
+            edit(
+                "Stack0",
+                decl_text(&pristine, "Stack0").replacen("Stack0", "Stack0x", 1),
+            ),
+            &opts,
+        );
+        assert_falls_back_with(
+            "rename back",
+            &mut engine,
+            edit("Stack0x", decl_text(&pristine, "Stack0")),
+            &opts,
+        );
+    }
 }
 
 #[test]
