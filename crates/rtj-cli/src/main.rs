@@ -62,7 +62,7 @@ use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use rtj_interp::{build, run_checked, RunConfig, RunError, TraceCapture};
-use rtj_runtime::{CheckMode, CheckerMetrics, Json, MetricsSnapshot};
+use rtj_runtime::{CheckMode, CheckerMetrics, Json, JsonError, MetricsSnapshot};
 use rtj_types::Checked;
 use Takes::{Nothing, Optional, Value};
 
@@ -380,8 +380,8 @@ fn check_cmd(args: &[String]) -> Result<ExitCode, String> {
             return Ok(ExitCode::FAILURE);
         }
     };
-    // The lex/parse span runs before `check_program_in` (the profile
-    // epoch), so it is prepended at offset zero.
+    // The lex/parse span runs before `check_program_in`, so it opens
+    // the timeline and the checking phases follow it.
     let profile = checked.profile.clone().map(|mut p| {
         p.prepend(rtj_types::PhaseSpan::leaf(
             "parse",
@@ -931,47 +931,16 @@ fn render_combined(ck: &rtj_types::CheckerSnapshot, rt: &MetricsSnapshot) -> Str
 /// from the stored rows, followed by the per-check-kind elision report
 /// aggregated over every row's embedded dynamic-run snapshot.
 fn render_fig12_document(doc: &Json) -> Result<String, String> {
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing `rows` array")?;
     let mut out = String::from(
         "Figure 12: Dynamic Checking Overhead (from rtj-fig12/v1 snapshot)\n\
          program     static-cyc   dynamic-cyc   overhead   paper   checks   elided\n",
     );
     let mut aggregate: Option<MetricsSnapshot> = None;
+    let rows = doc.arr_field("rows").map_err(|e| e.to_string())?;
     for (i, row) in rows.iter().enumerate() {
-        let field = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("row {i}: missing `{key}`"))
-        };
-        let name = row
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing `name`"))?;
-        let overhead = row
-            .get("overhead")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("row {i}: missing `overhead`"))?;
-        let paper = match row.get("paper_overhead").and_then(Json::as_f64) {
-            Some(p) => format!("{p:.2}"),
-            None => "—".to_string(),
-        };
-        out += &format!(
-            "{:<10} {:>11} {:>13} {:>10.2} {:>7} {:>8} {:>8}\n",
-            name,
-            field("static_cycles")?,
-            field("dynamic_cycles")?,
-            overhead,
-            paper,
-            field("checks")?,
-            field("elided")?,
-        );
-        let dm = row
-            .get("dynamic_metrics")
-            .ok_or_else(|| format!("row {i}: missing `dynamic_metrics`"))?;
-        let snap = MetricsSnapshot::from_json(dm)
+        let at_row = |e: JsonError| format!("row {i}: {e}");
+        out += &fig12_line(row).map_err(at_row)?;
+        let snap = MetricsSnapshot::from_json(row.field("dynamic_metrics").map_err(at_row)?)
             .map_err(|e| format!("row {i}: bad dynamic_metrics: {e}"))?;
         match &mut aggregate {
             Some(agg) => agg.merge(&snap),
@@ -983,6 +952,24 @@ fn render_fig12_document(doc: &Json) -> Result<String, String> {
         out += &agg.render_report();
     }
     Ok(out)
+}
+
+/// The Figure-12 table line of one `rtj-fig12/v1` row.
+fn fig12_line(row: &Json) -> Result<String, JsonError> {
+    let paper = match row.get("paper_overhead").and_then(Json::as_f64) {
+        Some(p) => format!("{p:.2}"),
+        None => "—".to_string(),
+    };
+    Ok(format!(
+        "{:<10} {:>11} {:>13} {:>10.2} {:>7} {:>8} {:>8}\n",
+        row.str_field("name")?,
+        row.u64_field("static_cycles")?,
+        row.u64_field("dynamic_cycles")?,
+        row.f64_field("overhead")?,
+        paper,
+        row.u64_field("checks")?,
+        row.u64_field("elided")?,
+    ))
 }
 
 /// The flags `serve` and `load` share: the request mix and executor, the

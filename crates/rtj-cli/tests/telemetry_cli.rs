@@ -4,6 +4,8 @@
 use std::path::Path;
 use std::process::{Command, Output};
 
+use rtj_runtime::Json;
+
 fn rtjc(args: &[&str], dir: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rtjc"))
         .args(args)
@@ -122,6 +124,50 @@ fn chrome_and_jsonl_trace_formats() {
     assert!(jsonl
         .lines()
         .all(|l| l.starts_with('{') && l.ends_with('}')));
+
+    // A serial check's profile is one lane: parsing, then each checking
+    // phase after the previous one ends.
+    let scaled = rtjc(&["bench", "scaled:12"], &dir);
+    std::fs::write(dir.join("scaled.rtj"), scaled.stdout).expect("write corpus");
+    let out = rtjc(
+        &[
+            "check",
+            "--jobs",
+            "1",
+            "--profile=profile.jsonl",
+            "--trace-format",
+            "jsonl",
+            "scaled.rtj",
+        ],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let profile = std::fs::read_to_string(dir.join("profile.jsonl")).expect("profile trace");
+    let mut phases = Vec::new();
+    for line in profile.lines() {
+        let e = Json::parse(line).expect("a JSON event");
+        let name = e.get("name").and_then(Json::as_str).expect("a name");
+        if !name.starts_with("class ") {
+            let [ts, dur, tid] = ["ts", "dur", "tid"].map(|k| e.get(k).and_then(Json::as_u64));
+            phases.push((name.to_string(), ts.unwrap(), dur.unwrap(), tid.unwrap()));
+        }
+    }
+    let names: Vec<&str> = phases.iter().map(|p| p.0.as_str()).collect();
+    assert_eq!(names, ["parse", "lower", "table", "wf", "classes", "main"]);
+    for (name, _, _, tid) in &phases {
+        assert_eq!(*tid, 0, "{name} is on lane {tid}: {profile}");
+    }
+    for pair in phases.windows(2) {
+        let ((_, ts, dur, _), (name, next, _, _)) = (&pair[0], &pair[1]);
+        assert!(
+            *next >= ts + dur,
+            "{name} starts before the previous phase ends: {profile}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -179,4 +225,128 @@ fn report_rejects_unknown_and_missing_schema_with_one_line_error() {
         .unwrap()
         .contains("missing string `schema` field"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `doc` with the field at `path` removed: object keys, and array
+/// indices written as numbers.
+fn without(doc: &str, path: &[&str]) -> String {
+    let mut root = Json::parse(doc).expect("a valid document");
+    let (last, parents) = path.split_last().expect("a non-empty path");
+    let mut node = &mut root;
+    for key in parents {
+        node = match node {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
+            Json::Arr(items) => &mut items[key.parse::<usize>().expect("an index")],
+            _ => panic!("no `{key}` in {path:?}"),
+        };
+    }
+    let Json::Obj(pairs) = node else {
+        panic!("{path:?} is not inside an object")
+    };
+    let before = pairs.len();
+    pairs.retain(|(k, _)| k != last);
+    assert_eq!(pairs.len(), before - 1, "no `{last}` in {path:?}");
+    root.render()
+}
+
+#[test]
+fn a_missing_field_is_named_without_a_byte_offset() {
+    let dir = tempdir("missing-field");
+    let ok = |out: Output| {
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out
+    };
+    let bench = ok(rtjc(&["bench", "Array"], &dir));
+    std::fs::write(dir.join("array.rtj"), bench.stdout).unwrap();
+    ok(rtjc(
+        &["run", "--dynamic", "--metrics=metrics.json", "array.rtj"],
+        &dir,
+    ));
+    let stats = ok(rtjc(
+        &["check", "--stats", "--format", "json", "array.rtj"],
+        &dir,
+    ));
+    std::fs::write(dir.join("checker.json"), stats.stdout).unwrap();
+    ok(rtjc(
+        &[
+            "load",
+            "--workers",
+            "1",
+            "--rate",
+            "2000",
+            "--duration-ms",
+            "50",
+            "--variants",
+            "1",
+            "--seed",
+            "5",
+            "--telemetry=trace.json",
+            "--out",
+            "load.json",
+        ],
+        &dir,
+    ));
+    let scaled = ok(rtjc(&["bench", "scaled:2"], &dir));
+    std::fs::write(dir.join("scaled.rtj"), scaled.stdout).unwrap();
+    let edits = ok(rtjc(&["bench", "edits:2", "--batches", "2"], &dir));
+    std::fs::write(dir.join("edits.json"), edits.stdout).unwrap();
+    let fig12 = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/fig12_smoke.json");
+    std::fs::copy(fig12, dir.join("fig12.json")).unwrap();
+
+    let cases: [(&str, &[&str], &[&str]); 8] = [
+        ("metrics.json", &["alloc"], &["report"]),
+        ("checker.json", &["methods_checked"], &["report"]),
+        (
+            "fig12.json",
+            &["rows", "0", "dynamic_metrics", "alloc"],
+            &["report"],
+        ),
+        ("load.json", &["workers"], &["report"]),
+        (
+            "load.json",
+            &["groups", "0", "latency", "p50_us"],
+            &["report"],
+        ),
+        ("trace.json", &["workers"], &["report"]),
+        ("trace.timeline.json", &["tick_us"], &["report"]),
+        (
+            "edits.json",
+            &["copies"],
+            &["check", "scaled.rtj", "--edits"],
+        ),
+    ];
+    for (file, path, command) in cases {
+        let doc = std::fs::read_to_string(dir.join(file)).unwrap();
+        let broken = format!("broken-{file}");
+        std::fs::write(dir.join(&broken), without(&doc, path)).unwrap();
+        let args: Vec<&str> = command.iter().copied().chain([broken.as_str()]).collect();
+        let out = rtjc(&args, &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let field = path.last().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{file} without {field}: {err}");
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+        assert!(err.contains(&broken), "names the file: {err}");
+        assert!(err.contains(field), "names `{field}`: {err}");
+        assert!(!err.contains("at byte"), "no byte offset: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The rendering of a fixed Figure-12 document: its table, and the
+/// aggregate report over every row's embedded snapshot.
+#[test]
+fn report_of_the_fig12_golden_is_pinned() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden");
+    let out = rtjc(&["report", "fig12_smoke.json"], &golden);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let expected = std::fs::read_to_string(golden.join("fig12_smoke_report.txt")).unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }

@@ -169,47 +169,20 @@ pub fn edits_json(script: &EditScript) -> Json {
 ///
 /// Rejects documents with a missing/unknown schema or missing fields.
 pub fn parse_edits(doc: &Json) -> Result<EditScript, JsonError> {
-    let fail = |m: String| JsonError { at: 0, message: m };
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(EDITS_SCHEMA) => {}
-        other => {
-            return Err(fail(format!(
-                "expected schema {EDITS_SCHEMA:?}, found {other:?}"
-            )))
-        }
-    }
-    let str_of = |v: &Json, k: &str| {
-        v.get(k)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| fail(format!("missing string `{k}`")))
-    };
+    doc.expect_schema(EDITS_SCHEMA)?;
     let mut batches = Vec::new();
-    for b in doc
-        .get("batches")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| fail("missing `batches`".to_string()))?
-    {
+    for b in doc.arr_field("batches")? {
         batches.push(EditBatch {
-            id: b
-                .get("id")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| fail("batch missing `id`".to_string()))? as usize,
-            kind: str_of(b, "kind")?,
-            class: str_of(b, "class")?,
-            source: str_of(b, "source")?,
+            id: b.u64_field("id")? as usize,
+            kind: b.str_field("kind")?.to_string(),
+            class: b.str_field("class")?.to_string(),
+            source: b.str_field("source")?.to_string(),
         });
     }
     Ok(EditScript {
-        workload: str_of(doc, "workload")?,
-        copies: doc
-            .get("copies")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| fail("missing `copies`".to_string()))? as usize,
-        seed: doc
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| fail("missing `seed`".to_string()))?,
+        workload: doc.str_field("workload")?.to_string(),
+        copies: doc.u64_field("copies")? as usize,
+        seed: doc.u64_field("seed")?,
         batches,
     })
 }

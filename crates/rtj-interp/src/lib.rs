@@ -48,9 +48,7 @@ use eval::{Evaluator, ProgramData};
 use layout::Layouts;
 pub use machine::RunError;
 use machine::{Machine, State};
-use rtj_runtime::{
-    CheckMode, CostModel, JsonlSink, MetricsSnapshot, RingSink, Runtime, Stats, ThreadId,
-};
+use rtj_runtime::{CheckMode, CostModel, MetricsSnapshot, Runtime, ThreadId};
 use rtj_types::Checked;
 use std::fmt;
 use std::sync::Arc;
@@ -59,12 +57,10 @@ use std::time::{Duration, Instant};
 /// How structured trace events are captured during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceCapture {
-    /// No tracing (the default): the runtime pays one pointer test per
+    /// No tracing (the default): the runtime pays one `Option` test per
     /// emission point and constructs no events.
     #[default]
     Off,
-    /// Flight-recorder mode: keep only the most recent `n` events.
-    Ring(usize),
     /// Keep every event (JSONL lines in [`RunOutcome::events`]).
     Full,
 }
@@ -134,8 +130,6 @@ impl RunConfig {
 pub struct RunOutcome {
     /// Virtual cycles consumed (the paper's "execution time").
     pub cycles: u64,
-    /// Legacy coarse statistics, derived from [`RunOutcome::metrics`].
-    pub stats: Stats,
     /// The full per-check-kind metrics snapshot (`rtj-metrics/v1`):
     /// counters, elision accounting, and cost histograms. Deterministic —
     /// identical for identical programs, regardless of tracing, wall
@@ -236,10 +230,8 @@ pub fn run_prepared(prepared: &Prepared, cfg: RunConfig) -> RunOutcome {
     let mut rt = Runtime::new(cfg.mode, cfg.cost);
     rt.enable_gc(cfg.gc_enabled);
     rt.set_session(cfg.session);
-    match cfg.events {
-        TraceCapture::Off => {}
-        TraceCapture::Ring(n) => rt.set_trace_sink(Box::new(RingSink::new(n))),
-        TraceCapture::Full => rt.set_trace_sink(Box::new(JsonlSink::new())),
+    if cfg.events == TraceCapture::Full {
+        rt.capture_events();
     }
     let machine = Arc::new(Machine::default());
     let st = State::new(rt, cfg.max_steps);
@@ -261,10 +253,9 @@ pub fn run_prepared(prepared: &Prepared, cfg: RunConfig) -> RunOutcome {
     let rt = &mut st.rt;
     RunOutcome {
         cycles: rt.now(),
-        stats: rt.stats(),
         metrics: rt.metrics_snapshot(),
         trace: rt.trace().to_vec(),
-        events: rt.take_trace_sink().map(|mut sink| sink.drain_jsonl()),
+        events: rt.take_events(),
         error,
         wall,
         graph: cfg.capture_graph.then(|| rt.ownership_dot()),
@@ -286,6 +277,7 @@ pub fn run_source(src: &str, cfg: RunConfig) -> Result<RunOutcome, BuildError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtj_runtime::CheckKind;
 
     fn run_ok(src: &str) -> RunOutcome {
         let out = run_source(src, RunConfig::new(CheckMode::Dynamic)).unwrap();
@@ -376,7 +368,7 @@ mod tests {
             "#,
         );
         assert_eq!(out.trace, vec!["2"]);
-        assert_eq!(out.stats.regions_deleted, 2);
+        assert_eq!(out.metrics.regions_deleted, 2);
     }
 
     #[test]
@@ -459,11 +451,6 @@ mod tests {
             }
         }
         assert!(saw_check, "trace includes check events");
-        // Ring capture bounds the buffer.
-        let mut ring_cfg = RunConfig::new(CheckMode::Dynamic);
-        ring_cfg.events = TraceCapture::Ring(4);
-        let ring_out = run_source(src, ring_cfg).unwrap();
-        assert_eq!(ring_out.events.expect("ring captured").len(), 4);
         // Off capture reports none.
         let off = run_source(src, RunConfig::new(CheckMode::Dynamic)).unwrap();
         assert!(off.events.is_none());
@@ -492,7 +479,7 @@ mod tests {
         assert!(dynamic.metrics.checks_performed() > 0);
         assert_eq!(dynamic.metrics.checks_elided(), 0);
         assert_eq!(static_.metrics.checks_performed(), 0);
-        for kind in rtj_runtime::CheckKind::ALL {
+        for kind in CheckKind::ALL {
             assert_eq!(
                 static_.metrics.check(kind).elided,
                 dynamic.metrics.check(kind).performed,
@@ -501,7 +488,6 @@ mod tests {
             );
         }
         assert_eq!(dynamic.metrics.total_cycles, dynamic.cycles);
-        assert_eq!(dynamic.stats, dynamic.metrics.to_stats());
     }
 
     #[test]
@@ -524,8 +510,9 @@ mod tests {
         let dynamic = run_source(src, RunConfig::new(CheckMode::Dynamic)).unwrap();
         let static_ = run_source(src, RunConfig::new(CheckMode::Static)).unwrap();
         assert!(dynamic.error.is_none() && static_.error.is_none());
-        assert!(dynamic.stats.store_checks > 0);
-        assert_eq!(static_.stats.store_checks, 0);
+        let stores = |out: &RunOutcome| out.metrics.check(CheckKind::Assignment).performed;
+        assert!(stores(&dynamic) > 0);
+        assert_eq!(stores(&static_), 0);
         assert!(
             dynamic.cycles > static_.cycles,
             "dynamic {} should exceed static {}",
@@ -555,8 +542,11 @@ mod tests {
         "#;
         let out = run_source(src, RunConfig::new(CheckMode::Audit)).unwrap();
         assert!(out.error.is_none(), "{:?}", out.error);
-        assert!(out.stats.store_checks > 0, "checks ran");
-        assert_eq!(out.stats.check_cycles, 0, "but cost nothing");
+        assert!(
+            out.metrics.check(CheckKind::Assignment).performed > 0,
+            "checks ran"
+        );
+        assert_eq!(out.metrics.check_cycles(), 0, "but cost nothing");
     }
 
     #[test]
@@ -718,7 +708,7 @@ mod tests {
             "#,
         );
         assert_eq!(out.trace, vec!["99"]);
-        assert_eq!(out.stats.threads_spawned, 1);
+        assert_eq!(out.metrics.threads_spawned, 1);
     }
 
     #[test]
@@ -794,9 +784,9 @@ mod tests {
         );
         assert_eq!(out.trace, vec!["100", "101", "102"]);
         assert!(
-            out.stats.regions_flushed >= 3,
+            out.metrics.regions_flushed >= 3,
             "subregion flushed per iteration: {:?}",
-            out.stats.regions_flushed
+            out.metrics.regions_flushed
         );
     }
 }

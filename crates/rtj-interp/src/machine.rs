@@ -99,7 +99,7 @@ impl TState {
 
 /// The state of a run, owned by the program thread that holds the token.
 pub(crate) struct State {
-    /// The region runtime (regions, objects, clock, stats).
+    /// The region runtime (regions, objects, clock, metrics).
     pub(crate) rt: Runtime,
     threads: Vec<TState>,
     /// The thread that owns the state, or that it is parked for.
@@ -544,7 +544,7 @@ mod tests {
             rx.recv().unwrap(),
             "the real-time thread executed while the collector was running"
         );
-        assert_eq!(st.rt.stats().gc_collections, 1);
+        assert_eq!(st.rt.metrics_snapshot().gc_collections, 1);
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //! * [`Json::parse`] — a strict recursive-descent parser. Arrays and
 //!   objects nest at most [`MAX_DEPTH`] levels; a deeper document is a
 //!   [`JsonError`] at the bracket that crosses the limit, not a stack
-//!   overflow.
+//!   overflow;
+//! * [`Json::expect_schema`] and the typed field lookups
+//!   ([`Json::field`], [`Json::u64_field`], [`Json::field_as`], …) that
+//!   every `rtj-*/v1` reader goes through: a missing or mistyped field
+//!   is a [`JsonError`] that names the field and has no byte offset;
+//! * [`chrome`] — the Chrome `trace_event` records both trace exporters
+//!   build.
 //!
 //! Numbers are kept as `i64` when they parse exactly as integers
 //! (virtual-cycle counters) and as `f64` otherwise (overhead ratios), so
@@ -46,18 +52,24 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// A parse failure: byte offset and message.
+/// A failure to read a document: malformed JSON, or well-formed JSON
+/// that lacks a field a schema requires or holds a value of the wrong
+/// type there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    /// Byte offset of the failure in the input.
-    pub at: usize,
+    /// Byte offset of a syntax error in the input; `None` when the JSON
+    /// parsed and a field lookup failed.
+    pub at: Option<usize>,
     /// What went wrong.
     pub message: String,
 }
 
 impl fmt::Display for JsonError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.at, self.message)
+        match self.at {
+            Some(at) => write!(f, "JSON error at byte {at}: {}", self.message),
+            None => f.write_str(&self.message),
+        }
     }
 }
 
@@ -121,6 +133,83 @@ impl Json {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The value as an object's key/value pairs.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+
+    /// The object field `key`, which a schema requires.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming `key` when the field is missing.
+    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
+        self.get(key)
+            .ok_or_else(|| field_error(format!("missing field `{key}`")))
+    }
+
+    /// The required field `key`, converted by `read`; `expected` says
+    /// what `read` accepts, for the error.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming `key` when the field is missing or `read`
+    /// rejects its value.
+    pub fn field_as<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, JsonError> {
+        read(self.field(key)?)
+            .ok_or_else(|| field_error(format!("field `{key}` is not {expected}")))
+    }
+
+    /// The required non-negative integer field `key`; errors as
+    /// [`Json::field_as`].
+    pub fn u64_field(&self, key: &str) -> Result<u64, JsonError> {
+        self.field_as(key, "a non-negative integer", Json::as_u64)
+    }
+
+    /// The required number field `key`; errors as [`Json::field_as`].
+    pub fn f64_field(&self, key: &str) -> Result<f64, JsonError> {
+        self.field_as(key, "a number", Json::as_f64)
+    }
+
+    /// The required string field `key`; errors as [`Json::field_as`].
+    pub fn str_field(&self, key: &str) -> Result<&str, JsonError> {
+        self.field_as(key, "a string", Json::as_str)
+    }
+
+    /// The required array field `key`; errors as [`Json::field_as`].
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], JsonError> {
+        self.field_as(key, "an array", Json::as_arr)
+    }
+
+    /// The required object field `key`, as its key/value pairs; errors
+    /// as [`Json::field_as`].
+    pub fn obj_field(&self, key: &str) -> Result<&[(String, Json)], JsonError> {
+        self.field_as(key, "an object", Json::as_obj)
+    }
+
+    /// Checks that the document's `schema` tag is `schema`.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] when the tag is missing, not a string, or names
+    /// another schema.
+    pub fn expect_schema(&self, schema: &str) -> Result<(), JsonError> {
+        match self.str_field("schema")? {
+            found if found == schema => Ok(()),
+            found => Err(field_error(format!(
+                "expected schema `{schema}`, found `{found}`"
+            ))),
         }
     }
 
@@ -188,12 +277,65 @@ impl Json {
         let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(JsonError {
-                at: pos,
-                message: "trailing characters after value".into(),
-            });
+            return Err(err(pos, "trailing characters after value"));
         }
         Ok(v)
+    }
+}
+
+/// Chrome `trace_event` records, the form `chrome://tracing` and
+/// Perfetto load. The checker's span tree and the server's scheduling
+/// lanes both export through these; each exporter keeps its own lane
+/// logic. Timestamps are microseconds, and every event is in process 0.
+pub mod chrome {
+    use super::Json;
+
+    /// A complete (`"ph":"X"`) event: `dur` µs from `ts` on thread `tid`.
+    pub fn complete(name: String, cat: &str, ts: u64, dur: u64, tid: u64) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(name)),
+            ("cat", Json::Str(cat.into())),
+            ("ph", Json::Str("X".into())),
+            ("ts", Json::Int(ts as i64)),
+            ("dur", Json::Int(dur as i64)),
+            ("pid", Json::Int(0)),
+            ("tid", Json::Int(tid as i64)),
+        ])
+    }
+
+    /// An instant (`"ph":"i"`) event at `ts` on thread `tid`, drawn on
+    /// that thread only.
+    pub fn instant(name: String, cat: &str, ts: u64, tid: u64) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(name)),
+            ("cat", Json::Str(cat.into())),
+            ("ph", Json::Str("i".into())),
+            ("s", Json::Str("t".into())),
+            ("ts", Json::Int(ts as i64)),
+            ("pid", Json::Int(0)),
+            ("tid", Json::Int(tid as i64)),
+        ])
+    }
+
+    /// The metadata record that names thread `tid` in the viewer.
+    pub fn thread_name(tid: u64, name: &str) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str("thread_name".into())),
+            ("ph", Json::Str("M".into())),
+            ("pid", Json::Int(0)),
+            ("tid", Json::Int(tid as i64)),
+            ("args", Json::obj(vec![("name", Json::Str(name.into()))])),
+        ])
+    }
+
+    /// The events as JSONL: one compact object per line.
+    pub fn jsonl(events: &[Json]) -> String {
+        let mut out = String::new();
+        for e in events {
+            e.render_into(&mut out);
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -218,9 +360,14 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
+/// A field lookup's failure: the JSON parsed, so there is no offset.
+fn field_error(message: String) -> JsonError {
+    JsonError { at: None, message }
+}
+
 fn err(at: usize, message: impl Into<String>) -> JsonError {
     JsonError {
-        at,
+        at: Some(at),
         message: message.into(),
     }
 }
@@ -443,15 +590,15 @@ mod tests {
         let e = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
         assert_eq!(
             (e.at, e.message.as_str()),
-            (128, "nesting deeper than 128 levels")
+            (Some(128), "nesting deeper than 128 levels")
         );
         assert_eq!(
             Json::parse(&objects(MAX_DEPTH + 1)).unwrap_err().at,
-            5 * 128
+            Some(5 * 128)
         );
         // Far past the limit is the same error, not a stack overflow.
         let e = Json::parse(&"[".repeat(100_000)).unwrap_err();
-        assert_eq!(e.at, 128);
+        assert_eq!(e.at, Some(128));
     }
 
     #[test]
@@ -465,5 +612,31 @@ mod tests {
         assert_eq!(v.get("s").and_then(Json::as_str), Some("hi"));
         assert_eq!(v.get("r").and_then(Json::as_f64), Some(1.25));
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn field_lookups_name_the_field_without_an_offset() {
+        let v = Json::parse(r#"{"schema": "a/v1", "x": 3, "s": "hi", "y": [1]}"#).unwrap();
+        assert_eq!(v.u64_field("x"), Ok(3));
+        assert_eq!(v.str_field("s"), Ok("hi"));
+        assert_eq!(v.arr_field("y").map(<[Json]>::len), Ok(1));
+        assert_eq!(v.expect_schema("a/v1"), Ok(()));
+        let message = |e: JsonError| {
+            assert_eq!(e.at, None);
+            e.to_string()
+        };
+        assert_eq!(message(v.u64_field("z").unwrap_err()), "missing field `z`");
+        assert_eq!(
+            message(v.u64_field("s").unwrap_err()),
+            "field `s` is not a non-negative integer"
+        );
+        assert_eq!(
+            message(v.obj_field("y").unwrap_err()),
+            "field `y` is not an object"
+        );
+        assert_eq!(
+            message(v.expect_schema("b/v1").unwrap_err()),
+            "expected schema `b/v1`, found `a/v1`"
+        );
     }
 }

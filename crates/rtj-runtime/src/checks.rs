@@ -1,4 +1,4 @@
-//! Check modes and runtime statistics.
+//! Check modes.
 
 /// How the RTSJ dynamic checks are handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,49 +48,6 @@ impl CheckMode {
     }
 }
 
-/// Coarse counters describing one run.
-///
-/// Since the observability layer landed, this is a *derived view*: the
-/// source of truth is the per-check-kind
-/// [`MetricsRegistry`](crate::metrics::MetricsRegistry), and
-/// [`Runtime::stats`](crate::Runtime::stats) computes a `Stats` from the
-/// current registry on demand. Kept for ergonomic field access and
-/// backwards compatibility; new code that needs per-kind or elision
-/// counts should use
-/// [`Runtime::metrics_snapshot`](crate::Runtime::metrics_snapshot).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Stats {
-    /// Reference-store (assignment) checks performed.
-    pub store_checks: u64,
-    /// Reference-load checks performed.
-    pub load_checks: u64,
-    /// Cycles spent in checks.
-    pub check_cycles: u64,
-    /// Objects allocated.
-    pub objects_allocated: u64,
-    /// Bytes allocated to objects.
-    pub bytes_allocated: u64,
-    /// Cycles spent allocating (including zeroing).
-    pub alloc_cycles: u64,
-    /// Regions created (including subregion instances).
-    pub regions_created: u64,
-    /// Subregion flushes performed.
-    pub regions_flushed: u64,
-    /// Regions deleted.
-    pub regions_deleted: u64,
-    /// Garbage collections that ran.
-    pub gc_collections: u64,
-    /// Total cycles of GC pause imposed on regular threads.
-    pub gc_pause_cycles: u64,
-    /// Threads spawned (excluding the main thread).
-    pub threads_spawned: u64,
-    /// Cycles real-time threads spent waiting to enter a region because a
-    /// bookkeeping lock was held (the RTSJ priority-inversion window).
-    pub rt_lock_wait_cycles: u64,
-    /// Worst single real-time lock wait, in cycles.
-    pub rt_max_lock_wait: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,12 +68,5 @@ mod tests {
             assert_eq!(CheckMode::parse(m.name()), Some(m));
         }
         assert_eq!(CheckMode::parse("bogus"), None);
-    }
-
-    #[test]
-    fn stats_default_is_zeroed() {
-        let s = Stats::default();
-        assert_eq!(s.store_checks, 0);
-        assert_eq!(s.gc_collections, 0);
     }
 }

@@ -1,9 +1,8 @@
-//! Structured trace events and pluggable sinks.
+//! Structured trace events.
 //!
-//! When a [`TraceSink`] is installed on a
-//! [`Runtime`](crate::Runtime) (via
-//! [`Runtime::set_trace_sink`](crate::Runtime::set_trace_sink)), the
-//! runtime emits a typed [`TraceEvent`] at every observable transition:
+//! Once [`Runtime::capture_events`](crate::Runtime::capture_events) has
+//! started a trace, the runtime records a typed [`TraceEvent`], as one
+//! JSONL line in its own buffer, at every observable transition:
 //! region create/enter/exit/flush/delete, object allocation, portal
 //! access, thread start/stop, GC, real-time lock waits, and — the point
 //! of the exercise — **every dynamic-check site**, tagged with which RTSJ
@@ -12,7 +11,7 @@
 //!
 //! # Zero cost when disabled
 //!
-//! With no sink installed (the default), the emission paths reduce to a
+//! With no trace started (the default), the emission paths reduce to a
 //! single `Option` discriminant test; no event is constructed and no
 //! string is formatted. Every run the benchmark in `perfbench/` times
 //! untraced takes this path.
@@ -28,7 +27,6 @@
 use crate::json::Json;
 use crate::metrics::{CheckKind, CheckOutcome};
 use crate::value::{ObjId, RegionId, ThreadClass, ThreadId};
-use std::collections::VecDeque;
 
 fn class_name(c: ThreadClass) -> &'static str {
     match c {
@@ -41,7 +39,7 @@ fn class_name(c: ThreadClass) -> &'static str {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A thread began running (including threads already alive when the
-    /// sink was installed).
+    /// trace started).
     ThreadStart {
         /// Virtual time in cycles.
         at: u64,
@@ -317,114 +315,6 @@ impl TraceEvent {
     }
 }
 
-/// A destination for trace events.
-///
-/// Sinks are installed with
-/// [`Runtime::set_trace_sink`](crate::Runtime::set_trace_sink) and
-/// retrieved with
-/// [`Runtime::take_trace_sink`](crate::Runtime::take_trace_sink). They
-/// must be `Send` because the interpreter's machine shares the runtime
-/// across its cooperative OS threads.
-pub trait TraceSink: Send + std::fmt::Debug {
-    /// Records one event. Called synchronously on the emitting thread
-    /// while the runtime lock is held, so event order is the runtime's
-    /// transition order.
-    fn record(&mut self, event: &TraceEvent);
-
-    /// Takes the buffered events as JSONL lines (without newlines),
-    /// leaving the sink empty.
-    fn drain_jsonl(&mut self) -> Vec<String>;
-
-    /// Number of events currently buffered.
-    fn len(&self) -> usize;
-
-    /// Whether no events are buffered.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A sink that keeps every event as a pre-rendered JSONL line.
-///
-/// Rendering happens at record time so draining is cheap; the CLI writes
-/// the drained lines to the `--trace` file after the run.
-#[derive(Debug, Default)]
-pub struct JsonlSink {
-    lines: Vec<String>,
-}
-
-impl JsonlSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        JsonlSink::default()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn record(&mut self, event: &TraceEvent) {
-        self.lines.push(event.to_jsonl());
-    }
-
-    fn drain_jsonl(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.lines)
-    }
-
-    fn len(&self) -> usize {
-        self.lines.len()
-    }
-}
-
-/// A bounded sink that keeps only the most recent `capacity` events —
-/// constant memory for long runs, ideal for flight-recorder debugging
-/// (what led up to the failure?).
-#[derive(Debug)]
-pub struct RingSink {
-    capacity: usize,
-    /// Events dropped from the front since the last drain.
-    dropped: u64,
-    buf: VecDeque<String>,
-}
-
-impl RingSink {
-    /// Creates a ring sink holding at most `capacity` events
-    /// (`capacity == 0` keeps nothing).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity,
-            dropped: 0,
-            buf: VecDeque::with_capacity(capacity.min(1024)),
-        }
-    }
-
-    /// Events evicted since the last drain.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, event: &TraceEvent) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event.to_jsonl());
-    }
-
-    fn drain_jsonl(&mut self) -> Vec<String> {
-        self.dropped = 0;
-        self.buf.drain(..).collect()
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,75 +414,5 @@ mod tests {
             assert_eq!(v.get("ev").and_then(Json::as_str), Some(e.tag()));
             assert_eq!(v.get("at").and_then(Json::as_u64), Some(e.at()));
         }
-    }
-
-    #[test]
-    fn jsonl_sink_accumulates_and_drains() {
-        let mut sink = JsonlSink::new();
-        sink.record(&ev(1));
-        sink.record(&ev(2));
-        assert_eq!(sink.len(), 2);
-        assert!(!sink.is_empty());
-        let lines = sink.drain_jsonl();
-        assert_eq!(lines.len(), 2);
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut sink = RingSink::new(2);
-        for at in 0..5 {
-            sink.record(&ev(at));
-        }
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.dropped(), 3);
-        let lines = sink.drain_jsonl();
-        let ats: Vec<u64> = lines
-            .iter()
-            .map(|l| Json::parse(l).unwrap().get("at").unwrap().as_u64().unwrap())
-            .collect();
-        assert_eq!(ats, vec![3, 4]);
-        assert_eq!(sink.dropped(), 0);
-    }
-
-    fn drained_ats(sink: &mut RingSink) -> Vec<u64> {
-        sink.drain_jsonl()
-            .iter()
-            .map(|l| Json::parse(l).unwrap().get("at").unwrap().as_u64().unwrap())
-            .collect()
-    }
-
-    #[test]
-    fn ring_sink_at_exact_capacity_drops_nothing() {
-        let mut sink = RingSink::new(3);
-        for at in 0..3 {
-            sink.record(&ev(at));
-        }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 0, "filling to capacity evicts nothing");
-        assert_eq!(drained_ats(&mut sink), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn ring_sink_one_past_capacity_drops_exactly_oldest() {
-        let mut sink = RingSink::new(3);
-        for at in 0..4 {
-            sink.record(&ev(at));
-        }
-        assert_eq!(sink.len(), 3, "wrap-around must not grow the buffer");
-        assert_eq!(sink.dropped(), 1, "exactly one eviction at capacity+1");
-        assert_eq!(drained_ats(&mut sink), vec![1, 2, 3]);
-        // The drain resets the eviction counter and empties the ring.
-        assert_eq!(sink.len(), 0);
-        assert_eq!(sink.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_sink_zero_capacity_keeps_nothing() {
-        let mut sink = RingSink::new(0);
-        sink.record(&ev(7));
-        assert_eq!(sink.len(), 0);
-        assert_eq!(sink.dropped(), 1);
-        assert!(sink.drain_jsonl().is_empty());
     }
 }

@@ -11,11 +11,11 @@
 //! [`CheckMode::Audit`] verifies at zero cost that well-typed programs
 //! never fail a check (Theorems 3 and 4).
 //!
-//! The observability layer lives in [`events`] (typed [`TraceEvent`]s
-//! through a pluggable, zero-cost-when-disabled [`TraceSink`]) and
+//! The observability layer lives in [`events`] (typed [`TraceEvent`]s,
+//! kept by the [`Runtime`] as JSONL lines while a trace is captured) and
 //! [`metrics`] (the per-check-kind [`MetricsRegistry`] with elision
 //! accounting, exported as mergeable `rtj-metrics/v1`
-//! [`MetricsSnapshot`]s).
+//! [`MetricsSnapshot`]s: the one record of a run's counters).
 //!
 //! # Example
 //!
@@ -46,10 +46,10 @@ pub mod runtime;
 pub mod value;
 pub mod viz;
 
-pub use checks::{CheckMode, Stats};
+pub use checks::CheckMode;
 pub use clock::{Clock, CostModel};
 pub use error::RtError;
-pub use events::{JsonlSink, RingSink, TraceEvent, TraceSink};
+pub use events::TraceEvent;
 pub use metrics::{
     CheckCounters, CheckKind, CheckOutcome, CheckerMetrics, Histogram, MetricsRegistry,
     MetricsSnapshot, METRICS_SCHEMA,

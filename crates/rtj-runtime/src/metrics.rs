@@ -1,8 +1,7 @@
 //! Per-check-kind metrics: counters, cost histograms, snapshots.
 //!
-//! This module replaces the coarse [`Stats`] struct as the runtime's
-//! source of truth. Every dynamic-check *site* the runtime reaches is
-//! recorded against a [`CheckKind`] with a [`CheckOutcome`]:
+//! Every dynamic-check *site* the runtime reaches is recorded against a
+//! [`CheckKind`] with a [`CheckOutcome`]:
 //!
 //! * **Charged** — the check ran and its cost was charged on the virtual
 //!   clock ([`CheckMode::Dynamic`], the RTSJ baseline);
@@ -18,16 +17,15 @@
 //! test-suite asserts.
 //!
 //! [`MetricsRegistry`] is the mutable recorder owned by the runtime;
-//! [`MetricsSnapshot`] is the plain-data export: mergeable across runs,
-//! serializable to the `rtj-metrics/v1` JSON schema, and convertible
-//! back to a legacy [`Stats`] view.
+//! [`MetricsSnapshot`] is the plain-data export, and the one record of
+//! a run's counters: mergeable across runs and serializable to the
+//! `rtj-metrics/v1` JSON schema.
 //!
-//! [`Stats`]: crate::checks::Stats
 //! [`CheckMode::Dynamic`]: crate::checks::CheckMode::Dynamic
 //! [`CheckMode::Audit`]: crate::checks::CheckMode::Audit
 //! [`CheckMode::Static`]: crate::checks::CheckMode::Static
 
-use crate::checks::{CheckMode, Stats};
+use crate::checks::CheckMode;
 use crate::json::{Json, JsonError};
 
 /// The RTSJ dynamic checks the runtime implements, as measurement
@@ -147,8 +145,9 @@ impl Histogram {
         }
     }
 
-    fn to_json(&self) -> Json {
-        // Sparse: only non-empty buckets, as [index, count] pairs.
+    /// The sparse JSON form: only non-empty buckets, as `[index,
+    /// count]` pairs.
+    pub fn to_json(&self) -> Json {
         Json::Arr(
             self.buckets
                 .iter()
@@ -159,23 +158,15 @@ impl Histogram {
         )
     }
 
-    fn from_json(v: &Json) -> Result<Histogram, JsonError> {
+    fn from_json(v: &Json) -> Option<Histogram> {
         let mut h = Histogram::default();
-        for pair in v.as_arr().ok_or_else(|| bad("histogram: expected array"))? {
-            let pair = pair.as_arr().ok_or_else(|| bad("histogram: bad pair"))?;
-            let (i, c) = match pair {
-                [i, c] => (
-                    i.as_u64().ok_or_else(|| bad("histogram: bad index"))?,
-                    c.as_u64().ok_or_else(|| bad("histogram: bad count"))?,
-                ),
-                _ => return Err(bad("histogram: bad pair")),
+        for pair in v.as_arr()? {
+            let [i, c] = pair.as_arr()? else {
+                return None;
             };
-            if i as usize >= h.buckets.len() {
-                return Err(bad("histogram: index out of range"));
-            }
-            h.buckets[i as usize] = c;
+            *h.buckets.get_mut(usize::try_from(i.as_u64()?).ok()?)? = c.as_u64()?;
         }
-        Ok(h)
+        Some(h)
     }
 }
 
@@ -224,14 +215,12 @@ impl CheckCounters {
 
     fn from_json(v: &Json) -> Result<CheckCounters, JsonError> {
         Ok(CheckCounters {
-            performed: field_u64(v, "performed")?,
-            charged: field_u64(v, "charged")?,
-            elided: field_u64(v, "elided")?,
-            failed: field_u64(v, "failed")?,
-            cycles: field_u64(v, "cycles")?,
-            cost_hist: Histogram::from_json(
-                v.get("cost_hist").ok_or_else(|| bad("missing cost_hist"))?,
-            )?,
+            performed: v.u64_field("performed")?,
+            charged: v.u64_field("charged")?,
+            elided: v.u64_field("elided")?,
+            failed: v.u64_field("failed")?,
+            cycles: v.u64_field("cycles")?,
+            cost_hist: v.field_as("cost_hist", "a histogram", Histogram::from_json)?,
         })
     }
 }
@@ -278,11 +267,11 @@ impl CheckerMetrics {
 
     fn from_json(v: &Json) -> Result<CheckerMetrics, JsonError> {
         Ok(CheckerMetrics {
-            classes_checked: field_u64(v, "classes_checked")?,
-            methods_checked: field_u64(v, "methods_checked")?,
-            cache_hits: field_u64(v, "cache_hits")?,
-            cache_misses: field_u64(v, "cache_misses")?,
-            threads_used: field_u64(v, "threads_used")?,
+            classes_checked: v.u64_field("classes_checked")?,
+            methods_checked: v.u64_field("methods_checked")?,
+            cache_hits: v.u64_field("cache_hits")?,
+            cache_misses: v.u64_field("cache_misses")?,
+            threads_used: v.u64_field("threads_used")?,
         })
     }
 }
@@ -397,26 +386,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// The legacy coarse view ([`Stats`]) derived from this snapshot.
-    pub fn to_stats(&self) -> Stats {
-        Stats {
-            store_checks: self.check(CheckKind::Assignment).performed,
-            load_checks: self.check(CheckKind::Reference).performed,
-            check_cycles: self.check_cycles(),
-            objects_allocated: self.objects_allocated,
-            bytes_allocated: self.bytes_allocated,
-            alloc_cycles: self.alloc_cycles,
-            regions_created: self.regions_created,
-            regions_flushed: self.regions_flushed,
-            regions_deleted: self.regions_deleted,
-            gc_collections: self.gc_collections,
-            gc_pause_cycles: self.gc_pause_cycles,
-            threads_spawned: self.threads_spawned,
-            rt_lock_wait_cycles: self.rt_lock_wait_cycles,
-            rt_max_lock_wait: self.rt_max_lock_wait,
-        }
-    }
-
     /// Serializes to the `rtj-metrics/v1` JSON document.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
@@ -480,48 +449,33 @@ impl MetricsSnapshot {
     /// [`JsonError`] on malformed JSON, a wrong/missing `schema` tag, or
     /// missing fields.
     pub fn from_json(v: &Json) -> Result<MetricsSnapshot, JsonError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some(METRICS_SCHEMA) => {}
-            other => {
-                return Err(bad(format!(
-                    "expected schema `{METRICS_SCHEMA}`, found {other:?}"
-                )))
-            }
-        }
-        let mode_name = v
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing mode"))?;
-        let mode =
-            CheckMode::parse(mode_name).ok_or_else(|| bad(format!("bad mode `{mode_name}`")))?;
-        let checks_obj = v.get("checks").ok_or_else(|| bad("missing checks"))?;
+        v.expect_schema(METRICS_SCHEMA)?;
+        let checks_obj = v.field("checks")?;
         let mut checks: [CheckCounters; 4] = Default::default();
         for kind in CheckKind::ALL {
-            checks[kind.index()] = CheckCounters::from_json(
-                checks_obj
-                    .get(kind.name())
-                    .ok_or_else(|| bad(format!("missing checks.{}", kind.name())))?,
-            )?;
+            checks[kind.index()] = CheckCounters::from_json(checks_obj.field(kind.name())?)?;
         }
-        let alloc = v.get("alloc").ok_or_else(|| bad("missing alloc"))?;
-        let regions = v.get("regions").ok_or_else(|| bad("missing regions"))?;
-        let gc = v.get("gc").ok_or_else(|| bad("missing gc"))?;
-        let threads = v.get("threads").ok_or_else(|| bad("missing threads"))?;
+        let alloc = v.field("alloc")?;
+        let regions = v.field("regions")?;
+        let gc = v.field("gc")?;
+        let threads = v.field("threads")?;
         Ok(MetricsSnapshot {
-            mode,
-            total_cycles: field_u64(v, "total_cycles")?,
+            mode: v.field_as("mode", "a check mode", |m| {
+                m.as_str().and_then(CheckMode::parse)
+            })?,
+            total_cycles: v.u64_field("total_cycles")?,
             checks,
-            objects_allocated: field_u64(alloc, "objects")?,
-            bytes_allocated: field_u64(alloc, "bytes")?,
-            alloc_cycles: field_u64(alloc, "cycles")?,
-            regions_created: field_u64(regions, "created")?,
-            regions_flushed: field_u64(regions, "flushed")?,
-            regions_deleted: field_u64(regions, "deleted")?,
-            gc_collections: field_u64(gc, "collections")?,
-            gc_pause_cycles: field_u64(gc, "pause_cycles")?,
-            threads_spawned: field_u64(threads, "spawned")?,
-            rt_lock_wait_cycles: field_u64(threads, "rt_lock_wait_cycles")?,
-            rt_max_lock_wait: field_u64(threads, "rt_max_lock_wait")?,
+            objects_allocated: alloc.u64_field("objects")?,
+            bytes_allocated: alloc.u64_field("bytes")?,
+            alloc_cycles: alloc.u64_field("cycles")?,
+            regions_created: regions.u64_field("created")?,
+            regions_flushed: regions.u64_field("flushed")?,
+            regions_deleted: regions.u64_field("deleted")?,
+            gc_collections: gc.u64_field("collections")?,
+            gc_pause_cycles: gc.u64_field("pause_cycles")?,
+            threads_spawned: threads.u64_field("spawned")?,
+            rt_lock_wait_cycles: threads.u64_field("rt_lock_wait_cycles")?,
+            rt_max_lock_wait: threads.u64_field("rt_max_lock_wait")?,
             checker: match v.get("checker") {
                 Some(c) => Some(CheckerMetrics::from_json(c)?),
                 None => None,
@@ -688,24 +642,6 @@ impl MetricsRegistry {
         snap.total_cycles = total_cycles;
         snap
     }
-
-    /// The legacy coarse view, derived live.
-    pub fn to_stats(&self) -> Stats {
-        self.counters.to_stats()
-    }
-}
-
-fn bad(message: impl Into<String>) -> JsonError {
-    JsonError {
-        at: 0,
-        message: message.into(),
-    }
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, JsonError> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer field `{key}`")))
 }
 
 #[cfg(test)]
@@ -750,19 +686,19 @@ mod tests {
     }
 
     #[test]
-    fn stats_view_matches_legacy_fields() {
+    fn snapshot_sums_the_recorded_counters() {
         let mut reg = MetricsRegistry::default();
         reg.record_check(CheckKind::Assignment, CheckOutcome::Charged, 42);
         reg.record_check(CheckKind::Reference, CheckOutcome::Charged, 10);
         reg.record_alloc(24, 7);
         reg.record_thread_spawned();
-        let stats = reg.to_stats();
-        assert_eq!(stats.store_checks, 1);
-        assert_eq!(stats.load_checks, 1);
-        assert_eq!(stats.check_cycles, 52);
-        assert_eq!(stats.objects_allocated, 1);
-        assert_eq!(stats.bytes_allocated, 24);
-        assert_eq!(stats.threads_spawned, 1);
+        let snap = reg.snapshot(CheckMode::Dynamic, 100);
+        assert_eq!(snap.check(CheckKind::Assignment).performed, 1);
+        assert_eq!(snap.check(CheckKind::Reference).performed, 1);
+        assert_eq!(snap.check_cycles(), 52);
+        assert_eq!(snap.objects_allocated, 1);
+        assert_eq!(snap.bytes_allocated, 24);
+        assert_eq!(snap.threads_spawned, 1);
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //! lock models the RTSJ priority-inversion window.
 //!
 //! Every observable transition is recorded in the per-check-kind
-//! [`MetricsRegistry`] and, when a [`TraceSink`] is installed, emitted
-//! as a typed [`TraceEvent`]. Dynamic-check
+//! [`MetricsRegistry`] and, while a trace is captured, kept as the
+//! JSONL line of a typed [`TraceEvent`]. Dynamic-check
 //! *sites* are recorded in every mode — charged in `Dynamic`, run free
 //! in `Audit`, counted as *elided* in `Static` — which is what lets the
 //! Figure-12 pipeline state how many checks the type system removed.
 
-use crate::checks::{CheckMode, Stats};
+use crate::checks::CheckMode;
 use crate::clock::{Clock, CostModel};
 use crate::error::RtError;
-use crate::events::{TraceEvent, TraceSink};
+use crate::events::TraceEvent;
 use crate::metrics::{CheckKind, CheckOutcome, MetricsRegistry, MetricsSnapshot};
 use crate::objects::{object_size, FieldStorage, ObjectStore};
 use crate::region::{RegionClass, RegionRecord, RegionSpec, RegionState, RegionTable};
@@ -64,7 +64,8 @@ pub struct Runtime {
     gc: GcState,
     gc_enabled: bool,
     metrics: MetricsRegistry,
-    sink: Option<Box<dyn TraceSink>>,
+    /// The structured-event trace as JSONL lines, while one is captured.
+    events: Option<Vec<String>>,
     trace: Vec<String>,
     heap: RegionId,
     immortal: RegionId,
@@ -120,7 +121,7 @@ impl Runtime {
             gc: GcState::default(),
             gc_enabled: false,
             metrics: MetricsRegistry::default(),
-            sink: None,
+            events: None,
             trace: Vec::new(),
             heap,
             immortal,
@@ -182,62 +183,45 @@ impl Runtime {
         self.clock.advance(cycles);
     }
 
-    /// The legacy coarse statistics, derived from the metrics registry.
-    ///
-    /// Returned by value: the registry is the source of truth and this
-    /// view is computed on demand. For per-check-kind counters, elision
-    /// counts, and cost histograms use [`Runtime::metrics_snapshot`].
-    pub fn stats(&self) -> Stats {
-        self.metrics.to_stats()
-    }
-
     /// Exports the full per-check-kind metrics, stamped with the run's
     /// mode and current virtual time (`rtj-metrics/v1`).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot(self.mode, self.clock.now())
     }
 
-    /// Installs a trace sink. Subsequent runtime transitions emit
-    /// [`TraceEvent`]s into it; threads already alive get a synthetic
-    /// `ThreadStart` so every thread in the trace has one.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+    /// Starts capturing the structured-event trace: subsequent runtime
+    /// transitions record [`TraceEvent`]s, and threads already alive get
+    /// a synthetic `ThreadStart` so every thread in the trace has one.
+    pub fn capture_events(&mut self) {
         let now = self.clock.now();
-        let alive: Vec<(ThreadId, ThreadClass)> = self
+        let lines = self
             .threads
             .iter()
             .filter(|r| r.alive)
-            .map(|r| (r.id, r.class))
-            .collect();
-        if let Some(sink) = self.sink.as_mut() {
-            for (thread, class) in alive {
-                sink.record(&TraceEvent::ThreadStart {
+            .map(|r| {
+                TraceEvent::ThreadStart {
                     at: now,
-                    thread,
-                    class,
-                });
-            }
-        }
+                    thread: r.id,
+                    class: r.class,
+                }
+                .to_jsonl()
+            })
+            .collect();
+        self.events = Some(lines);
     }
 
-    /// Removes and returns the installed trace sink, if any. Emission
-    /// stops (and costs nothing) once the sink is gone.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+    /// Stops the capture and returns the trace as JSONL lines, or `None`
+    /// when no trace was captured. Emission costs nothing once stopped.
+    pub fn take_events(&mut self) -> Option<Vec<String>> {
+        self.events.take()
     }
 
-    /// Whether a trace sink is currently installed.
-    pub fn tracing_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Emits an event if (and only if) a sink is installed: the closure
-    /// runs — and the event is constructed — only on the traced path, so
-    /// untraced runs pay one `Option` discriminant test.
+    /// Records an event if (and only if) a trace is being captured: the
+    /// closure runs — and the event is constructed — only on the traced
+    /// path, so untraced runs pay one `Option` discriminant test.
     fn emit(&mut self, build: impl FnOnce(u64) -> TraceEvent) {
-        if let Some(sink) = self.sink.as_mut() {
-            let event = build(self.clock.now());
-            sink.record(&event);
+        if let Some(lines) = self.events.as_mut() {
+            lines.push(build(self.clock.now()).to_jsonl());
         }
     }
 
@@ -1247,7 +1231,10 @@ mod tests {
         // rejected this program).
         r.store_field(t, outer_obj, 0, Value::Ref(inner_obj))
             .unwrap();
-        assert_eq!(r.stats().store_checks, 0);
+        assert_eq!(
+            r.metrics_snapshot().check(CheckKind::Assignment).performed,
+            0
+        );
         // But dangling access still fails hard.
         r.exit_created_region(t, inner).unwrap();
         let e = r.load_field(t, inner_obj, 0).unwrap_err();
@@ -1323,16 +1310,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_captures_the_run() {
-        use crate::events::JsonlSink;
+    fn event_capture_records_the_run() {
         use crate::json::Json;
 
         let mut r = rt();
-        r.set_trace_sink(Box::new(JsonlSink::new()));
+        r.capture_events();
         workout(&mut r);
-        let mut sink = r.take_trace_sink().expect("sink installed");
-        assert!(!r.tracing_enabled());
-        let lines = sink.drain_jsonl();
+        let lines = r.take_events().expect("capture started");
+        assert_eq!(r.take_events(), None, "taking the trace stops the capture");
         let mut tags = std::collections::BTreeSet::new();
         let mut last_at = 0;
         for line in &lines {
@@ -1375,7 +1360,10 @@ mod tests {
             let before = r.now();
             r.store_field(t, a, 0, Value::Ref(b)).unwrap();
             let cost = r.now() - before;
-            assert_eq!(r.stats().store_checks, 1);
+            assert_eq!(
+                r.metrics_snapshot().check(CheckKind::Assignment).performed,
+                1
+            );
             let field = r.cost_model().field_access;
             if expect_cost {
                 assert_eq!(cost, field + r.cost_model().store_check);
@@ -1501,7 +1489,7 @@ mod tests {
         r.exit_subregion_locked(main, sub).unwrap();
         r.unlock_region(main, sub).unwrap();
         assert!(!r.object(frame).alive, "flushed after portal cleared");
-        assert_eq!(r.stats().regions_flushed, 1);
+        assert_eq!(r.metrics_snapshot().regions_flushed, 1);
 
         // LT memory retained: re-entry and allocation needs no new commit.
         assert_eq!(r.region(sub).committed, 4096);
@@ -1571,7 +1559,7 @@ mod tests {
                 .unwrap();
         }
         r.poll_gc();
-        assert_eq!(r.stats().gc_collections, 1);
+        assert_eq!(r.metrics_snapshot().gc_collections, 1);
         assert!(r.gc_blocking_until().is_some());
         let until = r.gc_blocking_until().unwrap();
         r.charge(until - r.now());
@@ -1593,8 +1581,8 @@ mod tests {
         assert!(r.unlock_region(main, shared).is_err());
         r.note_rt_lock_wait(500);
         r.note_rt_lock_wait(200);
-        assert_eq!(r.stats().rt_lock_wait_cycles, 700);
-        assert_eq!(r.stats().rt_max_lock_wait, 500);
+        assert_eq!(r.metrics_snapshot().rt_lock_wait_cycles, 700);
+        assert_eq!(r.metrics_snapshot().rt_max_lock_wait, 500);
     }
 
     #[test]

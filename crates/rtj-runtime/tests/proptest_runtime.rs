@@ -9,7 +9,8 @@
 
 use proptest::prelude::*;
 use rtj_runtime::{
-    CheckMode, CostModel, ObjId, RegionId, RegionSpec, RtError, Runtime, RuntimeOwner, Value,
+    CheckKind, CheckMode, CostModel, ObjId, RegionId, RegionSpec, RtError, Runtime, RuntimeOwner,
+    Value,
 };
 
 #[derive(Debug, Clone)]
@@ -209,10 +210,10 @@ proptest! {
             audit.apply(op);
         }
         prop_assert_eq!(
-            dynamic.rt.stats().store_checks,
-            audit.rt.stats().store_checks
+            dynamic.rt.metrics_snapshot().check(CheckKind::Assignment).performed,
+            audit.rt.metrics_snapshot().check(CheckKind::Assignment).performed
         );
-        prop_assert_eq!(audit.rt.stats().check_cycles, 0);
+        prop_assert_eq!(audit.rt.metrics_snapshot().check_cycles(), 0);
         prop_assert_eq!(dynamic.stores_accepted, audit.stores_accepted);
         prop_assert_eq!(dynamic.stores_rejected, audit.stores_rejected);
     }

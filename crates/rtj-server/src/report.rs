@@ -80,52 +80,28 @@ impl LatencySummary {
             ("p95_us", Json::Int(self.p95_us as i64)),
             ("p99_us", Json::Int(self.p99_us as i64)),
             ("max_us", Json::Int(self.max_us as i64)),
-            // Sparse histogram: [bucket index, count] pairs.
-            (
-                "hist_log2_us",
-                Json::Arr(
-                    self.hist
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| **c > 0)
-                        .map(|(i, c)| Json::Arr(vec![Json::Int(i as i64), Json::Int(*c as i64)]))
-                        .collect(),
-                ),
-            ),
+            ("hist_log2_us", self.hist.to_json()),
         ])
     }
 
     fn from_json(v: &Json) -> Result<LatencySummary, JsonError> {
-        let field = |k: &str| -> Result<u64, JsonError> {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(format!("missing `{k}`")))
-        };
-        let mut hist = Histogram::default();
-        for pair in v
-            .get("hist_log2_us")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `hist_log2_us`"))?
-        {
-            let pair = pair.as_arr().ok_or_else(|| bad("bad hist pair"))?;
-            let (idx, n) = match (
-                pair.first().and_then(Json::as_u64),
-                pair.get(1).and_then(Json::as_u64),
-            ) {
-                (Some(i), Some(n)) if (i as usize) < 65 => (i as usize, n),
-                _ => return Err(bad("bad hist pair")),
-            };
-            hist.buckets[idx] = n;
-        }
         Ok(LatencySummary {
-            count: field("count")?,
-            mean_us: field("mean_us")?,
-            p50_us: field("p50_us")?,
-            p95_us: field("p95_us")?,
-            p99_us: field("p99_us")?,
-            max_us: field("max_us")?,
-            hist,
+            count: v.u64_field("count")?,
+            mean_us: v.u64_field("mean_us")?,
+            p50_us: v.u64_field("p50_us")?,
+            p95_us: v.u64_field("p95_us")?,
+            p99_us: v.u64_field("p99_us")?,
+            max_us: v.u64_field("max_us")?,
+            hist: v.field_as("hist_log2_us", "a list of [bucket, count] pairs", |pairs| {
+                let mut hist = Histogram::default();
+                for pair in pairs.as_arr()? {
+                    // Elements past the first two are ignored.
+                    let pair = pair.as_arr()?;
+                    let bucket = usize::try_from(pair.first()?.as_u64()?).ok()?;
+                    *hist.buckets.get_mut(bucket)? = pair.get(1)?.as_u64()?;
+                }
+                Some(hist)
+            })?,
         })
     }
 }
@@ -242,33 +218,16 @@ impl AttributionGroup {
     }
 
     fn from_json(v: &Json) -> Result<AttributionGroup, JsonError> {
-        let mode_name = v
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing attribution `mode`"))?;
-        let mut stages = Vec::new();
-        match v.get("stages") {
-            Some(Json::Obj(pairs)) => {
-                for (name, summary) in pairs {
-                    stages.push((name.clone(), LatencySummary::from_json(summary)?));
-                }
-            }
-            _ => return Err(bad("missing attribution `stages`")),
-        }
         Ok(AttributionGroup {
-            program: v
-                .get("program")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("missing attribution `program`"))?
-                .to_string(),
-            mode: CheckMode::parse(mode_name)
-                .ok_or_else(|| bad(format!("bad mode `{mode_name}`")))?,
-            sessions: v
-                .get("sessions")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing attribution `sessions`"))?,
+            program: v.str_field("program")?.to_string(),
+            mode: mode_field(v)?,
+            sessions: v.u64_field("sessions")?,
             stolen: v.get("stolen").and_then(Json::as_u64).unwrap_or(0),
-            stages,
+            stages: v
+                .obj_field("stages")?
+                .iter()
+                .map(|(name, summary)| Ok((name.clone(), LatencySummary::from_json(summary)?)))
+                .collect::<Result<_, JsonError>>()?,
         })
     }
 }
@@ -344,11 +303,11 @@ pub struct LoadReport {
     pub ledger: Option<LoadLedger>,
 }
 
-fn bad(message: impl Into<String>) -> JsonError {
-    JsonError {
-        at: 0,
-        message: message.into(),
-    }
+/// The `mode` field of a group.
+fn mode_field(v: &Json) -> Result<CheckMode, JsonError> {
+    v.field_as("mode", "a check mode", |m| {
+        m.as_str().and_then(CheckMode::parse)
+    })
 }
 
 /// The matched-population ledger: per (program, variant), every static
@@ -621,24 +580,8 @@ impl LoadReport {
     /// Parses a document produced by [`LoadReport::to_json`], rejecting
     /// wrong or missing schema tags.
     pub fn from_json(v: &Json) -> Result<LoadReport, JsonError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some(LOAD_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("expected {LOAD_SCHEMA}, got {other}"))),
-            None => return Err(bad("missing `schema`")),
-        }
-        let str_field = |k: &str| -> Result<String, JsonError> {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| bad(format!("missing `{k}`")))
-        };
-        let sessions = v.get("sessions").ok_or_else(|| bad("missing `sessions`"))?;
-        let sess_field = |k: &str| -> Result<u64, JsonError> {
-            sessions
-                .get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(format!("missing `sessions.{k}`")))
-        };
+        v.expect_schema(LOAD_SCHEMA)?;
+        let sessions = v.field("sessions")?;
         // The shed block is optional so pre-shedding documents parse.
         let (shed_admission, shed_queue) = match sessions.get("shed") {
             Some(shed) => (
@@ -648,36 +591,16 @@ impl LoadReport {
             None => (0, 0),
         };
         let mut groups = Vec::new();
-        for g in v
-            .get("groups")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `groups`"))?
-        {
-            let mode_name = g
-                .get("mode")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("missing group `mode`"))?;
+        for g in v.arr_field("groups")? {
             groups.push(LoadGroup {
-                program: g
-                    .get("program")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad("missing group `program`"))?
-                    .to_string(),
-                mode: CheckMode::parse(mode_name)
-                    .ok_or_else(|| bad(format!("bad mode `{mode_name}`")))?,
-                requests: g
-                    .get("requests")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing group `requests`"))?,
+                program: g.str_field("program")?.to_string(),
+                mode: mode_field(g)?,
+                requests: g.u64_field("requests")?,
                 failed: g.get("failed").and_then(Json::as_u64).unwrap_or(0),
                 shed: g.get("shed").and_then(Json::as_u64).unwrap_or(0),
                 cycles: g.get("cycles").and_then(Json::as_u64).unwrap_or(0),
-                latency: LatencySummary::from_json(
-                    g.get("latency").ok_or_else(|| bad("missing `latency`"))?,
-                )?,
-                service: LatencySummary::from_json(
-                    g.get("service").ok_or_else(|| bad("missing `service`"))?,
-                )?,
+                latency: LatencySummary::from_json(g.field("latency")?)?,
+                service: LatencySummary::from_json(g.field("service")?)?,
             });
         }
         // Optional blocks: pre-telemetry documents (and telemetry-off
@@ -689,27 +612,15 @@ impl LoadReport {
             }
         }
         let mut mode_metrics = Vec::new();
-        for m in v
-            .get("mode_metrics")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `mode_metrics`"))?
-        {
-            let snap = MetricsSnapshot::from_json(
-                m.get("metrics").ok_or_else(|| bad("missing `metrics`"))?,
-            )?;
+        for m in v.arr_field("mode_metrics")? {
+            let snap = MetricsSnapshot::from_json(m.field("metrics")?)?;
             mode_metrics.push((snap.mode, snap));
         }
         let ledger = match v.get("ledger") {
             Some(Json::Null) | None => None,
             Some(l) => Some(LoadLedger {
-                static_elided: l
-                    .get("static_elided")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing `static_elided`"))?,
-                dynamic_performed: l
-                    .get("dynamic_performed")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing `dynamic_performed`"))?,
+                static_elided: l.u64_field("static_elided")?,
+                dynamic_performed: l.u64_field("dynamic_performed")?,
                 matched_sessions: l
                     .get("matched_sessions")
                     .and_then(Json::as_u64)
@@ -717,31 +628,19 @@ impl LoadReport {
             }),
         };
         Ok(LoadReport {
-            workload: str_field("workload")?,
-            workers: v
-                .get("workers")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `workers`"))? as usize,
-            rate_hz: v
-                .get("rate_hz")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("missing `rate_hz`"))?,
-            duration_ms: v
-                .get("duration_ms")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `duration_ms`"))?,
-            submitted: sess_field("submitted")?,
-            completed: sess_field("completed")?,
-            failed: sess_field("failed")?,
+            workload: v.str_field("workload")?.to_string(),
+            workers: v.u64_field("workers")? as usize,
+            rate_hz: v.f64_field("rate_hz")?,
+            duration_ms: v.u64_field("duration_ms")?,
+            submitted: sessions.u64_field("submitted")?,
+            completed: sessions.u64_field("completed")?,
+            failed: sessions.u64_field("failed")?,
             shed_admission,
             shed_queue,
-            peak_concurrent: sess_field("peak_concurrent")?,
-            stolen: sess_field("stolen")?,
+            peak_concurrent: sessions.u64_field("peak_concurrent")?,
+            stolen: sessions.u64_field("stolen")?,
             panicked: sessions.get("panicked").and_then(Json::as_u64).unwrap_or(0),
-            throughput_hz: v
-                .get("throughput_hz")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad("missing `throughput_hz`"))?,
+            throughput_hz: v.f64_field("throughput_hz")?,
             groups,
             attribution,
             mode_metrics,

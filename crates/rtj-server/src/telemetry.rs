@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use rtj_runtime::{Json, JsonError};
+use rtj_runtime::json::{chrome, Json, JsonError};
 
 /// Version tag of the scheduling-trace schema.
 pub const SERVER_TRACE_SCHEMA: &str = "rtj-server-trace/v1";
@@ -162,6 +162,24 @@ pub struct TraceEvent {
     /// The session involved, when the kind is session-bound
     /// (`park`/`unpark` are not).
     pub session: Option<u64>,
+}
+
+impl TraceEvent {
+    /// Reads one `[ts_ns, kind, session]` triple of an
+    /// `rtj-server-trace/v1` lane; elements past the third are ignored.
+    fn from_json(e: &Json) -> Option<TraceEvent> {
+        let triple = e.as_arr()?;
+        let session = triple.get(2)?;
+        Some(TraceEvent {
+            ts_ns: triple.first()?.as_u64()?,
+            kind: EventKind::parse(triple.get(1)?.as_str()?)?,
+            session: if session.is_null() {
+                None
+            } else {
+                Some(session.as_u64()?)
+            },
+        })
+    }
 }
 
 /// The in-flight event log: one pre-reserved buffer per lane (worker
@@ -329,57 +347,32 @@ impl Timeline {
     /// Parses a document produced by [`Timeline::to_json`], rejecting
     /// wrong or missing schema tags.
     pub fn from_json(v: &Json) -> Result<Timeline, JsonError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some(TIMELINE_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("expected {TIMELINE_SCHEMA}, got {other}"))),
-            None => return Err(bad("missing `schema`")),
-        }
+        v.expect_schema(TIMELINE_SCHEMA)?;
         let mut samples = Vec::new();
-        for s in v
-            .get("samples")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `samples`"))?
-        {
-            let field = |k: &str| -> Result<u64, JsonError> {
-                s.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad(format!("missing sample `{k}`")))
-            };
-            let mut workers = Vec::new();
-            for w in s
-                .get("workers")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing sample `workers`"))?
-            {
-                let pair = w.as_arr().ok_or_else(|| bad("bad worker pair"))?;
-                match (
-                    pair.first().and_then(Json::as_u64),
-                    pair.get(1).and_then(Json::as_u64),
-                ) {
-                    (Some(completed), Some(queued)) => {
-                        workers.push(WorkerSample { completed, queued })
-                    }
-                    _ => return Err(bad("bad worker pair")),
-                }
-            }
+        for s in v.arr_field("samples")? {
             samples.push(TimelineSample {
-                ts_us: field("ts_us")?,
-                in_flight: field("in_flight")?,
-                queued: field("queued")?,
-                completed: field("completed")?,
-                shed: field("shed")?,
-                throughput_hz: s
-                    .get("throughput_hz")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad("missing sample `throughput_hz`"))?,
-                workers,
+                ts_us: s.u64_field("ts_us")?,
+                in_flight: s.u64_field("in_flight")?,
+                queued: s.u64_field("queued")?,
+                completed: s.u64_field("completed")?,
+                shed: s.u64_field("shed")?,
+                throughput_hz: s.f64_field("throughput_hz")?,
+                workers: s.field_as("workers", "a list of [completed, queued] pairs", |ws| {
+                    ws.as_arr()?
+                        .iter()
+                        .map(|w| {
+                            let pair = w.as_arr()?;
+                            Some(WorkerSample {
+                                completed: pair.first()?.as_u64()?,
+                                queued: pair.get(1)?.as_u64()?,
+                            })
+                        })
+                        .collect()
+                })?,
             });
         }
         Ok(Timeline {
-            tick_us: v
-                .get("tick_us")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `tick_us`"))?,
+            tick_us: v.u64_field("tick_us")?,
             samples,
         })
     }
@@ -704,60 +697,21 @@ impl ServerTrace {
     /// Parses a document produced by [`ServerTrace::to_json`], rejecting
     /// wrong or missing schema tags.
     pub fn from_json(v: &Json) -> Result<ServerTrace, JsonError> {
-        match v.get("schema").and_then(Json::as_str) {
-            Some(SERVER_TRACE_SCHEMA) => {}
-            Some(other) => return Err(bad(format!("expected {SERVER_TRACE_SCHEMA}, got {other}"))),
-            None => return Err(bad("missing `schema`")),
-        }
+        v.expect_schema(SERVER_TRACE_SCHEMA)?;
         let mut lanes = Vec::new();
-        for lane in v
-            .get("lanes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("missing `lanes`"))?
-        {
-            let name = lane
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| bad("missing lane `name`"))?
-                .to_string();
-            let mut events = Vec::new();
-            for e in lane
-                .get("events")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("missing lane `events`"))?
-            {
-                let triple = e.as_arr().ok_or_else(|| bad("bad event triple"))?;
-                let ts_ns = triple
-                    .first()
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("bad event timestamp"))?;
-                let kind = triple
-                    .get(1)
-                    .and_then(Json::as_str)
-                    .and_then(EventKind::parse)
-                    .ok_or_else(|| bad("bad event kind"))?;
-                let session = match triple.get(2) {
-                    Some(s) if s.is_null() => None,
-                    Some(s) => Some(s.as_u64().ok_or_else(|| bad("bad event session"))?),
-                    None => return Err(bad("bad event triple")),
-                };
-                events.push(TraceEvent {
-                    ts_ns,
-                    kind,
-                    session,
-                });
-            }
-            lanes.push(TraceLane { name, events });
+        for lane in v.arr_field("lanes")? {
+            lanes.push(TraceLane {
+                name: lane.str_field("name")?.to_string(),
+                events: lane.field_as(
+                    "events",
+                    "a list of [ts_ns, kind, session] triples",
+                    |es| es.as_arr()?.iter().map(TraceEvent::from_json).collect(),
+                )?,
+            });
         }
         Ok(ServerTrace {
-            workers: v
-                .get("workers")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `workers`"))? as usize,
-            duration_us: v
-                .get("duration_us")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad("missing `duration_us`"))?,
+            workers: v.u64_field("workers")? as usize,
+            duration_us: v.u64_field("duration_us")?,
             lanes,
         })
     }
@@ -777,46 +731,14 @@ impl ServerTrace {
     /// `thread_name` metadata, `X` complete events for run and park
     /// intervals, instant events for everything else.
     pub fn to_chrome_trace(&self) -> Json {
+        Json::Arr(self.chrome_events())
+    }
+
+    fn chrome_events(&self) -> Vec<Json> {
         let mut events = Vec::new();
         for (tid, lane) in self.lanes.iter().enumerate() {
-            events.push(Json::obj(vec![
-                ("name", Json::Str("thread_name".into())),
-                ("ph", Json::Str("M".into())),
-                ("pid", Json::Int(0)),
-                ("tid", Json::Int(tid as i64)),
-                (
-                    "args",
-                    Json::obj(vec![("name", Json::Str(lane.name.clone()))]),
-                ),
-            ]));
-            let complete = |name: String, cat: &str, ts: u64, dur: u64| {
-                Json::obj(vec![
-                    ("name", Json::Str(name)),
-                    ("cat", Json::Str(cat.into())),
-                    ("ph", Json::Str("X".into())),
-                    ("ts", Json::Int(ts as i64)),
-                    ("dur", Json::Int(dur as i64)),
-                    ("pid", Json::Int(0)),
-                    ("tid", Json::Int(tid as i64)),
-                ])
-            };
-            let instant = |e: &TraceEvent| {
-                Json::obj(vec![
-                    (
-                        "name",
-                        Json::Str(match e.session {
-                            Some(s) => format!("{} s{}", e.kind.name(), s),
-                            None => e.kind.name().to_string(),
-                        }),
-                    ),
-                    ("cat", Json::Str("sched".into())),
-                    ("ph", Json::Str("i".into())),
-                    ("s", Json::Str("t".into())),
-                    ("ts", Json::Int((e.ts_ns / 1_000) as i64)),
-                    ("pid", Json::Int(0)),
-                    ("tid", Json::Int(tid as i64)),
-                ])
-            };
+            let tid = tid as u64;
+            events.push(chrome::thread_name(tid, &lane.name));
             // Pair interval starts with their ends; the lane is written
             // by one thread, so matching is sequential. Chrome `ts`/
             // `dur` are microseconds.
@@ -827,52 +749,53 @@ impl ServerTrace {
                     EventKind::RunStart => run_start = Some((e.ts_ns, e.session.unwrap_or(0))),
                     EventKind::RunEnd => {
                         if let Some((ts, session)) = run_start.take() {
-                            events.push(complete(
+                            events.push(chrome::complete(
                                 format!("session {session}"),
                                 "run",
                                 ts / 1_000,
                                 e.ts_ns.saturating_sub(ts) / 1_000,
+                                tid,
                             ));
                         }
                     }
                     EventKind::Park => park_start = Some(e.ts_ns),
                     EventKind::Unpark => {
                         if let Some(ts) = park_start.take() {
-                            events.push(complete(
+                            events.push(chrome::complete(
                                 "park".to_string(),
                                 "idle",
                                 ts / 1_000,
                                 e.ts_ns.saturating_sub(ts) / 1_000,
+                                tid,
                             ));
                         }
                     }
-                    _ => events.push(instant(e)),
+                    _ => {
+                        let name = match e.session {
+                            Some(s) => format!("{} s{}", e.kind.name(), s),
+                            None => e.kind.name().to_string(),
+                        };
+                        events.push(chrome::instant(name, "sched", e.ts_ns / 1_000, tid));
+                    }
                 }
             }
             // A worker can still be parked at drain time.
             if let Some(ts) = park_start {
-                events.push(complete(
+                events.push(chrome::complete(
                     "park".to_string(),
                     "idle",
                     ts / 1_000,
                     self.duration_us.saturating_sub(ts / 1_000),
+                    tid,
                 ));
             }
         }
-        Json::Arr(events)
+        events
     }
 
     /// The Chrome trace as JSONL: one `trace_event` object per line.
     pub fn to_trace_jsonl(&self) -> String {
-        let Json::Arr(events) = self.to_chrome_trace() else {
-            unreachable!("chrome trace is an array");
-        };
-        let mut out = String::new();
-        for e in events {
-            out.push_str(&e.render());
-            out.push('\n');
-        }
-        out
+        chrome::jsonl(&self.chrome_events())
     }
 
     /// Renders the human-readable trace summary: the per-kind event
@@ -942,9 +865,62 @@ pub struct Telemetry {
     pub stages: Vec<SessionStages>,
 }
 
-fn bad(message: impl Into<String>) -> JsonError {
-    JsonError {
-        at: 0,
-        message: message.into(),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker lane that parks and wakes, dequeues a stolen session,
+    /// runs and records it and parks again until drain, plus the
+    /// submitter lane that admitted it.
+    fn sample() -> ServerTrace {
+        let ev = |ts_ns, kind, session| TraceEvent {
+            ts_ns,
+            kind,
+            session,
+        };
+        ServerTrace::new(
+            1,
+            40,
+            vec![
+                vec![
+                    ev(1_500, EventKind::Park, None),
+                    ev(4_200, EventKind::Unpark, None),
+                    ev(5_000, EventKind::Dequeue, Some(7)),
+                    ev(5_400, EventKind::Steal, Some(7)),
+                    ev(6_000, EventKind::RunStart, Some(7)),
+                    ev(17_900, EventKind::RunEnd, Some(7)),
+                    ev(18_300, EventKind::Record, Some(7)),
+                    ev(21_000, EventKind::Park, None),
+                ],
+                vec![
+                    ev(300, EventKind::Submit, Some(7)),
+                    ev(700, EventKind::Admit, Some(7)),
+                    ev(2_100, EventKind::Enqueue, Some(7)),
+                ],
+            ],
+        )
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        const EVENTS: [&str; 11] = [
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker-0"}}"#,
+            r#"{"name":"park","cat":"idle","ph":"X","ts":1,"dur":2,"pid":0,"tid":0}"#,
+            r#"{"name":"dequeue s7","cat":"sched","ph":"i","s":"t","ts":5,"pid":0,"tid":0}"#,
+            r#"{"name":"steal s7","cat":"sched","ph":"i","s":"t","ts":5,"pid":0,"tid":0}"#,
+            r#"{"name":"session 7","cat":"run","ph":"X","ts":6,"dur":11,"pid":0,"tid":0}"#,
+            r#"{"name":"record s7","cat":"sched","ph":"i","s":"t","ts":18,"pid":0,"tid":0}"#,
+            r#"{"name":"park","cat":"idle","ph":"X","ts":21,"dur":19,"pid":0,"tid":0}"#,
+            r#"{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"submit"}}"#,
+            r#"{"name":"submit s7","cat":"sched","ph":"i","s":"t","ts":0,"pid":0,"tid":1}"#,
+            r#"{"name":"admit s7","cat":"sched","ph":"i","s":"t","ts":0,"pid":0,"tid":1}"#,
+            r#"{"name":"enqueue s7","cat":"sched","ph":"i","s":"t","ts":2,"pid":0,"tid":1}"#,
+        ];
+        let t = sample();
+        assert_eq!(
+            t.to_chrome_trace().render(),
+            format!("[{}]", EVENTS.join(","))
+        );
+        assert_eq!(t.to_trace_jsonl(), format!("{}\n", EVENTS.join("\n")));
     }
 }

@@ -63,6 +63,17 @@ pub struct CheckOptions {
     pub profile: bool,
 }
 
+/// The worker threads [`CheckOptions::jobs`] asks for: `0` is one per
+/// available core.
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
+    match jobs {
+        0 => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        n => n,
+    }
+}
+
 /// Statistics produced by a checking run (surfaced by `rtjc check --stats`).
 #[derive(Debug, Clone, Default)]
 pub struct CheckStats {
@@ -183,13 +194,7 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
     // unit's diagnostics land in its own slot, so the merge below is the
     // same code path for both drivers.
     let mut classes = std::mem::take(&mut prog.classes);
-    let workers = match opts.jobs {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-    .min(classes.len().max(1));
+    let workers = resolve_jobs(opts.jobs).min(classes.len().max(1));
     stats.threads_used = workers;
     let p0 = profiling.then(|| start.elapsed());
     // Per-class timing `(start offset, wall)`, indexed by declaration

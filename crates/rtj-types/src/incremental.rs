@@ -66,7 +66,7 @@
 //! move declarations, so it re-derives the index, the diagnostic
 //! positions and the totals.
 
-use crate::check::{CheckOptions, CheckStats, Checker};
+use crate::check::{resolve_jobs, CheckOptions, CheckStats, Checker};
 use crate::env::{Effects, Env, JudgmentCounters};
 use crate::error::TypeError;
 use crate::infer;
@@ -869,15 +869,12 @@ impl IncrementalChecker {
         }
 
         // classes: check the dirty units, in parallel like the
-        // from-scratch driver.
-        let jobs_resolved = match self.opts.jobs {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
+        // from-scratch driver. The core count is asked for on the first
+        // pass only: the call costs about as much as the checking work of
+        // a one-class re-check.
+        self.opts.jobs = resolve_jobs(self.opts.jobs);
         let dirty_count = classes.iter().filter(|c| c.dirty.is_some()).count();
-        let workers = jobs_resolved.min(dirty_count.max(1));
+        let workers = self.opts.jobs.min(dirty_count.max(1));
         let p0 = profiling.then(|| start.elapsed());
         type FreshUnit = (
             Vec<TypeError>,
@@ -1110,7 +1107,7 @@ impl IncrementalChecker {
             classes_checked: total,
             methods_checked: self.totals.methods_checked,
             judgments,
-            threads_used: jobs_resolved.min(total.max(1)),
+            threads_used: self.opts.jobs.min(total.max(1)),
             elapsed,
         };
         RecheckOutcome {

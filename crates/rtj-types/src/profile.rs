@@ -20,7 +20,7 @@
 
 use crate::check::CheckStats;
 use crate::env::JudgmentCounters;
-use rtj_lang::json::{Json, JsonError};
+use rtj_lang::json::{chrome, Json, JsonError};
 use std::time::Duration;
 
 /// Schema identifier embedded in every checker snapshot document.
@@ -29,8 +29,10 @@ pub const CHECKER_METRICS_SCHEMA: &str = "rtj-checker-metrics/v1";
 /// One timed span in the checker's phase tree.
 ///
 /// `start` is the offset from the profile epoch (the moment
-/// `check_program_in` began), so sibling spans from parallel workers can
-/// be laid out on a timeline; `wall` is the span's duration.
+/// `check_program_in` began, or parsing began once
+/// [`CheckProfile::prepend`] has added the `parse` span), so sibling
+/// spans from parallel workers can be laid out on a timeline; `wall` is
+/// the span's duration.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseSpan {
     /// Span name (phase name, or `class <Name>` for per-class spans).
@@ -70,23 +72,23 @@ impl PhaseSpan {
     }
 
     fn from_json(v: &Json) -> Result<PhaseSpan, JsonError> {
-        let name = field_str(v, "name")?;
-        let start = Duration::from_nanos(field_u64(v, "start_ns")?);
-        let wall = Duration::from_nanos(field_u64(v, "wall_ns")?);
         let children = match v.get("children") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(PhaseSpan::from_json)
-                .collect::<Result<_, _>>()?,
-            Some(_) => return Err(bad("`children` must be an array")),
+            Some(_) => spans(v.arr_field("children")?)?,
             None => Vec::new(),
         };
         Ok(PhaseSpan {
-            name,
-            start,
-            wall,
+            name: v.str_field("name")?.to_string(),
+            start: Duration::from_nanos(v.u64_field("start_ns")?),
+            wall: Duration::from_nanos(v.u64_field("wall_ns")?),
             children,
         })
+    }
+
+    fn shift(&mut self, by: Duration) {
+        self.start += by;
+        for c in &mut self.children {
+            c.shift(by);
+        }
     }
 
     fn zero_timings(&mut self) {
@@ -107,10 +109,16 @@ pub struct CheckProfile {
 }
 
 impl CheckProfile {
-    /// Inserts a span before every recorded phase. The CLI uses this to
-    /// prepend the `parse` span, which runs before `check_program_in`
-    /// (and therefore before the profile epoch; its `start` is zero).
+    /// Inserts a span before every recorded phase and moves the recorded
+    /// spans (children included) later by the new span's end, so they
+    /// follow it on the timeline. The CLI uses this to prepend the
+    /// `parse` span, which runs before `check_program_in`: the recorded
+    /// offsets count from `check_program_in`'s start, the end of parsing.
     pub fn prepend(&mut self, span: PhaseSpan) {
+        let end = span.start + span.wall;
+        for p in &mut self.phases {
+            p.shift(end);
+        }
         self.phases.insert(0, span);
     }
 }
@@ -227,43 +235,31 @@ impl CheckerSnapshot {
 
     /// Reads a snapshot back from its JSON form.
     pub fn from_json(v: &Json) -> Result<CheckerSnapshot, JsonError> {
-        match v.get("schema") {
-            Some(Json::Str(s)) if s == CHECKER_METRICS_SCHEMA => {}
-            _ => return Err(bad("not an rtj-checker-metrics/v1 document")),
-        }
-        let judgments = match v.get("judgments") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(name, jv)| {
-                    Ok((
-                        name.clone(),
-                        JudgmentProfile {
-                            hits: field_u64(jv, "hits")?,
-                            misses: field_u64(jv, "misses")?,
-                            evals: field_u64(jv, "evals")?,
-                        },
-                    ))
-                })
-                .collect::<Result<_, JsonError>>()?,
-            _ => return Err(bad("`judgments` must be an object")),
-        };
-        let interner = v.get("interner").ok_or_else(|| bad("missing `interner`"))?;
-        let phases = match v.get("phases") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(PhaseSpan::from_json)
-                .collect::<Result<_, _>>()?,
-            _ => return Err(bad("`phases` must be an array")),
-        };
+        v.expect_schema(CHECKER_METRICS_SCHEMA)?;
+        let judgments = v
+            .obj_field("judgments")?
+            .iter()
+            .map(|(name, jv)| {
+                Ok((
+                    name.clone(),
+                    JudgmentProfile {
+                        hits: jv.u64_field("hits")?,
+                        misses: jv.u64_field("misses")?,
+                        evals: jv.u64_field("evals")?,
+                    },
+                ))
+            })
+            .collect::<Result<_, JsonError>>()?;
+        let interner = v.field("interner")?;
         Ok(CheckerSnapshot {
-            classes_checked: field_u64(v, "classes_checked")?,
-            methods_checked: field_u64(v, "methods_checked")?,
-            threads_used: field_u64(v, "threads_used")?,
-            elapsed: Duration::from_nanos(field_u64(v, "elapsed_ns")?),
+            classes_checked: v.u64_field("classes_checked")?,
+            methods_checked: v.u64_field("methods_checked")?,
+            threads_used: v.u64_field("threads_used")?,
+            elapsed: Duration::from_nanos(v.u64_field("elapsed_ns")?),
             judgments,
-            interner_symbols: field_u64(interner, "symbols")?,
-            interner_bytes: field_u64(interner, "bytes")?,
-            phases,
+            interner_symbols: interner.u64_field("symbols")?,
+            interner_bytes: interner.u64_field("bytes")?,
+            phases: spans(v.arr_field("phases")?)?,
         })
     }
 
@@ -293,14 +289,9 @@ impl CheckerSnapshot {
     }
 
     /// The same trace events as [`CheckerSnapshot::to_chrome_trace`],
-    /// one JSON object per line (the runtime trace sink's format).
+    /// one JSON object per line.
     pub fn to_trace_jsonl(&self) -> String {
-        let mut out = String::new();
-        for ev in self.chrome_events() {
-            out.push_str(&ev.render());
-            out.push('\n');
-        }
-        out
+        chrome::jsonl(&self.chrome_events())
     }
 
     fn chrome_events(&self) -> Vec<Json> {
@@ -385,7 +376,7 @@ fn render_span(out: &mut String, span: &PhaseSpan, indent: usize) {
 /// is greedy within one sibling list: a span takes the first lane whose
 /// previous occupant ended before the span started (relevant for
 /// parallel per-class spans, which overlap in time).
-fn emit_chrome(spans: &[PhaseSpan], base_tid: i64, events: &mut Vec<Json>) {
+fn emit_chrome(spans: &[PhaseSpan], base_tid: u64, events: &mut Vec<Json>) {
     let mut lane_ends: Vec<Duration> = Vec::new();
     for span in spans {
         let end = span.start + span.wall;
@@ -399,37 +390,21 @@ fn emit_chrome(spans: &[PhaseSpan], base_tid: i64, events: &mut Vec<Json>) {
                 lane_ends.len() - 1
             }
         };
-        events.push(Json::obj(vec![
-            ("name", Json::Str(span.name.clone())),
-            ("cat", Json::Str("checker".to_string())),
-            ("ph", Json::Str("X".to_string())),
-            ("ts", Json::Int(span.start.as_micros() as i64)),
-            ("dur", Json::Int(span.wall.as_micros() as i64)),
-            ("pid", Json::Int(0)),
-            ("tid", Json::Int(base_tid + lane as i64)),
-        ]));
-        emit_chrome(&span.children, base_tid + lane as i64, events);
+        let tid = base_tid + lane as u64;
+        events.push(chrome::complete(
+            span.name.clone(),
+            "checker",
+            span.start.as_micros() as u64,
+            span.wall.as_micros() as u64,
+            tid,
+        ));
+        emit_chrome(&span.children, tid, events);
     }
 }
 
-fn bad(message: &str) -> JsonError {
-    JsonError {
-        at: 0,
-        message: message.to_string(),
-    }
-}
-
-fn field_u64(v: &Json, name: &str) -> Result<u64, JsonError> {
-    v.get(name)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| bad(&format!("missing or non-integer field `{name}`")))
-}
-
-fn field_str(v: &Json, name: &str) -> Result<String, JsonError> {
-    match v.get(name) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(bad(&format!("missing or non-string field `{name}`"))),
-    }
+/// Reads a list of spans back from their JSON form.
+fn spans(items: &[Json]) -> Result<Vec<PhaseSpan>, JsonError> {
+    items.iter().map(PhaseSpan::from_json).collect()
 }
 
 #[cfg(test)]
@@ -521,6 +496,24 @@ mod tests {
     }
 
     #[test]
+    fn prepend_moves_the_recorded_spans_after_the_new_one() {
+        let mut profile = CheckProfile {
+            phases: sample().phases,
+        };
+        let parse = PhaseSpan::leaf("parse", Duration::ZERO, Duration::from_micros(5));
+        profile.prepend(parse.clone());
+        let starts = |p: &PhaseSpan| (p.start.as_micros(), p.wall.as_micros());
+        assert_eq!(starts(&profile.phases[0]), (0, 5));
+        assert_eq!(starts(&profile.phases[1]), (5, 10));
+        assert_eq!(starts(&profile.phases[2]), (15, 900));
+        assert_eq!(starts(&profile.phases[2].children[1]), (20, 420));
+        let mut unshifted = sample();
+        unshifted.phases.insert(0, parse);
+        let snapshot = |phases| CheckerSnapshot { phases, ..sample() };
+        assert_eq!(snapshot(profile.phases).structure(), unshifted.structure());
+    }
+
+    #[test]
     fn chrome_trace_shape() {
         let s = sample();
         let Json::Arr(events) = s.to_chrome_trace() else {
@@ -541,6 +534,22 @@ mod tests {
         assert_ne!(tids[0], tids[1]);
         // JSONL is the same events, one per line.
         assert_eq!(s.to_trace_jsonl().lines().count(), 4);
+    }
+
+    #[test]
+    fn chrome_trace_bytes_are_pinned() {
+        const EVENTS: [&str; 4] = [
+            r#"{"name":"lower","cat":"checker","ph":"X","ts":0,"dur":10,"pid":0,"tid":0}"#,
+            r#"{"name":"classes","cat":"checker","ph":"X","ts":10,"dur":900,"pid":0,"tid":0}"#,
+            r#"{"name":"class A","cat":"checker","ph":"X","ts":10,"dur":400,"pid":0,"tid":0}"#,
+            r#"{"name":"class B","cat":"checker","ph":"X","ts":15,"dur":420,"pid":0,"tid":1}"#,
+        ];
+        let s = sample();
+        assert_eq!(
+            s.to_chrome_trace().render(),
+            format!("[{}]", EVENTS.join(","))
+        );
+        assert_eq!(s.to_trace_jsonl(), format!("{}\n", EVENTS.join("\n")));
     }
 
     #[test]

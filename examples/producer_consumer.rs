@@ -79,11 +79,11 @@ fn main() {
     let out = run_source(&src, RunConfig::new(CheckMode::Static)).unwrap();
     assert!(out.error.is_none(), "{:?}", out.error);
     println!("frames received : {}", out.trace.join(", "));
-    println!("threads spawned : {}", out.stats.threads_spawned);
+    println!("threads spawned : {}", out.metrics.threads_spawned);
     println!(
         "subregion flushed {} times — one per iteration, so {} frames fit \
          in one 4 KiB LT subregion",
-        out.stats.regions_flushed, iters
+        out.metrics.regions_flushed, iters
     );
-    assert!(out.stats.regions_flushed >= iters as u64);
+    assert!(out.metrics.regions_flushed >= iters as u64);
 }

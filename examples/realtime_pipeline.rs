@@ -85,9 +85,9 @@ fn main() {
     assert!(!out.trace.is_empty());
     println!(
         "rt lock waits   : {} cycles (type system keeps it at zero)",
-        out.stats.rt_max_lock_wait
+        out.metrics.rt_max_lock_wait
     );
-    assert_eq!(out.stats.rt_max_lock_wait, 0);
+    assert_eq!(out.metrics.rt_max_lock_wait, 0);
 
     // What the type system rejects: a real-time thread calling into code
     // that needs the heap.

@@ -5,7 +5,7 @@
 
 use rtjava::corpus::{all, fig11, fig11_json, fig12, fig12_json, Scale};
 use rtjava::interp::{build, run_checked, RunConfig};
-use rtjava::runtime::CheckMode;
+use rtjava::runtime::{CheckKind, CheckMode};
 
 #[test]
 fn corpus_smoke_all_modes_agree() {
@@ -31,11 +31,12 @@ fn corpus_smoke_all_modes_agree() {
         assert_eq!(dynamic.trace, audit.trace, "{}", bench.name);
         // Audit performs the same checks as dynamic, for free.
         assert_eq!(
-            audit.stats.store_checks, dynamic.stats.store_checks,
+            audit.metrics.check(CheckKind::Assignment).performed,
+            dynamic.metrics.check(CheckKind::Assignment).performed,
             "{}",
             bench.name
         );
-        assert_eq!(audit.stats.check_cycles, 0, "{}", bench.name);
+        assert_eq!(audit.metrics.check_cycles(), 0, "{}", bench.name);
         assert!(
             dynamic.cycles >= static_.cycles,
             "{}: dynamic {} < static {}",
@@ -55,7 +56,7 @@ fn corpus_never_uses_the_gc_heap_for_primary_data() {
         let checked = build(&bench.source).unwrap();
         let out = run_checked(&checked, RunConfig::new(CheckMode::Dynamic));
         assert_eq!(
-            out.stats.gc_collections, 0,
+            out.metrics.gc_collections, 0,
             "{}: the GC should never run",
             bench.name
         );

@@ -4,8 +4,8 @@
 //! * metrics snapshots and event traces are byte-identical across
 //!   repeated runs and across checker `--jobs` settings;
 //! * every trace line is valid JSON with the event envelope fields;
-//! * tracing is observation only: capture off, ring and full give the
-//!   same virtual clock, metrics and program output;
+//! * tracing is observation only: capture off and full give the same
+//!   virtual clock, metrics and program output;
 //! * elision accounting balances per check kind: a `Static` run elides
 //!   exactly the checks the `Dynamic` run performs, because the
 //!   deterministic scheduler visits the same sites.
@@ -115,47 +115,22 @@ fn trace_lines_are_valid_json_with_the_event_envelope() {
 }
 
 #[test]
-fn ring_capture_keeps_only_the_tail() {
-    let bench = &all(Scale::Smoke)[0];
-    let checked = build(&bench.source).unwrap();
-    let mut cfg = RunConfig::new(CheckMode::Dynamic);
-    cfg.events = TraceCapture::Ring(8);
-    let ring = run_checked(&checked, cfg);
-    let full = run_checked(&checked, traced(CheckMode::Dynamic));
-    let ring_events = ring.events.expect("ring capture requested");
-    let full_events = full.events.expect("full capture requested");
-    assert_eq!(ring_events.len(), 8);
-    assert_eq!(
-        ring_events.as_slice(),
-        &full_events[full_events.len() - 8..],
-        "the ring holds the most recent events"
-    );
-}
-
-#[test]
 fn tracing_changes_neither_cycles_nor_metrics_nor_output() {
     for bench in all(Scale::Smoke) {
         let checked = build(&bench.source).unwrap_or_else(|e| panic!("{}: {e}", bench.name));
         for mode in [CheckMode::Dynamic, CheckMode::Static, CheckMode::Audit] {
-            let run = |capture| {
-                let mut cfg = RunConfig::new(mode);
-                cfg.events = capture;
-                run_checked(&checked, cfg)
-            };
-            let off = run(TraceCapture::Off);
+            let off = run_checked(&checked, RunConfig::new(mode));
             assert!(
                 off.error.is_none(),
                 "{} {mode:?}: {:?}",
                 bench.name,
                 off.error
             );
-            for capture in [TraceCapture::Ring(256), TraceCapture::Full] {
-                let traced = run(capture);
-                let at = format!("{} {mode:?} {capture:?}", bench.name);
-                assert_eq!(off.cycles, traced.cycles, "{at}: tracing cost virtual time");
-                assert_eq!(off.metrics, traced.metrics, "{at}: tracing changed metrics");
-                assert_eq!(off.trace, traced.trace, "{at}: tracing changed the output");
-            }
+            let traced = run_checked(&checked, traced(mode));
+            let at = format!("{} {mode:?}", bench.name);
+            assert_eq!(off.cycles, traced.cycles, "{at}: tracing cost virtual time");
+            assert_eq!(off.metrics, traced.metrics, "{at}: tracing changed metrics");
+            assert_eq!(off.trace, traced.trace, "{at}: tracing changed the output");
         }
     }
 }
@@ -188,12 +163,6 @@ fn elision_accounting_balances_per_check_kind() {
         assert!(
             dynamic.metrics.checks_performed() > 0,
             "{}: a corpus program should exercise at least one check site",
-            bench.name
-        );
-        assert_eq!(
-            dynamic.metrics.check_cycles(),
-            dynamic.stats.check_cycles,
-            "{}: legacy stats view must agree",
             bench.name
         );
     }

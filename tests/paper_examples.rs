@@ -4,7 +4,7 @@
 //! Theorems 3 and 4.
 
 use rtjava::interp::{build, run_source, RunConfig, RunOutcome};
-use rtjava::runtime::CheckMode;
+use rtjava::runtime::{CheckKind, CheckMode};
 
 const TSTACK: &str = r#"
     class TStack<Owner stackOwner, Owner TOwner> {
@@ -176,7 +176,7 @@ fn figure8_producer_consumer() {
         assert_eq!(out.trace, vec!["10", "11", "12", "13"], "{mode:?}");
         // The subregion is flushed once per iteration: no memory leak for
         // long-lived threads (the point of Section 2.2).
-        assert!(out.stats.regions_flushed >= 4, "{mode:?}");
+        assert!(out.metrics.regions_flushed >= 4, "{mode:?}");
     }
 }
 
@@ -206,10 +206,10 @@ fn theorem3_audit_no_dangling_and_encapsulation() {
     );
     let out = run_ok(&src, CheckMode::Audit);
     assert!(
-        out.stats.store_checks > 0,
+        out.metrics.check(CheckKind::Assignment).performed > 0,
         "the audit actually checked stores"
     );
-    assert_eq!(out.stats.check_cycles, 0, "audit mode is free");
+    assert_eq!(out.metrics.check_cycles(), 0, "audit mode is free");
 }
 
 #[test]
@@ -236,9 +236,9 @@ fn region_deletion_is_lifo_and_complete() {
     "#;
     let out = run_ok(src, CheckMode::Dynamic);
     assert_eq!(out.trace, vec!["2"]);
-    assert_eq!(out.stats.regions_deleted, 3);
+    assert_eq!(out.metrics.regions_deleted, 3);
     // Everything region-allocated is gone by the end.
-    assert_eq!(out.stats.objects_allocated, 3);
+    assert_eq!(out.metrics.objects_allocated, 3);
 }
 
 #[test]

@@ -46,11 +46,11 @@ fn heap_allocation_triggers_collections_region_allocation_does_not() {
     let out = run_source(heap_src, cfg_gc(CheckMode::Static)).unwrap();
     assert!(out.error.is_none(), "{:?}", out.error);
     assert!(
-        out.stats.gc_collections > 0,
+        out.metrics.gc_collections > 0,
         "heap churn must trigger the collector: {:?}",
-        out.stats
+        out.metrics
     );
-    assert!(out.stats.gc_pause_cycles > 0);
+    assert!(out.metrics.gc_pause_cycles > 0);
 
     // The same loop into a region: the collector never runs. This is the
     // paper's core runtime motivation.
@@ -70,7 +70,7 @@ fn heap_allocation_triggers_collections_region_allocation_does_not() {
     "#;
     let out = run_source(region_src, cfg_gc(CheckMode::Static)).unwrap();
     assert!(out.error.is_none());
-    assert_eq!(out.stats.gc_collections, 0, "regions avoid the collector");
+    assert_eq!(out.metrics.gc_collections, 0, "regions avoid the collector");
     assert_eq!(out.trace, vec!["40000"]);
 }
 
@@ -127,9 +127,9 @@ fn rt_thread_completes_through_gc_storms() {
     let out = run_source(src, cfg_gc(CheckMode::Static)).unwrap();
     assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.trace, vec!["rt finished"]);
-    assert!(out.stats.gc_collections > 0, "the collector did run");
+    assert!(out.metrics.gc_collections > 0, "the collector did run");
     assert_eq!(
-        out.stats.rt_max_lock_wait, 0,
+        out.metrics.rt_max_lock_wait, 0,
         "the RT thread never waited on a region lock"
     );
 }
@@ -224,9 +224,9 @@ fn lt_subregion_reuse_never_grows_memory() {
     assert!(out.error.is_none(), "{:?}", out.error);
     assert_eq!(out.trace, vec!["50"]);
     // 50 rounds * 80 chunks were allocated…
-    assert_eq!(out.stats.objects_allocated, 4000);
+    assert_eq!(out.metrics.objects_allocated, 4000);
     // …but flushed every round.
-    assert!(out.stats.regions_flushed >= 50);
+    assert!(out.metrics.regions_flushed >= 50);
 }
 
 #[test]
@@ -486,11 +486,11 @@ fn run_inversion(shared: bool, rounds: u32) -> Result<LatencyReport, RtError> {
             rt.poll_gc();
         }
     }
-    let stats = rt.stats();
+    let metrics = rt.metrics_snapshot();
     Ok(LatencyReport {
-        max_rt_wait: stats.rt_max_lock_wait,
-        total_rt_wait: stats.rt_lock_wait_cycles,
-        collections: stats.gc_collections,
+        max_rt_wait: metrics.rt_max_lock_wait,
+        total_rt_wait: metrics.rt_lock_wait_cycles,
+        collections: metrics.gc_collections,
     })
 }
 

@@ -6,11 +6,11 @@
 //! set of error-path programs), both engines run in `Dynamic` and
 //! `Audit` modes with full trace capture, and everything is compared:
 //! the print trace, the final error (if any), the virtual cycle count,
-//! the legacy stats, the full `rtj-metrics/v1` snapshot (both
-//! structurally and as rendered bytes), the ordered structured-event
-//! sequence, and the per-region peak table. Wall time and the DOT graph
-//! are the only `RunOutcome` fields excluded (wall is physical;
-//! the graph is excluded because it is not captured by default).
+//! the full `rtj-metrics/v1` snapshot (both structurally and as
+//! rendered bytes), the ordered structured-event sequence, and the
+//! per-region peak table. Wall time and the DOT graph are the only
+//! `RunOutcome` fields excluded (wall is physical; the graph is
+//! excluded because it is not captured by default).
 //!
 //! This is the empirical half of the Figure-12 byte-identity guarantee:
 //! the VM and the tree-walker produce the same ledger, so the paper's
@@ -67,7 +67,6 @@ fn assert_same(ctx: &str, a: &RunOutcome, b: &RunOutcome) {
     );
     assert_eq!(a.trace, b.trace, "{ctx}: print traces differ");
     assert_eq!(a.cycles, b.cycles, "{ctx}: virtual cycles differ");
-    assert_eq!(a.stats, b.stats, "{ctx}: stats differ");
     assert_eq!(a.metrics, b.metrics, "{ctx}: metrics snapshots differ");
     assert_eq!(
         a.metrics.render(),
@@ -219,7 +218,7 @@ fn step_limit_agrees_across_engines() {
         format!("{:?}", outs[1].error)
     );
     assert_eq!(outs[0].cycles, outs[1].cycles);
-    assert_eq!(outs[0].stats, outs[1].stats);
+    assert_eq!(outs[0].metrics, outs[1].metrics);
 }
 
 /// FNV-1a digest of every deterministic field of an outcome: error,
@@ -250,7 +249,10 @@ const CHECK_MODES: [CheckMode; 3] = [CheckMode::Dynamic, CheckMode::Static, Chec
 fn repeat_and_digest(name: &str, src: &str, mode: CheckMode, gc: bool) -> u64 {
     let first = run_cfg(src, mode, Engine::Tree, gc);
     if gc {
-        assert!(first.stats.gc_collections > 1, "{name}: the collector ran");
+        assert!(
+            first.metrics.gc_collections > 1,
+            "{name}: the collector ran"
+        );
     }
     for engine in [Engine::Tree, Engine::Vm] {
         for i in 0..REPEATS {
