@@ -227,26 +227,62 @@ fn report_rejects_unknown_and_missing_schema_with_one_line_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `doc` with the field at `path` removed: object keys, and array
-/// indices written as numbers.
-fn without(doc: &str, path: &[&str]) -> String {
+/// `doc` with `edit` applied to the value at `path`: object keys, and
+/// array indices written as numbers.
+fn edited(doc: &str, path: &[&str], edit: impl FnOnce(&mut Json)) -> String {
     let mut root = Json::parse(doc).expect("a valid document");
-    let (last, parents) = path.split_last().expect("a non-empty path");
     let mut node = &mut root;
-    for key in parents {
+    for key in path {
         node = match node {
             Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).expect(key).1,
             Json::Arr(items) => &mut items[key.parse::<usize>().expect("an index")],
             _ => panic!("no `{key}` in {path:?}"),
         };
     }
-    let Json::Obj(pairs) = node else {
-        panic!("{path:?} is not inside an object")
-    };
-    let before = pairs.len();
-    pairs.retain(|(k, _)| k != last);
-    assert_eq!(pairs.len(), before - 1, "no `{last}` in {path:?}");
+    edit(node);
     root.render()
+}
+
+/// `doc` with the field at `path` removed.
+fn without(doc: &str, path: &[&str]) -> String {
+    let (last, parents) = path.split_last().expect("a non-empty path");
+    edited(doc, parents, |node| {
+        let Json::Obj(pairs) = node else {
+            panic!("{path:?} is not inside an object")
+        };
+        let before = pairs.len();
+        pairs.retain(|(k, _)| k != last);
+        assert_eq!(pairs.len(), before - 1, "no `{last}` in {path:?}");
+    })
+}
+
+/// Writes `load.json`, `trace.json` and `trace.timeline.json` of a short
+/// one-worker load run into `dir`.
+fn write_load_documents(dir: &Path) {
+    let out = rtjc(
+        &[
+            "load",
+            "--workers",
+            "1",
+            "--rate",
+            "2000",
+            "--duration-ms",
+            "50",
+            "--variants",
+            "1",
+            "--seed",
+            "5",
+            "--telemetry=trace.json",
+            "--out",
+            "load.json",
+        ],
+        dir,
+    );
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -271,25 +307,7 @@ fn a_missing_field_is_named_without_a_byte_offset() {
         &dir,
     ));
     std::fs::write(dir.join("checker.json"), stats.stdout).unwrap();
-    ok(rtjc(
-        &[
-            "load",
-            "--workers",
-            "1",
-            "--rate",
-            "2000",
-            "--duration-ms",
-            "50",
-            "--variants",
-            "1",
-            "--seed",
-            "5",
-            "--telemetry=trace.json",
-            "--out",
-            "load.json",
-        ],
-        &dir,
-    ));
+    write_load_documents(&dir);
     let scaled = ok(rtjc(&["bench", "scaled:2"], &dir));
     std::fs::write(dir.join("scaled.rtj"), scaled.stdout).unwrap();
     let edits = ok(rtjc(&["bench", "edits:2", "--batches", "2"], &dir));
@@ -331,6 +349,72 @@ fn a_missing_field_is_named_without_a_byte_offset() {
         assert_eq!(err.lines().count(), 1, "one line: {err}");
         assert!(err.contains(&broken), "names the file: {err}");
         assert!(err.contains(field), "names `{field}`: {err}");
+        assert!(!err.contains("at byte"), "no byte offset: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A field older documents may lack can be absent, but a value that is
+/// there must have its type, and a pair or a triple exactly its
+/// elements: one malformed value at each such site fails the report
+/// with one line naming the file and the field.
+#[test]
+fn a_malformed_value_is_named_without_a_byte_offset() {
+    let dir = tempdir("malformed-value");
+    write_load_documents(&dir);
+    let (text, minus_one) = (Some(Json::Str("x".into())), Some(Json::Int(-1)));
+    // `None` appends an element to the array at the path.
+    let cases: [(&str, &[&str], Option<Json>); 12] = [
+        ("load.json", &["groups", "0", "failed"], text.clone()),
+        ("load.json", &["groups", "0", "shed"], minus_one.clone()),
+        (
+            "load.json",
+            &["groups", "0", "cycles"],
+            Some(Json::Float(1.5)),
+        ),
+        (
+            "load.json",
+            &["groups", "0", "latency", "hist_log2_us", "0"],
+            None,
+        ),
+        (
+            "load.json",
+            &["sessions", "shed", "admission"],
+            text.clone(),
+        ),
+        (
+            "load.json",
+            &["sessions", "shed", "queue"],
+            minus_one.clone(),
+        ),
+        ("load.json", &["sessions", "panicked"], minus_one),
+        ("load.json", &["ledger", "matched_sessions"], text.clone()),
+        ("load.json", &["attribution", "0", "stolen"], text),
+        ("load.json", &["attribution"], Some(Json::Obj(Vec::new()))),
+        ("trace.json", &["lanes", "0", "events", "0"], None),
+        (
+            "trace.timeline.json",
+            &["samples", "0", "workers", "0"],
+            None,
+        ),
+    ];
+    for (file, path, value) in cases {
+        let doc = std::fs::read_to_string(dir.join(file)).unwrap();
+        let broken = format!("broken-{file}");
+        let doc = edited(&doc, path, |node| match (value, node) {
+            (Some(value), node) => *node = value,
+            (None, Json::Arr(items)) => items.push(Json::Int(1)),
+            (None, _) => panic!("{path:?} is not an array"),
+        });
+        std::fs::write(dir.join(&broken), doc).unwrap();
+        let out = rtjc(&["report", broken.as_str()], &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let field = path.iter().rev().find(|k| k.parse::<usize>().is_err());
+        let field = format!("`{}`", field.unwrap());
+        assert_eq!(out.status.code(), Some(1), "{file} {path:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "one line: {err}");
+        assert!(err.contains(&broken), "names the file: {err}");
+        assert!(err.contains(&field), "names {field}: {err}");
         assert!(!err.contains("at byte"), "no byte offset: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -302,16 +302,15 @@ pub fn compile(data: &ProgramData) -> CompiledProgram {
     };
     c.compile_func(Vec::new(), &[], false, &data.program.main);
     let mut methods = HashMap::new();
-    let mut infos: Vec<_> = data.table.classes().collect();
-    infos.sort_by_key(|i| i.decl.name.name);
-    for info in infos {
-        let class = info.decl.name.name;
-        for m in &info.decl.methods {
-            let mut owners = info.formal_names.clone();
-            owners.extend(m.formals.iter().map(|f| f.name.name));
+    let mut classes: Vec<_> = data.program.classes.iter().collect();
+    classes.sort_by_key(|class| class.name.name);
+    for class in classes {
+        for m in &class.methods {
+            let owners = class.formals.iter().chain(&m.formals);
+            let owners = owners.map(|f| f.name.name).collect();
             let params: Vec<Symbol> = m.params.iter().map(|p| p.name.name).collect();
             let idx = c.compile_func(owners, &params, true, &m.body);
-            methods.insert((class, m.name.name), idx);
+            methods.insert((class.name.name, m.name.name), idx);
         }
     }
     CompiledProgram {

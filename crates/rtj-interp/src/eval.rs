@@ -17,24 +17,44 @@ use rtj_lang::ast::*;
 use rtj_lang::Symbol;
 use rtj_runtime::{ObjId, RegionId, Runtime, RuntimeOwner, ThreadClass, ThreadId, Value};
 use rtj_types::ProgramTable;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The immutable program data shared by all threads.
 pub struct ProgramData {
-    /// The elaborated program.
-    pub program: Program,
-    /// Its class/region-kind table.
+    /// The elaborated program: the only AST with method bodies, shared
+    /// with the [`rtj_types::Checked`] it came from.
+    pub program: Arc<Program>,
+    /// Its class/region-kind table: signatures only, for method
+    /// resolution and layouts.
     pub table: ProgramTable,
     /// Precomputed layouts.
     pub layouts: Layouts,
+    /// Each class's position in `program.classes`, by name.
+    classes: HashMap<Symbol, usize>,
 }
 
 impl ProgramData {
-    /// Finds a method body by declaring class and name.
+    /// The data for a checked program and its table.
+    pub fn new(program: Arc<Program>, table: ProgramTable) -> ProgramData {
+        let classes = program
+            .classes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.name.name, i))
+            .collect();
+        ProgramData {
+            layouts: Layouts::new(&table),
+            program,
+            table,
+            classes,
+        }
+    }
+
+    /// Finds a method, body included, by declaring class and name.
     pub fn method_body(&self, class: Symbol, method: Symbol) -> Option<&MethodDecl> {
-        self.table
-            .class(class)?
-            .decl
+        let &i = self.classes.get(&class)?;
+        self.program.classes[i]
             .methods
             .iter()
             .find(|m| m.name.name == method)
@@ -134,13 +154,13 @@ impl Evaluator {
     /// Runs the program's main block (thread 0) and returns the run's
     /// state with the outcome.
     pub(crate) fn run_main(mut self) -> (Box<State>, Result<(), RunError>) {
-        let main = self.data.program.main.clone();
+        let data = Arc::clone(&self.data);
         let mut frame = Frame {
             initial_region: Some(self.heap),
             current_region: Some(self.heap),
             ..Frame::default()
         };
-        let result = self.eval_block(&mut frame, &main);
+        let result = self.eval_block(&mut frame, &data.program.main);
         let result = result.and_then(|_| self.flush());
         (self.st.expect(HOLDER), result)
     }
@@ -153,12 +173,11 @@ impl Evaluator {
         decl_class: Symbol,
         method: Symbol,
     ) -> (Box<State>, Result<(), RunError>) {
-        let result = match self.data.method_body(decl_class, method) {
-            Some(decl) => {
-                let body = decl.body.clone();
-                self.eval_block(&mut frame, &body)
-                    .and_then(|_| self.flush())
-            }
+        let data = Arc::clone(&self.data);
+        let result = match data.method_body(decl_class, method) {
+            Some(decl) => self
+                .eval_block(&mut frame, &decl.body)
+                .and_then(|_| self.flush()),
             None => Err(RunError::Interp(format!("no method {decl_class}.{method}"))),
         };
         (self.st.expect(HOLDER), result)
@@ -553,15 +572,13 @@ impl Evaluator {
                         "call depth exceeded {MAX_CALL_DEPTH} (unbounded recursion?)"
                     )));
                 }
-                let body = self
-                    .data
+                let data = Arc::clone(&self.data);
+                let callee = data
                     .method_body(decl_class, mname)
-                    .ok_or_else(|| RunError::Interp(format!("no method {decl_class}.{mname}")))?
-                    .body
-                    .clone();
+                    .ok_or_else(|| RunError::Interp(format!("no method {decl_class}.{mname}")))?;
                 let mut callee_frame = callee_frame;
                 self.call_depth += 1;
-                let flow = self.eval_block(&mut callee_frame, &body);
+                let flow = self.eval_block(&mut callee_frame, &callee.body);
                 self.call_depth -= 1;
                 match flow? {
                     Flow::Return(v) => Ok(v),

@@ -185,7 +185,8 @@ pub type SuperChain = Vec<(Symbol, Vec<OwnerRef>)>;
 /// Resolves the method `method` for an object allocated as `class`,
 /// walking the superclass chain. Returns the [`SuperChain`] of hops the
 /// caller must evaluate against the object's stored owners, and the
-/// method declaration.
+/// method's header as the table holds it (its body is empty; the
+/// program holds the bodies).
 pub fn resolve_method_chain(
     table: &ProgramTable,
     class: Symbol,

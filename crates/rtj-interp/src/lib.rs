@@ -45,7 +45,6 @@ mod machine;
 pub mod vm;
 
 use eval::{Evaluator, ProgramData};
-use layout::Layouts;
 pub use machine::RunError;
 use machine::{Machine, State};
 use rtj_runtime::{CheckMode, CostModel, MetricsSnapshot, Runtime, ThreadId};
@@ -183,12 +182,14 @@ impl std::error::Error for BuildError {}
 /// Returns [`BuildError`] on parse or type errors.
 pub fn build(src: &str) -> Result<Checked, BuildError> {
     let program = rtj_lang::parse_program(src).map_err(BuildError::Parse)?;
-    rtj_types::check_program(&program).map_err(BuildError::Type)
+    rtj_types::check_program_in(program, &rtj_types::CheckOptions::default())
+        .map_err(BuildError::Type)
 }
 
 /// A checked program prepared for repeated execution: the elaborated
-/// program data (AST, class table, field layouts) and the compiled
-/// bytecode, both behind `Arc`s.
+/// program data (the checked AST, shared with the [`Checked`] it came
+/// from, its class table and field layouts) and the compiled bytecode,
+/// both behind `Arc`s.
 ///
 /// Preparing once and calling [`run_prepared`] many times — possibly from
 /// many threads at once — is the multi-tenant serving path (`rtj-server`):
@@ -203,11 +204,10 @@ pub struct Prepared {
 
 /// Elaborates and compiles a checked program for (repeated) execution.
 pub fn prepare(checked: &Checked) -> Prepared {
-    let data = Arc::new(ProgramData {
-        program: checked.program.clone(),
-        table: checked.table.clone(),
-        layouts: Layouts::new(&checked.table),
-    });
+    let data = Arc::new(ProgramData::new(
+        Arc::clone(&checked.program),
+        checked.table.clone(),
+    ));
     let bytecode = Arc::new(bytecode::compile(&data));
     Prepared { data, bytecode }
 }

@@ -19,7 +19,9 @@
 //! * [`Json::expect_schema`] and the typed field lookups
 //!   ([`Json::field`], [`Json::u64_field`], [`Json::field_as`], …) that
 //!   every `rtj-*/v1` reader goes through: a missing or mistyped field
-//!   is a [`JsonError`] that names the field and has no byte offset;
+//!   is a [`JsonError`] that names the field and has no byte offset.
+//!   [`Json::u64_field_or`] reads a counter older documents may lack:
+//!   absent gives its default, mistyped is still an error;
 //! * [`chrome`] — the Chrome `trace_event` records both trace exporters
 //!   build.
 //!
@@ -175,6 +177,20 @@ impl Json {
     /// [`Json::field_as`].
     pub fn u64_field(&self, key: &str) -> Result<u64, JsonError> {
         self.field_as(key, "a non-negative integer", Json::as_u64)
+    }
+
+    /// The optional non-negative integer field `key`, `default` when the
+    /// field is absent (older documents lack some counters).
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] naming `key` when the field is present but not a
+    /// non-negative integer.
+    pub fn u64_field_or(&self, key: &str, default: u64) -> Result<u64, JsonError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(_) => self.u64_field(key),
+        }
     }
 
     /// The required number field `key`; errors as [`Json::field_as`].
@@ -633,6 +649,12 @@ mod tests {
         assert_eq!(
             message(v.obj_field("y").unwrap_err()),
             "field `y` is not an object"
+        );
+        assert_eq!(v.u64_field_or("x", 9), Ok(3));
+        assert_eq!(v.u64_field_or("z", 9), Ok(9));
+        assert_eq!(
+            message(v.u64_field_or("s", 9).unwrap_err()),
+            "field `s` is not a non-negative integer"
         );
         assert_eq!(
             message(v.expect_schema("b/v1").unwrap_err()),

@@ -158,7 +158,10 @@ impl Histogram {
         )
     }
 
-    fn from_json(v: &Json) -> Option<Histogram> {
+    /// Reads the sparse form [`Histogram::to_json`] writes: `None` unless
+    /// every element is an `[index, count]` pair of exactly two
+    /// non-negative integers with an index below 65.
+    pub fn from_json(v: &Json) -> Option<Histogram> {
         let mut h = Histogram::default();
         for pair in v.as_arr()? {
             let [i, c] = pair.as_arr()? else {

@@ -92,16 +92,11 @@ impl LatencySummary {
             p95_us: v.u64_field("p95_us")?,
             p99_us: v.u64_field("p99_us")?,
             max_us: v.u64_field("max_us")?,
-            hist: v.field_as("hist_log2_us", "a list of [bucket, count] pairs", |pairs| {
-                let mut hist = Histogram::default();
-                for pair in pairs.as_arr()? {
-                    // Elements past the first two are ignored.
-                    let pair = pair.as_arr()?;
-                    let bucket = usize::try_from(pair.first()?.as_u64()?).ok()?;
-                    *hist.buckets.get_mut(bucket)? = pair.get(1)?.as_u64()?;
-                }
-                Some(hist)
-            })?,
+            hist: v.field_as(
+                "hist_log2_us",
+                "a list of [bucket, count] pairs",
+                Histogram::from_json,
+            )?,
         })
     }
 }
@@ -222,7 +217,7 @@ impl AttributionGroup {
             program: v.str_field("program")?.to_string(),
             mode: mode_field(v)?,
             sessions: v.u64_field("sessions")?,
-            stolen: v.get("stolen").and_then(Json::as_u64).unwrap_or(0),
+            stolen: v.u64_field_or("stolen", 0)?,
             stages: v
                 .obj_field("stages")?
                 .iter()
@@ -585,8 +580,8 @@ impl LoadReport {
         // The shed block is optional so pre-shedding documents parse.
         let (shed_admission, shed_queue) = match sessions.get("shed") {
             Some(shed) => (
-                shed.get("admission").and_then(Json::as_u64).unwrap_or(0),
-                shed.get("queue").and_then(Json::as_u64).unwrap_or(0),
+                shed.u64_field_or("admission", 0)?,
+                shed.u64_field_or("queue", 0)?,
             ),
             None => (0, 0),
         };
@@ -596,21 +591,23 @@ impl LoadReport {
                 program: g.str_field("program")?.to_string(),
                 mode: mode_field(g)?,
                 requests: g.u64_field("requests")?,
-                failed: g.get("failed").and_then(Json::as_u64).unwrap_or(0),
-                shed: g.get("shed").and_then(Json::as_u64).unwrap_or(0),
-                cycles: g.get("cycles").and_then(Json::as_u64).unwrap_or(0),
+                failed: g.u64_field_or("failed", 0)?,
+                shed: g.u64_field_or("shed", 0)?,
+                cycles: g.u64_field_or("cycles", 0)?,
                 latency: LatencySummary::from_json(g.field("latency")?)?,
                 service: LatencySummary::from_json(g.field("service")?)?,
             });
         }
         // Optional blocks: pre-telemetry documents (and telemetry-off
         // runs) parse with an empty attribution and zero panicked.
-        let mut attribution = Vec::new();
-        if let Some(Json::Arr(entries)) = v.get("attribution") {
-            for entry in entries {
-                attribution.push(AttributionGroup::from_json(entry)?);
-            }
-        }
+        let attribution = match v.get("attribution") {
+            Some(Json::Null) | None => Vec::new(),
+            Some(_) => v
+                .arr_field("attribution")?
+                .iter()
+                .map(AttributionGroup::from_json)
+                .collect::<Result<_, JsonError>>()?,
+        };
         let mut mode_metrics = Vec::new();
         for m in v.arr_field("mode_metrics")? {
             let snap = MetricsSnapshot::from_json(m.field("metrics")?)?;
@@ -621,10 +618,7 @@ impl LoadReport {
             Some(l) => Some(LoadLedger {
                 static_elided: l.u64_field("static_elided")?,
                 dynamic_performed: l.u64_field("dynamic_performed")?,
-                matched_sessions: l
-                    .get("matched_sessions")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
+                matched_sessions: l.u64_field_or("matched_sessions", 0)?,
             }),
         };
         Ok(LoadReport {
@@ -639,7 +633,7 @@ impl LoadReport {
             shed_queue,
             peak_concurrent: sessions.u64_field("peak_concurrent")?,
             stolen: sessions.u64_field("stolen")?,
-            panicked: sessions.get("panicked").and_then(Json::as_u64).unwrap_or(0),
+            panicked: sessions.u64_field_or("panicked", 0)?,
             throughput_hz: v.f64_field("throughput_hz")?,
             groups,
             attribution,

@@ -166,13 +166,14 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// Reads one `[ts_ns, kind, session]` triple of an
-    /// `rtj-server-trace/v1` lane; elements past the third are ignored.
+    /// `rtj-server-trace/v1` lane: exactly three elements.
     fn from_json(e: &Json) -> Option<TraceEvent> {
-        let triple = e.as_arr()?;
-        let session = triple.get(2)?;
+        let [ts_ns, kind, session] = e.as_arr()? else {
+            return None;
+        };
         Some(TraceEvent {
-            ts_ns: triple.first()?.as_u64()?,
-            kind: EventKind::parse(triple.get(1)?.as_str()?)?,
+            ts_ns: ts_ns.as_u64()?,
+            kind: EventKind::parse(kind.as_str()?)?,
             session: if session.is_null() {
                 None
             } else {
@@ -361,10 +362,12 @@ impl Timeline {
                     ws.as_arr()?
                         .iter()
                         .map(|w| {
-                            let pair = w.as_arr()?;
+                            let [completed, queued] = w.as_arr()? else {
+                                return None;
+                            };
                             Some(WorkerSample {
-                                completed: pair.first()?.as_u64()?,
-                                queued: pair.get(1)?.as_u64()?,
+                                completed: completed.as_u64()?,
+                                queued: queued.as_u64()?,
                             })
                         })
                         .collect()

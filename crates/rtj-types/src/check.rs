@@ -3,15 +3,16 @@
 //! Entry point: [`check_program`]. On success it returns the *elaborated*
 //! program (inferred `let` types, defaulted `new` owners, and inferred
 //! call-site owner arguments written back into the AST) together with the
-//! [`ProgramTable`] (its stored declarations refreshed to the elaborated
-//! AST), which the interpreter uses for method resolution and object
-//! layout.
+//! [`ProgramTable`], which the interpreter uses for method resolution and
+//! object layout. The program is the only AST that holds method bodies:
+//! the table keeps each class's signature (bodies empty), which is all
+//! the rules of Appendix B read.
 //!
 //! Rule coverage (paper → function):
 //!
 //! | Paper rule | Here |
 //! |---|---|
-//! | `[PROG]` | [`check_program`] (main block: `X = {heap, immortal}`, `rcr = heap`) |
+//! | `[PROG]` | `check_main` (main block: `X = {heap, immortal}`, `rcr = heap`) |
 //! | `[CLASS DEF]`, `[METHOD]` | `check_class`, `check_method` |
 //! | `[REGION KIND DEF]` | `check_region_kind` |
 //! | `[TYPE C]`, `[TYPE REGION HANDLE]` | `wf_stype` |
@@ -34,15 +35,17 @@ use crate::table::{resolve_kind, ClassInfo, ProgramTable, SConstraint};
 use rtj_lang::ast::*;
 use rtj_lang::intern::Symbol;
 use rtj_lang::span::Span;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A successfully checked program: the elaborated AST plus its table.
 #[derive(Debug, Clone)]
 pub struct Checked {
-    /// The program with inference results written back.
-    pub program: Program,
-    /// Class/region-kind table built from the elaborated program.
+    /// The program with inference results written back: the one copy of
+    /// the method bodies, which the engines share (`Arc`) and execute.
+    pub program: Arc<Program>,
+    /// Class/region-kind table of the program's declarations: their
+    /// signatures, with method bodies empty.
     pub table: ProgramTable,
     /// Statistics from the checking run.
     pub stats: CheckStats,
@@ -268,17 +271,8 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
     }
     prog.classes = classes;
 
-    // [PROG]: the initial expression runs on the main (regular) thread with
-    // the heap as the current region.
     let p0 = profiling.then(|| start.elapsed());
-    let mut env = Env::base();
-    let x: Effects = [Owner::Heap, Owner::Immortal].into_iter().collect();
-    let mut main = std::mem::take(&mut prog.main.stmts);
-    for s in &mut main {
-        ck.check_stmt(&mut env, &x, &Owner::Heap, &SType::Void, false, s);
-    }
-    ck.absorb_env(&env);
-    prog.main.stmts = main;
+    ck.check_main(&mut prog.main);
     let main_errors = std::mem::take(&mut ck.errors);
     if let Some(p0) = p0 {
         phases.push(PhaseSpan::leaf("main", p0, start.elapsed() - p0));
@@ -296,15 +290,8 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
     stats.judgments = ck.judgments;
     stats.elapsed = start.elapsed();
     if all.is_empty() {
-        // Refresh the stored declarations so the table contains the
-        // elaborated method bodies. Inference only fills in elided owner
-        // arguments inside bodies — the hierarchy, formal kinds, and
-        // signatures are unchanged — so a full revalidating rebuild would
-        // be wasted work.
-        let mut table = table;
-        table.refresh_decls(&prog);
         Ok(Checked {
-            program: prog,
+            program: Arc::new(prog),
             table,
             stats,
             profile: profiling.then_some(CheckProfile { phases }),
@@ -705,6 +692,17 @@ impl<'t> Checker<'t> {
             .collect();
         env.set_this(info.decl.name.name, owners);
         env
+    }
+
+    /// `[PROG]`: the main block runs on the main (regular) thread with
+    /// effects `{heap, immortal}` and the heap as the current region.
+    pub(crate) fn check_main(&mut self, main: &mut Block) {
+        let mut env = Env::base();
+        let x: Effects = [Owner::Heap, Owner::Immortal].into_iter().collect();
+        for s in &mut main.stmts {
+            self.check_stmt(&mut env, &x, &Owner::Heap, &SType::Void, false, s);
+        }
+        self.absorb_env(&env);
     }
 
     pub(crate) fn check_class(&mut self, c: &mut ClassDecl) {

@@ -67,12 +67,10 @@
 //! positions and the totals.
 
 use crate::check::{resolve_jobs, CheckOptions, CheckStats, Checker};
-use crate::env::{Effects, Env, JudgmentCounters};
+use crate::env::JudgmentCounters;
 use crate::error::TypeError;
 use crate::infer;
-use crate::owner::Owner;
 use crate::profile::{CheckProfile, PhaseSpan};
-use crate::stype::SType;
 use crate::table::ProgramTable;
 use rtj_lang::ast::{Block, ClassDecl, Program};
 use rtj_lang::fingerprint::{
@@ -960,12 +958,7 @@ impl IncrementalChecker {
         // and it may reference any class).
         let p0 = profiling.then(|| start.elapsed());
         let mut ck = Checker::new(&table);
-        let mut env = Env::base();
-        let x: Effects = [Owner::Heap, Owner::Immortal].into_iter().collect();
-        for s in &mut main.stmts {
-            ck.check_stmt(&mut env, &x, &Owner::Heap, &SType::Void, false, s);
-        }
-        ck.absorb_env(&env);
+        ck.check_main(&mut main);
         let main_errors = std::mem::take(&mut ck.errors);
         let main_judgments = ck.judgments;
         if let Some(p0) = p0 {
@@ -1172,6 +1165,7 @@ fn shift_span(s: Span, delta: i64) -> Span {
 mod tests {
     use super::*;
     use crate::check::check_program_in;
+    use crate::table::signature;
 
     fn src() -> String {
         "class B<Owner o> { int v; int get() { return this.v; } }\n\
@@ -1244,6 +1238,58 @@ mod tests {
             }])
             .unwrap_err();
         assert!(matches!(err, RecheckError::UnknownClass(_)));
+    }
+
+    /// Every class entry of `table` holds a signature: no method body.
+    fn assert_signatures_only(table: &ProgramTable, pass: &str) {
+        for info in table.classes() {
+            for m in &info.decl.methods {
+                assert!(
+                    m.body.stmts.is_empty(),
+                    "{pass}: the table keeps the body of {}.{}",
+                    info.decl.name,
+                    m.name
+                );
+            }
+        }
+    }
+
+    /// The program holds the method bodies and the table only their
+    /// signatures, after a from-scratch check and after incremental
+    /// passes that patch the kept table or rebuild it.
+    #[test]
+    fn the_table_holds_no_method_body() {
+        let scratch =
+            check_program_in(parse_program(&src()).unwrap(), &CheckOptions::default()).unwrap();
+        assert_signatures_only(&scratch.table, "from scratch");
+        let methods: Vec<_> = scratch
+            .program
+            .classes
+            .iter()
+            .flat_map(|c| &c.methods)
+            .collect();
+        assert_eq!(methods.len(), 2);
+        assert!(methods.iter().all(|m| !m.body.stmts.is_empty()));
+
+        let mut eng = IncrementalChecker::new(CheckOptions::default());
+        assert!(eng.check_source(&src()).unwrap().ok());
+        assert_signatures_only(eng.table.as_ref().unwrap(), "first pass");
+        let out = eng
+            .recheck(&[ClassEdit {
+                class: "B".to_string(),
+                source: "class B<Owner o> { int v; int get() { let d = new B; return this.v; } }"
+                    .to_string(),
+            }])
+            .unwrap();
+        assert!(out.ok() && !out.whole_parse && !out.full_rebuild, "{out:?}");
+        assert_signatures_only(eng.table.as_ref().unwrap(), "fragment pass");
+        let grown = format!(
+            "class Z<Owner o> {{ int z() {{ return 1; }} }}\n{}",
+            eng.source()
+        );
+        let out = eng.check_source(&grown).unwrap();
+        assert!(out.ok() && out.whole_parse && out.full_rebuild, "{out:?}");
+        assert_signatures_only(eng.table.as_ref().unwrap(), "rebuild pass");
     }
 
     /// A batch rejected after its first edit emptied a class splices it
@@ -1357,8 +1403,9 @@ mod tests {
     /// After every batch of two seeded replays, the spliced layout is a
     /// fresh parse's, and each declaration the fragment path parsed (the
     /// edited ones and the re-parsed dependents of a changed signature)
-    /// is held by the table exactly as the fresh parse's elaborated one.
-    /// Debug output is compared because `Ident` equality ignores spans.
+    /// is held by the table exactly as `build` holds the fresh parse's
+    /// default-completed one: as its signature. Debug output is compared
+    /// because `Ident` equality ignores spans.
     #[test]
     fn fragment_path_tracks_a_fresh_parse() {
         // Batches by route: fragment, whole source, and fragment batches
@@ -1409,7 +1456,7 @@ mod tests {
                         let have = &table.class(name).unwrap().decl;
                         assert_eq!(
                             format!("{:?}", have),
-                            format!("{:?}", want.unwrap()),
+                            format!("{:?}", signature(want.unwrap())),
                             "seed {seed} batch {id}: table decl of {name}"
                         );
                     }

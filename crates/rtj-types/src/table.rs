@@ -10,7 +10,8 @@ use crate::kind::{Kind, RegionKindLookup};
 use crate::owner::{Owner, Subst};
 use crate::stype::SType;
 use rtj_lang::ast::{
-    ClassDecl, ConstraintRel, KindAnn, MethodDecl, Policy, Program, RegionKindDecl, ThreadTag, Type,
+    Block, ClassDecl, ConstraintRel, KindAnn, MethodDecl, Policy, Program, RegionKindDecl,
+    ThreadTag, Type,
 };
 use rtj_lang::intern::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -100,9 +101,11 @@ fn no_regions(_: Symbol) -> bool {
 /// A class with pre-resolved formal kinds and constraints.
 #[derive(Debug, Clone)]
 pub struct ClassInfo {
-    /// The (default-completed) declaration. Shared (`Arc`): `ClassInfo`
-    /// is cloned on hot checking paths, and the declaration — method
-    /// bodies included — is by far its heaviest part.
+    /// The (default-completed) declaration's signature: every member,
+    /// with each method body an empty block at the body's span. The
+    /// bodies live in the program alone; the typing rules and method
+    /// resolution read only headers. Shared (`Arc`), since `ClassInfo`
+    /// is cloned on hot checking paths.
     pub decl: Arc<ClassDecl>,
     /// Names of the formal owner parameters (interned).
     pub formal_names: Vec<Symbol>,
@@ -117,7 +120,7 @@ impl ClassInfo {
     /// class declaration.
     fn of(c: &ClassDecl) -> ClassInfo {
         ClassInfo {
-            decl: Arc::new(c.clone()),
+            decl: Arc::new(signature(c)),
             formal_names: c.formals.iter().map(|f| f.name.name).collect(),
             formal_kinds: c
                 .formals
@@ -126,6 +129,38 @@ impl ClassInfo {
                 .collect(),
             constraints: resolve_constraints(&c.where_clauses, &no_regions),
         }
+    }
+}
+
+/// `c` with every method body replaced by an empty block at the body's
+/// span: what [`ClassInfo::decl`] holds. Nothing else is dropped, so
+/// headers, fields, `extends`, `where` clauses and spans are `c`'s.
+pub(crate) fn signature(c: &ClassDecl) -> ClassDecl {
+    let methods = c
+        .methods
+        .iter()
+        .map(|m| MethodDecl {
+            ret: m.ret.clone(),
+            name: m.name,
+            formals: m.formals.clone(),
+            params: m.params.clone(),
+            effects: m.effects.clone(),
+            where_clauses: m.where_clauses.clone(),
+            body: Block {
+                stmts: Vec::new(),
+                span: m.body.span,
+            },
+            span: m.span,
+        })
+        .collect();
+    ClassDecl {
+        name: c.name,
+        formals: c.formals.clone(),
+        extends: c.extends.clone(),
+        where_clauses: c.where_clauses.clone(),
+        fields: c.fields.clone(),
+        methods,
+        span: c.span,
     }
 }
 
@@ -331,27 +366,6 @@ impl ProgramTable {
             }
         }
         sorted(errors)
-    }
-
-    /// Replaces the stored declarations with `p`'s, keeping the resolved
-    /// formal kinds and constraints and running no validation.
-    ///
-    /// Used by the checking driver after owner inference writes elided
-    /// owner arguments back into method bodies: elaboration changes
-    /// expression-level types only, so the structural facts computed by
-    /// [`ProgramTable::build`] still hold and revalidating the hierarchy
-    /// would double the table-construction cost of every check.
-    pub fn refresh_decls(&mut self, p: &Program) {
-        for c in &p.classes {
-            if let Some(info) = self.classes.get_mut(&c.name.name) {
-                info.decl = Arc::new(c.clone());
-            }
-        }
-        for rk in &p.region_kinds {
-            if let Some(info) = self.region_kinds.get_mut(&rk.name.name) {
-                info.decl = Arc::new(rk.clone());
-            }
-        }
     }
 
     /// Looks up a class.
@@ -576,9 +590,8 @@ impl ProgramTable {
     }
 
     /// Finds the declaring class, its substituted owner arguments, and the
-    /// method declaration for a call on `class<owners>`. Used by both the
-    /// checker and the interpreter (dynamic dispatch starts at the object's
-    /// allocated class).
+    /// method's header (its body is empty, see [`ClassInfo::decl`]) for a
+    /// call on `class<owners>`.
     pub fn resolve_method(
         &self,
         class: impl Into<Symbol>,

@@ -1,7 +1,7 @@
 //! End-to-end tests of Section 2.5: default completion and local type
 //! inference keep the annotation burden low without changing behaviour.
 
-use rtjava::interp::{build, run_source, RunConfig};
+use rtjava::interp::{build, run_checked, run_source, Engine, RunConfig};
 use rtjava::runtime::CheckMode;
 
 fn run_trace(src: &str) -> Vec<String> {
@@ -169,4 +169,57 @@ fn new_without_owners_allocates_in_current_region() {
         }
     "#;
     assert_eq!(run_trace(src), vec!["9"]);
+}
+
+#[test]
+fn engines_run_the_elaborated_method_bodies() {
+    // Every owner the engines need is elided inside method bodies: the
+    // `new D`s of a called method, the call-site owner argument of
+    // `this.take(a, b)`, and the `new D` of a forked body (which the
+    // tree-walker reaches through its own path). Each engine must run
+    // the bodies as elaboration completed them.
+    let src = r#"
+        class D<Owner a> { int v; D<a> next; }
+        class C<Owner o> {
+            int take<Owner q>(D<q> x, D<q> y) { return x.v + y.v; }
+            int sum() {
+                let a = new D;
+                a.v = 40;
+                let b = new D;
+                b.v = 2;
+                a.next = b;
+                return this.take(a, b);
+            }
+        }
+        class W<Owner o> {
+            void run() {
+                let d = new D;
+                d.v = 7;
+                print(d.v);
+            }
+        }
+        {
+            fork (new W<heap>).run();
+            (RHandle<r> h) {
+                let c = new C<r>;
+                print(c.sum());
+            }
+        }
+    "#;
+    let checked = build(src).unwrap();
+    for mode in [CheckMode::Dynamic, CheckMode::Static, CheckMode::Audit] {
+        let run = |engine| {
+            let out = run_checked(
+                &checked,
+                RunConfig {
+                    engine,
+                    ..RunConfig::new(mode)
+                },
+            );
+            assert!(out.error.is_none(), "{engine:?} {mode:?}: {:?}", out.error);
+            assert_eq!(out.trace, vec!["7", "42"], "{engine:?} {mode:?}");
+            out.cycles
+        };
+        assert_eq!(run(Engine::Vm), run(Engine::Tree), "{mode:?}: cycles");
+    }
 }
