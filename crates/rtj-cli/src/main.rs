@@ -975,7 +975,7 @@ fn fig12_line(row: &Json) -> Result<String, JsonError> {
 /// The flags `serve` and `load` share: the request mix and executor, the
 /// flight recorder (`--telemetry[=FILE]` turns it on and writes its
 /// documents to FILE, `--trace-format` picks the trace export,
-/// `--tick-us` the sampler period), and where the report and the
+/// `--tick-us` the timeline's bucket width), and where the report and the
 /// session keys go.
 const SERVING_FLAGS: &Flags = &[
     ("--workers", Value),

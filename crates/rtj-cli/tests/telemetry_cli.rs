@@ -364,7 +364,7 @@ fn a_malformed_value_is_named_without_a_byte_offset() {
     write_load_documents(&dir);
     let (text, minus_one) = (Some(Json::Str("x".into())), Some(Json::Int(-1)));
     // `None` appends an element to the array at the path.
-    let cases: [(&str, &[&str], Option<Json>); 12] = [
+    let cases: [(&str, &[&str], Option<Json>); 13] = [
         ("load.json", &["groups", "0", "failed"], text.clone()),
         ("load.json", &["groups", "0", "shed"], minus_one.clone()),
         (
@@ -387,6 +387,7 @@ fn a_malformed_value_is_named_without_a_byte_offset() {
             &["sessions", "shed", "queue"],
             minus_one.clone(),
         ),
+        ("load.json", &["sessions", "shed"], Some(Json::Int(5))),
         ("load.json", &["sessions", "panicked"], minus_one),
         ("load.json", &["ledger", "matched_sessions"], text.clone()),
         ("load.json", &["attribution", "0", "stolen"], text),

@@ -44,6 +44,12 @@
 //! driver that outruns the service rate is throttled at the submission
 //! edge rather than growing the queue without bound. `0` means
 //! unbounded, the right setting for measuring backlog under overload.
+//!
+//! Observation: with a flight recorder wired in
+//! ([`Executor::with_recorder`]), workers log their park and unpark
+//! transitions, and the server's jobs log their own claims and
+//! completions. No thread samples the pool while it runs: the telemetry
+//! timeline is counted from that log after the run.
 
 use std::collections::VecDeque;
 use std::io;
@@ -53,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use crate::telemetry::{EventKind, FlightRecorder, WorkerSample};
+use crate::telemetry::{EventKind, FlightRecorder};
 
 /// A unit of work: one session execution. The argument is the index of
 /// the worker that runs the job (the shard-ownership token for
@@ -61,17 +67,10 @@ use crate::telemetry::{EventKind, FlightRecorder, WorkerSample};
 /// was submitted to, when it was stolen.
 pub type Job = Box<dyn FnOnce(usize) + Send + 'static>;
 
-/// One worker's queue: its own mutex, so submissions to different
-/// shards never contend.
-struct Shard {
-    queue: Mutex<VecDeque<Job>>,
-    /// Jobs this shard's owning worker has executed (telemetry gauge;
-    /// only the owner writes it).
-    completed: AtomicU64,
-}
-
 struct Inner {
-    shards: Vec<Shard>,
+    /// One queue per worker, each behind its own mutex, so submissions
+    /// to different shards never contend.
+    shards: Vec<Mutex<VecDeque<Job>>>,
     /// Total jobs ever submitted (also the round-robin ticket counter).
     submitted: AtomicU64,
     /// Total jobs fully executed (including contained panics).
@@ -176,12 +175,7 @@ impl Executor {
             assert!(rec.workers() >= workers, "recorder lane per worker");
         }
         let inner = Arc::new(Inner {
-            shards: (0..workers)
-                .map(|_| Shard {
-                    queue: Mutex::new(VecDeque::new()),
-                    completed: AtomicU64::new(0),
-                })
-                .collect(),
+            shards: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             stolen: AtomicU64::new(0),
@@ -259,7 +253,7 @@ impl Executor {
         inner.submitted.fetch_add(1, Ordering::SeqCst);
         inner.queued.fetch_add(1, Ordering::SeqCst);
         {
-            let mut queue = inner.shards[shard].queue.lock().unwrap();
+            let mut queue = inner.shards[shard].lock().unwrap();
             queue.push_back(job);
         }
         // Dekker handshake, submitter side: `queued` is published above,
@@ -286,14 +280,6 @@ impl Executor {
     /// Current counters.
     pub fn stats(&self) -> ExecutorStats {
         self.inner.stats()
-    }
-
-    /// A handle the telemetry sampler can poll from its own thread while
-    /// the pool runs.
-    pub fn probe(&self) -> ExecutorProbe {
-        ExecutorProbe {
-            inner: Arc::clone(&self.inner),
-        }
     }
 
     /// Drains outstanding work, stops the workers, and returns the final
@@ -332,53 +318,6 @@ pub(crate) fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// A sampling handle onto a live executor: reads the gauge counters
-/// without participating in the pool's lifecycle (holding one does not
-/// keep workers alive or delay shutdown accounting).
-pub struct ExecutorProbe {
-    inner: Arc<Inner>,
-}
-
-/// One probe reading, consumed by the telemetry sampler.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProbeSample {
-    /// Jobs submitted but not finished (queued + executing).
-    pub in_flight: u64,
-    /// Jobs queued but not yet claimed.
-    pub queued: u64,
-    /// Jobs fully executed.
-    pub completed: u64,
-    /// Per-worker completed counts and instantaneous queue depths.
-    pub workers: Vec<WorkerSample>,
-}
-
-impl ExecutorProbe {
-    /// Current counters (same snapshot as [`Executor::stats`]).
-    pub fn stats(&self) -> ExecutorStats {
-        self.inner.stats()
-    }
-
-    /// Reads the run gauges plus the per-worker breakdown. Queue depths
-    /// take each shard's lock briefly; the sampler tick (≥ 100 µs)
-    /// bounds how often.
-    pub fn sample(&self) -> ProbeSample {
-        let inner = &*self.inner;
-        ProbeSample {
-            in_flight: inner.in_flight.load(Ordering::SeqCst),
-            queued: inner.queued.load(Ordering::SeqCst) as u64,
-            completed: inner.completed.load(Ordering::SeqCst),
-            workers: inner
-                .shards
-                .iter()
-                .map(|shard| WorkerSample {
-                    completed: shard.completed.load(Ordering::SeqCst),
-                    queued: shard.queue.lock().unwrap().len() as u64,
-                })
-                .collect(),
-        }
-    }
-}
-
 impl Drop for Executor {
     fn drop(&mut self) {
         if !self.workers.is_empty() {
@@ -395,12 +334,12 @@ fn worker_loop(id: usize, inner: &Inner) {
         // temporary, dropped before the steal scan — holding it while
         // locking a victim's queue would let empty-handed workers form a
         // hold-and-wait cycle.
-        let mut claimed = inner.shards[id].queue.lock().unwrap().pop_front();
+        let mut claimed = inner.shards[id].lock().unwrap().pop_front();
         let mut stole = false;
         if claimed.is_none() {
             for off in 1..shards {
                 let victim = &inner.shards[(id + off) % shards];
-                if let Some(job) = victim.queue.lock().unwrap().pop_back() {
+                if let Some(job) = victim.lock().unwrap().pop_back() {
                     claimed = Some(job);
                     stole = true;
                     break;
@@ -456,7 +395,6 @@ fn worker_loop(id: usize, inner: &Inner) {
         }
 
         inner.completed.fetch_add(1, Ordering::SeqCst);
-        inner.shards[id].completed.fetch_add(1, Ordering::SeqCst);
         let remaining = inner.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
         if remaining == 0 {
             // Cold path: only the last job of a lull pays for the lock.

@@ -34,11 +34,12 @@
 //! With [`ServeConfig::telemetry`] set, the server also runs a **flight
 //! recorder** ([`telemetry`]): a per-worker scheduling event log drained
 //! into [`telemetry::SERVER_TRACE_SCHEMA`] (`rtj-server-trace/v1`, with
-//! Chrome `trace_event` export), a periodic gauge sampler emitting
+//! Chrome `trace_event` export). Two views are derived from the drained
+//! log: the executor's gauges at every tick, as
 //! [`telemetry::TIMELINE_SCHEMA`] (`rtj-timeline/v1`), and per-session
 //! latency attribution folded into `rtj-load/v1` as the `attribution`
-//! block. Telemetry never touches session results: fingerprints are
-//! byte-identical on or off.
+//! block. Telemetry starts no thread and never touches session results:
+//! fingerprints are byte-identical on or off.
 //!
 //! # Example
 //!
@@ -62,7 +63,7 @@ pub mod server;
 pub mod session;
 pub mod telemetry;
 
-pub use executor::{Executor, ExecutorProbe, ExecutorStats, Job, ProbeSample};
+pub use executor::{Executor, ExecutorStats, Job};
 pub use load::{run_load, LoadOutcome, LoadPlan};
 pub use report::{
     AttributionGroup, LatencySummary, LoadGroup, LoadLedger, LoadReport, LOAD_SCHEMA,

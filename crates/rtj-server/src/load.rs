@@ -11,13 +11,14 @@
 //!
 //! After the duration window closes, the generator tops the submission
 //! count up to a whole number of mix rounds (every program × variant
-//! under every mode × engine equally often) so the Figure-12 ledger
-//! holds exactly on the merged snapshots, then drains.
+//! under every mode equally often) so the Figure-12 ledger holds exactly
+//! on the merged snapshots, then drains.
 //!
 //! When [`ServeConfig::telemetry`] is set, the server's flight recorder
 //! rides along unchanged: the [`ServeOutcome`] carries the scheduling
-//! trace and sampler timeline, and the load report folds the per-stage
-//! latency attribution in (see [`crate::telemetry`]).
+//! trace and the gauge timeline counted from it, and the load report
+//! folds the per-stage latency attribution in (see
+//! [`crate::telemetry`]).
 
 use std::time::{Duration, Instant};
 

@@ -579,10 +579,13 @@ impl LoadReport {
         let sessions = v.field("sessions")?;
         // The shed block is optional so pre-shedding documents parse.
         let (shed_admission, shed_queue) = match sessions.get("shed") {
-            Some(shed) => (
-                shed.u64_field_or("admission", 0)?,
-                shed.u64_field_or("queue", 0)?,
-            ),
+            Some(_) => {
+                let shed = sessions.field_as("shed", "an object", |s| s.as_obj().map(|_| s))?;
+                (
+                    shed.u64_field_or("admission", 0)?,
+                    shed.u64_field_or("queue", 0)?,
+                )
+            }
             None => (0, 0),
         };
         let mut groups = Vec::new();

@@ -43,10 +43,11 @@ use rtj_runtime::{CheckMode, MetricsSnapshot};
 
 use crate::executor::{resolve_workers, Executor, ExecutorStats};
 use crate::session::{SessionResult, SessionSpec, ShedStage};
-use crate::telemetry::{
-    EventKind, FlightRecorder, Sampler, ServerTrace, Telemetry, TelemetryConfig, Timeline,
-    TimelineSample,
-};
+use crate::telemetry::{EventKind, FlightRecorder, ServerTrace, Telemetry, TelemetryConfig};
+
+/// The narrowest timeline bucket the server derives: it bounds the
+/// timeline at 10 000 samples per second of run.
+const MIN_TICK: Duration = Duration::from_micros(100);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -79,8 +80,8 @@ pub struct ServeConfig {
     pub panic_session: Option<u64>,
     /// Flight-recorder options. `None` (the default) disables telemetry
     /// entirely: the per-event hooks compile down to one untaken
-    /// `Option` branch each and no sampler thread is spawned. What
-    /// turning it on costs is perfbench's
+    /// `Option` branch each. On or off, the server starts no thread
+    /// beyond its workers. What turning it on costs is perfbench's
     /// `trace.overhead.batch_sessions_per_s`; session results are
     /// byte-identical either way (asserted by the fingerprint-identity
     /// tests).
@@ -157,6 +158,15 @@ pub struct ShedStats {
 }
 
 impl ShedStats {
+    /// Counts `results` by [`ShedStage`].
+    fn of(results: &[SessionResult]) -> ShedStats {
+        let count = |stage| results.iter().filter(|r| r.shed == Some(stage)).count() as u64;
+        ShedStats {
+            admission: count(ShedStage::Admission),
+            queue: count(ShedStage::Queue),
+        }
+    }
+
     /// Total shed sessions.
     pub fn total(&self) -> u64 {
         self.admission + self.queue
@@ -224,8 +234,6 @@ pub struct Server {
     /// Admission-shed results, owned by the submitting thread (the
     /// drivers submit from one thread; this mutex is uncontended).
     admission_shed: Mutex<Vec<SessionResult>>,
-    shed_admission: Arc<AtomicU64>,
-    shed_queue: Arc<AtomicU64>,
     /// Sessions whose engine run panicked. The server contains the
     /// unwind *inside* the job (to record a failed result), so the
     /// executor's own counter never sees it; this one does.
@@ -237,8 +245,9 @@ pub struct Server {
     /// to the extra submitter lane; worker-side events are recorded from
     /// inside the job closures onto the executing worker's lane.
     recorder: Option<Arc<FlightRecorder>>,
-    sampler: Option<Sampler>,
-    telemetry_tick_us: u64,
+    /// The timeline's bucket width in µs: the configured tick, floored
+    /// at [`MIN_TICK`].
+    tick_us: u64,
 }
 
 impl Server {
@@ -303,51 +312,19 @@ impl Server {
                 .map(|_| Mutex::new(ResultShard::default()))
                 .collect::<Vec<_>>(),
         );
-        let shed_admission = Arc::new(AtomicU64::new(0));
-        let shed_queue = Arc::new(AtomicU64::new(0));
-        let panicked = Arc::new(AtomicU64::new(0));
-        // A sampler that cannot start returns the error, and dropping the
-        // executor stops its workers.
-        let sampler = cfg.telemetry.as_ref().map(|t| {
-            let probe = executor.probe();
-            let rec = Arc::clone(recorder.as_ref().expect("recorder set with telemetry"));
-            let shed_a = Arc::clone(&shed_admission);
-            let shed_q = Arc::clone(&shed_queue);
-            Sampler::start(t.tick, move || {
-                let s = probe.sample();
-                TimelineSample {
-                    ts_us: rec.now_us(),
-                    in_flight: s.in_flight,
-                    queued: s.queued,
-                    completed: s.completed,
-                    shed: shed_a.load(Ordering::Relaxed) + shed_q.load(Ordering::Relaxed),
-                    throughput_hz: 0.0,
-                    workers: s.workers,
-                }
-            })
-            .map_err(|e| ServeError {
-                message: format!("cannot start the telemetry sampler thread: {e}"),
-            })
-        });
-        let sampler = sampler.transpose()?;
         Ok(Server {
             executor,
             mix,
             shards,
             admission_shed: Mutex::new(Vec::new()),
-            shed_admission,
-            shed_queue,
-            panicked,
+            panicked: Arc::new(AtomicU64::new(0)),
             deadline: cfg.deadline,
             stall: Duration::from_micros(cfg.stall_us),
             panic_session: cfg.panic_session,
             recorder,
-            sampler,
-            telemetry_tick_us: cfg
-                .telemetry
-                .as_ref()
-                .map(|t| t.tick.as_micros() as u64)
-                .unwrap_or(0),
+            tick_us: cfg.telemetry.as_ref().map_or(0, |t| {
+                u64::try_from(t.tick.max(MIN_TICK).as_micros()).unwrap_or(u64::MAX)
+            }),
         })
     }
 
@@ -387,7 +364,6 @@ impl Server {
                 if let Some(r) = &rec {
                     r.record(submit_lane, EventKind::Shed, Some(session));
                 }
-                self.shed_admission.fetch_add(1, Ordering::Relaxed);
                 self.admission_shed.lock().unwrap().push(shed_result(
                     &entry,
                     session,
@@ -402,15 +378,10 @@ impl Server {
         }
 
         let shards = Arc::clone(&self.shards);
-        let shed_queue = Arc::clone(&self.shed_queue);
         let panicked = Arc::clone(&self.panicked);
         let stall = self.stall;
         let panic_session = self.panic_session;
-        // Pin session `s` to shard `s % workers` — the same round-robin
-        // spread the single-threaded drivers got from the ticket counter,
-        // but with a shard choice the job closure can compare against its
-        // executing worker to detect steals.
-        let shard = (session as usize) % self.executor.workers();
+        let shard = home_shard(session, self.executor.workers());
         if let Some(r) = &rec {
             r.record(submit_lane, EventKind::Enqueue, Some(session));
         }
@@ -429,7 +400,6 @@ impl Server {
                         if let Some(r) = &rec {
                             r.record(worker, EventKind::Shed, Some(session));
                         }
-                        shed_queue.fetch_add(1, Ordering::Relaxed);
                         let result = shed_result(&entry, session, scheduled, ShedStage::Queue);
                         shards[worker].lock().unwrap().record(result);
                         return;
@@ -512,31 +482,20 @@ impl Server {
         self.executor.drain();
     }
 
-    /// Current executor counters, with `panicked` including panics the
-    /// server contained inside session jobs.
-    pub fn stats(&self) -> ExecutorStats {
-        let mut stats = self.executor.stats();
-        stats.panicked += self.panicked.load(Ordering::Relaxed);
-        stats
-    }
-
     /// Drains, stops the workers, merges the per-worker result shards
     /// (once), and returns the per-session results sorted by session id
-    /// plus the pre-merged per-mode metrics.
+    /// plus the pre-merged per-mode metrics. With telemetry on, it drains
+    /// the flight recorder and derives the timeline and the stage
+    /// breakdown from its log.
     pub fn finish(self) -> ServeOutcome {
         let workers = self.executor.workers();
         let mut stats = self.executor.shutdown();
         stats.panicked += self.panicked.load(Ordering::Relaxed);
-        // Stop the sampler after the drain so its final sample captures
-        // the fully drained end state.
-        let samples = self.sampler.map(Sampler::stop);
         let telemetry = self.recorder.map(|rec| {
-            let duration_us = rec.now_us();
-            let trace = ServerTrace::new(workers, duration_us, rec.drain());
-            let stages = trace.session_stages();
+            let trace = ServerTrace::new(workers, rec.now_us(), rec.drain());
             Telemetry {
-                timeline: Timeline::new(self.telemetry_tick_us, samples.unwrap_or_default()),
-                stages,
+                timeline: trace.timeline(self.tick_us),
+                stages: trace.session_stages(),
                 trace,
             }
         });
@@ -573,18 +532,23 @@ impl Server {
             slot.1.merge(snap);
         }
 
-        let shed = ShedStats {
-            admission: self.shed_admission.load(Ordering::Relaxed),
-            queue: self.shed_queue.load(Ordering::Relaxed),
-        };
         ServeOutcome {
+            shed: ShedStats::of(&results),
             results,
             stats,
             mode_metrics,
-            shed,
             telemetry,
         }
     }
+}
+
+/// The shard session `session` is pinned to: `session % workers`, the
+/// same round-robin spread the single-threaded drivers got from the
+/// ticket counter, but a choice the job closure can compare against its
+/// executing worker to detect steals, and the timeline can charge queue
+/// depth to.
+pub(crate) fn home_shard(session: u64, workers: usize) -> usize {
+    (session % workers as u64) as usize
 }
 
 /// Builds the placeholder result for a shed session: empty virtual

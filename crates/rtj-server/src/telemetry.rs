@@ -1,8 +1,10 @@
-//! The server flight recorder: scheduling event log, periodic telemetry
-//! sampler, and per-session latency attribution.
+//! The server flight recorder: scheduling event log, the gauge
+//! timeline derived from it, and per-session latency attribution.
 //!
-//! Three layers, all gated by [`crate::ServeConfig::telemetry`] and
-//! compiled down to a single `Option` branch when disabled:
+//! One mechanism observes the executor, gated by
+//! [`crate::ServeConfig::telemetry`] and compiled down to a single
+//! `Option` branch when disabled; the other two layers are read off its
+//! log after the run:
 //!
 //! 1. **Event log** — every scheduling decision (submit, admit, enqueue,
 //!    dequeue, steal, park, unpark, run-start, run-end, record, shed,
@@ -15,10 +17,12 @@
 //!    run into a versioned [`SERVER_TRACE_SCHEMA`] document with Chrome
 //!    `trace_event` export ([`ServerTrace::to_chrome_trace`]) so worker
 //!    lanes render in `chrome://tracing` / Perfetto.
-//! 2. **Sampler** — a background thread snapshots executor gauges
-//!    (in-flight, queued, completed, shed, per-worker completed counts
-//!    and queue depths) every [`TelemetryConfig::tick`] into a
-//!    [`TIMELINE_SCHEMA`] time-series.
+//! 2. **Timeline** — `ServerTrace::timeline` counts the drained log's
+//!    events into the executor's gauges (in-flight, queued, completed,
+//!    shed, per-worker completed counts and queue depths) at every
+//!    boundary `k × tick_us` and at the end of the run: the
+//!    [`TIMELINE_SCHEMA`] time-series. No thread reads the executor
+//!    while it runs.
 //! 3. **Attribution** — [`ServerTrace::session_stages`] replays the
 //!    event log into per-session stage intervals (admission, queue,
 //!    steal, service, merge). Stage boundaries are stamped so that the
@@ -34,12 +38,12 @@
 //! monotone per lane (each lane is written by one thread reading a
 //! monotonic clock).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rtj_runtime::json::{chrome, Json, JsonError};
+
+use crate::server::home_shard;
 
 /// Version tag of the scheduling-trace schema.
 pub const SERVER_TRACE_SCHEMA: &str = "rtj-server-trace/v1";
@@ -48,10 +52,11 @@ pub const SERVER_TRACE_SCHEMA: &str = "rtj-server-trace/v1";
 pub const TIMELINE_SCHEMA: &str = "rtj-timeline/v1";
 
 /// Telemetry options: enabling this on [`crate::ServeConfig`] turns the
-/// flight recorder and sampler on.
+/// flight recorder on.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Sampler tick. Default 10 ms.
+    /// The timeline's bucket width. Default 10 ms; the server floors it
+    /// at 100 µs.
     pub tick: Duration,
 }
 
@@ -250,22 +255,24 @@ impl FlightRecorder {
 /// Per-worker gauge pair inside one timeline sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSample {
-    /// Jobs this worker has executed so far.
+    /// Jobs this worker has finished so far, queue sheds included.
     pub completed: u64,
-    /// Jobs currently waiting in this worker's shard queue.
+    /// Sessions pinned to this worker's shard, enqueued but not yet
+    /// claimed.
     pub queued: u64,
 }
 
-/// One tick of the telemetry sampler.
+/// The executor's gauges at one timeline boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineSample {
-    /// Microseconds since the recorder epoch.
+    /// Microseconds since the recorder epoch: a multiple of the tick, or
+    /// the end of the run for the last sample.
     pub ts_us: u64,
     /// Sessions in flight (queued + executing).
     pub in_flight: u64,
-    /// Sessions queued but not yet claimed.
+    /// Sessions enqueued but not yet claimed.
     pub queued: u64,
-    /// Sessions executed so far (cumulative).
+    /// Sessions finished so far, queue sheds included (cumulative).
     pub completed: u64,
     /// Sessions shed so far (admission + queue, cumulative).
     pub shed: u64,
@@ -278,18 +285,18 @@ pub struct TimelineSample {
 }
 
 /// The `rtj-timeline/v1` time-series: what the executor's gauges did
-/// over the run, sampled every `tick_us`.
+/// over the run, every `tick_us`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
-    /// Sampler tick, microseconds.
+    /// Bucket width, microseconds.
     pub tick_us: u64,
     /// The samples, in time order.
     pub samples: Vec<TimelineSample>,
 }
 
 impl Timeline {
-    /// Builds the document from raw sampler output, deriving each
-    /// sample's throughput from the `completed` deltas.
+    /// Builds the document from gauge samples, deriving each sample's
+    /// throughput from the `completed` deltas.
     pub fn new(tick_us: u64, mut samples: Vec<TimelineSample>) -> Timeline {
         for i in 1..samples.len() {
             let dt_us = samples[i].ts_us.saturating_sub(samples[i - 1].ts_us);
@@ -426,54 +433,6 @@ impl Timeline {
             prev_shed = s.shed;
         }
         out
-    }
-}
-
-/// The background sampler thread: calls `probe` every tick, pushes a
-/// final sample at stop (so the drained end state is always captured).
-#[derive(Debug)]
-pub(crate) struct Sampler {
-    stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<Vec<TimelineSample>>,
-}
-
-impl Sampler {
-    /// Spawns the sampler thread, or fails when the OS refuses it.
-    pub(crate) fn start(
-        tick: Duration,
-        probe: impl Fn() -> TimelineSample + Send + 'static,
-    ) -> std::io::Result<Sampler> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let tick = tick.max(Duration::from_micros(100));
-        let handle = thread::Builder::new()
-            .name("rtj-telemetry".into())
-            .spawn(move || {
-                let mut samples = Vec::new();
-                loop {
-                    samples.push(probe());
-                    // Sleep the tick in small chunks so a stop request is
-                    // honoured promptly even with a coarse tick.
-                    let mut slept = Duration::ZERO;
-                    while slept < tick {
-                        if stop_flag.load(Ordering::SeqCst) {
-                            samples.push(probe());
-                            return samples;
-                        }
-                        let chunk = (tick - slept).min(Duration::from_millis(2));
-                        thread::sleep(chunk);
-                        slept += chunk;
-                    }
-                }
-            })?;
-        Ok(Sampler { stop, handle })
-    }
-
-    /// Stops the thread and returns the samples (including one final
-    /// sample taken after the stop request).
-    pub(crate) fn stop(self) -> Vec<TimelineSample> {
-        self.stop.store(true, Ordering::SeqCst);
-        self.handle.join().expect("sampler thread")
     }
 }
 
@@ -642,6 +601,88 @@ impl ServerTrace {
             .collect();
         stages.sort_by_key(|s| s.session);
         stages
+    }
+
+    /// Derives the [`TIMELINE_SCHEMA`] gauges from the event log: one
+    /// sample at each boundary `k × tick_us` before `duration_us`, and a
+    /// last one at `duration_us`. A gauge at a boundary counts the events
+    /// stamped at or before it (the last sample counts them all):
+    ///
+    /// - `enqueue`: +1 `in_flight`, +1 `queued`, +1 on the queue of the
+    ///   session's home shard;
+    /// - `dequeue`: −1 `queued`, −1 on that shard's queue;
+    /// - `record`, or `shed` on a worker lane: −1 `in_flight`,
+    ///   +1 `completed`, +1 on that worker's completed count (the
+    ///   executor counts a queue-shed job as completed);
+    /// - `shed` on any lane: +1 `shed`.
+    ///
+    /// Each event adds its deltas to the first boundary at or after its
+    /// timestamp, and the samples are their prefix sums, so the lanes
+    /// are neither merged nor sorted. `tick_us` must be positive.
+    pub(crate) fn timeline(&self, tick_us: u64) -> Timeline {
+        assert!(tick_us > 0, "the timeline tick must be positive");
+        let workers = self.workers;
+        let ticks = self.duration_us.div_ceil(tick_us);
+        let tick_ns = tick_us.saturating_mul(1_000);
+        // One row of deltas per boundary: in_flight, queued, completed,
+        // shed, then each worker's completed count and queue depth.
+        let width = 4 + 2 * workers;
+        let mut rows = vec![0i64; (ticks as usize + 1) * width];
+        for (lane, l) in self.lanes.iter().enumerate() {
+            for e in &l.events {
+                let at = e.ts_ns.div_ceil(tick_ns).min(ticks) as usize * width;
+                let row = &mut rows[at..at + width];
+                let queue = |session: u64| 5 + 2 * home_shard(session, workers);
+                match (e.kind, e.session) {
+                    (EventKind::Enqueue, Some(s)) => {
+                        row[0] += 1;
+                        row[1] += 1;
+                        row[queue(s)] += 1;
+                    }
+                    (EventKind::Dequeue, Some(s)) => {
+                        row[1] -= 1;
+                        row[queue(s)] -= 1;
+                    }
+                    _ => {}
+                }
+                if matches!(e.kind, EventKind::Record | EventKind::Shed) && lane < workers {
+                    row[0] -= 1;
+                    row[2] += 1;
+                    row[4 + 2 * lane] += 1;
+                }
+                if e.kind == EventKind::Shed {
+                    row[3] += 1;
+                }
+            }
+        }
+        // Every decrement is stamped after the increment it undoes, so
+        // no running count goes negative.
+        let mut sum = vec![0i64; width];
+        let samples = rows
+            .chunks(width)
+            .enumerate()
+            .map(|(k, row)| {
+                for (total, delta) in sum.iter_mut().zip(row) {
+                    *total += delta;
+                }
+                let gauge = |i: usize| sum[i] as u64;
+                TimelineSample {
+                    ts_us: (k as u64).saturating_mul(tick_us).min(self.duration_us),
+                    in_flight: gauge(0),
+                    queued: gauge(1),
+                    completed: gauge(2),
+                    shed: gauge(3),
+                    throughput_hz: 0.0,
+                    workers: (0..workers)
+                        .map(|w| WorkerSample {
+                            completed: gauge(4 + 2 * w),
+                            queued: gauge(5 + 2 * w),
+                        })
+                        .collect(),
+                }
+            })
+            .collect();
+        Timeline::new(tick_us, samples)
     }
 
     /// Serialises to the versioned document. Events are compact
@@ -862,7 +903,7 @@ impl ServerTrace {
 pub struct Telemetry {
     /// The drained scheduling-event log.
     pub trace: ServerTrace,
-    /// The sampler's time-series.
+    /// The gauge time-series derived from the trace.
     pub timeline: Timeline,
     /// Per-session stage intervals derived from the trace.
     pub stages: Vec<SessionStages>,
@@ -925,5 +966,26 @@ mod tests {
             format!("[{}]", EVENTS.join(","))
         );
         assert_eq!(t.to_trace_jsonl(), format!("{}\n", EVENTS.join("\n")));
+    }
+
+    /// At a 10 µs width the boundaries fall at 0, 10, 20 and 30 µs, plus
+    /// the end of the run at 40: the enqueue (2.1 µs) and the dequeue
+    /// (5 µs) land in the same bucket, the record (18.3 µs) in the next.
+    #[test]
+    fn timeline_of_the_sample_is_pinned() {
+        const SAMPLES: [&str; 5] = [
+            r#"{"ts_us":0,"in_flight":0,"queued":0,"completed":0,"shed":0,"throughput_hz":0.0,"workers":[[0,0]]}"#,
+            r#"{"ts_us":10,"in_flight":1,"queued":0,"completed":0,"shed":0,"throughput_hz":0.0,"workers":[[0,0]]}"#,
+            r#"{"ts_us":20,"in_flight":0,"queued":0,"completed":1,"shed":0,"throughput_hz":100000.0,"workers":[[1,0]]}"#,
+            r#"{"ts_us":30,"in_flight":0,"queued":0,"completed":1,"shed":0,"throughput_hz":0.0,"workers":[[1,0]]}"#,
+            r#"{"ts_us":40,"in_flight":0,"queued":0,"completed":1,"shed":0,"throughput_hz":0.0,"workers":[[1,0]]}"#,
+        ];
+        assert_eq!(
+            sample().timeline(10).render(),
+            format!(
+                r#"{{"schema":"rtj-timeline/v1","tick_us":10,"samples":[{}]}}"#,
+                SAMPLES.join(",")
+            )
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! without perturbing it, and the documents it emits must be internally
 //! consistent.
 //!
-//! Three properties are pinned here:
+//! Four properties are pinned here:
 //!
 //! 1. **Identity** — session results (deterministic keys, fingerprints)
 //!    are byte-identical with telemetry on and off, at every worker
@@ -14,6 +14,9 @@
 //! 3. **Attribution soundness** — per-session stage intervals are
 //!    derived from one monotonic clock chain, so their sum never
 //!    exceeds the session's measured latency.
+//! 4. **Timeline replay** — every timeline sample equals a count of the
+//!    logged events stamped at or before it, at boundaries spaced by
+//!    exactly the (floored) tick.
 
 use rtjava::runtime::{CheckMode, Json};
 use rtjava::server::{
@@ -326,10 +329,125 @@ fn sampler_tracks_completions_to_the_end() {
         prev = s.ts_us;
         assert_eq!(s.workers.len(), 2);
     }
-    // The final sample is pushed after executor shutdown: it must see
-    // the fully drained server.
+    // The final sample is taken at the end of the run: it must see the
+    // fully drained server.
     let last = timeline.samples.last().unwrap();
     assert_eq!(last.completed, outcome.serve.stats.completed);
     assert_eq!(last.in_flight, 0);
     assert_eq!(last.queued, 0);
+}
+
+#[test]
+fn the_tick_is_floored_at_100_us_and_is_the_sample_spacing() {
+    let mut cfg = traced_config(2);
+    cfg.telemetry = Some(TelemetryConfig {
+        tick: Duration::from_micros(50),
+    });
+    let outcome = run_batch(&cfg, 2).expect("serve");
+    let timeline = outcome.telemetry.expect("telemetry on").timeline;
+    assert_eq!(timeline.tick_us, 100);
+    let (last, ticks) = timeline.samples.split_last().expect("a final sample");
+    assert!(!ticks.is_empty(), "the run lasted less than a tick");
+    for pair in ticks.windows(2) {
+        assert_eq!(pair[1].ts_us, pair[0].ts_us + 100);
+    }
+    assert!(last.ts_us > ticks.last().unwrap().ts_us);
+}
+
+/// Recomputes every timeline sample by counting, over all lanes, the
+/// logged events stamped at or before it (the last sample counts them
+/// all), and checks the gauges against each other at every sample.
+fn assert_timeline_replays_the_log(outcome: &ServeOutcome) {
+    let telemetry = outcome.telemetry.as_ref().expect("telemetry on");
+    let (trace, timeline) = (&telemetry.trace, &telemetry.timeline);
+    let (tick_us, workers) = (timeline.tick_us, trace.workers);
+    let samples = &timeline.samples;
+    assert_eq!(
+        samples.len() as u64,
+        trace.duration_us.div_ceil(tick_us) + 1
+    );
+    for (i, s) in samples.iter().enumerate() {
+        let last = i + 1 == samples.len();
+        let cutoff_ns = if last { u64::MAX } else { s.ts_us * 1_000 };
+        let at = if last {
+            trace.duration_us
+        } else {
+            i as u64 * tick_us
+        };
+        assert_eq!(s.ts_us, at);
+        // in_flight, queued, completed, shed; per worker completed, queued.
+        let mut gauges = [0i64; 4];
+        let mut per_worker = vec![[0i64; 2]; workers];
+        for (lane, l) in trace.lanes.iter().enumerate() {
+            for e in l.events.iter().filter(|e| e.ts_ns <= cutoff_ns) {
+                let home = || (e.session.expect("session-bound") % workers as u64) as usize;
+                match e.kind {
+                    EventKind::Enqueue => {
+                        gauges[0] += 1;
+                        gauges[1] += 1;
+                        per_worker[home()][1] += 1;
+                    }
+                    EventKind::Dequeue => {
+                        gauges[1] -= 1;
+                        per_worker[home()][1] -= 1;
+                    }
+                    _ => {}
+                }
+                if lane < workers && matches!(e.kind, EventKind::Record | EventKind::Shed) {
+                    gauges[0] -= 1;
+                    gauges[2] += 1;
+                    per_worker[lane][0] += 1;
+                }
+                if e.kind == EventKind::Shed {
+                    gauges[3] += 1;
+                }
+            }
+        }
+        let derived = [s.in_flight, s.queued, s.completed, s.shed].map(|g| g as i64);
+        assert_eq!(derived, gauges, "sample {i} at {} µs", s.ts_us);
+        let derived: Vec<[i64; 2]> = s
+            .workers
+            .iter()
+            .map(|w| [w.completed as i64, w.queued as i64])
+            .collect();
+        assert_eq!(derived, per_worker, "sample {i} at {} µs", s.ts_us);
+        assert_eq!(s.workers.iter().map(|w| w.queued).sum::<u64>(), s.queued);
+        assert_eq!(
+            s.workers.iter().map(|w| w.completed).sum::<u64>(),
+            s.completed
+        );
+        assert!(s.queued <= s.in_flight, "sample {i} at {} µs", s.ts_us);
+    }
+    assert_eq!(samples.last().unwrap().shed, outcome.shed.total());
+}
+
+#[test]
+fn the_timeline_replays_the_event_log() {
+    let plan = LoadPlan {
+        rate_hz: 8000.0,
+        duration: Duration::from_millis(60),
+        seed: 5,
+    };
+    let tick = Some(TelemetryConfig {
+        tick: Duration::from_micros(100),
+    });
+    // Sessions that stall past their deadline shed in queue, on a worker
+    // lane, where they count as completed.
+    let shedding = ServeConfig {
+        deadline: Some(Duration::from_micros(400)),
+        stall_us: 300,
+        telemetry: tick.clone(),
+        ..traced_config(2)
+    };
+    let outcome = run_load(&shedding, &plan).expect("load").serve;
+    assert!(outcome.shed.queue > 0, "no queue shed: {:?}", outcome.shed);
+    assert_timeline_replays_the_log(&outcome);
+    // A submitter blocked on a full queue has already logged `enqueue`.
+    let bounded = ServeConfig {
+        queue_capacity: 4,
+        stall_us: 300,
+        telemetry: tick,
+        ..traced_config(2)
+    };
+    assert_timeline_replays_the_log(&run_load(&bounded, &plan).expect("load").serve);
 }
