@@ -51,7 +51,9 @@
 //! it does not take, a missing value or a stray argument is a one-line
 //! error. Commands return that error to `main`, which prints it and
 //! exits 1; a command that prints multi-line diagnostics (parse or type
-//! errors) prints them itself and exits 1 too.
+//! errors) prints them itself and exits 1 too. Every write to stdout goes
+//! through `write_stdout`: a reader that closes the pipe early (`rtjc
+//! report … | head -1`) ends the command quietly with status 0.
 //!
 //! Performance is measured by the benchmark in `perfbench/`, not here.
 
@@ -392,9 +394,9 @@ fn check_cmd(args: &[String]) -> Result<ExitCode, String> {
     });
     let snap = rtj_types::CheckerSnapshot::capture(&checked.stats, profile.as_ref());
     if stats && json {
-        println!("{}", snap.render());
+        write_stdout(&format!("{}\n", snap.render()))?;
     } else {
-        println!("ok");
+        write_stdout("ok\n")?;
         if stats {
             print_stats(&checked.stats);
         }
@@ -461,13 +463,14 @@ fn check_watch(
                     let t0 = Instant::now();
                     match engine.check_source(&src) {
                         Ok(out) => {
-                            println!("[watch] {path}: {}", recheck_summary(&out, t0.elapsed()));
+                            let summary = recheck_summary(&out, t0.elapsed());
+                            write_stdout(&format!("[watch] {path}: {summary}\n"))?;
                             for t in &out.errors {
                                 eprintln!("{}", rtj_lang::diag::render(&src, t.span, &t.message));
                             }
                         }
                         Err(e) => {
-                            println!("[watch] {path}: parse error (cache kept)");
+                            write_stdout(&format!("[watch] {path}: parse error (cache kept)\n"))?;
                             eprintln!("{}", rtj_lang::diag::render(&src, e.span, &e.message));
                         }
                     }
@@ -509,7 +512,10 @@ fn check_edits(
             return Ok(ExitCode::FAILURE);
         }
     };
-    println!("initial: {}", recheck_summary(&last, t0.elapsed()));
+    write_stdout(&format!(
+        "initial: {}\n",
+        recheck_summary(&last, t0.elapsed())
+    ))?;
     for b in &script.batches {
         let t0 = Instant::now();
         let out = engine
@@ -518,13 +524,13 @@ fn check_edits(
                 source: b.source.clone(),
             }])
             .map_err(|e| format!("batch {}: {e}", b.id))?;
-        println!(
-            "batch {:>3} {:<10} {:<10} {}",
+        write_stdout(&format!(
+            "batch {:>3} {:<10} {:<10} {}\n",
             b.id,
             b.kind,
             b.class,
             recheck_summary(&out, t0.elapsed())
-        );
+        ))?;
         last = out;
     }
     if let Some(dest) = final_out {
@@ -575,9 +581,12 @@ fn run_cmd(args: &[String]) -> Result<ExitCode, String> {
         cfg.events = TraceCapture::Full;
     }
     let out = run_checked(&checked, cfg);
-    for line in &out.trace {
-        println!("{line}");
-    }
+    write_stdout(
+        &out.trace
+            .iter()
+            .map(|line| format!("{line}\n"))
+            .collect::<String>(),
+    )?;
     if let Some(dest) = trace_out {
         let lines = out.events.as_deref().unwrap_or_default();
         let mut text = lines.join("\n");
@@ -607,7 +616,7 @@ fn fmt_cmd(args: &[String]) -> Result<ExitCode, String> {
     let src = file_source(args, "usage: rtjc fmt <file>")?;
     match rtj_lang::parse_program(&src) {
         Ok(p) => {
-            print!("{}", rtj_lang::pretty_program(&p));
+            write_stdout(&rtj_lang::pretty_program(&p))?;
             Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
@@ -628,7 +637,7 @@ fn graph_cmd(args: &[String]) -> Result<ExitCode, String> {
     cfg.capture_graph = true;
     let out = run_checked(&checked, cfg);
     if let Some(dot) = out.graph {
-        print!("{dot}");
+        write_stdout(&dot)?;
     }
     finished(out.error)
 }
@@ -639,7 +648,7 @@ fn lower_cmd(args: &[String]) -> Result<ExitCode, String> {
     let Some(checked) = build_or_report(&src) else {
         return Ok(ExitCode::FAILURE);
     };
-    print!("{}", rtj_types::lower::lower_to_rtsj(&checked));
+    write_stdout(&rtj_types::lower::lower_to_rtsj(&checked))?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -654,9 +663,9 @@ fn advise_cmd(args: &[String]) -> Result<ExitCode, String> {
     if out.error.is_some() {
         return finished(out.error);
     }
-    println!("LT sizing advice (peak usage observed on this run)");
-    println!(
-        "{:<24} {:>10} {:>10}   suggestion",
+    let mut text = format!(
+        "LT sizing advice (peak usage observed on this run)\n\
+         {:<24} {:>10} {:>10}   suggestion\n",
         "region", "peak", "capacity"
     );
     let mut any = false;
@@ -677,11 +686,12 @@ fn advise_cmd(args: &[String]) -> Result<ExitCode, String> {
         } else {
             "ok".to_string()
         };
-        println!("{label:<24} {peak:>10} {capacity:>10}   {note}");
+        text += &format!("{label:<24} {peak:>10} {capacity:>10}   {note}\n");
     }
     if !any {
-        println!("(no LT regions in this program)");
+        text += "(no LT regions in this program)\n";
     }
+    write_stdout(&text)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -697,9 +707,9 @@ fn fig11_cmd(args: &[String]) -> Result<ExitCode, String> {
     let json = cli.choice("--format", &["text", "json"])? == Some("json");
     let rows = rtj_corpus::fig11();
     if json {
-        println!("{}", rtj_corpus::fig11_json(&rows));
+        write_stdout(&format!("{}\n", rtj_corpus::fig11_json(&rows)))?;
     } else {
-        print!("{}", rtj_corpus::render_fig11(&rows));
+        write_stdout(&rtj_corpus::render_fig11(&rows))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -722,9 +732,9 @@ fn fig12_cmd(args: &[String]) -> Result<ExitCode, String> {
     };
     let rows = rtj_corpus::fig12(scale);
     if json {
-        println!("{}", rtj_corpus::fig12_json(&rows));
+        write_stdout(&format!("{}\n", rtj_corpus::fig12_json(&rows)))?;
     } else {
-        print!("{}", rtj_corpus::render_fig12(&rows));
+        write_stdout(&rtj_corpus::render_fig12(&rows))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -769,7 +779,7 @@ fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
             }
         }
     };
-    print!("{text}");
+    write_stdout(&text)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -885,7 +895,7 @@ fn report_cmd(args: &[String]) -> Result<ExitCode, String> {
         out.push('\n');
         out += &render_combined(ck, rt);
     }
-    print!("{out}");
+    write_stdout(&out)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1107,9 +1117,9 @@ fn serving_cmd(
         write_output(path, &(report.render() + "\n"))?;
     }
     if !json {
-        print!("{}", report.render_report());
+        write_stdout(&report.render_report())?;
     } else if out != Some("-") {
-        println!("{}", report.render());
+        write_stdout(&format!("{}\n", report.render()))?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -1163,11 +1173,22 @@ fn file_source(args: &[String], usage: &str) -> Result<String, String> {
     read(Cli::parse(args, &[], 1..=1, usage)?.positionals[0])
 }
 
+/// Writes `text` to stdout. A reader that has closed the pipe
+/// (`BrokenPipe`) wants no more output, so the command ends quietly with
+/// status 0; any other write error is the command's one-line error.
+fn write_stdout(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("cannot write to stdout: {e}")),
+    }
+}
+
 /// Writes `text` to `path`, with `-` meaning stdout.
 fn write_output(path: &str, text: &str) -> Result<(), String> {
     if path == "-" {
-        print!("{text}");
-        Ok(())
+        write_stdout(text)
     } else {
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
     }

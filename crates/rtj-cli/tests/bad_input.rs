@@ -3,8 +3,9 @@
 //! `rtjc` binary.
 
 use std::fs::{self, File};
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, ExitStatus, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -573,5 +574,75 @@ fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
         err,
         "deep.json: JSON error at byte 128: nesting deeper than 128 levels\n"
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `rtjc args` in `dir` with stdout on a pipe, reads one line of it,
+/// closes the pipe and waits (20 s at most) for the exit. Returns the
+/// line, the exit status and stderr.
+fn read_one_line_then_close(args: &[&str], dir: &Path) -> (String, ExitStatus, String) {
+    let err_path = dir.join("stderr");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rtjc"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(Stdio::piped())
+        .stderr(File::create(&err_path).expect("stderr file"))
+        .spawn()
+        .expect("rtjc runs");
+    let mut line = String::new();
+    let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+    reader.read_line(&mut line).expect("read a line");
+    drop(reader);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} did not exit within 20 s of its reader going away");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    (line, status, fs::read_to_string(err_path).expect("stderr"))
+}
+
+/// A reader that closes stdout early ends the command quietly with
+/// status 0, however much output is left: here more than the 64 KiB a
+/// pipe buffers, so the command is still writing when the pipe closes.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = scratch_dir();
+    let load = rtjc(
+        &[
+            "load",
+            "--rate",
+            "2000",
+            "--duration-ms",
+            "200",
+            "--workers",
+            "1",
+            "--variants",
+            "1",
+            "--telemetry=t.json",
+            "--tick-us",
+            "100",
+        ],
+        &dir,
+    );
+    assert!(load.status.success(), "{load:?}");
+    let report = rtjc(&["report", "t.timeline.json"], &dir);
+    assert!(report.status.success(), "{report:?}");
+    assert!(report.stdout.len() > 64 << 10, "the rendering fits a pipe");
+    for (args, first) in [
+        (&["bench", "scaled:512"][..], "// "),
+        (&["report", "t.timeline.json"][..], "telemetry timeline"),
+    ] {
+        let (line, status, err) = read_one_line_then_close(args, &dir);
+        assert!(line.starts_with(first), "rtjc {args:?}: {line}");
+        assert_eq!(status.code(), Some(0), "rtjc {args:?}: {err}");
+        assert!(!err.contains("panicked"), "rtjc {args:?}: {err}");
+    }
     fs::remove_dir_all(&dir).ok();
 }

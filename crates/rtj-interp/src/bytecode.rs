@@ -13,11 +13,38 @@
 //! that is flushed to the shared clock only at runtime operations,
 //! safepoints, and `print`. Between two consecutive flush points only the
 //! *totals* matter, never the order, so the compiler keeps a compile-time
-//! pending-step counter (bumped pre-order at each node) and materialises
-//! it lazily as an [`Op::Step`] before any instruction that may flush at
-//! runtime, before jumps, and before jump targets. This makes cycle
-//! accounting — and therefore `rtj-metrics/v1` snapshots and trace
-//! timestamps — byte-identical between the two engines.
+//! pending-step counter (bumped pre-order at each node) and hands it to
+//! the next instruction that needs it:
+//!
+//! * an op that may flush, fail or transfer control (arithmetic, field
+//!   accesses, calls, forks, `new`, region enter/exit, `print`, `io`,
+//!   `workload`, safepoints, returns, jumps, conditional and
+//!   short-circuit branches, the receiver and right-operand checks, and
+//!   compiled-in failures) *carries* the count in its own operand and
+//!   adds it to the pending counter before it does anything else
+//!   ([`Op::steps`]);
+//! * an [`Op::Step`] is emitted only where pending steps meet a jump
+//!   target — a fall-through into a loop head or a join — because the
+//!   jumps into that label must not pay them.
+//!
+//! So each flush sees exactly the tree-walker's pending total, and so
+//! does a failure: the region exits that unwind an error flush the same
+//! steps on both engines. Cycle accounting — and therefore
+//! `rtj-metrics/v1` snapshots, trace timestamps and step-limit trips — is
+//! byte-identical between the two engines.
+//!
+//! # Fused instructions
+//!
+//! The hottest adjacent pairs are fused as they are emitted, in
+//! the compiler's `emit`, with no second pass over the code: two local
+//! loads ([`Op::LoadLocal2`]), a local load followed by `null`, the
+//! operands of a null test ([`Op::LoadLocalNull`]), a local load feeding
+//! a field read ([`Op::LoadLocalField`]), an integer literal feeding a
+//! binary operator ([`Op::BinaryInt`]), and a comparison feeding a
+//! conditional branch ([`Op::BinaryJumpIfFalse`]). A fused op keeps the
+//! separate ops' stack effect, error messages and step accounting.
+//! Fusion never spans a jump target: an op emitted at a label starts a
+//! new pair.
 //!
 //! # Error parity
 //!
@@ -144,12 +171,15 @@ pub struct RegionSite {
     pub handle_slot: u32,
 }
 
-/// One VM instruction. `u32` operands index the side tables in
-/// [`CompiledProgram`].
+/// One VM instruction, 16 bytes. `u32` operands index the side tables in
+/// [`CompiledProgram`]. A `steps` operand is the count of pending
+/// interpreter steps the op adds before it does anything else (see the
+/// step-parity notes above).
 #[derive(Debug, Clone, Copy)]
 pub enum Op {
     /// Accumulate `.0` interpreter steps into the thread's pending
-    /// cycle/step counters (lazily flushed, like the tree-walker's).
+    /// cycle/step counters (lazily flushed, like the tree-walker's). Only
+    /// emitted where pending steps meet a jump target.
     Step(u32),
     /// Push an integer literal.
     ConstInt(i64),
@@ -161,6 +191,11 @@ pub enum Op {
     ConstStr(u32),
     /// Push a copy of local slot `.0`.
     LoadLocal(u32),
+    /// Push copies of local slots `.0` then `.1`.
+    LoadLocal2(u32, u32),
+    /// Push a copy of local slot `.0`, then `null` (a null test's
+    /// operands).
+    LoadLocalNull(u32),
     /// Pop into local slot `.0`.
     StoreLocal(u32),
     /// Pop and discard the top of stack.
@@ -168,11 +203,36 @@ pub enum Op {
     /// Push `this` (compile-time guaranteed to be in a method frame).
     This,
     /// Apply a unary operator to the top of stack.
-    Unary(UnOp),
+    Unary {
+        /// The operator.
+        op: UnOp,
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Apply a non-short-circuit binary operator to the top two values.
-    Binary(BinOp),
-    /// Unconditional jump to instruction `.0`.
-    Jump(u32),
+    Binary {
+        /// The operator.
+        op: BinOp,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// `ConstInt(rhs); Binary { op, steps }`: apply `op` to the top of
+    /// stack and an integer literal.
+    BinaryInt {
+        /// The operator.
+        op: BinOp,
+        /// Pending steps added first.
+        steps: u32,
+        /// The right operand.
+        rhs: i64,
+    },
+    /// Unconditional jump to instruction `target`.
+    Jump {
+        /// Jump target.
+        target: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Pop a boolean; jump to `target` when false. Non-booleans raise
     /// the `ctx`-specific condition error.
     JumpIfFalse {
@@ -180,49 +240,225 @@ pub enum Op {
         target: u32,
         /// Which statement's error message to use.
         ctx: CondCtx,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// `Binary { op, steps }; JumpIfFalse { target, ctx, steps: 0 }`:
+    /// apply `op` to the top two values and branch on the result.
+    BinaryJumpIfFalse {
+        /// The operator.
+        op: BinOp,
+        /// Jump target.
+        target: u32,
+        /// Which statement's error message to use.
+        ctx: CondCtx,
+        /// Pending steps added first.
+        steps: u32,
     },
     /// Short-circuit `&&`: pop; on `false` push `false` and jump, on
     /// `true` fall through to the right operand.
-    ScAnd(u32),
+    ScAnd {
+        /// Jump target.
+        target: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Short-circuit `||`: pop; on `true` push `true` and jump.
-    ScOr(u32),
+    ScOr {
+        /// Jump target.
+        target: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Verify the top of stack is a boolean (right operand of `&&`/`||`).
-    CheckBool(BinOp),
-    /// Pop a receiver and load field/portal [`FieldSite`] `.0`.
-    LoadField(u32),
-    /// Pop value then receiver and store into [`FieldSite`] `.0`.
-    StoreField(u32),
+    CheckBool {
+        /// The operator, for the error message.
+        op: BinOp,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// Pop a receiver and load field/portal [`FieldSite`] `site`.
+    LoadField {
+        /// The field site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// `LoadLocal(slot); LoadField { site, steps }`.
+    LoadLocalField {
+        /// The receiver's local slot.
+        slot: u32,
+        /// The field site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// Pop value then receiver and store into [`FieldSite`] `site`.
+    StoreField {
+        /// The field site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Verify the value under the pending arguments is an object
     /// reference (emitted between receiver and argument code so the
     /// non-object error precedes argument effects, as in the tree).
     CheckRecv {
         /// `true` for fork sites (different error message).
         fork: bool,
+        /// Pending steps added first.
+        steps: u32,
     },
-    /// Invoke [`CallSite`] `.0`: `[recv, args…]` on the stack.
-    Call(u32),
-    /// Fork a thread running [`CallSite`] `.0`.
-    Fork(u32),
-    /// Allocate [`NewSite`] `.0` and push the reference.
-    New(u32),
-    /// Create/enter the region of [`RegionSite`] `.0` and open a scope.
-    RegionEnter(u32),
+    /// Invoke [`CallSite`] `site`: `[recv, args…]` on the stack.
+    Call {
+        /// The call site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// Fork a thread running [`CallSite`] `site`.
+    Fork {
+        /// The fork site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// Allocate [`NewSite`] `site` and push the reference.
+    New {
+        /// The allocation site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// Create/enter the region of [`RegionSite`] `site` and open a scope.
+    RegionEnter {
+        /// The region site.
+        site: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Close the innermost region scope and run its exit protocol.
-    RegionExit,
+    RegionExit {
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Pop a value and print it (flushes pending steps first).
-    Print,
+    Print {
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Pop an int, charge it as I/O cycles, and hit a safepoint; pushes
     /// `null`.
-    Io,
+    Io {
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Pop an int and charge it as workload cycles; pushes `null`.
-    Workload,
+    Workload {
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Flush pending steps and hit a scheduler safepoint.
-    Safepoint,
+    Safepoint {
+        /// Pending steps added first.
+        steps: u32,
+    },
     /// Pop the current frame, leaving the return value on the stack;
     /// with no caller frame the thread's execution completes.
-    Ret,
-    /// Raise the interpreter error in the message table at `.0`.
-    Fail(u32),
+    Ret {
+        /// Pending steps added first.
+        steps: u32,
+    },
+    /// Raise the interpreter error in the message table at `msg`.
+    Fail {
+        /// The message's index.
+        msg: u32,
+        /// Pending steps added first.
+        steps: u32,
+    },
+}
+
+impl Op {
+    /// The pending steps this op carries, or `None` for an op that
+    /// carries none.
+    pub fn steps(&self) -> Option<u32> {
+        let mut op = *self;
+        op.steps_mut().map(|n| *n)
+    }
+
+    fn steps_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Unary { steps, .. }
+            | Op::Binary { steps, .. }
+            | Op::BinaryInt { steps, .. }
+            | Op::Jump { steps, .. }
+            | Op::JumpIfFalse { steps, .. }
+            | Op::BinaryJumpIfFalse { steps, .. }
+            | Op::ScAnd { steps, .. }
+            | Op::ScOr { steps, .. }
+            | Op::CheckBool { steps, .. }
+            | Op::LoadField { steps, .. }
+            | Op::LoadLocalField { steps, .. }
+            | Op::StoreField { steps, .. }
+            | Op::CheckRecv { steps, .. }
+            | Op::Call { steps, .. }
+            | Op::Fork { steps, .. }
+            | Op::New { steps, .. }
+            | Op::RegionEnter { steps, .. }
+            | Op::RegionExit { steps }
+            | Op::Print { steps }
+            | Op::Io { steps }
+            | Op::Workload { steps }
+            | Op::Safepoint { steps }
+            | Op::Ret { steps }
+            | Op::Fail { steps, .. } => Some(steps),
+            _ => None,
+        }
+    }
+
+    /// The instruction this op may jump to, if it is a jump.
+    pub fn target(&self) -> Option<u32> {
+        let mut op = *self;
+        op.target_mut().map(|t| *t)
+    }
+
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jump { target, .. }
+            | Op::JumpIfFalse { target, .. }
+            | Op::BinaryJumpIfFalse { target, .. }
+            | Op::ScAnd { target, .. }
+            | Op::ScOr { target, .. } => Some(target),
+            _ => None,
+        }
+    }
+
+    /// The op that does what `self` followed by `next` does, when the
+    /// pair is one the compiler fuses.
+    fn fuse(self, next: Op) -> Option<Op> {
+        Some(match (self, next) {
+            (Op::LoadLocal(a), Op::LoadLocal(b)) => Op::LoadLocal2(a, b),
+            (Op::LoadLocal(slot), Op::ConstNull) => Op::LoadLocalNull(slot),
+            (Op::LoadLocal(slot), Op::LoadField { site, steps }) => {
+                Op::LoadLocalField { slot, site, steps }
+            }
+            (Op::ConstInt(rhs), Op::Binary { op, steps }) => Op::BinaryInt { op, steps, rhs },
+            (
+                Op::Binary { op, steps },
+                Op::JumpIfFalse {
+                    target,
+                    ctx,
+                    steps: 0,
+                },
+            ) => Op::BinaryJumpIfFalse {
+                op,
+                target,
+                ctx,
+                steps,
+            },
+            _ => return None,
+        })
+    }
 }
 
 /// One compiled function (the main block or a method body).
@@ -272,6 +508,8 @@ struct FnState {
     owners: Vec<Symbol>,
     open_scopes: u32,
     has_this: bool,
+    /// The position of the last jump target: no fusion across it.
+    label: usize,
 }
 
 struct Compiler<'p> {
@@ -345,7 +583,7 @@ impl Compiler<'_> {
         self.f.max_locals = self.f.n_locals;
         self.block(body);
         self.emit(Op::ConstNull);
-        self.emit(Op::Ret);
+        self.emit(Op::Ret { steps: 0 });
         let idx = self.funcs.len() as u32;
         self.funcs.push(Func {
             code: std::mem::take(&mut self.f.code),
@@ -363,63 +601,48 @@ impl Compiler<'_> {
         self.f.pending += 1;
     }
 
-    /// Materialise pending steps as an [`Op::Step`].
-    fn flush_steps(&mut self) {
+    /// Materialises pending steps as an [`Op::Step`] and returns the
+    /// current position as a jump target: every predecessor reaches it
+    /// with no steps pending, and nothing fuses across it.
+    fn label(&mut self) -> u32 {
         if self.f.pending > 0 {
-            let n = self.f.pending;
-            self.f.pending = 0;
+            let n = std::mem::take(&mut self.f.pending);
             self.f.code.push(Op::Step(n));
         }
+        self.f.label = self.f.code.len();
+        self.f.label as u32
     }
 
-    /// Emits `op`, materialising pending steps first when the op may
-    /// flush at runtime or transfers control.
-    fn emit(&mut self, op: Op) {
-        if matches!(
-            op,
-            Op::LoadField(_)
-                | Op::StoreField(_)
-                | Op::Call(_)
-                | Op::Fork(_)
-                | Op::New(_)
-                | Op::RegionEnter(_)
-                | Op::RegionExit
-                | Op::Print
-                | Op::Io
-                | Op::Safepoint
-                | Op::Ret
-                | Op::Jump(_)
-        ) {
-            self.flush_steps();
+    /// Emits `op`. An op that carries steps takes the pending count; an
+    /// op that completes a fused pair with the previous one replaces it,
+    /// unless a label sits between them.
+    fn emit(&mut self, mut op: Op) {
+        if let Some(steps) = op.steps_mut() {
+            *steps = std::mem::take(&mut self.f.pending);
         }
-        self.f.code.push(op);
+        let code = &mut self.f.code;
+        if code.len() != self.f.label {
+            if let Some(last) = code.last_mut() {
+                if let Some(fused) = last.fuse(op) {
+                    *last = fused;
+                    return;
+                }
+            }
+        }
+        code.push(op);
     }
 
-    /// Emits a to-be-patched jump (target filled in by [`Self::patch`])
-    /// and returns its index.
-    fn emit_patch(&mut self, op: Op) -> usize {
-        self.flush_steps();
-        let at = self.f.code.len();
-        self.f.code.push(op);
-        at
-    }
-
-    /// A jump target at the current position (pending steps must be — and
-    /// are — flushed so every predecessor agrees on the step count).
-    fn label(&mut self) -> u32 {
-        self.flush_steps();
-        self.f.code.len() as u32
+    /// Emits a jump whose target [`Self::patch`] fills in later, and
+    /// returns its index (a fused jump replaces the op before it).
+    fn emit_jump(&mut self, op: Op) -> usize {
+        self.emit(op);
+        self.f.code.len() - 1
     }
 
     /// Points the jump at `at` to the current position.
     fn patch(&mut self, at: usize) {
         let target = self.label();
-        match &mut self.f.code[at] {
-            Op::Jump(t) | Op::JumpIfFalse { target: t, .. } | Op::ScAnd(t) | Op::ScOr(t) => {
-                *t = target
-            }
-            other => unreachable!("patching non-jump {other:?}"),
-        }
+        *self.f.code[at].target_mut().expect("patching a jump") = target;
     }
 
     /// Emits a [`Op::Fail`] with the exact message the tree-walker would
@@ -427,7 +650,7 @@ impl Compiler<'_> {
     fn fail(&mut self, msg: String) {
         let i = self.fail_msgs.len() as u32;
         self.fail_msgs.push(msg);
-        self.f.code.push(Op::Fail(i));
+        self.emit(Op::Fail { msg: i, steps: 0 });
     }
 
     // ------------------------------------------------------------ scopes
@@ -541,7 +764,7 @@ impl Compiler<'_> {
                 self.expr(value);
                 let site = self.field_sites.len() as u32;
                 self.field_sites.push(FieldSite { field: field.name });
-                self.emit(Op::StoreField(site));
+                self.emit(Op::StoreField { site, steps: 0 });
             }
             Stmt::Expr(e) => {
                 self.expr(e);
@@ -554,14 +777,18 @@ impl Compiler<'_> {
                 ..
             } => {
                 self.expr(cond);
-                let j = self.emit_patch(Op::JumpIfFalse {
+                let j = self.emit_jump(Op::JumpIfFalse {
                     target: 0,
                     ctx: CondCtx::If,
+                    steps: 0,
                 });
                 self.block(then_blk);
                 match else_blk {
                     Some(eb) => {
-                        let jend = self.emit_patch(Op::Jump(0));
+                        let jend = self.emit_jump(Op::Jump {
+                            target: 0,
+                            steps: 0,
+                        });
                         self.patch(j);
                         self.block(eb);
                         self.patch(jend);
@@ -571,14 +798,18 @@ impl Compiler<'_> {
             }
             Stmt::While { cond, body, .. } => {
                 let head = self.label();
-                self.emit(Op::Safepoint);
+                self.emit(Op::Safepoint { steps: 0 });
                 self.expr(cond);
-                let jexit = self.emit_patch(Op::JumpIfFalse {
+                let jexit = self.emit_jump(Op::JumpIfFalse {
                     target: 0,
                     ctx: CondCtx::While,
+                    steps: 0,
                 });
                 self.block(body);
-                self.emit(Op::Jump(head));
+                self.emit(Op::Jump {
+                    target: head,
+                    steps: 0,
+                });
                 self.patch(jexit);
             }
             Stmt::Return { value, .. } => {
@@ -586,11 +817,10 @@ impl Compiler<'_> {
                     Some(e) => self.expr(e),
                     None => self.emit(Op::ConstNull),
                 }
-                self.flush_steps();
                 for _ in 0..self.f.open_scopes {
-                    self.emit(Op::RegionExit);
+                    self.emit(Op::RegionExit { steps: 0 });
                 }
-                self.emit(Op::Ret);
+                self.emit(Op::Ret { steps: 0 });
             }
             Stmt::LocalRegion {
                 region,
@@ -658,11 +888,11 @@ impl Compiler<'_> {
             region_slot,
             handle_slot,
         });
-        self.emit(Op::RegionEnter(site));
+        self.emit(Op::RegionEnter { site, steps: 0 });
         self.f.open_scopes += 1;
         self.block(body);
         self.f.open_scopes -= 1;
-        self.emit(Op::RegionExit);
+        self.emit(Op::RegionExit { steps: 0 });
         self.exit_block(saved);
     }
 
@@ -692,28 +922,29 @@ impl Compiler<'_> {
             },
             Expr::Unary { op, expr, .. } => {
                 self.expr(expr);
-                self.emit(Op::Unary(*op));
+                self.emit(Op::Unary { op: *op, steps: 0 });
             }
             Expr::Binary { op, lhs, rhs, .. } if matches!(op, BinOp::And | BinOp::Or) => {
                 self.expr(lhs);
-                let j = self.emit_patch(match op {
-                    BinOp::And => Op::ScAnd(0),
-                    _ => Op::ScOr(0),
+                let (target, steps) = (0, 0);
+                let j = self.emit_jump(match op {
+                    BinOp::And => Op::ScAnd { target, steps },
+                    _ => Op::ScOr { target, steps },
                 });
                 self.expr(rhs);
-                self.emit(Op::CheckBool(*op));
+                self.emit(Op::CheckBool { op: *op, steps });
                 self.patch(j);
             }
             Expr::Binary { op, lhs, rhs, .. } => {
                 self.expr(lhs);
                 self.expr(rhs);
-                self.emit(Op::Binary(*op));
+                self.emit(Op::Binary { op: *op, steps: 0 });
             }
             Expr::Field { recv, field, .. } => {
                 self.expr(recv);
                 let site = self.field_sites.len() as u32;
                 self.field_sites.push(FieldSite { field: field.name });
-                self.emit(Op::LoadField(site));
+                self.emit(Op::LoadField { site, steps: 0 });
             }
             Expr::Call {
                 recv,
@@ -749,25 +980,25 @@ impl Compiler<'_> {
                     defaults,
                     known,
                 });
-                self.emit(Op::New(site));
+                self.emit(Op::New { site, steps: 0 });
             }
             Expr::IntrinsicCall {
                 intrinsic, args, ..
             } => match intrinsic {
                 Intrinsic::Print => {
                     self.expr(&args[0]);
-                    self.emit(Op::Print);
+                    self.emit(Op::Print { steps: 0 });
                 }
                 Intrinsic::Io => {
                     self.expr(&args[0]);
-                    self.emit(Op::Io);
+                    self.emit(Op::Io { steps: 0 });
                 }
                 Intrinsic::Workload => {
                     self.expr(&args[0]);
-                    self.emit(Op::Workload);
+                    self.emit(Op::Workload { steps: 0 });
                 }
                 Intrinsic::Yield => {
-                    self.emit(Op::Safepoint);
+                    self.emit(Op::Safepoint { steps: 0 });
                     self.emit(Op::ConstNull);
                 }
             },
@@ -789,6 +1020,7 @@ impl Compiler<'_> {
         if !args.is_empty() {
             self.emit(Op::CheckRecv {
                 fork: fork_rt.is_some(),
+                steps: 0,
             });
         }
         for a in args {
@@ -806,8 +1038,8 @@ impl Compiler<'_> {
             fork_rt,
         });
         self.emit(match fork_rt {
-            Some(_) => Op::Fork(site),
-            None => Op::Call(site),
+            Some(_) => Op::Fork { site, steps: 0 },
+            None => Op::Call { site, steps: 0 },
         });
     }
 }

@@ -9,12 +9,15 @@
 //! directly: ownership, not a lock, makes the holder's access exclusive.
 //!
 //! At each *safepoint* the holder runs the scheduling policy on the state
-//! it owns: real-time threads first, then round-robin. When the policy
-//! keeps the token with the caller, as at every safepoint of a program
-//! that never forks, the safepoint returns without touching a lock, an
-//! atomic or a condition variable. Only a real switch parks the state in
-//! the [`Machine`]'s handoff slot, wakes the one thread it is addressed
-//! to, and waits for a state addressed to the caller.
+//! it owns: real-time threads first, then round-robin. A run with one
+//! program thread, no halt and an idle collector can only keep the
+//! token, so its safepoints return without running the policy at all.
+//! When the policy keeps the token with the caller, as at every
+//! safepoint of a program that never forks, the safepoint returns
+//! without touching a lock, an atomic or a condition variable. Only a
+//! real switch parks the state in the [`Machine`]'s handoff slot, wakes
+//! the one thread it is addressed to, and waits for a state addressed to
+//! the caller.
 //!
 //! Every decision is a function of the state alone, so the interleaving
 //! is fully deterministic on a single virtual clock:
@@ -125,6 +128,7 @@ impl State {
     }
 
     /// Charges interpreter steps and enforces the step budget.
+    #[inline]
     pub(crate) fn charge_steps(&mut self, cycles: u64, steps: u64) -> Result<(), RunError> {
         self.rt.charge(cycles);
         self.steps += steps;
@@ -157,6 +161,12 @@ impl State {
         let wake = Arc::clone(&t.wake);
         self.threads.push(t);
         wake
+    }
+
+    /// Whether the policy can only keep the token: the run has one
+    /// program thread, no halt, and no pending or running collection.
+    fn keeps_token(&self) -> bool {
+        self.threads.len() == 1 && self.halted.is_none() && self.rt.gc_idle()
     }
 
     fn runnable(&self, idx: usize, gc_blocking: bool) -> bool {
@@ -337,12 +347,18 @@ impl Machine {
         self.schedule(held, tid.0 as usize, false)
     }
 
+    /// Runs the policy until it keeps the token with `me`, switching to
+    /// each thread it picks meanwhile. A state where the policy can only
+    /// keep the token returns at once, without running it.
     fn schedule(
         &self,
         held: &mut Option<Box<State>>,
         me: usize,
         mut yielded: bool,
     ) -> Result<(), RunError> {
+        if held.as_ref().expect(HOLDER).keeps_token() {
+            return Ok(());
+        }
         while held.as_mut().expect(HOLDER).turn(me, yielded)?.is_some() {
             let st = held.take().expect(HOLDER);
             *held = Some(self.switch(st, me));
@@ -485,6 +501,27 @@ mod tests {
         m.safepoint(&mut held, ThreadId(0)).unwrap();
         m.safepoint(&mut held, ThreadId(0)).unwrap();
         assert!(m.slot.lock().unwrap().is_none(), "the state never left");
+    }
+
+    #[test]
+    fn a_single_thread_safepoint_runs_a_pending_collection() {
+        let cost = rtj_runtime::CostModel {
+            gc_threshold_bytes: 1,
+            ..rtj_runtime::CostModel::default()
+        };
+        let mut rt = Runtime::new(CheckMode::Dynamic, cost);
+        rt.enable_gc(true);
+        let heap = rtj_runtime::RuntimeOwner::Region(rt.heap());
+        rt.alloc(ThreadId(0), heap, "Blob", vec![heap], 1).unwrap();
+        assert!(!rt.gc_idle(), "the allocation requested a collection");
+        let m = Machine::default();
+        let mut held = Some(State::new(rt, 0));
+        m.safepoint(&mut held, ThreadId(0)).unwrap();
+        let rt = &held.unwrap().rt;
+        assert_eq!(rt.metrics_snapshot().gc_collections, 1);
+        assert!(rt.gc_idle(), "the lone thread jumped the pause");
+        let pause = rt.cost_model().gc_pause;
+        assert_eq!(rt.now(), pause + rt.metrics_snapshot().alloc_cycles);
     }
 
     #[test]

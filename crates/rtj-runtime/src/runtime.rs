@@ -842,6 +842,7 @@ impl Runtime {
     }
 
     /// Read-only access to an object record.
+    #[inline]
     pub fn object(&self, obj: ObjId) -> &crate::objects::ObjectRecord {
         self.objects.get(obj)
     }
@@ -1014,6 +1015,7 @@ impl Runtime {
     ///
     /// Dangling access to a dead object (well-typed programs never do
     /// this); RTSJ reference-check failures when checks run.
+    #[inline]
     pub fn load_field(&mut self, t: ThreadId, obj: ObjId, idx: usize) -> Result<Value, RtError> {
         self.clock.advance(self.cost.field_access);
         let rec = self.objects.get(obj);
@@ -1038,6 +1040,7 @@ impl Runtime {
     /// Dangling access; illegal assignment (value's region does not
     /// outlive the holder's); RT heap-reference violations — when checks
     /// run.
+    #[inline]
     pub fn store_field(
         &mut self,
         t: ThreadId,
@@ -1052,12 +1055,16 @@ impl Runtime {
         }
         let region = rec.region;
         let old = match &rec.storage {
-            FieldStorage::Boxed(fields) => fields[idx].clone(),
+            FieldStorage::Boxed(fields) => &fields[idx],
             FieldStorage::Arena { base, .. } => {
-                self.regions.get(region).arena[*base as usize + idx].clone()
+                &self.regions.get(region).arena[*base as usize + idx]
             }
         };
-        self.check_store(t, region, &old, &v)?;
+        // The check reads the old value only when a reference is involved.
+        if Self::value_is_reflike(&v) || Self::value_is_reflike(old) {
+            let old = old.clone();
+            self.check_store(t, region, &old, &v)?;
+        }
         *self.field_mut(obj, idx) = v;
         Ok(())
     }
@@ -1133,6 +1140,12 @@ impl Runtime {
                 self.gc.collecting_until = None;
             }
         }
+    }
+
+    /// Whether the collector has nothing to do at a safepoint: no
+    /// collection is pending or running.
+    pub fn gc_idle(&self) -> bool {
+        !self.gc.pending && self.gc.collecting_until.is_none()
     }
 
     /// If a collection is in progress, the virtual time regular threads

@@ -26,9 +26,12 @@
 
 use rtjava::corpus::programs::{all, request_variants, scaled_vm_workload, Scale};
 use rtjava::corpus::SERVER_PROGRAMS;
-use rtjava::interp::{build, run_checked, Engine, RunConfig, RunOutcome, TraceCapture};
+use rtjava::interp::bytecode::{compile, Op};
+use rtjava::interp::eval::ProgramData;
+use rtjava::interp::{build, run_checked, Engine, RunConfig, RunError, RunOutcome, TraceCapture};
 use rtjava::lang::fingerprint::Fnv64;
 use rtjava::runtime::CheckMode;
+use std::sync::Arc;
 
 /// Runs `src` on one engine with full capture.
 fn run_on(src: &str, mode: CheckMode, engine: Engine) -> RunOutcome {
@@ -170,6 +173,22 @@ fn error_paths_agree_across_engines() {
             "#,
         ),
         (
+            // The region exit that unwinds the error flushes the steps
+            // pending at the failing division, which no runtime call
+            // flushed before it.
+            "division-by-zero-inside-a-region",
+            "{ (RHandle<r> h) { let x = 0; let y = 10 / x; } }",
+        ),
+        (
+            // A null receiver fails at the receiver check, before the
+            // arguments, with the call's steps pending.
+            "null-receiver-with-arguments-inside-a-region",
+            r#"
+            class C<Owner o> { int m(int a) { return a; } }
+            { (RHandle<r> h) { let C<r> c = null; let y = c.m(1); } }
+            "#,
+        ),
+        (
             // The error unwinds through two open region scopes; the
             // exits must still run, in the same order, on both engines.
             "error-inside-nested-regions",
@@ -219,6 +238,173 @@ fn step_limit_agrees_across_engines() {
     );
     assert_eq!(outs[0].cycles, outs[1].cycles);
     assert_eq!(outs[0].metrics, outs[1].metrics);
+}
+
+/// Runs `src` on one engine with full capture and a step budget.
+fn run_budget(src: &str, mode: CheckMode, engine: Engine, max_steps: u64) -> RunOutcome {
+    let checked = build(src).expect("program builds");
+    let mut cfg = RunConfig::new(mode);
+    cfg.engine = engine;
+    cfg.events = TraceCapture::Full;
+    cfg.max_steps = max_steps;
+    run_checked(&checked, cfg)
+}
+
+/// Every Smoke corpus program and served request variant, by name.
+fn smoke_and_served() -> Vec<(String, String)> {
+    let mut programs: Vec<(String, String)> = all(Scale::Smoke)
+        .into_iter()
+        .map(|b| (b.name.to_string(), b.source))
+        .collect();
+    for name in SERVER_PROGRAMS {
+        let variants = request_variants(name, 2).expect("a server program");
+        for (variant, src) in variants.into_iter().enumerate() {
+            programs.push((format!("{name} variant {variant}"), src));
+        }
+    }
+    programs
+}
+
+/// The number of steps `src` runs in `mode`: the smallest budget it
+/// completes within, found by bisection on the VM. Every step costs at
+/// least a cycle, so the cycle count bounds it.
+fn step_count(src: &str, mode: CheckMode) -> u64 {
+    let (mut trips, mut completes) = (0, run_on(src, mode, Engine::Vm).cycles);
+    while completes - trips > 1 {
+        let mid = trips + (completes - trips) / 2;
+        match run_budget(src, mode, Engine::Vm, mid).error {
+            Some(RunError::StepLimit) => trips = mid,
+            _ => completes = mid,
+        }
+    }
+    completes
+}
+
+/// The step budget trips at the same instant on both engines wherever
+/// it falls: at 1/8 … 7/8 of each program's run, in Dynamic and Static
+/// mode. Steps are charged by the ops that carry them, so a budget can
+/// run out at any flush point, not only at a loop head. The eighths are
+/// of the step count, not the cycle count: `io` cycles make some served
+/// programs' steps less than an eighth of their cycles.
+#[test]
+fn step_limit_agrees_at_many_budgets() {
+    for (name, src) in smoke_and_served() {
+        let mut tripped = false;
+        for mode in [CheckMode::Dynamic, CheckMode::Static] {
+            let steps = step_count(&src, mode);
+            for eighth in 1..8 {
+                // A budget of 0 would mean no budget at all.
+                let budget = (steps * eighth / 8).max(1);
+                let tree = run_budget(&src, mode, Engine::Tree, budget);
+                let vm = run_budget(&src, mode, Engine::Vm, budget);
+                assert_same(&format!("{name} ({mode:?}, budget {budget})"), &tree, &vm);
+                tripped |= vm.error == Some(RunError::StepLimit);
+            }
+        }
+        assert!(tripped, "{name}: no budget tripped the step limit");
+    }
+}
+
+/// A small program with a field store, a call, an `if` and a loop, run
+/// under every budget from 1 to 300 steps: each flush point in turn is
+/// where the budget runs out.
+#[test]
+fn step_limit_agrees_at_every_small_budget() {
+    let src = r#"
+        class Acc<Owner o> {
+            int total;
+            void add(int v) { this.total = this.total + v; }
+        }
+        {
+            (RHandle<r> h) {
+                let a = new Acc<r>;
+                let i = 0;
+                while (i < 12) {
+                    if (i % 2 == 0) { a.add(i); } else { a.total = a.total - 1; }
+                    i = i + 1;
+                }
+                print(a.total);
+            }
+        }
+    "#;
+    for mode in [CheckMode::Dynamic, CheckMode::Static] {
+        let mut tripped = 0;
+        for budget in 1..=300 {
+            let tree = run_budget(src, mode, Engine::Tree, budget);
+            let vm = run_budget(src, mode, Engine::Vm, budget);
+            assert_same(&format!("budget {budget} ({mode:?})"), &tree, &vm);
+            tripped += usize::from(vm.error == Some(RunError::StepLimit));
+        }
+        assert!(tripped > 0, "{mode:?}: no budget tripped the step limit");
+        assert!(tripped < 300, "{mode:?}: no budget let the program finish");
+    }
+}
+
+/// The compiled code of every function of `src`.
+fn bytecode_of(src: &str) -> Vec<Vec<Op>> {
+    let checked = build(src).expect("program builds");
+    let data = ProgramData::new(Arc::clone(&checked.program), checked.table.clone());
+    compile(&data).funcs.into_iter().map(|f| f.code).collect()
+}
+
+/// The fused ops' names.
+const FUSED: [&str; 5] = [
+    "LoadLocal2",
+    "LoadLocalNull",
+    "LoadLocalField",
+    "BinaryInt",
+    "BinaryJumpIfFalse",
+];
+
+/// The name of a fused op, `None` for any other op.
+fn fused_kind(op: &Op) -> Option<&'static str> {
+    Some(match op {
+        Op::LoadLocal2(..) => "LoadLocal2",
+        Op::LoadLocalNull(_) => "LoadLocalNull",
+        Op::LoadLocalField { .. } => "LoadLocalField",
+        Op::BinaryInt { .. } => "BinaryInt",
+        Op::BinaryJumpIfFalse { .. } => "BinaryJumpIfFalse",
+        _ => return None,
+    })
+}
+
+/// The bytecode's shape: an op is 16 bytes; a `Step` survives only in
+/// front of a jump target, where the jumps in must not pay it; and every
+/// fused op occurs in a program the engines are compared on here.
+#[test]
+fn bytecode_carries_steps_on_ops_and_fuses_pairs() {
+    assert_eq!(std::mem::size_of::<Op>(), 16);
+    let mut programs = smoke_and_served();
+    for bench in all(Scale::Paper) {
+        programs.push((format!("{} (paper)", bench.name), bench.source));
+    }
+    for (name, src) in &programs {
+        for (f, code) in bytecode_of(src).iter().enumerate() {
+            let targets: Vec<u32> = code.iter().filter_map(Op::target).collect();
+            for (i, pair) in code.windows(2).enumerate() {
+                let next = i as u32 + 1;
+                if let [Op::Step(_), op] = pair {
+                    assert!(
+                        op.steps().is_none() || targets.contains(&next),
+                        "{name}: function {f} op {i}: a Step before {op:?}, which carries steps"
+                    );
+                }
+            }
+        }
+    }
+    // The programs `corpus_programs_agree_across_engines` and
+    // `served_request_variants_agree_across_engines` run.
+    let compared: Vec<&str> = smoke_and_served()
+        .iter()
+        .flat_map(|(_, src)| bytecode_of(src).into_iter().flatten())
+        .filter_map(|op| fused_kind(&op))
+        .collect();
+    for kind in FUSED {
+        assert!(
+            compared.contains(&kind),
+            "no compared program has a {kind}, so the oracle never checks it"
+        );
+    }
 }
 
 /// FNV-1a digest of every deterministic field of an outcome: error,
