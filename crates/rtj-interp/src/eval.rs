@@ -608,7 +608,7 @@ impl Evaluator {
                 let t = self.tid;
                 let name = class.name.name;
                 let obj = self.rt_op(move |rt| {
-                    let obj = rt.alloc(t, first, name, owners, n_fields)?;
+                    let obj = rt.alloc(t, first, name, &owners, n_fields)?;
                     for (i, v) in defaults {
                         rt.init_field_raw(obj, i, v);
                     }
@@ -713,8 +713,9 @@ impl Evaluator {
         owner_arg_refs: &[OwnerRef],
         arg_vals: Vec<Value>,
     ) -> Result<(Frame, Symbol, Symbol), RunError> {
-        let o = self.rt().object(obj);
-        let (class, mut cur_owners) = (o.class_name, o.owners.clone());
+        let rt = self.rt();
+        let (class, mut cur_owners) =
+            (rt.object(obj).class_name, rt.objects().owners(obj).to_vec());
         let (chain, mdecl) = resolve_method_chain(&self.data.table, class, method)
             .ok_or_else(|| RunError::Interp(format!("no method `{method}` on `{class}`")))?;
         let mut cur_class = class;

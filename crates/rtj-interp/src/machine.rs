@@ -512,7 +512,7 @@ mod tests {
         let mut rt = Runtime::new(CheckMode::Dynamic, cost);
         rt.enable_gc(true);
         let heap = rtj_runtime::RuntimeOwner::Region(rt.heap());
-        rt.alloc(ThreadId(0), heap, "Blob", vec![heap], 1).unwrap();
+        rt.alloc(ThreadId(0), heap, "Blob", &[heap], 1).unwrap();
         assert!(!rt.gc_idle(), "the allocation requested a collection");
         let m = Machine::default();
         let mut held = Some(State::new(rt, 0));

@@ -561,8 +561,8 @@ impl Vm {
         obj: ObjId,
         frame: &CallCtx,
     ) -> Result<u32, RunError> {
-        let recv = self.st.as_ref().expect(HOLDER).rt.object(obj);
-        let class = recv.class_name;
+        let rt = &self.st.as_ref().expect(HOLDER).rt;
+        let (class, recv_owners) = (rt.object(obj).class_name, rt.objects().owners(obj));
         if !matches!(&self.call_caches[site], Some((c, _)) if *c == class) {
             self.call_caches[site] = Some((class, self.call_target(site, class)));
         }
@@ -574,7 +574,7 @@ impl Vm {
             .map_err(|m| RunError::Interp(m.to_string()))?;
         for src in target.owner_srcs.iter() {
             self.owners.push(match *src {
-                OwnerSrc::RecvOwner(i) => recv.owners[i as usize],
+                OwnerSrc::RecvOwner(i) => recv_owners[i as usize],
                 OwnerSrc::RecvObject => RuntimeOwner::Object(obj),
                 OwnerSrc::Heap => RuntimeOwner::Region(self.heap),
                 OwnerSrc::Immortal => RuntimeOwner::Region(self.immortal),
@@ -680,28 +680,31 @@ impl Vm {
     }
 
     /// `New`: allocates `site`'s object in the region of its first owner
-    /// and returns the reference.
+    /// and returns the reference. The owners are evaluated onto the owner
+    /// stack and handed to the runtime from there; an error ends the run,
+    /// so only success pops them.
     #[inline(never)]
     fn new_object(&mut self, site: &NewSite, frame: CallCtx) -> Result<Value, RunError> {
-        let mut owners = Vec::with_capacity(site.owner_ops.len());
+        let base = self.owners.len();
         for op in site.owner_ops.iter() {
-            owners.push(self.eval_owner_op(&frame, op)?);
+            let owner = self.eval_owner_op(&frame, op)?;
+            self.owners.push(owner);
         }
-        let first = owners
-            .first()
-            .copied()
+        let first = *self
+            .owners
+            .get(base)
             .ok_or_else(|| RunError::Interp(format!("`new {}` with no owners", site.class)))?;
         if !site.known {
             return Err(RunError::Interp(format!("unknown class `{}`", site.class)));
         }
-        let (t, class, n_fields) = (self.tid, site.class, site.n_fields as usize);
-        let obj = self.rt_op(|rt| {
-            let obj = rt.alloc(t, first, class, owners, n_fields)?;
-            for (i, v) in site.defaults.iter() {
-                rt.init_field_raw(obj, *i as usize, v.clone());
-            }
-            Ok(obj)
-        })?;
+        self.flush()?;
+        let rt = &mut self.st.as_mut().expect(HOLDER).rt;
+        let owners = &self.owners[base..];
+        let obj = rt.alloc(self.tid, first, site.class, owners, site.n_fields as usize)?;
+        for (i, v) in site.defaults.iter() {
+            rt.init_field_raw(obj, *i as usize, v.clone());
+        }
+        self.owners.truncate(base);
         Ok(Value::Ref(obj))
     }
 

@@ -42,20 +42,6 @@ pub fn pretty_expr(e: &Expr) -> String {
     pr.out
 }
 
-/// Pretty-prints a type.
-pub fn pretty_type(t: &Type) -> String {
-    let mut pr = Printer::new();
-    pr.ty(t);
-    pr.out
-}
-
-/// Pretty-prints an owner-kind annotation.
-pub fn pretty_kind(k: &KindAnn) -> String {
-    let mut pr = Printer::new();
-    pr.kind(k);
-    pr.out
-}
-
 struct Printer {
     out: String,
     indent: usize,
@@ -292,16 +278,6 @@ impl Printer {
 
     fn expr(&mut self, e: &Expr) {
         let s = expr_str(e);
-        self.out.push_str(&s);
-    }
-
-    fn ty(&mut self, t: &Type) {
-        let s = type_str(t);
-        self.out.push_str(&s);
-    }
-
-    fn kind(&mut self, k: &KindAnn) {
-        let s = kind_str(k);
         self.out.push_str(&s);
     }
 }

@@ -25,11 +25,11 @@
 //! let mut rt = Runtime::with_mode(CheckMode::Dynamic);
 //! let main = rt.main_thread();
 //! let region = rt.create_region(main, RegionSpec::plain_vt(), false)?;
-//! let obj = rt.alloc(main, RuntimeOwner::Region(region), "Cell", vec![], 1)?;
+//! let obj = rt.alloc(main, RuntimeOwner::Region(region), "Cell", &[], 1)?;
 //! rt.store_field(main, obj, 0, Value::Int(42))?;
 //! assert_eq!(rt.load_field(main, obj, 0)?, Value::Int(42));
 //! rt.exit_created_region(main, region)?;
-//! assert!(!rt.object(obj).alive); // deleted with its region
+//! assert!(!rt.is_alive(obj)); // deleted with its region
 //! # Ok::<(), rtj_runtime::RtError>(())
 //! ```
 
@@ -54,7 +54,7 @@ pub use metrics::{
     CheckCounters, CheckKind, CheckOutcome, CheckerMetrics, Histogram, MetricsRegistry,
     MetricsSnapshot, METRICS_SCHEMA,
 };
-pub use objects::{object_size, FieldStorage, ObjectRecord, ObjectStore};
+pub use objects::{object_size, ObjectRecord, ObjectStore};
 pub use region::{RegionClass, RegionRecord, RegionSpec, RegionState, RegionTable};
 /// Shared dependency-free JSON plumbing (re-exported from `rtj-lang`, where
 /// it also serves the static checker's snapshots).

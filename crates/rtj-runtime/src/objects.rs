@@ -1,17 +1,19 @@
 //! The object store.
 //!
-//! Objects live in regions; deleting or flushing a region kills its
-//! objects. A dead object's fields are dropped, and any later access to it
+//! An object is a fixed header whose storage and lifetime come from its
+//! region. Its fields are a span of the region's slot arena, and its
+//! runtime owners are a span of one owner slab that the whole run
+//! shares, so allocating an object appends to three vectors (the arena,
+//! the slab and the table of headers) and nothing else. It records its
+//! region's epoch when it is allocated and is alive while the two are
+//! equal: flushing or deleting a region bumps the epoch, which kills all
+//! of the region's objects at once. Any later access to a dead object
 //! is a [dangling-reference error](crate::error::RtError::DanglingReference)
 //! — which well-typed programs never trigger (paper, Theorem 3).
-//!
-//! Field slots come in two flavours: `VT` objects own a boxed `Vec<Value>`
-//! each, while objects in `LT` regions borrow a contiguous span of the
-//! region's bump arena ([`FieldStorage::Arena`]) so allocation is a
-//! pointer slide and region exit resets the whole arena in O(1).
 
-use crate::value::{ObjId, RegionId, RuntimeOwner, Value};
+use crate::value::{ObjId, RegionId, RuntimeOwner};
 use rtj_lang::Symbol;
+use std::ops::Range;
 
 /// Object header bytes (class pointer + owner table, as on the authors'
 /// platform).
@@ -25,163 +27,91 @@ pub fn object_size(n_fields: usize) -> u64 {
     OBJECT_HEADER_BYTES + FIELD_BYTES * n_fields as u64
 }
 
-/// Where an object's field slots live.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldStorage {
-    /// A per-object vector (VT regions, heap).
-    Boxed(Vec<Value>),
-    /// A span of the owning LT region's bump arena:
-    /// `region.arena[base..base + len]`.
-    Arena {
-        /// First slot index in the region arena.
-        base: u32,
-        /// Number of field slots.
-        len: u32,
-    },
+/// A run of slots in a shared vector: `start..start + len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) len: u32,
 }
 
-impl FieldStorage {
-    /// Number of field slots.
-    pub fn len(&self) -> usize {
-        match self {
-            FieldStorage::Boxed(v) => v.len(),
-            FieldStorage::Arena { len, .. } => *len as usize,
-        }
-    }
-
-    /// Whether the object has no fields.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+impl Span {
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
     }
 }
 
-/// One allocated object.
-#[derive(Debug, Clone)]
+/// One allocated object: a fixed header.
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectRecord {
-    /// The object's id.
-    pub id: ObjId,
     /// Name of the class it was allocated as (interned).
     pub class_name: Symbol,
     /// The region it is allocated in.
     pub region: RegionId,
-    /// Runtime owner bindings (one per owner parameter of the class).
-    pub owners: Vec<RuntimeOwner>,
-    /// Field slots, in class layout order (boxed or arena-backed).
-    pub storage: FieldStorage,
-    /// Dead once the containing region is flushed or deleted.
-    pub alive: bool,
+    /// The region's epoch at allocation; the object is alive while the
+    /// region's epoch is still this one.
+    pub(crate) epoch: u64,
+    /// Its field slots, in class layout order, in the region's arena.
+    pub(crate) field_span: Span,
+    /// Its runtime owners (one per owner parameter of the class), in the
+    /// store's owner slab.
+    pub(crate) owner_span: Span,
+}
+
+impl ObjectRecord {
+    /// The arena index of field `idx`.
+    #[inline]
+    pub(crate) fn slot(&self, idx: usize) -> usize {
+        debug_assert!(idx < self.field_span.len as usize, "no field {idx}");
+        self.field_span.start as usize + idx
+    }
 }
 
 /// The store of all objects ever allocated.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     records: Vec<ObjectRecord>,
-    live_count: usize,
-    live_bytes: u64,
-    peak_live_bytes: u64,
+    /// Every object's owners, appended at allocation.
+    owners: Vec<RuntimeOwner>,
 }
 
 impl ObjectStore {
-    /// Allocates a new object record with boxed field slots (memory
-    /// accounting is the region table's job; this tracks object-level
-    /// liveness).
-    pub fn alloc(
-        &mut self,
-        class_name: impl Into<Symbol>,
-        region: RegionId,
-        owners: Vec<RuntimeOwner>,
-        n_fields: usize,
-    ) -> ObjId {
-        self.alloc_with(
-            class_name.into(),
-            region,
-            owners,
-            FieldStorage::Boxed(vec![Value::Null; n_fields]),
-        )
-    }
-
-    /// Allocates a new object record whose field slots live in the owning
-    /// LT region's arena at `[base, base + len)`.
-    pub fn alloc_in_arena(
-        &mut self,
-        class_name: impl Into<Symbol>,
-        region: RegionId,
-        owners: Vec<RuntimeOwner>,
-        base: u32,
-        len: u32,
-    ) -> ObjId {
-        self.alloc_with(
-            class_name.into(),
-            region,
-            owners,
-            FieldStorage::Arena { base, len },
-        )
-    }
-
-    fn alloc_with(
+    /// Allocates a new object record whose fields are `field_span` of
+    /// `region`'s arena, allocated at the region's `epoch`; `owners` is
+    /// copied into the owner slab. (Memory accounting is the region
+    /// table's job.)
+    pub(crate) fn alloc(
         &mut self,
         class_name: Symbol,
         region: RegionId,
-        owners: Vec<RuntimeOwner>,
-        storage: FieldStorage,
+        epoch: u64,
+        owners: &[RuntimeOwner],
+        field_span: Span,
     ) -> ObjId {
         let id = ObjId(self.records.len() as u32);
-        let n_fields = storage.len();
+        let start = self.owners.len() as u32;
+        self.owners.extend_from_slice(owners);
         self.records.push(ObjectRecord {
-            id,
             class_name,
             region,
-            owners,
-            storage,
-            alive: true,
+            epoch,
+            field_span,
+            owner_span: Span {
+                start,
+                len: owners.len() as u32,
+            },
         });
-        self.live_count += 1;
-        self.live_bytes += object_size(n_fields);
-        self.peak_live_bytes = self.peak_live_bytes.max(self.live_bytes);
         id
     }
 
-    /// Immutable access (dead or alive).
+    /// The header of an object, dead or alive.
+    #[inline]
     pub fn get(&self, id: ObjId) -> &ObjectRecord {
         &self.records[id.0 as usize]
     }
 
-    /// Mutable access (dead or alive).
-    pub fn get_mut(&mut self, id: ObjId) -> &mut ObjectRecord {
-        &mut self.records[id.0 as usize]
-    }
-
-    /// Kills an object (its region was flushed or deleted). Arena-backed
-    /// slots are abandoned in place — the region resets its arena
-    /// separately, in O(1).
-    pub fn kill(&mut self, id: ObjId) {
-        let n_fields = {
-            let r = &mut self.records[id.0 as usize];
-            if !r.alive {
-                return;
-            }
-            r.alive = false;
-            let n = r.storage.len();
-            r.storage = FieldStorage::Boxed(Vec::new());
-            n
-        };
-        self.live_count -= 1;
-        self.live_bytes -= object_size(n_fields);
-    }
-
-    /// Number of live objects.
-    pub fn live_count(&self) -> usize {
-        self.live_count
-    }
-
-    /// Bytes held by live objects.
-    pub fn live_bytes(&self) -> u64 {
-        self.live_bytes
-    }
-
-    /// High-water mark of live bytes.
-    pub fn peak_live_bytes(&self) -> u64 {
-        self.peak_live_bytes
+    /// The runtime owners of an object, dead or alive.
+    pub fn owners(&self, id: ObjId) -> &[RuntimeOwner] {
+        &self.owners[self.get(id).owner_span.range()]
     }
 
     /// Total number of objects ever allocated.
@@ -195,46 +125,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn alloc_and_kill_track_liveness() {
+    fn owners_are_spans_of_one_slab() {
         let mut s = ObjectStore::default();
-        let a = s.alloc("A", RegionId(0), vec![], 2);
-        let b = s.alloc("B", RegionId(0), vec![], 0);
-        assert_eq!(s.live_count(), 2);
-        assert_eq!(s.live_bytes(), object_size(2) + object_size(0));
-        assert_eq!(s.peak_live_bytes(), s.live_bytes());
-        let peak = s.peak_live_bytes();
-        s.kill(a);
-        assert!(!s.get(a).alive);
-        assert!(s.get(b).alive);
-        assert_eq!(s.live_count(), 1);
-        assert_eq!(s.peak_live_bytes(), peak, "peak unchanged by kill");
-        s.kill(a); // idempotent
-        assert_eq!(s.live_count(), 1);
-        assert_eq!(s.total_allocated(), 2);
-    }
-
-    #[test]
-    fn fields_start_null() {
-        let mut s = ObjectStore::default();
-        let a = s.alloc("A", RegionId(1), vec![], 3);
-        match &s.get(a).storage {
-            FieldStorage::Boxed(fields) => {
-                assert!(fields.iter().all(|v| *v == Value::Null));
-            }
-            other => panic!("expected boxed storage, got {other:?}"),
-        }
-        assert_eq!(s.get(a).region, RegionId(1));
-    }
-
-    #[test]
-    fn arena_objects_account_like_boxed_ones() {
-        let mut s = ObjectStore::default();
-        let a = s.alloc_in_arena("A", RegionId(2), vec![], 0, 3);
-        assert_eq!(s.get(a).storage, FieldStorage::Arena { base: 0, len: 3 });
-        assert_eq!(s.live_bytes(), object_size(3));
-        s.kill(a);
-        assert_eq!(s.live_bytes(), 0);
-        assert_eq!(s.get(a).storage, FieldStorage::Boxed(Vec::new()));
+        let r = RegionId(2);
+        let fields = Span { start: 0, len: 3 };
+        let a = s.alloc("A".into(), r, 0, &[RuntimeOwner::Region(r)], fields);
+        let b = s.alloc("B".into(), r, 1, &[], Span { start: 3, len: 0 });
+        let c = s.alloc(
+            "C".into(),
+            r,
+            1,
+            &[RuntimeOwner::Object(a), RuntimeOwner::Region(r)],
+            Span { start: 3, len: 1 },
+        );
+        assert_eq!(s.owners(a), &[RuntimeOwner::Region(r)]);
+        assert!(s.owners(b).is_empty());
+        assert_eq!(
+            s.owners(c),
+            &[RuntimeOwner::Object(a), RuntimeOwner::Region(r)]
+        );
+        assert_eq!(s.get(a).field_span.range(), 0..3);
+        assert_eq!((s.get(a).epoch, s.get(c).epoch), (0, 1));
+        assert_eq!(s.get(c).region, r);
+        assert_eq!(s.total_allocated(), 3);
     }
 
     #[test]

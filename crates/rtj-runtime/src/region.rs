@@ -6,7 +6,7 @@
 //! Subregion *instances* are created eagerly when their parent is created,
 //! so LT memory can be preallocated transitively, as the paper requires.
 
-use crate::value::{AllocPolicy, ObjId, RegionId, Reservation, ThreadId, Value};
+use crate::value::{AllocPolicy, RegionId, Reservation, ThreadId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A static description of a region to create: its kind, policy,
@@ -75,7 +75,7 @@ pub enum RegionClass {
 pub enum RegionState {
     /// Objects may be allocated and accessed.
     Alive,
-    /// Objects deleted; LT memory retained; the region can be re-entered
+    /// Objects dead; LT memory retained; the region can be re-entered
     /// (subregion instances only).
     Flushed,
     /// Gone for good.
@@ -108,17 +108,19 @@ pub struct RegionRecord {
     pub subs: BTreeMap<String, RegionId>,
     /// Regions guaranteed to outlive this one (`heap`/`immortal` implicit).
     pub outlived_by: BTreeSet<RegionId>,
-    /// Objects allocated here (alive ones).
-    pub objects: Vec<ObjId>,
+    /// Bumped by every flush and every delete of this region. An object
+    /// allocated here is alive while this still equals the epoch it was
+    /// allocated at, so a flush or delete kills all of them in O(1).
+    pub epoch: u64,
     /// Bumped every time a `new` subregion instance replaces this member.
     pub generation: u32,
     /// Entry/exit bookkeeping lock (priority-inversion modelling).
     pub lock: Option<ThreadId>,
-    /// Bump arena of field slots for LT-policy regions: objects allocated
-    /// here carry `FieldStorage::Arena` spans into this vector, so
-    /// allocation is a pointer slide and flushing resets the whole arena
-    /// in O(1) while keeping its capacity (the LT "memory retained"
-    /// semantics). Empty for VT regions.
+    /// Slot arena of the objects allocated here, whatever the policy:
+    /// each object's fields are a span of it, so allocation appends. A
+    /// flush clears it in O(1) and keeps its host capacity; a delete
+    /// releases it. Only the virtual `committed` accounting tells LT
+    /// from VT.
     pub arena: Vec<Value>,
 }
 
@@ -133,6 +135,9 @@ impl RegionRecord {
 #[derive(Debug, Clone, Default)]
 pub struct RegionTable {
     records: Vec<RegionRecord>,
+    /// The ids of the regions currently alive, kept as their states
+    /// change: what a new region records as outliving it.
+    alive: BTreeSet<RegionId>,
     /// Reusable work stack for the flush/delete cascades, so region exit
     /// does not allocate a fresh `Vec` of subregion ids per call.
     scratch: Vec<RegionId>,
@@ -170,11 +175,12 @@ impl RegionTable {
             portals,
             subs: BTreeMap::new(),
             outlived_by,
-            objects: Vec::new(),
+            epoch: 0,
             generation: 0,
             lock: None,
             arena: Vec::new(),
         });
+        self.alive.insert(id);
         let mut created = 1;
         for (member, sub_spec) in &spec.subregions {
             let mut sub_outlives = self.records[id.0 as usize].outlived_by.clone();
@@ -206,12 +212,8 @@ impl RegionTable {
     }
 
     /// All region ids currently alive.
-    pub fn alive_ids(&self) -> Vec<RegionId> {
-        self.records
-            .iter()
-            .filter(|r| r.is_alive())
-            .map(|r| r.id)
-            .collect()
+    pub fn alive_ids(&self) -> &BTreeSet<RegionId> {
+        &self.alive
     }
 
     /// Number of records ever created.
@@ -254,19 +256,11 @@ impl RegionTable {
     }
 
     /// Flushes a region: recursively flushes subregion instances, then
-    /// deletes this region's objects. LT memory is retained (`committed`
-    /// unchanged, arena capacity kept); VT memory is released. Returns the
-    /// ids of all objects that died.
-    pub fn flush(&mut self, id: RegionId) -> Vec<ObjId> {
-        let mut dead = Vec::new();
-        self.flush_into(id, &mut dead);
-        dead
-    }
-
-    /// Allocation-free [`RegionTable::flush`]: appends the dead object ids
-    /// to `dead` and reuses an internal work stack for the subregion
-    /// cascade instead of collecting fresh `Vec`s.
-    pub fn flush_into(&mut self, id: RegionId, dead: &mut Vec<ObjId>) {
+    /// kills this region's objects by bumping its epoch. Every policy keeps
+    /// its arena's host capacity; only LT keeps its virtual `committed`
+    /// memory, VT releases it. Reuses an internal work stack for the
+    /// subregion cascade, so it does not allocate.
+    pub fn flush(&mut self, id: RegionId) {
         let mut stack = std::mem::take(&mut self.scratch);
         debug_assert!(stack.is_empty());
         stack.push(id);
@@ -275,29 +269,22 @@ impl RegionTable {
                 continue;
             }
             let r = self.get_mut(rid);
-            dead.append(&mut r.objects);
             r.used = 0;
             if matches!(r.spec.policy, AllocPolicy::Vt) {
                 r.committed = 0;
             }
             r.state = RegionState::Flushed;
-            r.arena.clear(); // O(1) reset; LT capacity retained
-            stack.extend(self.get(rid).subs.values().copied());
+            r.epoch += 1;
+            r.arena.clear(); // O(1) reset; host capacity retained
+            stack.extend(r.subs.values().copied());
+            self.alive.remove(&rid);
         }
         self.scratch = stack;
     }
 
-    /// Deletes a region and all its subregion instances. Returns dead
-    /// objects.
-    pub fn delete(&mut self, id: RegionId) -> Vec<ObjId> {
-        let mut dead = Vec::new();
-        self.delete_into(id, &mut dead);
-        dead
-    }
-
-    /// Allocation-free [`RegionTable::delete`]: appends the dead object ids
-    /// to `dead`, reusing the internal work stack for the cascade.
-    pub fn delete_into(&mut self, id: RegionId, dead: &mut Vec<ObjId>) {
+    /// Deletes a region and all its subregion instances: bumps each one's
+    /// epoch and releases its memory, virtual and host, for good.
+    pub fn delete(&mut self, id: RegionId) {
         let mut stack = std::mem::take(&mut self.scratch);
         debug_assert!(stack.is_empty());
         stack.push(id);
@@ -306,13 +293,14 @@ impl RegionTable {
                 continue;
             }
             let r = self.get_mut(rid);
-            dead.append(&mut r.objects);
             r.used = 0;
             r.committed = 0;
             r.portals.values_mut().for_each(|v| *v = Value::Null);
             r.state = RegionState::Deleted;
-            r.arena = Vec::new(); // memory released for good
-            stack.extend(self.get(rid).subs.values().copied());
+            r.epoch += 1;
+            r.arena = Vec::new();
+            stack.extend(r.subs.values().copied());
+            self.alive.remove(&rid);
         }
         self.scratch = stack;
     }
@@ -323,6 +311,7 @@ impl RegionTable {
         let r = self.get_mut(id);
         debug_assert_eq!(r.state, RegionState::Flushed);
         r.state = RegionState::Alive;
+        self.alive.insert(id);
     }
 }
 
@@ -393,20 +382,23 @@ mod tests {
     }
 
     #[test]
-    fn flush_retains_lt_memory_and_kills_objects() {
+    fn flush_retains_lt_memory_and_bumps_the_epoch() {
         let mut t = RegionTable::default();
         let (id, _) = t.create(spec_with_sub(), RegionClass::Shared, BTreeSet::new());
         let sub = *t.get(id).subs.get("b").unwrap();
-        t.get_mut(sub).objects.push(ObjId(7));
         t.get_mut(sub).used = 64;
-        let dead = t.flush(sub);
-        assert_eq!(dead, vec![ObjId(7)]);
+        t.flush(sub);
         let r = t.get(sub);
         assert_eq!(r.state, RegionState::Flushed);
+        assert_eq!(r.epoch, 1, "the flush killed the objects");
         assert_eq!(r.used, 0);
         assert_eq!(r.committed, 4096, "LT memory retained across flush");
         t.revive(sub);
         assert!(t.get(sub).is_alive());
+        assert_eq!(t.get(sub).epoch, 1, "revival does not bump the epoch");
+        t.flush(sub);
+        assert_eq!(t.get(sub).epoch, 2);
+        assert_eq!(t.get(id).epoch, 0, "a flush does not reach the parent");
     }
 
     #[test]
@@ -414,15 +406,26 @@ mod tests {
         let mut t = RegionTable::default();
         let (id, _) = t.create(spec_with_sub(), RegionClass::Shared, BTreeSet::new());
         let sub = *t.get(id).subs.get("b").unwrap();
-        t.get_mut(sub).arena.extend([Value::Int(1), Value::Int(2)]);
-        let cap = t.get(sub).arena.capacity();
-        t.flush(sub);
-        assert!(t.get(sub).arena.is_empty(), "arena reset on flush");
-        assert_eq!(t.get(sub).arena.capacity(), cap, "LT memory retained");
-        t.revive(sub);
-        t.get_mut(sub).arena.push(Value::Int(3));
+        for r in [id, sub] {
+            t.get_mut(r).arena.extend([Value::Int(1), Value::Int(2)]);
+        }
+        let (cap, sub_cap) = (t.get(id).arena.capacity(), t.get(sub).arena.capacity());
+        t.get_mut(id).committed = 2048;
+        // A VT region flushed like a subregion keeps its host capacity
+        // too, and releases only its virtual memory.
+        t.flush(id);
+        for (r, cap) in [(id, cap), (sub, sub_cap)] {
+            assert!(t.get(r).arena.is_empty(), "arena reset on flush");
+            assert_eq!(t.get(r).arena.capacity(), cap, "host capacity retained");
+        }
+        assert_eq!(t.get(id).committed, 0, "VT memory released on flush");
+        assert_eq!(t.get(sub).committed, 4096, "LT memory retained on flush");
+        t.revive(id);
+        t.get_mut(id).arena.push(Value::Int(3));
         t.delete(id);
-        assert_eq!(t.get(sub).arena.capacity(), 0, "memory released on delete");
+        for r in [id, sub] {
+            assert_eq!(t.get(r).arena.capacity(), 0, "memory released on delete");
+        }
     }
 
     #[test]
@@ -430,14 +433,33 @@ mod tests {
         let mut t = RegionTable::default();
         let (id, _) = t.create(spec_with_sub(), RegionClass::Shared, BTreeSet::new());
         let sub = *t.get(id).subs.get("b").unwrap();
-        t.get_mut(id).objects.push(ObjId(1));
-        t.get_mut(sub).objects.push(ObjId(2));
-        let mut dead = t.delete(id);
-        dead.sort();
-        assert_eq!(dead, vec![ObjId(1), ObjId(2)]);
+        t.flush(sub);
+        t.delete(id);
         assert_eq!(t.get(id).state, RegionState::Deleted);
         assert_eq!(t.get(sub).state, RegionState::Deleted);
+        assert_eq!(t.get(id).epoch, 1);
+        assert_eq!(t.get(sub).epoch, 2, "the cascade bumps a flushed sub too");
         assert_eq!(t.get(sub).committed, 0, "memory released on delete");
+    }
+
+    #[test]
+    fn alive_ids_follow_every_state_change() {
+        let mut t = RegionTable::default();
+        let (heap, _) = t.create(RegionSpec::plain_vt(), RegionClass::Heap, BTreeSet::new());
+        let (id, n) = t.create(spec_with_sub(), RegionClass::Shared, t.alive_ids().clone());
+        let sub = *t.get(id).subs.get("b").unwrap();
+        assert_eq!(n, 2);
+        let ids = |v: &[RegionId]| v.iter().copied().collect::<BTreeSet<_>>();
+        assert_eq!(*t.alive_ids(), ids(&[heap, id, sub]), "create");
+        t.flush(sub);
+        assert_eq!(*t.alive_ids(), ids(&[heap, id]), "flush");
+        t.revive(sub);
+        assert_eq!(*t.alive_ids(), ids(&[heap, id, sub]), "revive");
+        t.delete(id);
+        assert_eq!(*t.alive_ids(), ids(&[heap]), "delete");
+        for r in [heap, id, sub] {
+            assert_eq!(t.alive_ids().contains(&r), t.get(r).is_alive());
+        }
     }
 
     #[test]

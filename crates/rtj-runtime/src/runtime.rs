@@ -20,7 +20,7 @@ use crate::clock::{Clock, CostModel};
 use crate::error::RtError;
 use crate::events::TraceEvent;
 use crate::metrics::{CheckKind, CheckOutcome, MetricsRegistry, MetricsSnapshot};
-use crate::objects::{object_size, FieldStorage, ObjectStore};
+use crate::objects::{object_size, ObjectRecord, ObjectStore, Span};
 use crate::region::{RegionClass, RegionRecord, RegionSpec, RegionState, RegionTable};
 use crate::value::{
     AllocPolicy, ObjId, RegionId, Reservation, RuntimeOwner, ThreadClass, ThreadId, Value,
@@ -69,9 +69,6 @@ pub struct Runtime {
     trace: Vec<String>,
     heap: RegionId,
     immortal: RegionId,
-    /// Reusable buffer of dead object ids for region exits, so releasing a
-    /// region does not allocate.
-    dead_buf: Vec<ObjId>,
     /// Tenant tag for multi-session serving (0 = standalone run).
     session: u64,
 }
@@ -125,7 +122,6 @@ impl Runtime {
             trace: Vec::new(),
             heap,
             immortal,
-            dead_buf: Vec::new(),
             session: 0,
         }
     }
@@ -364,11 +360,6 @@ impl Runtime {
         self.regions.get(r)
     }
 
-    /// Whether region `a` outlives region `b` at runtime.
-    pub fn region_outlives(&self, a: RegionId, b: RegionId) -> bool {
-        self.regions.outlives(a, b)
-    }
-
     /// Creates a region (plus instances of all its declared subregions),
     /// pushes it on the creating thread's stack, and charges the creation
     /// cost (bookkeeping per region + zeroing of all transitive LT
@@ -392,7 +383,7 @@ impl Runtime {
                 return Err(RtError::HeapAllocFromRealTime { thread: t });
             }
         }
-        let outlived_by: BTreeSet<RegionId> = self.regions.alive_ids().into_iter().collect();
+        let outlived_by = self.regions.alive_ids().clone();
         let lt_bytes = spec.transitive_lt_bytes();
         let class = if shared {
             RegionClass::Shared
@@ -456,31 +447,20 @@ impl Runtime {
         let empty = rec.thread_count == 0;
         let deletes = matches!(rec.class, RegionClass::Local { .. } | RegionClass::Shared);
         let flushes = matches!(rec.class, RegionClass::SubInstance { .. });
-        // The dead buffer is reused across releases: region exit is on the
-        // interpreter's hot path and must not allocate per call.
-        let mut dead = std::mem::take(&mut self.dead_buf);
-        dead.clear();
         if deletes && empty {
             // A local region — or a top-level shared region — is deleted
             // when the last thread exits it.
-            self.regions.delete_into(r, &mut dead);
+            self.regions.delete(r);
             self.metrics.record_region_deleted();
-            for &o in &dead {
-                self.objects.kill(o);
-            }
             self.emit(|at| TraceEvent::RegionDelete { at, region: r });
         } else if flushes && empty && self.regions.can_flush(r) {
             // Subregions are *flushed* (not deleted) when empty, and only
             // if their portals are null and their own subregions are
             // flushed.
-            self.regions.flush_into(r, &mut dead);
+            self.regions.flush(r);
             self.metrics.record_region_flushed();
-            for &o in &dead {
-                self.objects.kill(o);
-            }
             self.emit(|at| TraceEvent::RegionFlush { at, region: r });
         }
-        self.dead_buf = dead;
         Ok(())
     }
 
@@ -698,7 +678,8 @@ impl Runtime {
     }
 
     /// Allocates an object owned by `first_owner` (and therefore in that
-    /// owner's region), charging the policy-dependent cost.
+    /// owner's region), charging the policy-dependent cost. Its fields
+    /// start null in the region's arena; `owners` is copied.
     ///
     /// # Errors
     ///
@@ -710,7 +691,7 @@ impl Runtime {
         t: ThreadId,
         first_owner: RuntimeOwner,
         class_name: impl Into<Symbol>,
-        owners: Vec<RuntimeOwner>,
+        owners: &[RuntimeOwner],
         n_fields: usize,
     ) -> Result<ObjId, RtError> {
         let class_name = class_name.into();
@@ -773,19 +754,14 @@ impl Runtime {
         let rec = self.regions.get_mut(region);
         rec.used += size;
         rec.peak_used = rec.peak_used.max(rec.used);
-        let id = match policy {
-            // LT fast path: field slots are bump-allocated from the
-            // region's contiguous arena (a pointer slide — the memory was
-            // committed and zeroed at region creation).
-            AllocPolicy::Lt { .. } => {
-                let base = rec.arena.len() as u32;
-                rec.arena.resize(base as usize + n_fields, Value::Null);
-                self.objects
-                    .alloc_in_arena(class_name, region, owners, base, n_fields as u32)
-            }
-            AllocPolicy::Vt => self.objects.alloc(class_name, region, owners, n_fields),
+        let field_span = Span {
+            start: rec.arena.len() as u32,
+            len: n_fields as u32,
         };
-        self.regions.get_mut(region).objects.push(id);
+        rec.arena.resize(field_span.range().end, Value::Null);
+        let id = self
+            .objects
+            .alloc(class_name, region, rec.epoch, owners, field_span);
         self.clock.advance(cycles);
         self.metrics.record_alloc(size, cycles);
         self.emit(|at| TraceEvent::Alloc {
@@ -807,33 +783,34 @@ impl Runtime {
         *self.field_mut(obj, idx) = v;
     }
 
-    /// Resolves a field slot for writing, whether the object's slots are
-    /// boxed or live in its region's arena.
+    /// A live object's field slot, for writing.
     fn field_mut(&mut self, obj: ObjId, idx: usize) -> &mut Value {
         let rec = self.objects.get(obj);
-        match rec.storage {
-            FieldStorage::Boxed(_) => match &mut self.objects.get_mut(obj).storage {
-                FieldStorage::Boxed(fields) => &mut fields[idx],
-                FieldStorage::Arena { .. } => unreachable!(),
-            },
-            FieldStorage::Arena { base, .. } => {
-                let region = rec.region;
-                &mut self.regions.get_mut(region).arena[base as usize + idx]
-            }
-        }
+        &mut self.regions.get_mut(rec.region).arena[rec.slot(idx)]
     }
 
-    /// The field slots of an object, in class layout order, wherever they
-    /// are stored (boxed or arena-backed). Empty for dead objects.
+    /// Whether an object is alive: its region has been neither flushed nor
+    /// deleted since the object was allocated.
+    #[inline]
+    pub fn is_alive(&self, obj: ObjId) -> bool {
+        self.live(self.objects.get(obj))
+    }
+
+    /// Whether the object `rec` heads is alive: its region's epoch is
+    /// still the one it was allocated at.
+    #[inline]
+    fn live(&self, rec: &ObjectRecord) -> bool {
+        self.regions.get(rec.region).epoch == rec.epoch
+    }
+
+    /// The field slots of an object, in class layout order. Empty for
+    /// dead objects.
     pub fn object_fields(&self, obj: ObjId) -> &[Value] {
         let rec = self.objects.get(obj);
-        match &rec.storage {
-            FieldStorage::Boxed(fields) => fields,
-            FieldStorage::Arena { base, len } => {
-                let base = *base as usize;
-                &self.regions.get(rec.region).arena[base..base + *len as usize]
-            }
+        if !self.live(rec) {
+            return &[];
         }
+        &self.regions.get(rec.region).arena[rec.field_span.range()]
     }
 
     /// The region an object lives in.
@@ -843,7 +820,7 @@ impl Runtime {
 
     /// Read-only access to an object record.
     #[inline]
-    pub fn object(&self, obj: ObjId) -> &crate::objects::ObjectRecord {
+    pub fn object(&self, obj: ObjId) -> &ObjectRecord {
         self.objects.get(obj)
     }
 
@@ -1019,16 +996,11 @@ impl Runtime {
     pub fn load_field(&mut self, t: ThreadId, obj: ObjId, idx: usize) -> Result<Value, RtError> {
         self.clock.advance(self.cost.field_access);
         let rec = self.objects.get(obj);
-        if !rec.alive {
+        if !self.live(rec) {
             return Err(RtError::DanglingReference { object: obj });
         }
         let region = rec.region;
-        let v = match &rec.storage {
-            FieldStorage::Boxed(fields) => fields[idx].clone(),
-            FieldStorage::Arena { base, .. } => {
-                self.regions.get(region).arena[*base as usize + idx].clone()
-            }
-        };
+        let v = self.regions.get(region).arena[rec.slot(idx)].clone();
         self.check_load(t, region, &v)?;
         Ok(v)
     }
@@ -1050,16 +1022,11 @@ impl Runtime {
     ) -> Result<(), RtError> {
         self.clock.advance(self.cost.field_access);
         let rec = self.objects.get(obj);
-        if !rec.alive {
+        if !self.live(rec) {
             return Err(RtError::DanglingReference { object: obj });
         }
         let region = rec.region;
-        let old = match &rec.storage {
-            FieldStorage::Boxed(fields) => &fields[idx],
-            FieldStorage::Arena { base, .. } => {
-                &self.regions.get(region).arena[*base as usize + idx]
-            }
-        };
+        let old = &self.regions.get(region).arena[rec.slot(idx)];
         // The check reads the old value only when a reference is involved.
         if Self::value_is_reflike(&v) || Self::value_is_reflike(old) {
             let old = old.clone();
@@ -1108,10 +1075,14 @@ impl Runtime {
         let old = rec
             .portals
             .get(name)
-            .cloned()
             .ok_or_else(|| RtError::Protocol(format!("no portal `{name}`")))?;
-        self.check_store(t, r, &old, &v)?;
-        self.regions.get_mut(r).portals.insert(name.to_string(), v);
+        // The check reads the old value only when a reference is involved.
+        if Self::value_is_reflike(&v) || Self::value_is_reflike(old) {
+            let old = old.clone();
+            self.check_store(t, r, &old, &v)?;
+        }
+        let slot = self.regions.get_mut(r).portals.get_mut(name);
+        *slot.expect("the portal was found above") = v;
         self.emit(|at| TraceEvent::PortalWrite {
             at,
             thread: t,
@@ -1197,12 +1168,16 @@ mod tests {
         let t = r.main_thread();
         let region = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let obj = r
-            .alloc(t, RuntimeOwner::Region(region), "C", vec![], 2)
+            .alloc(t, RuntimeOwner::Region(region), "C", &[], 2)
             .unwrap();
-        assert!(r.object(obj).alive);
+        assert!(r.is_alive(obj));
         assert_eq!(r.current_region(t), region);
         r.exit_created_region(t, region).unwrap();
-        assert!(!r.object(obj).alive, "objects die with their region");
+        assert!(!r.is_alive(obj), "objects die with their region");
+        assert!(
+            r.object_fields(obj).is_empty(),
+            "a dead object shows no fields"
+        );
         assert_eq!(r.current_region(t), r.heap());
     }
 
@@ -1212,11 +1187,11 @@ mod tests {
         let t = r.main_thread();
         let outer = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let outer_obj = r
-            .alloc(t, RuntimeOwner::Region(outer), "Outer", vec![], 1)
+            .alloc(t, RuntimeOwner::Region(outer), "Outer", &[], 1)
             .unwrap();
         let inner = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let inner_obj = r
-            .alloc(t, RuntimeOwner::Region(inner), "Inner", vec![], 1)
+            .alloc(t, RuntimeOwner::Region(inner), "Inner", &[], 1)
             .unwrap();
         // Inner object into outer object's field: illegal (inner dies first).
         let e = r
@@ -1234,11 +1209,11 @@ mod tests {
         let t = r.main_thread();
         let outer = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let outer_obj = r
-            .alloc(t, RuntimeOwner::Region(outer), "O", vec![], 1)
+            .alloc(t, RuntimeOwner::Region(outer), "O", &[], 1)
             .unwrap();
         let inner = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let inner_obj = r
-            .alloc(t, RuntimeOwner::Region(inner), "I", vec![], 0)
+            .alloc(t, RuntimeOwner::Region(inner), "I", &[], 0)
             .unwrap();
         // No check fires in static mode (the type system would have
         // rejected this program).
@@ -1259,10 +1234,10 @@ mod tests {
         let t = r.main_thread();
         let region = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let a = r
-            .alloc(t, RuntimeOwner::Region(region), "A", vec![], 1)
+            .alloc(t, RuntimeOwner::Region(region), "A", &[], 1)
             .unwrap();
         let b = r
-            .alloc(t, RuntimeOwner::Region(region), "B", vec![], 0)
+            .alloc(t, RuntimeOwner::Region(region), "B", &[], 0)
             .unwrap();
         r.store_field(t, a, 0, Value::Ref(b)).unwrap();
         let rt_thread = r.spawn_thread(t, ThreadClass::RealTime);
@@ -1309,11 +1284,11 @@ mod tests {
         let t = r.main_thread();
         let outer = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let outer_obj = r
-            .alloc(t, RuntimeOwner::Region(outer), "O", vec![], 1)
+            .alloc(t, RuntimeOwner::Region(outer), "O", &[], 1)
             .unwrap();
         let inner = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let inner_obj = r
-            .alloc(t, RuntimeOwner::Region(inner), "I", vec![], 0)
+            .alloc(t, RuntimeOwner::Region(inner), "I", &[], 0)
             .unwrap();
         r.store_field(t, outer_obj, 0, Value::Ref(inner_obj))
             .unwrap_err();
@@ -1365,10 +1340,10 @@ mod tests {
             let mut r = Runtime::with_mode(mode);
             let t = r.main_thread();
             let a = r
-                .alloc(t, RuntimeOwner::Region(r.heap()), "A", vec![], 1)
+                .alloc(t, RuntimeOwner::Region(r.heap()), "A", &[], 1)
                 .unwrap();
             let b = r
-                .alloc(t, RuntimeOwner::Region(r.heap()), "B", vec![], 0)
+                .alloc(t, RuntimeOwner::Region(r.heap()), "B", &[], 0)
                 .unwrap();
             let before = r.now();
             r.store_field(t, a, 0, Value::Ref(b)).unwrap();
@@ -1401,12 +1376,12 @@ mod tests {
             )
             .unwrap();
         // 16 header + 8 = 24 bytes each; two fit (48), the third does not.
-        r.alloc(t, RuntimeOwner::Region(region), "C", vec![], 1)
+        r.alloc(t, RuntimeOwner::Region(region), "C", &[], 1)
             .unwrap();
-        r.alloc(t, RuntimeOwner::Region(region), "C", vec![], 1)
+        r.alloc(t, RuntimeOwner::Region(region), "C", &[], 1)
             .unwrap();
         let e = r
-            .alloc(t, RuntimeOwner::Region(region), "C", vec![], 1)
+            .alloc(t, RuntimeOwner::Region(region), "C", &[], 1)
             .unwrap_err();
         assert!(matches!(e, RtError::LtCapacityExceeded { .. }));
     }
@@ -1427,11 +1402,11 @@ mod tests {
             .unwrap();
         let m = r.cost_model().clone();
         let before = r.now();
-        r.alloc(t, RuntimeOwner::Region(region), "C", vec![], 0)
+        r.alloc(t, RuntimeOwner::Region(region), "C", &[], 0)
             .unwrap();
         let c0 = r.now() - before;
         let before = r.now();
-        r.alloc(t, RuntimeOwner::Region(region), "C", vec![], 8)
+        r.alloc(t, RuntimeOwner::Region(region), "C", &[], 8)
             .unwrap();
         let c8 = r.now() - before;
         assert_eq!(c0, m.alloc_base + m.zeroing(object_size(0)));
@@ -1447,7 +1422,7 @@ mod tests {
         let rt_thread = r.spawn_thread(main, ThreadClass::RealTime);
         // RT thread cannot allocate on the heap.
         let e = r
-            .alloc(rt_thread, RuntimeOwner::Region(r.heap()), "C", vec![], 0)
+            .alloc(rt_thread, RuntimeOwner::Region(r.heap()), "C", &[], 0)
             .unwrap_err();
         assert!(matches!(e, RtError::HeapAllocFromRealTime { .. }));
         // RT thread cannot create regions.
@@ -1457,10 +1432,10 @@ mod tests {
         assert!(matches!(e, RtError::HeapAllocFromRealTime { .. }));
         // RT thread cannot read heap references.
         let heap_obj = r
-            .alloc(main, RuntimeOwner::Region(r.heap()), "H", vec![], 1)
+            .alloc(main, RuntimeOwner::Region(r.heap()), "H", &[], 1)
             .unwrap();
         let shared_obj = r
-            .alloc(main, RuntimeOwner::Region(shared), "S", vec![], 1)
+            .alloc(main, RuntimeOwner::Region(shared), "S", &[], 1)
             .unwrap();
         r.store_field(main, shared_obj, 0, Value::Ref(heap_obj))
             .unwrap();
@@ -1484,13 +1459,13 @@ mod tests {
         r.unlock_region(child, lock).unwrap();
         assert_eq!(lock, sub, "the lock lives on the instance itself");
         let frame = r
-            .alloc(child, RuntimeOwner::Region(sub), "Frame", vec![], 0)
+            .alloc(child, RuntimeOwner::Region(sub), "Frame", &[], 0)
             .unwrap();
         r.store_portal(child, sub, "f", Value::Ref(frame)).unwrap();
         assert!(r.try_lock_region(child, sub));
         r.exit_subregion_locked(child, sub).unwrap();
         r.unlock_region(child, sub).unwrap();
-        assert!(r.object(frame).alive, "portal keeps the subregion alive");
+        assert!(r.is_alive(frame), "portal keeps the subregion alive");
 
         // Main enters, nulls the portal, exits: now it flushes.
         assert!(r.try_lock_region(main, sub));
@@ -1501,7 +1476,7 @@ mod tests {
         assert!(r.try_lock_region(main, sub));
         r.exit_subregion_locked(main, sub).unwrap();
         r.unlock_region(main, sub).unwrap();
-        assert!(!r.object(frame).alive, "flushed after portal cleared");
+        assert!(!r.is_alive(frame), "flushed after portal cleared");
         assert_eq!(r.metrics_snapshot().regions_flushed, 1);
 
         // LT memory retained: re-entry and allocation needs no new commit.
@@ -1512,6 +1487,46 @@ mod tests {
         assert_eq!(r.region(shared).thread_count, 1);
         r.exit_created_region(main, shared).unwrap();
         assert_eq!(r.region(shared).state, RegionState::Deleted);
+    }
+
+    #[test]
+    fn objects_of_a_flushed_subregion_stay_dead_after_reentry() {
+        let mut r = rt();
+        let main = r.main_thread();
+        let shared = r.create_region(main, spec_buffer(), true).unwrap();
+        let enter = |r: &mut Runtime| {
+            let lock = r.subregion_lock_target(shared, "b", false).unwrap();
+            assert!(r.try_lock_region(main, lock));
+            let sub = r.enter_subregion_locked(main, shared, "b", false).unwrap();
+            r.unlock_region(main, lock).unwrap();
+            sub
+        };
+        let exit = |r: &mut Runtime, sub| {
+            assert!(r.try_lock_region(main, sub));
+            r.exit_subregion_locked(main, sub).unwrap();
+            r.unlock_region(main, sub).unwrap();
+        };
+        let sub = enter(&mut r);
+        let old = r
+            .alloc(main, RuntimeOwner::Region(sub), "Frame", &[], 1)
+            .unwrap();
+        r.store_field(main, old, 0, Value::Int(1)).unwrap();
+        exit(&mut r, sub);
+        assert!(!r.is_alive(old), "the flush killed it");
+        // Re-entry reuses the arena from its start: the new object takes
+        // the old one's slot, and the old one stays dead.
+        assert_eq!(enter(&mut r), sub);
+        let new = r
+            .alloc(main, RuntimeOwner::Region(sub), "Frame", &[], 1)
+            .unwrap();
+        assert_eq!(r.object(new).field_span, r.object(old).field_span);
+        assert!(r.is_alive(new) && !r.is_alive(old));
+        assert_eq!(r.object_fields(new), &[Value::Null], "fields start null");
+        let e = r.load_field(main, old, 0).unwrap_err();
+        assert!(matches!(e, RtError::DanglingReference { .. }));
+        let e = r.store_field(main, old, 0, Value::Int(2)).unwrap_err();
+        assert!(matches!(e, RtError::DanglingReference { .. }));
+        assert_eq!(r.object_fields(old), &[] as &[Value]);
     }
 
     #[test]
@@ -1568,7 +1583,7 @@ mod tests {
         let per = object_size(8);
         let n = threshold / per + 1;
         for _ in 0..n {
-            r.alloc(main, RuntimeOwner::Region(r.heap()), "X", vec![], 8)
+            r.alloc(main, RuntimeOwner::Region(r.heap()), "X", &[], 8)
                 .unwrap();
         }
         r.poll_gc();
@@ -1605,11 +1620,11 @@ mod tests {
         let region = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let m = r.cost_model().clone();
         let before = r.now();
-        r.alloc(t, RuntimeOwner::Region(region), "C", vec![], 0)
+        r.alloc(t, RuntimeOwner::Region(region), "C", &[], 0)
             .unwrap();
         let first = r.now() - before;
         let before = r.now();
-        r.alloc(t, RuntimeOwner::Region(region), "C", vec![], 0)
+        r.alloc(t, RuntimeOwner::Region(region), "C", &[], 0)
             .unwrap();
         let second = r.now() - before;
         assert_eq!(first, second + m.vt_chunk, "first alloc grabs a chunk");
@@ -1621,12 +1636,12 @@ mod tests {
         let t = r.main_thread();
         let region = r.create_region(t, RegionSpec::plain_vt(), false).unwrap();
         let owner_obj = r
-            .alloc(t, RuntimeOwner::Region(region), "Owner", vec![], 0)
+            .alloc(t, RuntimeOwner::Region(region), "Owner", &[], 0)
             .unwrap();
         // An object owned by another object is allocated in the owner's
         // region (property O2).
         let owned = r
-            .alloc(t, RuntimeOwner::Object(owner_obj), "Owned", vec![], 0)
+            .alloc(t, RuntimeOwner::Object(owner_obj), "Owned", &[], 0)
             .unwrap();
         assert_eq!(r.region_of(owned), region);
     }

@@ -7,7 +7,7 @@
 
 use crate::region::{RegionClass, RegionState};
 use crate::runtime::Runtime;
-use crate::value::RuntimeOwner;
+use crate::value::{ObjId, RuntimeOwner};
 use std::fmt::Write as _;
 
 impl Runtime {
@@ -69,23 +69,24 @@ impl Runtime {
             }
         }
         // Objects and ownership edges.
-        for idx in 0..self.objects().total_allocated() {
-            let obj = self.object(crate::value::ObjId(idx as u32));
-            let style = if obj.alive { "solid" } else { "dotted" };
+        for idx in 0..self.objects().total_allocated() as u32 {
+            let id = ObjId(idx);
+            let obj = self.object(id);
+            let style = if self.is_alive(id) { "solid" } else { "dotted" };
             let _ = writeln!(
                 out,
-                "\to{} [shape=ellipse, style=\"{style}\", label=\"{}#{}\"];",
-                obj.id.0, obj.class_name, obj.id.0
+                "\to{idx} [shape=ellipse, style=\"{style}\", label=\"{}#{idx}\"];",
+                obj.class_name
             );
-            match obj.owners.first() {
+            match self.objects().owners(id).first() {
                 Some(RuntimeOwner::Region(r)) => {
-                    let _ = writeln!(out, "\tr{} -> o{};", r.0, obj.id.0);
+                    let _ = writeln!(out, "\tr{} -> o{idx};", r.0);
                 }
                 Some(RuntimeOwner::Object(o)) => {
-                    let _ = writeln!(out, "\to{} -> o{};", o.0, obj.id.0);
+                    let _ = writeln!(out, "\to{} -> o{idx};", o.0);
                 }
                 None => {
-                    let _ = writeln!(out, "\tr{} -> o{};", obj.region.0, obj.id.0);
+                    let _ = writeln!(out, "\tr{} -> o{idx};", obj.region.0);
                 }
             }
         }
@@ -115,7 +116,7 @@ mod tests {
                 t,
                 RuntimeOwner::Region(r),
                 "Stack",
-                vec![RuntimeOwner::Region(r)],
+                &[RuntimeOwner::Region(r)],
                 1,
             )
             .unwrap();
@@ -124,7 +125,7 @@ mod tests {
                 t,
                 RuntimeOwner::Object(owner_obj),
                 "Node",
-                vec![RuntimeOwner::Object(owner_obj)],
+                &[RuntimeOwner::Object(owner_obj)],
                 1,
             )
             .unwrap();
@@ -145,9 +146,7 @@ mod tests {
         let mut rt = Runtime::with_mode(CheckMode::Dynamic);
         let t = rt.main_thread();
         let r = rt.create_region(t, RegionSpec::plain_vt(), false).unwrap();
-        let o = rt
-            .alloc(t, RuntimeOwner::Region(r), "C", vec![], 0)
-            .unwrap();
+        let o = rt.alloc(t, RuntimeOwner::Region(r), "C", &[], 0).unwrap();
         rt.exit_created_region(t, r).unwrap();
         let dot = rt.ownership_dot();
         let line = dot

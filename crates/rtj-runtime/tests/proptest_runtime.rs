@@ -12,6 +12,7 @@ use rtj_runtime::{
     CheckKind, CheckMode, CostModel, ObjId, RegionId, RegionSpec, RtError, Runtime, RuntimeOwner,
     Value,
 };
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -84,6 +85,9 @@ impl Driver {
                         .rt
                         .create_region(t, RegionSpec::plain_vt(), false)
                         .expect("create");
+                    // Every region alive when it was made outlives it.
+                    let scope: BTreeSet<RegionId> = self.regions_in_scope().into_iter().collect();
+                    assert_eq!(self.rt.region(r).outlived_by, scope);
                     self.regions.push(r);
                 }
             }
@@ -100,7 +104,7 @@ impl Driver {
                 let r = scope[region_choice % scope.len()];
                 let obj = self
                     .rt
-                    .alloc(t, RuntimeOwner::Region(r), "Obj", vec![], *fields)
+                    .alloc(t, RuntimeOwner::Region(r), "Obj", &[], *fields)
                     .expect("alloc");
                 self.objects.push(obj);
             }
@@ -110,7 +114,7 @@ impl Driver {
                 }
                 let d = self.objects[dst % self.objects.len()];
                 let s = self.objects[src % self.objects.len()];
-                if !self.rt.object(d).alive || !self.rt.object(s).alive {
+                if !self.rt.is_alive(d) || !self.rt.is_alive(s) {
                     return; // the program cannot even name dead objects
                 }
                 match self.rt.store_field(t, d, 0, Value::Ref(s)) {
@@ -124,7 +128,7 @@ impl Driver {
                     return;
                 }
                 let d = self.objects[dst % self.objects.len()];
-                if self.rt.object(d).alive {
+                if self.rt.is_alive(d) {
                     self.rt
                         .store_field(t, d, 0, Value::Null)
                         .expect("null store");
@@ -135,7 +139,7 @@ impl Driver {
                     return;
                 }
                 let o = self.objects[obj % self.objects.len()];
-                if self.rt.object(o).alive {
+                if self.rt.is_alive(o) {
                     self.rt.load_field(t, o, 0).expect("load from live object");
                 }
             }
@@ -145,14 +149,13 @@ impl Driver {
     /// R3 at runtime: live objects only reference live objects.
     fn check_no_dangling(&self) {
         for &o in &self.objects {
-            let rec = self.rt.object(o);
-            if !rec.alive {
+            if !self.rt.is_alive(o) {
                 continue;
             }
             for v in self.rt.object_fields(o) {
                 if let Value::Ref(target) = v {
                     assert!(
-                        self.rt.object(*target).alive,
+                        self.rt.is_alive(*target),
                         "live obj#{} references dead obj#{}",
                         o.0,
                         target.0
@@ -165,10 +168,9 @@ impl Driver {
     /// Structural sanity: region bookkeeping matches object liveness.
     fn check_region_accounting(&self) {
         for &o in &self.objects {
-            let rec = self.rt.object(o);
-            if rec.alive {
+            if self.rt.is_alive(o) {
                 assert!(
-                    self.rt.region(rec.region).is_alive(),
+                    self.rt.region(self.rt.region_of(o)).is_alive(),
                     "live object in dead region"
                 );
             }

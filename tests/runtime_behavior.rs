@@ -434,7 +434,7 @@ fn run_inversion(shared: bool, rounds: u32) -> Result<LatencyReport, RtError> {
         assert!(rt.try_lock_region(regular, lock_a));
         let sub_a = rt.enter_subregion_locked(regular, parent, "a", false)?;
         rt.unlock_region(regular, lock_a)?;
-        rt.alloc(regular, RuntimeOwner::Region(sub_a), "Buf", vec![], 4)?;
+        rt.alloc(regular, RuntimeOwner::Region(sub_a), "Buf", &[], 4)?;
         // Begin exit: the bookkeeping lock is held…
         assert!(rt.try_lock_region(regular, sub_a));
         // …and a collection strikes right now, pausing the regular thread
@@ -463,7 +463,7 @@ fn run_inversion(shared: bool, rounds: u32) -> Result<LatencyReport, RtError> {
         let sub_rt = rt.enter_subregion_locked(rt_thread, parent, rt_member, false)?;
         rt.unlock_region(rt_thread, lock_rt)?;
         // The real-time thread does its period's work.
-        rt.alloc(rt_thread, RuntimeOwner::Region(sub_rt), "Sample", vec![], 2)?;
+        rt.alloc(rt_thread, RuntimeOwner::Region(sub_rt), "Sample", &[], 2)?;
         assert!(rt.try_lock_region(rt_thread, sub_rt));
         rt.exit_subregion_locked(rt_thread, sub_rt)?;
         rt.unlock_region(rt_thread, sub_rt)?;
@@ -530,7 +530,7 @@ fn alloc_sweep(sizes: &[usize], per_size: u32) -> Vec<AllocRow> {
             let mut measure = |owner: RuntimeOwner| {
                 let before = rt.now();
                 for _ in 0..per_size {
-                    rt.alloc(t, owner, "Obj", vec![], fields).unwrap();
+                    rt.alloc(t, owner, "Obj", &[], fields).unwrap();
                 }
                 (rt.now() - before) / per_size as u64
             };
@@ -573,8 +573,7 @@ fn lt_flush_retains_memory() -> (u64, u64) {
         let s = rt.enter_subregion_locked(t, parent, "s", false).unwrap();
         rt.unlock_region(t, lock).unwrap();
         for _ in 0..32 {
-            rt.alloc(t, RuntimeOwner::Region(s), "Obj", vec![], 4)
-                .unwrap();
+            rt.alloc(t, RuntimeOwner::Region(s), "Obj", &[], 4).unwrap();
         }
         let committed = rt.region(s).committed;
         assert!(rt.try_lock_region(t, s));
