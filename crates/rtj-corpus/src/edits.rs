@@ -7,8 +7,8 @@
 //! batch-unique variant:
 //!
 //! * `body` — pads `Stack{r}::size` with a self-cancelling local, so only
-//!   the class's *full* fingerprint changes (the fast path: nothing else
-//!   re-checks);
+//!   the class's *text* changes, not its signature fingerprint (the fast
+//!   path: nothing else re-checks);
 //! * `signature` — adds a method to `Item{r}`, changing its *signature*
 //!   fingerprint (the dirty closure pulls in `Node{r}` and `Stack{r}`);
 //! * `body_error` — makes `Base{r}::bump` reference an undeclared

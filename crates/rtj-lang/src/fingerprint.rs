@@ -1,20 +1,19 @@
-//! Structural fingerprints over elaborated declarations.
+//! Fingerprints of declarations, for the incremental checker
+//! (`rtj-types::incremental`).
 //!
-//! The incremental checker (`rtj-types::incremental`) needs to decide,
-//! after an edit batch, which class declarations actually changed — and
-//! *how* they changed. Hashing source bytes is useless for that (a byte
-//! insertion shifts every later declaration), so fingerprints are computed
-//! structurally over the AST:
-//!
-//! * the **signature fingerprint** covers everything another declaration
-//!   can observe — name, formal owners, `extends`, `where` clauses, field
-//!   types, and method signatures (including effects) — and hashes **no
-//!   spans at all**. Two declarations with equal signature fingerprints
-//!   are interchangeable as far as their dependents' checking outcomes go.
-//! * the **full fingerprint** additionally covers method bodies and every
-//!   span *relative to the declaration start*. Equal full fingerprints
-//!   mean the declaration's internal layout is byte-for-byte identical up
-//!   to a uniform shift, so cached diagnostics can be relocated exactly.
+//! * The **text fingerprint** ([`text_fingerprint`]) hashes a
+//!   declaration's source bytes. Equal text lexes and parses to the same
+//!   declaration, only shifted by its new position, so a class or region
+//!   kind whose text fingerprint is unchanged keeps its cached results,
+//!   diagnostics relocated by the shift.
+//! * The **signature fingerprint** ([`signature_fingerprint`]) covers
+//!   what another declaration can observe of a class: name, formal
+//!   owners, `extends`, `where` clauses, field types and method
+//!   signatures (effects included). It hashes **no spans**, so two
+//!   classes with equal signature fingerprints are interchangeable as
+//!   far as their dependents' checking outcomes go. It is computed on
+//!   the *elaborated* declaration, so a bare class type counts at the
+//!   formal count it was completed with.
 //!
 //! [`Symbol`]s hash and compare by interner pointer, which depends on
 //! interning order; fingerprints must survive across independently parsed
@@ -29,8 +28,8 @@ use crate::ast::*;
 use crate::intern::Symbol;
 use crate::span::Span;
 
-/// Incremental FNV-1a 64-bit hasher (the same function the server uses
-/// for result fingerprints: dependency-free and byte-order stable).
+/// Incremental FNV-1a 64-bit hasher (the server's result fingerprints use
+/// it too: dependency-free and byte-order stable).
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
@@ -68,16 +67,6 @@ impl Fnv64 {
         self.write(&v.to_le_bytes());
     }
 
-    /// Feeds a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Feeds an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
     /// Feeds a single tag byte (enum discriminants, arity markers).
     pub fn write_tag(&mut self, t: u8) {
         self.write(&[t]);
@@ -89,111 +78,21 @@ impl Fnv64 {
     }
 }
 
-/// The two structural hashes of a class declaration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassFingerprint {
-    /// Signature-only hash (no bodies, no spans): what dependents see.
-    pub sig: u64,
-    /// Whole-declaration hash with declaration-relative spans: equality
-    /// means cached diagnostics shift exactly.
-    pub full: u64,
-}
-
-/// Fingerprints a class declaration. Call on the *elaborated* declaration
-/// (after `apply_declaration_defaults`) so that omitted owners count as
-/// their completed forms.
-pub fn fingerprint_class(c: &ClassDecl) -> ClassFingerprint {
-    let mut sig = Fnv64::new();
-    hash_class_sig(&mut sig, c);
-    let mut full = Fnv64::new();
-    hash_class_sig(&mut full, c);
-    // Full adds: relative spans of the signature surface plus the bodies.
-    let base = c.span.start;
-    full.write_span(base, c.span);
-    full.write_span(base, c.name.span);
-    for f in &c.formals {
-        full.write_span(base, f.name.span);
-        hash_kind_spans(&mut full, base, &f.kind);
-    }
-    if let Some(ext) = &c.extends {
-        hash_class_type_spans(&mut full, base, ext);
-    }
-    for w in &c.where_clauses {
-        full.write_span(base, w.lhs.span());
-        full.write_span(base, w.rhs.span());
-    }
-    for f in &c.fields {
-        full.write_span(base, f.span);
-        hash_type_spans(&mut full, base, &f.ty);
-    }
-    full.write_u64(c.methods.len() as u64);
-    for m in &c.methods {
-        full.write_span(base, m.span);
-        hash_type_spans(&mut full, base, &m.ret);
-        hash_block(&mut full, base, &m.body);
-    }
-    ClassFingerprint {
-        sig: sig.finish(),
-        full: full.finish(),
-    }
-}
-
-/// Fingerprints a region-kind declaration (one hash: region kinds have no
-/// bodies, so any structural change is treated as a signature change; the
-/// hash still mixes in relative spans so layout changes are detected).
-pub fn fingerprint_region_kind(rk: &RegionKindDecl) -> u64 {
+/// The text fingerprint of the declaration at `span` of `source`: FNV-1a
+/// over its bytes.
+pub fn text_fingerprint(source: &str, span: Span) -> u64 {
     let mut h = Fnv64::new();
-    let base = rk.span.start;
-    h.write_str(rk.name.name.as_str());
-    h.write_u64(rk.formals.len() as u64);
-    for f in &rk.formals {
-        h.write_str(f.name.name.as_str());
-        hash_kind(&mut h, &f.kind);
-        h.write_span(base, f.name.span);
-    }
-    match &rk.extends {
-        Some(k) => {
-            h.write_tag(1);
-            hash_kind(&mut h, k);
-            hash_kind_spans(&mut h, base, k);
-        }
-        None => h.write_tag(0),
-    }
-    hash_constraints(&mut h, &rk.where_clauses);
-    h.write_u64(rk.portals.len() as u64);
-    for p in &rk.portals {
-        h.write_str(p.name.name.as_str());
-        hash_type(&mut h, &p.ty);
-        h.write_span(base, p.span);
-        hash_type_spans(&mut h, base, &p.ty);
-    }
-    h.write_u64(rk.subregions.len() as u64);
-    for s in &rk.subregions {
-        h.write_str(s.name.name.as_str());
-        hash_kind(&mut h, &s.kind);
-        match s.policy {
-            Policy::Lt { size } => {
-                h.write_tag(0);
-                h.write_u64(size);
-            }
-            Policy::Vt => h.write_tag(1),
-        }
-        h.write_tag(match s.thread {
-            ThreadTag::Rt => 0,
-            ThreadTag::NoRt => 1,
-        });
-        h.write_span(base, s.span);
-    }
+    h.write(&source.as_bytes()[span.start as usize..span.end as usize]);
     h.finish()
 }
 
-impl Fnv64 {
-    /// Feeds a span relative to `base` (wrapping: synthesized nodes carry
-    /// `Span::DUMMY`, which may sit before the declaration start).
-    fn write_span(&mut self, base: u32, s: Span) {
-        self.write_u32(s.start.wrapping_sub(base));
-        self.write_u32(s.end.wrapping_sub(base));
-    }
+/// The signature fingerprint of a class declaration. Call on the
+/// *elaborated* declaration (after `apply_declaration_defaults`) so that
+/// omitted owners count as their completed forms.
+pub fn signature_fingerprint(c: &ClassDecl) -> u64 {
+    let mut h = Fnv64::new();
+    hash_class_sig(&mut h, c);
+    h.finish()
 }
 
 // ------------------------------------------------------- span-free hashing
@@ -321,261 +220,6 @@ fn hash_kind(h: &mut Fnv64, k: &KindAnn) {
         KindAnn::Lt(inner, _) => {
             h.write_tag(8);
             hash_kind(h, inner);
-        }
-    }
-}
-
-// ------------------------------------------------ span-only hashing (full)
-
-fn hash_kind_spans(h: &mut Fnv64, base: u32, k: &KindAnn) {
-    h.write_span(base, k.span());
-    if let KindAnn::Named { owners, .. } = k {
-        for o in owners {
-            h.write_span(base, o.span());
-        }
-    }
-    if let KindAnn::Lt(inner, _) = k {
-        hash_kind_spans(h, base, inner);
-    }
-}
-
-fn hash_class_type_spans(h: &mut Fnv64, base: u32, ct: &ClassType) {
-    h.write_span(base, ct.span);
-    for o in &ct.owners {
-        h.write_span(base, o.span());
-    }
-}
-
-fn hash_type_spans(h: &mut Fnv64, base: u32, t: &Type) {
-    h.write_span(base, t.span());
-    match t {
-        Type::Class(ct) => hash_class_type_spans(h, base, ct),
-        Type::Handle(o, _) => h.write_span(base, o.span()),
-        _ => {}
-    }
-}
-
-// --------------------------------------------------- full (body) hashing
-
-fn hash_block(h: &mut Fnv64, base: u32, b: &Block) {
-    h.write_span(base, b.span);
-    h.write_u64(b.stmts.len() as u64);
-    for s in &b.stmts {
-        hash_stmt(h, base, s);
-    }
-}
-
-fn hash_stmt(h: &mut Fnv64, base: u32, s: &Stmt) {
-    h.write_span(base, s.span());
-    match s {
-        Stmt::Let { ty, name, init, .. } => {
-            h.write_tag(0);
-            match ty {
-                Some(t) => {
-                    h.write_tag(1);
-                    hash_type(h, t);
-                    hash_type_spans(h, base, t);
-                }
-                None => h.write_tag(0),
-            }
-            h.write_str(name.name.as_str());
-            hash_expr(h, base, init);
-        }
-        Stmt::AssignLocal { name, value, .. } => {
-            h.write_tag(1);
-            h.write_str(name.name.as_str());
-            hash_expr(h, base, value);
-        }
-        Stmt::AssignField {
-            recv, field, value, ..
-        } => {
-            h.write_tag(2);
-            hash_expr(h, base, recv);
-            h.write_str(field.name.as_str());
-            h.write_span(base, field.span);
-            hash_expr(h, base, value);
-        }
-        Stmt::Expr(e) => {
-            h.write_tag(3);
-            hash_expr(h, base, e);
-        }
-        Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-            ..
-        } => {
-            h.write_tag(4);
-            hash_expr(h, base, cond);
-            hash_block(h, base, then_blk);
-            match else_blk {
-                Some(b) => {
-                    h.write_tag(1);
-                    hash_block(h, base, b);
-                }
-                None => h.write_tag(0),
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            h.write_tag(5);
-            hash_expr(h, base, cond);
-            hash_block(h, base, body);
-        }
-        Stmt::Return { value, .. } => {
-            h.write_tag(6);
-            match value {
-                Some(v) => {
-                    h.write_tag(1);
-                    hash_expr(h, base, v);
-                }
-                None => h.write_tag(0),
-            }
-        }
-        Stmt::LocalRegion {
-            region,
-            handle,
-            body,
-            ..
-        } => {
-            h.write_tag(7);
-            h.write_str(region.name.as_str());
-            h.write_span(base, region.span);
-            h.write_str(handle.name.as_str());
-            h.write_span(base, handle.span);
-            hash_block(h, base, body);
-        }
-        Stmt::NewRegion {
-            kind,
-            policy,
-            region,
-            handle,
-            body,
-            ..
-        } => {
-            h.write_tag(8);
-            hash_kind(h, kind);
-            hash_kind_spans(h, base, kind);
-            match policy {
-                Policy::Lt { size } => {
-                    h.write_tag(0);
-                    h.write_u64(*size);
-                }
-                Policy::Vt => h.write_tag(1),
-            }
-            h.write_str(region.name.as_str());
-            h.write_span(base, region.span);
-            h.write_str(handle.name.as_str());
-            h.write_span(base, handle.span);
-            hash_block(h, base, body);
-        }
-        Stmt::EnterSubregion {
-            kind,
-            region,
-            handle,
-            fresh,
-            parent,
-            sub,
-            body,
-            ..
-        } => {
-            h.write_tag(9);
-            hash_kind(h, kind);
-            hash_kind_spans(h, base, kind);
-            h.write_str(region.name.as_str());
-            h.write_span(base, region.span);
-            h.write_str(handle.name.as_str());
-            h.write_span(base, handle.span);
-            h.write_tag(u8::from(*fresh));
-            h.write_str(parent.name.as_str());
-            h.write_span(base, parent.span);
-            h.write_str(sub.name.as_str());
-            h.write_span(base, sub.span);
-            hash_block(h, base, body);
-        }
-        Stmt::Fork { rt, call, .. } => {
-            h.write_tag(10);
-            h.write_tag(u8::from(*rt));
-            hash_expr(h, base, call);
-        }
-    }
-}
-
-fn hash_expr(h: &mut Fnv64, base: u32, e: &Expr) {
-    h.write_span(base, e.span());
-    match e {
-        Expr::Int(v, _) => {
-            h.write_tag(0);
-            h.write_i64(*v);
-        }
-        Expr::Bool(v, _) => {
-            h.write_tag(1);
-            h.write_tag(u8::from(*v));
-        }
-        Expr::Str(s, _) => {
-            h.write_tag(2);
-            h.write_str(s);
-        }
-        Expr::Null(_) => h.write_tag(3),
-        Expr::This(_) => h.write_tag(4),
-        Expr::Var(id) => {
-            h.write_tag(5);
-            h.write_str(id.name.as_str());
-        }
-        Expr::Unary { op, expr, .. } => {
-            h.write_tag(6);
-            h.write_tag(match op {
-                UnOp::Neg => 0,
-                UnOp::Not => 1,
-            });
-            hash_expr(h, base, expr);
-        }
-        Expr::Binary { op, lhs, rhs, .. } => {
-            h.write_tag(7);
-            h.write_tag(*op as u8);
-            hash_expr(h, base, lhs);
-            hash_expr(h, base, rhs);
-        }
-        Expr::Field { recv, field, .. } => {
-            h.write_tag(8);
-            hash_expr(h, base, recv);
-            h.write_str(field.name.as_str());
-            h.write_span(base, field.span);
-        }
-        Expr::Call {
-            recv,
-            method,
-            owner_args,
-            args,
-            ..
-        } => {
-            h.write_tag(9);
-            hash_expr(h, base, recv);
-            h.write_str(method.name.as_str());
-            h.write_span(base, method.span);
-            h.write_u64(owner_args.len() as u64);
-            for o in owner_args {
-                hash_owner(h, o);
-                h.write_span(base, o.span());
-            }
-            h.write_u64(args.len() as u64);
-            for a in args {
-                hash_expr(h, base, a);
-            }
-        }
-        Expr::New { class, .. } => {
-            h.write_tag(10);
-            hash_class_type(h, class);
-            hash_class_type_spans(h, base, class);
-        }
-        Expr::IntrinsicCall {
-            intrinsic, args, ..
-        } => {
-            h.write_tag(11);
-            h.write_tag(*intrinsic as u8);
-            h.write_u64(args.len() as u64);
-            for a in args {
-                hash_expr(h, base, a);
-            }
         }
     }
 }
@@ -743,31 +387,43 @@ mod tests {
         parse_program(src).unwrap().classes
     }
 
-    #[test]
-    fn whitespace_shift_changes_nothing() {
-        let a = classes("class A<Owner o> { int v; }\n{ }");
-        let b = classes("// moved\n\n\nclass A<Owner o> { int v; }\n{ }");
-        let fa = fingerprint_class(&a[0]);
-        let fb = fingerprint_class(&b[0]);
-        assert_eq!(fa.sig, fb.sig);
-        assert_eq!(fa.full, fb.full, "relative spans must ignore the shift");
+    /// The text and signature fingerprints of the first class of `src`.
+    fn fingerprints(src: &str) -> (u64, u64) {
+        let c = &classes(src)[0];
+        (text_fingerprint(src, c.span), signature_fingerprint(c))
     }
 
     #[test]
-    fn body_edit_changes_full_not_sig() {
-        let a = classes("class A<Owner o> { int f(int x) { return x; } }\n{ }");
-        let b = classes("class A<Owner o> { int f(int x) { return x + 1; } }\n{ }");
-        let fa = fingerprint_class(&a[0]);
-        let fb = fingerprint_class(&b[0]);
-        assert_eq!(fa.sig, fb.sig);
-        assert_ne!(fa.full, fb.full);
+    fn whitespace_shift_changes_nothing() {
+        let a = fingerprints("class A<Owner o> { int v; }\n{ }");
+        let b = fingerprints("// moved\n\n\nclass A<Owner o> { int v; }\n{ }");
+        assert_eq!(a, b, "a moved declaration keeps both fingerprints");
+    }
+
+    #[test]
+    fn body_edit_changes_text_not_sig() {
+        let a = fingerprints("class A<Owner o> { int f(int x) { return x; } }\n{ }");
+        let b = fingerprints("class A<Owner o> { int f(int x) { return x + 1; } }\n{ }");
+        assert_eq!(a.1, b.1);
+        assert_ne!(a.0, b.0);
     }
 
     #[test]
     fn sig_edit_changes_sig() {
-        let a = classes("class A<Owner o> { int f(int x) { return x; } }\n{ }");
-        let b = classes("class A<Owner o> { int f(int x, int y) { return x; } }\n{ }");
-        assert_ne!(fingerprint_class(&a[0]).sig, fingerprint_class(&b[0]).sig);
+        let a = fingerprints("class A<Owner o> { int f(int x) { return x; } }\n{ }");
+        let b = fingerprints("class A<Owner o> { int f(int x, int y) { return x; } }\n{ }");
+        assert_ne!(a.1, b.1);
+    }
+
+    /// A same-length edit that moves one token inside a parameter type
+    /// changes the text fingerprint, so the class's diagnostics are not
+    /// reused at their old offsets.
+    #[test]
+    fn a_token_shifted_in_place_changes_the_text() {
+        let a = fingerprints("class A<Owner o> { int g(Cell<q>  x) { return 1; } }\n{ }");
+        let b = fingerprints("class A<Owner o> { int g( Cell<q> x) { return 1; } }\n{ }");
+        assert_eq!(a.1, b.1);
+        assert_ne!(a.0, b.0);
     }
 
     #[test]

@@ -50,8 +50,7 @@ pub mod token;
 
 pub use ast::Program;
 pub use fingerprint::{
-    class_refs, fingerprint_class, fingerprint_region_kind, region_kind_refs, ClassFingerprint,
-    Fnv64,
+    class_refs, region_kind_refs, signature_fingerprint, text_fingerprint, Fnv64,
 };
 pub use intern::Symbol;
 pub use json::{Json, JsonError};

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use rtj_interp::RunError;
+use rtj_lang::Fnv64;
 use rtj_runtime::{CheckMode, MetricsSnapshot};
 
 /// What a session will execute: one request variant of a server program
@@ -102,16 +103,10 @@ impl SessionResult {
 /// order — the byte-identity witness: equal fingerprints across worker
 /// counts mean equal per-session results.
 pub fn results_fingerprint(results: &[SessionResult]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut byte = |b: u8| {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut hash = Fnv64::new();
     for result in results.iter().filter(|r| r.shed.is_none()) {
-        for b in result.deterministic_key().bytes() {
-            byte(b);
-        }
-        byte(b'\n');
+        hash.write(result.deterministic_key().as_bytes());
+        hash.write(b"\n");
     }
-    hash
+    hash.finish()
 }

@@ -200,65 +200,22 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
     let workers = resolve_jobs(opts.jobs).min(classes.len().max(1));
     stats.threads_used = workers;
     let p0 = profiling.then(|| start.elapsed());
-    // Per-class timing `(start offset, wall)`, indexed by declaration
-    // position. Workers may fill these in any order, but the span tree is
-    // assembled from this index-ordered table, so its *structure* (names
-    // and ordering) never depends on scheduling.
-    let mut class_times: Vec<Option<(Duration, Duration)>> = vec![None; classes.len()];
-    let mut unit_errors: Vec<Vec<TypeError>> = (0..classes.len()).map(|_| Vec::new()).collect();
-    if workers <= 1 {
-        for (i, c) in classes.iter_mut().enumerate() {
-            let c0 = profiling.then(|| start.elapsed());
-            ck.check_class(c);
-            if let Some(c0) = c0 {
-                class_times[i] = Some((c0, start.elapsed() - c0));
-            }
-            unit_errors[i] = std::mem::take(&mut ck.errors);
-        }
-    } else {
-        // A worker's result: per-class diagnostics (and timings) tagged
-        // with the class index, plus the worker itself (for its
-        // accumulated stats).
-        type Unit = (usize, Vec<TypeError>, Option<(Duration, Duration)>);
-        type WorkerResult<'t> = (Vec<Unit>, Checker<'t>);
-        let queue = Mutex::new(classes.iter_mut().enumerate());
-        let results: Vec<WorkerResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let queue = &queue;
-                    let table = &table;
-                    s.spawn(move || {
-                        let mut w = Checker::new(table);
-                        let mut units = Vec::new();
-                        loop {
-                            let item = queue.lock().unwrap().next();
-                            let Some((i, c)) = item else { break };
-                            let c0 = profiling.then(|| start.elapsed());
-                            w.check_class(c);
-                            let t = c0.map(|c0| (c0, start.elapsed() - c0));
-                            units.push((i, std::mem::take(&mut w.errors), t));
-                        }
-                        (units, w)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (units, w) in results {
-            ck.methods_checked += w.methods_checked;
-            ck.judgments.absorb(&w.judgments);
-            for (i, errs, t) in units {
-                unit_errors[i] = errs;
-                class_times[i] = t;
-            }
-        }
-    }
+    let slots = classes.len();
+    let units = check_units(
+        &table,
+        workers,
+        classes.iter_mut().enumerate(),
+        slots,
+        profiling.then_some(start),
+    );
     if let Some(p0) = p0 {
+        // Assembled in slot order, so the span tree's structure (names and
+        // ordering) never depends on scheduling.
         let children = classes
             .iter()
-            .zip(&class_times)
-            .map(|(c, t)| {
-                let (s0, w) = t.unwrap_or((Duration::ZERO, Duration::ZERO));
+            .zip(&units)
+            .map(|(c, u)| {
+                let (s0, w) = u.as_ref().and_then(|u| u.time).unwrap_or_default();
                 PhaseSpan::leaf(format!("class {}", c.name.name), s0, w)
             })
             .collect();
@@ -270,6 +227,15 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
         });
     }
     prog.classes = classes;
+    // Single merge path for serial and parallel drivers: declaration
+    // order (prelude, class units, main), then a stable sort by span
+    // (same-span diagnostics keep declaration order).
+    let mut all = prelude_errors;
+    for u in units.into_iter().flatten() {
+        ck.methods_checked += u.methods_checked;
+        ck.judgments.absorb(&u.judgments);
+        all.extend(u.errors);
+    }
 
     let p0 = profiling.then(|| start.elapsed());
     ck.check_main(&mut prog.main);
@@ -278,11 +244,6 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
         phases.push(PhaseSpan::leaf("main", p0, start.elapsed() - p0));
     }
 
-    // Single merge path for serial and parallel drivers: declaration
-    // order, then a stable sort by span (same-span diagnostics keep
-    // declaration order).
-    let mut all = prelude_errors;
-    all.extend(unit_errors.into_iter().flatten());
     all.extend(main_errors);
     all.sort_by_key(|e| e.span);
 
@@ -299,6 +260,72 @@ pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checke
     } else {
         Err(all)
     }
+}
+
+/// What checking one class unit yields.
+pub(crate) struct UnitResult {
+    pub(crate) errors: Vec<TypeError>,
+    pub(crate) methods_checked: usize,
+    pub(crate) judgments: JudgmentCounters,
+    /// `(start offset, wall)` against the pass's clock, when it is timed.
+    pub(crate) time: Option<(Duration, Duration)>,
+}
+
+/// Checks each `(slot, class)` unit of `units` in a fresh [`Checker`], on
+/// up to `workers` threads, and returns each result in its slot; a slot
+/// no unit names stays `None`. Each class is checked in an environment of
+/// its own, so every result, counters included, is the same whatever the
+/// thread count or the order the workers take units in. With `clock`
+/// (the pass's start) each unit is timed against it.
+pub(crate) fn check_units<'a>(
+    table: &ProgramTable,
+    workers: usize,
+    units: impl Iterator<Item = (usize, &'a mut ClassDecl)> + Send,
+    slots: usize,
+    clock: Option<Instant>,
+) -> Vec<Option<UnitResult>> {
+    let check = |c: &mut ClassDecl| {
+        let c0 = clock.map(|start| start.elapsed());
+        let mut ck = Checker::new(table);
+        ck.check_class(c);
+        UnitResult {
+            errors: ck.errors,
+            methods_checked: ck.methods_checked,
+            judgments: ck.judgments,
+            time: clock.zip(c0).map(|(start, c0)| (c0, start.elapsed() - c0)),
+        }
+    };
+    let mut results: Vec<Option<UnitResult>> = (0..slots).map(|_| None).collect();
+    if workers <= 1 {
+        for (i, c) in units {
+            results[i] = Some(check(c));
+        }
+        return results;
+    }
+    let queue = Mutex::new(units);
+    let done: Vec<Vec<(usize, UnitResult)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let item = queue.lock().expect("taking a unit never panics").next();
+                        let Some((i, c)) = item else { break };
+                        done.push((i, check(c)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a class-checking worker panicked"))
+            .collect()
+    });
+    for (i, result) in done.into_iter().flatten() {
+        results[i] = Some(result);
+    }
+    results
 }
 
 /// The per-unit checking state. Crate-visible so the incremental engine

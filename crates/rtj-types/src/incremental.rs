@@ -2,10 +2,9 @@
 //!
 //! [`IncrementalChecker`] keeps the result of the last check — per-class
 //! diagnostics, per-class judgment-cache counters, the built
-//! [`ProgramTable`] — keyed by structural fingerprints
-//! ([`rtj_lang::fingerprint`]), and re-checks only the *dirty closure* of
-//! an edit batch. The contract, enforced by
-//! `tests/incremental_differential.rs`, is strict:
+//! [`ProgramTable`] — keyed by fingerprints ([`rtj_lang::fingerprint`]),
+//! and re-checks only the *dirty closure* of an edit batch. The contract,
+//! enforced by `tests/incremental_differential.rs`, is strict:
 //!
 //! > At any `--jobs`, a `recheck` produces **byte-identical diagnostics**
 //! > and a structurally identical `rtj-checker-metrics/v1` snapshot to a
@@ -13,10 +12,11 @@
 //!
 //! How the reuse works:
 //!
-//! * Every class gets a **signature** fingerprint (what dependents can
-//!   observe; span-free) and a **full** fingerprint (everything, with
-//!   declaration-relative spans). A body-only edit changes `full` but not
-//!   `sig`.
+//! * Every class and region kind gets a **text** fingerprint (a hash of
+//!   its source bytes), and every class a **signature** fingerprint (what
+//!   dependents can observe; span-free, over the elaborated declaration).
+//!   A declaration whose text is unchanged keeps its cached signature
+//!   unhashed. A body-only edit changes the text but not the signature.
 //! * A **reverse dependency index** maps each class and region-kind name
 //!   to the declarations that mention it. The engine keeps it in step
 //!   with the committed reference sets. Signature changes (and class or
@@ -29,9 +29,9 @@
 //!   structural rules re-run over the closure
 //!   ([`ProgramTable::check_classes`]).
 //! * Clean classes contribute their cached diagnostics with spans
-//!   **shifted** by the declaration's movement. Equal full fingerprints
-//!   guarantee the declaration's internal layout is unchanged, so the
-//!   uniform shift is exact, not approximate.
+//!   **shifted** by the declaration's movement. Equal text parses to the
+//!   same declaration, only moved, so the uniform shift is exact, not
+//!   approximate.
 //! * Judgment-cache counters are cached per class. Each class is checked
 //!   in a fresh environment (the driver has always worked that way), so
 //!   per-class counters are deterministic and scheduling-independent —
@@ -66,7 +66,7 @@
 //! move declarations, so it re-derives the index, the diagnostic
 //! positions and the totals.
 
-use crate::check::{resolve_jobs, CheckOptions, CheckStats, Checker};
+use crate::check::{check_units, resolve_jobs, CheckOptions, CheckStats, Checker};
 use crate::env::JudgmentCounters;
 use crate::error::TypeError;
 use crate::infer;
@@ -74,14 +74,13 @@ use crate::profile::{CheckProfile, PhaseSpan};
 use crate::table::ProgramTable;
 use rtj_lang::ast::{Block, ClassDecl, Program};
 use rtj_lang::fingerprint::{
-    class_refs, fingerprint_class, fingerprint_region_kind, region_kind_refs, ClassFingerprint,
+    class_refs, region_kind_refs, signature_fingerprint, text_fingerprint,
 };
 use rtj_lang::intern::Symbol;
 use rtj_lang::parser::{parse_block_at, parse_class_at, parse_program, ParseError};
 use rtj_lang::span::Span;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A single-class edit: replace the declaration of `class` with `source`
@@ -160,7 +159,7 @@ impl RecheckOutcome {
 #[derive(Debug, Clone)]
 struct UnitCache {
     sig: u64,
-    full: u64,
+    text: u64,
     start: u32,
     refs: Vec<Symbol>,
     wf_errors: Vec<TypeError>,
@@ -180,7 +179,7 @@ impl UnitCache {
 /// Cached per-region-kind well-formedness results.
 #[derive(Debug, Clone)]
 struct RkCache {
-    fp: u64,
+    text: u64,
     start: u32,
     errors: Vec<TypeError>,
     judgments: JudgmentCounters,
@@ -311,9 +310,11 @@ struct Parsed {
     /// Its position in the layout.
     pos: usize,
     decl: ClassDecl,
-    /// Fresh fingerprints when the class re-checks; `None` when its
-    /// cached results are reused.
-    dirty: Option<ClassFingerprint>,
+    /// Its text fingerprint.
+    text: u64,
+    /// Its fresh signature fingerprint when the class re-checks; `None`
+    /// when its cached results are reused.
+    dirty: Option<u64>,
 }
 
 /// A pass after its route is decided: what the shared back half
@@ -329,9 +330,9 @@ struct Pass {
     /// The parsed classes in declaration order: every class on the
     /// whole-source path, only the re-parsed ones on the fragment path.
     classes: Vec<Parsed>,
-    /// Each region kind's fingerprint, in declaration order, which a
-    /// rebuilt table commits (every region kind re-checks); the fragment
-    /// path, which keeps the table, computes none.
+    /// Each region kind's text fingerprint, in declaration order, which
+    /// a rebuilt table commits (every region kind re-checks); the
+    /// fragment path, which keeps the table, computes none.
     region_kinds: Vec<u64>,
     main: Block,
     whole_parse: bool,
@@ -372,8 +373,8 @@ pub struct IncrementalChecker {
     /// every pass, so it is never kept.
     totals: Totals,
     /// The last pass stopped at a table error after storing its source,
-    /// so the caches describe an older text: the next pass fingerprints
-    /// every class and parses the whole source.
+    /// so the caches describe an older text: the next pass parses the
+    /// whole source.
     stale: bool,
 }
 
@@ -415,7 +416,7 @@ impl IncrementalChecker {
         }
         let prog = parse_program(source)?;
         source.clone_into(&mut self.source);
-        Ok(self.process(prog, None))
+        Ok(self.process(prog))
     }
 
     /// The position of the one class whose text differs between the
@@ -506,20 +507,13 @@ impl IncrementalChecker {
                 return Ok(out);
             }
         }
-        let prog = match parse_program(&self.source) {
-            Ok(prog) => prog,
+        match parse_program(&self.source) {
+            Ok(prog) => Ok(self.process(prog)),
             Err(e) => {
                 self.unsplice(undo);
-                return Err(e);
+                Err(e)
             }
-        };
-        // The splice only rewrote the edited declarations, so only those
-        // classes need structural re-fingerprinting — the dominant cost of
-        // a pass once everything else is cache hits. After a table error
-        // the caches lag the text, so every class is hashed.
-        let touched: Option<HashSet<Symbol>> =
-            (!self.stale).then(|| edited.iter().map(|&i| self.layout.classes[i].0).collect());
-        Ok(self.process(prog, touched.as_ref()))
+        }
     }
 
     /// The fragment path: re-checks a batch without parsing any
@@ -568,11 +562,11 @@ impl IncrementalChecker {
         let mut fresh = Vec::with_capacity(parsed.len());
         let mut seeds = Vec::new();
         for (pos, decl) in parsed {
-            let fp = fingerprint_class(&decl);
-            if self.units.get(&decl.name.name)?.sig != fp.sig {
+            let sig = signature_fingerprint(&decl);
+            if self.units.get(&decl.name.name)?.sig != sig {
                 seeds.push(decl.name.name);
             }
-            fresh.push((pos, decl, fp));
+            fresh.push((pos, decl, sig));
         }
         let closure = dependent_closure(&self.dependents, seeds);
         if closure.iter().any(|n| self.rkinds.contains_key(n)) {
@@ -591,8 +585,8 @@ impl IncrementalChecker {
             let mut decl = parse_fragment(source, layout.classes[pos])?;
             reparse += r0.elapsed();
             infer::apply_class_defaults(&mut decl, &formals);
-            let fp = fingerprint_class(&decl);
-            fresh.push((pos, decl, fp));
+            let sig = signature_fingerprint(&decl);
+            fresh.push((pos, decl, sig));
         }
         let mut table = self.table.take().expect("checked above");
         let replaced: Vec<_> = fresh
@@ -609,13 +603,15 @@ impl IncrementalChecker {
         fresh.sort_unstable_by_key(|(pos, _, _)| *pos);
         let classes = fresh
             .into_iter()
-            .map(|(pos, decl, fp)| {
+            .map(|(pos, decl, sig)| {
                 let name = decl.name.name;
-                let dirty = closure.contains(&name) || self.units[&name].full != fp.full;
+                let text = text_fingerprint(source, decl.span);
+                let dirty = closure.contains(&name) || self.units[&name].text != text;
                 Parsed {
                     pos,
                     decl,
-                    dirty: dirty.then_some(fp),
+                    text,
+                    dirty: dirty.then_some(sig),
                 }
             })
             .collect();
@@ -638,15 +634,13 @@ impl IncrementalChecker {
     /// One checking pass over the parsed stored source: diff fingerprints
     /// and decide the dirty set, then [`IncrementalChecker::finish`].
     ///
-    /// `touched`, when given, is the set of class names whose declaration
-    /// text may differ from the cached pass — every other declaration is
-    /// textually identical (the [`IncrementalChecker::recheck`] splicing
-    /// invariant), so its cached fingerprints are reused unhashed. A
-    /// class parsed out of a replaced span either carries the edited name
-    /// (in the set) or a new name (not in the unit cache) — both are
-    /// hashed fresh; a duplicate of an existing name trips the
-    /// duplicate/table-error path before any fingerprint is trusted.
-    fn process(&mut self, mut prog: Program, touched: Option<&HashSet<Symbol>>) -> RecheckOutcome {
+    /// Every declaration's text is hashed. A class whose text is
+    /// unchanged since the pass that cached it keeps its cached signature
+    /// fingerprint unhashed; any other class is hashed fresh. A class
+    /// parsed under a new name is not in the unit cache, and a duplicate
+    /// of an existing name trips the table-error path before any
+    /// fingerprint is trusted.
+    fn process(&mut self, mut prog: Program) -> RecheckOutcome {
         let start = Instant::now();
         let profiling = self.opts.profile;
         let mut phases: Vec<PhaseSpan> = Vec::new();
@@ -665,25 +659,21 @@ impl IncrementalChecker {
         // table: fingerprint, diff, and rebuild-or-patch.
         let p0 = profiling.then(|| start.elapsed());
         let total = prog.classes.len();
-        let cached_fp = |c: &ClassDecl| {
-            if touched?.contains(&c.name.name) {
-                return None;
-            }
-            let u = self.units.get(&c.name.name)?;
-            Some(ClassFingerprint {
-                sig: u.sig,
-                full: u.full,
-            })
-        };
-        let fps: Vec<ClassFingerprint> = prog
+        // Each class's text fingerprint, and its fresh signature
+        // fingerprint unless the cache holds the same text.
+        let fps: Vec<(u64, Option<u64>)> = prog
             .classes
             .iter()
-            .map(|c| cached_fp(c).unwrap_or_else(|| fingerprint_class(c)))
+            .map(|c| {
+                let text = text_fingerprint(&self.source, c.span);
+                let cached = self.units.get(&c.name.name).is_some_and(|u| u.text == text);
+                (text, (!cached).then(|| signature_fingerprint(c)))
+            })
             .collect();
-        let rkfps: Vec<u64> = prog
+        let rktexts: Vec<u64> = prog
             .region_kinds
             .iter()
-            .map(fingerprint_region_kind)
+            .map(|rk| text_fingerprint(&self.source, rk.span))
             .collect();
 
         let mut names: HashSet<Symbol> = HashSet::with_capacity(total);
@@ -697,36 +687,35 @@ impl IncrementalChecker {
         }
 
         // Seeds: classes whose *signature* changed (or appeared/vanished)
-        // and region kinds that changed at all.
+        // and region kinds whose text changed (or appeared/vanished).
         let mut seeds: Vec<Symbol> = Vec::new();
-        for (c, fp) in prog.classes.iter().zip(&fps) {
-            match self.units.get(&c.name.name) {
-                Some(u) if u.sig == fp.sig => {}
-                _ => seeds.push(c.name.name),
+        for (c, (_, sig)) in prog.classes.iter().zip(&fps) {
+            // A class whose text is unchanged keeps its signature.
+            let Some(sig) = sig else { continue };
+            if self.units.get(&c.name.name).is_none_or(|u| u.sig != *sig) {
+                seeds.push(c.name.name);
             }
         }
         seeds.extend(self.units.keys().filter(|n| !names.contains(n)));
-        for (rk, fp) in prog.region_kinds.iter().zip(&rkfps) {
-            match self.rkinds.get(&rk.name.name) {
-                Some(r) if r.fp == *fp => {}
-                _ => seeds.push(rk.name.name),
+        for (rk, text) in prog.region_kinds.iter().zip(&rktexts) {
+            let cached = self.rkinds.get(&rk.name.name);
+            if cached.is_none_or(|r| r.text != *text) {
+                seeds.push(rk.name.name);
             }
         }
         seeds.extend(self.rkinds.keys().filter(|n| !rknames.contains(n)));
 
+        // A class re-checks when its text changed, or when the closure of
+        // the seeds reaches it.
         let fast = !dup && seeds.is_empty() && self.table.is_some();
-        let mut dirty = vec![false; total];
+        let mut dirty: Vec<bool> = fps.iter().map(|(_, sig)| sig.is_some()).collect();
         let table = if fast {
             let mut table = self.table.take().expect("fast path requires a table");
-            for (i, (c, fp)) in prog.classes.iter().zip(&fps).enumerate() {
-                let cached = self.units.get(&c.name.name).expect("class set unchanged");
-                if cached.full != fp.full {
-                    dirty[i] = true;
-                    // The structural facts still hold (signature unchanged)
-                    // but spans and bodies moved: patch the entry so error
-                    // reporting against this class reads current spans.
-                    table.patch_class(c);
-                }
+            for (c, _) in prog.classes.iter().zip(&dirty).filter(|(_, d)| **d) {
+                // The structural facts still hold (signature unchanged)
+                // but spans and bodies moved: patch the entry so error
+                // reporting against this class reads current spans.
+                table.patch_class(c);
             }
             table
         } else {
@@ -735,8 +724,7 @@ impl IncrementalChecker {
                 Err(errors) => {
                     // From-scratch parity: the driver returns table errors
                     // alone, before any unit runs. Keep the caches at the
-                    // last good pass so the next diff is against it; the
-                    // source has moved on, so that diff hashes everything.
+                    // last good pass so the next diff is against it.
                     self.stale = true;
                     let elapsed = start.elapsed();
                     return RecheckOutcome {
@@ -757,12 +745,12 @@ impl IncrementalChecker {
                 }
             };
             // Reverse dependency index over this text's declarations, then
-            // the BFS closure of the seeds. Content-unchanged classes
-            // reuse their cached (elaborated) reference sets.
+            // the BFS closure of the seeds. Text-unchanged classes reuse
+            // their cached (elaborated) reference sets.
             let mut reverse = Dependents::new();
-            for (c, fp) in prog.classes.iter().zip(&fps) {
+            for (c, &changed) in prog.classes.iter().zip(&dirty) {
                 match self.units.get(&c.name.name) {
-                    Some(u) if u.full == fp.full => link(&mut reverse, c.name.name, &u.refs),
+                    Some(u) if !changed => link(&mut reverse, c.name.name, &u.refs),
                     _ => link(&mut reverse, c.name.name, &class_refs(c)),
                 }
             }
@@ -770,12 +758,8 @@ impl IncrementalChecker {
                 link(&mut reverse, rk.name.name, &region_kind_refs(rk));
             }
             let closure = dependent_closure(&reverse, seeds);
-            for (i, (c, fp)) in prog.classes.iter().zip(&fps).enumerate() {
-                dirty[i] = closure.contains(&c.name.name)
-                    || self
-                        .units
-                        .get(&c.name.name)
-                        .is_none_or(|u| u.full != fp.full);
+            for (c, d) in prog.classes.iter().zip(&mut dirty) {
+                *d |= closure.contains(&c.name.name);
             }
             built
         };
@@ -784,15 +768,13 @@ impl IncrementalChecker {
             .zip(fps)
             .zip(dirty)
             .enumerate()
-            .map(|(pos, ((c, fp), dirty))| Parsed {
+            .map(|(pos, ((c, (text, sig)), dirty))| Parsed {
                 pos,
-                // A dirty class is committed with fresh fingerprints: a
+                text,
+                // A dirty class is committed with a fresh signature: a
                 // cached one predates any change to the formal counts its
                 // bare class types were completed with.
-                dirty: dirty.then(|| match cached_fp(&c) {
-                    Some(_) => fingerprint_class(&c),
-                    None => fp,
-                }),
+                dirty: dirty.then(|| sig.unwrap_or_else(|| signature_fingerprint(&c))),
                 decl: c,
             })
             .collect();
@@ -805,7 +787,7 @@ impl IncrementalChecker {
             table,
             reused_table: fast,
             classes,
-            region_kinds: rkfps,
+            region_kinds: rktexts,
             main: prog.main,
             whole_parse: true,
             reparse: Duration::ZERO,
@@ -874,65 +856,20 @@ impl IncrementalChecker {
         let dirty_count = classes.iter().filter(|c| c.dirty.is_some()).count();
         let workers = self.opts.jobs.min(dirty_count.max(1));
         let p0 = profiling.then(|| start.elapsed());
-        type FreshUnit = (
-            Vec<TypeError>,
-            usize,
-            JudgmentCounters,
-            Option<(Duration, Duration)>,
-        );
-        let check_unit = |c: &mut ClassDecl| -> FreshUnit {
-            let c0 = profiling.then(|| start.elapsed());
-            let mut ck = Checker::new(&table);
-            ck.check_class(c);
-            let t = c0.map(|c0| (c0, start.elapsed() - c0));
-            (
-                std::mem::take(&mut ck.errors),
-                ck.methods_checked,
-                ck.judgments,
-                t,
-            )
-        };
-        let mut fresh: Vec<Option<FreshUnit>> = (0..classes.len()).map(|_| None).collect();
-        let mut queue = classes
+        let slots = classes.len();
+        let queue = classes
             .iter_mut()
             .enumerate()
             .filter(|(_, c)| c.dirty.is_some())
             .map(|(i, c)| (i, &mut c.decl));
-        if workers <= 1 {
-            for (i, c) in queue {
-                fresh[i] = Some(check_unit(c));
-            }
-        } else {
-            let queue = Mutex::new(&mut queue);
-            let results: Vec<Vec<(usize, FreshUnit)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let queue = &queue;
-                        let check_unit = &check_unit;
-                        s.spawn(move || {
-                            let mut units = Vec::new();
-                            loop {
-                                let item = queue.lock().unwrap().next();
-                                let Some((i, c)) = item else { break };
-                                units.push((i, check_unit(c)));
-                            }
-                            units
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            for (i, unit) in results.into_iter().flatten() {
-                fresh[i] = Some(unit);
-            }
-        }
+        let fresh = check_units(&table, workers, queue, slots, profiling.then_some(start));
         if let Some(p0) = p0 {
             // One span per class, as a from-scratch profile has; a reused
             // class's is empty.
             let mut times = classes
                 .iter()
                 .zip(&fresh)
-                .filter_map(|(c, unit)| Some((c.pos, unit.as_ref()?.3?)))
+                .filter_map(|(c, unit)| Some((c.pos, unit.as_ref()?.time?)))
                 .peekable();
             let children = self
                 .layout
@@ -989,20 +926,19 @@ impl IncrementalChecker {
             let name = c.decl.name.name;
             let at = self.layout.classes[c.pos].1.start;
             let entry = match c.dirty {
-                Some(fp) => {
-                    let (errors, methods_checked, judgments, _) =
-                        unit.expect("a dirty class is checked");
+                Some(sig) => {
+                    let unit = unit.expect("a dirty class is checked");
                     let (wf_errors, wf_judgments) = wf.expect("a dirty class re-checks its wf");
                     UnitCache {
-                        sig: fp.sig,
-                        full: fp.full,
+                        sig,
+                        text: c.text,
                         start: at,
                         refs: class_refs(&c.decl),
                         wf_errors,
                         wf_judgments,
-                        errors,
-                        methods_checked,
-                        judgments,
+                        errors: unit.errors,
+                        methods_checked: unit.methods_checked,
+                        judgments: unit.judgments,
                     }
                 }
                 None if reused_table => continue,
@@ -1043,7 +979,7 @@ impl IncrementalChecker {
                 link(&mut self.dependents, *name, &u.refs);
             }
             self.rkinds.clear();
-            for ((&(name, span), fp), (errors, judgments)) in self
+            for ((&(name, span), text), (errors, judgments)) in self
                 .layout
                 .region_kinds
                 .iter()
@@ -1055,7 +991,7 @@ impl IncrementalChecker {
                 self.rkinds.insert(
                     name,
                     RkCache {
-                        fp,
+                        text,
                         start: span.start,
                         errors,
                         judgments,

@@ -928,3 +928,91 @@ fn a_reference_a_body_edit_adds_joins_later_closures() {
         assert_matches_scratch(&format!("jobs={jobs}"), &engine, &out, jobs);
     }
 }
+
+/// A diagnostic at each header site: region-kind `where`, portal type,
+/// subregion kind, class `where`, field type, return type, parameter
+/// type, `accesses`, method `where`, and a parameter after method
+/// formals.
+const HEADER_SITES: &str = "\
+regionKind RK<Region p> extends SharedRegion where zz outlives p {
+    Ghost1<this> portal;
+    subregion RK2 : LT(64) NoRT s;
+}
+class Cell<Owner o> { int v; }
+class A<Owner o> where yy outlives o {
+    Ghost2<o> f;
+    Ghost3<o> r(int x) { return null; }
+    int g(Cell<q> x) { return 1; }
+    int h() accesses ww { return 1; }
+    int k<Region q>() where vv outlives q { return 1; }
+    int m<Owner q>(Cell<uu> y) { return 1; }
+}
+{ }
+";
+
+/// Every same-length variant of `decl` that moves one token group one
+/// byte left: for each pair of consecutive whitespace runs inside it, the
+/// first run loses its last byte and the second gains a space at its
+/// start.
+fn token_shifts(decl: &str) -> Vec<String> {
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let spaces = decl
+        .bytes()
+        .enumerate()
+        .filter(|(_, b)| b.is_ascii_whitespace());
+    for (i, _) in spaces {
+        match runs.last_mut() {
+            Some(run) if run.1 == i => run.1 += 1,
+            _ => runs.push((i, i + 1)),
+        }
+    }
+    runs.windows(2)
+        .map(|w| {
+            let (end, next) = (w[0].1, w[1].0);
+            format!("{}{} {}", &decl[..end - 1], &decl[end..next], &decl[next..])
+        })
+        .collect()
+}
+
+/// A same-length edit that moves a token of a declaration's header must
+/// not keep its old diagnostics: both routes report every shifted
+/// position as a from-scratch check does.
+#[test]
+fn every_one_byte_token_shift_matches_from_scratch() {
+    let _serial = serial();
+    let src = HEADER_SITES.replace(' ', "  ");
+    let primed = || {
+        let mut engine = IncrementalChecker::new(opts(1));
+        let out = engine.check_source(&src).expect("fixture parses");
+        assert_eq!(out.errors.len(), 11, "{:?}", out.errors);
+        engine
+    };
+    let program = parse_program(&src).expect("fixture parses");
+    let region_kinds = program
+        .region_kinds
+        .iter()
+        .map(|rk| (rk.name.name, rk.span, false));
+    let classes = program.classes.iter().map(|c| (c.name.name, c.span, true));
+    let mut cases = 0;
+    for (name, span, is_class) in region_kinds.chain(classes) {
+        let (start, end) = (span.start as usize, span.end as usize);
+        for shifted in token_shifts(&src[start..end]) {
+            let text = format!("{}{shifted}{}", &src[..start], &src[end..]);
+            let mut engine = primed();
+            let out = engine.check_source(&text).expect("shifted text parses");
+            assert_matches_scratch(&format!("check_source {shifted:?}"), &engine, &out, 1);
+            cases += 1;
+            if is_class {
+                let mut engine = primed();
+                let edit = ClassEdit {
+                    class: name.as_str().to_string(),
+                    source: shifted.clone(),
+                };
+                let out = engine.recheck(&[edit]).expect("applies");
+                assert_matches_scratch(&format!("recheck {shifted:?}"), &engine, &out, 1);
+                cases += 1;
+            }
+        }
+    }
+    assert_eq!(cases, 127);
+}
