@@ -86,7 +86,7 @@ impl Layouts {
         let mut region_specs = HashMap::new();
         for info in table.region_kinds() {
             let name = info.decl.name.name;
-            let spec = build_region_spec(table, name, AllocPolicy::Vt, Reservation::Any, 0);
+            let spec = build_region_spec(table, name, AllocPolicy::Vt, Reservation::Any);
             region_specs.insert(name, spec);
         }
         Layouts {
@@ -131,14 +131,13 @@ fn convert_tag(t: ThreadTag) -> Reservation {
     }
 }
 
-/// Recursively builds the spec for a region kind (depth-bounded as a
-/// safety net; the checker guarantees finiteness).
+/// Recursively builds the spec for a region kind. The recursion ends
+/// because [`ProgramTable::build`] rejects an infinite subregion nesting.
 fn build_region_spec(
     table: &ProgramTable,
     kind: Symbol,
     policy: AllocPolicy,
     reservation: Reservation,
-    depth: usize,
 ) -> RegionSpec {
     let mut spec = RegionSpec {
         kind_name: Some(kind.as_str().to_owned()),
@@ -147,9 +146,6 @@ fn build_region_spec(
         portals: Vec::new(),
         subregions: Vec::new(),
     };
-    if depth > 16 {
-        return spec;
-    }
     let Some(info) = table.region_kind(kind) else {
         return spec;
     };
@@ -171,7 +167,6 @@ fn build_region_spec(
             sub_kind,
             convert_policy(sub.policy),
             convert_tag(sub.thread),
-            depth + 1,
         );
         spec.subregions.push((member.as_str().to_owned(), sub_spec));
     }
@@ -186,30 +181,26 @@ pub type SuperChain = Vec<(Symbol, Vec<OwnerRef>)>;
 /// walking the superclass chain. Returns the [`SuperChain`] of hops the
 /// caller must evaluate against the object's stored owners, and the
 /// method's header as the table holds it (its body is empty; the
-/// program holds the bodies).
+/// program holds the bodies). The walk ends because a table holds no
+/// cyclic class chain.
 pub fn resolve_method_chain(
     table: &ProgramTable,
     class: Symbol,
     method: Symbol,
 ) -> Option<(SuperChain, &MethodDecl)> {
     let mut chain = Vec::new();
-    let mut cur = class;
-    let mut seen = std::collections::HashSet::new();
+    let mut info = table.class(class)?;
     loop {
-        if !seen.insert(cur) {
-            return None;
-        }
-        let info = table.class(cur)?;
         if let Some(m) = info.decl.methods.iter().find(|m| m.name.name == method) {
             return Some((chain, m));
         }
-        match &info.decl.extends {
-            Some(ct) if ct.name.name != "Object" => {
-                chain.push((ct.name.name, ct.owners.clone()));
-                cur = ct.name.name;
-            }
-            _ => return None,
-        }
+        let ct = info
+            .decl
+            .extends
+            .as_ref()
+            .filter(|ct| ct.name.name != "Object")?;
+        chain.push((ct.name.name, ct.owners.clone()));
+        info = table.class(ct.name.name)?;
     }
 }
 

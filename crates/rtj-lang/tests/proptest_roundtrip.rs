@@ -173,14 +173,41 @@ proptest! {
 
     #[test]
     fn program_pretty_parse_fixpoint(stmts in prop::collection::vec(stmt_strategy(), 0..6)) {
-        let p = Program {
-            classes: vec![],
-            region_kinds: vec![],
-            main: Block { stmts, span: Span::DUMMY },
-        };
-        let printed = pretty_program(&p);
-        let reparsed = parse_program(&printed)
-            .unwrap_or_else(|err| panic!("printed form unparseable: {err}\n{printed}"));
-        prop_assert_eq!(pretty_program(&reparsed), printed);
+        assert_main_fixpoint(stmts);
     }
+}
+
+/// `pretty(parse(pretty(p))) == pretty(p)` for the program whose main
+/// block is `stmts`.
+fn assert_main_fixpoint(stmts: Vec<Stmt>) {
+    let p = Program {
+        classes: vec![],
+        region_kinds: vec![],
+        main: Block {
+            stmts,
+            span: Span::DUMMY,
+        },
+    };
+    let printed = pretty_program(&p);
+    let reparsed = parse_program(&printed)
+        .unwrap_or_else(|err| panic!("printed form unparseable: {err}\n{printed}"));
+    assert_eq!(pretty_program(&reparsed), printed);
+}
+
+/// A statement an earlier run of the property shrank a failure to:
+/// `(0 + 0).a = 0;`, a field write whose receiver needs parentheses.
+#[test]
+fn a_field_write_through_a_sum_round_trips() {
+    let zero = || Expr::Int(0, Span::DUMMY);
+    assert_main_fixpoint(vec![Stmt::AssignField {
+        recv: Expr::Binary {
+            op: BinOp::Add,
+            lhs: Box::new(zero()),
+            rhs: Box::new(zero()),
+            span: Span::DUMMY,
+        },
+        field: ident("a".to_string()),
+        value: zero(),
+        span: Span::DUMMY,
+    }]);
 }

@@ -458,37 +458,79 @@ impl<'t> Checker<'t> {
     }
 
     fn wf_class_type(&mut self, env: &Env, name: Symbol, owners: &[Owner], span: Span) -> bool {
-        let (formal_names, formal_kinds, constraints): (Vec<Symbol>, Vec<Kind>, Vec<SConstraint>) =
-            if name == "Object" {
-                (vec!["o".into()], vec![Kind::Owner], Vec::new())
-            } else {
-                match self.table.class(name) {
-                    Some(info) => (
-                        info.formal_names.clone(),
-                        info.formal_kinds.clone(),
-                        info.constraints.clone(),
-                    ),
-                    None => {
-                        self.err(format!("unknown class `{name}`"), span);
-                        return false;
-                    }
-                }
-            };
-        if owners.len() != formal_names.len() {
+        let object;
+        let (names, kinds, constraints) = match self.table.class(name) {
+            _ if name == "Object" => {
+                object = ([Symbol::intern("o")], [Kind::Owner]);
+                (&object.0[..], &object.1[..], &[][..])
+            }
+            Some(info) => (
+                &info.formal_names[..],
+                &info.formal_kinds[..],
+                &info.constraints[..],
+            ),
+            None => {
+                self.err(format!("unknown class `{name}`"), span);
+                return false;
+            }
+        };
+        let of = Formals {
+            class: true,
+            name,
+            names,
+            kinds,
+            constraints,
+        };
+        self.wf_instance(env, &of, owners, span)
+    }
+
+    /// `[USER DECLARED SHARED REGION]`: well-formedness of a (named) region
+    /// kind used at a region-creation site.
+    fn wf_kind(&mut self, env: &Env, k: &Kind, span: Span) -> bool {
+        match k.without_lt() {
+            Kind::Named { name, owners } => {
+                let Some(info) = self.table.region_kind(name) else {
+                    self.err(format!("unknown region kind `{name}`"), span);
+                    return false;
+                };
+                let of = Formals {
+                    class: false,
+                    name: *name,
+                    names: &info.formal_names,
+                    kinds: &info.formal_kinds,
+                    constraints: &info.constraints,
+                };
+                self.wf_instance(env, &of, owners, span)
+            }
+            Kind::SharedRegion => true,
+            other => {
+                self.err(format!("`{other}` is not a shared region kind"), span);
+                false
+            }
+        }
+    }
+
+    /// The instantiation check [TYPE C] and [USER DECLARED SHARED REGION]
+    /// share: one owner per formal, each owner's kind a subkind of its
+    /// formal's, and the declared constraints hold. A class instance also
+    /// needs every owner to outlive the first, checked with each owner's
+    /// kind so that equal-span diagnostics keep their order.
+    fn wf_instance(&mut self, env: &Env, of: &Formals<'_>, owners: &[Owner], span: Span) -> bool {
+        let (what, name) = (if of.class { "class" } else { "region kind" }, of.name);
+        if owners.len() != of.names.len() {
             self.err(
                 format!(
-                    "class `{name}` expects {} owner argument(s), found {}",
-                    formal_names.len(),
+                    "{what} `{name}` expects {} owner argument(s), found {}",
+                    of.names.len(),
                     owners.len()
                 ),
                 span,
             );
             return false;
         }
-        let s = Subst::from_formals(&formal_names, owners);
+        let s = Subst::from_formals(of.names, owners);
         let mut ok = true;
-        let first = &owners[0];
-        for (o, dk) in owners.iter().zip(&formal_kinds) {
+        for (o, dk) in owners.iter().zip(of.kinds) {
             let declared = dk.subst(&s);
             match env.kind_of(o) {
                 Some(k) if env.subkind(self.table, &k, &declared) => {}
@@ -509,7 +551,8 @@ impl<'t> Checker<'t> {
                 }
             }
             // Every owner in a legal type outlives the first owner.
-            if !env.outlives(o, first) {
+            let first = &owners[0];
+            if of.class && !env.outlives(o, first) {
                 let notes = env.explain_outlives(o, first);
                 self.err_with(
                     format!(
@@ -522,13 +565,13 @@ impl<'t> Checker<'t> {
                 ok = false;
             }
         }
-        for c in &constraints {
+        for c in of.constraints {
             let c = c.subst(&s);
             if !self.constraint_holds(env, &c) {
                 let notes = Self::explain_constraint(env, &c);
                 self.err_with(
                     format!(
-                        "constraint `{} {} {}` of class `{name}` is not satisfied",
+                        "constraint `{} {} {}` of {what} `{name}` is not satisfied",
                         c.lhs, c.rel, c.rhs
                     ),
                     span,
@@ -538,76 +581,6 @@ impl<'t> Checker<'t> {
             }
         }
         ok
-    }
-
-    /// `[USER DECLARED SHARED REGION]`: well-formedness of a (named) region
-    /// kind used at a region-creation site.
-    fn wf_kind(&mut self, env: &Env, k: &Kind, span: Span) -> bool {
-        match k.without_lt() {
-            Kind::Named { name, owners } => {
-                let Some(info) = self.table.region_kind(name) else {
-                    self.err(format!("unknown region kind `{name}`"), span);
-                    return false;
-                };
-                if owners.len() != info.formal_names.len() {
-                    self.err(
-                        format!(
-                            "region kind `{name}` expects {} owner argument(s), found {}",
-                            info.formal_names.len(),
-                            owners.len()
-                        ),
-                        span,
-                    );
-                    return false;
-                }
-                let s = Subst::from_formals(&info.formal_names, owners);
-                let mut ok = true;
-                for (o, dk) in owners.iter().zip(&info.formal_kinds) {
-                    let declared = dk.subst(&s);
-                    match env.kind_of(o) {
-                        Some(ka) if env.subkind(self.table, &ka, &declared) => {}
-                        Some(ka) => {
-                            let notes = crate::kind::explain_subkind(self.table, &ka, &declared);
-                            self.err_with(
-                                format!(
-                                    "owner `{o}` has kind `{ka}`, \
-                                     which is not a subkind of `{declared}`"
-                                ),
-                                span,
-                                notes,
-                            );
-                            ok = false;
-                        }
-                        None => {
-                            self.err(format!("owner `{o}` has no kind here"), span);
-                            ok = false;
-                        }
-                    }
-                }
-                for c in &info.constraints {
-                    let c = c.subst(&s);
-                    if !self.constraint_holds(env, &c) {
-                        let notes = Self::explain_constraint(env, &c);
-                        self.err_with(
-                            format!(
-                                "constraint `{} {} {}` of region kind `{name}` \
-                                 is not satisfied",
-                                c.lhs, c.rel, c.rhs
-                            ),
-                            span,
-                            notes,
-                        );
-                        ok = false;
-                    }
-                }
-                ok
-            }
-            Kind::SharedRegion => true,
-            other => {
-                self.err(format!("`{other}` is not a shared region kind"), span);
-                false
-            }
-        }
     }
 
     fn constraint_holds(&self, env: &Env, c: &SConstraint) -> bool {
@@ -727,7 +700,7 @@ impl<'t> Checker<'t> {
         let mut env = Env::base();
         let x: Effects = [Owner::Heap, Owner::Immortal].into_iter().collect();
         for s in &mut main.stmts {
-            self.check_stmt(&mut env, &x, &Owner::Heap, &SType::Void, false, s);
+            self.check_stmt(&mut env, &x, &Owner::Heap, Some(&SType::Void), false, s);
         }
         self.absorb_env(&env);
     }
@@ -767,11 +740,14 @@ impl<'t> Checker<'t> {
         self.assume_constraints(&mut env, &m.where_clauses);
         env.declare_owner(Owner::InitialRegion, Kind::Region);
         env.add_handle(Owner::InitialRegion);
-        let ret = self.resolve_type(&env, &m.ret).unwrap_or(SType::Void);
+        // A type that does not resolve is reported here, once: its
+        // parameter is bound untyped, and an unknown return type checks
+        // no `return` against it.
+        let ret = self.resolve_type(&env, &m.ret);
         for p in &m.params {
             match self.resolve_type(&env, &p.ty) {
                 Some(t) => env.bind_var(p.name.name, t),
-                None => env.bind_var(p.name.name, SType::Int),
+                None => env.bind_untyped(p.name.name),
             }
         }
         // Effects: explicit clause or the default (all class and method
@@ -799,9 +775,9 @@ impl<'t> Checker<'t> {
             }
         }
         for s in &mut m.body.stmts {
-            self.check_stmt(&mut env, &x, &Owner::InitialRegion, &ret, false, s);
+            self.check_stmt(&mut env, &x, &Owner::InitialRegion, ret.as_ref(), false, s);
         }
-        if ret != SType::Void && !always_returns(&m.body) {
+        if let Some(ret) = ret.filter(|r| *r != SType::Void && !always_returns(&m.body)) {
             self.err(
                 format!(
                     "method `{}` must return a value of type `{ret}` on all paths",
@@ -940,7 +916,7 @@ impl<'t> Checker<'t> {
         env: &mut Env,
         x: &Effects,
         rcr: &Owner,
-        ret: &SType,
+        ret: Option<&SType>,
         in_region: bool,
         b: &mut Block,
     ) {
@@ -958,7 +934,7 @@ impl<'t> Checker<'t> {
         env: &mut Env,
         x: &Effects,
         rcr: &Owner,
-        ret: &SType,
+        ret: Option<&SType>,
         in_region: bool,
         s: &mut Stmt,
     ) {
@@ -971,14 +947,15 @@ impl<'t> Checker<'t> {
             } => {
                 let t_init = self.check_expr(env, x, rcr, init);
                 match ty {
-                    Some(t) => {
-                        if let Some(declared) = self.resolve_type(env, t) {
+                    Some(t) => match self.resolve_type(env, t) {
+                        Some(declared) => {
                             if let Some(ti) = t_init {
                                 self.require_subtype(&ti, &declared, *span, "initializer");
                             }
                             env.bind_var(name.name, declared);
                         }
-                    }
+                        None => env.bind_untyped(name.name),
+                    },
                     None => match t_init {
                         Some(SType::Null) => self.err(
                             format!(
@@ -995,21 +972,22 @@ impl<'t> Checker<'t> {
                             *ty = t.to_surface();
                             env.bind_var(name.name, t);
                         }
-                        None => {}
+                        None => env.bind_untyped(name.name),
                     },
                 }
             }
             Stmt::AssignLocal { name, value, span } => {
                 let vt = self.check_expr(env, x, rcr, value);
-                match env.lookup_var(name.name).cloned() {
-                    Some(SType::Handle(_)) => {
+                match env.lookup_var(name.name) {
+                    Some(Some(SType::Handle(_))) => {
                         self.err("region handles cannot be reassigned", *span);
                     }
-                    Some(t) => {
+                    Some(Some(t)) => {
                         if let Some(vt) = vt {
-                            self.require_subtype(&vt, &t, *span, "assignment");
+                            self.require_subtype(&vt, t, *span, "assignment");
                         }
                     }
+                    Some(None) => {}
                     None => self.err(format!("unknown variable `{name}`"), *span),
                 }
             }
@@ -1063,16 +1041,22 @@ impl<'t> Checker<'t> {
                         *span,
                     );
                 }
+                // An unknown return type (`None`) checks the returned
+                // expression alone.
                 match (value, ret) {
-                    (None, SType::Void) => {}
-                    (None, _) => {
+                    (None, None | Some(SType::Void)) => {}
+                    (None, Some(ret)) => {
                         self.err(format!("expected a return value of type `{ret}`"), *span)
                     }
-                    (Some(v), _) => {
-                        if *ret == SType::Void {
-                            self.err("`void` method cannot return a value", *span);
-                            self.check_expr(env, x, rcr, v);
-                        } else if let Some(vt) = self.check_expr(env, x, rcr, v) {
+                    (Some(v), Some(SType::Void)) => {
+                        self.err("`void` method cannot return a value", *span);
+                        self.check_expr(env, x, rcr, v);
+                    }
+                    (Some(v), None) => {
+                        self.check_expr(env, x, rcr, v);
+                    }
+                    (Some(v), Some(ret)) => {
+                        if let Some(vt) = self.check_expr(env, x, rcr, v) {
                             self.require_subtype(&vt, ret, *span, "return value");
                         }
                     }
@@ -1135,7 +1119,7 @@ impl<'t> Checker<'t> {
         &mut self,
         env: &mut Env,
         x: &Effects,
-        ret: &SType,
+        ret: Option<&SType>,
         region: &Ident,
         handle: &Ident,
         kind: Kind,
@@ -1178,7 +1162,7 @@ impl<'t> Checker<'t> {
         &mut self,
         env: &mut Env,
         x: &Effects,
-        ret: &SType,
+        ret: Option<&SType>,
         kind_ann: &KindAnn,
         region: &Ident,
         handle: &Ident,
@@ -1188,9 +1172,13 @@ impl<'t> Checker<'t> {
         body: &mut Block,
         span: Span,
     ) {
-        let Some(parent_ty) = env.lookup_var(parent.name).cloned() else {
-            self.err(format!("unknown variable `{parent}`"), parent.span);
-            return;
+        let parent_ty = match env.lookup_var(parent.name) {
+            Some(Some(t)) => t.clone(),
+            Some(None) => return,
+            None => {
+                self.err(format!("unknown variable `{parent}`"), parent.span);
+                return;
+            }
         };
         let SType::Handle(r2) = parent_ty else {
             self.err(
@@ -1401,7 +1389,7 @@ impl<'t> Checker<'t> {
                 }
             },
             Expr::Var(id) => match env.lookup_var(id.name) {
-                Some(t) => Some(t.clone()),
+                Some(t) => t.cloned(),
                 None => {
                     self.err(format!("unknown variable `{id}`"), id.span);
                     None
@@ -1590,19 +1578,14 @@ impl<'t> Checker<'t> {
                 pt.subst(&Subst::new().with_this(*r))
             }
             SType::Class { name, owners } => {
-                let Some(ft) = self.table.field_type(*name, owners, field.name) else {
+                let Some((declared, ft)) = self.table.field(*name, owners, field.name) else {
                     self.err(format!("class `{name}` has no field `{field}`"), field.span);
                     return None;
                 };
                 // Fields whose declared type mentions `this` can only be
                 // accessed through `this` (otherwise the owner would be
                 // captured by the wrong object).
-                if !recv_is_this
-                    && self
-                        .table
-                        .field_declared_mentions_this(*name, field.name)
-                        .unwrap_or(false)
-                {
+                if !recv_is_this && declared.mentions_this() {
                     self.err(
                         format!(
                             "field `{field}` is owned by its object (its type mentions \
@@ -1812,6 +1795,18 @@ impl<'t> Checker<'t> {
     }
 }
 
+/// What [`Checker::wf_instance`] checks an owner list against: a class
+/// or region kind's formals and constraints, borrowed from its table
+/// entry.
+struct Formals<'a> {
+    /// A class, or else a region kind.
+    class: bool,
+    name: Symbol,
+    names: &'a [Symbol],
+    kinds: &'a [Kind],
+    constraints: &'a [SConstraint],
+}
+
 struct CallInfo {
     ret: SType,
     recv_owners: Vec<Owner>,
@@ -1868,6 +1863,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A declared type that does not resolve is one error. The
+    /// parameter, the local or the local inferred from it is bound
+    /// untyped, and an unknown return type checks no `return` against it,
+    /// so no use adds an error of its own.
+    #[test]
+    fn an_unresolved_declaration_type_reports_one_error() {
+        let errs = check(
+            r#"
+            class C<Owner o> { int v; }
+            class A<Owner o> {
+                Ghost3<o> r(int x) { return null; }
+                int g(Ghost4<o> y) { return y.v; }
+                void h(Ghost5<o> z) { let C<o> c = z; }
+            }
+            { let Ghost6<heap> g = null; let b = g == null; print(b); g = null; }
+            "#,
+        )
+        .unwrap_err();
+        let messages: Vec<&str> = errs.iter().map(|e| e.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "unknown class `Ghost3`",
+                "unknown class `Ghost4`",
+                "unknown class `Ghost5`",
+                "unknown class `Ghost6`"
+            ]
+        );
     }
 
     #[test]

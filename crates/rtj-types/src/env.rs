@@ -12,6 +12,10 @@
 //!   directions (owner and owned live in the same region);
 //! * `RKind(o)` finds the kind of the region `o` is (or is allocated in)
 //!   by walking up the ownership relation.
+//!
+//! One breadth-first search over the facts decides both `≽ₒ` and `≽`,
+//! and `--explain` prints the derivation from the same search's tree, so
+//! the explanation is the deduction that decided, not a replay of it.
 
 use crate::kind::{is_subkind, Kind, RegionKindLookup};
 use crate::owner::Owner;
@@ -150,7 +154,8 @@ pub struct ScopeMark {
 /// A typing environment.
 #[derive(Debug, Default)]
 pub struct Env {
-    vars: Vec<(Symbol, SType)>,
+    /// Variable typings; `None` for a variable of unknown type.
+    vars: Vec<(Symbol, Option<SType>)>,
     owner_kinds: Vec<(Owner, Kind)>,
     owns_facts: Vec<(Owner, Owner)>,
     outlives_facts: Vec<(Owner, Owner)>,
@@ -262,17 +267,26 @@ impl Env {
             self.handle_regions.push(*r);
             self.invalidate_cache();
         }
-        self.vars.push((name, ty));
+        self.vars.push((name, Some(ty)));
     }
 
-    /// Looks up a variable.
-    pub fn lookup_var(&self, name: impl Into<Symbol>) -> Option<&SType> {
+    /// Binds a variable of unknown type: one whose declared type did not
+    /// resolve, or a local inferred from an expression with no type. The
+    /// error was reported where the type was lost, so uses of the
+    /// variable report nothing more.
+    pub fn bind_untyped(&mut self, name: impl Into<Symbol>) {
+        self.vars.push((name.into(), None));
+    }
+
+    /// Looks up a variable: `None` if it is unbound, `Some(None)` if it
+    /// is bound with an unknown type ([`Env::bind_untyped`]).
+    pub fn lookup_var(&self, name: impl Into<Symbol>) -> Option<Option<&SType>> {
         let sym = name.into();
         self.vars
             .iter()
             .rev()
             .find(|(n, _)| *n == sym)
-            .map(|(_, t)| t)
+            .map(|(_, t)| t.as_ref())
     }
 
     // ---------------------------------------------------------------- owners
@@ -395,29 +409,9 @@ impl Env {
             }
             c.counters.ownership.misses += 1;
         }
-        let v = self.owns_uncached(o1, o2);
+        let v = self.deduce(o1, o2, false).1.is_some();
         self.cache.borrow_mut().owns.insert(key, v);
         v
-    }
-
-    fn owns_uncached(&self, o1: &Owner, o2: &Owner) -> bool {
-        // BFS downward from o1 along owns edges.
-        let mut frontier = vec![*o1];
-        let mut seen = HashSet::new();
-        while let Some(cur) = frontier.pop() {
-            if !seen.insert(cur) {
-                continue;
-            }
-            for (a, b) in &self.owns_facts {
-                if *a == cur {
-                    if b == o2 {
-                        return true;
-                    }
-                    frontier.push(*b);
-                }
-            }
-        }
-        false
     }
 
     /// `E ⊢ o1 ≽ o2`: o1 outlives o2 (reflexive, transitive, includes
@@ -436,41 +430,9 @@ impl Env {
             }
             c.counters.outlives.misses += 1;
         }
-        let v = self.outlives_uncached(o1, o2);
+        let v = self.deduce(o1, o2, true).1.is_some();
         self.cache.borrow_mut().outlives.insert(key, v);
         v
-    }
-
-    fn outlives_uncached(&self, o1: &Owner, o2: &Owner) -> bool {
-        // BFS from o1 along outlives ∪ owns edges. Reaching an everlasting
-        // owner (heap/immortal) makes *every region* reachable (property
-        // R1), and from there anything those regions (transitively) own.
-        let mut frontier = vec![*o1];
-        let mut seen = HashSet::new();
-        while let Some(cur) = frontier.pop() {
-            if !seen.insert(cur) {
-                continue;
-            }
-            if cur == *o2 {
-                return true;
-            }
-            if cur.is_everlasting() {
-                if o2.is_everlasting() {
-                    return true;
-                }
-                for (g, k) in &self.owner_kinds {
-                    if k.is_region_kind() {
-                        frontier.push(*g);
-                    }
-                }
-            }
-            for (a, b) in self.outlives_facts.iter().chain(&self.owns_facts) {
-                if *a == cur {
-                    frontier.push(*b);
-                }
-            }
-        }
-        false
     }
 
     /// `E ⊢ X ⊇ Y`: every owner in `needed` is outlived by some owner in
@@ -544,12 +506,11 @@ impl Env {
 
     // ---------------------------------------------------------- explanation
     //
-    // Deterministic replays of the deduction searches, producing the
-    // premise chain a judgment explored. These power `--explain`: every
-    // note is derived by scanning the append-only fact vectors in
-    // insertion order (never by iterating a hash container), so the text
-    // is identical run to run and across `--jobs` — a requirement of the
-    // byte-identical-diagnostics contract.
+    // The premise chains `--explain` prints, read off the search tree of
+    // the deduction that decided the judgment ([`Env::deduce`]). The
+    // search scans the append-only fact vectors in insertion order (never
+    // a hash container), so the text is identical run to run and across
+    // `--jobs`, as the byte-identical-diagnostics contract requires.
 
     /// Derivation notes for `o1 ≽ o2` (outlives). If the judgment holds,
     /// the notes list the fact chain that proves it; if it fails, they
@@ -573,8 +534,9 @@ impl Env {
             notes.push(format!("`{o1} {rel} {o2}` holds by reflexivity"));
             return notes;
         }
-        match self.search_explain(o1, o2, outlives) {
-            Ok(edges) => {
+        match self.deduce(o1, o2, outlives) {
+            (tree, Some(found)) => {
+                let edges = derivation(&tree, found);
                 notes.push(format!("deriving `{o1} {rel} {o2}`:"));
                 for (a, b, label) in &edges {
                     notes.push(format!("`{a} {rel} {b}` — {label}"));
@@ -583,17 +545,17 @@ impl Env {
                     notes.push(format!("`{o1} {rel} {o2}` follows by transitivity"));
                 }
             }
-            Err(reached) => {
-                let reached: Vec<String> = reached.iter().map(|o| format!("`{o}`")).collect();
+            (tree, None) => {
+                let reached: Vec<String> = tree.iter().map(|(o, ..)| format!("`{o}`")).collect();
                 notes.push(format!(
                     "`{o1} {rel} {o2}` does not hold: from `{o1}` the deduction reached \
                      only {{{}}}, and no recorded fact extends the chain to `{o2}`",
                     reached.join(", ")
                 ));
                 if outlives {
-                    if let Ok(edges) = self.search_explain(o2, o1, true) {
+                    if let (tree, Some(found)) = self.deduce(o2, o1, true) {
                         notes.push(format!("the reverse direction `{o2} ≽ {o1}` does hold:"));
-                        for (a, b, label) in &edges {
+                        for (a, b, label) in &derivation(&tree, found) {
                             notes.push(format!("`{a} ≽ {b}` — {label}"));
                         }
                         notes.push(format!(
@@ -646,33 +608,20 @@ impl Env {
         notes
     }
 
-    /// Replays the `≽`/`≽ₒ` search deterministically. Returns the edge
-    /// chain `o1 → … → o2` when the judgment holds (each edge labelled
-    /// with the rule that justified it), or the owners reached (in
-    /// discovery order) when it does not.
-    #[allow(clippy::type_complexity)]
-    fn search_explain(
-        &self,
-        o1: &Owner,
-        o2: &Owner,
-        outlives: bool,
-    ) -> Result<Vec<(Owner, Owner, &'static str)>, Vec<Owner>> {
-        // `visited` doubles as the FIFO queue and the parent tree:
-        // (owner, index of its discoverer, rule that added it).
-        let mut visited: Vec<(Owner, usize, &'static str)> = vec![(*o1, usize::MAX, "")];
+    /// The deduction of `o1 ≽ o2` (`outlives`) or `o1 ≽ₒ o2`: a
+    /// breadth-first search from `o1` along the facts in scope, closed
+    /// under the rules of Figures 1–2. Returns the search tree and, when
+    /// the search reaches `o2`, its index in the tree. The judgments
+    /// decide by it and `--explain` reads its derivation off the same
+    /// tree.
+    fn deduce(&self, o1: &Owner, o2: &Owner, outlives: bool) -> (SearchTree, Option<usize>) {
+        // `visited` doubles as the FIFO queue and the search tree.
+        let mut visited: SearchTree = vec![(*o1, usize::MAX, "")];
         let mut i = 0;
         while i < visited.len() {
             let cur = visited[i].0;
             if cur == *o2 {
-                let mut edges = Vec::new();
-                let mut idx = i;
-                while visited[idx].1 != usize::MAX {
-                    let (o, p, label) = visited[idx];
-                    edges.push((visited[p].0, o, label));
-                    idx = p;
-                }
-                edges.reverse();
-                return Ok(edges);
+                return (visited, Some(i));
             }
             if outlives {
                 if cur.is_everlasting() {
@@ -705,7 +654,7 @@ impl Env {
             }
             i += 1;
         }
-        Err(visited.into_iter().map(|(o, _, _)| o).collect())
+        (visited, None)
     }
 
     /// `P ⊢ k1 ≤ₖ k2`: the subkinding judgment, memoized. A thin caching
@@ -794,14 +743,28 @@ impl Env {
     }
 }
 
+/// A deduction's search tree, in discovery order: each owner reached,
+/// the index of the owner it was reached from (`usize::MAX` at the
+/// root), and the rule that reached it.
+type SearchTree = Vec<(Owner, usize, &'static str)>;
+
+/// The edge chain from the root of `tree` to `tree[to]`, each edge
+/// labelled with the rule that justified it.
+fn derivation(tree: &SearchTree, to: usize) -> Vec<(Owner, Owner, &'static str)> {
+    let mut edges = Vec::new();
+    let mut idx = to;
+    while tree[idx].1 != usize::MAX {
+        let (o, p, label) = tree[idx];
+        edges.push((tree[p].0, o, label));
+        idx = p;
+    }
+    edges.reverse();
+    edges
+}
+
 /// Queues `next` (discovered from `visited[from]` by `label`) unless it
 /// was already reached.
-fn push_reach(
-    visited: &mut Vec<(Owner, usize, &'static str)>,
-    from: usize,
-    next: Owner,
-    label: &'static str,
-) {
+fn push_reach(visited: &mut SearchTree, from: usize, next: Owner, label: &'static str) {
     if !visited.iter().any(|(o, _, _)| *o == next) {
         visited.push((next, from, label));
     }
@@ -972,7 +935,7 @@ mod tests {
         let mut e = Env::base();
         e.bind_var("x", SType::Int);
         e.bind_var("x", SType::Bool);
-        assert_eq!(e.lookup_var("x"), Some(&SType::Bool));
+        assert_eq!(e.lookup_var("x"), Some(Some(&SType::Bool)));
         assert_eq!(e.lookup_var("y"), None);
     }
 

@@ -25,9 +25,12 @@
 //!   only reaches through a dependency's members are still covered.
 //! * The table is rebuilt only when the class set, a region kind or a
 //!   formal count changes. Otherwise each re-parsed class's entry is
-//!   patched ([`ProgramTable::patch_class`]) and the table's per-class
-//!   structural rules re-run over the closure
-//!   ([`ProgramTable::check_classes`]).
+//!   patched (the crate-private `ProgramTable::patch_class`) and the
+//!   table's per-class structural rules re-run over the closure
+//!   (`ProgramTable::check_classes`). A patch that breaks a rule is
+//!   undone (`ProgramTable::restore_class`) before the table is read
+//!   again, so a patched table, like a built one, holds no cyclic or
+//!   unknown chain.
 //! * Clean classes contribute their cached diagnostics with spans
 //!   **shifted** by the declaration's movement. Equal text parses to the
 //!   same declaration, only moved, so the uniform shift is exact, not

@@ -135,8 +135,7 @@ fn unify(
         ) => {
             // View the argument type at the parameter's class by walking the
             // superclass chain, so inherited-parameter calls still unify.
-            let viewed = view_as(table, *an, ao, *pn);
-            let Some(ao) = viewed else {
+            let Some(ao) = table.view_as(*an, ao, *pn) else {
                 return Ok(()); // Not a subtype; the later subtype check reports it.
             };
             if po.len() != ao.len() {
@@ -148,30 +147,6 @@ fn unify(
             Ok(())
         }
         _ => Ok(()),
-    }
-}
-
-/// Rewrites `sub<owners>` as an instance of superclass `target`, if
-/// `target` is on `sub`'s superclass chain.
-fn view_as(
-    table: &ProgramTable,
-    sub: Symbol,
-    owners: &[Owner],
-    target: Symbol,
-) -> Option<Vec<Owner>> {
-    let mut cur = (sub, owners.to_vec());
-    let mut seen = std::collections::HashSet::new();
-    loop {
-        if !seen.insert(cur.0) {
-            return None; // cyclic hierarchy (reported elsewhere)
-        }
-        if cur.0 == target {
-            return Some(cur.1);
-        }
-        if cur.0 == "Object" {
-            return None;
-        }
-        cur = table.superclass(cur.0, &cur.1)?;
     }
 }
 

@@ -4,6 +4,15 @@
 //!
 //! `InheritanceOK` (constraint/override compatibility) needs the deduction
 //! engine and is checked in [`crate::check`].
+//!
+//! Each hierarchy has one private walk: `ProgramTable::supertypes` for
+//! classes (subtyping, field and method lookup) and a chain over
+//! [`RegionKindLookup::super_kind_of`] for region kinds (portal fields
+//! and subregions). Neither carries a cycle guard.
+//! [`ProgramTable::build`] rejects every cyclic or unknown chain, and the
+//! crate-private patch protocol restores the old entries when a patched
+//! class breaks a rule, so no table a query sees holds one. Only the
+//! rules that establish this invariant guard against cycles.
 
 use crate::error::TypeError;
 use crate::kind::{Kind, RegionKindLookup};
@@ -11,7 +20,7 @@ use crate::owner::{Owner, Subst};
 use crate::stype::SType;
 use rtj_lang::ast::{
     Block, ClassDecl, ConstraintRel, KindAnn, MethodDecl, Policy, Program, RegionKindDecl,
-    ThreadTag, Type,
+    SubregionDecl, ThreadTag, Type,
 };
 use rtj_lang::intern::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -239,6 +248,18 @@ pub struct SubregionInfo {
     pub thread: ThreadTag,
 }
 
+impl SubregionInfo {
+    /// The member `sr` as seen through the substitution `s` of its
+    /// region kind's formals.
+    fn of(sr: &SubregionDecl, s: &Subst) -> SubregionInfo {
+        SubregionInfo {
+            kind: resolve_kind(&sr.kind, &no_regions).subst(s),
+            policy: sr.policy,
+            thread: sr.thread,
+        }
+    }
+}
+
 /// Indexed program declarations.
 #[derive(Debug, Clone)]
 pub struct ProgramTable {
@@ -337,13 +358,17 @@ impl ProgramTable {
     /// the class's formal count is unchanged, every other entry is still
     /// what `build` would make of it, since other declarations are
     /// completed with that count.
-    pub fn patch_class(&mut self, decl: &ClassDecl) -> Option<ClassInfo> {
+    ///
+    /// Patch, check, restore on an error: this protocol is the only way a
+    /// table changes, and it keeps the invariant the chain walks rely on
+    /// (no cyclic or unknown chain), so it stays private to the crate.
+    pub(crate) fn patch_class(&mut self, decl: &ClassDecl) -> Option<ClassInfo> {
         let info = self.classes.get_mut(&decl.name.name)?;
         Some(std::mem::replace(info, ClassInfo::of(decl)))
     }
 
     /// Puts back an entry [`ProgramTable::patch_class`] replaced.
-    pub fn restore_class(&mut self, info: ClassInfo) {
+    pub(crate) fn restore_class(&mut self, info: ClassInfo) {
         self.classes.insert(info.decl.name.name, info);
     }
 
@@ -355,7 +380,7 @@ impl ProgramTable {
     /// # Errors
     ///
     /// Every structural error of the named classes.
-    pub fn check_classes(
+    pub(crate) fn check_classes(
         &self,
         names: impl IntoIterator<Item = Symbol>,
     ) -> Result<(), Vec<TypeError>> {
@@ -398,147 +423,111 @@ impl ProgramTable {
         self.region_kinds.values()
     }
 
-    /// The superclass of `name` as a `(class, owner-args)` pair, after
-    /// substituting `owners` for `name`'s formals. Every user class without
-    /// an `extends` clause (and `Object` itself) returns `None`.
-    pub fn superclass(
-        &self,
-        name: impl Into<Symbol>,
-        owners: &[Owner],
-    ) -> Option<(Symbol, Vec<Owner>)> {
-        let info = self.classes.get(&name.into())?;
-        if owners.len() != info.formal_names.len() {
-            return None;
-        }
-        let s = Subst::from_formals(&info.formal_names, owners);
+    /// `name<owners>`'s entry, if the table declares the class and
+    /// `owners` has one owner per formal (`Object` has no entry).
+    fn class_at(&self, name: Symbol, owners: &[Owner]) -> Option<&ClassInfo> {
+        self.classes
+            .get(&name)
+            .filter(|info| info.formal_names.len() == owners.len())
+    }
+
+    /// One step up the class chain: the superclass of `name<owners>` as a
+    /// `(class, owner-args)` pair, after substituting `owners` for
+    /// `name`'s formals. A class without an `extends` clause extends
+    /// `Object<firstFormal>`; `Object` itself has no superclass.
+    fn superclass(&self, name: Symbol, owners: &[Owner]) -> Option<(Symbol, Vec<Owner>)> {
+        let info = self.class_at(name, owners)?;
         match &info.decl.extends {
             Some(ct) => {
-                let args: Vec<Owner> = ct
+                let s = Subst::from_formals(&info.formal_names, owners);
+                let args = ct
                     .owners
                     .iter()
                     .map(|o| s.apply(&Owner::resolve(o, no_regions)))
                     .collect();
                 Some((ct.name.name, args))
             }
-            None => {
-                // Implicit `extends Object<firstFormal>`.
-                let first = *owners.first()?;
-                Some((Symbol::intern("Object"), vec![first]))
-            }
+            None => Some((Symbol::intern("Object"), vec![*owners.first()?])),
         }
     }
 
-    /// Whether `sub<sub_owners>` is a subtype of `sup<sup_owners>` via the
-    /// superclass chain ([SUBTYPE CLASS] closed under reflexivity and
-    /// transitivity).
-    pub fn is_subclass(
+    /// The class chain of `class<owners>`: the class itself, then each
+    /// superclass up to `Object`, each with its owner arguments. The one
+    /// walk of the class hierarchy: subtyping and field and method lookup
+    /// are searches over it. It needs no cycle guard, because
+    /// [`ProgramTable::build`] rejects every cyclic or unknown chain.
+    fn supertypes(
         &self,
-        sub: impl Into<Symbol>,
-        sub_owners: &[Owner],
-        sup: impl Into<Symbol>,
-        sup_owners: &[Owner],
-    ) -> bool {
-        let sup = sup.into();
-        let object = Symbol::intern("Object");
-        let mut cur = (sub.into(), sub_owners.to_vec());
-        let mut seen = HashSet::new();
-        loop {
-            if !seen.insert(cur.0) {
-                return false; // cyclic hierarchy (reported by build)
-            }
-            if cur.0 == sup && cur.1 == sup_owners {
-                return true;
-            }
-            if cur.0 == object {
-                return false;
-            }
-            match self.superclass(cur.0, &cur.1) {
-                Some(next) => cur = next,
-                None => return false,
-            }
-        }
+        class: impl Into<Symbol>,
+        owners: &[Owner],
+    ) -> impl Iterator<Item = (Symbol, Vec<Owner>)> + '_ {
+        std::iter::successors(Some((class.into(), owners.to_vec())), |(c, os)| {
+            self.superclass(*c, os)
+        })
+    }
+
+    /// `sub<owners>` viewed as an instance of `target`: `target`'s owner
+    /// arguments, if `target` is on the class chain of `sub<owners>`.
+    pub(crate) fn view_as(
+        &self,
+        sub: Symbol,
+        owners: &[Owner],
+        target: Symbol,
+    ) -> Option<Vec<Owner>> {
+        self.supertypes(sub, owners)
+            .find(|(c, _)| *c == target)
+            .map(|(_, os)| os)
     }
 
     /// Semantic subtyping over [`SType`]s: reflexivity, `Null ≤` any class
-    /// type, and class subtyping along the superclass chain.
+    /// type, and class subtyping along the superclass chain ([SUBTYPE
+    /// CLASS] closed under reflexivity and transitivity).
     pub fn is_subtype(&self, sub: &SType, sup: &SType) -> bool {
         match (sub, sup) {
             _ if sub == sup => true,
             (SType::Null, SType::Class { .. }) => true,
             (
+                SType::Class { name, owners },
                 SType::Class {
-                    name: n1,
-                    owners: o1,
+                    name: target,
+                    owners: want,
                 },
-                SType::Class {
-                    name: n2,
-                    owners: o2,
-                },
-            ) => self.is_subclass(*n1, o1, *n2, o2),
+            ) => self.view_as(*name, owners, *target).as_ref() == Some(want),
             _ => false,
         }
     }
 
-    /// The type of field `field` of an object of type `class<owners>`,
-    /// searching the inheritance chain and substituting owner arguments.
-    /// Any `this` remaining in the result denotes the *receiver*.
-    pub fn field_type(
+    /// Field `field` of an object of type `class<owners>`, found along
+    /// the class chain: its declared type, over the declaring class's
+    /// formals, and that type with the owner arguments substituted. Any
+    /// `this` left in either denotes the *receiver*.
+    pub fn field(
         &self,
         class: impl Into<Symbol>,
         owners: &[Owner],
         field: impl Into<Symbol>,
-    ) -> Option<SType> {
+    ) -> Option<(SType, SType)> {
         let field = field.into();
-        let object = Symbol::intern("Object");
-        let mut cur = (class.into(), owners.to_vec());
-        let mut seen = HashSet::new();
-        loop {
-            if !seen.insert(cur.0) {
-                return None; // cyclic hierarchy (reported by build)
-            }
-            let info = self.classes.get(&cur.0)?;
-            if cur.1.len() != info.formal_names.len() {
-                return None;
-            }
-            if let Some(f) = info.decl.fields.iter().find(|f| f.name.name == field) {
-                let s = Subst::from_formals(&info.formal_names, &cur.1);
-                return Some(resolve_type(&f.ty, &no_regions).subst(&s));
-            }
-            cur = self.superclass(cur.0, &cur.1)?;
-            if cur.0 == object {
-                return None;
-            }
-        }
+        self.supertypes(class, owners).find_map(|(c, os)| {
+            let info = self.class_at(c, &os)?;
+            let f = info.decl.fields.iter().find(|f| f.name.name == field)?;
+            let declared = resolve_type(&f.ty, &no_regions);
+            let ty = declared.subst(&Subst::from_formals(&info.formal_names, &os));
+            Some((declared, ty))
+        })
     }
 
     /// All fields (inherited first) of `class<owners>` as
     /// `(name, substituted type)` pairs; used by the interpreter to lay out
     /// objects and by the checker to audit field well-formedness.
     pub fn all_fields(&self, class: impl Into<Symbol>, owners: &[Owner]) -> Vec<(Symbol, SType)> {
-        let object = Symbol::intern("Object");
-        let mut chain = Vec::new();
-        let mut cur = (class.into(), owners.to_vec());
-        let mut seen = HashSet::new();
-        while cur.0 != object {
-            if !seen.insert(cur.0) {
-                break; // cyclic hierarchy (reported by build)
-            }
-            let Some(info) = self.classes.get(&cur.0) else {
-                break;
-            };
-            if cur.1.len() != info.formal_names.len() {
-                break;
-            }
-            chain.push(cur.clone());
-            match self.superclass(cur.0, &cur.1) {
-                Some(next) => cur = next,
-                None => break,
-            }
-        }
+        let chain: Vec<_> = self.supertypes(class, owners).collect();
         let mut out = Vec::new();
-        for (name, owners) in chain.iter().rev() {
-            let info = &self.classes[name];
-            let s = Subst::from_formals(&info.formal_names, owners);
+        for (c, os) in chain.iter().rev() {
+            let Some(info) = self.class_at(*c, os) else {
+                continue;
+            };
+            let s = Subst::from_formals(&info.formal_names, os);
             for f in &info.decl.fields {
                 out.push((f.name.name, resolve_type(&f.ty, &no_regions).subst(&s)));
             }
@@ -556,68 +545,36 @@ impl ProgramTable {
         owners: &[Owner],
         method: impl Into<Symbol>,
     ) -> Option<MethodSig> {
-        let (decl_class, decl_owners, m) = self.resolve_method(class, owners, method)?;
-        let info = &self.classes[&decl_class];
-        let sig = raw_method_sig(decl_class, info, m);
-        let s = Subst::from_formals(&info.formal_names, &decl_owners);
-        Some(sig.subst(&s))
-    }
-
-    /// Whether the *declared* type of `field` (found along the inheritance
-    /// chain of `class`) mentions the literal owner `this`. Such fields can
-    /// only be accessed through a receiver that is literally `this`.
-    pub fn field_declared_mentions_this(
-        &self,
-        class: impl Into<Symbol>,
-        field: impl Into<Symbol>,
-    ) -> Option<bool> {
-        let field = field.into();
-        let mut cur = class.into();
-        let mut seen = HashSet::new();
-        loop {
-            if !seen.insert(cur) {
-                return None; // cyclic hierarchy (reported by build)
-            }
-            let info = self.classes.get(&cur)?;
-            if let Some(f) = info.decl.fields.iter().find(|f| f.name.name == field) {
-                return Some(resolve_type(&f.ty, &no_regions).mentions_this());
-            }
-            match &info.decl.extends {
-                Some(ct) if ct.name.name != "Object" => cur = ct.name.name,
-                _ => return None,
-            }
-        }
-    }
-
-    /// Finds the declaring class, its substituted owner arguments, and the
-    /// method's header (its body is empty, see [`ClassInfo::decl`]) for a
-    /// call on `class<owners>`.
-    pub fn resolve_method(
-        &self,
-        class: impl Into<Symbol>,
-        owners: &[Owner],
-        method: impl Into<Symbol>,
-    ) -> Option<(Symbol, Vec<Owner>, &MethodDecl)> {
         let method = method.into();
-        let object = Symbol::intern("Object");
-        let mut cur = (class.into(), owners.to_vec());
-        let mut seen = HashSet::new();
-        loop {
-            if !seen.insert(cur.0) {
-                return None; // cyclic hierarchy (reported by build)
+        self.supertypes(class, owners).find_map(|(c, os)| {
+            let info = self.class_at(c, &os)?;
+            let m = info.decl.methods.iter().find(|m| m.name.name == method)?;
+            Some(raw_method_sig(c, info, m).subst(&Subst::from_formals(&info.formal_names, &os)))
+        })
+    }
+
+    /// The region-kind chain of `kind<owners>`: the kind itself, then
+    /// each user-declared super kind, each with its entry and the
+    /// substitution of its owner arguments for its formals. The one walk
+    /// of the region-kind hierarchy, over
+    /// [`RegionKindLookup::super_kind_of`]; like
+    /// [`ProgramTable::supertypes`] it needs no cycle guard.
+    fn kind_chain(
+        &self,
+        kind: Symbol,
+        owners: &[Owner],
+    ) -> impl Iterator<Item = (&RegionKindInfo, Subst)> + '_ {
+        std::iter::successors(Some((kind, owners.to_vec())), |(k, os)| {
+            match self.super_kind_of(*k, os)? {
+                Kind::Named { name, owners } => Some((name, owners)),
+                _ => None,
             }
-            let info = self.classes.get(&cur.0)?;
-            if cur.1.len() != info.formal_names.len() {
-                return None;
-            }
-            if let Some(m) = info.decl.methods.iter().find(|m| m.name.name == method) {
-                return Some((cur.0, cur.1.clone(), m));
-            }
-            cur = self.superclass(cur.0, &cur.1)?;
-            if cur.0 == object {
-                return None;
-            }
-        }
+        })
+        .map_while(|(k, os)| {
+            let info = self.region_kinds.get(&k)?;
+            (info.formal_names.len() == os.len())
+                .then(|| (info, Subst::from_formals(&info.formal_names, &os)))
+        })
     }
 
     /// The subregion member `sub` of a region of kind `kind<owners>`,
@@ -630,33 +587,10 @@ impl ProgramTable {
         sub: impl Into<Symbol>,
     ) -> Option<SubregionInfo> {
         let sub = sub.into();
-        let mut cur = Kind::Named {
-            name: kind.into(),
-            owners: owners.to_vec(),
-        };
-        let mut seen = HashSet::new();
-        loop {
-            let (name, owners) = match &cur {
-                Kind::Named { name, owners } => (*name, owners.clone()),
-                _ => return None,
-            };
-            if !seen.insert(name) {
-                return None; // cyclic kind hierarchy (reported by build)
-            }
-            let info = self.region_kinds.get(&name)?;
-            if owners.len() != info.formal_names.len() {
-                return None;
-            }
-            let s = Subst::from_formals(&info.formal_names, &owners);
-            if let Some(sr) = info.decl.subregions.iter().find(|s| s.name.name == sub) {
-                return Some(SubregionInfo {
-                    kind: resolve_kind(&sr.kind, &no_regions).subst(&s),
-                    policy: sr.policy,
-                    thread: sr.thread,
-                });
-            }
-            cur = self.super_kind_of(name, &owners)?;
-        }
+        self.kind_chain(kind.into(), owners).find_map(|(info, s)| {
+            let sr = info.decl.subregions.iter().find(|sr| sr.name.name == sub)?;
+            Some(SubregionInfo::of(sr, &s))
+        })
     }
 
     /// The type of portal field `field` of a region of kind `kind<owners>`,
@@ -669,58 +603,20 @@ impl ProgramTable {
         field: impl Into<Symbol>,
     ) -> Option<SType> {
         let field = field.into();
-        let mut cur = Kind::Named {
-            name: kind.into(),
-            owners: owners.to_vec(),
-        };
-        let mut seen = HashSet::new();
-        loop {
-            let (name, owners) = match &cur {
-                Kind::Named { name, owners } => (*name, owners.clone()),
-                _ => return None,
-            };
-            if !seen.insert(name) {
-                return None; // cyclic kind hierarchy (reported by build)
-            }
-            let info = self.region_kinds.get(&name)?;
-            if owners.len() != info.formal_names.len() {
-                return None;
-            }
-            if let Some(f) = info.decl.portals.iter().find(|f| f.name.name == field) {
-                let s = Subst::from_formals(&info.formal_names, &owners);
-                return Some(resolve_type(&f.ty, &no_regions).subst(&s));
-            }
-            cur = self.super_kind_of(name, &owners)?;
-        }
+        self.kind_chain(kind.into(), owners).find_map(|(info, s)| {
+            let f = info.decl.portals.iter().find(|f| f.name.name == field)?;
+            Some(resolve_type(&f.ty, &no_regions).subst(&s))
+        })
     }
 
     /// All portal fields (inherited first) of a region kind.
     pub fn all_portals(&self, kind: impl Into<Symbol>, owners: &[Owner]) -> Vec<(Symbol, SType)> {
-        let mut chain = Vec::new();
-        let mut cur = Kind::Named {
-            name: kind.into(),
-            owners: owners.to_vec(),
-        };
-        let mut seen = HashSet::new();
-        while let Kind::Named { name, owners } = cur.clone() {
-            if !self.region_kinds.contains_key(&name) || !seen.insert(name) {
-                break;
-            }
-            chain.push((name, owners.clone()));
-            match self.super_kind_of(name, &owners) {
-                Some(k) => cur = k,
-                None => break,
-            }
-        }
-        let mut out = Vec::new();
-        for (name, owners) in chain.iter().rev() {
-            let info = &self.region_kinds[name];
-            let s = Subst::from_formals(&info.formal_names, owners);
-            for f in &info.decl.portals {
-                out.push((f.name.name, resolve_type(&f.ty, &no_regions).subst(&s)));
-            }
-        }
-        out
+        let chain: Vec<_> = self.kind_chain(kind.into(), owners).collect();
+        let members = chain.iter().rev().flat_map(|(info, s)| {
+            let portals = info.decl.portals.iter();
+            portals.map(move |f| (f.name.name, resolve_type(&f.ty, &no_regions).subst(s)))
+        });
+        members.collect()
     }
 
     /// All subregion members (inherited first) of a region kind, with
@@ -730,38 +626,12 @@ impl ProgramTable {
         kind: impl Into<Symbol>,
         owners: &[Owner],
     ) -> Vec<(Symbol, SubregionInfo)> {
-        let mut out = Vec::new();
-        let mut cur = Kind::Named {
-            name: kind.into(),
-            owners: owners.to_vec(),
-        };
-        let mut chain = Vec::new();
-        let mut seen = HashSet::new();
-        while let Kind::Named { name, owners } = cur.clone() {
-            if !self.region_kinds.contains_key(&name) || !seen.insert(name) {
-                break;
-            }
-            chain.push((name, owners.clone()));
-            match self.super_kind_of(name, &owners) {
-                Some(k) => cur = k,
-                None => break,
-            }
-        }
-        for (name, owners) in chain.iter().rev() {
-            let info = &self.region_kinds[name];
-            let s = Subst::from_formals(&info.formal_names, owners);
-            for sr in &info.decl.subregions {
-                out.push((
-                    sr.name.name,
-                    SubregionInfo {
-                        kind: resolve_kind(&sr.kind, &no_regions).subst(&s),
-                        policy: sr.policy,
-                        thread: sr.thread,
-                    },
-                ));
-            }
-        }
-        out
+        let chain: Vec<_> = self.kind_chain(kind.into(), owners).collect();
+        let members = chain.iter().rev().flat_map(|(info, s)| {
+            let subregions = info.decl.subregions.iter();
+            subregions.map(move |sr| (sr.name.name, SubregionInfo::of(sr, s)))
+        });
+        members.collect()
     }
 
     // ------------------------------------------------- structural WF checks
@@ -774,9 +644,11 @@ impl ProgramTable {
     fn check_class_structure(&self, info: &ClassInfo, errors: &mut Vec<TypeError>) {
         let name = info.decl.name.name;
         // Detect unknown superclasses and cycles by walking up with a
-        // visited set.
+        // visited set: the one class walk that needs a cycle guard, since
+        // it runs before the table is known to be acyclic.
         let mut seen = HashSet::new();
         seen.insert(name);
+        let mut cyclic = false;
         let mut cur = info.decl.extends.as_ref().map(|ct| ct.name.name);
         while let Some(c) = cur {
             if c == "Object" {
@@ -787,6 +659,7 @@ impl ProgramTable {
                     format!("cycle in class hierarchy involving `{name}`"),
                     info.decl.name.span,
                 ));
+                cyclic = true;
                 break;
             }
             match self.classes.get(&c) {
@@ -893,12 +766,14 @@ impl ProgramTable {
                 ));
             }
         }
-        // Fields inherited from superclasses must not be redeclared.
+        // Fields inherited from superclasses must not be redeclared. The
+        // rule walks the class chain, so it runs only when the walk above
+        // found no cycle.
         if let Some((sup, sup_args)) = info
             .decl
             .extends
             .as_ref()
-            .filter(|ct| ct.name.name != "Object")
+            .filter(|ct| !cyclic && ct.name.name != "Object")
             .map(|ct| {
                 let args: Vec<Owner> = ct
                     .owners
@@ -1013,10 +888,14 @@ impl ProgramTable {
                 (*name, p)
             })
             .collect();
+        // The parent walk stops at a repeat: a cyclic region-kind
+        // hierarchy is reported by `check_region_kind_hierarchy`, and this
+        // rule runs in the same `build`.
         let all_subs = |k: Symbol| -> Vec<Symbol> {
             let mut out = Vec::new();
+            let mut seen = HashSet::new();
             let mut cur = Some(k);
-            while let Some(c) = cur {
+            while let Some(c) = cur.filter(|c| seen.insert(*c)) {
                 if let Some(es) = edges.get(&c) {
                     out.extend(es.iter().copied());
                 }
@@ -1133,8 +1012,8 @@ mod tests {
         )
         .unwrap();
         assert!(t.class("TStack").is_some());
-        let ft = t
-            .field_type("TStack", &[Owner::Region("r".into()), Owner::Heap], "head")
+        let (_, ft) = t
+            .field("TStack", &[Owner::Region("r".into()), Owner::Heap], "head")
             .unwrap();
         assert_eq!(ft, SType::class("TNode", vec![Owner::This, Owner::Heap]));
     }
@@ -1152,6 +1031,59 @@ mod tests {
         );
         assert!(table("class A<Owner o, Owner o> { } { }").is_err());
         assert!(table("class A { } { }").is_err(), "zero formals rejected");
+    }
+
+    fn messages(src: &str) -> Vec<String> {
+        let errs = table(src).expect_err("the table is rejected");
+        errs.into_iter().map(|e| e.message).collect()
+    }
+
+    /// A cyclic hierarchy reports its cycle and nothing the chain walks
+    /// would find on it: no field is "inherited" from the class itself.
+    #[test]
+    fn a_cyclic_class_hierarchy_reports_only_its_cycles() {
+        assert_eq!(
+            messages("class A<Owner o> extends A<o> { int f; } { }"),
+            ["cycle in class hierarchy involving `A`"]
+        );
+        assert_eq!(
+            messages(
+                "class A<Owner o> extends B<o> { int f; int g; } \
+                 class B<Owner o> extends A<o> { int h; } { }"
+            ),
+            [
+                "cycle in class hierarchy involving `A`",
+                "cycle in class hierarchy involving `B`"
+            ]
+        );
+        // `C` is outside the cycle but its chain runs into it.
+        assert_eq!(
+            messages(
+                "class A<Owner o> extends B<o> { int f; } \
+                 class B<Owner o> extends A<o> { int g; } \
+                 class C<Owner o> extends A<o> { int f; int k; } { }"
+            ),
+            [
+                "cycle in class hierarchy involving `A`",
+                "cycle in class hierarchy involving `B`",
+                "cycle in class hierarchy involving `C`"
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cyclic_region_kind_hierarchy_reports_only_its_cycles() {
+        assert_eq!(
+            messages(
+                "regionKind A extends B { } regionKind B extends A { } \
+                 regionKind C extends C { subregion A : VT NoRT a; } { }"
+            ),
+            [
+                "cycle in region-kind hierarchy involving `A`",
+                "cycle in region-kind hierarchy involving `B`",
+                "cycle in region-kind hierarchy involving `C`"
+            ]
+        );
     }
 
     #[test]
@@ -1184,7 +1116,7 @@ mod tests {
         .unwrap();
         let owners = vec![Owner::Heap, Owner::Immortal];
         assert_eq!(
-            t.field_type("A", &owners, "data"),
+            t.field("A", &owners, "data").map(|(_, ty)| ty),
             Some(SType::class("C", vec![Owner::Heap]))
         );
         let fields = t.all_fields("A", &owners);

@@ -88,110 +88,139 @@ fn all_owners() -> Vec<Owner> {
     v
 }
 
+/// `≽` is a preorder containing `≽ₒ`, and `heap`/`immortal` are top
+/// among regions (R1, R2).
+fn outlives_laws_hold(f: &Facts) {
+    let env = build_env(f);
+    let owners = all_owners();
+    // Reflexivity.
+    for o in &owners {
+        assert!(env.outlives(o, o));
+        assert!(env.owns(o, o));
+    }
+    // Transitivity (both relations).
+    for a in &owners {
+        for b in &owners {
+            for c in &owners {
+                if env.outlives(a, b) && env.outlives(b, c) {
+                    assert!(env.outlives(a, c), "{a} {b} {c}");
+                }
+                if env.owns(a, b) && env.owns(b, c) {
+                    assert!(env.owns(a, c), "{a} {b} {c}");
+                }
+            }
+        }
+    }
+    // R2: owns implies outlives.
+    for a in &owners {
+        for b in &owners {
+            if env.owns(a, b) {
+                assert!(env.outlives(a, b), "{a} owns {b}");
+            }
+        }
+    }
+    // R1: heap and immortal outlive every region.
+    for i in 0..N_REGIONS {
+        assert!(env.outlives(&Owner::Heap, &region(i)));
+        assert!(env.outlives(&Owner::Immortal, &region(i)));
+        assert!(!env.outlives(&region(i), &Owner::Heap));
+    }
+}
+
+/// O1: the ownership relation forms a forest — no two distinct owners
+/// both (transitively, properly) own each other.
+fn ownership_is_acyclic_holds(f: &Facts) {
+    let env = build_env(f);
+    let owners = all_owners();
+    for a in &owners {
+        for b in &owners {
+            if a != b {
+                assert!(
+                    !(env.owns(a, b) && env.owns(b, a)),
+                    "cycle between {a} and {b}"
+                );
+            }
+        }
+    }
+}
+
+/// Effects subsumption is monotone: growing the allowed set never
+/// un-covers an effect, and every owner covers itself.
+fn effects_monotone_holds(f: &Facts, extra: usize) {
+    let env = build_env(f);
+    let owners = all_owners();
+    for a in &owners {
+        let just_a: Effects = [*a].into_iter().collect();
+        assert!(env.effect_covered(&just_a, a), "{a} covers itself");
+        let mut bigger = just_a.clone();
+        bigger.insert(region(extra));
+        for o in &owners {
+            if env.effect_covered(&just_a, o) {
+                assert!(env.effect_covered(&bigger, o));
+            }
+        }
+    }
+}
+
+/// Handle availability propagates both ways along ownership: an owner
+/// and its owned object live in the same region.
+fn handle_availability_follows_ownership_holds(f: &Facts) {
+    let mut env = build_env(f);
+    // Give r0 a handle.
+    env.add_handle(region(0));
+    for (i, owner) in f.object_owner.iter().enumerate() {
+        // Objects rooted (transitively) in r0 have an available handle.
+        let mut root = *owner;
+        loop {
+            match root {
+                Ok(r) => {
+                    if r == 0 {
+                        assert!(env.handle_available(&formal(i)), "f{i} rooted in r0");
+                    }
+                    break;
+                }
+                Err(o) => root = f.object_owner[o],
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `≽` is a preorder containing `≽ₒ`, and `heap`/`immortal` are top
-    /// among regions (R1, R2).
     #[test]
     fn outlives_laws(f in facts_strategy()) {
-        let env = build_env(&f);
-        let owners = all_owners();
-        // Reflexivity.
-        for o in &owners {
-            prop_assert!(env.outlives(o, o));
-            prop_assert!(env.owns(o, o));
-        }
-        // Transitivity (both relations).
-        for a in &owners {
-            for b in &owners {
-                for c in &owners {
-                    if env.outlives(a, b) && env.outlives(b, c) {
-                        prop_assert!(env.outlives(a, c), "{a} {b} {c}");
-                    }
-                    if env.owns(a, b) && env.owns(b, c) {
-                        prop_assert!(env.owns(a, c), "{a} {b} {c}");
-                    }
-                }
-            }
-        }
-        // R2: owns implies outlives.
-        for a in &owners {
-            for b in &owners {
-                if env.owns(a, b) {
-                    prop_assert!(env.outlives(a, b), "{a} owns {b}");
-                }
-            }
-        }
-        // R1: heap and immortal outlive every region.
-        for i in 0..N_REGIONS {
-            prop_assert!(env.outlives(&Owner::Heap, &region(i)));
-            prop_assert!(env.outlives(&Owner::Immortal, &region(i)));
-            prop_assert!(!env.outlives(&region(i), &Owner::Heap));
-        }
+        outlives_laws_hold(&f);
     }
 
-    /// O1: the ownership relation forms a forest — no two distinct owners
-    /// both (transitively, properly) own each other.
     #[test]
     fn ownership_is_acyclic(f in facts_strategy()) {
-        let env = build_env(&f);
-        let owners = all_owners();
-        for a in &owners {
-            for b in &owners {
-                if a != b {
-                    prop_assert!(
-                        !(env.owns(a, b) && env.owns(b, a)),
-                        "cycle between {a} and {b}"
-                    );
-                }
-            }
-        }
+        ownership_is_acyclic_holds(&f);
     }
 
-    /// Effects subsumption is monotone: growing the allowed set never
-    /// un-covers an effect, and every owner covers itself.
     #[test]
     fn effects_monotone(f in facts_strategy(), extra in 0..N_REGIONS) {
-        let env = build_env(&f);
-        let owners = all_owners();
-        for a in &owners {
-            let just_a: Effects = [*a].into_iter().collect();
-            prop_assert!(env.effect_covered(&just_a, a), "{a} covers itself");
-            let mut bigger = just_a.clone();
-            bigger.insert(region(extra));
-            for o in &owners {
-                if env.effect_covered(&just_a, o) {
-                    prop_assert!(env.effect_covered(&bigger, o));
-                }
-            }
-        }
+        effects_monotone_holds(&f, extra);
     }
 
-    /// Handle availability propagates both ways along ownership: an owner
-    /// and its owned object live in the same region.
     #[test]
     fn handle_availability_follows_ownership(f in facts_strategy()) {
-        let mut env = build_env(&f);
-        // Give r0 a handle.
-        env.add_handle(region(0));
-        for (i, owner) in f.object_owner.iter().enumerate() {
-            // Objects rooted (transitively) in r0 have an available handle.
-            let mut root = *owner;
-            loop {
-                match root {
-                    Ok(r) => {
-                        if r == 0 {
-                            prop_assert!(
-                                env.handle_available(&formal(i)),
-                                "f{i} rooted in r0"
-                            );
-                        }
-                        break;
-                    }
-                    Err(o) => root = f.object_owner[o],
-                }
-            }
-        }
+        handle_availability_follows_ownership_holds(&f);
     }
+}
+
+/// A fact base an earlier run of the properties shrank a failure to:
+/// no region edges, and every object owned by `r0`.
+#[test]
+fn the_four_laws_hold_with_every_object_owned_by_one_region() {
+    let f = Facts {
+        region_edges: vec![],
+        object_owner: vec![Ok(0); N_OBJECTS],
+    };
+    outlives_laws_hold(&f);
+    ownership_is_acyclic_holds(&f);
+    for extra in 0..N_REGIONS {
+        effects_monotone_holds(&f, extra);
+    }
+    handle_availability_follows_ownership_holds(&f);
 }
