@@ -1,10 +1,14 @@
 //! Hand-written lexer for the core language.
 //!
-//! The lexer converts a source string into a vector of [`Token`]s, skipping
-//! whitespace and both `//` line and `/* ... */` block comments.
+//! The lexer converts a source string into [`Token`]s, skipping
+//! whitespace and both `//` line and `/* ... */` block comments. It
+//! lexes in chunks: `Lexer::fill` appends tokens to a buffer until the
+//! buffer reaches a given length or the input ends, so the parser reads
+//! a program through one small window that it refills, and [`lex`]
+//! collects the whole program by filling without a limit.
 //!
 //! Names and string literals are interned here, so tokens are `Copy` and
-//! the parser allocates nothing per token. A lex keeps a map from each
+//! the parser allocates nothing per token. A lexer keeps a map from each
 //! name's source text to its [`Symbol`], so a name that recurs is looked
 //! up without a copy of its text and without the global table's lock;
 //! [`Symbol::intern`] runs once per distinct name per lex.
@@ -69,15 +73,20 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
 /// assert_eq!(toks[1].span, Span::new(106, 107));
 /// ```
 pub fn lex_at(src: &str, base: u32) -> Result<Vec<Token>, LexError> {
-    Lexer::new(src, base).run()
+    // The corpus runs 3.5 to 4.6 source bytes a token.
+    let mut tokens = Vec::with_capacity(src.len() / 3 + 1);
+    Lexer::new(src, base).fill(&mut tokens, usize::MAX)?;
+    Ok(tokens)
 }
 
-struct Lexer<'a> {
+/// A lexer part way through its input.
+pub(crate) struct Lexer<'a> {
     text: &'a str,
     src: &'a [u8],
     base: u32,
     pos: usize,
-    tokens: Vec<Token>,
+    /// Whether the [`TokenKind::Eof`] token has been produced.
+    done: bool,
     /// The symbol of every name lexed so far, by its source text. The
     /// names come from outside the program, so the map keeps the default
     /// hasher, which resists keys crafted to collide.
@@ -87,17 +96,73 @@ struct Lexer<'a> {
 }
 
 impl<'a> Lexer<'a> {
-    fn new(text: &'a str, base: u32) -> Self {
+    /// A lexer at the start of `text`, which begins at byte `base` of the
+    /// whole source.
+    pub(crate) fn new(text: &'a str, base: u32) -> Self {
         Lexer {
             text,
             src: text.as_bytes(),
             base,
             pos: 0,
-            // The corpus runs 3.5 to 4.6 source bytes a token.
-            tokens: Vec::with_capacity(text.len() / 3 + 1),
+            done: false,
             names: HashMap::new(),
             literal: String::new(),
         }
+    }
+
+    /// Whether the [`TokenKind::Eof`] token has been produced.
+    pub(crate) fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Appends tokens to `out` until it holds `limit` tokens or the input
+    /// ends, in which case the last token appended is
+    /// [`TokenKind::Eof`]. A lexer past its `Eof` appends nothing.
+    ///
+    /// # Errors
+    ///
+    /// The first lexical error in the input; `out` then holds the tokens
+    /// before it.
+    pub(crate) fn fill(&mut self, out: &mut Vec<Token>, limit: usize) -> Result<(), LexError> {
+        while out.len() < limit && !self.done {
+            let start = self.pos;
+            let Some(b) = self.peek() else {
+                self.done = true;
+                out.push(Token {
+                    kind: TokenKind::Eof,
+                    span: self.span(start),
+                });
+                break;
+            };
+            let kind = match b {
+                b' ' | b'\t' | b'\r' | b'\n' => {
+                    self.pos += 1;
+                    continue;
+                }
+                b'/' if self.peek2() == Some(b'/') => {
+                    while let Some(c) = self.peek() {
+                        if c == b'\n' {
+                            break;
+                        }
+                        self.pos += 1;
+                    }
+                    continue;
+                }
+                b'/' if self.peek2() == Some(b'*') => {
+                    self.block_comment(start)?;
+                    continue;
+                }
+                b'0'..=b'9' => self.number(start)?,
+                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(start),
+                b'"' => self.string(start)?,
+                _ => self.punct(start)?,
+            };
+            out.push(Token {
+                kind,
+                span: self.span(start),
+            });
+        }
+        Ok(())
     }
 
     /// The whole (possibly multi-byte) character starting at byte `at`.
@@ -126,11 +191,6 @@ impl<'a> Lexer<'a> {
         Some(b)
     }
 
-    fn push(&mut self, kind: TokenKind, start: usize) {
-        let span = self.span(start);
-        self.tokens.push(Token { kind, span });
-    }
-
     fn error(&self, message: impl Into<String>, start: usize) -> LexError {
         LexError {
             message: message.into(),
@@ -138,80 +198,48 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn run(mut self) -> Result<Vec<Token>, LexError> {
-        while let Some(b) = self.peek() {
-            let start = self.pos;
-            match b {
-                b' ' | b'\t' | b'\r' | b'\n' => {
-                    self.bump();
-                }
-                b'/' if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                b'/' if self.peek2() == Some(b'*') => {
-                    self.bump();
-                    self.bump();
-                    let mut closed = false;
-                    while let Some(c) = self.bump() {
-                        if c == b'*' && self.peek() == Some(b'/') {
-                            self.bump();
-                            closed = true;
-                            break;
-                        }
-                    }
-                    if !closed {
-                        return Err(self.error("unterminated block comment", start));
-                    }
-                }
-                b'0'..=b'9' => self.number(start)?,
-                b'a'..=b'z' | b'A'..=b'Z' | b'_' => self.ident(start),
-                b'"' => self.string(start)?,
-                _ => self.punct(start)?,
+    fn block_comment(&mut self, start: usize) -> Result<(), LexError> {
+        self.pos += 2;
+        while let Some(c) = self.bump() {
+            if c == b'*' && self.peek() == Some(b'/') {
+                self.pos += 1;
+                return Ok(());
             }
         }
-        let end = self.pos;
-        self.push(TokenKind::Eof, end);
-        Ok(self.tokens)
+        Err(self.error("unterminated block comment", start))
     }
 
-    fn number(&mut self, start: usize) -> Result<(), LexError> {
+    fn number(&mut self, start: usize) -> Result<TokenKind, LexError> {
         while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.bump();
+            self.pos += 1;
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii digits");
         let value: i64 = text
             .parse()
             .map_err(|_| self.error(format!("integer literal `{text}` overflows i64"), start))?;
-        self.push(TokenKind::Int(value), start);
-        Ok(())
+        Ok(TokenKind::Int(value))
     }
 
-    fn ident(&mut self, start: usize) {
+    fn ident(&mut self, start: usize) -> TokenKind {
         while matches!(
             self.peek(),
             Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
         ) {
-            self.bump();
+            self.pos += 1;
         }
         let text: &'a str = &self.text[start..self.pos];
-        let kind = TokenKind::keyword(text).unwrap_or_else(|| {
+        TokenKind::keyword(text).unwrap_or_else(|| {
             TokenKind::Ident(
                 *self
                     .names
                     .entry(text)
                     .or_insert_with(|| Symbol::intern(text)),
             )
-        });
-        self.push(kind, start);
+        })
     }
 
-    fn string(&mut self, start: usize) -> Result<(), LexError> {
-        self.bump(); // opening quote
+    fn string(&mut self, start: usize) -> Result<TokenKind, LexError> {
+        self.pos += 1; // opening quote
         let mut value = std::mem::take(&mut self.literal);
         value.clear();
         loop {
@@ -235,23 +263,23 @@ impl<'a> Lexer<'a> {
                 }
             }
         }
-        self.push(TokenKind::Str(Symbol::intern(&value)), start);
+        let kind = TokenKind::Str(Symbol::intern(&value));
         self.literal = value;
-        Ok(())
+        Ok(kind)
     }
 
-    fn punct(&mut self, start: usize) -> Result<(), LexError> {
+    fn punct(&mut self, start: usize) -> Result<TokenKind, LexError> {
         use TokenKind::*;
         let b = self.bump().expect("peeked");
         let two = |l: &mut Self, second: u8, yes: TokenKind, no: TokenKind| {
             if l.peek() == Some(second) {
-                l.bump();
+                l.pos += 1;
                 yes
             } else {
                 no
             }
         };
-        let kind = match b {
+        Ok(match b {
             b'(' => LParen,
             b')' => RParen,
             b'{' => LBrace,
@@ -269,30 +297,22 @@ impl<'a> Lexer<'a> {
             b',' => Comma,
             b';' => Semi,
             b':' => Colon,
-            b'&' => {
-                if self.peek() == Some(b'&') {
-                    self.bump();
-                    AndAnd
-                } else {
-                    return Err(self.error("expected `&&`", start));
-                }
+            b'&' if self.peek() == Some(b'&') => {
+                self.pos += 1;
+                AndAnd
             }
-            b'|' => {
-                if self.peek() == Some(b'|') {
-                    self.bump();
-                    OrOr
-                } else {
-                    return Err(self.error("expected `||`", start));
-                }
+            b'&' => return Err(self.error("expected `&&`", start)),
+            b'|' if self.peek() == Some(b'|') => {
+                self.pos += 1;
+                OrOr
             }
+            b'|' => return Err(self.error("expected `||`", start)),
             _ => {
                 let c = self.char_at(start);
                 self.pos = start + c.len_utf8();
                 return Err(self.error(format!("unrecognized character `{c}`"), start));
             }
-        };
-        self.push(kind, start);
-        Ok(())
+        })
     }
 }
 

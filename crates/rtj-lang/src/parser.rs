@@ -17,7 +17,7 @@
 //! thread's stack.
 
 use crate::ast::*;
-use crate::lexer::{lex, lex_at, LexError};
+use crate::lexer::{LexError, Lexer};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::fmt;
@@ -55,7 +55,8 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical error in `src` if it has one, and
+/// otherwise the first syntactic error.
 ///
 /// # Examples
 ///
@@ -66,8 +67,7 @@ impl From<LexError> for ParseError {
 /// # Ok::<(), rtj_lang::parser::ParseError>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
-    let tokens = lex(src)?;
-    Parser::new(tokens).program()
+    Parser::new(src, 0).finish(Parser::program)
 }
 
 /// Parses `src` as exactly one class declaration that starts at byte
@@ -77,8 +77,9 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error, including any text
-/// after the declaration's closing brace.
+/// Returns the first lexical error in `src` if it has one, and otherwise
+/// the first syntactic error, including any text after the
+/// declaration's closing brace.
 ///
 /// # Examples
 ///
@@ -90,10 +91,11 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// # Ok::<(), rtj_lang::parser::ParseError>(())
 /// ```
 pub fn parse_class_at(src: &str, base: u32) -> Result<ClassDecl, ParseError> {
-    let mut p = Parser::new(lex_at(src, base)?);
-    let decl = p.class_decl()?;
-    p.expect(&TokenKind::Eof)?;
-    Ok(decl)
+    Parser::new(src, base).finish(|p| {
+        let decl = p.class_decl()?;
+        p.expect(&TokenKind::Eof)?;
+        Ok(decl)
+    })
 }
 
 /// Parses `src` as a program's main block, starting at byte `base` of the
@@ -101,25 +103,28 @@ pub fn parse_class_at(src: &str, base: u32) -> Result<ClassDecl, ParseError> {
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical error in `src` if it has one, and otherwise
+/// the first syntactic error.
 pub fn parse_block_at(src: &str, base: u32) -> Result<Block, ParseError> {
-    let mut p = Parser::new(lex_at(src, base)?);
-    let block = p.block()?;
-    p.expect(&TokenKind::Eof)?;
-    Ok(block)
+    Parser::new(src, base).finish(|p| {
+        let block = p.block()?;
+        p.expect(&TokenKind::Eof)?;
+        Ok(block)
+    })
 }
 
 /// Parses a single expression (useful for tests and the REPL-ish CLI).
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical error in `src` if it has one, and otherwise
+/// the first syntactic error.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
-    let e = p.expr()?;
-    p.expect(&TokenKind::Eof)?;
-    Ok(e)
+    Parser::new(src, 0).finish(|p| {
+        let e = p.expr()?;
+        p.expect(&TokenKind::Eof)?;
+        Ok(e)
+    })
 }
 
 /// The binary operators by precedence level, loosest first. Every level
@@ -145,19 +150,106 @@ const BINARY_LEVELS: [&[(TokenKind, BinOp)]; 6] = [
     ],
 ];
 
-struct Parser {
+/// Tokens the parser can always see past the current one: the deepest
+/// lookahead, [`Parser::looks_like_owner_args`], peeks 66 ahead.
+const LOOKAHEAD: usize = 72;
+
+/// The most tokens the window holds, enough for a few thousand tokens
+/// of a whole program between refills.
+const MAX_WINDOW: usize = 4096;
+
+/// The parser reads its tokens through a window that the lexer refills
+/// in chunks, so no parse holds the tokens of a whole program: it sees
+/// the current token, the one before it (for [`Parser::prev_span`]) and
+/// at least [`LOOKAHEAD`] after it, or every token to `Eof`.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The window: `tokens[pos]` is the current token.
     tokens: Vec<Token>,
     pos: usize,
+    /// The position at which [`Parser::bump`] refills the window:
+    /// [`LOOKAHEAD`] before its end while the lexer has input left, and
+    /// out of reach once the window ends with `Eof`.
+    refill_at: usize,
+    /// The first lexical error, found when the window was filled. The
+    /// window then ends with an `Eof` at the error, so the parse stops,
+    /// and [`Parser::finish`] reports this error instead of its result.
+    lex_error: Option<LexError>,
     /// Nesting levels entered around the current token.
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Self {
-        Parser {
-            tokens,
+impl<'a> Parser<'a> {
+    /// A parser over `src`, which starts at byte `base` of the whole
+    /// source. The window is sized to the input: a fragment's whole
+    /// token stream fits in it at once, and a whole program passes
+    /// through at most [`MAX_WINDOW`] tokens at a time.
+    fn new(src: &'a str, base: u32) -> Self {
+        // The corpus runs 3.5 to 4.6 source bytes a token, so a third
+        // of the length bounds the token count of most inputs.
+        let window = (src.len() / 3 + 2).clamp(2 * LOOKAHEAD, MAX_WINDOW);
+        let mut p = Parser {
+            lexer: Lexer::new(src, base),
+            tokens: Vec::with_capacity(window),
             pos: 0,
+            refill_at: usize::MAX,
+            lex_error: None,
             depth: 0,
+        };
+        p.fill();
+        p
+    }
+
+    /// Lexes into the window up to its capacity and sets the next refill
+    /// point. A lexical error ends the window with an `Eof` at the
+    /// error.
+    fn fill(&mut self) {
+        let window = self.tokens.capacity();
+        if let Err(e) = self.lexer.fill(&mut self.tokens, window) {
+            self.tokens.push(Token {
+                kind: TokenKind::Eof,
+                span: e.span,
+            });
+            self.lex_error = Some(e);
+        }
+        self.refill_at = match self.tokens.last() {
+            Some(t) if t.kind != TokenKind::Eof => self.tokens.len() - LOOKAHEAD,
+            _ => usize::MAX,
+        };
+    }
+
+    /// Slides the window past the tokens already read, keeping the
+    /// previous token, and fills it again.
+    #[cold]
+    fn refill(&mut self) {
+        let keep = self.pos - 1;
+        self.tokens.copy_within(keep.., 0);
+        self.tokens.truncate(self.tokens.len() - keep);
+        self.pos -= keep;
+        self.fill();
+    }
+
+    /// Runs `parse` and settles its result: a lexical error anywhere in
+    /// the input wins over the parse's own, so a failed parse lexes the
+    /// rest of the input before it answers.
+    fn finish<T>(
+        mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let result = parse(&mut self);
+        if result.is_err() && self.lex_error.is_none() {
+            let window = self.tokens.capacity();
+            self.tokens.clear();
+            while !self.lexer.is_done() {
+                if let Err(e) = self.lexer.fill(&mut self.tokens, window) {
+                    return Err(e.into());
+                }
+                self.tokens.clear();
+            }
+        }
+        match self.lex_error {
+            Some(e) => Err(e.into()),
+            None => result,
         }
     }
 
@@ -166,6 +258,7 @@ impl Parser {
     }
 
     fn peek_at(&self, n: usize) -> &TokenKind {
+        debug_assert!(n < LOOKAHEAD, "the window shows {LOOKAHEAD} tokens ahead");
         let i = (self.pos + n).min(self.tokens.len() - 1);
         &self.tokens[i].kind
     }
@@ -182,6 +275,9 @@ impl Parser {
         let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
+            if self.pos == self.refill_at {
+                self.refill();
+            }
         }
         t
     }
@@ -346,11 +442,7 @@ impl Parser {
                 }
                 self.expect(&TokenKind::RParen)?;
                 let effects = if self.eat(&TokenKind::Accesses) {
-                    let mut list = vec![self.owner_ref()?];
-                    while self.eat(&TokenKind::Comma) {
-                        list.push(self.owner_ref()?);
-                    }
-                    Some(list)
+                    Some(self.owner_list()?)
                 } else {
                     None
                 };
@@ -528,11 +620,22 @@ impl Parser {
 
     fn owner_args(&mut self) -> Result<Vec<OwnerRef>, ParseError> {
         self.expect(&TokenKind::Lt2)?;
-        let mut owners = vec![self.owner_ref()?];
+        let owners = self.owner_list()?;
+        self.expect(&TokenKind::Gt)?;
+        Ok(owners)
+    }
+
+    /// A comma-separated list of one or more owners. Lists of one or two
+    /// owners, nearly all of them, take one exact allocation.
+    fn owner_list(&mut self) -> Result<Vec<OwnerRef>, ParseError> {
+        let first = self.owner_ref()?;
+        if !self.eat(&TokenKind::Comma) {
+            return Ok(vec![first]);
+        }
+        let mut owners = vec![first, self.owner_ref()?];
         while self.eat(&TokenKind::Comma) {
             owners.push(self.owner_ref()?);
         }
-        self.expect(&TokenKind::Gt)?;
         Ok(owners)
     }
 
@@ -1039,6 +1142,49 @@ mod tests {
         assert_eq!(format!("{main:?}"), format!("{:?}", whole.main));
         assert!(parse_class_at("class A<Owner o> { int v; ", 0).is_err());
         assert!(parse_class_at("regionKind K { }", 0).is_err());
+    }
+
+    /// A lexical error anywhere wins over a syntax error before it, in
+    /// every entry point, even past the first window of tokens.
+    #[test]
+    fn a_lexical_error_wins_over_an_earlier_syntax_error() {
+        let lexical = "unrecognized character `#`";
+        let msg = |r: Result<(), ParseError>| r.unwrap_err().message;
+        let src = "class A<Owner o> { int f } #";
+        assert_eq!(msg(parse_program(src).map(drop)), lexical);
+        assert_eq!(msg(parse_class_at(src, 0).map(drop)), lexical);
+        assert_eq!(msg(parse_block_at("{ let x = ; } #", 0).map(drop)), lexical);
+        assert_eq!(msg(parse_expr("1 + ) #").map(drop)), lexical);
+        let far = format!("{{ let = 1; {} }} #", "x; ".repeat(3 * MAX_WINDOW));
+        let err = parse_program(&far).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.span.start as usize),
+            (lexical, far.len() - 1)
+        );
+        // A lexical error after a complete program still fails it.
+        assert_eq!(msg(parse_program("{ } #").map(drop)), lexical);
+        // With no lexical error, the syntax error stands.
+        assert_eq!(
+            msg(parse_program("class A<Owner o> { int f }").map(drop)),
+            "expected `;` (field) or `(`/`<` (method), found `}`"
+        );
+    }
+
+    /// `a.m<o1, …, o30>(x)` is a call wherever it falls against the
+    /// window's refill points: the owner-argument scan looks 62 tokens
+    /// ahead of the `<`.
+    #[test]
+    fn the_owner_argument_scan_sees_past_every_refill_point() {
+        let owners: Vec<String> = (1..=30).map(|i| format!("o{i}")).collect();
+        let call = format!("a.m<{}>(x);", owners.join(", "));
+        for fillers in 0..=MAX_WINDOW + 100 {
+            let src = format!("{{ {} {call} }}", "x; ".repeat(fillers));
+            let p = parse_program(&src).unwrap();
+            match &p.main.stmts[fillers] {
+                Stmt::Expr(Expr::Call { owner_args, .. }) => assert_eq!(owner_args.len(), 30),
+                other => panic!("{fillers} fillers: expected a call, got {other:?}"),
+            }
+        }
     }
 
     #[test]

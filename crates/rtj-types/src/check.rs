@@ -271,12 +271,13 @@ pub(crate) struct UnitResult {
     pub(crate) time: Option<(Duration, Duration)>,
 }
 
-/// Checks each `(slot, class)` unit of `units` in a fresh [`Checker`], on
-/// up to `workers` threads, and returns each result in its slot; a slot
-/// no unit names stays `None`. Each class is checked in an environment of
-/// its own, so every result, counters included, is the same whatever the
-/// thread count or the order the workers take units in. With `clock`
-/// (the pass's start) each unit is timed against it.
+/// Checks each `(slot, class)` unit of `units` on up to `workers`
+/// threads, one [`Checker`] per thread, and returns each result in its
+/// slot; a slot no unit names stays `None`. A unit leaves its checker as
+/// it found it (see [`Checker::check_class`]), so every result, counters
+/// included, is the same whatever the thread count or the order the
+/// workers take units in. With `clock` (the pass's start) each unit is
+/// timed against it.
 pub(crate) fn check_units<'a>(
     table: &ProgramTable,
     workers: usize,
@@ -284,21 +285,21 @@ pub(crate) fn check_units<'a>(
     slots: usize,
     clock: Option<Instant>,
 ) -> Vec<Option<UnitResult>> {
-    let check = |c: &mut ClassDecl| {
+    let check = |ck: &mut Checker, c: &mut ClassDecl| {
         let c0 = clock.map(|start| start.elapsed());
-        let mut ck = Checker::new(table);
         ck.check_class(c);
         UnitResult {
-            errors: ck.errors,
-            methods_checked: ck.methods_checked,
-            judgments: ck.judgments,
+            errors: std::mem::take(&mut ck.errors),
+            methods_checked: std::mem::take(&mut ck.methods_checked),
+            judgments: std::mem::take(&mut ck.judgments),
             time: clock.zip(c0).map(|(start, c0)| (c0, start.elapsed() - c0)),
         }
     };
     let mut results: Vec<Option<UnitResult>> = (0..slots).map(|_| None).collect();
     if workers <= 1 {
+        let mut ck = Checker::new(table);
         for (i, c) in units {
-            results[i] = Some(check(c));
+            results[i] = Some(check(&mut ck, c));
         }
         return results;
     }
@@ -307,11 +308,12 @@ pub(crate) fn check_units<'a>(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
+                    let mut ck = Checker::new(table);
                     let mut done = Vec::new();
                     loop {
                         let item = queue.lock().expect("taking a unit never panics").next();
                         let Some((i, c)) = item else { break };
-                        done.push((i, check(c)));
+                        done.push((i, check(&mut ck, c)));
                     }
                     done
                 })
@@ -333,6 +335,11 @@ pub(crate) fn check_units<'a>(
 /// routines the batch driver runs, one unit at a time.
 pub(crate) struct Checker<'t> {
     table: &'t ProgramTable,
+    /// The base environment of `[PROG]`. Each class's environment
+    /// extends it under a scope mark and is rolled back when the class
+    /// is done, so one environment serves every class the checker
+    /// checks.
+    base: Env,
     pub(crate) errors: Vec<TypeError>,
     pub(crate) methods_checked: usize,
     pub(crate) judgments: JudgmentCounters,
@@ -342,6 +349,7 @@ impl<'t> Checker<'t> {
     pub(crate) fn new(table: &'t ProgramTable) -> Checker<'t> {
         Checker {
             table,
+            base: Env::base(),
             errors: Vec::new(),
             methods_checked: 0,
             judgments: JudgmentCounters::default(),
@@ -367,11 +375,10 @@ impl<'t> Checker<'t> {
         }
     }
 
-    /// Folds an environment's judgment-cache counters into the run totals.
-    /// Counters reset when an `Env` is cloned, so each environment is
-    /// absorbed exactly once, just before it goes out of scope.
+    /// Folds an environment's judgment-cache counters into the run totals
+    /// and resets them, so no judgment is counted twice.
     pub(crate) fn absorb_env(&mut self, env: &Env) {
-        self.judgments.absorb(&env.judgment_counters());
+        self.judgments.absorb(&env.take_judgment_counters());
     }
 
     // -------------------------------------------------------------- resolve
@@ -678,20 +685,23 @@ impl<'t> Checker<'t> {
         self.absorb_env(&env);
     }
 
-    /// The environment of `[CLASS DEF]`.
-    fn class_env(&mut self, info: &ClassInfo) -> Env {
-        let mut env = Env::base();
+    /// Runs `check` in the environment of `[CLASS DEF]` for `info`: the
+    /// base environment, extended under a scope mark, then absorbed and
+    /// rolled back by [`Env::leave_declaration`], so the checker is left
+    /// as it was found.
+    fn in_class_env(&mut self, info: &ClassInfo, check: impl FnOnce(&mut Self, &mut Env)) {
+        let mut env = std::mem::take(&mut self.base);
+        let class_scope = env.mark();
         for (name, kind) in info.formal_names.iter().zip(&info.formal_kinds) {
             env.declare_owner(Owner::Formal(*name), kind.clone());
         }
         self.assume_constraints(&mut env, &info.decl.where_clauses);
-        let owners: Vec<Owner> = info
-            .formal_names
-            .iter()
-            .map(|n| Owner::Formal(*n))
-            .collect();
+        let owners = info.formal_names.iter().map(|n| Owner::Formal(*n));
         env.set_this(info.decl.name.name, owners);
-        env
+        check(self, &mut env);
+        self.absorb_env(&env);
+        env.leave_declaration(class_scope);
+        self.base = env;
     }
 
     /// `[PROG]`: the main block runs on the main (regular) thread with
@@ -705,47 +715,50 @@ impl<'t> Checker<'t> {
         self.absorb_env(&env);
     }
 
+    /// `[CLASS DEF]`, on the checker's base environment, which it leaves
+    /// as it found it.
     pub(crate) fn check_class(&mut self, c: &mut ClassDecl) {
         let table = self.table;
         let Some(info) = table.class(c.name.name) else {
             return; // table construction already reported this
         };
-        let env = self.class_env(info);
-        if let Some(ext) = &c.extends {
-            let owners: Vec<Owner> = ext
-                .owners
-                .iter()
-                .filter_map(|o| self.resolve_owner(&env, o, false))
-                .collect();
-            if owners.len() == ext.owners.len() {
-                self.wf_class_type(&env, ext.name.name, &owners, ext.span);
+        self.in_class_env(info, |ck, env| {
+            if let Some(ext) = &c.extends {
+                let owners: Vec<Owner> = ext
+                    .owners
+                    .iter()
+                    .filter_map(|o| ck.resolve_owner(env, o, false))
+                    .collect();
+                if owners.len() == ext.owners.len() {
+                    ck.wf_class_type(env, ext.name.name, &owners, ext.span);
+                }
             }
-        }
-        for f in &c.fields {
-            self.resolve_type(&env, &f.ty);
-        }
-        for m in &mut c.methods {
-            self.check_method(info, &env, m);
-        }
-        self.absorb_env(&env);
+            for f in &c.fields {
+                ck.resolve_type(env, &f.ty);
+            }
+            for m in &mut c.methods {
+                ck.check_method(info, env, m);
+            }
+        });
     }
 
-    /// `[METHOD]`.
-    fn check_method(&mut self, info: &ClassInfo, class_env: &Env, m: &mut MethodDecl) {
-        let mut env = class_env.clone();
+    /// `[METHOD]`, on the class's environment `env`, which it extends
+    /// under a scope mark and rolls back.
+    fn check_method(&mut self, info: &ClassInfo, env: &mut Env, m: &mut MethodDecl) {
+        let method_scope = env.mark();
         for f in &m.formals {
             let k = resolve_kind(&f.kind, &|_| false);
             env.declare_owner(Owner::Formal(f.name.name), k);
         }
-        self.assume_constraints(&mut env, &m.where_clauses);
+        self.assume_constraints(env, &m.where_clauses);
         env.declare_owner(Owner::InitialRegion, Kind::Region);
         env.add_handle(Owner::InitialRegion);
         // A type that does not resolve is reported here, once: its
         // parameter is bound untyped, and an unknown return type checks
         // no `return` against it.
-        let ret = self.resolve_type(&env, &m.ret);
+        let ret = self.resolve_type(env, &m.ret);
         for p in &m.params {
-            match self.resolve_type(&env, &p.ty) {
+            match self.resolve_type(env, &p.ty) {
                 Some(t) => env.bind_var(p.name.name, t),
                 None => env.bind_untyped(p.name.name),
             }
@@ -756,7 +769,7 @@ impl<'t> Checker<'t> {
         match &m.effects {
             Some(list) => {
                 for o in list {
-                    if let Some(owner) = self.resolve_owner(&env, o, true) {
+                    if let Some(owner) = self.resolve_owner(env, o, true) {
                         if owner != Owner::Rt && env.kind_of(&owner).is_none() {
                             self.err(format!("effect owner `{owner}` has no kind here"), o.span());
                         }
@@ -775,7 +788,7 @@ impl<'t> Checker<'t> {
             }
         }
         for s in &mut m.body.stmts {
-            self.check_stmt(&mut env, &x, &Owner::InitialRegion, ret.as_ref(), false, s);
+            self.check_stmt(env, &x, &Owner::InitialRegion, ret.as_ref(), false, s);
         }
         if let Some(ret) = ret.filter(|r| *r != SType::Void && !always_returns(&m.body)) {
             self.err(
@@ -786,7 +799,7 @@ impl<'t> Checker<'t> {
                 m.span,
             );
         }
-        self.absorb_env(&env);
+        env.truncate_to(method_scope);
         self.methods_checked += 1;
     }
 
@@ -799,112 +812,114 @@ impl<'t> Checker<'t> {
             let Some(info) = table.class(c.name.name) else {
                 continue;
             };
-            let Some(ext) = &info.decl.extends else {
+            let Some(ext) = info
+                .decl
+                .extends
+                .as_ref()
+                .filter(|e| e.name.name != "Object")
+            else {
                 continue;
             };
-            if ext.name.name == "Object" {
-                continue;
+            self.in_class_env(info, |ck, env| ck.check_overrides(env, info, ext));
+        }
+    }
+
+    /// `InheritanceOK` + `OverridesOK` for class `info`, which extends
+    /// `ext`, in its class environment `env`.
+    fn check_overrides(&mut self, env: &Env, info: &ClassInfo, ext: &ClassType) {
+        let sup_args: Vec<Owner> = ext
+            .owners
+            .iter()
+            .filter_map(|o| self.resolve_owner(env, o, false))
+            .collect();
+        if sup_args.len() != ext.owners.len() {
+            return;
+        }
+        let Some(sup_info) = self.table.class(ext.name.name) else {
+            return;
+        };
+        // Superclass constraints must be implied by the subclass's.
+        let s = Subst::from_formals(&sup_info.formal_names, &sup_args);
+        for c in &sup_info.constraints {
+            let c = c.subst(&s);
+            if !self.constraint_holds(env, &c) {
+                self.err(
+                    format!(
+                        "constraint `{} {} {}` of superclass `{}` is not implied \
+                         by the constraints of `{}`",
+                        c.lhs, c.rel, c.rhs, ext.name, info.decl.name
+                    ),
+                    ext.span,
+                );
             }
-            let env = self.class_env(info);
-            let sup_args: Vec<Owner> = ext
-                .owners
-                .iter()
-                .filter_map(|o| self.resolve_owner(&env, o, false))
-                .collect();
-            if sup_args.len() != ext.owners.len() {
-                continue;
-            }
-            let Some(sup_info) = table.class(ext.name.name) else {
+        }
+        // Overriding methods.
+        let own_owners: Vec<Owner> = info
+            .formal_names
+            .iter()
+            .map(|n| Owner::Formal(*n))
+            .collect();
+        for m in &info.decl.methods {
+            let Some(sup_sig) = self.table.method_sig(ext.name.name, &sup_args, m.name.name) else {
                 continue;
             };
-            // Superclass constraints must be implied by the subclass's.
-            let s = Subst::from_formals(&sup_info.formal_names, &sup_args);
-            for c in &sup_info.constraints {
-                let c = c.subst(&s);
-                if !self.constraint_holds(&env, &c) {
-                    self.err(
-                        format!(
-                            "constraint `{} {} {}` of superclass `{}` is not implied \
-                             by the constraints of `{}`",
-                            c.lhs, c.rel, c.rhs, ext.name, info.decl.name
-                        ),
-                        ext.span,
-                    );
-                }
+            let my_sig = self
+                .table
+                .method_sig(info.decl.name.name, &own_owners, m.name.name)
+                .expect("own method exists");
+            if my_sig.formals.len() != sup_sig.formals.len()
+                || my_sig.params.len() != sup_sig.params.len()
+            {
+                self.err(
+                    format!(
+                        "method `{}` overrides a superclass method with a \
+                         different shape",
+                        m.name
+                    ),
+                    m.span,
+                );
+                continue;
             }
-            // Overriding methods.
-            for m in &info.decl.methods {
-                let Some(sup_sig) = self.table.method_sig(ext.name.name, &sup_args, m.name.name)
-                else {
-                    continue;
-                };
-                let my_sig = self
-                    .table
-                    .method_sig(
-                        info.decl.name.name,
-                        &info
-                            .formal_names
-                            .iter()
-                            .map(|n| Owner::Formal(*n))
-                            .collect::<Vec<_>>(),
-                        m.name.name,
-                    )
-                    .expect("own method exists");
-                if my_sig.formals.len() != sup_sig.formals.len()
-                    || my_sig.params.len() != sup_sig.params.len()
-                {
+            // Alpha-rename the super method's formals to ours.
+            let mut alpha = Subst::new();
+            for ((sn, _), (mn, _)) in sup_sig.formals.iter().zip(&my_sig.formals) {
+                alpha.push(*sn, Owner::Formal(*mn));
+            }
+            for ((_, mine), (_, sup)) in my_sig.params.iter().zip(&sup_sig.params) {
+                if *mine != sup.subst(&alpha) {
                     self.err(
                         format!(
-                            "method `{}` overrides a superclass method with a \
-                             different shape",
-                            m.name
-                        ),
-                        m.span,
-                    );
-                    continue;
-                }
-                // Alpha-rename the super method's formals to ours.
-                let mut alpha = Subst::new();
-                for ((sn, _), (mn, _)) in sup_sig.formals.iter().zip(&my_sig.formals) {
-                    alpha.push(*sn, Owner::Formal(*mn));
-                }
-                for ((_, mine), (_, sup)) in my_sig.params.iter().zip(&sup_sig.params) {
-                    if *mine != sup.subst(&alpha) {
-                        self.err(
-                            format!(
-                                "method `{}`: parameter types must match the \
-                                 overridden method",
-                                m.name
-                            ),
-                            m.span,
-                        );
-                    }
-                }
-                if my_sig.ret != sup_sig.ret.subst(&alpha) {
-                    self.err(
-                        format!(
-                            "method `{}`: return type must match the overridden method",
-                            m.name
-                        ),
-                        m.span,
-                    );
-                }
-                // The overrider's effects must be included in the
-                // overridden method's effects.
-                let sup_fx: Effects = alpha.apply_all(&sup_sig.effects).into_iter().collect();
-                let my_fx: Effects = my_sig.effects.iter().copied().collect();
-                if !env.effects_subsume(&sup_fx, &my_fx) {
-                    self.err(
-                        format!(
-                            "method `{}`: effects must be included among the \
-                             overridden method's effects",
+                            "method `{}`: parameter types must match the \
+                             overridden method",
                             m.name
                         ),
                         m.span,
                     );
                 }
             }
-            self.absorb_env(&env);
+            if my_sig.ret != sup_sig.ret.subst(&alpha) {
+                self.err(
+                    format!(
+                        "method `{}`: return type must match the overridden method",
+                        m.name
+                    ),
+                    m.span,
+                );
+            }
+            // The overrider's effects must be included in the
+            // overridden method's effects.
+            let sup_fx: Effects = sup_sig.effects.iter().map(|o| alpha.apply(o)).collect();
+            let my_fx: Effects = my_sig.effects.iter().copied().collect();
+            if !env.effects_subsume(&sup_fx, &my_fx) {
+                self.err(
+                    format!(
+                        "method `{}`: effects must be included among the \
+                         overridden method's effects",
+                        m.name
+                    ),
+                    m.span,
+                );
+            }
         }
     }
 
@@ -956,18 +971,26 @@ impl<'t> Checker<'t> {
                         }
                         None => env.bind_untyped(name.name),
                     },
+                    // A local whose type cannot be inferred is bound
+                    // untyped after its one error, so its uses add none.
                     None => match t_init {
-                        Some(SType::Null) => self.err(
-                            format!(
-                                "cannot infer a type for `{name}` from `null`; \
-                                 annotate the declaration"
-                            ),
-                            *span,
-                        ),
-                        Some(SType::Void) | Some(SType::Str) => self.err(
-                            format!("cannot bind `{name}` to a valueless expression"),
-                            *span,
-                        ),
+                        Some(SType::Null) => {
+                            self.err(
+                                format!(
+                                    "cannot infer a type for `{name}` from `null`; \
+                                     annotate the declaration"
+                                ),
+                                *span,
+                            );
+                            env.bind_untyped(name.name);
+                        }
+                        Some(SType::Void) | Some(SType::Str) => {
+                            self.err(
+                                format!("cannot bind `{name}` to a valueless expression"),
+                                *span,
+                            );
+                            env.bind_untyped(name.name);
+                        }
                         Some(t) => {
                             *ty = t.to_surface();
                             env.bind_var(name.name, t);
@@ -1578,14 +1601,16 @@ impl<'t> Checker<'t> {
                 pt.subst(&Subst::new().with_this(*r))
             }
             SType::Class { name, owners } => {
-                let Some((declared, ft)) = self.table.field(*name, owners, field.name) else {
+                let Some((ft, declared_mentions_this)) =
+                    self.table.field(*name, owners, field.name)
+                else {
                     self.err(format!("class `{name}` has no field `{field}`"), field.span);
                     return None;
                 };
                 // Fields whose declared type mentions `this` can only be
                 // accessed through `this` (otherwise the owner would be
                 // captured by the wrong object).
-                if !recv_is_this && declared.mentions_this() {
+                if !recv_is_this && declared_mentions_this {
                     self.err(
                         format!(
                             "field `{field}` is owned by its object (its type mentions \
@@ -1892,6 +1917,20 @@ mod tests {
                 "unknown class `Ghost5`",
                 "unknown class `Ghost6`"
             ]
+        );
+    }
+
+    /// A local whose type cannot be inferred is one error: it is bound
+    /// untyped, so its uses report nothing more.
+    #[test]
+    fn a_local_without_an_inferable_type_reports_one_error() {
+        let errs =
+            check("class C<Owner o> { int v; } { let x = null; let C<heap> c = x; x = null; }")
+                .unwrap_err();
+        let messages: Vec<&str> = errs.iter().map(|e| e.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            ["cannot infer a type for `x` from `null`; annotate the declaration"]
         );
     }
 

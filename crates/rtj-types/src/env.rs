@@ -128,7 +128,7 @@ impl JudgmentCounters {
 /// memo is the exception: it depends only on the program's region-kind
 /// hierarchy, which is immutable for the whole run, so it survives fact
 /// mutations.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct QueryCache {
     owns: HashMap<(Owner, Owner), bool>,
     outlives: HashMap<(Owner, Owner), bool>,
@@ -152,6 +152,10 @@ pub struct ScopeMark {
 }
 
 /// A typing environment.
+///
+/// One environment serves a whole checking unit: a class's environment
+/// extends the base one, and each method's extends the class's, each
+/// under a [`ScopeMark`] that is rolled back when the scope ends.
 #[derive(Debug, Default)]
 pub struct Env {
     /// Variable typings; `None` for a variable of unknown type.
@@ -161,31 +165,17 @@ pub struct Env {
     outlives_facts: Vec<(Owner, Owner)>,
     /// Regions whose handles are available through in-scope handle values.
     handle_regions: Vec<Owner>,
-    this_type: Option<(Symbol, Vec<Owner>)>,
+    /// The class of `this`, in a method context; its owners are
+    /// `this_owners`.
+    this_class: Option<Symbol>,
+    this_owners: Vec<Owner>,
     /// The kind of the owner `this`: `ObjOwner` inside class methods,
     /// the region kind itself inside `regionKind` declarations.
     this_kind: Option<Kind>,
     cache: RefCell<QueryCache>,
-}
-
-impl Clone for Env {
-    /// Clones keep the (still-valid) memoized judgments but reset the
-    /// hit/miss counters, so each environment's counters can be summed
-    /// into run-wide stats without double counting.
-    fn clone(&self) -> Env {
-        let mut cache = self.cache.borrow().clone();
-        cache.counters = JudgmentCounters::default();
-        Env {
-            vars: self.vars.clone(),
-            owner_kinds: self.owner_kinds.clone(),
-            owns_facts: self.owns_facts.clone(),
-            outlives_facts: self.outlives_facts.clone(),
-            handle_regions: self.handle_regions.clone(),
-            this_type: self.this_type.clone(),
-            this_kind: self.this_kind.clone(),
-            cache: RefCell::new(cache),
-        }
-    }
+    /// The search tree the deciding queries reuse: [`Env::owns`] and
+    /// [`Env::outlives`] read only whether the search succeeded.
+    search: RefCell<SearchTree>,
 }
 
 impl Env {
@@ -214,9 +204,9 @@ impl Env {
     }
 
     /// Judgment-cache counters `(hits, misses)` summed over every family,
-    /// accumulated by this environment since it was created (cloning
-    /// resets the clone's counters, so per-environment totals can be
-    /// summed). See [`Env::judgment_counters`] for the per-family split.
+    /// accumulated by this environment since it was created or its
+    /// counters were last taken. See [`Env::judgment_counters`] for the
+    /// per-family split.
     pub fn cache_counters(&self) -> (u64, u64) {
         let c = self.cache.borrow().counters;
         (c.hits(), c.misses())
@@ -225,6 +215,13 @@ impl Env {
     /// Judgment-cache counters broken out per judgment family.
     pub fn judgment_counters(&self) -> JudgmentCounters {
         self.cache.borrow().counters
+    }
+
+    /// Returns the judgment-cache counters and resets them, so the
+    /// judgments of each unit checked on this environment are counted
+    /// once.
+    pub(crate) fn take_judgment_counters(&self) -> JudgmentCounters {
+        std::mem::take(&mut self.cache.borrow_mut().counters)
     }
 
     // ---------------------------------------------------------------- scoping
@@ -241,8 +238,9 @@ impl Env {
     }
 
     /// Rolls the environment back to a previously saved [`ScopeMark`],
-    /// discarding every binding and fact added since. Replaces the old
-    /// whole-`Env` clone per checked block.
+    /// discarding every binding and fact added since. The subkinding
+    /// memo survives: it depends only on the program's region-kind
+    /// hierarchy.
     pub fn truncate_to(&mut self, m: ScopeMark) {
         let facts_changed = self.owner_kinds.len() != m.owner_kinds
             || self.owns_facts.len() != m.owns
@@ -256,6 +254,24 @@ impl Env {
         if facts_changed {
             self.invalidate_cache();
         }
+    }
+
+    /// Ends the scope of a class declaration begun at `m`: rolls back to
+    /// `m`, forgets `this`, and drops every memoized judgment, the
+    /// subkinding memo too. The environment is then what it was at `m`,
+    /// cache included, so the next declaration checked on it counts the
+    /// judgments a fresh environment would.
+    pub fn leave_declaration(&mut self, m: ScopeMark) {
+        self.truncate_to(m);
+        self.this_class = None;
+        self.this_owners.clear();
+        self.this_kind = None;
+        let mut c = self.cache.borrow_mut();
+        c.owns.clear();
+        c.outlives.clear();
+        c.rkind.clear();
+        c.subkind.clear();
+        c.handle_avail = None;
     }
 
     // ------------------------------------------------------------- variables
@@ -345,14 +361,16 @@ impl Env {
 
     /// Sets the type of `this` to `cn<owners>`, recording that the first
     /// owner owns `this` and that every owner outlives the first.
-    pub fn set_this(&mut self, class: impl Into<Symbol>, owners: Vec<Owner>) {
-        if let Some(first) = owners.first() {
-            self.owns_facts.push((*first, Owner::This));
-            for o in owners.iter().skip(1) {
-                self.outlives_facts.push((*o, *first));
+    pub fn set_this(&mut self, class: impl Into<Symbol>, owners: impl IntoIterator<Item = Owner>) {
+        self.this_owners.clear();
+        self.this_owners.extend(owners);
+        if let Some(&first) = self.this_owners.first() {
+            self.owns_facts.push((first, Owner::This));
+            for o in &self.this_owners[1..] {
+                self.outlives_facts.push((*o, first));
             }
         }
-        self.this_type = Some((class.into(), owners));
+        self.this_class = Some(class.into());
         self.this_kind = Some(Kind::ObjOwner);
         self.invalidate_cache();
     }
@@ -370,7 +388,7 @@ impl Env {
 
     /// The type of `this`, if in a method context.
     pub fn this_type(&self) -> Option<(Symbol, &[Owner])> {
-        self.this_type.as_ref().map(|(c, os)| (*c, os.as_slice()))
+        self.this_class.map(|c| (c, self.this_owners.as_slice()))
     }
 
     // ----------------------------------------------------------------- facts
@@ -409,7 +427,7 @@ impl Env {
             }
             c.counters.ownership.misses += 1;
         }
-        let v = self.deduce(o1, o2, false).1.is_some();
+        let v = self.decide(o1, o2, false);
         self.cache.borrow_mut().owns.insert(key, v);
         v
     }
@@ -430,7 +448,7 @@ impl Env {
             }
             c.counters.outlives.misses += 1;
         }
-        let v = self.deduce(o1, o2, true).1.is_some();
+        let v = self.decide(o1, o2, true);
         self.cache.borrow_mut().outlives.insert(key, v);
         v
     }
@@ -480,7 +498,7 @@ impl Env {
         let mut avail: HashSet<Owner> = self.handle_regions.iter().copied().collect();
         avail.insert(Owner::Heap);
         avail.insert(Owner::Immortal);
-        if self.this_type.is_some() {
+        if self.this_class.is_some() {
             avail.insert(Owner::This);
         }
         // Propagate along owns edges (in both directions) to a fixpoint:
@@ -534,8 +552,9 @@ impl Env {
             notes.push(format!("`{o1} {rel} {o2}` holds by reflexivity"));
             return notes;
         }
-        match self.deduce(o1, o2, outlives) {
-            (tree, Some(found)) => {
+        let mut tree = SearchTree::new();
+        match self.deduce(&mut tree, o1, o2, outlives) {
+            Some(found) => {
                 let edges = derivation(&tree, found);
                 notes.push(format!("deriving `{o1} {rel} {o2}`:"));
                 for (a, b, label) in &edges {
@@ -545,7 +564,7 @@ impl Env {
                     notes.push(format!("`{o1} {rel} {o2}` follows by transitivity"));
                 }
             }
-            (tree, None) => {
+            None => {
                 let reached: Vec<String> = tree.iter().map(|(o, ..)| format!("`{o}`")).collect();
                 notes.push(format!(
                     "`{o1} {rel} {o2}` does not hold: from `{o1}` the deduction reached \
@@ -553,7 +572,8 @@ impl Env {
                     reached.join(", ")
                 ));
                 if outlives {
-                    if let (tree, Some(found)) = self.deduce(o2, o1, true) {
+                    let mut tree = SearchTree::new();
+                    if let Some(found) = self.deduce(&mut tree, o2, o1, true) {
                         notes.push(format!("the reverse direction `{o2} ≽ {o1}` does hold:"));
                         for (a, b, label) in &derivation(&tree, found) {
                             notes.push(format!("`{a} ≽ {b}` — {label}"));
@@ -608,53 +628,67 @@ impl Env {
         notes
     }
 
+    /// Decides `o1 ≽ o2` (`outlives`) or `o1 ≽ₒ o2` by [`Env::deduce`],
+    /// on the search tree the environment keeps for it.
+    fn decide(&self, o1: &Owner, o2: &Owner, outlives: bool) -> bool {
+        let mut tree = self.search.borrow_mut();
+        self.deduce(&mut tree, o1, o2, outlives).is_some()
+    }
+
     /// The deduction of `o1 ≽ o2` (`outlives`) or `o1 ≽ₒ o2`: a
     /// breadth-first search from `o1` along the facts in scope, closed
-    /// under the rules of Figures 1–2. Returns the search tree and, when
-    /// the search reaches `o2`, its index in the tree. The judgments
-    /// decide by it and `--explain` reads its derivation off the same
-    /// tree.
-    fn deduce(&self, o1: &Owner, o2: &Owner, outlives: bool) -> (SearchTree, Option<usize>) {
+    /// under the rules of Figures 1–2. Builds the search tree in
+    /// `visited` and returns, when the search reaches `o2`, its index in
+    /// the tree. The judgments decide by it and `--explain` reads its
+    /// derivation off the same tree.
+    fn deduce(
+        &self,
+        visited: &mut SearchTree,
+        o1: &Owner,
+        o2: &Owner,
+        outlives: bool,
+    ) -> Option<usize> {
         // `visited` doubles as the FIFO queue and the search tree.
-        let mut visited: SearchTree = vec![(*o1, usize::MAX, "")];
+        visited.clear();
+        visited.push((*o1, usize::MAX, ""));
         let mut i = 0;
         while i < visited.len() {
             let cur = visited[i].0;
             if cur == *o2 {
-                return (visited, Some(i));
+                return Some(i);
             }
             if outlives {
                 if cur.is_everlasting() {
                     const R1: &str = "property R1 (`heap` and `immortal` outlive every region)";
                     if o2.is_everlasting() {
-                        push_reach(&mut visited, i, *o2, R1);
+                        push_reach(visited, i, *o2, R1);
                     }
                     for (g, k) in &self.owner_kinds {
                         if k.is_region_kind() {
-                            push_reach(&mut visited, i, *g, R1);
+                            push_reach(visited, i, *g, R1);
                         }
                     }
                 }
                 for (a, b) in &self.outlives_facts {
                     if *a == cur {
-                        push_reach(&mut visited, i, *b, "outlives fact in scope");
+                        push_reach(visited, i, *b, "outlives fact in scope");
                     }
                 }
                 for (a, b) in &self.owns_facts {
                     if *a == cur {
-                        push_reach(&mut visited, i, *b, "ownership fact (`≽ₒ` implies `≽`)");
+                        push_reach(visited, i, *b, "ownership fact (`≽ₒ` implies `≽`)");
                     }
                 }
             } else {
                 for (a, b) in &self.owns_facts {
                     if *a == cur {
-                        push_reach(&mut visited, i, *b, "ownership fact in scope");
+                        push_reach(visited, i, *b, "ownership fact in scope");
                     }
                 }
             }
             i += 1;
         }
-        (visited, None)
+        None
     }
 
     /// `P ⊢ k1 ≤ₖ k2`: the subkinding judgment, memoized. A thin caching
@@ -715,8 +749,8 @@ impl Env {
                         return Some(k.clone());
                     }
                 }
-                if let Some((_, owners)) = &self.this_type {
-                    if let Some(first) = owners.first() {
+                if self.this_class.is_some() {
+                    if let Some(first) = self.this_owners.first() {
                         return self.rkind_inner(kinds, first, visited);
                     }
                 }

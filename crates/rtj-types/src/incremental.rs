@@ -36,10 +36,11 @@
 //!   same declaration, only moved, so the uniform shift is exact, not
 //!   approximate.
 //! * Judgment-cache counters are cached per class. Each class is checked
-//!   in a fresh environment (the driver has always worked that way), so
-//!   per-class counters are deterministic and scheduling-independent —
-//!   summing cached and fresh counters reproduces the from-scratch totals
-//!   exactly.
+//!   in an environment that starts as a fresh one would: its checker's
+//!   base environment, rolled back with every memo when the class is
+//!   done. So per-class counters are deterministic and
+//!   scheduling-independent — summing cached and fresh counters
+//!   reproduces the from-scratch totals exactly.
 //!
 //! The region-kind and inheritance well-formedness passes are cached the
 //! same way (per declaration), and the `main` block is always re-checked
@@ -817,11 +818,12 @@ impl IncrementalChecker {
         let profiling = self.opts.profile;
         let total = self.layout.classes.len();
 
-        // wf: region kinds, then inheritance, both per declaration (a
-        // fresh `Checker` per unit absorbs the same environments in the
-        // same order as the from-scratch single-pass prelude, so errors
-        // and counters are identical). A rebuilt table re-checks every
-        // declaration; a reused one re-checks only the dirty classes.
+        // wf: region kinds, then inheritance, both per declaration (each
+        // unit's checker absorbs the same environments in the same order
+        // as the from-scratch single-pass prelude, and a class leaves its
+        // checker as it found it, so errors and counters are identical).
+        // A rebuilt table re-checks every declaration; a reused one
+        // re-checks only the dirty classes.
         let p0 = profiling.then(|| start.elapsed());
         let rk_results: Vec<(Vec<TypeError>, JudgmentCounters)> = if reused_table {
             Vec::new()
@@ -837,13 +839,14 @@ impl IncrementalChecker {
                 })
                 .collect()
         };
+        let mut ck = Checker::new(&table);
         let cls_wf: Vec<Option<(Vec<TypeError>, JudgmentCounters)>> = classes
             .iter()
             .map(|c| {
                 (c.dirty.is_some() || !reused_table).then(|| {
-                    let mut ck = Checker::new(&table);
                     ck.check_inheritance(std::slice::from_ref(&c.decl));
-                    (std::mem::take(&mut ck.errors), ck.judgments)
+                    let errors = std::mem::take(&mut ck.errors);
+                    (errors, std::mem::take(&mut ck.judgments))
                 })
             })
             .collect();

@@ -82,15 +82,22 @@ impl fmt::Display for Owner {
     }
 }
 
+/// Pairs a [`Subst`] keeps inline: one per formal of nearly every class,
+/// region kind and method, so building a substitution allocates nothing.
+const INLINE_PAIRS: usize = 4;
+
 /// A substitution from formal owner names to owners, plus optional
 /// replacements for `this` and `initialRegion`.
 ///
 /// Renaming (the paper's `Rename(·)`) is `subst ∪ {rcr/initialRegion}`,
 /// and field/portal accesses substitute the receiver (or the region) for
-/// `this`.
+/// `this`. The first four pairs are kept inline, so the substitutions
+/// every lookup builds and drops cost no allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Subst {
-    pairs: Vec<(Symbol, Owner)>,
+    inline: [Option<(Symbol, Owner)>; INLINE_PAIRS],
+    /// Pairs past the inline ones, in order.
+    more: Vec<(Symbol, Owner)>,
     /// Replacement for the literal owner `this`, if any.
     pub this_to: Option<Owner>,
     /// Replacement for `initialRegion`, if any.
@@ -111,20 +118,20 @@ impl Subst {
     /// first and report a proper type error).
     pub fn from_formals(formals: &[Symbol], owners: &[Owner]) -> Self {
         assert_eq!(formals.len(), owners.len(), "substitution arity mismatch");
-        Subst {
-            pairs: formals
-                .iter()
-                .copied()
-                .zip(owners.iter().copied())
-                .collect(),
-            this_to: None,
-            initial_to: None,
+        let mut s = Subst::new();
+        for (f, o) in formals.iter().zip(owners) {
+            s.push(*f, *o);
         }
+        s
     }
 
     /// Adds a formal↦owner pair.
     pub fn push(&mut self, formal: impl Into<Symbol>, owner: Owner) {
-        self.pairs.push((formal.into(), owner));
+        let pair = (formal.into(), owner);
+        match self.inline.iter_mut().find(|p| p.is_none()) {
+            Some(slot) => *slot = Some(pair),
+            None => self.more.push(pair),
+        }
     }
 
     /// Sets the replacement for `this`.
@@ -139,15 +146,17 @@ impl Subst {
         self
     }
 
-    /// Applies the substitution to one owner.
+    /// Applies the substitution to one owner. The first pair for a
+    /// formal wins.
     pub fn apply(&self, o: &Owner) -> Owner {
         match o {
-            Owner::Formal(n) => self
-                .pairs
-                .iter()
-                .find(|(f, _)| f == n)
-                .map(|(_, to)| *to)
-                .unwrap_or(*o),
+            Owner::Formal(n) => {
+                let pairs = self.inline.iter().map_while(Option::as_ref);
+                pairs
+                    .chain(&self.more)
+                    .find(|(f, _)| f == n)
+                    .map_or(*o, |(_, to)| *to)
+            }
             Owner::This => self.this_to.unwrap_or(Owner::This),
             Owner::InitialRegion => self.initial_to.unwrap_or(Owner::InitialRegion),
             _ => *o,
@@ -157,6 +166,59 @@ impl Subst {
     /// Applies the substitution to a list of owners.
     pub fn apply_all(&self, os: &[Owner]) -> Vec<Owner> {
         os.iter().map(|o| self.apply(o)).collect()
+    }
+
+    /// Resolves a surface owner of a declaration, where every name is a
+    /// formal, and applies the substitution to it.
+    pub(crate) fn resolve(&self, r: &OwnerRef) -> Owner {
+        self.apply(&Owner::resolve(r, |_| false))
+    }
+}
+
+/// Owners kept inline up to [`INLINE_OWNERS`] and on the heap past that:
+/// the owner arguments of one class on a class chain, which a lookup
+/// reads and drops.
+#[derive(Debug, Clone)]
+pub(crate) enum OwnerBuf {
+    /// The first `len` owners of the array are the list.
+    Inline(u8, [Owner; INLINE_OWNERS]),
+    /// A list longer than [`INLINE_OWNERS`].
+    Heap(Vec<Owner>),
+}
+
+/// Owners an [`OwnerBuf`] keeps inline, as many as [`Subst`] keeps pairs.
+const INLINE_OWNERS: usize = INLINE_PAIRS;
+
+impl std::ops::Deref for OwnerBuf {
+    type Target = [Owner];
+
+    fn deref(&self) -> &[Owner] {
+        match self {
+            OwnerBuf::Inline(len, owners) => &owners[..usize::from(*len)],
+            OwnerBuf::Heap(owners) => owners,
+        }
+    }
+}
+
+impl FromIterator<Owner> for OwnerBuf {
+    fn from_iter<I: IntoIterator<Item = Owner>>(iter: I) -> Self {
+        // `Heap` fills the unused slots; they are never read.
+        let mut buf = OwnerBuf::Inline(0, [Owner::Heap; INLINE_OWNERS]);
+        for o in iter {
+            match &mut buf {
+                OwnerBuf::Inline(len, owners) if usize::from(*len) < INLINE_OWNERS => {
+                    owners[usize::from(*len)] = o;
+                    *len += 1;
+                }
+                OwnerBuf::Inline(_, owners) => {
+                    let mut spilled = owners.to_vec();
+                    spilled.push(o);
+                    buf = OwnerBuf::Heap(spilled);
+                }
+                OwnerBuf::Heap(owners) => owners.push(o),
+            }
+        }
+        buf
     }
 }
 

@@ -85,7 +85,11 @@ impl SType {
     /// object; they may only be used through a receiver that is literally
     /// `this` (otherwise the owner would be captured incorrectly).
     pub fn mentions_this(&self) -> bool {
-        self.owners().contains(&Owner::This)
+        match self {
+            SType::Class { owners, .. } => owners.contains(&Owner::This),
+            SType::Handle(o) => *o == Owner::This,
+            _ => false,
+        }
     }
 
     /// Converts this semantic type back to a surface type with dummy spans

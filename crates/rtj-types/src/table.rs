@@ -16,11 +16,11 @@
 
 use crate::error::TypeError;
 use crate::kind::{Kind, RegionKindLookup};
-use crate::owner::{Owner, Subst};
+use crate::owner::{Owner, OwnerBuf, Subst};
 use crate::stype::SType;
 use rtj_lang::ast::{
-    Block, ClassDecl, ConstraintRel, KindAnn, MethodDecl, Policy, Program, RegionKindDecl,
-    SubregionDecl, ThreadTag, Type,
+    Block, ClassDecl, ConstraintRel, KindAnn, MethodDecl, OwnerRef, Policy, Program,
+    RegionKindDecl, SubregionDecl, ThreadTag, Type,
 };
 use rtj_lang::intern::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -85,6 +85,29 @@ pub fn resolve_kind(k: &KindAnn, is_region: &dyn Fn(Symbol) -> bool) -> Kind {
                 .collect(),
         },
         KindAnn::Lt(inner, _) => Kind::Lt(Box::new(resolve_kind(inner, is_region))),
+    }
+}
+
+/// Resolves a surface type of a declaration, where every owner name is a
+/// formal, and applies `s` to it: what `resolve_type(ty, ..).subst(s)`
+/// gives, built once.
+fn resolve_type_in(ty: &Type, s: &Subst) -> SType {
+    match ty {
+        Type::Class(ct) => SType::Class {
+            name: ct.name.name,
+            owners: ct.owners.iter().map(|o| s.resolve(o)).collect(),
+        },
+        Type::Handle(r, _) => SType::Handle(s.resolve(r)),
+        other => resolve_type(other, &no_regions),
+    }
+}
+
+/// Whether the surface type `ty` names the owner `this`.
+fn type_mentions_this(ty: &Type) -> bool {
+    match ty {
+        Type::Class(ct) => ct.owners.iter().any(|o| matches!(o, OwnerRef::This(_))),
+        Type::Handle(r, _) => matches!(r, OwnerRef::This(_)),
+        _ => false,
     }
 }
 
@@ -221,18 +244,6 @@ impl MethodSig {
                 .constraints
                 .iter()
                 .any(|c| c.lhs == Owner::This || c.rhs == Owner::This)
-    }
-
-    fn subst(&self, s: &Subst) -> MethodSig {
-        MethodSig {
-            declared_in: self.declared_in,
-            declared_mentions_this: self.declared_mentions_this,
-            formals: self.formals.iter().map(|(n, k)| (*n, k.subst(s))).collect(),
-            params: self.params.iter().map(|(n, t)| (*n, t.subst(s))).collect(),
-            ret: self.ret.subst(s),
-            effects: s.apply_all(&self.effects),
-            constraints: self.constraints.iter().map(|c| c.subst(s)).collect(),
-        }
     }
 }
 
@@ -435,19 +446,20 @@ impl ProgramTable {
     /// `(class, owner-args)` pair, after substituting `owners` for
     /// `name`'s formals. A class without an `extends` clause extends
     /// `Object<firstFormal>`; `Object` itself has no superclass.
-    fn superclass(&self, name: Symbol, owners: &[Owner]) -> Option<(Symbol, Vec<Owner>)> {
+    fn superclass(&self, name: Symbol, owners: &[Owner]) -> Option<(Symbol, OwnerBuf)> {
         let info = self.class_at(name, owners)?;
         match &info.decl.extends {
             Some(ct) => {
                 let s = Subst::from_formals(&info.formal_names, owners);
-                let args = ct
-                    .owners
-                    .iter()
-                    .map(|o| s.apply(&Owner::resolve(o, no_regions)))
-                    .collect();
-                Some((ct.name.name, args))
+                Some((
+                    ct.name.name,
+                    ct.owners.iter().map(|o| s.resolve(o)).collect(),
+                ))
             }
-            None => Some((Symbol::intern("Object"), vec![*owners.first()?])),
+            None => {
+                let first = *owners.first()?;
+                Some((Symbol::intern("Object"), std::iter::once(first).collect()))
+            }
         }
     }
 
@@ -455,15 +467,15 @@ impl ProgramTable {
     /// superclass up to `Object`, each with its owner arguments. The one
     /// walk of the class hierarchy: subtyping and field and method lookup
     /// are searches over it. It needs no cycle guard, because
-    /// [`ProgramTable::build`] rejects every cyclic or unknown chain.
+    /// [`ProgramTable::build`] rejects every cyclic or unknown chain, and
+    /// it allocates nothing for classes of up to four owners.
     fn supertypes(
         &self,
         class: impl Into<Symbol>,
         owners: &[Owner],
-    ) -> impl Iterator<Item = (Symbol, Vec<Owner>)> + '_ {
-        std::iter::successors(Some((class.into(), owners.to_vec())), |(c, os)| {
-            self.superclass(*c, os)
-        })
+    ) -> impl Iterator<Item = (Symbol, OwnerBuf)> + '_ {
+        let start: (Symbol, OwnerBuf) = (class.into(), owners.iter().copied().collect());
+        std::iter::successors(Some(start), |(c, os)| self.superclass(*c, os))
     }
 
     /// `sub<owners>` viewed as an instance of `target`: `target`'s owner
@@ -476,7 +488,7 @@ impl ProgramTable {
     ) -> Option<Vec<Owner>> {
         self.supertypes(sub, owners)
             .find(|(c, _)| *c == target)
-            .map(|(_, os)| os)
+            .map(|(_, os)| os.to_vec())
     }
 
     /// Semantic subtyping over [`SType`]s: reflexivity, `Null ≤` any class
@@ -492,34 +504,37 @@ impl ProgramTable {
                     name: target,
                     owners: want,
                 },
-            ) => self.view_as(*name, owners, *target).as_ref() == Some(want),
+            ) => self
+                .supertypes(*name, owners)
+                .find(|(c, _)| c == target)
+                .is_some_and(|(_, os)| *os == **want),
             _ => false,
         }
     }
 
     /// Field `field` of an object of type `class<owners>`, found along
-    /// the class chain: its declared type, over the declaring class's
-    /// formals, and that type with the owner arguments substituted. Any
-    /// `this` left in either denotes the *receiver*.
+    /// the class chain: its type with the owner arguments substituted,
+    /// and whether its declared type, over the declaring class's formals,
+    /// mentions `this`. Any `this` left in the type denotes the
+    /// *receiver*.
     pub fn field(
         &self,
         class: impl Into<Symbol>,
         owners: &[Owner],
         field: impl Into<Symbol>,
-    ) -> Option<(SType, SType)> {
+    ) -> Option<(SType, bool)> {
         let field = field.into();
         self.supertypes(class, owners).find_map(|(c, os)| {
             let info = self.class_at(c, &os)?;
             let f = info.decl.fields.iter().find(|f| f.name.name == field)?;
-            let declared = resolve_type(&f.ty, &no_regions);
-            let ty = declared.subst(&Subst::from_formals(&info.formal_names, &os));
-            Some((declared, ty))
+            let s = Subst::from_formals(&info.formal_names, &os);
+            Some((resolve_type_in(&f.ty, &s), type_mentions_this(&f.ty)))
         })
     }
 
     /// All fields (inherited first) of `class<owners>` as
     /// `(name, substituted type)` pairs; used by the interpreter to lay out
-    /// objects and by the checker to audit field well-formedness.
+    /// objects.
     pub fn all_fields(&self, class: impl Into<Symbol>, owners: &[Owner]) -> Vec<(Symbol, SType)> {
         let chain: Vec<_> = self.supertypes(class, owners).collect();
         let mut out = Vec::new();
@@ -529,7 +544,7 @@ impl ProgramTable {
             };
             let s = Subst::from_formals(&info.formal_names, os);
             for f in &info.decl.fields {
-                out.push((f.name.name, resolve_type(&f.ty, &no_regions).subst(&s)));
+                out.push((f.name.name, resolve_type_in(&f.ty, &s)));
             }
         }
         out
@@ -549,7 +564,8 @@ impl ProgramTable {
         self.supertypes(class, owners).find_map(|(c, os)| {
             let info = self.class_at(c, &os)?;
             let m = info.decl.methods.iter().find(|m| m.name.name == method)?;
-            Some(raw_method_sig(c, info, m).subst(&Subst::from_formals(&info.formal_names, &os)))
+            let s = Subst::from_formals(&info.formal_names, &os);
+            Some(method_sig_in(c, info, m, &s))
         })
     }
 
@@ -641,44 +657,35 @@ impl ProgramTable {
     /// well-shaped (`WFClasses`), and its members and owner parameters are
     /// declared once (`MembersOnce`). `build` runs them over every class,
     /// [`ProgramTable::check_classes`] over the classes an edit can affect.
+    /// The rules compare names by scanning the declaration's own lists,
+    /// which are short, so they build no sets.
     fn check_class_structure(&self, info: &ClassInfo, errors: &mut Vec<TypeError>) {
-        let name = info.decl.name.name;
-        // Detect unknown superclasses and cycles by walking up with a
-        // visited set: the one class walk that needs a cycle guard, since
-        // it runs before the table is known to be acyclic.
-        let mut seen = HashSet::new();
-        seen.insert(name);
-        let mut cyclic = false;
-        let mut cur = info.decl.extends.as_ref().map(|ct| ct.name.name);
-        while let Some(c) = cur {
-            if c == "Object" {
-                break;
+        let decl = &info.decl;
+        let name = decl.name.name;
+        // Unknown superclasses and cycles: the one class walk that needs a
+        // cycle guard, since it runs before the table is known to be
+        // acyclic.
+        let cyclic = match self.superclass_chain_end(name) {
+            ChainEnd::Object => false,
+            ChainEnd::Unknown(c) => {
+                errors.push(TypeError::new(
+                    format!("unknown superclass `{c}` of `{name}`"),
+                    decl.name.span,
+                ));
+                false
             }
-            if !seen.insert(c) {
+            ChainEnd::Cycle => {
                 errors.push(TypeError::new(
                     format!("cycle in class hierarchy involving `{name}`"),
-                    info.decl.name.span,
+                    decl.name.span,
                 ));
-                cyclic = true;
-                break;
+                true
             }
-            match self.classes.get(&c) {
-                Some(next) => {
-                    cur = next.decl.extends.as_ref().map(|ct| ct.name.name);
-                }
-                None => {
-                    errors.push(TypeError::new(
-                        format!("unknown superclass `{c}` of `{name}`"),
-                        info.decl.name.span,
-                    ));
-                    break;
-                }
-            }
-        }
+        };
         // The superclass's first owner must be the subclass's first
         // formal ([SUBTYPE CLASS] shape): this preserves "first owner
         // owns the object" along the chain.
-        if let Some(ct) = &info.decl.extends {
+        if let Some(ct) = &decl.extends {
             if ct.name.name != "Object" || !ct.owners.is_empty() {
                 let first_formal = info.formal_names.first();
                 let ok = match (ct.owners.first(), first_formal) {
@@ -697,7 +704,7 @@ impl ProgramTable {
             }
         }
         // Arity of extends.
-        if let Some(ct) = &info.decl.extends {
+        if let Some(ct) = &decl.extends {
             if let Some(sup) = self.classes.get(&ct.name.name) {
                 if sup.formal_names.len() != ct.owners.len() {
                     errors.push(TypeError::new(
@@ -717,36 +724,36 @@ impl ProgramTable {
                 ));
             }
         }
-        if info.decl.formals.is_empty() {
+        if decl.formals.is_empty() {
             errors.push(TypeError::new(
                 format!(
                     "class `{name}` must declare at least one owner parameter \
                      (the first owner owns the object)"
                 ),
-                info.decl.name.span,
+                decl.name.span,
             ));
         }
 
-        let mut field_names = HashSet::new();
-        for f in &info.decl.fields {
-            if !field_names.insert(f.name.name) {
+        for (i, f) in decl.fields.iter().enumerate() {
+            if decl.fields[..i].iter().any(|g| g.name.name == f.name.name) {
                 errors.push(TypeError::new(
                     format!("duplicate field `{}`", f.name),
                     f.name.span,
                 ));
             }
         }
-        let mut method_names = HashSet::new();
-        for m in &info.decl.methods {
-            if !method_names.insert(m.name.name) {
+        for (i, m) in decl.methods.iter().enumerate() {
+            if decl.methods[..i].iter().any(|n| n.name.name == m.name.name) {
                 errors.push(TypeError::new(
                     format!("duplicate method `{}` (no overloading)", m.name),
                     m.name.span,
                 ));
             }
-            let mut owner_names: HashSet<Symbol> = info.formal_names.iter().copied().collect();
-            for f in &m.formals {
-                if !owner_names.insert(f.name.name) {
+            for (j, f) in m.formals.iter().enumerate() {
+                let owner = f.name.name;
+                if info.formal_names.contains(&owner)
+                    || m.formals[..j].iter().any(|g| g.name.name == owner)
+                {
                     errors.push(TypeError::new(
                         format!(
                             "method owner parameter `{}` shadows another owner parameter",
@@ -757,48 +764,93 @@ impl ProgramTable {
                 }
             }
         }
-        let mut formal_set = HashSet::new();
-        for f in &info.formal_names {
-            if !formal_set.insert(*f) {
+        for (i, f) in info.formal_names.iter().enumerate() {
+            if info.formal_names[..i].contains(f) {
                 errors.push(TypeError::new(
                     format!("duplicate owner parameter `{f}`"),
-                    info.decl.name.span,
+                    decl.name.span,
                 ));
             }
         }
-        // Fields inherited from superclasses must not be redeclared. The
+        // Fields inherited from superclasses must not be redeclared: one
+        // error per field name, however many ancestors declare it. The
         // rule walks the class chain, so it runs only when the walk above
         // found no cycle.
-        if let Some((sup, sup_args)) = info
-            .decl
-            .extends
-            .as_ref()
-            .filter(|ct| !cyclic && ct.name.name != "Object")
-            .map(|ct| {
-                let args: Vec<Owner> = ct
-                    .owners
-                    .iter()
-                    .map(|o| Owner::resolve(o, no_regions))
-                    .collect();
-                (ct.name.name, args)
-            })
-        {
-            for (fname, _) in self.all_fields(sup, &sup_args) {
-                if field_names.contains(&fname) {
-                    errors.push(TypeError::new(
-                        format!("field `{fname}` is already declared in a superclass"),
-                        info.decl.name.span,
-                    ));
-                }
+        if cyclic {
+            return;
+        }
+        for (i, f) in decl.fields.iter().enumerate() {
+            let fname = f.name.name;
+            let first = !decl.fields[..i].iter().any(|g| g.name.name == fname);
+            if first && self.ancestor_declares_field(info, fname) {
+                errors.push(TypeError::new(
+                    format!("field `{fname}` is already declared in a superclass"),
+                    decl.name.span,
+                ));
             }
         }
+    }
+
+    /// Where the superclass chain above class `name` ends: at `Object`, at
+    /// a class the table does not hold, or in a cycle. Brent's cycle
+    /// finding, so the walk keeps no set of the classes it has seen.
+    fn superclass_chain_end(&self, name: Symbol) -> ChainEnd {
+        // The walk starts at a class the table holds, so an unknown class
+        // is a superclass the chain names.
+        let up = |c: Symbol| -> Result<Symbol, ChainEnd> {
+            let info = self.classes.get(&c).ok_or(ChainEnd::Unknown(c))?;
+            match &info.decl.extends {
+                Some(ct) if ct.name.name != "Object" => Ok(ct.name.name),
+                _ => Err(ChainEnd::Object),
+            }
+        };
+        let mut tortoise = name;
+        let mut hare = match up(name) {
+            Ok(next) => next,
+            Err(end) => return end,
+        };
+        let (mut power, mut steps) = (1usize, 1usize);
+        while tortoise != hare {
+            if power == steps {
+                tortoise = hare;
+                power *= 2;
+                steps = 0;
+            }
+            hare = match up(hare) {
+                Ok(next) => next,
+                Err(end) => return end,
+            };
+            steps += 1;
+        }
+        ChainEnd::Cycle
+    }
+
+    /// Whether a proper ancestor of class `info` declares a field named
+    /// `field`. The walk follows the declared `extends` clauses by name,
+    /// as far as each superclass exists and gets one owner per formal,
+    /// the classes whose fields an object of `info`'s class has.
+    fn ancestor_declares_field(&self, info: &ClassInfo, field: Symbol) -> bool {
+        let mut ext = info.decl.extends.as_ref();
+        while let Some(ct) = ext.filter(|ct| ct.name.name != "Object") {
+            let Some(sup) = self.classes.get(&ct.name.name) else {
+                return false;
+            };
+            if sup.formal_names.len() != ct.owners.len() {
+                return false;
+            }
+            if sup.decl.fields.iter().any(|f| f.name.name == field) {
+                return true;
+            }
+            ext = sup.decl.extends.as_ref();
+        }
+        false
     }
 
     fn check_region_kind_hierarchy(&self, errors: &mut Vec<TypeError>) {
         for (name, info) in &self.region_kinds {
             let mut seen = HashSet::new();
             seen.insert(*name);
-            let mut cur = info.decl.extends.clone();
+            let mut cur = info.decl.extends.as_ref();
             loop {
                 match cur {
                     None | Some(KindAnn::SharedRegion(_)) => break,
@@ -811,7 +863,7 @@ impl ProgramTable {
                             break;
                         }
                         match self.region_kinds.get(&n.name) {
-                            Some(next) => cur = next.decl.extends.clone(),
+                            Some(next) => cur = next.decl.extends.as_ref(),
                             None => {
                                 errors.push(TypeError::new(
                                     format!("unknown super region kind `{n}` of `{name}`"),
@@ -825,8 +877,8 @@ impl ProgramTable {
                         errors.push(TypeError::new(
                             format!(
                                 "region kinds must extend `SharedRegion` or another \
-                                 shared region kind, not `{:?}`",
-                                other
+                                 shared region kind, not `{}`",
+                                resolve_kind(other, &no_regions)
                             ),
                             info.decl.name.span,
                         ));
@@ -926,6 +978,16 @@ impl ProgramTable {
     }
 }
 
+/// Where a superclass chain ends.
+enum ChainEnd {
+    /// At `Object`, explicitly or by a class without `extends`.
+    Object,
+    /// At a superclass the table does not hold.
+    Unknown(Symbol),
+    /// It never ends: it runs into a cycle.
+    Cycle,
+}
+
 /// Structural errors in a fixed order. The rules walk hash maps, so the
 /// order they find errors in varies run to run; a declaration's own
 /// errors are pushed in a fixed order, so a stable sort fixes it, and the
@@ -939,45 +1001,54 @@ fn sorted(mut errors: Vec<TypeError>) -> Result<(), Vec<TypeError>> {
     Err(errors)
 }
 
-/// The signature of a method in its declaring class's own formal context.
-pub(crate) fn raw_method_sig(class: Symbol, info: &ClassInfo, m: &MethodDecl) -> MethodSig {
+/// The signature of method `m` of class `class`, with `s` applied to it:
+/// `s` substitutes the receiver's owner arguments for the class's formals.
+/// Each part is resolved and substituted in one pass, and whether the
+/// signature mentions `this` is read off the declaration.
+fn method_sig_in(class: Symbol, info: &ClassInfo, m: &MethodDecl, s: &Subst) -> MethodSig {
     let formals: Vec<(Symbol, Kind)> = m
         .formals
         .iter()
-        .map(|f| (f.name.name, resolve_kind(&f.kind, &no_regions)))
+        .map(|f| (f.name.name, resolve_kind(&f.kind, &no_regions).subst(s)))
         .collect();
-    let params: Vec<(Symbol, SType)> = m
+    let params = m
         .params
         .iter()
-        .map(|p| (p.name.name, resolve_type(&p.ty, &no_regions)))
+        .map(|p| (p.name.name, resolve_type_in(&p.ty, s)))
         .collect();
-    let ret = resolve_type(&m.ret, &no_regions);
     let effects = match &m.effects {
-        Some(list) => list.iter().map(|o| Owner::resolve(o, no_regions)).collect(),
+        Some(list) => list.iter().map(|o| s.resolve(o)).collect(),
         None => {
             // Default: all class and method owner parameters + initialRegion.
-            let mut fx: Vec<Owner> = info
-                .formal_names
-                .iter()
-                .map(|n| Owner::Formal(*n))
-                .collect();
-            fx.extend(formals.iter().map(|(n, _)| Owner::Formal(*n)));
-            fx.push(Owner::InitialRegion);
+            let class_formals = info.formal_names.iter();
+            let method_formals = m.formals.iter().map(|f| &f.name.name);
+            let formals = class_formals.chain(method_formals);
+            let mut fx: Vec<Owner> = formals.map(|n| s.apply(&Owner::Formal(*n))).collect();
+            fx.push(s.apply(&Owner::InitialRegion));
             fx
         }
     };
-    let constraints = resolve_constraints(&m.where_clauses, &no_regions);
-    let declared_mentions_this = params.iter().any(|(_, t)| t.mentions_this())
-        || ret.mentions_this()
-        || effects.contains(&Owner::This)
-        || constraints
+    let constraints = m
+        .where_clauses
+        .iter()
+        .map(|c| SConstraint {
+            lhs: s.resolve(&c.lhs),
+            rel: c.rel,
+            rhs: s.resolve(&c.rhs),
+        })
+        .collect();
+    let is_this = |o: &OwnerRef| matches!(o, OwnerRef::This(_));
+    let declared_mentions_this = m.params.iter().any(|p| type_mentions_this(&p.ty))
+        || type_mentions_this(&m.ret)
+        || m.effects.iter().flatten().any(is_this)
+        || m.where_clauses
             .iter()
-            .any(|c| c.lhs == Owner::This || c.rhs == Owner::This);
+            .any(|c| is_this(&c.lhs) || is_this(&c.rhs));
     MethodSig {
         declared_in: class,
         formals,
         params,
-        ret,
+        ret: resolve_type_in(&m.ret, s),
         effects,
         constraints,
         declared_mentions_this,
@@ -1012,7 +1083,7 @@ mod tests {
         )
         .unwrap();
         assert!(t.class("TStack").is_some());
-        let (_, ft) = t
+        let (ft, _) = t
             .field("TStack", &[Owner::Region("r".into()), Owner::Heap], "head")
             .unwrap();
         assert_eq!(ft, SType::class("TNode", vec![Owner::This, Owner::Heap]));
@@ -1086,6 +1157,37 @@ mod tests {
         );
     }
 
+    /// A region kind that extends a non-shared kind names that kind as
+    /// the source spells it.
+    #[test]
+    fn a_region_kind_extending_a_non_shared_kind_names_it() {
+        let errs = table("regionKind C extends LocalRegion { } { }").unwrap_err();
+        assert_eq!(errs.len(), 1);
+        assert_eq!(
+            errs[0].message,
+            "region kinds must extend `SharedRegion` or another shared region kind, \
+             not `LocalRegion`"
+        );
+        assert_eq!((errs[0].span.start, errs[0].span.end), (11, 12));
+    }
+
+    /// A redeclared field is one error however many ancestors declare it.
+    #[test]
+    fn an_inherited_field_redeclared_is_one_error_per_field() {
+        assert_eq!(
+            messages(
+                "class A<Owner o> { int f; int g; } \
+                 class B<Owner o> extends A<o> { int f; } \
+                 class C<Owner o> extends B<o> { int g; int f; } { }"
+            ),
+            [
+                "field `f` is already declared in a superclass",
+                "field `f` is already declared in a superclass",
+                "field `g` is already declared in a superclass"
+            ]
+        );
+    }
+
     #[test]
     fn rejects_unknown_superclass_and_bad_first_owner() {
         assert!(table("class A<Owner o> extends Ghost<o> { } { }").is_err());
@@ -1116,7 +1218,7 @@ mod tests {
         .unwrap();
         let owners = vec![Owner::Heap, Owner::Immortal];
         assert_eq!(
-            t.field("A", &owners, "data").map(|(_, ty)| ty),
+            t.field("A", &owners, "data").map(|(ty, _)| ty),
             Some(SType::class("C", vec![Owner::Heap]))
         );
         let fields = t.all_fields("A", &owners);
