@@ -147,164 +147,197 @@ pub fn check_program(p: &Program) -> Result<Checked, Vec<TypeError>> {
 
 /// Type-checks a program, consuming it (no up-front clone).
 ///
-/// Classes are independent checking units: with `opts.jobs != 1` they are
-/// fanned out across worker threads. Diagnostics are collected per unit,
-/// merged in declaration order, and stably sorted by source span, so
-/// serial and parallel runs produce byte-identical output.
+/// Runs the batch driver's pass (`check_pass`) and merges its verdicts
+/// (`merge`), as the incremental engine's fresh pass does. Classes are
+/// independent checking units: with `opts.jobs != 1` they are fanned out
+/// across worker threads. Diagnostics are collected per unit, merged in
+/// declaration order, and stably sorted by source span, so serial and
+/// parallel runs produce byte-identical output.
 ///
 /// # Errors
 ///
 /// Returns every type error found, sorted by span.
 pub fn check_program_in(mut prog: Program, opts: &CheckOptions) -> Result<Checked, Vec<TypeError>> {
     let start = Instant::now();
-    // Profiling spans: every timestamp below is behind this flag, so an
-    // unprofiled run takes exactly two clock reads (start/elapsed), the
-    // same as before the profiler existed.
-    let profiling = opts.profile;
+    let jobs = resolve_jobs(opts.jobs);
+    let (table, pass) = check_pass(&mut prog, jobs, start, opts.profile)?;
+    let mut stats = CheckStats {
+        classes_checked: prog.classes.len(),
+        threads_used: jobs.min(prog.classes.len().max(1)),
+        ..CheckStats::default()
+    };
+    let declarations = pass.region_kinds.into_iter().chain(pass.inheritance);
+    let verdicts = declarations.chain(pass.units).chain([pass.main]);
+    let errors = merge(verdicts.flat_map(|v| {
+        stats.methods_checked += v.methods_checked;
+        stats.judgments.absorb(&v.judgments);
+        v.errors
+    }));
+    stats.elapsed = start.elapsed();
+    if errors.is_empty() {
+        Ok(Checked {
+            program: Arc::new(prog),
+            table,
+            stats,
+            profile: opts.profile.then_some(CheckProfile {
+                phases: pass.phases,
+            }),
+        })
+    } else {
+        Err(errors)
+    }
+}
+
+/// What the batch driver's pass yields, each declaration's verdict in
+/// declaration order.
+pub(crate) struct Pass {
+    /// Each region kind's `[REGION KIND DEF]`.
+    pub(crate) region_kinds: Vec<Verdict>,
+    /// Each class's `InheritanceOK` and `OverridesOK`.
+    pub(crate) inheritance: Vec<Verdict>,
+    /// Each class unit.
+    pub(crate) units: Vec<Verdict>,
+    /// The main block's `[PROG]`.
+    pub(crate) main: Verdict,
+    /// The phase spans, when profiled.
+    pub(crate) phases: Vec<PhaseSpan>,
+}
+
+/// The batch driver's pass over `prog` on up to `jobs` threads: lower
+/// (the declaration defaults), build the table, then check each region
+/// kind, each class's inheritance, each class unit and `main`, writing
+/// inference results back into `prog`. With `profiling`, it records each
+/// phase's span against `start`; without, it reads no clock.
+///
+/// # Errors
+///
+/// The table's errors alone, when it does not build.
+pub(crate) fn check_pass(
+    prog: &mut Program,
+    jobs: usize,
+    start: Instant,
+    profiling: bool,
+) -> Result<(ProgramTable, Pass), Vec<TypeError>> {
     let mut phases: Vec<PhaseSpan> = Vec::new();
 
     let p0 = profiling.then(|| start.elapsed());
-    infer::apply_declaration_defaults(&mut prog);
+    infer::apply_declaration_defaults(prog);
     if let Some(p0) = p0 {
         phases.push(PhaseSpan::leaf("lower", p0, start.elapsed() - p0));
     }
 
     let p0 = profiling.then(|| start.elapsed());
-    let table = ProgramTable::build(&prog)?;
+    let table = ProgramTable::build(prog)?;
     if let Some(p0) = p0 {
         phases.push(PhaseSpan::leaf("table", p0, start.elapsed() - p0));
     }
-    let mut stats = CheckStats {
-        classes_checked: prog.classes.len(),
-        ..CheckStats::default()
-    };
 
-    // Serial prelude: region kinds and inheritance (cheap, and inheritance
-    // reads the whole table). Iterated in declaration order so diagnostics
-    // are deterministic run to run.
+    // Region kinds and inheritance, serially (cheap, and inheritance
+    // reads the whole table).
     let p0 = profiling.then(|| start.elapsed());
     let mut ck = Checker::new(&table);
-    for rk in &prog.region_kinds {
-        ck.check_region_kind(rk);
-    }
-    ck.check_inheritance(&prog.classes);
-    let prelude_errors = std::mem::take(&mut ck.errors);
+    let region_kinds = (prog.region_kinds.iter())
+        .map(|rk| ck.check_region_kind(rk))
+        .collect();
+    let inheritance = (prog.classes.iter())
+        .map(|c| ck.check_inheritance(c))
+        .collect();
     if let Some(p0) = p0 {
         phases.push(PhaseSpan::leaf("wf", p0, start.elapsed() - p0));
     }
 
-    // Per-class units, checked serially or in parallel; either way each
-    // unit's diagnostics land in its own slot, so the merge below is the
-    // same code path for both drivers.
-    let mut classes = std::mem::take(&mut prog.classes);
-    let workers = resolve_jobs(opts.jobs).min(classes.len().max(1));
-    stats.threads_used = workers;
+    // Class units, serially or in parallel; each lands in its own slot.
+    let workers = jobs.min(prog.classes.len().max(1));
     let p0 = profiling.then(|| start.elapsed());
-    let slots = classes.len();
-    let units = check_units(
-        &table,
-        workers,
-        classes.iter_mut().enumerate(),
-        slots,
-        profiling.then_some(start),
-    );
+    let clock = profiling.then_some(start);
+    let (units, times) = check_units(&table, workers, prog.classes.iter_mut(), clock);
     if let Some(p0) = p0 {
         // Assembled in slot order, so the span tree's structure (names and
         // ordering) never depends on scheduling.
-        let children = classes
-            .iter()
-            .zip(&units)
-            .map(|(c, u)| {
-                let (s0, w) = u.as_ref().and_then(|u| u.time).unwrap_or_default();
-                PhaseSpan::leaf(format!("class {}", c.name.name), s0, w)
-            })
-            .collect();
-        phases.push(PhaseSpan {
-            name: "classes".to_string(),
-            start: p0,
-            wall: start.elapsed() - p0,
-            children,
-        });
-    }
-    prog.classes = classes;
-    // Single merge path for serial and parallel drivers: declaration
-    // order (prelude, class units, main), then a stable sort by span
-    // (same-span diagnostics keep declaration order).
-    let mut all = prelude_errors;
-    for u in units.into_iter().flatten() {
-        ck.methods_checked += u.methods_checked;
-        ck.judgments.absorb(&u.judgments);
-        all.extend(u.errors);
+        let names = prog.classes.iter().map(|c| c.name.name);
+        phases.push(classes_phase(start, p0, names.zip(times)));
     }
 
     let p0 = profiling.then(|| start.elapsed());
-    ck.check_main(&mut prog.main);
-    let main_errors = std::mem::take(&mut ck.errors);
+    let main = ck.check_main(&mut prog.main);
     if let Some(p0) = p0 {
         phases.push(PhaseSpan::leaf("main", p0, start.elapsed() - p0));
     }
+    let pass = Pass {
+        region_kinds,
+        inheritance,
+        units,
+        main,
+        phases,
+    };
+    Ok((table, pass))
+}
 
-    all.extend(main_errors);
-    all.sort_by_key(|e| e.span);
-
-    stats.methods_checked = ck.methods_checked;
-    stats.judgments = ck.judgments;
-    stats.elapsed = start.elapsed();
-    if all.is_empty() {
-        Ok(Checked {
-            program: Arc::new(prog),
-            table,
-            stats,
-            profile: profiling.then_some(CheckProfile { phases }),
-        })
-    } else {
-        Err(all)
+/// The `classes` phase of a pass that began at `start`, from `p0` to now:
+/// one span per class of the program, named and timed by `classes` in
+/// declaration order (an unchecked class's span is empty).
+pub(crate) fn classes_phase(
+    start: Instant,
+    p0: Duration,
+    classes: impl Iterator<Item = (Symbol, Option<(Duration, Duration)>)>,
+) -> PhaseSpan {
+    let children = classes.map(|(name, time)| {
+        let (s0, w) = time.unwrap_or_default();
+        PhaseSpan::leaf(format!("class {name}"), s0, w)
+    });
+    PhaseSpan {
+        name: "classes".to_string(),
+        start: p0,
+        wall: start.elapsed() - p0,
+        children: children.collect(),
     }
 }
 
-/// What checking one class unit yields.
-pub(crate) struct UnitResult {
+/// The one diagnostic order of every driver. `errors` yields each region
+/// kind's, then each class's inheritance, then each class unit's
+/// diagnostics, in declaration order, then `main`'s; they are stably
+/// sorted by span, so equal spans (`Span::DUMMY` among them) keep that
+/// order.
+pub(crate) fn merge(errors: impl Iterator<Item = TypeError>) -> Vec<TypeError> {
+    let mut all: Vec<TypeError> = errors.collect();
+    all.sort_by_key(|e| e.span);
+    all
+}
+
+/// One declaration's verdict: a region kind's, a class's inheritance, a
+/// class unit's or `main`'s.
+#[derive(Debug, Clone)]
+pub(crate) struct Verdict {
     pub(crate) errors: Vec<TypeError>,
     pub(crate) methods_checked: usize,
     pub(crate) judgments: JudgmentCounters,
-    /// `(start offset, wall)` against the pass's clock, when it is timed.
-    pub(crate) time: Option<(Duration, Duration)>,
 }
 
-/// Checks each `(slot, class)` unit of `units` on up to `workers`
-/// threads, one [`Checker`] per thread, and returns each result in its
-/// slot; a slot no unit names stays `None`. A unit leaves its checker as
-/// it found it (see [`Checker::check_class`]), so every result, counters
-/// included, is the same whatever the thread count or the order the
-/// workers take units in. With `clock` (the pass's start) each unit is
-/// timed against it.
+/// Checks each class of `units` on up to `workers` threads, one
+/// [`Checker`] per thread, and returns their verdicts in `units`' order.
+/// A unit leaves its checker as it found it (see
+/// [`Checker::check_class`]), so every verdict, counters included, is the
+/// same whatever the thread count or the order the workers take units
+/// in. With `clock` (the pass's start) each unit is timed against it:
+/// its `(start offset, wall)` is returned in the same order.
 pub(crate) fn check_units<'a>(
     table: &ProgramTable,
     workers: usize,
-    units: impl Iterator<Item = (usize, &'a mut ClassDecl)> + Send,
-    slots: usize,
+    units: impl Iterator<Item = &'a mut ClassDecl> + Send,
     clock: Option<Instant>,
-) -> Vec<Option<UnitResult>> {
+) -> (Vec<Verdict>, Vec<Option<(Duration, Duration)>>) {
     let check = |ck: &mut Checker, c: &mut ClassDecl| {
         let c0 = clock.map(|start| start.elapsed());
-        ck.check_class(c);
-        UnitResult {
-            errors: std::mem::take(&mut ck.errors),
-            methods_checked: std::mem::take(&mut ck.methods_checked),
-            judgments: std::mem::take(&mut ck.judgments),
-            time: clock.zip(c0).map(|(start, c0)| (c0, start.elapsed() - c0)),
-        }
+        let verdict = ck.check_class(c);
+        let time = clock.zip(c0).map(|(start, c0)| (c0, start.elapsed() - c0));
+        (verdict, time)
     };
-    let mut results: Vec<Option<UnitResult>> = (0..slots).map(|_| None).collect();
     if workers <= 1 {
         let mut ck = Checker::new(table);
-        for (i, c) in units {
-            results[i] = Some(check(&mut ck, c));
-        }
-        return results;
+        return units.map(|c| check(&mut ck, c)).unzip();
     }
-    let queue = Mutex::new(units);
-    let done: Vec<Vec<(usize, UnitResult)>> = std::thread::scope(|s| {
+    let queue = Mutex::new(units.enumerate());
+    let mut done: Vec<(usize, _)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
@@ -321,18 +354,17 @@ pub(crate) fn check_units<'a>(
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("a class-checking worker panicked"))
+            .flat_map(|h| h.join().expect("a class-checking worker panicked"))
             .collect()
     });
-    for (i, result) in done.into_iter().flatten() {
-        results[i] = Some(result);
-    }
-    results
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).unzip()
 }
 
-/// The per-unit checking state. Crate-visible so the incremental engine
-/// (`crate::incremental`) can run the exact same per-class / per-region-kind
-/// routines the batch driver runs, one unit at a time.
+/// The per-unit checking state. Crate-visible so the incremental engine's
+/// patch (`crate::incremental`) can run the exact per-class routines the
+/// batch driver runs, one unit at a time. Each declaration's check
+/// returns that declaration's [`Verdict`].
 pub(crate) struct Checker<'t> {
     table: &'t ProgramTable,
     /// The base environment of `[PROG]`. Each class's environment
@@ -340,9 +372,9 @@ pub(crate) struct Checker<'t> {
     /// is done, so one environment serves every class the checker
     /// checks.
     base: Env,
-    pub(crate) errors: Vec<TypeError>,
-    pub(crate) methods_checked: usize,
-    pub(crate) judgments: JudgmentCounters,
+    errors: Vec<TypeError>,
+    methods_checked: usize,
+    judgments: JudgmentCounters,
 }
 
 impl<'t> Checker<'t> {
@@ -353,6 +385,16 @@ impl<'t> Checker<'t> {
             errors: Vec::new(),
             methods_checked: 0,
             judgments: JudgmentCounters::default(),
+        }
+    }
+
+    /// The verdict of the declaration just checked: what this checker
+    /// gathered since the last verdict.
+    fn verdict(&mut self) -> Verdict {
+        Verdict {
+            errors: std::mem::take(&mut self.errors),
+            methods_checked: std::mem::take(&mut self.methods_checked),
+            judgments: std::mem::take(&mut self.judgments),
         }
     }
 
@@ -635,7 +677,7 @@ impl<'t> Checker<'t> {
     /// `[REGION KIND DEF]`: portal field and subregion types are checked in
     /// an environment where `this` denotes the region and every formal
     /// outlives it.
-    pub(crate) fn check_region_kind(&mut self, rk: &RegionKindDecl) {
+    pub(crate) fn check_region_kind(&mut self, rk: &RegionKindDecl) -> Verdict {
         let mut env = Env::base();
         let formal_owners: Vec<Owner> = rk
             .formals
@@ -683,6 +725,7 @@ impl<'t> Checker<'t> {
             self.wf_kind(&env, &k, s.span);
         }
         self.absorb_env(&env);
+        self.verdict()
     }
 
     /// Runs `check` in the environment of `[CLASS DEF]` for `info`: the
@@ -706,21 +749,22 @@ impl<'t> Checker<'t> {
 
     /// `[PROG]`: the main block runs on the main (regular) thread with
     /// effects `{heap, immortal}` and the heap as the current region.
-    pub(crate) fn check_main(&mut self, main: &mut Block) {
+    pub(crate) fn check_main(&mut self, main: &mut Block) -> Verdict {
         let mut env = Env::base();
         let x: Effects = [Owner::Heap, Owner::Immortal].into_iter().collect();
         for s in &mut main.stmts {
             self.check_stmt(&mut env, &x, &Owner::Heap, Some(&SType::Void), false, s);
         }
         self.absorb_env(&env);
+        self.verdict()
     }
 
     /// `[CLASS DEF]`, on the checker's base environment, which it leaves
     /// as it found it.
-    pub(crate) fn check_class(&mut self, c: &mut ClassDecl) {
+    pub(crate) fn check_class(&mut self, c: &mut ClassDecl) -> Verdict {
         let table = self.table;
         let Some(info) = table.class(c.name.name) else {
-            return; // table construction already reported this
+            return self.verdict(); // table construction already reported this
         };
         self.in_class_env(info, |ck, env| {
             if let Some(ext) = &c.extends {
@@ -740,6 +784,7 @@ impl<'t> Checker<'t> {
                 ck.check_method(info, env, m);
             }
         });
+        self.verdict()
     }
 
     /// `[METHOD]`, on the class's environment `env`, which it extends
@@ -803,25 +848,24 @@ impl<'t> Checker<'t> {
         self.methods_checked += 1;
     }
 
-    /// `InheritanceOK` + `OverridesOK`.
-    pub(crate) fn check_inheritance(&mut self, classes: &[ClassDecl]) {
-        // Iterate in declaration order (not table-map order) so the
-        // diagnostics this pass emits are deterministic run to run.
-        for c in classes {
-            let table = self.table;
-            let Some(info) = table.class(c.name.name) else {
-                continue;
-            };
-            let Some(ext) = info
-                .decl
-                .extends
-                .as_ref()
-                .filter(|e| e.name.name != "Object")
-            else {
-                continue;
-            };
-            self.in_class_env(info, |ck, env| ck.check_overrides(env, info, ext));
-        }
+    /// `InheritanceOK` + `OverridesOK` for class `c`. Every driver calls
+    /// it per class in declaration order (not table-map order), so its
+    /// diagnostics are deterministic run to run.
+    pub(crate) fn check_inheritance(&mut self, c: &ClassDecl) -> Verdict {
+        let table = self.table;
+        let Some(info) = table.class(c.name.name) else {
+            return self.verdict();
+        };
+        let Some(ext) = info
+            .decl
+            .extends
+            .as_ref()
+            .filter(|e| e.name.name != "Object")
+        else {
+            return self.verdict();
+        };
+        self.in_class_env(info, |ck, env| ck.check_overrides(env, info, ext));
+        self.verdict()
     }
 
     /// `InheritanceOK` + `OverridesOK` for class `info`, which extends

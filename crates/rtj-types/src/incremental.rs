@@ -3,60 +3,65 @@
 //! [`IncrementalChecker`] keeps the result of the last check — per-class
 //! diagnostics, per-class judgment-cache counters, the built
 //! [`ProgramTable`] — keyed by fingerprints ([`rtj_lang::fingerprint`]),
-//! and re-checks only the *dirty closure* of an edit batch. The contract,
-//! enforced by `tests/incremental_differential.rs`, is strict:
+//! and re-checks only what an edit can change. The contract, enforced by
+//! `tests/incremental_differential.rs`, is strict:
 //!
 //! > At any `--jobs`, a `recheck` produces **byte-identical diagnostics**
 //! > and a structurally identical `rtj-checker-metrics/v1` snapshot to a
 //! > from-scratch [`crate::check_program_in`] of the same source.
 //!
-//! How the reuse works:
+//! One rule decides what a pass reuses. A pass **patches** when its
+//! program has the committed shape: the same class names, each with its
+//! committed formal count, and the same region kinds with unchanged text.
+//! It then re-checks the classes whose text changed plus the dependent
+//! closure of their changed signatures, on the kept table. Any other pass
+//! **starts over**: it runs the batch driver's own pass and refills every
+//! cache from its verdicts. So does a patch the closure refuses (it
+//! reaches a region kind, or the patched table breaks a structural rule).
+//!
+//! How a patch reuses:
 //!
 //! * Every class and region kind gets a **text** fingerprint (a hash of
 //!   its source bytes), and every class a **signature** fingerprint (what
 //!   dependents can observe; span-free, over the elaborated declaration).
-//!   A declaration whose text is unchanged keeps its cached signature
-//!   unhashed. A body-only edit changes the text but not the signature.
+//!   A body-only edit changes the text but not the signature.
 //! * A **reverse dependency index** maps each class and region-kind name
 //!   to the declarations that mention it. The engine keeps it in step
-//!   with the committed reference sets. Signature changes (and class or
-//!   region-kind additions/removals) seed a BFS over it; the resulting
-//!   closure is re-checked. The closure is transitive, so names a class
-//!   only reaches through a dependency's members are still covered.
-//! * The table is rebuilt only when the class set, a region kind or a
-//!   formal count changes. Otherwise each re-parsed class's entry is
-//!   patched (the crate-private `ProgramTable::patch_class`) and the
-//!   table's per-class structural rules re-run over the closure
-//!   (`ProgramTable::check_classes`). A patch that breaks a rule is
-//!   undone (`ProgramTable::restore_class`) before the table is read
-//!   again, so a patched table, like a built one, holds no cyclic or
-//!   unknown chain.
+//!   with the committed reference sets. The edited classes whose
+//!   signature changed seed a search over it, and the closure re-checks.
+//!   The closure is transitive, so names a class only reaches through a
+//!   dependency's members are still covered.
+//! * Each re-parsed class's table entry is patched (the crate-private
+//!   `ProgramTable::patch_class`) and the table's per-class structural
+//!   rules re-run over the closure (`ProgramTable::check_classes`). A
+//!   patch that breaks a rule is undone (`ProgramTable::restore_class`)
+//!   before the table is read again, so a patched table, like a built
+//!   one, holds no cyclic or unknown chain.
 //! * Clean classes contribute their cached diagnostics with spans
 //!   **shifted** by the declaration's movement. Equal text parses to the
 //!   same declaration, only moved, so the uniform shift is exact, not
 //!   approximate.
-//! * Judgment-cache counters are cached per class. Each class is checked
+//! * Judgment-cache counters are cached per declaration. Each is checked
 //!   in an environment that starts as a fresh one would: its checker's
-//!   base environment, rolled back with every memo when the class is
-//!   done. So per-class counters are deterministic and
+//!   base environment, rolled back with every memo when the declaration
+//!   is done. So the counters are deterministic and
 //!   scheduling-independent — summing cached and fresh counters
 //!   reproduces the from-scratch totals exactly.
 //!
-//! The region-kind and inheritance well-formedness passes are cached the
-//! same way (per declaration), and the `main` block is always re-checked
-//! (it is a fraction of a percent of the total).
+//! The `main` block is re-checked every pass (it is a fraction of a
+//! percent of the total).
 //!
-//! Parsing is reused too. A batch takes the **fragment path** when every
-//! edited declaration parses on its own at its splice offset, fills its
-//! text exactly, and keeps its name and formal count. Then only the edited
-//! declarations, the unchanged text of the classes in a changed
-//! signature's dirty closure, and `main` are parsed; every other class is
-//! known by its name and current start alone. Renames, formal-count
-//! changes, text with leading or trailing trivia, parse errors, a closure
-//! that reaches a region kind and a structural error on the patched table
-//! parse the whole source. [`IncrementalChecker::check_source`] takes the
-//! same path when the new text differs from the stored one inside a
-//! single class declaration. DESIGN.md §9 states the route rule and why
+//! A patch parses one of two ways. A batch takes the **fragment path**
+//! when every edited declaration parses on its own at its splice offset,
+//! fills its text exactly, and keeps its name and formal count. Then only
+//! the edited declarations, the unchanged text of the classes in a
+//! changed signature's dirty closure, and `main` are parsed; every other
+//! class is known by its name and current start alone. Any other batch,
+//! and the pass after a table error, parses the whole source and then
+//! patches or starts over by the rule above.
+//! [`IncrementalChecker::check_source`] takes the fragment path when the
+//! new text differs from the stored one inside a single class declaration
+//! or inside the main block. DESIGN.md §9 states the route rule and why
 //! both parses agree.
 //!
 //! A fragment pass costs what it dirties. On that path the class set and
@@ -70,7 +75,10 @@
 //! move declarations, so it re-derives the index, the diagnostic
 //! positions and the totals.
 
-use crate::check::{check_units, resolve_jobs, CheckOptions, CheckStats, Checker};
+use crate::check::{
+    check_pass, check_units, classes_phase, merge, resolve_jobs, CheckOptions, CheckStats, Checker,
+    Verdict,
+};
 use crate::env::JudgmentCounters;
 use crate::error::TypeError;
 use crate::infer;
@@ -131,20 +139,26 @@ pub struct RecheckOutcome {
     /// (names and ordering) matches a from-scratch profile.
     pub profile: Option<CheckProfile>,
     /// Names of the classes that were actually re-checked, in declaration
-    /// order.
+    /// order: every class on a fresh pass, none after a table error, and
+    /// on a patch the classes whose text changed plus the dirty closure
+    /// of their changed signatures.
     pub dirty: Vec<Symbol>,
     /// Class units whose cached results were reused.
     pub reused: usize,
     /// Total classes in the program.
     pub classes: usize,
-    /// Whether the pass rebuilt the [`ProgramTable`] from scratch: the
-    /// first pass, and whole-source passes that change the class set, a
-    /// region kind or a signature. The fragment path patches the kept
-    /// table instead.
+    /// Whether the pass started over: the batch driver's pass built a
+    /// fresh [`ProgramTable`] and checked every declaration. That is the
+    /// first pass, a pass whose program lacks the committed shape (a class
+    /// added, removed or renamed, a formal count or a region kind's text
+    /// changed), and a patch the closure refused. A patch keeps the table.
     pub full_rebuild: bool,
-    /// Whether the pass parsed the whole source. `false` only on the
-    /// fragment path, which parses the edited declarations, the classes
-    /// of a changed signature's dirty closure, and `main`.
+    /// Whether the pass parsed the whole source: every fresh pass, and a
+    /// patch whose batch falls outside the fragment rule (trivia at a
+    /// class's edge, a change between declarations or across two, the
+    /// pass after a table error). `false` only on the fragment path,
+    /// which parses the edited declarations, the classes of a changed
+    /// signature's dirty closure, and `main`.
     pub whole_parse: bool,
     /// Wall-clock nanoseconds of the checking work, parsing excluded.
     /// Edit-to-verdict latency is the whole `recheck` (or `check_source`)
@@ -159,24 +173,23 @@ impl RecheckOutcome {
     }
 }
 
-/// Cached per-class results from the last pass that processed the class.
+/// Cached per-class results from the last pass that checked the class.
 #[derive(Debug, Clone)]
 struct UnitCache {
     sig: u64,
     text: u64,
     start: u32,
     refs: Vec<Symbol>,
-    wf_errors: Vec<TypeError>,
-    wf_judgments: JudgmentCounters,
-    errors: Vec<TypeError>,
-    methods_checked: usize,
-    judgments: JudgmentCounters,
+    /// Its inheritance's verdict.
+    wf: Verdict,
+    /// Its unit's verdict.
+    unit: Verdict,
 }
 
 impl UnitCache {
     /// Whether a merge has diagnostics to take from this class.
     fn has_errors(&self) -> bool {
-        !self.wf_errors.is_empty() || !self.errors.is_empty()
+        !self.wf.errors.is_empty() || !self.unit.errors.is_empty()
     }
 }
 
@@ -185,11 +198,10 @@ impl UnitCache {
 struct RkCache {
     text: u64,
     start: u32,
-    errors: Vec<TypeError>,
-    judgments: JudgmentCounters,
+    verdict: Verdict,
 }
 
-/// Counters summed over cached units, kept as running sums so a pass
+/// Counters summed over cached verdicts, kept as running sums so a pass
 /// reports from-scratch totals without visiting the units it reuses.
 #[derive(Debug, Clone, Copy, Default)]
 struct Totals {
@@ -198,16 +210,14 @@ struct Totals {
 }
 
 impl Totals {
-    fn add(&mut self, u: &UnitCache) {
-        self.methods_checked += u.methods_checked;
-        self.judgments.absorb(&u.wf_judgments);
-        self.judgments.absorb(&u.judgments);
+    fn add(&mut self, v: &Verdict) {
+        self.methods_checked += v.methods_checked;
+        self.judgments.absorb(&v.judgments);
     }
 
-    fn remove(&mut self, u: &UnitCache) {
-        self.methods_checked -= u.methods_checked;
-        self.judgments.retract(&u.wf_judgments);
-        self.judgments.retract(&u.judgments);
+    fn remove(&mut self, v: &Verdict) {
+        self.methods_checked -= v.methods_checked;
+        self.judgments.retract(&v.judgments);
     }
 }
 
@@ -290,7 +300,7 @@ impl Layout {
     }
 
     /// Each class's position by name, the first one's should a name
-    /// repeat (such a text stops at a table error).
+    /// repeat (such a text starts over, and stops at a table error).
     fn index(&self) -> HashMap<&'static str, usize> {
         let mut index = HashMap::with_capacity(self.classes.len());
         for (i, (name, _)) in self.classes.iter().enumerate() {
@@ -309,41 +319,9 @@ fn parse_fragment(source: &str, (name, span): (Symbol, Span)) -> Option<ClassDec
     (decl.span == span && decl.name.name == name).then_some(decl)
 }
 
-/// A class a pass parsed.
-struct Parsed {
-    /// Its position in the layout.
-    pos: usize,
-    decl: ClassDecl,
-    /// Its text fingerprint.
-    text: u64,
-    /// Its fresh signature fingerprint when the class re-checks; `None`
-    /// when its cached results are reused.
-    dirty: Option<u64>,
-}
-
-/// A pass after its route is decided: what the shared back half
-/// ([`IncrementalChecker::finish`]) checks, reuses and commits.
-struct Pass {
-    start: Instant,
-    phases: Vec<PhaseSpan>,
-    table: ProgramTable,
-    /// Whether `table` is the kept one, patched rather than rebuilt, so
-    /// clean classes and region kinds reuse their well-formedness results
-    /// too.
-    reused_table: bool,
-    /// The parsed classes in declaration order: every class on the
-    /// whole-source path, only the re-parsed ones on the fragment path.
-    classes: Vec<Parsed>,
-    /// Each region kind's text fingerprint, in declaration order, which
-    /// a rebuilt table commits (every region kind re-checks); the
-    /// fragment path, which keeps the table, computes none.
-    region_kinds: Vec<u64>,
-    main: Block,
-    whole_parse: bool,
-    /// Time spent after `start` re-parsing the closure's dependents,
-    /// which [`RecheckOutcome::check_ns`] leaves out.
-    reparse: Duration,
-}
+/// The fragment path's parse: the edited classes, by layout position,
+/// and `main`.
+type Fragments = (Vec<(usize, ClassDecl)>, Block);
 
 /// One undoable splice: the position of the class whose text was
 /// replaced, and the text it had.
@@ -359,7 +337,7 @@ pub struct IncrementalChecker {
     /// Each class's position in `layout.classes`, by name. Re-derived
     /// with the layout; the fragment path keeps the class order.
     index: HashMap<&'static str, usize>,
-    /// Table from the last pass whose build succeeded.
+    /// Table from the last pass that committed.
     table: Option<ProgramTable>,
     units: HashMap<Symbol, UnitCache>,
     rkinds: HashMap<Symbol, RkCache>,
@@ -404,9 +382,10 @@ impl IncrementalChecker {
     /// [`IncrementalChecker::source`] by common prefix and suffix. When
     /// the changed bytes lie inside one class declaration of the stored
     /// text, that declaration's new text is re-checked as a
-    /// [`IncrementalChecker::recheck`] edit would be, and an identical
-    /// text re-checks only `main`. Any other change parses the whole
-    /// text.
+    /// [`IncrementalChecker::recheck`] edit would be. When the common
+    /// prefix reaches past the main block's opening brace, the text is an
+    /// empty batch, which re-parses and re-checks only `main`. Any other
+    /// change parses the whole text.
     ///
     /// # Errors
     ///
@@ -414,27 +393,37 @@ impl IncrementalChecker {
     /// [`parse_program`] gives for it); the engine state is left at the
     /// last good pass.
     pub fn check_source(&mut self, source: &str) -> Result<RecheckOutcome, ParseError> {
-        if let Some(change) = self.diff(source) {
-            let undo = change.map(|(pos, text)| self.splice(pos, &source[text]));
-            return self.recheck_spliced(undo.into_iter().collect());
+        match self.diff(source) {
+            Some(Some((pos, text))) => {
+                let undo = self.splice(pos, &source[text]);
+                self.recheck_spliced(vec![undo])
+            }
+            Some(None) => {
+                let old = std::mem::replace(&mut self.source, source.to_owned());
+                self.recheck_spliced(Vec::new())
+                    .inspect_err(|_| self.source = old)
+            }
+            None => self.route(None, |eng| {
+                let prog = parse_program(source)?;
+                source.clone_into(&mut eng.source);
+                Ok(prog)
+            }),
         }
-        let prog = parse_program(source)?;
-        source.clone_into(&mut self.source);
-        Ok(self.process(prog))
     }
 
-    /// The position of the one class whose text differs between the
-    /// stored text and `source`, with the range of its new text in
-    /// `source` (`None` for an identical text), when `source` differs
-    /// from the stored text only inside that class declaration. Only a
-    /// committed pass's layout describes its text.
+    /// How `source` differs from the stored text, when a committed pass's
+    /// layout describes the stored text: the position of the one class
+    /// whose text differs, with the range of its new text in `source`,
+    /// when the change lies inside that class declaration; `Some(None)`
+    /// when the common prefix reaches past the main block's opening brace
+    /// (`main` is last, so only it changed). `None` for any other change.
     fn diff(&self, source: &str) -> Option<Option<(usize, Range<usize>)>> {
         if self.table.is_none() || self.stale {
             return None;
         }
         let (old, new) = (self.source.as_bytes(), source.as_bytes());
         let prefix = old.iter().zip(new).take_while(|(a, b)| a == b).count();
-        if prefix == old.len() && prefix == new.len() {
+        if prefix > self.layout.main as usize {
             return Some(None);
         }
         let suffix = old[prefix..]
@@ -457,9 +446,9 @@ impl IncrementalChecker {
     }
 
     /// Applies a batch of single-class edits to the stored source and
-    /// re-checks the dirty closure, on the fragment path when the batch
-    /// allows it (see the module docs) and on the whole edited source
-    /// otherwise.
+    /// re-checks it by the reuse rule (see the module docs), on the
+    /// fragment path when the batch allows it and on the whole edited
+    /// source otherwise.
     ///
     /// # Errors
     ///
@@ -496,58 +485,140 @@ impl IncrementalChecker {
         }
     }
 
-    /// Re-checks the stored source after the splices `undo` records: the
-    /// fragment path if it applies, else the whole source. A source that
-    /// does not parse is spliced back, leaving the engine as it was.
+    /// Re-checks the stored source after the splices `undo` records. A
+    /// source that does not parse is spliced back, leaving the engine as
+    /// it was.
     fn recheck_spliced(&mut self, undo: Vec<Undo>) -> Result<RecheckOutcome, ParseError> {
-        let mut edited: Vec<usize> = Vec::with_capacity(undo.len());
-        for &(pos, _) in &undo {
-            if !edited.contains(&pos) {
-                edited.push(pos);
-            }
-        }
-        if !self.stale {
-            if let Some(out) = self.recheck_fragments(&edited) {
-                return Ok(out);
-            }
-        }
-        match parse_program(&self.source) {
-            Ok(prog) => Ok(self.process(prog)),
-            Err(e) => {
-                self.unsplice(undo);
-                Err(e)
-            }
-        }
+        let mut edited: Vec<usize> = undo.iter().map(|(pos, _)| *pos).collect();
+        edited.sort_unstable();
+        edited.dedup();
+        let fragments = self.fragments(&edited);
+        self.route(fragments, |eng| {
+            parse_program(&eng.source).inspect_err(|_| eng.unsplice(undo))
+        })
     }
 
-    /// The fragment path: re-checks a batch without parsing any
-    /// declaration but the edited ones (positions `edited`) and the
-    /// dependents in the dirty closure of their changed signatures.
-    /// Returns `None`, with the engine untouched, unless every edited
-    /// declaration parses on its own at its splice offset, fills its
-    /// text exactly (no leading or trailing trivia, which could lex
-    /// differently against the text around it), and keeps its name and
-    /// its formal count. Then a whole-source parse would yield the same
-    /// declarations with the same spans, and every class outside the
-    /// closure is known by its name and current start alone. It also
-    /// returns `None` when the closure reaches a region kind or the
-    /// patched table breaks a structural rule; the whole-source path
-    /// reports such errors.
-    fn recheck_fragments(&mut self, edited: &[usize]) -> Option<RecheckOutcome> {
+    /// The fragment rule for the classes at layout positions `edited`:
+    /// each parsed on its own at its splice offset, and `main`. `None`
+    /// after a table error (the caches describe an older text), or unless
+    /// every edited declaration parses, fills its text exactly (no
+    /// leading or trailing trivia, which could lex differently against
+    /// the text around it), and keeps its name and its formal count. Then
+    /// a whole-source parse would yield the same declarations with the
+    /// same spans, and every class outside the closure is known by its
+    /// name and current start alone.
+    fn fragments(&self, edited: &[usize]) -> Option<Fragments> {
+        if self.stale {
+            return None;
+        }
         let table = self.table.as_ref()?;
-        let (source, layout) = (&self.source, &self.layout);
         let mut parsed = Vec::with_capacity(edited.len());
         for &pos in edited {
-            let decl = parse_fragment(source, layout.classes[pos])?;
+            let decl = parse_fragment(&self.source, self.layout.classes[pos])?;
             // Other classes' bare types are completed with this count.
             if table.formal_count(decl.name.name) != Some(decl.formals.len()) {
                 return None;
             }
             parsed.push((pos, decl));
         }
-        let main = parse_block_at(&source[layout.main as usize..], layout.main).ok()?;
+        let main = &self.source[self.layout.main as usize..];
+        let main = parse_block_at(main, self.layout.main).ok()?;
+        Some((parsed, main))
+    }
 
+    /// The reuse rule, decided once per pass over the stored source:
+    ///
+    /// * a fragment parse patches;
+    /// * otherwise `whole` parses the whole source, and the pass patches
+    ///   when that program has the committed shape
+    ///   ([`IncrementalChecker::edited`]);
+    /// * any other pass starts over, as does a patch the closure refuses
+    ///   ([`IncrementalChecker::patch`]).
+    ///
+    /// # Errors
+    ///
+    /// `whole`'s parse error, which leaves the engine as it was.
+    fn route(
+        &mut self,
+        fragments: Option<Fragments>,
+        whole: impl FnOnce(&mut Self) -> Result<Program, ParseError>,
+    ) -> Result<RecheckOutcome, ParseError> {
+        if let Some((edited, main)) = fragments {
+            if let Some(out) = self.patch(Instant::now(), edited, main, None) {
+                return Ok(out);
+            }
+            // The spliced layout is the whole parse's.
+            let prog = whole(self)?;
+            return Ok(self.start_over(prog));
+        }
+        let prog = whole(self)?;
         let start = Instant::now();
+        self.layout = Layout::of(&prog);
+        self.index = self.layout.index();
+        if let Some(edited) = self.edited(&prog) {
+            if let Some(out) = self.patch(start, edited, prog.main.clone(), Some(&prog)) {
+                return Ok(out);
+            }
+        }
+        Ok(self.start_over(prog))
+    }
+
+    /// The classes whose text changed, by layout position, when `prog`
+    /// (the whole parse, laid out) has the committed shape: the committed
+    /// class names, none twice, each with the kept table's formal count,
+    /// and the committed region kinds, none twice, with unchanged text.
+    /// `None` otherwise, and before any pass committed. The shape is read
+    /// off the caches and the kept table, which describe the last
+    /// committed pass; after a table error the old layout does not.
+    fn edited(&self, prog: &Program) -> Option<Vec<(usize, ClassDecl)>> {
+        let table = self.table.as_ref()?;
+        // The index keeps one position a name, so a repeated class name
+        // leaves it shorter than the class list.
+        let classes_kept =
+            prog.classes.len() == self.units.len() && self.index.len() == self.units.len();
+        let rk_names: HashSet<Symbol> = prog.region_kinds.iter().map(|rk| rk.name.name).collect();
+        let region_kinds_kept = rk_names.len() == self.rkinds.len()
+            && prog.region_kinds.len() == self.rkinds.len()
+            && (prog.region_kinds.iter()).all(|rk| {
+                let text = text_fingerprint(&self.source, rk.span);
+                self.rkinds
+                    .get(&rk.name.name)
+                    .is_some_and(|c| c.text == text)
+            });
+        if !classes_kept || !region_kinds_kept {
+            return None;
+        }
+        let mut edited = Vec::new();
+        for (pos, c) in prog.classes.iter().enumerate() {
+            let cached = self.units.get(&c.name.name)?;
+            if table.formal_count(c.name.name) != Some(c.formals.len()) {
+                return None;
+            }
+            if cached.text != text_fingerprint(&self.source, c.span) {
+                edited.push((pos, c.clone()));
+            }
+        }
+        Some(edited)
+    }
+
+    /// The patch route: re-checks the classes `edited` (layout positions
+    /// and parsed declarations, in declaration order) and the dependent
+    /// closure of their changed signatures on the kept table, as the
+    /// batch driver checks them, and commits them. The closure's other
+    /// classes come from `whole`, or on the fragment path are re-parsed
+    /// from their unchanged text, which on its own parses to the same
+    /// declaration (DESIGN.md §9). Returns `None`, with the engine
+    /// untouched, when the closure reaches a region kind or the patched
+    /// table breaks a structural rule: such a pass starts over, and its
+    /// fresh table reports the errors.
+    fn patch(
+        &mut self,
+        start: Instant,
+        mut edited: Vec<(usize, ClassDecl)>,
+        mut main: Block,
+        whole: Option<&Program>,
+    ) -> Option<RecheckOutcome> {
+        let table = self.table.as_ref()?;
         let profiling = self.opts.profile;
         let mut phases: Vec<PhaseSpan> = Vec::new();
 
@@ -555,7 +626,7 @@ impl IncrementalChecker {
         // The class set and every formal count are unchanged, so the kept
         // table has the counts a whole-program pass would use.
         let formals = |n: Symbol| table.formal_count(n);
-        for (_, decl) in &mut parsed {
+        for (_, decl) in &mut edited {
             infer::apply_class_defaults(decl, &formals);
         }
         if let Some(p0) = p0 {
@@ -563,9 +634,9 @@ impl IncrementalChecker {
         }
 
         let p0 = profiling.then(|| start.elapsed());
-        let mut fresh = Vec::with_capacity(parsed.len());
+        let mut fresh = Vec::with_capacity(edited.len());
         let mut seeds = Vec::new();
-        for (pos, decl) in parsed {
+        for (pos, decl) in edited {
             let sig = signature_fingerprint(&decl);
             if self.units.get(&decl.name.name)?.sig != sig {
                 seeds.push(decl.name.name);
@@ -576,17 +647,18 @@ impl IncrementalChecker {
         if closure.iter().any(|n| self.rkinds.contains_key(n)) {
             return None;
         }
-        // Each dependent's text is unchanged since a parse that gave it
-        // this span, so on its own it parses to the same declaration
-        // (DESIGN.md §9), completed with the same counts.
         let mut reparse = Duration::ZERO;
+        let parsed = fresh.len();
         for name in &closure {
             let pos = *self.index.get(name.as_str())?;
-            if fresh.iter().any(|(p, _, _)| *p == pos) {
+            if (fresh[..parsed].binary_search_by_key(&pos, |(p, _, _)| *p)).is_ok() {
                 continue;
             }
             let r0 = Instant::now();
-            let mut decl = parse_fragment(source, layout.classes[pos])?;
+            let mut decl = match whole {
+                Some(prog) => prog.classes[pos].clone(),
+                None => parse_fragment(&self.source, self.layout.classes[pos])?,
+            };
             reparse += r0.elapsed();
             infer::apply_class_defaults(&mut decl, &formals);
             let sig = signature_fingerprint(&decl);
@@ -604,456 +676,232 @@ impl IncrementalChecker {
             self.table = Some(table);
             return None;
         }
+        // The classes to re-check, in declaration order.
+        let source = &self.source;
+        fresh.retain(|(_, decl, _)| {
+            let (name, text) = (decl.name.name, text_fingerprint(source, decl.span));
+            closure.contains(&name) || self.units[&name].text != text
+        });
         fresh.sort_unstable_by_key(|(pos, _, _)| *pos);
-        let classes = fresh
-            .into_iter()
-            .map(|(pos, decl, sig)| {
-                let name = decl.name.name;
-                let text = text_fingerprint(source, decl.span);
-                let dirty = closure.contains(&name) || self.units[&name].text != text;
-                Parsed {
-                    pos,
-                    decl,
-                    text,
-                    dirty: dirty.then_some(sig),
-                }
-            })
-            .collect();
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("table", p0, start.elapsed() - p0));
         }
-        Some(self.finish(Pass {
-            start,
-            phases,
-            table,
-            reused_table: true,
-            classes,
-            region_kinds: Vec::new(),
-            main,
-            whole_parse: false,
-            reparse,
-        }))
-    }
 
-    /// One checking pass over the parsed stored source: diff fingerprints
-    /// and decide the dirty set, then [`IncrementalChecker::finish`].
-    ///
-    /// Every declaration's text is hashed. A class whose text is
-    /// unchanged since the pass that cached it keeps its cached signature
-    /// fingerprint unhashed; any other class is hashed fresh. A class
-    /// parsed under a new name is not in the unit cache, and a duplicate
-    /// of an existing name trips the table-error path before any
-    /// fingerprint is trusted.
-    fn process(&mut self, mut prog: Program) -> RecheckOutcome {
-        let start = Instant::now();
-        let profiling = self.opts.profile;
-        let mut phases: Vec<PhaseSpan> = Vec::new();
-
-        self.layout = Layout::of(&prog);
-        self.index = self.layout.index();
-
-        // lower: exactly the from-scratch phase (idempotent, ~2% of a full
-        // check; re-running it whole keeps elaborated fingerprints honest).
+        // wf: each dirty class's inheritance (the region kinds are
+        // unchanged).
         let p0 = profiling.then(|| start.elapsed());
-        infer::apply_declaration_defaults(&mut prog);
-        if let Some(p0) = p0 {
-            phases.push(PhaseSpan::leaf("lower", p0, start.elapsed() - p0));
-        }
-
-        // table: fingerprint, diff, and rebuild-or-patch.
-        let p0 = profiling.then(|| start.elapsed());
-        let total = prog.classes.len();
-        // Each class's text fingerprint, and its fresh signature
-        // fingerprint unless the cache holds the same text.
-        let fps: Vec<(u64, Option<u64>)> = prog
-            .classes
-            .iter()
-            .map(|c| {
-                let text = text_fingerprint(&self.source, c.span);
-                let cached = self.units.get(&c.name.name).is_some_and(|u| u.text == text);
-                (text, (!cached).then(|| signature_fingerprint(c)))
-            })
-            .collect();
-        let rktexts: Vec<u64> = prog
-            .region_kinds
-            .iter()
-            .map(|rk| text_fingerprint(&self.source, rk.span))
-            .collect();
-
-        let mut names: HashSet<Symbol> = HashSet::with_capacity(total);
-        let mut dup = false;
-        for c in &prog.classes {
-            dup |= !names.insert(c.name.name);
-        }
-        let mut rknames: HashSet<Symbol> = HashSet::new();
-        for rk in &prog.region_kinds {
-            dup |= !rknames.insert(rk.name.name);
-        }
-
-        // Seeds: classes whose *signature* changed (or appeared/vanished)
-        // and region kinds whose text changed (or appeared/vanished).
-        let mut seeds: Vec<Symbol> = Vec::new();
-        for (c, (_, sig)) in prog.classes.iter().zip(&fps) {
-            // A class whose text is unchanged keeps its signature.
-            let Some(sig) = sig else { continue };
-            if self.units.get(&c.name.name).is_none_or(|u| u.sig != *sig) {
-                seeds.push(c.name.name);
-            }
-        }
-        seeds.extend(self.units.keys().filter(|n| !names.contains(n)));
-        for (rk, text) in prog.region_kinds.iter().zip(&rktexts) {
-            let cached = self.rkinds.get(&rk.name.name);
-            if cached.is_none_or(|r| r.text != *text) {
-                seeds.push(rk.name.name);
-            }
-        }
-        seeds.extend(self.rkinds.keys().filter(|n| !rknames.contains(n)));
-
-        // A class re-checks when its text changed, or when the closure of
-        // the seeds reaches it.
-        let fast = !dup && seeds.is_empty() && self.table.is_some();
-        let mut dirty: Vec<bool> = fps.iter().map(|(_, sig)| sig.is_some()).collect();
-        let table = if fast {
-            let mut table = self.table.take().expect("fast path requires a table");
-            for (c, _) in prog.classes.iter().zip(&dirty).filter(|(_, d)| **d) {
-                // The structural facts still hold (signature unchanged)
-                // but spans and bodies moved: patch the entry so error
-                // reporting against this class reads current spans.
-                table.patch_class(c);
-            }
-            table
-        } else {
-            let built = match ProgramTable::build(&prog) {
-                Ok(t) => t,
-                Err(errors) => {
-                    // From-scratch parity: the driver returns table errors
-                    // alone, before any unit runs. Keep the caches at the
-                    // last good pass so the next diff is against it.
-                    self.stale = true;
-                    let elapsed = start.elapsed();
-                    return RecheckOutcome {
-                        errors,
-                        stats: CheckStats {
-                            classes_checked: total,
-                            elapsed,
-                            ..CheckStats::default()
-                        },
-                        profile: None,
-                        dirty: Vec::new(),
-                        reused: 0,
-                        classes: total,
-                        full_rebuild: true,
-                        whole_parse: true,
-                        check_ns: elapsed.as_nanos() as u64,
-                    };
-                }
-            };
-            // Reverse dependency index over this text's declarations, then
-            // the BFS closure of the seeds. Text-unchanged classes reuse
-            // their cached (elaborated) reference sets.
-            let mut reverse = Dependents::new();
-            for (c, &changed) in prog.classes.iter().zip(&dirty) {
-                match self.units.get(&c.name.name) {
-                    Some(u) if !changed => link(&mut reverse, c.name.name, &u.refs),
-                    _ => link(&mut reverse, c.name.name, &class_refs(c)),
-                }
-            }
-            for rk in &prog.region_kinds {
-                link(&mut reverse, rk.name.name, &region_kind_refs(rk));
-            }
-            let closure = dependent_closure(&reverse, seeds);
-            for (c, d) in prog.classes.iter().zip(&mut dirty) {
-                *d |= closure.contains(&c.name.name);
-            }
-            built
-        };
-        let classes = std::mem::take(&mut prog.classes)
-            .into_iter()
-            .zip(fps)
-            .zip(dirty)
-            .enumerate()
-            .map(|(pos, ((c, (text, sig)), dirty))| Parsed {
-                pos,
-                text,
-                // A dirty class is committed with a fresh signature: a
-                // cached one predates any change to the formal counts its
-                // bare class types were completed with.
-                dirty: dirty.then(|| sig.unwrap_or_else(|| signature_fingerprint(&c))),
-                decl: c,
-            })
-            .collect();
-        if let Some(p0) = p0 {
-            phases.push(PhaseSpan::leaf("table", p0, start.elapsed() - p0));
-        }
-        self.finish(Pass {
-            start,
-            phases,
-            table,
-            reused_table: fast,
-            classes,
-            region_kinds: rktexts,
-            main: prog.main,
-            whole_parse: true,
-            reparse: Duration::ZERO,
-        })
-    }
-
-    /// The back half every committed pass shares: check what is dirty,
-    /// commit it, then merge the kept diagnostics in from-scratch order.
-    /// On the fragment path it visits only the parsed classes and the
-    /// classes with cached diagnostics (the profile's per-class spans
-    /// aside).
-    fn finish(&mut self, pass: Pass) -> RecheckOutcome {
-        let Pass {
-            start,
-            mut phases,
-            table,
-            reused_table,
-            mut classes,
-            region_kinds,
-            mut main,
-            whole_parse,
-            reparse,
-        } = pass;
-        let profiling = self.opts.profile;
-        let total = self.layout.classes.len();
-
-        // wf: region kinds, then inheritance, both per declaration (each
-        // unit's checker absorbs the same environments in the same order
-        // as the from-scratch single-pass prelude, and a class leaves its
-        // checker as it found it, so errors and counters are identical).
-        // A rebuilt table re-checks every declaration; a reused one
-        // re-checks only the dirty classes.
-        let p0 = profiling.then(|| start.elapsed());
-        let rk_results: Vec<(Vec<TypeError>, JudgmentCounters)> = if reused_table {
-            Vec::new()
-        } else {
-            self.layout
-                .region_kinds
-                .iter()
-                .map(|&(name, _)| {
-                    let info = table.region_kind(name).expect("built from this program");
-                    let mut ck = Checker::new(&table);
-                    ck.check_region_kind(&info.decl);
-                    (std::mem::take(&mut ck.errors), ck.judgments)
-                })
-                .collect()
-        };
         let mut ck = Checker::new(&table);
-        let cls_wf: Vec<Option<(Vec<TypeError>, JudgmentCounters)>> = classes
-            .iter()
-            .map(|c| {
-                (c.dirty.is_some() || !reused_table).then(|| {
-                    ck.check_inheritance(std::slice::from_ref(&c.decl));
-                    let errors = std::mem::take(&mut ck.errors);
-                    (errors, std::mem::take(&mut ck.judgments))
-                })
-            })
+        let wf: Vec<Verdict> = (fresh.iter())
+            .map(|(_, decl, _)| ck.check_inheritance(decl))
             .collect();
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("wf", p0, start.elapsed() - p0));
         }
 
-        // classes: check the dirty units, in parallel like the
-        // from-scratch driver. The core count is asked for on the first
-        // pass only: the call costs about as much as the checking work of
-        // a one-class re-check.
-        self.opts.jobs = resolve_jobs(self.opts.jobs);
-        let dirty_count = classes.iter().filter(|c| c.dirty.is_some()).count();
-        let workers = self.opts.jobs.min(dirty_count.max(1));
+        // classes: the dirty units, in parallel like the batch driver.
+        let workers = self.opts.jobs.min(fresh.len().max(1));
         let p0 = profiling.then(|| start.elapsed());
-        let slots = classes.len();
-        let queue = classes
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, c)| c.dirty.is_some())
-            .map(|(i, c)| (i, &mut c.decl));
-        let fresh = check_units(&table, workers, queue, slots, profiling.then_some(start));
+        let queue = fresh.iter_mut().map(|(_, decl, _)| decl);
+        let (units, timed) = check_units(&table, workers, queue, profiling.then_some(start));
         if let Some(p0) = p0 {
             // One span per class, as a from-scratch profile has; a reused
             // class's is empty.
-            let mut times = classes
-                .iter()
-                .zip(&fresh)
-                .filter_map(|(c, unit)| Some((c.pos, unit.as_ref()?.time?)))
-                .peekable();
-            let children = self
-                .layout
-                .classes
-                .iter()
-                .enumerate()
-                .map(|(i, (name, _))| {
-                    let (s0, w) = times
-                        .next_if(|(pos, _)| *pos == i)
-                        .map_or((Duration::ZERO, Duration::ZERO), |(_, t)| t);
-                    PhaseSpan::leaf(format!("class {name}"), s0, w)
-                })
-                .collect();
-            phases.push(PhaseSpan {
-                name: "classes".to_string(),
-                start: p0,
-                wall: start.elapsed() - p0,
-                children,
-            });
+            let mut times = vec![None; self.layout.classes.len()];
+            for ((pos, _, _), time) in fresh.iter().zip(timed) {
+                times[*pos] = time;
+            }
+            let names = self.layout.classes.iter().map(|(name, _)| *name);
+            phases.push(classes_phase(start, p0, names.zip(times)));
         }
 
         // main: always re-checked (a fraction of a percent of the total,
         // and it may reference any class).
         let p0 = profiling.then(|| start.elapsed());
-        let mut ck = Checker::new(&table);
-        ck.check_main(&mut main);
-        let main_errors = std::mem::take(&mut ck.errors);
-        let main_judgments = ck.judgments;
+        let main = ck.check_main(&mut main);
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("main", p0, start.elapsed() - p0));
         }
 
-        // Commit. With the table kept, a clean entry's stored `(start,
+        // Commit the dirty entries. A clean entry's stored `(start,
         // errors)` pair stays internally consistent (the merge shifts by
-        // its current start minus the stored one), so only the dirty
-        // entries are rewritten, and the reverse index follows their
-        // reference sets. A rebuilt table re-ran every well-formedness
-        // check, so every entry is rewritten and the index re-derived. On
-        // the fragment path the class order is fixed: the totals and the
-        // positions with diagnostics follow the rewritten entries. A
-        // whole-source pass may have moved declarations, so it re-derives
-        // them.
-        let dirty_names: Vec<Symbol> = classes
-            .iter()
-            .filter(|c| c.dirty.is_some())
-            .map(|c| c.decl.name.name)
-            .collect();
-        let mut old = if reused_table {
-            HashMap::new()
-        } else {
-            std::mem::take(&mut self.units)
-        };
-        for ((c, unit), wf) in classes.iter().zip(fresh).zip(cls_wf) {
-            let name = c.decl.name.name;
-            let at = self.layout.classes[c.pos].1.start;
-            let entry = match c.dirty {
-                Some(sig) => {
-                    let unit = unit.expect("a dirty class is checked");
-                    let (wf_errors, wf_judgments) = wf.expect("a dirty class re-checks its wf");
-                    UnitCache {
-                        sig,
-                        text: c.text,
-                        start: at,
-                        refs: class_refs(&c.decl),
-                        wf_errors,
-                        wf_judgments,
-                        errors: unit.errors,
-                        methods_checked: unit.methods_checked,
-                        judgments: unit.judgments,
-                    }
-                }
-                None if reused_table => continue,
-                None => {
-                    let u = old.remove(&name).expect("clean unit is cached");
-                    let (wf_errors, wf_judgments) =
-                        wf.expect("a rebuilt table re-checks every class");
-                    UnitCache {
-                        errors: shifted(&u.errors, at, u.start).collect(),
-                        start: at,
-                        wf_errors,
-                        wf_judgments,
-                        ..u
-                    }
-                }
+        // its current start minus the stored one), and the reverse index
+        // follows the rewritten reference sets. On the fragment path the
+        // class order is fixed, so the totals and the positions with
+        // diagnostics follow the rewritten entries; a whole parse may have
+        // moved declarations, so it re-derives them.
+        let dirty: Vec<Symbol> = fresh.iter().map(|(_, decl, _)| decl.name.name).collect();
+        for (((pos, decl, sig), unit), wf) in fresh.into_iter().zip(units).zip(wf) {
+            let (name, span) = self.layout.classes[pos];
+            let entry = UnitCache {
+                sig,
+                text: text_fingerprint(&self.source, span),
+                start: span.start,
+                refs: class_refs(&decl),
+                wf,
+                unit,
             };
-            if let Some(prev) = self.units.get(&name).filter(|u| u.refs != entry.refs) {
+            let prev = &self.units[&name];
+            if prev.refs != entry.refs {
                 unlink(&mut self.dependents, name, &prev.refs);
                 link(&mut self.dependents, name, &entry.refs);
             }
-            if whole_parse {
-                self.units.insert(name, entry);
-                continue;
-            }
-            self.totals.add(&entry);
+            self.totals.remove(&prev.wf);
+            self.totals.remove(&prev.unit);
+            self.totals.add(&entry.wf);
+            self.totals.add(&entry.unit);
             if entry.has_errors() {
-                self.noisy.insert(c.pos);
+                self.noisy.insert(pos);
             } else {
-                self.noisy.remove(&c.pos);
+                self.noisy.remove(&pos);
             }
-            let prev = self.units.insert(name, entry);
-            self.totals
-                .remove(&prev.expect("a fragment pass re-checks only cached classes"));
+            self.units.insert(name, entry);
         }
-        if !reused_table {
-            self.dependents.clear();
-            for (name, u) in &self.units {
-                link(&mut self.dependents, *name, &u.refs);
-            }
-            self.rkinds.clear();
-            for ((&(name, span), text), (errors, judgments)) in self
-                .layout
-                .region_kinds
-                .iter()
-                .zip(region_kinds)
-                .zip(rk_results)
-            {
-                let info = table.region_kind(name).expect("built from this program");
-                link(&mut self.dependents, name, &region_kind_refs(&info.decl));
-                self.rkinds.insert(
-                    name,
-                    RkCache {
-                        text,
-                        start: span.start,
-                        errors,
-                        judgments,
-                    },
-                );
-            }
-        }
-        if whole_parse {
+        if whole.is_some() {
             self.rederive();
         }
         self.table = Some(table);
         self.stale = false;
+        Some(RecheckOutcome {
+            whole_parse: whole.is_some(),
+            ..self.outcome(start, reparse, phases, main, dirty)
+        })
+    }
 
-        // Merge in from-scratch order: region kinds, inheritance, class
-        // units (declaration order), main; stable span sort. Classes and
-        // region kinds without diagnostics add nothing to that sequence,
-        // so visiting only those with some keeps it, and with it the
-        // order in which equal spans (`Span::DUMMY` among them) tie.
-        let mut all: Vec<TypeError> = Vec::new();
-        for &i in &self.noisy_rkinds {
+    /// The fresh pass: the batch driver's own pass over `prog`, the whole
+    /// stored source as laid out, with every cache refilled from its
+    /// verdicts. The reference sets and signature fingerprints are taken
+    /// from the elaborated declarations, as a patch's commit takes them.
+    /// A table error returns the table's errors alone, as the batch
+    /// driver does, and keeps the caches of the last committed pass: the
+    /// engine is `stale` until a pass commits.
+    fn start_over(&mut self, mut prog: Program) -> RecheckOutcome {
+        let start = Instant::now();
+        let total = prog.classes.len();
+        // The first pass starts over, so it asks for the core count once:
+        // the call costs about as much as the checking work of a one-class
+        // re-check.
+        self.opts.jobs = resolve_jobs(self.opts.jobs);
+        let (table, pass) = match check_pass(&mut prog, self.opts.jobs, start, self.opts.profile) {
+            Ok(done) => done,
+            Err(errors) => {
+                self.stale = true;
+                let elapsed = start.elapsed();
+                return RecheckOutcome {
+                    errors,
+                    stats: CheckStats {
+                        classes_checked: total,
+                        elapsed,
+                        ..CheckStats::default()
+                    },
+                    profile: None,
+                    dirty: Vec::new(),
+                    reused: 0,
+                    classes: total,
+                    full_rebuild: true,
+                    whole_parse: true,
+                    check_ns: elapsed.as_nanos() as u64,
+                };
+            }
+        };
+        self.units.clear();
+        self.rkinds.clear();
+        self.dependents.clear();
+        let verdicts = pass.inheritance.into_iter().zip(pass.units);
+        for (c, (wf, unit)) in prog.classes.iter().zip(verdicts) {
+            let (name, refs) = (c.name.name, class_refs(c));
+            link(&mut self.dependents, name, &refs);
+            let entry = UnitCache {
+                sig: signature_fingerprint(c),
+                text: text_fingerprint(&self.source, c.span),
+                start: c.span.start,
+                refs,
+                wf,
+                unit,
+            };
+            self.units.insert(name, entry);
+        }
+        for (rk, verdict) in prog.region_kinds.iter().zip(pass.region_kinds) {
+            link(&mut self.dependents, rk.name.name, &region_kind_refs(rk));
+            let entry = RkCache {
+                text: text_fingerprint(&self.source, rk.span),
+                start: rk.span.start,
+                verdict,
+            };
+            self.rkinds.insert(rk.name.name, entry);
+        }
+        self.rederive();
+        self.table = Some(table);
+        self.stale = false;
+        // The checked program goes before the outcome allocates. With
+        // glibc's allocator, the first sizable allocation after freeing
+        // its bodies consolidates their chunks, about 1 ms at 3,072
+        // classes: this pass pays it, not the next edit.
+        drop(prog);
+        let dirty = self.layout.classes.iter().map(|(name, _)| *name).collect();
+        RecheckOutcome {
+            full_rebuild: true,
+            whole_parse: true,
+            ..self.outcome(start, Duration::ZERO, pass.phases, pass.main, dirty)
+        }
+    }
+
+    /// The outcome of a committed pass that began at `start` and
+    /// re-checked the classes `dirty`: the cached diagnostics and
+    /// `main`'s in the batch driver's order ([`merge`]), and the totals
+    /// with `main`'s counters. Classes and region kinds without
+    /// diagnostics add nothing to that sequence, so visiting only those
+    /// with some keeps it, and with it the order in which equal spans
+    /// tie. Each is shifted by its current start minus its cached one.
+    /// `reparse` is left out of the checking time.
+    fn outcome(
+        &self,
+        start: Instant,
+        reparse: Duration,
+        phases: Vec<PhaseSpan>,
+        main: Verdict,
+        dirty: Vec<Symbol>,
+    ) -> RecheckOutcome {
+        let region_kinds = self.noisy_rkinds.iter().flat_map(|&i| {
             let (name, span) = self.layout.region_kinds[i];
             let rk = &self.rkinds[&name];
-            all.extend(shifted(&rk.errors, span.start, rk.start));
-        }
-        for &i in &self.noisy {
-            let (name, span) = self.layout.classes[i];
-            let u = &self.units[&name];
-            all.extend(shifted(&u.wf_errors, span.start, u.start));
-        }
-        for &i in &self.noisy {
-            let (name, span) = self.layout.classes[i];
-            let u = &self.units[&name];
-            all.extend(shifted(&u.errors, span.start, u.start));
-        }
-        all.extend(main_errors);
-        all.sort_by_key(|e| e.span);
-        let mut judgments = self.totals.judgments;
-        judgments.absorb(&main_judgments);
-
-        let elapsed = start.elapsed();
-        let stats = CheckStats {
-            classes_checked: total,
-            methods_checked: self.totals.methods_checked,
-            judgments,
-            threads_used: self.opts.jobs.min(total.max(1)),
-            elapsed,
+            shifted(&rk.verdict.errors, span.start, rk.start)
+        });
+        let class = |i: &usize| {
+            let (name, span) = self.layout.classes[*i];
+            (&self.units[&name], span.start)
         };
+        let inheritance = self
+            .noisy
+            .iter()
+            .map(class)
+            .flat_map(|(u, now)| shifted(&u.wf.errors, now, u.start));
+        let units = self
+            .noisy
+            .iter()
+            .map(class)
+            .flat_map(|(u, now)| shifted(&u.unit.errors, now, u.start));
+        let mut totals = self.totals;
+        totals.add(&main);
+        let declarations = region_kinds.chain(inheritance).chain(units);
+        let errors = merge(declarations.chain(main.errors));
+
+        let total = self.layout.classes.len();
+        let elapsed = start.elapsed();
         RecheckOutcome {
-            errors: all,
-            stats,
-            profile: profiling.then_some(CheckProfile { phases }),
-            dirty: dirty_names,
-            reused: total - dirty_count,
+            errors,
+            stats: CheckStats {
+                classes_checked: total,
+                methods_checked: totals.methods_checked,
+                judgments: totals.judgments,
+                threads_used: self.opts.jobs.min(total.max(1)),
+                elapsed,
+            },
+            profile: self.opts.profile.then_some(CheckProfile { phases }),
+            reused: total - dirty.len(),
+            dirty,
             classes: total,
-            full_rebuild: !reused_table,
-            whole_parse,
+            full_rebuild: false,
+            whole_parse: false,
             check_ns: (elapsed - reparse).as_nanos() as u64,
         }
     }
@@ -1065,7 +913,8 @@ impl IncrementalChecker {
         self.noisy.clear();
         for (i, (name, _)) in self.layout.classes.iter().enumerate() {
             let u = &self.units[name];
-            self.totals.add(u);
+            self.totals.add(&u.wf);
+            self.totals.add(&u.unit);
             if u.has_errors() {
                 self.noisy.insert(i);
             }
@@ -1073,8 +922,8 @@ impl IncrementalChecker {
         self.noisy_rkinds.clear();
         for (i, (name, _)) in self.layout.region_kinds.iter().enumerate() {
             let rk = &self.rkinds[name];
-            self.totals.judgments.absorb(&rk.judgments);
-            if !rk.errors.is_empty() {
+            self.totals.add(&rk.verdict);
+            if !rk.verdict.errors.is_empty() {
                 self.noisy_rkinds.push(i);
             }
         }

@@ -903,11 +903,11 @@ fn check_source_parses_the_whole_text_outside_one_class() {
     let mut engine = IncrementalChecker::new(opts(1));
     engine.check_source(&pristine).expect("parses");
 
-    // A change in `main`, or one spanning two declarations, is not
-    // inside one class.
+    // A change in `main` re-parses only `main`; one spanning two
+    // declarations is not inside one class.
     let text = pristine.replacen("it.v = 1;", "it.v = 2;", 1);
     let out = engine.check_source(&text).expect("parses");
-    assert!(out.whole_parse, "an edit in main parses everything");
+    assert!(!out.whole_parse, "an edit in main parses only main");
     assert_matches_scratch("main edited", &engine, &out, 1);
     let text = text
         .replacen(
@@ -1071,4 +1071,233 @@ fn every_one_byte_token_shift_matches_from_scratch() {
         }
     }
     assert_eq!(cases, 127);
+}
+
+/// How a route-trigger step must re-check.
+#[derive(Clone, Copy, Debug)]
+enum Expect {
+    /// A fresh pass: the batch driver's pass re-checks every class.
+    Fresh,
+    /// A table error, reported alone.
+    TableError,
+    /// A patch on a whole parse that re-checks exactly these classes.
+    Patch(&'static [&'static str]),
+    /// A patch on the fragment path that re-checks exactly these classes.
+    Fragment(&'static [&'static str]),
+}
+
+/// What a route-trigger step changes: a batch of class edits, which the
+/// text engine receives as the edited text, or the text itself, which
+/// both engines receive through `check_source`.
+enum Change {
+    Edits(fn(&str) -> Vec<ClassEdit>),
+    Text(fn(&str) -> String),
+}
+
+fn class_edit(class: &str, source: String) -> ClassEdit {
+    ClassEdit {
+        class: class.to_string(),
+        source,
+    }
+}
+
+/// Asserts `out` took the route `expect` names.
+fn assert_route(label: &str, out: &RecheckOutcome, expect: Expect) {
+    match expect {
+        Expect::Fresh => {
+            assert!(out.full_rebuild && out.whole_parse, "{label}: {out:?}");
+            assert_eq!(out.dirty.len(), out.classes, "{label}: every class");
+            assert_eq!(out.reused, 0, "{label}");
+        }
+        Expect::TableError => {
+            assert!(out.full_rebuild && !out.ok(), "{label}: {out:?}");
+            assert!(out.dirty.is_empty(), "{label}: {:?}", out.dirty);
+        }
+        Expect::Patch(dirty) | Expect::Fragment(dirty) => {
+            let whole = matches!(expect, Expect::Patch(_));
+            assert_eq!(out.whole_parse, whole, "{label}: whole parse");
+            assert!(!out.full_rebuild, "{label}: a patch keeps the table");
+            assert_eq!(sorted_dirty(out), dirty, "{label}: dirty set");
+        }
+    }
+}
+
+/// Each trigger of the reuse rule, through `recheck` and through
+/// `check_source` of the same text, at `--jobs` 1 and 4, profiled and
+/// not. A pass that changes the class set, a formal count or a region
+/// kind's text starts over; the next body edit takes the fragment path
+/// again. A duplicate class is a table error. A pass whose program keeps
+/// the committed shape patches, also when it parses the whole source.
+/// Every pass matches a from-scratch check.
+#[test]
+fn each_route_trigger_patches_or_starts_over() {
+    let _serial = serial();
+    // `Pool` names `Item0`, so no step changes `Item0`'s signature.
+    let src = scaled_classes(4).replacen(
+        "\nclass Item0",
+        "\nregionKind Pool extends SharedRegion { Item0 head; }\nclass Item0",
+        1,
+    );
+    let steps: [(&str, Change, Expect, Expect); 11] = [
+        (
+            "class added",
+            Change::Edits(|s| {
+                let text = format!(
+                    "{}\nclass Extra<Owner o> {{ int z; }}",
+                    decl_text(s, "Stack1")
+                );
+                vec![class_edit("Stack1", text)]
+            }),
+            Expect::Fresh,
+            Expect::Fresh,
+        ),
+        (
+            "class removed",
+            Change::Edits(|_| vec![class_edit("Extra", String::new())]),
+            Expect::Fresh,
+            Expect::Fresh,
+        ),
+        (
+            "formal count changed",
+            Change::Edits(|_| {
+                let text = "class Item3<Owner o, Owner p> { int v; }".to_string();
+                vec![class_edit("Item3", text)]
+            }),
+            Expect::Fresh,
+            Expect::Fresh,
+        ),
+        (
+            "formal count restored",
+            Change::Edits(|_| {
+                vec![class_edit(
+                    "Item3",
+                    "class Item3<Owner o> { int v; }".into(),
+                )]
+            }),
+            Expect::Fresh,
+            Expect::Fresh,
+        ),
+        (
+            "region kind edited",
+            Change::Text(|s| s.replacen("{ Item0 head; }", "{ Item0 head; Item0 tail; }", 1)),
+            Expect::Fresh,
+            Expect::Fresh,
+        ),
+        (
+            "duplicate class",
+            Change::Edits(|s| {
+                let text = format!(
+                    "{}\nclass Item0<Owner o> {{ int v; }}",
+                    decl_text(s, "Stack1")
+                );
+                vec![class_edit("Stack1", text)]
+            }),
+            Expect::TableError,
+            Expect::TableError,
+        ),
+        (
+            // Removes the first `Item0`: its copy after `Stack1` has the
+            // committed text, only moved.
+            "duplicate healed",
+            Change::Edits(|_| vec![class_edit("Item0", String::new())]),
+            Expect::Patch(&[]),
+            Expect::Patch(&[]),
+        ),
+        (
+            "signature edit with a trailing comment",
+            Change::Edits(|_| {
+                let text = "class Item1<Owner o> { int v; int w; } // note".to_string();
+                vec![class_edit("Item1", text)]
+            }),
+            Expect::Patch(&["Item1", "Node1", "Stack1"]),
+            Expect::Patch(&["Item1", "Node1", "Stack1"]),
+        ),
+        (
+            "comment between two classes",
+            Change::Edits(|s| {
+                let text = format!("// between\n{}", decl_text(s, "Stack2"));
+                vec![class_edit("Stack2", text)]
+            }),
+            Expect::Patch(&[]),
+            Expect::Patch(&[]),
+        ),
+        (
+            // Two edits are one batch for `recheck`, and one change
+            // across two declarations for `check_source`.
+            "a body edit in each of two classes",
+            Change::Edits(|s| {
+                let body = |class: &str| {
+                    let text = decl_text(s, class);
+                    class_edit(
+                        class,
+                        text.replacen("return this.tag;", "return this.tag + 1;", 1),
+                    )
+                };
+                vec![body("Base1"), body("Base3")]
+            }),
+            Expect::Fragment(&["Base1", "Base3"]),
+            Expect::Patch(&["Base1", "Base3"]),
+        ),
+        (
+            "two classes swapped",
+            Change::Edits(|s| {
+                let (mid, leaf) = (decl_text(s, "Mid2"), decl_text(s, "Leaf2"));
+                vec![class_edit("Mid2", leaf), class_edit("Leaf2", mid)]
+            }),
+            Expect::Patch(&[]),
+            Expect::Patch(&[]),
+        ),
+    ];
+    for opts in [opts(1), opts(4), unprofiled(1), unprofiled(4)] {
+        let mut by_edit = IncrementalChecker::new(opts.clone());
+        let mut by_text = IncrementalChecker::new(opts.clone());
+        for engine in [&mut by_edit, &mut by_text] {
+            let out = engine.check_source(&src).expect("parses");
+            assert_route("initial", &out, Expect::Fresh);
+            assert_matches_scratch_with("initial", engine, &out, &opts);
+        }
+        for (n, (label, change, via_edit, via_text)) in steps.iter().enumerate() {
+            let out = match change {
+                Change::Edits(edits) => by_edit.recheck(&edits(by_edit.source())),
+                Change::Text(text) => {
+                    let text = text(by_edit.source());
+                    by_edit.check_source(&text).map_err(RecheckError::Parse)
+                }
+            };
+            let out = out.unwrap_or_else(|e| panic!("{label}: {e}"));
+            let label = format!("{opts:?} {label}");
+            assert_route(&format!("{label} (recheck)"), &out, *via_edit);
+            assert_matches_scratch_with(&label, &by_edit, &out, &opts);
+            let text = by_edit.source().to_string();
+            let out = by_text.check_source(&text).expect("parses");
+            assert_route(&format!("{label} (check_source)"), &out, *via_text);
+            assert_matches_scratch_with(&label, &by_text, &out, &opts);
+            if !matches!(via_edit, Expect::Fresh) {
+                continue;
+            }
+            // The next body edit re-checks its one class on the fresh
+            // table and parses only its fragment.
+            let body = decl_text(&text, "Base2").replacen(
+                "return this.tag;",
+                &format!("let pad{n} = {n};\n        return this.tag;"),
+                1,
+            );
+            let out = by_edit
+                .recheck(&[class_edit("Base2", body)])
+                .expect("applies");
+            assert_route(
+                &format!("{label}, body edit"),
+                &out,
+                Expect::Fragment(&["Base2"]),
+            );
+            assert_matches_scratch_with(&label, &by_edit, &out, &opts);
+            let out = by_text.check_source(by_edit.source()).expect("parses");
+            assert_route(
+                &format!("{label}, body edit"),
+                &out,
+                Expect::Fragment(&["Base2"]),
+            );
+            assert_matches_scratch_with(&label, &by_text, &out, &opts);
+        }
+    }
 }
