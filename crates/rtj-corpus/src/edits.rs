@@ -1,4 +1,5 @@
-//! Seeded single-class edit batches against [`scaled_classes`], the
+//! Seeded single-class edit batches against
+//! [`scaled_classes`](crate::scaled_classes), the
 //! edit replay of the benchmark's `check` workload (`perfbench/`) and,
 //! printed by `rtjc bench edits:N`, of the CI differential smoke (`rtjc
 //! check --edits`).
@@ -18,7 +19,7 @@
 //! Generation is a pure function of `(copies, batches, seed)` via an MMIX
 //! LCG, like the request mixes in `rtj-server`.
 
-use crate::programs::scaled_classes;
+use crate::programs::scaled_family;
 use rtj_lang::json::{Json, JsonError};
 use rtj_lang::parser::parse_program;
 
@@ -43,7 +44,8 @@ pub struct EditBatch {
 /// in application order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EditScript {
-    /// Workload label, e.g. `"scaled:64"` (apply to [`scaled_classes`]).
+    /// Workload label, e.g. `"scaled:64"` (apply to
+    /// [`scaled_classes`](crate::scaled_classes)).
     pub workload: String,
     /// Replica count of the workload.
     pub copies: usize,
@@ -70,22 +72,34 @@ fn next(state: &mut u64) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if [`scaled_classes`] stops parsing or its class bodies lose
-/// the needles the edits splice against — both are corpus invariants
-/// covered by tests.
+/// Panics if [`scaled_classes`](crate::scaled_classes) stops parsing or
+/// its class bodies lose the needles the edits splice against — both are
+/// corpus invariants covered by tests.
 pub fn edit_batches(copies: usize, batches: usize, seed: u64) -> EditScript {
-    let copies = copies.max(1);
-    let source = scaled_classes(copies);
-    let program = parse_program(&source).expect("scaled_classes parses");
-    let class_text = |name: &str| -> &str {
+    // A class's text is the same in its replica alone as in the whole
+    // program, so only the edited replica is parsed, with an empty main
+    // block.
+    generate(copies, batches, seed, |replica, name| {
+        let source = format!("{}{{ }}", scaled_family(replica));
+        let program = parse_program(&source).expect("a scaled_classes replica parses");
         let decl = program
             .classes
             .iter()
             .find(|c| c.name.name.as_str() == name)
             .unwrap_or_else(|| panic!("scaled_classes has no class {name}"));
-        &source[decl.span.start as usize..decl.span.end as usize]
-    };
+        source[decl.span.start as usize..decl.span.end as usize].to_string()
+    })
+}
 
+/// [`edit_batches`] over `class_text(replica, name)`, which returns the
+/// declaration of class `name` of replica `replica`.
+fn generate(
+    copies: usize,
+    batches: usize,
+    seed: u64,
+    mut class_text: impl FnMut(usize, &str) -> String,
+) -> EditScript {
+    let copies = copies.max(1);
     let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
     let mut out = Vec::with_capacity(batches);
     for id in 0..batches {
@@ -95,7 +109,7 @@ pub fn edit_batches(copies: usize, batches: usize, seed: u64) -> EditScript {
             0..=4 => {
                 let class = format!("Stack{replica}");
                 let needle = "let c = 0;";
-                let text = class_text(&class);
+                let text = class_text(replica, &class);
                 assert!(text.contains(needle), "{class} lost its size() preamble");
                 let patched = text.replacen(
                     needle,
@@ -106,7 +120,7 @@ pub fn edit_batches(copies: usize, batches: usize, seed: u64) -> EditScript {
             }
             5..=6 => {
                 let class = format!("Item{replica}");
-                let text = class_text(&class);
+                let text = class_text(replica, &class);
                 let close = text.rfind('}').expect("class body closes");
                 let mut patched = text[..close].to_string();
                 patched.push_str(&format!("int probe{id}(int x) {{ return x + {v}; }} }}"));
@@ -115,7 +129,7 @@ pub fn edit_batches(copies: usize, batches: usize, seed: u64) -> EditScript {
             _ => {
                 let class = format!("Base{replica}");
                 let needle = "this.tag = this.tag + x;";
-                let text = class_text(&class);
+                let text = class_text(replica, &class);
                 assert!(text.contains(needle), "{class} lost its bump() body");
                 let patched = text.replacen(needle, &format!("this.tag = oops{id} + x;"), 1);
                 ("body_error", class, patched)
@@ -190,6 +204,7 @@ pub fn parse_edits(doc: &Json) -> Result<EditScript, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::programs::scaled_classes;
     use rtj_types::{CheckOptions, ClassEdit, IncrementalChecker};
 
     #[test]
@@ -204,6 +219,33 @@ mod tests {
             );
         }
         assert_ne!(a, edit_batches(4, 32, 8), "seed must matter");
+    }
+
+    #[test]
+    fn scripts_match_the_whole_program_extraction() {
+        // The oracle parses all of `scaled_classes(copies)` once and
+        // slices each edited class out of it.
+        for copies in [12, 512] {
+            let whole = scaled_classes(copies);
+            let program = parse_program(&whole).unwrap();
+            let oracle = |_replica: usize, name: &str| {
+                let decl = program
+                    .classes
+                    .iter()
+                    .find(|c| c.name.name.as_str() == name)
+                    .unwrap();
+                whole[decl.span.start as usize..decl.span.end as usize].to_string()
+            };
+            for seed in [1, 3, 9] {
+                for batches in [12, 32, 64] {
+                    assert_eq!(
+                        edit_batches(copies, batches, seed),
+                        generate(copies, batches, seed, oracle),
+                        "edits:{copies} --batches {batches} --seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1623,8 +1623,31 @@ pub fn scaled_classes(copies: usize) -> String {
     let mut src = String::with_capacity(copies * 1200 + 256);
     src.push_str("// Scaled checker-throughput corpus (replicated class families).\n");
     for i in 0..copies {
-        src.push_str(&format!(
-            r#"class Item{i}<Owner o> {{ int v; }}
+        src.push_str(&scaled_family(i));
+    }
+    src.push_str(
+        r#"{
+    (RHandle<outer> ho) {
+        (RHandle<inner> hi) {
+            let Stack0<inner, outer> s = new Stack0<inner, outer>;
+            let it = new Item0<outer>;
+            it.v = 1;
+            s.push(it);
+            let Leaf0<inner> l = new Leaf0<inner>;
+            print(l.probe() + s.size());
+        }
+    }
+}
+"#,
+    );
+    src
+}
+
+/// Replica `i` of [`scaled_classes`]: its six class declarations, each
+/// name suffixed with `i`.
+pub(crate) fn scaled_family(i: usize) -> String {
+    format!(
+        r#"class Item{i}<Owner o> {{ int v; }}
 class Node{i}<Owner no, Owner vo> {{
     Item{i}<vo> value;
     Node{i}<no, vo> next;
@@ -1673,24 +1696,7 @@ class Leaf{i}<Owner o> extends Mid{i}<o> {{
     }}
 }}
 "#
-        ));
-    }
-    src.push_str(
-        r#"{
-    (RHandle<outer> ho) {
-        (RHandle<inner> hi) {
-            let Stack0<inner, outer> s = new Stack0<inner, outer>;
-            let it = new Item0<outer>;
-            it.v = 1;
-            s.push(it);
-            let Leaf0<inner> l = new Leaf0<inner>;
-            print(l.probe() + s.size());
-        }
-    }
-}
-"#,
-    );
-    src
+    )
 }
 
 /// An interpreter-throughput workload: `copies` renamed replicas of a

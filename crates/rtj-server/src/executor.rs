@@ -18,19 +18,32 @@
 //!   maintained with an atomic max at that instant.
 //! * **Cold path** — an empty-handed worker parks on the `work` condvar,
 //!   and `drain` / bounded-queue `submit` back-off park on `drained`;
-//!   both share the one `idle` mutex that is only ever touched when the
-//!   pool empties out, never per job.
+//!   both share the one `idle` mutex. A submit takes it when a worker is
+//!   parked (and, with a bounded queue, to check for space), and a worker
+//!   only to park and when the last in-flight job completes.
 //!
 //! Worker parking is a Dekker-style handshake, not a polling tick: a
 //! worker advertises itself in `idlers` *before* re-checking `queued`
 //! under the idle lock, and a submitter publishes to `queued` *before*
 //! reading `idlers` — both with `SeqCst`, so in every interleaving at
 //! least one side sees the other. Either the worker observes the new job
-//! and skips the sleep, or the submitter observes the parked worker and
-//! signals `work` under the lock. Idle workers therefore cost zero CPU
-//! until work (or shutdown) actually arrives, instead of waking every
-//! millisecond to rescan; under the open-loop harness the 1 ms tick this
-//! replaces was the pool's dominant idle-state wakeup source.
+//! and skips the sleep, or the submitter observes the parked worker,
+//! takes and drops the lock (which the worker holds until it waits), and
+//! signals `work`. The wait is untimed, so a lost wake-up would wedge a
+//! worker; `tests/executor_model.rs` explores every interleaving of the
+//! handshake and finds none.
+//!
+//! Before it parks, a worker spins: it polls `queued` and `shutdown` for
+//! a budget of twice the moving average of its idle gaps, at most
+//! `SPIN_CAP`, so a job arriving soon is claimed without a futex
+//! wake-up. A spinner is not in `idlers`, so a submit that finds only
+//! spinners takes no lock. When the average gap exceeds the cap the
+//! worker parks at once, and at most `available_parallelism() - 1`
+//! workers spin at a time across the process, so a spinner never takes
+//! the CPU a runnable thread needs and a one-CPU host never spins. An
+//! idle worker therefore burns CPU only while arrivals are dense enough
+//! to catch, for at most `SPIN_CAP` each time it runs dry, and otherwise
+//! costs nothing until work or shutdown arrives.
 //!
 //! Jobs receive the **executing worker's index** — that is what lets the
 //! server keep per-worker result shards (sharing serialized by
@@ -48,8 +61,9 @@
 //! Observation: with a flight recorder wired in
 //! ([`Executor::with_recorder`]), workers log their park and unpark
 //! transitions, and the server's jobs log their own claims and
-//! completions. No thread samples the pool while it runs: the telemetry
-//! timeline is counted from that log after the run.
+//! completions. A spin logs nothing, so a claim that follows one has no
+//! park/unpark pair. No thread samples the pool while it runs: the
+//! telemetry timeline is counted from that log after the run.
 
 use std::collections::VecDeque;
 use std::io;
@@ -57,7 +71,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::telemetry::{EventKind, FlightRecorder};
 
@@ -94,12 +108,15 @@ struct Inner {
     /// Cold-path parking for idle workers, `drain`, and bounded-queue
     /// submitters.
     idle: Mutex<()>,
-    /// Signalled (under `idle`) when work arrives for a parked worker,
-    /// and at shutdown.
+    /// Signalled when work arrives for a parked worker (just after the
+    /// submitter took and dropped `idle`), and under `idle` at shutdown.
     work: Condvar,
     /// Signalled when the pool fully drains or queue space frees up.
     drained: Condvar,
     capacity: usize,
+    /// How many workers may spin at once, process-wide ([`spin_slots`]
+    /// of the host's parallelism when the pool started).
+    spin_slots: usize,
     /// Flight recorder for park/unpark events. `None` (the default)
     /// compiles the telemetry hooks down to one untaken branch per
     /// park transition — the hot claim/execute path is untouched.
@@ -124,6 +141,69 @@ impl Inner {
 /// signalled; the tick only bounds the delay of a lost `drained` signal
 /// (worker parking itself is handshake-based and never polls).
 const IDLE_TICK: Duration = Duration::from_millis(1);
+
+/// The longest a worker spins before it parks, and the largest average
+/// idle gap at which it spins at all.
+const SPIN_CAP: Duration = Duration::from_micros(500);
+
+/// Polls of `queued` between two clock reads while spinning.
+const POLLS_PER_CLOCK: u32 = 32;
+
+/// Workers spinning right now, across every executor in the process, so
+/// that servers sharing a process share the spin slots.
+static SPINNERS: AtomicUsize = AtomicUsize::new(0);
+
+/// How long a worker spins before it parks, given the moving average of
+/// its idle gaps: twice the average, at most [`SPIN_CAP`], and not at all
+/// once the average exceeds the cap, since arrivals that sparse are
+/// rarely caught by a spin.
+fn spin_budget(avg_gap: Duration) -> Duration {
+    if avg_gap > SPIN_CAP {
+        Duration::ZERO
+    } else {
+        SPIN_CAP.min(avg_gap * 2)
+    }
+}
+
+/// Folds one idle gap into the moving average, with weight 1/8.
+fn average_gap(avg_gap: Duration, gap: Duration) -> Duration {
+    avg_gap - avg_gap / 8 + gap / 8
+}
+
+/// How many workers may spin at once on `parallelism` CPUs: one CPU is
+/// left to the runnable threads (a submitter, a busy worker), so a
+/// one-CPU host never spins.
+fn spin_slots(parallelism: usize) -> usize {
+    parallelism.saturating_sub(1)
+}
+
+/// Takes one of `slots` spin slots counted in `spinners`; false when all
+/// are taken. The caller gives the slot back with a `fetch_sub`.
+fn take_spin_slot(spinners: &AtomicUsize, slots: usize) -> bool {
+    spinners
+        .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| {
+            (n < slots).then_some(n + 1)
+        })
+        .is_ok()
+}
+
+/// Polls for queued work or shutdown until `deadline`: true as soon as
+/// either shows, false when the deadline passes first. The loads are
+/// hints that send the worker back to its claim loop; the park path's
+/// `SeqCst` handshake, not this loop, is what no job can slip past.
+fn spin_until(inner: &Inner, deadline: Instant) -> bool {
+    loop {
+        for _ in 0..POLLS_PER_CLOCK {
+            if inner.queued.load(Ordering::Relaxed) > 0 || inner.shutdown.load(Ordering::Relaxed) {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+    }
+}
 
 /// Point-in-time executor counters, reported in the `rtj-load/v1`
 /// document.
@@ -189,6 +269,7 @@ impl Executor {
             work: Condvar::new(),
             drained: Condvar::new(),
             capacity: queue_capacity,
+            spin_slots: spin_slots(thread::available_parallelism().map_or(1, |n| n.get())),
             recorder,
         });
         let mut executor = Executor {
@@ -258,11 +339,14 @@ impl Executor {
         }
         // Dekker handshake, submitter side: `queued` is published above,
         // so a worker that re-checks it after this point skips parking;
-        // a worker that advertised in `idlers` before this read is seen
-        // here and signalled under the lock (which it holds until it is
-        // actually waiting — the signal cannot slip into the gap).
+        // a worker that advertised in `idlers` before this read holds the
+        // lock until it is actually waiting. Taking the lock therefore
+        // waits that worker into the condvar, and the signal, sent after
+        // the unlock so the woken worker does not wake into a held
+        // mutex, finds it there (`tests/executor_model.rs` checks every
+        // interleaving).
         if inner.idlers.load(Ordering::SeqCst) > 0 {
-            let _guard = inner.idle.lock().unwrap();
+            drop(inner.idle.lock().unwrap());
             inner.work.notify_one();
         }
     }
@@ -328,6 +412,11 @@ impl Drop for Executor {
 
 fn worker_loop(id: usize, inner: &Inner) {
     let shards = inner.shards.len();
+    // The moving average of this worker's idle gaps (from finding no
+    // work to the next claim, spun or parked), and when the current gap
+    // began.
+    let mut avg_gap = SPIN_CAP;
+    let mut idle_since: Option<Instant> = None;
     loop {
         // Own shard first (front: cache-warm recent work), then steal
         // from siblings' backs. The own-shard guard is a `let`-statement
@@ -354,6 +443,19 @@ fn worker_loop(id: usize, inner: &Inner) {
                 {
                     return;
                 }
+                // Spin first, so that a job arriving within the budget is
+                // claimed without a futex wake-up. A spinner does not
+                // advertise in `idlers`: a submit that finds only
+                // spinners takes no lock and notifies no one.
+                let since = *idle_since.get_or_insert_with(Instant::now);
+                let budget = spin_budget(avg_gap);
+                if !budget.is_zero() && take_spin_slot(&SPINNERS, inner.spin_slots) {
+                    let found = spin_until(inner, since + budget);
+                    SPINNERS.fetch_sub(1, Ordering::Release);
+                    if found {
+                        continue;
+                    }
+                }
                 // Dekker handshake, worker side: advertise in `idlers`,
                 // then re-check `queued` while holding the idle lock.
                 // A submitter publishes `queued` before reading `idlers`
@@ -379,6 +481,9 @@ fn worker_loop(id: usize, inner: &Inner) {
             }
         };
 
+        if let Some(since) = idle_since.take() {
+            avg_gap = average_gap(avg_gap, since.elapsed());
+        }
         inner.queued.fetch_sub(1, Ordering::SeqCst);
         if stole {
             inner.stolen.fetch_add(1, Ordering::SeqCst);
@@ -556,6 +661,84 @@ mod tests {
         assert_eq!(hits.load(Ordering::Relaxed), 19);
         assert_eq!(stats.completed, 20, "the panicked job still completes");
         assert_eq!(stats.panicked, 1);
+    }
+
+    #[test]
+    fn the_budget_is_twice_the_average_gap_up_to_the_cap() {
+        assert_eq!(spin_budget(Duration::ZERO), Duration::ZERO);
+        assert_eq!(spin_budget(SPIN_CAP / 4), SPIN_CAP / 2);
+        assert_eq!(spin_budget(SPIN_CAP * 3 / 4), SPIN_CAP);
+        assert_eq!(spin_budget(SPIN_CAP), SPIN_CAP);
+        let above = SPIN_CAP + Duration::from_nanos(1);
+        assert_eq!(spin_budget(above), Duration::ZERO, "too sparse to spin");
+        // The average moves an eighth of the way to each new gap.
+        let avg = Duration::from_micros(800);
+        assert_eq!(average_gap(avg, Duration::ZERO), Duration::from_micros(700));
+        assert_eq!(average_gap(avg, avg), avg);
+    }
+
+    #[test]
+    fn zero_spin_slots_never_spin() {
+        assert_eq!(spin_slots(1), 0, "a one-CPU host never spins");
+        assert_eq!(spin_slots(0), 0);
+        assert_eq!(spin_slots(2), 1);
+        let spinners = AtomicUsize::new(0);
+        for _ in 0..3 {
+            assert!(!take_spin_slot(&spinners, 0));
+        }
+        assert_eq!(spinners.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn the_spinner_count_never_exceeds_its_slots() {
+        const SLOTS: usize = 2;
+        let spinners = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (spinners, peak) = (Arc::clone(&spinners), Arc::clone(&peak));
+                std::thread::spawn(move || {
+                    for _ in 0..10_000 {
+                        if take_spin_slot(&spinners, SLOTS) {
+                            peak.fetch_max(spinners.load(Ordering::SeqCst), Ordering::SeqCst);
+                            spinners.fetch_sub(1, Ordering::Release);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert!(peak.load(Ordering::SeqCst) <= SLOTS);
+        assert_eq!(spinners.load(Ordering::SeqCst), 0);
+
+        // The process-wide count, while two pools idle between short jobs.
+        let slots = spin_slots(thread::available_parallelism().map_or(1, |n| n.get()));
+        let pools = [Executor::new(2, 0).unwrap(), Executor::new(2, 0).unwrap()];
+        for round in 0..200 {
+            let pool = &pools[round % 2];
+            pool.submit(Box::new(|_worker| {}));
+            assert!(SPINNERS.load(Ordering::SeqCst) <= slots);
+            std::thread::sleep(Duration::from_micros(100));
+            assert!(SPINNERS.load(Ordering::SeqCst) <= slots);
+        }
+    }
+
+    #[test]
+    fn shutdown_ends_a_spin_promptly() {
+        let pool = Executor::new(1, 0).unwrap();
+        let inner = Arc::clone(&pool.inner);
+        let spinner = std::thread::spawn(move || {
+            let start = Instant::now();
+            let found = spin_until(&inner, start + Duration::from_secs(60));
+            (found, start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(20));
+        drop(pool);
+        let (found, took) = spinner.join().unwrap();
+        assert!(found, "the spin must see the shutdown, not its deadline");
+        assert!(took < Duration::from_secs(10), "spun {took:?}");
     }
 
     #[test]
