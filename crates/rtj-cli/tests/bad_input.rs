@@ -266,17 +266,50 @@ fn bench_edits_replays_over_bench_scaled() {
     let scaled = rtjc(&["bench", "scaled:4"], &dir);
     assert!(scaled.status.success());
     fs::write(dir.join("scaled.rtj"), &scaled.stdout).expect("write corpus");
-    let edits = rtjc(&["bench", "edits:4", "--batches", "6", "--seed", "3"], &dir);
-    assert!(edits.status.success());
-    assert!(edits.stdout.starts_with(b"{\"schema\":\"rtj-edits/v1\""));
-    fs::write(dir.join("edits.json"), &edits.stdout).expect("write script");
-    let replay = rtjc(&["check", "scaled.rtj", "--edits", "edits.json"], &dir);
-    let summary = String::from_utf8_lossy(&replay.stdout);
-    assert!(summary.starts_with("initial: "), "{summary}");
-    assert_eq!(
-        summary.lines().filter(|l| l.starts_with("batch")).count(),
-        6
+    // The largest seed is past `i64::MAX`: the script must carry it as
+    // written and read back.
+    for seed in ["3", "18446744073709551615"] {
+        let edits = rtjc(
+            &["bench", "edits:4", "--batches", "6", "--seed", seed],
+            &dir,
+        );
+        assert!(edits.status.success());
+        assert!(edits.stdout.starts_with(b"{\"schema\":\"rtj-edits/v1\""));
+        let script = String::from_utf8_lossy(&edits.stdout);
+        assert!(script.contains(&format!("\"seed\":{seed},")), "{script}");
+        fs::write(dir.join("edits.json"), &edits.stdout).expect("write script");
+        let replay = rtjc(&["check", "scaled.rtj", "--edits", "edits.json"], &dir);
+        let summary = String::from_utf8_lossy(&replay.stdout);
+        assert!(summary.starts_with("initial: "), "seed {seed}: {summary}");
+        assert_eq!(
+            summary.lines().filter(|l| l.starts_with("batch")).count(),
+            6
+        );
+    }
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A program that asks for more virtual cycles than a `u64` holds runs
+/// to its end with the count pinned at `u64::MAX`, and its metrics
+/// document, which carries that count, reads back.
+#[test]
+fn a_cycle_count_past_u64_pins_and_its_metrics_read_back() {
+    let dir = scratch_dir();
+    let src = "{ workload(9223372036854775807); workload(9223372036854775807); print(1); }\n";
+    fs::write(dir.join("big.rtj"), src).expect("write program");
+    let run = rtjc(&["run", "--metrics=big.json", "big.rtj"], &dir);
+    let err = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{err}");
+    assert_eq!(run.stdout, b"1\n");
+    assert!(err.starts_with("[18446744073709551615 cycles,"), "{err}");
+    let doc = fs::read_to_string(dir.join("big.json")).expect("metrics written");
+    assert!(
+        doc.contains("\"total_cycles\":18446744073709551615"),
+        "{doc}"
     );
+    let report = rtjc(&["report", "big.json"], &dir);
+    let err = String::from_utf8_lossy(&report.stderr);
+    assert_eq!(report.status.code(), Some(0), "{err}");
     fs::remove_dir_all(&dir).ok();
 }
 

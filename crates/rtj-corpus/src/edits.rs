@@ -82,11 +82,12 @@ pub fn edit_batches(copies: usize, batches: usize, seed: u64) -> EditScript {
     generate(copies, batches, seed, |replica, name| {
         let source = format!("{}{{ }}", scaled_family(replica));
         let program = parse_program(&source).expect("a scaled_classes replica parses");
-        let decl = program
+        let decl = &program
             .classes
             .iter()
-            .find(|c| c.name.name.as_str() == name)
-            .unwrap_or_else(|| panic!("scaled_classes has no class {name}"));
+            .find(|c| c.decl.name.name.as_str() == name)
+            .unwrap_or_else(|| panic!("scaled_classes has no class {name}"))
+            .decl;
         source[decl.span.start as usize..decl.span.end as usize].to_string()
     })
 }
@@ -155,8 +156,8 @@ pub fn edits_json(script: &EditScript) -> Json {
     Json::obj(vec![
         ("schema", Json::Str(EDITS_SCHEMA.to_string())),
         ("workload", Json::Str(script.workload.clone())),
-        ("copies", Json::Int(script.copies as i64)),
-        ("seed", Json::Int(script.seed as i64)),
+        ("copies", Json::from(script.copies)),
+        ("seed", Json::from(script.seed)),
         (
             "batches",
             Json::Arr(
@@ -165,7 +166,7 @@ pub fn edits_json(script: &EditScript) -> Json {
                     .iter()
                     .map(|b| {
                         Json::obj(vec![
-                            ("id", Json::Int(b.id as i64)),
+                            ("id", Json::from(b.id)),
                             ("kind", Json::Str(b.kind.clone())),
                             ("class", Json::Str(b.class.clone())),
                             ("source", Json::Str(b.source.clone())),
@@ -229,11 +230,12 @@ mod tests {
             let whole = scaled_classes(copies);
             let program = parse_program(&whole).unwrap();
             let oracle = |_replica: usize, name: &str| {
-                let decl = program
+                let decl = &program
                     .classes
                     .iter()
-                    .find(|c| c.name.name.as_str() == name)
-                    .unwrap();
+                    .find(|c| c.decl.name.name.as_str() == name)
+                    .unwrap()
+                    .decl;
                 whole[decl.span.start as usize..decl.span.end as usize].to_string()
             };
             for seed in [1, 3, 9] {

@@ -350,15 +350,12 @@ pub fn fig11_json(rows: &[Fig11Row]) -> String {
                     .map(|r| {
                         Json::obj(vec![
                             ("name", Json::Str(r.name.into())),
-                            ("loc", Json::Int(r.loc as i64)),
-                            ("annotated", Json::Int(r.annotated as i64)),
-                            (
-                                "paper_loc",
-                                r.paper_loc.map_or(Json::Null, |v| Json::Int(v as i64)),
-                            ),
+                            ("loc", Json::from(r.loc)),
+                            ("annotated", Json::from(r.annotated)),
+                            ("paper_loc", r.paper_loc.map_or(Json::Null, Json::from)),
                             (
                                 "paper_changed",
-                                r.paper_changed.map_or(Json::Null, |v| Json::Int(v as i64)),
+                                r.paper_changed.map_or(Json::Null, Json::from),
                             ),
                         ])
                     })
@@ -386,12 +383,12 @@ pub fn fig12_json(rows: &[Fig12Row]) -> String {
                         Json::obj(vec![
                             ("name", Json::Str(r.name.into())),
                             ("category", Json::Str(r.category.name().into())),
-                            ("static_cycles", Json::Int(r.static_cycles as i64)),
-                            ("dynamic_cycles", Json::Int(r.dynamic_cycles as i64)),
+                            ("static_cycles", Json::from(r.static_cycles)),
+                            ("dynamic_cycles", Json::from(r.dynamic_cycles)),
                             ("overhead", Json::Float(r.overhead)),
-                            ("checks", Json::Int(r.checks as i64)),
-                            ("elided", Json::Int(r.elided as i64)),
-                            ("check_cycles", Json::Int(r.check_cycles as i64)),
+                            ("checks", Json::from(r.checks)),
+                            ("elided", Json::from(r.elided)),
+                            ("check_cycles", Json::from(r.check_cycles)),
                             (
                                 "paper_overhead",
                                 r.paper_overhead.map_or(Json::Null, Json::Float),

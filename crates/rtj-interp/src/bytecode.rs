@@ -489,7 +489,7 @@ pub struct CompiledProgram {
     /// Region statement sites.
     pub region_sites: Vec<RegionSite>,
     /// String literal pool.
-    pub strings: Vec<String>,
+    pub strings: Vec<Symbol>,
     /// Precomputed interpreter-error messages for [`Op::Fail`].
     pub fail_msgs: Vec<String>,
 }
@@ -519,7 +519,7 @@ struct Compiler<'p> {
     new_sites: Vec<NewSite>,
     field_sites: Vec<FieldSite>,
     region_sites: Vec<RegionSite>,
-    strings: Vec<String>,
+    strings: Vec<Symbol>,
     fail_msgs: Vec<String>,
     f: FnState,
 }
@@ -541,14 +541,14 @@ pub fn compile(data: &ProgramData) -> CompiledProgram {
     c.compile_func(Vec::new(), &[], false, &data.program.main);
     let mut methods = HashMap::new();
     let mut classes: Vec<_> = data.program.classes.iter().collect();
-    classes.sort_by_key(|class| class.name.name);
+    classes.sort_by_key(|class| class.decl.name.name);
     for class in classes {
-        for m in &class.methods {
-            let owners = class.formals.iter().chain(&m.formals);
+        for (m, body) in class.methods() {
+            let owners = class.decl.formals.iter().chain(&m.formals);
             let owners = owners.map(|f| f.name.name).collect();
             let params: Vec<Symbol> = m.params.iter().map(|p| p.name.name).collect();
-            let idx = c.compile_func(owners, &params, true, &m.body);
-            methods.insert((class.name.name, m.name.name), idx);
+            let idx = c.compile_func(owners, &params, true, body);
+            methods.insert((class.decl.name.name, m.name.name), idx);
         }
     }
     CompiledProgram {
@@ -905,7 +905,7 @@ impl Compiler<'_> {
             Expr::Bool(b, _) => self.emit(Op::ConstBool(*b)),
             Expr::Str(s, _) => {
                 let i = self.strings.len() as u32;
-                self.strings.push(s.clone());
+                self.strings.push(*s);
                 self.emit(Op::ConstStr(i));
             }
             Expr::Null(_) => self.emit(Op::ConstNull),
@@ -967,7 +967,7 @@ impl Compiler<'_> {
                             .iter()
                             .enumerate()
                             .filter(|(_, v)| !matches!(v, Value::Null))
-                            .map(|(i, v)| (i as u32, v.clone()))
+                            .map(|(i, v)| (i as u32, *v))
                             .collect(),
                     ),
                     None => (false, 0, Box::from([])),

@@ -25,8 +25,8 @@ pub struct ProgramData {
     /// The elaborated program: the only AST with method bodies, shared
     /// with the [`rtj_types::Checked`] it came from.
     pub program: Arc<Program>,
-    /// Its class/region-kind table: signatures only, for method
-    /// resolution and layouts.
+    /// Its class/region-kind table, which shares the program's headers:
+    /// for method resolution and layouts.
     pub table: ProgramTable,
     /// Precomputed layouts.
     pub layouts: Layouts,
@@ -41,7 +41,7 @@ impl ProgramData {
             .classes
             .iter()
             .enumerate()
-            .map(|(i, c)| (c.name.name, i))
+            .map(|(i, c)| (c.decl.name.name, i))
             .collect();
         ProgramData {
             layouts: Layouts::new(&table),
@@ -51,13 +51,10 @@ impl ProgramData {
         }
     }
 
-    /// Finds a method, body included, by declaring class and name.
-    pub fn method_body(&self, class: Symbol, method: Symbol) -> Option<&MethodDecl> {
-        let &i = self.classes.get(&class)?;
-        self.program.classes[i]
-            .methods
-            .iter()
-            .find(|m| m.name.name == method)
+    /// Finds a method's body by declaring class and name.
+    pub fn method_body(&self, class: Symbol, method: Symbol) -> Option<&Block> {
+        let mut methods = self.program.classes[*self.classes.get(&class)?].methods();
+        methods.find_map(|(m, body)| (m.name.name == method).then_some(body))
     }
 }
 
@@ -175,9 +172,7 @@ impl Evaluator {
     ) -> (Box<State>, Result<(), RunError>) {
         let data = Arc::clone(&self.data);
         let result = match data.method_body(decl_class, method) {
-            Some(decl) => self
-                .eval_block(&mut frame, &decl.body)
-                .and_then(|_| self.flush()),
+            Some(body) => self.eval_block(&mut frame, body).and_then(|_| self.flush()),
             None => Err(RunError::Interp(format!("no method {decl_class}.{method}"))),
         };
         (self.st.expect(HOLDER), result)
@@ -195,12 +190,13 @@ impl Evaluator {
     }
 
     fn step(&mut self) {
-        self.pending_cycles += self.step_cost;
+        self.charge(self.step_cost);
         self.pending_steps += 1;
     }
 
+    /// Adds `cycles` to the pending sum, saturating as the VM's does.
     fn charge(&mut self, cycles: u64) {
-        self.pending_cycles += cycles;
+        self.pending_cycles = self.pending_cycles.saturating_add(cycles);
     }
 
     fn flush(&mut self) -> Result<(), RunError> {
@@ -402,7 +398,7 @@ impl Evaluator {
                 body,
                 ..
             } => {
-                let Some(Value::Handle(pr)) = frame.lookup(parent.name.as_str()).cloned() else {
+                let Some(Value::Handle(pr)) = frame.lookup(parent.name.as_str()).copied() else {
                     return Err(RunError::Interp(format!(
                         "`{parent}` is not a region handle"
                     )));
@@ -510,7 +506,7 @@ impl Evaluator {
         match e {
             Expr::Int(n, _) => Ok(Value::Int(*n)),
             Expr::Bool(b, _) => Ok(Value::Bool(*b)),
-            Expr::Str(s, _) => Ok(Value::Str(s.clone())),
+            Expr::Str(s, _) => Ok(Value::Str(*s)),
             Expr::Null(_) => Ok(Value::Null),
             Expr::This(_) => frame
                 .this_obj
@@ -518,7 +514,7 @@ impl Evaluator {
                 .ok_or_else(|| RunError::Interp("`this` outside a method".into())),
             Expr::Var(id) => frame
                 .lookup(id.name.as_str())
-                .cloned()
+                .copied()
                 .ok_or_else(|| RunError::Interp(format!("unbound variable `{id}`"))),
             Expr::Unary { op, expr, .. } => {
                 let v = self.eval_expr(frame, expr)?;
@@ -578,7 +574,7 @@ impl Evaluator {
                     .ok_or_else(|| RunError::Interp(format!("no method {decl_class}.{mname}")))?;
                 let mut callee_frame = callee_frame;
                 self.call_depth += 1;
-                let flow = self.eval_block(&mut callee_frame, &callee.body);
+                let flow = self.eval_block(&mut callee_frame, callee);
                 self.call_depth -= 1;
                 match flow? {
                     Flow::Return(v) => Ok(v),
@@ -603,7 +599,7 @@ impl Evaluator {
                     .iter()
                     .enumerate()
                     .filter(|(_, v)| !matches!(v, Value::Null))
-                    .map(|(i, v)| (i, v.clone()))
+                    .map(|(i, v)| (i, *v))
                     .collect();
                 let t = self.tid;
                 let name = class.name.name;

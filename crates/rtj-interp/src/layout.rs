@@ -180,9 +180,8 @@ pub type SuperChain = Vec<(Symbol, Vec<OwnerRef>)>;
 /// Resolves the method `method` for an object allocated as `class`,
 /// walking the superclass chain. Returns the [`SuperChain`] of hops the
 /// caller must evaluate against the object's stored owners, and the
-/// method's header as the table holds it (its body is empty; the
-/// program holds the bodies). The walk ends because a table holds no
-/// cyclic class chain.
+/// method's header as the table holds it (the program holds the
+/// bodies). The walk ends because a table holds no cyclic class chain.
 pub fn resolve_method_chain(
     table: &ProgramTable,
     class: Symbol,

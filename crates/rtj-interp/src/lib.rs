@@ -101,10 +101,6 @@ pub struct RunConfig {
     /// The execution engine ([`Engine::Vm`] by default; the tests set
     /// [`Engine::Tree`] to run the oracle).
     pub engine: Engine,
-    /// Session (tenant) identifier stamped on the run's [`Runtime`] — `0`
-    /// for standalone runs; the multi-tenant server (`rtj-server`) assigns
-    /// each session a distinct id.
-    pub session: u64,
 }
 
 impl RunConfig {
@@ -119,7 +115,6 @@ impl RunConfig {
             capture_graph: false,
             events: TraceCapture::Off,
             engine: Engine::default(),
-            session: 0,
         }
     }
 }
@@ -229,7 +224,6 @@ pub fn run_prepared(prepared: &Prepared, cfg: RunConfig) -> RunOutcome {
     let data = Arc::clone(&prepared.data);
     let mut rt = Runtime::new(cfg.mode, cfg.cost);
     rt.enable_gc(cfg.gc_enabled);
-    rt.set_session(cfg.session);
     if cfg.events == TraceCapture::Full {
         rt.capture_events();
     }
@@ -283,6 +277,29 @@ mod tests {
         let out = run_source(src, RunConfig::new(CheckMode::Dynamic)).unwrap();
         assert!(out.error.is_none(), "unexpected error: {:?}", out.error);
         out
+    }
+
+    /// A prepared program holds the checked program and a table that
+    /// shares its headers: no declaration is copied on the way.
+    #[test]
+    fn prepare_shares_the_checked_headers() {
+        let checked = build(
+            "regionKind Pool extends SharedRegion { Cell head; }\n\
+             class Cell<Owner o> { int v; int get() { return this.v; } }\n\
+             { let c = new Cell<heap>; print(c.get()); }",
+        )
+        .unwrap();
+        let prepared = prepare(&checked);
+        assert!(Arc::ptr_eq(&prepared.data.program, &checked.program));
+        let table = &prepared.data.table;
+        for c in &checked.program.classes {
+            let entry = &table.class(c.decl.name.name).unwrap().decl;
+            assert!(Arc::ptr_eq(entry, &c.decl), "class {}", c.decl.name);
+        }
+        for rk in &checked.program.region_kinds {
+            let entry = &table.region_kind(rk.name.name).unwrap().decl;
+            assert!(Arc::ptr_eq(entry, rk), "region kind {}", rk.name);
+        }
     }
 
     #[test]

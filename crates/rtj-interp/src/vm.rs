@@ -257,11 +257,12 @@ impl Vm {
     }
 
     /// Charges the pending steps and cycles to the clock and the step
-    /// budget.
+    /// budget. Cycle sums saturate, as the tree-walker's do.
     #[inline]
     fn charge_pending(&mut self) -> Result<(), RunError> {
         let s = std::mem::take(&mut self.pending_steps);
-        let c = std::mem::take(&mut self.pending_cycles) + s * self.step_cost;
+        let steps = s.saturating_mul(self.step_cost);
+        let c = std::mem::take(&mut self.pending_cycles).saturating_add(steps);
         self.st().charge_steps(c, s)
     }
 
@@ -291,7 +292,7 @@ impl Vm {
                 break;
             }
             waited = true;
-            self.pending_cycles += spin;
+            self.pending_cycles = self.pending_cycles.saturating_add(spin);
             self.safepoint()?;
         }
         if waited && self.is_rt {
@@ -610,7 +611,7 @@ impl Vm {
         let (obj, _) = self.receiver(n_args, false)?;
         let owners_base = self.owners.len() as u32;
         let func = self.push_callee_owners(site, obj, &frame)?;
-        self.pending_cycles += self.call_cost;
+        self.pending_cycles = self.pending_cycles.saturating_add(self.call_cost);
         self.safepoint()?;
         if self.frames.len() as u32 > MAX_CALL_DEPTH {
             return Err(RunError::Interp(format!(
@@ -702,7 +703,7 @@ impl Vm {
         let owners = &self.owners[base..];
         let obj = rt.alloc(self.tid, first, site.class, owners, site.n_fields as usize)?;
         for (i, v) in site.defaults.iter() {
-            rt.init_field_raw(obj, *i as usize, v.clone());
+            rt.init_field_raw(obj, *i as usize, *v);
         }
         self.owners.truncate(base);
         Ok(Value::Ref(obj))
@@ -777,7 +778,7 @@ impl Vm {
             .pop()
             .as_int()
             .ok_or_else(|| RunError::Interp("io/workload needs int".into()))?;
-        self.pending_cycles += n.max(0) as u64;
+        self.pending_cycles = self.pending_cycles.saturating_add(n.max(0) as u64);
         if io {
             self.safepoint()?;
         }
@@ -817,20 +818,18 @@ impl Vm {
                 Op::ConstInt(n) => self.stack.push(Value::Int(n)),
                 Op::ConstBool(b) => self.stack.push(Value::Bool(b)),
                 Op::ConstNull => self.stack.push(Value::Null),
-                Op::ConstStr(i) => self
-                    .stack
-                    .push(Value::Str(prog.strings[i as usize].clone())),
+                Op::ConstStr(i) => self.stack.push(Value::Str(prog.strings[i as usize])),
                 Op::LoadLocal(s) => {
-                    let v = local!(s).clone();
+                    let v = local!(s);
                     self.stack.push(v);
                 }
                 Op::LoadLocal2(a, b) => {
-                    let (a, b) = (local!(a).clone(), local!(b).clone());
+                    let (a, b) = (local!(a), local!(b));
                     self.stack.push(a);
                     self.stack.push(b);
                 }
                 Op::LoadLocalNull(s) => {
-                    let v = local!(s).clone();
+                    let v = local!(s);
                     self.stack.push(v);
                     self.stack.push(Value::Null);
                 }
@@ -922,7 +921,7 @@ impl Vm {
                 }
                 Op::LoadLocalField { slot, site, steps } => {
                     add_steps!(steps);
-                    let recv = local!(slot).clone();
+                    let recv = local!(slot);
                     let v = self.load_field(site, recv)?;
                     self.stack.push(v);
                 }

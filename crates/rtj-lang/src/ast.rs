@@ -16,6 +16,7 @@
 use crate::intern::Symbol;
 use crate::span::Span;
 use std::fmt;
+use std::sync::Arc;
 
 /// An identifier with its source span.
 ///
@@ -62,14 +63,31 @@ impl fmt::Display for Ident {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// All `class` declarations, in source order.
-    pub classes: Vec<ClassDecl>,
-    /// All `regionKind` declarations, in source order.
-    pub region_kinds: Vec<RegionKindDecl>,
+    pub classes: Vec<Class>,
+    /// All `regionKind` declarations, in source order, shared like headers.
+    pub region_kinds: Vec<Arc<RegionKindDecl>>,
     /// The initial block evaluated by the main (regular) thread.
     pub main: Block,
 }
 
-/// A `class` declaration.
+/// A `class` declaration: its header, which the checker's table shares
+/// once the defaults complete it, and the bodies the elaboration writes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Class {
+    /// The header: all but the method bodies.
+    pub decl: Arc<ClassDecl>,
+    /// `bodies[j]` is the body of `decl.methods[j]`.
+    pub bodies: Vec<Block>,
+}
+
+impl Class {
+    /// Each method's header with its body, in declaration order.
+    pub fn methods(&self) -> impl Iterator<Item = (&MethodDecl, &Block)> {
+        self.decl.methods.iter().zip(&self.bodies)
+    }
+}
+
+/// A `class` declaration's header (its bodies are in [`Class::bodies`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassDecl {
     /// Class name.
@@ -82,7 +100,7 @@ pub struct ClassDecl {
     pub where_clauses: Vec<Constraint>,
     /// Instance fields.
     pub fields: Vec<FieldDecl>,
-    /// Methods.
+    /// Method headers.
     pub methods: Vec<MethodDecl>,
     /// Source span of the whole declaration.
     pub span: Span,
@@ -239,7 +257,7 @@ pub struct FieldDecl {
     pub span: Span,
 }
 
-/// A method declaration.
+/// A method declaration's header (its body is in [`Class::bodies`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MethodDecl {
     /// Return type (`Type::Void` for `void` methods).
@@ -255,9 +273,7 @@ pub struct MethodDecl {
     pub effects: Option<Vec<OwnerRef>>,
     /// `where` constraints introduced by the method.
     pub where_clauses: Vec<Constraint>,
-    /// Method body.
-    pub body: Block,
-    /// Source span of the declaration.
+    /// Source span of the declaration, body included.
     pub span: Span,
 }
 
@@ -625,8 +641,8 @@ pub enum Expr {
     Int(i64, Span),
     /// Boolean literal.
     Bool(bool, Span),
-    /// String literal (only as `print` argument).
-    Str(String, Span),
+    /// String literal (only as `print` argument), interned by the lexer.
+    Str(Symbol, Span),
     /// `null`.
     Null(Span),
     /// `this`.

@@ -234,7 +234,8 @@ fn hash_kind(h: &mut Fnv64, k: &KindAnn) {
 /// a field read off a dependency) are *not* listed here; the incremental
 /// checker compensates by propagating dirtiness transitively over this
 /// edge set, which covers every chain the checker can follow.
-pub fn class_refs(c: &ClassDecl) -> Vec<Symbol> {
+pub fn class_refs(class: &Class) -> Vec<Symbol> {
+    let c = &class.decl;
     let mut out = Vec::new();
     if let Some(ext) = &c.extends {
         out.push(ext.name.name);
@@ -245,7 +246,7 @@ pub fn class_refs(c: &ClassDecl) -> Vec<Symbol> {
     for f in &c.fields {
         refs_type(&f.ty, &mut out);
     }
-    for m in &c.methods {
+    for (m, body) in class.methods() {
         refs_type(&m.ret, &mut out);
         for f in &m.formals {
             refs_kind(&f.kind, &mut out);
@@ -253,7 +254,7 @@ pub fn class_refs(c: &ClassDecl) -> Vec<Symbol> {
         for p in &m.params {
             refs_type(&p.ty, &mut out);
         }
-        refs_block(&m.body, &mut out);
+        refs_block(body, &mut out);
     }
     out.sort_unstable();
     out.dedup();
@@ -383,13 +384,13 @@ mod tests {
     use super::*;
     use crate::parser::parse_program;
 
-    fn classes(src: &str) -> Vec<ClassDecl> {
+    fn classes(src: &str) -> Vec<Class> {
         parse_program(src).unwrap().classes
     }
 
     /// The text and signature fingerprints of the first class of `src`.
     fn fingerprints(src: &str) -> (u64, u64) {
-        let c = &classes(src)[0];
+        let c = &classes(src)[0].decl;
         (text_fingerprint(src, c.span), signature_fingerprint(c))
     }
 

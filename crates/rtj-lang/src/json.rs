@@ -25,9 +25,10 @@
 //! * [`chrome`] — the Chrome `trace_event` records both trace exporters
 //!   build.
 //!
-//! Numbers are kept as `i64` when they parse exactly as integers
+//! Numbers are kept as integers when they parse exactly as integers
 //! (virtual-cycle counters) and as `f64` otherwise (overhead ratios), so
-//! counter round-trips are loss-free.
+//! counter round-trips are loss-free. An integer holds the whole `u64`
+//! range: every writer builds its counters with `Json::from`.
 
 use std::fmt;
 
@@ -42,8 +43,9 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer number (renders without a decimal point).
-    Int(i64),
+    /// An integer number (renders without a decimal point). Wide enough
+    /// for any `u64` counter and any `i64`.
+    Int(i128),
     /// A non-integer number.
     Float(f64),
     /// A string.
@@ -77,6 +79,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Every unsigned counter converts without loss.
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Int(n as i128)
+            }
+        }
+    )*};
+}
+from_unsigned!(u32, u64, usize);
+
 impl Json {
     /// Builds an object from pairs (convenience for literals).
     pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
@@ -91,10 +105,11 @@ impl Json {
         }
     }
 
-    /// The value as a `u64` counter, if it is a non-negative integer.
+    /// The value as a `u64` counter, if it is a non-negative integer that
+    /// fits one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Int(n) if *n >= 0 => Some(*n as u64),
+            Json::Int(n) => u64::try_from(*n).ok(),
             _ => None,
         }
     }
@@ -312,10 +327,10 @@ pub mod chrome {
             ("name", Json::Str(name)),
             ("cat", Json::Str(cat.into())),
             ("ph", Json::Str("X".into())),
-            ("ts", Json::Int(ts as i64)),
-            ("dur", Json::Int(dur as i64)),
+            ("ts", Json::from(ts)),
+            ("dur", Json::from(dur)),
             ("pid", Json::Int(0)),
-            ("tid", Json::Int(tid as i64)),
+            ("tid", Json::from(tid)),
         ])
     }
 
@@ -327,9 +342,9 @@ pub mod chrome {
             ("cat", Json::Str(cat.into())),
             ("ph", Json::Str("i".into())),
             ("s", Json::Str("t".into())),
-            ("ts", Json::Int(ts as i64)),
+            ("ts", Json::from(ts)),
             ("pid", Json::Int(0)),
-            ("tid", Json::Int(tid as i64)),
+            ("tid", Json::from(tid)),
         ])
     }
 
@@ -339,7 +354,7 @@ pub mod chrome {
             ("name", Json::Str("thread_name".into())),
             ("ph", Json::Str("M".into())),
             ("pid", Json::Int(0)),
-            ("tid", Json::Int(tid as i64)),
+            ("tid", Json::from(tid)),
             ("args", Json::obj(vec![("name", Json::Str(name.into()))])),
         ])
     }
@@ -544,7 +559,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| err(start, "bad number"))?;
     if !is_float {
-        if let Ok(n) = text.parse::<i64>() {
+        if let Ok(n) = text.parse::<i128>() {
             return Ok(Json::Int(n));
         }
     }
@@ -576,9 +591,24 @@ mod tests {
 
     #[test]
     fn integers_roundtrip_exactly() {
-        let big = (1u64 << 62) as i64;
-        let text = Json::Int(big).render();
-        assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(big as u64));
+        let big = 1u64 << 62;
+        let text = Json::from(big).render();
+        assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(big));
+    }
+
+    /// Every `u64` renders as its digits and reads back; a number past
+    /// it is no counter, and an `i64` renders as it always did.
+    #[test]
+    fn the_whole_u64_range_renders_and_reads_back() {
+        for n in [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let text = Json::from(n).render();
+            assert_eq!(text, n.to_string());
+            assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n));
+        }
+        let past = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(past.as_u64(), None);
+        assert_eq!(Json::Int(i64::MIN.into()).render(), i64::MIN.to_string());
+        assert_eq!(Json::parse("-1").unwrap().as_u64(), None);
     }
 
     #[test]

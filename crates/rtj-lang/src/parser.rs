@@ -21,6 +21,7 @@ use crate::lexer::{LexError, Lexer};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::fmt;
+use std::sync::Arc;
 
 /// The deepest nesting the parser accepts; see the [module docs](self).
 pub const MAX_NESTING: usize = 256;
@@ -86,11 +87,11 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
 /// ```
 /// use rtj_lang::parser::parse_class_at;
 /// let c = parse_class_at("class A<Owner o> { int x; }", 40)?;
-/// assert_eq!((c.span.start, c.span.end), (40, 67));
+/// assert_eq!((c.decl.span.start, c.decl.span.end), (40, 67));
 /// assert!(parse_class_at("class A<Owner o> { } class B<Owner o> { }", 0).is_err());
 /// # Ok::<(), rtj_lang::parser::ParseError>(())
 /// ```
-pub fn parse_class_at(src: &str, base: u32) -> Result<ClassDecl, ParseError> {
+pub fn parse_class_at(src: &str, base: u32) -> Result<Class, ParseError> {
     Parser::new(src, base).finish(|p| {
         let decl = p.class_decl()?;
         p.expect(&TokenKind::Eof)?;
@@ -177,6 +178,25 @@ struct Parser<'a> {
     lex_error: Option<LexError>,
     /// Nesting levels entered around the current token.
     depth: usize,
+    lists: HeaderLists,
+}
+
+/// Buffers a header's lists are gathered in, so each list the checker's
+/// table keeps is one allocation of exactly its length.
+#[derive(Default)]
+struct HeaderLists {
+    formals: Vec<FormalOwner>,
+    fields: Vec<FieldDecl>,
+    methods: Vec<MethodDecl>,
+    params: Vec<Param>,
+}
+
+/// Moves `buf`'s items into a `Vec` of exactly their number, leaving
+/// `buf` empty with its capacity.
+fn exact<T>(buf: &mut Vec<T>) -> Vec<T> {
+    let mut list = Vec::with_capacity(buf.len());
+    list.append(buf);
+    list
 }
 
 impl<'a> Parser<'a> {
@@ -195,6 +215,7 @@ impl<'a> Parser<'a> {
             refill_at: usize::MAX,
             lex_error: None,
             depth: 0,
+            lists: HeaderLists::default(),
         };
         p.fill();
         p
@@ -346,7 +367,7 @@ impl<'a> Parser<'a> {
         loop {
             match self.peek() {
                 TokenKind::Class => classes.push(self.class_decl()?),
-                TokenKind::RegionKind => region_kinds.push(self.region_kind_decl()?),
+                TokenKind::RegionKind => region_kinds.push(Arc::new(self.region_kind_decl()?)),
                 _ => break,
             }
         }
@@ -361,7 +382,9 @@ impl<'a> Parser<'a> {
 
     // ------------------------------------------------------------------ decls
 
-    fn class_decl(&mut self) -> Result<ClassDecl, ParseError> {
+    /// A class declaration: its header, with each method's body set
+    /// apart in the order of the header's methods.
+    fn class_decl(&mut self) -> Result<Class, ParseError> {
         let start = self.expect(&TokenKind::Class)?.span;
         let name = self.ident()?;
         let formals = if self.peek() == &TokenKind::Lt2 {
@@ -376,29 +399,37 @@ impl<'a> Parser<'a> {
         };
         let where_clauses = self.where_clauses()?;
         self.expect(&TokenKind::LBrace)?;
-        let mut fields = Vec::new();
-        let mut methods = Vec::new();
+        let mut fields = std::mem::take(&mut self.lists.fields);
+        let mut methods = std::mem::take(&mut self.lists.methods);
+        let mut bodies = Vec::new();
         while self.peek() != &TokenKind::RBrace {
-            self.member(&mut fields, &mut methods)?;
+            self.member(&mut fields, &mut methods, &mut bodies)?;
         }
         let end = self.expect(&TokenKind::RBrace)?.span;
-        Ok(ClassDecl {
+        let decl = ClassDecl {
             name,
             formals,
             extends,
             where_clauses,
-            fields,
-            methods,
+            fields: exact(&mut fields),
+            methods: exact(&mut methods),
             span: start.to(end),
+        };
+        (self.lists.fields, self.lists.methods) = (fields, methods);
+        Ok(Class {
+            decl: Arc::new(decl),
+            bodies,
         })
     }
 
     /// Parses either a field or a method: both start with a type followed by
-    /// a name; a `(` or `<` after the name means method.
+    /// a name; a `(` or `<` after the name means method. A method's body
+    /// goes to `bodies`, its header to `methods`.
     fn member(
         &mut self,
         fields: &mut Vec<FieldDecl>,
         methods: &mut Vec<MethodDecl>,
+        bodies: &mut Vec<Block>,
     ) -> Result<(), ParseError> {
         let start = self.span();
         let ty = self.ret_type()?;
@@ -426,12 +457,12 @@ impl<'a> Parser<'a> {
                     Vec::new()
                 };
                 self.expect(&TokenKind::LParen)?;
-                let mut params = Vec::new();
+                let mut list = std::mem::take(&mut self.lists.params);
                 if self.peek() != &TokenKind::RParen {
                     loop {
                         let pty = self.ty()?;
                         let pname = self.ident()?;
-                        params.push(Param {
+                        list.push(Param {
                             ty: pty,
                             name: pname,
                         });
@@ -441,6 +472,8 @@ impl<'a> Parser<'a> {
                     }
                 }
                 self.expect(&TokenKind::RParen)?;
+                let params = exact(&mut list);
+                self.lists.params = list;
                 let effects = if self.eat(&TokenKind::Accesses) {
                     Some(self.owner_list()?)
                 } else {
@@ -448,7 +481,6 @@ impl<'a> Parser<'a> {
                 };
                 let where_clauses = self.where_clauses()?;
                 let body = self.block()?;
-                let span = start.to(body.span);
                 methods.push(MethodDecl {
                     ret: ty,
                     name,
@@ -456,9 +488,9 @@ impl<'a> Parser<'a> {
                     params,
                     effects,
                     where_clauses,
-                    body,
-                    span,
+                    span: start.to(body.span),
                 });
+                bodies.push(body);
                 Ok(())
             }
             other => Err(self.err(format!(
@@ -572,16 +604,18 @@ impl<'a> Parser<'a> {
 
     fn owner_formals(&mut self) -> Result<Vec<FormalOwner>, ParseError> {
         self.expect(&TokenKind::Lt2)?;
-        let mut formals = Vec::new();
+        let mut list = std::mem::take(&mut self.lists.formals);
         loop {
             let kind = self.kind_ann()?;
             let name = self.ident()?;
-            formals.push(FormalOwner { kind, name });
+            list.push(FormalOwner { kind, name });
             if !self.eat(&TokenKind::Comma) {
                 break;
             }
         }
         self.expect(&TokenKind::Gt)?;
+        let formals = exact(&mut list);
+        self.lists.formals = list;
         Ok(formals)
     }
 
@@ -1074,7 +1108,7 @@ impl<'a> Parser<'a> {
             TokenKind::Int(n) => Ok(Expr::Int(n, self.bump().span)),
             TokenKind::True => Ok(Expr::Bool(true, self.bump().span)),
             TokenKind::False => Ok(Expr::Bool(false, self.bump().span)),
-            TokenKind::Str(s) => Ok(Expr::Str(s.as_str().to_owned(), self.bump().span)),
+            TokenKind::Str(s) => Ok(Expr::Str(s, self.bump().span)),
             TokenKind::Null => Ok(Expr::Null(self.bump().span)),
             TokenKind::This => Ok(Expr::This(self.bump().span)),
             TokenKind::New => {
@@ -1133,8 +1167,8 @@ mod tests {
                    { let x = 1; print(x); } // trailing\n";
         let whole = parse_program(src).unwrap();
         let b = &whole.classes[1];
-        let (lo, hi) = (b.span.start as usize, b.span.end as usize);
-        let frag = parse_class_at(&src[lo..hi], b.span.start).unwrap();
+        let (lo, hi) = (b.decl.span.start as usize, b.decl.span.end as usize);
+        let frag = parse_class_at(&src[lo..hi], b.decl.span.start).unwrap();
         // Debug output, because `Ident` equality ignores spans.
         assert_eq!(format!("{frag:?}"), format!("{b:?}"));
         let m = whole.main.span.start as usize;
@@ -1215,7 +1249,7 @@ mod tests {
         "#;
         let p = parse_program(src).unwrap();
         assert_eq!(p.classes.len(), 1);
-        let c = &p.classes[0];
+        let c = &p.classes[0].decl;
         assert_eq!(c.name.name, "TStack");
         assert_eq!(c.formals.len(), 2);
         assert_eq!(c.fields.len(), 1);
@@ -1336,7 +1370,7 @@ mod tests {
             { }
         "#;
         let p = parse_program(src).unwrap();
-        let m = &p.classes[0].methods[0];
+        let m = &p.classes[0].decl.methods[0];
         assert_eq!(m.formals.len(), 1);
         let fx = m.effects.as_ref().unwrap();
         assert_eq!(fx.len(), 3);
@@ -1402,6 +1436,9 @@ mod tests {
             { }
         "#;
         let p = parse_program(src).unwrap();
-        assert!(matches!(p.classes[0].formals[0].kind, KindAnn::Lt(_, _)));
+        assert!(matches!(
+            p.classes[0].decl.formals[0].kind,
+            KindAnn::Lt(_, _)
+        ));
     }
 }

@@ -104,7 +104,8 @@ impl Printer {
         self.close();
     }
 
-    fn class(&mut self, c: &ClassDecl) {
+    fn class(&mut self, class: &Class) {
+        let c = &*class.decl;
         let mut head = format!("class {}", c.name);
         if !c.formals.is_empty() {
             let _ = write!(head, "<{}>", self.formals(&c.formals));
@@ -119,13 +120,13 @@ impl Printer {
         for f in &c.fields {
             self.line(&format!("{} {};", type_str(&f.ty), f.name));
         }
-        for m in &c.methods {
-            self.method(m);
+        for (m, body) in class.methods() {
+            self.method(m, body);
         }
         self.close();
     }
 
-    fn method(&mut self, m: &MethodDecl) {
+    fn method(&mut self, m: &MethodDecl, body: &Block) {
         let mut head = format!("{} {}", type_str(&m.ret), m.name);
         if !m.formals.is_empty() {
             let _ = write!(head, "<{}>", self.formals(&m.formals));
@@ -144,7 +145,7 @@ impl Printer {
             let _ = write!(head, " where {}", constraints_str(&m.where_clauses));
         }
         self.open(&head);
-        for s in &m.body.stmts {
+        for s in &body.stmts {
             self.stmt(s);
         }
         self.close();
@@ -333,7 +334,7 @@ fn expr_str(e: &Expr) -> String {
     match e {
         Expr::Int(n, _) => n.to_string(),
         Expr::Bool(b, _) => b.to_string(),
-        Expr::Str(s, _) => string_literal(s),
+        Expr::Str(s, _) => string_literal(s.as_str()),
         Expr::Null(_) => "null".into(),
         Expr::This(_) => "this".into(),
         Expr::Var(id) => id.name.to_string(),

@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 use rtj_lang::ast::*;
+use rtj_lang::intern::Symbol;
 use rtj_lang::parser::{parse_expr, parse_program};
 use rtj_lang::pretty::{pretty_expr, pretty_program};
 use rtj_lang::span::Span;
@@ -56,7 +57,7 @@ fn literal_text() -> impl Strategy<Value = String> {
 fn expr_strategy() -> BoxedStrategy<Expr> {
     let leaf = prop_oneof![
         (0i64..1000).prop_map(|n| Expr::Int(n, Span::DUMMY)),
-        literal_text().prop_map(|s| Expr::Str(s, Span::DUMMY)),
+        literal_text().prop_map(|s| Expr::Str(Symbol::intern(&s), Span::DUMMY)),
         any::<bool>().prop_map(|b| Expr::Bool(b, Span::DUMMY)),
         Just(Expr::Null(Span::DUMMY)),
         Just(Expr::This(Span::DUMMY)),

@@ -90,9 +90,11 @@ impl Clock {
         self.now
     }
 
-    /// Advances by `cycles`.
+    /// Advances by `cycles`, pinning at `u64::MAX`: a program can ask
+    /// for more work than the count holds, and saturating sums of
+    /// non-negative costs agree in any order.
     pub fn advance(&mut self, cycles: u64) {
-        self.now += cycles;
+        self.now = self.now.saturating_add(cycles);
     }
 
     /// Advances the clock to at least `target`.

@@ -216,15 +216,15 @@ impl TraceEvent {
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("ev", Json::Str(self.tag().into())),
-            ("at", Json::Int(self.at() as i64)),
+            ("at", Json::from(self.at())),
         ];
         match self {
             TraceEvent::ThreadStart { thread, class, .. } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
                 pairs.push(("class", Json::Str(class_name(*class).into())));
             }
             TraceEvent::ThreadStop { thread, .. } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
             }
             TraceEvent::RegionCreate {
                 thread,
@@ -232,9 +232,9 @@ impl TraceEvent {
                 count,
                 ..
             } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
-                pairs.push(("region", Json::Int(region.0 as i64)));
-                pairs.push(("count", Json::Int(*count as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
+                pairs.push(("region", Json::from(region.0)));
+                pairs.push(("count", Json::from(*count)));
             }
             TraceEvent::RegionEnter {
                 thread,
@@ -242,16 +242,16 @@ impl TraceEvent {
                 fresh,
                 ..
             } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
-                pairs.push(("region", Json::Int(region.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
+                pairs.push(("region", Json::from(region.0)));
                 pairs.push(("fresh", Json::Bool(*fresh)));
             }
             TraceEvent::RegionExit { thread, region, .. } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
-                pairs.push(("region", Json::Int(region.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
+                pairs.push(("region", Json::from(region.0)));
             }
             TraceEvent::RegionFlush { region, .. } | TraceEvent::RegionDelete { region, .. } => {
-                pairs.push(("region", Json::Int(region.0 as i64)));
+                pairs.push(("region", Json::from(region.0)));
             }
             TraceEvent::Alloc {
                 thread,
@@ -262,12 +262,12 @@ impl TraceEvent {
                 cycles,
                 ..
             } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
-                pairs.push(("region", Json::Int(region.0 as i64)));
-                pairs.push(("object", Json::Int(object.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
+                pairs.push(("region", Json::from(region.0)));
+                pairs.push(("object", Json::from(object.0)));
                 pairs.push(("class", Json::Str(class.clone())));
-                pairs.push(("bytes", Json::Int(*bytes as i64)));
-                pairs.push(("cycles", Json::Int(*cycles as i64)));
+                pairs.push(("bytes", Json::from(*bytes)));
+                pairs.push(("cycles", Json::from(*cycles)));
             }
             TraceEvent::PortalRead {
                 thread,
@@ -281,8 +281,8 @@ impl TraceEvent {
                 name,
                 ..
             } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
-                pairs.push(("region", Json::Int(region.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
+                pairs.push(("region", Json::from(region.0)));
                 pairs.push(("name", Json::Str(name.clone())));
             }
             TraceEvent::Check {
@@ -293,17 +293,17 @@ impl TraceEvent {
                 ok,
                 ..
             } => {
-                pairs.push(("thread", Json::Int(thread.0 as i64)));
+                pairs.push(("thread", Json::from(thread.0)));
                 pairs.push(("kind", Json::Str(kind.name().into())));
                 pairs.push(("outcome", Json::Str(outcome.name().into())));
-                pairs.push(("cycles", Json::Int(*cycles as i64)));
+                pairs.push(("cycles", Json::from(*cycles)));
                 pairs.push(("ok", Json::Bool(*ok)));
             }
             TraceEvent::Gc { pause_cycles, .. } => {
-                pairs.push(("pause_cycles", Json::Int(*pause_cycles as i64)));
+                pairs.push(("pause_cycles", Json::from(*pause_cycles)));
             }
             TraceEvent::RtLockWait { cycles, .. } => {
-                pairs.push(("cycles", Json::Int(*cycles as i64)));
+                pairs.push(("cycles", Json::from(*cycles)));
             }
         }
         Json::obj(pairs)

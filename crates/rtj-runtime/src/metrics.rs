@@ -153,7 +153,7 @@ impl Histogram {
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| **c > 0)
-                .map(|(i, c)| Json::Arr(vec![Json::Int(i as i64), Json::Int(*c as i64)]))
+                .map(|(i, c)| Json::Arr(vec![Json::from(i), Json::from(*c)]))
                 .collect(),
         )
     }
@@ -207,11 +207,11 @@ impl CheckCounters {
 
     fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("performed", Json::Int(self.performed as i64)),
-            ("charged", Json::Int(self.charged as i64)),
-            ("elided", Json::Int(self.elided as i64)),
-            ("failed", Json::Int(self.failed as i64)),
-            ("cycles", Json::Int(self.cycles as i64)),
+            ("performed", Json::from(self.performed)),
+            ("charged", Json::from(self.charged)),
+            ("elided", Json::from(self.elided)),
+            ("failed", Json::from(self.failed)),
+            ("cycles", Json::from(self.cycles)),
             ("cost_hist", self.cost_hist.to_json()),
         ])
     }
@@ -260,11 +260,11 @@ impl CheckerMetrics {
 
     fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("classes_checked", Json::Int(self.classes_checked as i64)),
-            ("methods_checked", Json::Int(self.methods_checked as i64)),
-            ("cache_hits", Json::Int(self.cache_hits as i64)),
-            ("cache_misses", Json::Int(self.cache_misses as i64)),
-            ("threads_used", Json::Int(self.threads_used as i64)),
+            ("classes_checked", Json::from(self.classes_checked)),
+            ("methods_checked", Json::from(self.methods_checked)),
+            ("cache_hits", Json::from(self.cache_hits)),
+            ("cache_misses", Json::from(self.cache_misses)),
+            ("threads_used", Json::from(self.threads_used)),
         ])
     }
 
@@ -394,7 +394,7 @@ impl MetricsSnapshot {
         let mut pairs = vec![
             ("schema", Json::Str(METRICS_SCHEMA.into())),
             ("mode", Json::Str(self.mode.name().into())),
-            ("total_cycles", Json::Int(self.total_cycles as i64)),
+            ("total_cycles", Json::from(self.total_cycles)),
             (
                 "checks",
                 Json::Obj(
@@ -407,35 +407,32 @@ impl MetricsSnapshot {
             (
                 "alloc",
                 Json::obj(vec![
-                    ("objects", Json::Int(self.objects_allocated as i64)),
-                    ("bytes", Json::Int(self.bytes_allocated as i64)),
-                    ("cycles", Json::Int(self.alloc_cycles as i64)),
+                    ("objects", Json::from(self.objects_allocated)),
+                    ("bytes", Json::from(self.bytes_allocated)),
+                    ("cycles", Json::from(self.alloc_cycles)),
                 ]),
             ),
             (
                 "regions",
                 Json::obj(vec![
-                    ("created", Json::Int(self.regions_created as i64)),
-                    ("flushed", Json::Int(self.regions_flushed as i64)),
-                    ("deleted", Json::Int(self.regions_deleted as i64)),
+                    ("created", Json::from(self.regions_created)),
+                    ("flushed", Json::from(self.regions_flushed)),
+                    ("deleted", Json::from(self.regions_deleted)),
                 ]),
             ),
             (
                 "gc",
                 Json::obj(vec![
-                    ("collections", Json::Int(self.gc_collections as i64)),
-                    ("pause_cycles", Json::Int(self.gc_pause_cycles as i64)),
+                    ("collections", Json::from(self.gc_collections)),
+                    ("pause_cycles", Json::from(self.gc_pause_cycles)),
                 ]),
             ),
             (
                 "threads",
                 Json::obj(vec![
-                    ("spawned", Json::Int(self.threads_spawned as i64)),
-                    (
-                        "rt_lock_wait_cycles",
-                        Json::Int(self.rt_lock_wait_cycles as i64),
-                    ),
-                    ("rt_max_lock_wait", Json::Int(self.rt_max_lock_wait as i64)),
+                    ("spawned", Json::from(self.threads_spawned)),
+                    ("rt_lock_wait_cycles", Json::from(self.rt_lock_wait_cycles)),
+                    ("rt_max_lock_wait", Json::from(self.rt_max_lock_wait)),
                 ]),
             ),
         ];

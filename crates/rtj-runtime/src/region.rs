@@ -33,17 +33,16 @@ impl RegionSpec {
     }
 
     /// Total preallocated (LT) bytes of this region and all transitive
-    /// subregions — the memory reserved at creation time.
+    /// subregions — the memory reserved at creation time, pinned at
+    /// `u64::MAX`.
     pub fn transitive_lt_bytes(&self) -> u64 {
         let own = match self.policy {
             AllocPolicy::Lt { capacity } => capacity,
             AllocPolicy::Vt => 0,
         };
-        own + self
-            .subregions
-            .iter()
+        (self.subregions.iter())
             .map(|(_, s)| s.transitive_lt_bytes())
-            .sum::<u64>()
+            .fold(own, u64::saturating_add)
     }
 }
 

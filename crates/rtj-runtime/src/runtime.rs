@@ -69,8 +69,6 @@ pub struct Runtime {
     trace: Vec<String>,
     heap: RegionId,
     immortal: RegionId,
-    /// Tenant tag for multi-session serving (0 = standalone run).
-    session: u64,
 }
 
 // Shared-state audit: every session in the multi-tenant server owns one
@@ -122,20 +120,7 @@ impl Runtime {
             trace: Vec::new(),
             heap,
             immortal,
-            session: 0,
         }
-    }
-
-    /// Tags this runtime with a session (tenant) identifier. Purely a
-    /// label: it never enters the virtual clock, the metrics, or the
-    /// trace, so snapshots stay byte-identical across serving topologies.
-    pub fn set_session(&mut self, session: u64) {
-        self.session = session;
-    }
-
-    /// The session (tenant) identifier (0 = standalone run).
-    pub fn session(&self) -> u64 {
-        self.session
     }
 
     /// Convenience constructor with the default cost model.
@@ -1000,7 +985,7 @@ impl Runtime {
             return Err(RtError::DanglingReference { object: obj });
         }
         let region = rec.region;
-        let v = self.regions.get(region).arena[rec.slot(idx)].clone();
+        let v = self.regions.get(region).arena[rec.slot(idx)];
         self.check_load(t, region, &v)?;
         Ok(v)
     }
@@ -1026,10 +1011,9 @@ impl Runtime {
             return Err(RtError::DanglingReference { object: obj });
         }
         let region = rec.region;
-        let old = &self.regions.get(region).arena[rec.slot(idx)];
+        let old = self.regions.get(region).arena[rec.slot(idx)];
         // The check reads the old value only when a reference is involved.
-        if Self::value_is_reflike(&v) || Self::value_is_reflike(old) {
-            let old = old.clone();
+        if Self::value_is_reflike(&v) || Self::value_is_reflike(&old) {
             self.check_store(t, region, &old, &v)?;
         }
         *self.field_mut(obj, idx) = v;
@@ -1046,7 +1030,7 @@ impl Runtime {
         let v = rec
             .portals
             .get(name)
-            .cloned()
+            .copied()
             .ok_or_else(|| RtError::Protocol(format!("no portal `{name}`")))?;
         self.check_load(t, r, &v)?;
         self.emit(|at| TraceEvent::PortalRead {
@@ -1075,10 +1059,10 @@ impl Runtime {
         let old = rec
             .portals
             .get(name)
+            .copied()
             .ok_or_else(|| RtError::Protocol(format!("no portal `{name}`")))?;
         // The check reads the old value only when a reference is involved.
-        if Self::value_is_reflike(&v) || Self::value_is_reflike(old) {
-            let old = old.clone();
+        if Self::value_is_reflike(&v) || Self::value_is_reflike(&old) {
             self.check_store(t, r, &old, &v)?;
         }
         let slot = self.regions.get_mut(r).portals.get_mut(name);
@@ -1098,7 +1082,7 @@ impl Runtime {
     pub fn poll_gc(&mut self) {
         if self.gc.pending && self.gc.collecting_until.is_none() {
             self.gc.pending = false;
-            self.gc.collecting_until = Some(self.clock.now() + self.cost.gc_pause);
+            self.gc.collecting_until = Some(self.clock.now().saturating_add(self.cost.gc_pause));
             let pause = self.cost.gc_pause;
             self.metrics.record_gc(pause);
             self.emit(|at| TraceEvent::Gc {

@@ -1,5 +1,6 @@
 //! Runtime values and identifiers.
 
+use rtj_lang::Symbol;
 use std::fmt;
 
 /// Identifies an allocated object in the object store.
@@ -14,8 +15,8 @@ pub struct RegionId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub u32);
 
-/// A runtime value.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A runtime value: 24 bytes, and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Value {
     /// The null reference (also the initial value of reference fields).
     #[default]
@@ -29,8 +30,8 @@ pub enum Value {
     /// A region handle.
     Handle(RegionId),
     /// A string (only produced by string literals, only consumed by
-    /// `print`).
-    Str(String),
+    /// `print`): the literal's interned text.
+    Str(Symbol),
 }
 
 impl Value {
@@ -132,6 +133,16 @@ mod tests {
         assert_eq!(Value::Ref(ObjId(3)).as_ref_id(), Some(ObjId(3)));
         assert_eq!(Value::Null.as_ref_id(), None);
         assert_eq!(Value::Null.as_int(), None);
+    }
+
+    /// A string value is its literal's symbol, so a value stays as small
+    /// as an `i64` beside a tag and copies without allocating.
+    #[test]
+    fn a_value_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        let s = Value::Str(Symbol::intern("hi"));
+        let t = s;
+        assert_eq!((s.to_string(), t), ("hi".to_string(), s));
     }
 
     #[test]

@@ -74,12 +74,12 @@ impl LatencySummary {
 
     fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("count", Json::Int(self.count as i64)),
-            ("mean_us", Json::Int(self.mean_us as i64)),
-            ("p50_us", Json::Int(self.p50_us as i64)),
-            ("p95_us", Json::Int(self.p95_us as i64)),
-            ("p99_us", Json::Int(self.p99_us as i64)),
-            ("max_us", Json::Int(self.max_us as i64)),
+            ("count", Json::from(self.count)),
+            ("mean_us", Json::from(self.mean_us)),
+            ("p50_us", Json::from(self.p50_us)),
+            ("p95_us", Json::from(self.p95_us)),
+            ("p99_us", Json::from(self.p99_us)),
+            ("max_us", Json::from(self.max_us)),
             ("hist_log2_us", self.hist.to_json()),
         ])
     }
@@ -198,8 +198,8 @@ impl AttributionGroup {
         Json::obj(vec![
             ("program", Json::Str(self.program.clone())),
             ("mode", Json::Str(self.mode.name().into())),
-            ("sessions", Json::Int(self.sessions as i64)),
-            ("stolen", Json::Int(self.stolen as i64)),
+            ("sessions", Json::from(self.sessions)),
+            ("stolen", Json::from(self.stolen)),
             (
                 "stages",
                 Json::Obj(
@@ -487,26 +487,26 @@ impl LoadReport {
         Json::obj(vec![
             ("schema", Json::Str(LOAD_SCHEMA.into())),
             ("workload", Json::Str(self.workload.clone())),
-            ("workers", Json::Int(self.workers as i64)),
+            ("workers", Json::from(self.workers)),
             ("rate_hz", Json::Float(self.rate_hz)),
-            ("duration_ms", Json::Int(self.duration_ms as i64)),
+            ("duration_ms", Json::from(self.duration_ms)),
             (
                 "sessions",
                 Json::obj(vec![
-                    ("submitted", Json::Int(self.submitted as i64)),
-                    ("completed", Json::Int(self.completed as i64)),
-                    ("failed", Json::Int(self.failed as i64)),
+                    ("submitted", Json::from(self.submitted)),
+                    ("completed", Json::from(self.completed)),
+                    ("failed", Json::from(self.failed)),
                     (
                         "shed",
                         Json::obj(vec![
-                            ("admission", Json::Int(self.shed_admission as i64)),
-                            ("queue", Json::Int(self.shed_queue as i64)),
-                            ("total", Json::Int(self.shed_total() as i64)),
+                            ("admission", Json::from(self.shed_admission)),
+                            ("queue", Json::from(self.shed_queue)),
+                            ("total", Json::from(self.shed_total())),
                         ]),
                     ),
-                    ("peak_concurrent", Json::Int(self.peak_concurrent as i64)),
-                    ("stolen", Json::Int(self.stolen as i64)),
-                    ("panicked", Json::Int(self.panicked as i64)),
+                    ("peak_concurrent", Json::from(self.peak_concurrent)),
+                    ("stolen", Json::from(self.stolen)),
+                    ("panicked", Json::from(self.panicked)),
                 ]),
             ),
             ("throughput_hz", Json::Float(self.throughput_hz)),
@@ -519,10 +519,10 @@ impl LoadReport {
                             Json::obj(vec![
                                 ("program", Json::Str(g.program.clone())),
                                 ("mode", Json::Str(g.mode.name().into())),
-                                ("requests", Json::Int(g.requests as i64)),
-                                ("failed", Json::Int(g.failed as i64)),
-                                ("shed", Json::Int(g.shed as i64)),
-                                ("cycles", Json::Int(g.cycles as i64)),
+                                ("requests", Json::from(g.requests)),
+                                ("failed", Json::from(g.failed)),
+                                ("shed", Json::from(g.shed)),
+                                ("cycles", Json::from(g.cycles)),
                                 ("latency", g.latency.to_json()),
                                 ("service", g.service.to_json()),
                             ])
@@ -561,9 +561,9 @@ impl LoadReport {
                 "ledger",
                 match &self.ledger {
                     Some(l) => Json::obj(vec![
-                        ("static_elided", Json::Int(l.static_elided as i64)),
-                        ("dynamic_performed", Json::Int(l.dynamic_performed as i64)),
-                        ("matched_sessions", Json::Int(l.matched_sessions as i64)),
+                        ("static_elided", Json::from(l.static_elided)),
+                        ("dynamic_performed", Json::from(l.dynamic_performed)),
+                        ("matched_sessions", Json::from(l.matched_sessions)),
                         ("holds", Json::Bool(l.holds())),
                     ]),
                     None => Json::Null,

@@ -405,8 +405,7 @@ impl Server {
                         return;
                     }
                 }
-                let mut cfg = RunConfig::new(entry.mode);
-                cfg.session = session;
+                let cfg = RunConfig::new(entry.mode);
                 if let Some(r) = &rec {
                     r.record(worker, EventKind::RunStart, Some(session));
                 }

@@ -316,7 +316,7 @@ impl Timeline {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema", Json::Str(TIMELINE_SCHEMA.into())),
-            ("tick_us", Json::Int(self.tick_us as i64)),
+            ("tick_us", Json::from(self.tick_us)),
             (
                 "samples",
                 Json::Arr(
@@ -324,11 +324,11 @@ impl Timeline {
                         .iter()
                         .map(|s| {
                             Json::obj(vec![
-                                ("ts_us", Json::Int(s.ts_us as i64)),
-                                ("in_flight", Json::Int(s.in_flight as i64)),
-                                ("queued", Json::Int(s.queued as i64)),
-                                ("completed", Json::Int(s.completed as i64)),
-                                ("shed", Json::Int(s.shed as i64)),
+                                ("ts_us", Json::from(s.ts_us)),
+                                ("in_flight", Json::from(s.in_flight)),
+                                ("queued", Json::from(s.queued)),
+                                ("completed", Json::from(s.completed)),
+                                ("shed", Json::from(s.shed)),
                                 ("throughput_hz", Json::Float(s.throughput_hz)),
                                 (
                                     "workers",
@@ -337,8 +337,8 @@ impl Timeline {
                                             .iter()
                                             .map(|w| {
                                                 Json::Arr(vec![
-                                                    Json::Int(w.completed as i64),
-                                                    Json::Int(w.queued as i64),
+                                                    Json::from(w.completed),
+                                                    Json::from(w.queued),
                                                 ])
                                             })
                                             .collect(),
@@ -692,15 +692,15 @@ impl ServerTrace {
         let counts = self.counts();
         Json::obj(vec![
             ("schema", Json::Str(SERVER_TRACE_SCHEMA.into())),
-            ("workers", Json::Int(self.workers as i64)),
-            ("duration_us", Json::Int(self.duration_us as i64)),
+            ("workers", Json::from(self.workers)),
+            ("duration_us", Json::from(self.duration_us)),
             (
                 "counts",
                 Json::obj(
                     EventKind::ALL
                         .iter()
                         .enumerate()
-                        .map(|(i, k)| (k.name(), Json::Int(counts[i] as i64)))
+                        .map(|(i, k)| (k.name(), Json::from(counts[i])))
                         .collect(),
                 ),
             ),
@@ -719,10 +719,10 @@ impl ServerTrace {
                                             .iter()
                                             .map(|e| {
                                                 Json::Arr(vec![
-                                                    Json::Int(e.ts_ns as i64),
+                                                    Json::from(e.ts_ns),
                                                     Json::Str(e.kind.name().into()),
                                                     match e.session {
-                                                        Some(s) => Json::Int(s as i64),
+                                                        Some(s) => Json::from(s),
                                                         None => Json::Null,
                                                     },
                                                 ])

@@ -4,9 +4,9 @@
 //! program (inferred `let` types, defaulted `new` owners, and inferred
 //! call-site owner arguments written back into the AST) together with the
 //! [`ProgramTable`], which the interpreter uses for method resolution and
-//! object layout. The program is the only AST that holds method bodies:
-//! the table keeps each class's signature (bodies empty), which is all
-//! the rules of Appendix B read.
+//! object layout. The table shares each class's header with the program
+//! (one `Arc`), which is all the rules of Appendix B read; the bodies,
+//! which the elaboration writes, live in the program alone.
 //!
 //! Rule coverage (paper → function):
 //!
@@ -44,8 +44,8 @@ pub struct Checked {
     /// The program with inference results written back: the one copy of
     /// the method bodies, which the engines share (`Arc`) and execute.
     pub program: Arc<Program>,
-    /// Class/region-kind table of the program's declarations: their
-    /// signatures, with method bodies empty.
+    /// Class/region-kind table of the program's declarations: it shares
+    /// their headers with the program.
     pub table: ProgramTable,
     /// Statistics from the checking run.
     pub stats: CheckStats,
@@ -240,7 +240,7 @@ pub(crate) fn check_pass(
         .map(|rk| ck.check_region_kind(rk))
         .collect();
     let inheritance = (prog.classes.iter())
-        .map(|c| ck.check_inheritance(c))
+        .map(|c| ck.check_inheritance(c.decl.name.name))
         .collect();
     if let Some(p0) = p0 {
         phases.push(PhaseSpan::leaf("wf", p0, start.elapsed() - p0));
@@ -254,7 +254,7 @@ pub(crate) fn check_pass(
     if let Some(p0) = p0 {
         // Assembled in slot order, so the span tree's structure (names and
         // ordering) never depends on scheduling.
-        let names = prog.classes.iter().map(|c| c.name.name);
+        let names = prog.classes.iter().map(|c| c.decl.name.name);
         phases.push(classes_phase(start, p0, names.zip(times)));
     }
 
@@ -314,7 +314,8 @@ pub(crate) struct Verdict {
 }
 
 /// Checks each class of `units` on up to `workers` threads, one
-/// [`Checker`] per thread, and returns their verdicts in `units`' order.
+/// [`Checker`] per thread, elaborating its bodies, and returns their
+/// verdicts in `units`' order.
 /// A unit leaves its checker as it found it (see
 /// [`Checker::check_class`]), so every verdict, counters included, is the
 /// same whatever the thread count or the order the workers take units
@@ -323,12 +324,12 @@ pub(crate) struct Verdict {
 pub(crate) fn check_units<'a>(
     table: &ProgramTable,
     workers: usize,
-    units: impl Iterator<Item = &'a mut ClassDecl> + Send,
+    units: impl Iterator<Item = &'a mut Class> + Send,
     clock: Option<Instant>,
 ) -> (Vec<Verdict>, Vec<Option<(Duration, Duration)>>) {
-    let check = |ck: &mut Checker, c: &mut ClassDecl| {
+    let check = |ck: &mut Checker, c: &mut Class| {
         let c0 = clock.map(|start| start.elapsed());
-        let verdict = ck.check_class(c);
+        let verdict = ck.check_class(c.decl.name.name, &mut c.bodies);
         let time = clock.zip(c0).map(|(start, c0)| (c0, start.elapsed() - c0));
         (verdict, time)
     };
@@ -759,13 +760,16 @@ impl<'t> Checker<'t> {
         self.verdict()
     }
 
-    /// `[CLASS DEF]`, on the checker's base environment, which it leaves
-    /// as it found it.
-    pub(crate) fn check_class(&mut self, c: &mut ClassDecl) -> Verdict {
+    /// `[CLASS DEF]` for class `name`, on the checker's base environment,
+    /// which it leaves as it found it. The header is read through the
+    /// table's entry; `bodies` are its methods' bodies, which the
+    /// elaboration writes.
+    pub(crate) fn check_class(&mut self, name: Symbol, bodies: &mut [Block]) -> Verdict {
         let table = self.table;
-        let Some(info) = table.class(c.name.name) else {
+        let Some(info) = table.class(name) else {
             return self.verdict(); // table construction already reported this
         };
+        let c = &*info.decl;
         self.in_class_env(info, |ck, env| {
             if let Some(ext) = &c.extends {
                 let owners: Vec<Owner> = ext
@@ -780,16 +784,16 @@ impl<'t> Checker<'t> {
             for f in &c.fields {
                 ck.resolve_type(env, &f.ty);
             }
-            for m in &mut c.methods {
-                ck.check_method(info, env, m);
+            for (m, body) in c.methods.iter().zip(bodies) {
+                ck.check_method(info, env, m, body);
             }
         });
         self.verdict()
     }
 
-    /// `[METHOD]`, on the class's environment `env`, which it extends
-    /// under a scope mark and rolls back.
-    fn check_method(&mut self, info: &ClassInfo, env: &mut Env, m: &mut MethodDecl) {
+    /// `[METHOD]` for header `m` and its body, on the class's environment
+    /// `env`, which it extends under a scope mark and rolls back.
+    fn check_method(&mut self, info: &ClassInfo, env: &mut Env, m: &MethodDecl, body: &mut Block) {
         let method_scope = env.mark();
         for f in &m.formals {
             let k = resolve_kind(&f.kind, &|_| false);
@@ -832,10 +836,10 @@ impl<'t> Checker<'t> {
                 x.insert(Owner::InitialRegion);
             }
         }
-        for s in &mut m.body.stmts {
+        for s in &mut body.stmts {
             self.check_stmt(env, &x, &Owner::InitialRegion, ret.as_ref(), false, s);
         }
-        if let Some(ret) = ret.filter(|r| *r != SType::Void && !always_returns(&m.body)) {
+        if let Some(ret) = ret.filter(|r| *r != SType::Void && !always_returns(body)) {
             self.err(
                 format!(
                     "method `{}` must return a value of type `{ret}` on all paths",
@@ -848,12 +852,12 @@ impl<'t> Checker<'t> {
         self.methods_checked += 1;
     }
 
-    /// `InheritanceOK` + `OverridesOK` for class `c`. Every driver calls
-    /// it per class in declaration order (not table-map order), so its
-    /// diagnostics are deterministic run to run.
-    pub(crate) fn check_inheritance(&mut self, c: &ClassDecl) -> Verdict {
+    /// `InheritanceOK` + `OverridesOK` for class `name`, from its header
+    /// alone. Every driver calls it per class in declaration order (not
+    /// table-map order), so its diagnostics are deterministic run to run.
+    pub(crate) fn check_inheritance(&mut self, name: Symbol) -> Verdict {
         let table = self.table;
-        let Some(info) = table.class(c.name.name) else {
+        let Some(info) = table.class(name) else {
             return self.verdict();
         };
         let Some(ext) = info

@@ -84,7 +84,7 @@ use crate::error::TypeError;
 use crate::infer;
 use crate::profile::{CheckProfile, PhaseSpan};
 use crate::table::ProgramTable;
-use rtj_lang::ast::{Block, ClassDecl, Program};
+use rtj_lang::ast::{Block, Class, Program};
 use rtj_lang::fingerprint::{
     class_refs, region_kind_refs, signature_fingerprint, text_fingerprint,
 };
@@ -93,6 +93,7 @@ use rtj_lang::parser::{parse_block_at, parse_class_at, parse_program, ParseError
 use rtj_lang::span::Span;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A single-class edit: replace the declaration of `class` with `source`
@@ -274,7 +275,9 @@ struct Layout {
 impl Layout {
     fn of(prog: &Program) -> Layout {
         Layout {
-            classes: prog.classes.iter().map(|c| (c.name.name, c.span)).collect(),
+            classes: (prog.classes.iter())
+                .map(|c| (c.decl.name.name, c.decl.span))
+                .collect(),
             region_kinds: prog
                 .region_kinds
                 .iter()
@@ -313,15 +316,15 @@ impl Layout {
 /// Parses the class declaration at `span` of `source` on its own, at its
 /// offset. `None` unless it parses, fills the span exactly (first token
 /// at its first byte, closing brace at its last) and is called `name`.
-fn parse_fragment(source: &str, (name, span): (Symbol, Span)) -> Option<ClassDecl> {
+fn parse_fragment(source: &str, (name, span): (Symbol, Span)) -> Option<Class> {
     let text = &source[span.start as usize..span.end as usize];
-    let decl = parse_class_at(text, span.start).ok()?;
-    (decl.span == span && decl.name.name == name).then_some(decl)
+    let class = parse_class_at(text, span.start).ok()?;
+    (class.decl.span == span && class.decl.name.name == name).then_some(class)
 }
 
 /// The fragment path's parse: the edited classes, by layout position,
 /// and `main`.
-type Fragments = (Vec<(usize, ClassDecl)>, Block);
+type Fragments = (Vec<(usize, Class)>, Block);
 
 /// One undoable splice: the position of the class whose text was
 /// replaced, and the text it had.
@@ -514,12 +517,12 @@ impl IncrementalChecker {
         let table = self.table.as_ref()?;
         let mut parsed = Vec::with_capacity(edited.len());
         for &pos in edited {
-            let decl = parse_fragment(&self.source, self.layout.classes[pos])?;
+            let class = parse_fragment(&self.source, self.layout.classes[pos])?;
             // Other classes' bare types are completed with this count.
-            if table.formal_count(decl.name.name) != Some(decl.formals.len()) {
+            if table.formal_count(class.decl.name.name) != Some(class.decl.formals.len()) {
                 return None;
             }
-            parsed.push((pos, decl));
+            parsed.push((pos, class));
         }
         let main = &self.source[self.layout.main as usize..];
         let main = parse_block_at(main, self.layout.main).ok()?;
@@ -570,7 +573,7 @@ impl IncrementalChecker {
     /// `None` otherwise, and before any pass committed. The shape is read
     /// off the caches and the kept table, which describe the last
     /// committed pass; after a table error the old layout does not.
-    fn edited(&self, prog: &Program) -> Option<Vec<(usize, ClassDecl)>> {
+    fn edited(&self, prog: &Program) -> Option<Vec<(usize, Class)>> {
         let table = self.table.as_ref()?;
         // The index keeps one position a name, so a repeated class name
         // leaves it shorter than the class list.
@@ -590,11 +593,11 @@ impl IncrementalChecker {
         }
         let mut edited = Vec::new();
         for (pos, c) in prog.classes.iter().enumerate() {
-            let cached = self.units.get(&c.name.name)?;
-            if table.formal_count(c.name.name) != Some(c.formals.len()) {
+            let cached = self.units.get(&c.decl.name.name)?;
+            if table.formal_count(c.decl.name.name) != Some(c.decl.formals.len()) {
                 return None;
             }
-            if cached.text != text_fingerprint(&self.source, c.span) {
+            if cached.text != text_fingerprint(&self.source, c.decl.span) {
                 edited.push((pos, c.clone()));
             }
         }
@@ -602,7 +605,7 @@ impl IncrementalChecker {
     }
 
     /// The patch route: re-checks the classes `edited` (layout positions
-    /// and parsed declarations, in declaration order) and the dependent
+    /// and parsed classes, in declaration order) and the dependent
     /// closure of their changed signatures on the kept table, as the
     /// batch driver checks them, and commits them. The closure's other
     /// classes come from `whole`, or on the fragment path are re-parsed
@@ -614,7 +617,7 @@ impl IncrementalChecker {
     fn patch(
         &mut self,
         start: Instant,
-        mut edited: Vec<(usize, ClassDecl)>,
+        mut edited: Vec<(usize, Class)>,
         mut main: Block,
         whole: Option<&Program>,
     ) -> Option<RecheckOutcome> {
@@ -626,8 +629,8 @@ impl IncrementalChecker {
         // The class set and every formal count are unchanged, so the kept
         // table has the counts a whole-program pass would use.
         let formals = |n: Symbol| table.formal_count(n);
-        for (_, decl) in &mut edited {
-            infer::apply_class_defaults(decl, &formals);
+        for (_, class) in &mut edited {
+            infer::apply_class_defaults(Arc::make_mut(&mut class.decl), &formals);
         }
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("lower", p0, start.elapsed() - p0));
@@ -636,12 +639,12 @@ impl IncrementalChecker {
         let p0 = profiling.then(|| start.elapsed());
         let mut fresh = Vec::with_capacity(edited.len());
         let mut seeds = Vec::new();
-        for (pos, decl) in edited {
-            let sig = signature_fingerprint(&decl);
-            if self.units.get(&decl.name.name)?.sig != sig {
-                seeds.push(decl.name.name);
+        for (pos, class) in edited {
+            let sig = signature_fingerprint(&class.decl);
+            if self.units.get(&class.decl.name.name)?.sig != sig {
+                seeds.push(class.decl.name.name);
             }
-            fresh.push((pos, decl, sig));
+            fresh.push((pos, class, sig));
         }
         let closure = dependent_closure(&self.dependents, seeds);
         if closure.iter().any(|n| self.rkinds.contains_key(n)) {
@@ -655,19 +658,19 @@ impl IncrementalChecker {
                 continue;
             }
             let r0 = Instant::now();
-            let mut decl = match whole {
+            let mut class = match whole {
                 Some(prog) => prog.classes[pos].clone(),
                 None => parse_fragment(&self.source, self.layout.classes[pos])?,
             };
             reparse += r0.elapsed();
-            infer::apply_class_defaults(&mut decl, &formals);
-            let sig = signature_fingerprint(&decl);
-            fresh.push((pos, decl, sig));
+            infer::apply_class_defaults(Arc::make_mut(&mut class.decl), &formals);
+            let sig = signature_fingerprint(&class.decl);
+            fresh.push((pos, class, sig));
         }
         let mut table = self.table.take().expect("checked above");
         let replaced: Vec<_> = fresh
             .iter()
-            .filter_map(|(_, decl, _)| table.patch_class(decl))
+            .filter_map(|(_, class, _)| table.patch_class(&class.decl))
             .collect();
         if table.check_classes(closure.iter().copied()).is_err() {
             for info in replaced {
@@ -678,7 +681,8 @@ impl IncrementalChecker {
         }
         // The classes to re-check, in declaration order.
         let source = &self.source;
-        fresh.retain(|(_, decl, _)| {
+        fresh.retain(|(_, class, _)| {
+            let decl = &class.decl;
             let (name, text) = (decl.name.name, text_fingerprint(source, decl.span));
             closure.contains(&name) || self.units[&name].text != text
         });
@@ -692,7 +696,7 @@ impl IncrementalChecker {
         let p0 = profiling.then(|| start.elapsed());
         let mut ck = Checker::new(&table);
         let wf: Vec<Verdict> = (fresh.iter())
-            .map(|(_, decl, _)| ck.check_inheritance(decl))
+            .map(|(_, class, _)| ck.check_inheritance(class.decl.name.name))
             .collect();
         if let Some(p0) = p0 {
             phases.push(PhaseSpan::leaf("wf", p0, start.elapsed() - p0));
@@ -701,7 +705,7 @@ impl IncrementalChecker {
         // classes: the dirty units, in parallel like the batch driver.
         let workers = self.opts.jobs.min(fresh.len().max(1));
         let p0 = profiling.then(|| start.elapsed());
-        let queue = fresh.iter_mut().map(|(_, decl, _)| decl);
+        let queue = fresh.iter_mut().map(|(_, class, _)| class);
         let (units, timed) = check_units(&table, workers, queue, profiling.then_some(start));
         if let Some(p0) = p0 {
             // One span per class, as a from-scratch profile has; a reused
@@ -728,15 +732,16 @@ impl IncrementalChecker {
         // follows the rewritten reference sets. On the fragment path the
         // class order is fixed, so the totals and the positions with
         // diagnostics follow the rewritten entries; a whole parse may have
-        // moved declarations, so it re-derives them.
-        let dirty: Vec<Symbol> = fresh.iter().map(|(_, decl, _)| decl.name.name).collect();
-        for (((pos, decl, sig), unit), wf) in fresh.into_iter().zip(units).zip(wf) {
+        // moved declarations, so it re-derives them. The bodies go with
+        // `fresh`; the table keeps the headers.
+        let dirty: Vec<Symbol> = fresh.iter().map(|(_, c, _)| c.decl.name.name).collect();
+        for (((pos, class, sig), unit), wf) in fresh.into_iter().zip(units).zip(wf) {
             let (name, span) = self.layout.classes[pos];
             let entry = UnitCache {
                 sig,
                 text: text_fingerprint(&self.source, span),
                 start: span.start,
-                refs: class_refs(&decl),
+                refs: class_refs(&class),
                 wf,
                 unit,
             };
@@ -771,6 +776,7 @@ impl IncrementalChecker {
     /// stored source as laid out, with every cache refilled from its
     /// verdicts. The reference sets and signature fingerprints are taken
     /// from the elaborated declarations, as a patch's commit takes them.
+    /// The table keeps `prog`'s headers; its bodies are dropped.
     /// A table error returns the table's errors alone, as the batch
     /// driver does, and keeps the caches of the last committed pass: the
     /// engine is `stale` until a pass commits.
@@ -808,12 +814,12 @@ impl IncrementalChecker {
         self.dependents.clear();
         let verdicts = pass.inheritance.into_iter().zip(pass.units);
         for (c, (wf, unit)) in prog.classes.iter().zip(verdicts) {
-            let (name, refs) = (c.name.name, class_refs(c));
+            let (name, refs) = (c.decl.name.name, class_refs(c));
             link(&mut self.dependents, name, &refs);
             let entry = UnitCache {
-                sig: signature_fingerprint(c),
-                text: text_fingerprint(&self.source, c.span),
-                start: c.span.start,
+                sig: signature_fingerprint(&c.decl),
+                text: text_fingerprint(&self.source, c.decl.span),
+                start: c.decl.span.start,
                 refs,
                 wf,
                 unit,
@@ -956,7 +962,6 @@ fn shift_span(s: Span, delta: i64) -> Span {
 mod tests {
     use super::*;
     use crate::check::check_program_in;
-    use crate::table::signature;
 
     fn src() -> String {
         "class B<Owner o> { int v; int get() { return this.v; } }\n\
@@ -1031,40 +1036,84 @@ mod tests {
         assert!(matches!(err, RecheckError::UnknownClass(_)));
     }
 
-    /// Every class entry of `table` holds a signature: no method body.
-    fn assert_signatures_only(table: &ProgramTable, pass: &str) {
-        for info in table.classes() {
-            for m in &info.decl.methods {
-                assert!(
-                    m.body.stmts.is_empty(),
-                    "{pass}: the table keeps the body of {}.{}",
-                    info.decl.name,
-                    m.name
-                );
-            }
+    /// Every entry of `table` is `program`'s own header (`Arc::ptr_eq`),
+    /// class and region kind alike.
+    fn assert_shares_headers(table: &ProgramTable, program: &Program) {
+        assert_eq!(table.classes().count(), program.classes.len());
+        for c in &program.classes {
+            let entry = &table.class(c.decl.name.name).unwrap().decl;
+            assert!(Arc::ptr_eq(entry, &c.decl), "class {}", c.decl.name);
+        }
+        assert_eq!(table.region_kinds().count(), program.region_kinds.len());
+        for rk in &program.region_kinds {
+            let entry = &table.region_kind(rk.name.name).unwrap().decl;
+            assert!(Arc::ptr_eq(entry, rk), "region kind {}", rk.name);
         }
     }
 
-    /// The program holds the method bodies and the table only their
-    /// signatures, after a from-scratch check and after incremental
-    /// passes that patch the kept table or rebuild it.
-    #[test]
-    fn the_table_holds_no_method_body() {
-        let scratch =
-            check_program_in(parse_program(&src()).unwrap(), &CheckOptions::default()).unwrap();
-        assert_signatures_only(&scratch.table, "from scratch");
-        let methods: Vec<_> = scratch
-            .program
+    /// The table alone holds each entry of the engine's table (the pass
+    /// dropped the bodies and the program), and the entries of the
+    /// classes `parsed` are the headers the pass parsed from the stored
+    /// source, default-completed. Debug output is compared because
+    /// `Ident` equality ignores spans.
+    fn assert_parsed_headers(eng: &IncrementalChecker, parsed: &[&str], pass: &str) {
+        let table = eng.table.as_ref().unwrap();
+        for info in table.classes() {
+            assert_eq!(
+                Arc::strong_count(&info.decl),
+                1,
+                "{pass}: {}",
+                info.decl.name
+            );
+        }
+        for info in table.region_kinds() {
+            assert_eq!(
+                Arc::strong_count(&info.decl),
+                1,
+                "{pass}: {}",
+                info.decl.name
+            );
+        }
+        let mut fresh = parse_program(eng.source()).unwrap();
+        infer::apply_declaration_defaults(&mut fresh);
+        assert_eq!(table.classes().count(), fresh.classes.len(), "{pass}");
+        for c in fresh
             .classes
             .iter()
-            .flat_map(|c| &c.methods)
+            .filter(|c| parsed.contains(&c.decl.name.name.as_str()))
+        {
+            let entry = &table.class(c.decl.name.name).unwrap().decl;
+            assert_eq!(format!("{entry:?}"), format!("{:?}", c.decl), "{pass}");
+        }
+    }
+
+    /// The table holds the very headers the parser built, with no copy:
+    /// a from-scratch check's table shares its program's, and the
+    /// engine's entries are the headers its passes parsed. A patch
+    /// replaces the entries of the classes it re-parsed and keeps every
+    /// other one.
+    #[test]
+    fn the_table_shares_the_parsed_headers() {
+        let src = format!(
+            "regionKind Pool extends SharedRegion {{ B head; }}\n{}",
+            src()
+        );
+        let scratch =
+            check_program_in(parse_program(&src).unwrap(), &CheckOptions::default()).unwrap();
+        assert_shares_headers(&scratch.table, &scratch.program);
+        let bodies: Vec<_> = (scratch.program.classes.iter())
+            .flat_map(|c| &c.bodies)
             .collect();
-        assert_eq!(methods.len(), 2);
-        assert!(methods.iter().all(|m| !m.body.stmts.is_empty()));
+        assert_eq!(bodies.len(), 2);
+        assert!(bodies.iter().all(|b| !b.stmts.is_empty()));
 
         let mut eng = IncrementalChecker::new(CheckOptions::default());
-        assert!(eng.check_source(&src()).unwrap().ok());
-        assert_signatures_only(eng.table.as_ref().unwrap(), "first pass");
+        assert!(eng.check_source(&src).unwrap().ok());
+        assert_parsed_headers(&eng, &["A", "B"], "first pass");
+        let header = |eng: &IncrementalChecker, name: &str| {
+            Arc::as_ptr(&eng.table.as_ref().unwrap().class(name).unwrap().decl)
+        };
+        let (a, b) = (header(&eng, "A"), header(&eng, "B"));
         let out = eng
             .recheck(&[ClassEdit {
                 class: "B".to_string(),
@@ -1073,14 +1122,20 @@ mod tests {
             }])
             .unwrap();
         assert!(out.ok() && !out.whole_parse && !out.full_rebuild, "{out:?}");
-        assert_signatures_only(eng.table.as_ref().unwrap(), "fragment pass");
+        assert_parsed_headers(&eng, &["B"], "fragment pass");
+        assert_eq!(header(&eng, "A"), a, "a clean class keeps its entry");
+        assert_ne!(
+            header(&eng, "B"),
+            b,
+            "the edited class's entry is its new parse"
+        );
         let grown = format!(
             "class Z<Owner o> {{ int z() {{ return 1; }} }}\n{}",
             eng.source()
         );
         let out = eng.check_source(&grown).unwrap();
         assert!(out.ok() && out.whole_parse && out.full_rebuild, "{out:?}");
-        assert_signatures_only(eng.table.as_ref().unwrap(), "rebuild pass");
+        assert_parsed_headers(&eng, &["Z", "A", "B"], "fresh pass");
     }
 
     /// A batch rejected after its first edit emptied a class splices it
@@ -1195,8 +1250,8 @@ mod tests {
     /// fresh parse's, and each declaration the fragment path parsed (the
     /// edited ones and the re-parsed dependents of a changed signature)
     /// is held by the table exactly as `build` holds the fresh parse's
-    /// default-completed one: as its signature. Debug output is compared
-    /// because `Ident` equality ignores spans.
+    /// default-completed header. Debug output is compared because `Ident`
+    /// equality ignores spans.
     #[test]
     fn fragment_path_tracks_a_fresh_parse() {
         // Batches by route: fragment, whole source, and fragment batches
@@ -1243,11 +1298,11 @@ mod tests {
                     let table = eng.table.as_ref().unwrap();
                     let parsed = batch.iter().map(|e| Symbol::intern(&e.class));
                     for name in parsed.chain(dependents) {
-                        let want = fresh.classes.iter().find(|c| c.name.name == name);
+                        let want = fresh.classes.iter().find(|c| c.decl.name.name == name);
                         let have = &table.class(name).unwrap().decl;
                         assert_eq!(
                             format!("{:?}", have),
-                            format!("{:?}", signature(want.unwrap())),
+                            format!("{:?}", want.unwrap().decl),
                             "seed {seed} batch {id}: table decl of {name}"
                         );
                     }

@@ -25,13 +25,14 @@ use rtj_lang::ast::{ClassDecl, OwnerRef, Program, Type};
 use rtj_lang::intern::Symbol;
 use rtj_lang::span::Span;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Number of owner formals per class (plus built-in `Object` with one).
 fn class_formal_counts(p: &Program) -> HashMap<Symbol, usize> {
     let mut m = HashMap::new();
     m.insert(Symbol::intern("Object"), 1);
     for c in &p.classes {
-        m.insert(c.name.name, c.formals.len());
+        m.insert(c.decl.name.name, c.decl.formals.len());
     }
     m
 }
@@ -50,16 +51,17 @@ fn fill_type(ty: &mut Type, formals: &dyn Fn(Symbol) -> Option<usize>, default: 
 /// their owners to the enclosing class's first formal (the owner of
 /// `this`), method parameter/return types to `initialRegion`, and portal
 /// fields to `this` (the region). Types that already carry owner arguments
-/// are left untouched.
+/// are left untouched. A header the program alone holds, as after a
+/// parse, is written in place; a shared one is copied first.
 pub fn apply_declaration_defaults(p: &mut Program) {
     let counts = class_formal_counts(p);
     let formals = |n: Symbol| counts.get(&n).copied();
     for c in &mut p.classes {
-        apply_class_defaults(c, &formals);
+        apply_class_defaults(Arc::make_mut(&mut c.decl), &formals);
     }
     let portal_default = OwnerRef::This(Span::DUMMY);
     for rk in &mut p.region_kinds {
-        for f in &mut rk.portals {
+        for f in &mut Arc::make_mut(rk).portals {
             fill_type(&mut f.ty, &formals, &portal_default);
         }
     }
@@ -194,7 +196,7 @@ mod tests {
         )
         .unwrap();
         apply_declaration_defaults(&mut p);
-        let c = &p.classes[0];
+        let c = &p.classes[0].decl;
         match &c.fields[0].ty {
             Type::Class(ct) => {
                 assert_eq!(ct.owners.len(), 1);
@@ -228,7 +230,7 @@ mod tests {
         )
         .unwrap();
         apply_declaration_defaults(&mut p);
-        match &p.classes[0].fields[0].ty {
+        match &p.classes[0].decl.fields[0].ty {
             Type::Class(ct) => assert!(matches!(ct.owners[0], OwnerRef::Heap(_))),
             other => panic!("unexpected {other:?}"),
         }

@@ -131,7 +131,8 @@ impl Lowerer {
         self.close();
     }
 
-    fn class(&mut self, c: &ClassDecl) {
+    fn class(&mut self, class: &Class) {
+        let c = &*class.decl;
         // Type erasure: owner parameters disappear entirely.
         let ext = match &c.extends {
             Some(ct) if ct.name.name != "Object" => format!(" extends {}", ct.name.name),
@@ -141,13 +142,13 @@ impl Lowerer {
         for f in &c.fields {
             self.line(&format!("{} {};", erase_type(&f.ty), f.name));
         }
-        for m in &c.methods {
-            self.method(m);
+        for (m, body) in class.methods() {
+            self.method(m, body);
         }
         self.close();
     }
 
-    fn method(&mut self, m: &MethodDecl) {
+    fn method(&mut self, m: &MethodDecl, body: &Block) {
         let params: Vec<String> = m
             .params
             .iter()
@@ -167,7 +168,7 @@ impl Lowerer {
                     .push((owner_name(r), p.name.name.to_string()));
             }
         }
-        for s in &m.body.stmts {
+        for s in &body.stmts {
             self.stmt(s);
         }
         self.region_stack.truncate(depth);

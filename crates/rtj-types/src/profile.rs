@@ -23,6 +23,11 @@ use crate::env::JudgmentCounters;
 use rtj_lang::json::{chrome, Json, JsonError};
 use std::time::Duration;
 
+/// `d` in whole nanoseconds, as the `*_ns` fields hold it.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Schema identifier embedded in every checker snapshot document.
 pub const CHECKER_METRICS_SCHEMA: &str = "rtj-checker-metrics/v1";
 
@@ -59,8 +64,8 @@ impl PhaseSpan {
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("name", Json::Str(self.name.clone())),
-            ("start_ns", Json::Int(self.start.as_nanos() as i64)),
-            ("wall_ns", Json::Int(self.wall.as_nanos() as i64)),
+            ("start_ns", Json::from(nanos(self.start))),
+            ("wall_ns", Json::from(nanos(self.wall))),
         ];
         if !self.children.is_empty() {
             fields.push((
@@ -187,9 +192,9 @@ impl CheckerSnapshot {
                     (
                         name.clone(),
                         Json::obj(vec![
-                            ("hits", Json::Int(j.hits as i64)),
-                            ("misses", Json::Int(j.misses as i64)),
-                            ("evals", Json::Int(j.evals as i64)),
+                            ("hits", Json::from(j.hits)),
+                            ("misses", Json::from(j.misses)),
+                            ("evals", Json::from(j.evals)),
                         ]),
                     )
                 })
@@ -199,21 +204,21 @@ impl CheckerSnapshot {
         let misses: u64 = self.judgments.iter().map(|(_, j)| j.misses).sum();
         Json::obj(vec![
             ("schema", Json::Str(CHECKER_METRICS_SCHEMA.to_string())),
-            ("classes_checked", Json::Int(self.classes_checked as i64)),
-            ("methods_checked", Json::Int(self.methods_checked as i64)),
-            ("threads_used", Json::Int(self.threads_used as i64)),
-            ("elapsed_ns", Json::Int(self.elapsed.as_nanos() as i64)),
+            ("classes_checked", Json::from(self.classes_checked)),
+            ("methods_checked", Json::from(self.methods_checked)),
+            ("threads_used", Json::from(self.threads_used)),
+            ("elapsed_ns", Json::from(nanos(self.elapsed))),
             // Summary counters duplicate the per-family sums so simple
             // consumers need not walk `judgments`; `from_json` derives
             // them back from the families.
-            ("cache_hits", Json::Int(hits as i64)),
-            ("cache_misses", Json::Int(misses as i64)),
+            ("cache_hits", Json::from(hits)),
+            ("cache_misses", Json::from(misses)),
             ("judgments", judgments),
             (
                 "interner",
                 Json::obj(vec![
-                    ("symbols", Json::Int(self.interner_symbols as i64)),
-                    ("bytes", Json::Int(self.interner_bytes as i64)),
+                    ("symbols", Json::from(self.interner_symbols)),
+                    ("bytes", Json::from(self.interner_bytes)),
                 ]),
             ),
             (

@@ -19,8 +19,8 @@ use crate::kind::{Kind, RegionKindLookup};
 use crate::owner::{Owner, OwnerBuf, Subst};
 use crate::stype::SType;
 use rtj_lang::ast::{
-    Block, ClassDecl, ConstraintRel, KindAnn, MethodDecl, OwnerRef, Policy, Program,
-    RegionKindDecl, SubregionDecl, ThreadTag, Type,
+    ClassDecl, Constraint, ConstraintRel, FormalOwner, KindAnn, MethodDecl, OwnerRef, Policy,
+    Program, RegionKindDecl, SubregionDecl, ThreadTag, Type,
 };
 use rtj_lang::intern::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -111,10 +111,7 @@ fn type_mentions_this(ty: &Type) -> bool {
     }
 }
 
-fn resolve_constraints(
-    cs: &[rtj_lang::ast::Constraint],
-    is_region: &dyn Fn(Symbol) -> bool,
-) -> Vec<SConstraint> {
+fn resolve_constraints(cs: &[Constraint], is_region: &dyn Fn(Symbol) -> bool) -> Vec<SConstraint> {
     cs.iter()
         .map(|c| SConstraint {
             lhs: Owner::resolve(&c.lhs, is_region),
@@ -130,15 +127,14 @@ fn no_regions(_: Symbol) -> bool {
     false
 }
 
-/// A class with pre-resolved formal kinds and constraints.
+/// A table entry: a (default-completed) declaration with pre-resolved
+/// formal kinds and constraints.
 #[derive(Debug, Clone)]
-pub struct ClassInfo {
-    /// The (default-completed) declaration's signature: every member,
-    /// with each method body an empty block at the body's span. The
-    /// bodies live in the program alone; the typing rules and method
-    /// resolution read only headers. Shared (`Arc`), since `ClassInfo`
-    /// is cloned on hot checking paths.
-    pub decl: Arc<ClassDecl>,
+pub struct DeclInfo<D> {
+    /// The declaration, the very one the program holds (`Arc`). The
+    /// typing rules and method resolution read only headers; a class's
+    /// bodies live in the program alone.
+    pub decl: Arc<D>,
     /// Names of the formal owner parameters (interned).
     pub formal_names: Vec<Symbol>,
     /// Resolved kinds of the formals.
@@ -147,66 +143,24 @@ pub struct ClassInfo {
     pub constraints: Vec<SConstraint>,
 }
 
-impl ClassInfo {
-    /// The entry [`ProgramTable::build`] makes for a (default-completed)
-    /// class declaration.
-    fn of(c: &ClassDecl) -> ClassInfo {
-        ClassInfo {
-            decl: Arc::new(signature(c)),
-            formal_names: c.formals.iter().map(|f| f.name.name).collect(),
-            formal_kinds: c
-                .formals
-                .iter()
+/// A class's entry.
+pub type ClassInfo = DeclInfo<ClassDecl>;
+/// A region kind's entry.
+pub type RegionKindInfo = DeclInfo<RegionKindDecl>;
+
+impl<D> DeclInfo<D> {
+    /// The entry [`ProgramTable::build`] makes for `decl`, which it
+    /// shares, given the declaration's formals and `where` clauses.
+    fn of(decl: &Arc<D>, formals: &[FormalOwner], where_clauses: &[Constraint]) -> Self {
+        DeclInfo {
+            decl: Arc::clone(decl),
+            formal_names: formals.iter().map(|f| f.name.name).collect(),
+            formal_kinds: (formals.iter())
                 .map(|f| resolve_kind(&f.kind, &no_regions))
                 .collect(),
-            constraints: resolve_constraints(&c.where_clauses, &no_regions),
+            constraints: resolve_constraints(where_clauses, &no_regions),
         }
     }
-}
-
-/// `c` with every method body replaced by an empty block at the body's
-/// span: what [`ClassInfo::decl`] holds. Nothing else is dropped, so
-/// headers, fields, `extends`, `where` clauses and spans are `c`'s.
-pub(crate) fn signature(c: &ClassDecl) -> ClassDecl {
-    let methods = c
-        .methods
-        .iter()
-        .map(|m| MethodDecl {
-            ret: m.ret.clone(),
-            name: m.name,
-            formals: m.formals.clone(),
-            params: m.params.clone(),
-            effects: m.effects.clone(),
-            where_clauses: m.where_clauses.clone(),
-            body: Block {
-                stmts: Vec::new(),
-                span: m.body.span,
-            },
-            span: m.span,
-        })
-        .collect();
-    ClassDecl {
-        name: c.name,
-        formals: c.formals.clone(),
-        extends: c.extends.clone(),
-        where_clauses: c.where_clauses.clone(),
-        fields: c.fields.clone(),
-        methods,
-        span: c.span,
-    }
-}
-
-/// A region kind with pre-resolved formal kinds and constraints.
-#[derive(Debug, Clone)]
-pub struct RegionKindInfo {
-    /// The declaration. Shared (`Arc`), like [`ClassInfo::decl`].
-    pub decl: Arc<RegionKindDecl>,
-    /// Names of the formal owner parameters (interned).
-    pub formal_names: Vec<Symbol>,
-    /// Resolved kinds of the formals.
-    pub formal_kinds: Vec<Kind>,
-    /// Resolved `where` constraints.
-    pub constraints: Vec<SConstraint>,
 }
 
 /// A method signature as seen from a particular receiver type: the class
@@ -303,12 +257,13 @@ impl ProgramTable {
     pub fn build(p: &Program) -> Result<ProgramTable, Vec<TypeError>> {
         let mut errors = Vec::new();
         let mut classes = HashMap::new();
-        for c in &p.classes {
+        for c in p.classes.iter().map(|c| &c.decl) {
             if c.name.name == "Object" {
                 errors.push(TypeError::new("class `Object` is built in", c.name.span));
                 continue;
             }
-            if classes.insert(c.name.name, ClassInfo::of(c)).is_some() {
+            let info = ClassInfo::of(c, &c.formals, &c.where_clauses);
+            if classes.insert(c.name.name, info).is_some() {
                 errors.push(TypeError::new(
                     format!("class `{}` is defined twice", c.name),
                     c.name.span,
@@ -324,19 +279,7 @@ impl ProgramTable {
                 ));
                 continue;
             }
-            let formal_names: Vec<Symbol> = rk.formals.iter().map(|f| f.name.name).collect();
-            let formal_kinds: Vec<Kind> = rk
-                .formals
-                .iter()
-                .map(|f| resolve_kind(&f.kind, &no_regions))
-                .collect();
-            let constraints = resolve_constraints(&rk.where_clauses, &no_regions);
-            let info = RegionKindInfo {
-                decl: Arc::new(rk.clone()),
-                formal_names,
-                formal_kinds,
-                constraints,
-            };
+            let info = RegionKindInfo::of(rk, &rk.formals, &rk.where_clauses);
             if region_kinds.insert(rk.name.name, info).is_some() {
                 errors.push(TypeError::new(
                     format!("region kind `{}` is defined twice", rk.name),
@@ -358,8 +301,8 @@ impl ProgramTable {
     }
 
     /// Rebuilds the entry of class `decl.name` from `decl` (a
-    /// default-completed declaration), exactly as [`ProgramTable::build`]
-    /// builds it, and returns the entry it replaced; `None`, with the
+    /// default-completed header, which it shares), exactly as
+    /// [`ProgramTable::build`] builds it, and returns the entry it replaced; `None`, with the
     /// table unchanged, if the table holds no such class. No rule is
     /// checked: [`ProgramTable::check_classes`] re-runs `build`'s
     /// per-class rules over whatever the new declaration can affect, and
@@ -373,9 +316,10 @@ impl ProgramTable {
     /// Patch, check, restore on an error: this protocol is the only way a
     /// table changes, and it keeps the invariant the chain walks rely on
     /// (no cyclic or unknown chain), so it stays private to the crate.
-    pub(crate) fn patch_class(&mut self, decl: &ClassDecl) -> Option<ClassInfo> {
+    pub(crate) fn patch_class(&mut self, decl: &Arc<ClassDecl>) -> Option<ClassInfo> {
         let info = self.classes.get_mut(&decl.name.name)?;
-        Some(std::mem::replace(info, ClassInfo::of(decl)))
+        let entry = ClassInfo::of(decl, &decl.formals, &decl.where_clauses);
+        Some(std::mem::replace(info, entry))
     }
 
     /// Puts back an entry [`ProgramTable::patch_class`] replaced.
@@ -1283,7 +1227,9 @@ mod tests {
                 .unwrap();
         let wider = "class B<Owner o> { int x; int y; }";
         let patch = parse_program(&format!("{wider} {{ }}")).unwrap();
-        let old = t.patch_class(&patch.classes[0]).expect("B is in the table");
+        let old = t
+            .patch_class(&patch.classes[0].decl)
+            .expect("B is in the table");
         assert_eq!(t.class("B").unwrap().decl.fields.len(), 2);
         let messages =
             |errs: Vec<TypeError>| -> Vec<String> { errs.into_iter().map(|e| e.message).collect() };
@@ -1302,7 +1248,7 @@ mod tests {
         assert_eq!(t.class("B").unwrap().decl.fields.len(), 1);
         assert!(t.check_classes(["A".into(), "B".into()]).is_ok());
         let ghost = parse_program("class Ghost<Owner o> { } { }").unwrap();
-        assert!(t.patch_class(&ghost.classes[0]).is_none());
+        assert!(t.patch_class(&ghost.classes[0].decl).is_none());
         assert!(t.class("Ghost").is_none());
     }
 

@@ -120,10 +120,8 @@ fn assert_fully_elaborated(p: &Program, table: &ProgramTable) {
         _ => {}
     };
     walk_block(&p.main, &mut check_stmt, &mut check_expr);
-    for c in &p.classes {
-        for m in &c.methods {
-            walk_block(&m.body, &mut check_stmt, &mut check_expr);
-        }
+    for body in p.classes.iter().flat_map(|c| &c.bodies) {
+        walk_block(body, &mut check_stmt, &mut check_expr);
     }
 }
 

@@ -1,12 +1,11 @@
 //! Source to verdict allocates little: parsing and checking the
 //! 3,072-class generated program (`scaled_classes(512)`) from scratch
-//! makes at most 168,427 host allocations, reallocations included. That
-//! is 60% of the 280,712 a check made when the parser still buffered
-//! every token, each method was checked on a clone of its class's
-//! environment, and every lookup built owner lists and substitutions it
-//! dropped at once. A counting global allocator checks it, so this file
-//! holds one test and runs as a test binary of its own, where no other
-//! test allocates beside it.
+//! makes at most 102,000 host allocations, reallocations included. The
+//! check made 110,717 while the class table copied each class's header
+//! into its entry; sharing the parsed headers brought it to 97,407, so
+//! the bound fails the copy and leaves about 5% to spare. A counting
+//! global allocator checks it, so this file holds one test and runs as a
+//! test binary of its own, where no other test allocates beside it.
 
 use rtjava::corpus::scaled_classes;
 use rtjava::lang::parse_program;
@@ -53,9 +52,9 @@ static GLOBAL: Counting = Counting;
 
 /// Copies of the six-class family in the checked program.
 const COPIES: usize = 512;
-/// 60% of the 280,712 allocations the buffered front end and cloned
-/// method environments made.
-const BOUND: u64 = 280_712 * 6 / 10;
+/// Below the 110,717 allocations a check made when the table copied
+/// every header, about 5% above the 97,407 it makes sharing them.
+const BOUND: u64 = 102_000;
 
 /// Parses and checks `src` on one thread; returns the allocations made
 /// by the parse and by the check.
@@ -79,7 +78,7 @@ fn source_to_verdict(src: &str) -> (u64, u64) {
 }
 
 #[test]
-fn a_from_scratch_check_makes_at_most_sixty_percent_of_the_old_allocations() {
+fn a_from_scratch_check_stays_under_its_allocation_bound() {
     let src = scaled_classes(COPIES);
     // The first pass interns every name; the second is the steady state
     // every later check of the program sees.

@@ -101,11 +101,12 @@ fn as_edit(b: &rtjava::corpus::EditBatch) -> ClassEdit {
 /// The full text of one class declaration in `src`.
 fn decl_text(src: &str, name: &str) -> String {
     let program = parse_program(src).expect("source parses");
-    let decl = program
+    let decl = &program
         .classes
         .iter()
-        .find(|c| c.name.name.as_str() == name)
-        .unwrap_or_else(|| panic!("no class {name}"));
+        .find(|c| c.decl.name.name.as_str() == name)
+        .unwrap_or_else(|| panic!("no class {name}"))
+        .decl;
     src[decl.span.start as usize..decl.span.end as usize].to_string()
 }
 
@@ -1048,7 +1049,7 @@ fn every_one_byte_token_shift_matches_from_scratch() {
         .region_kinds
         .iter()
         .map(|rk| (rk.name.name, rk.span, false));
-    let classes = program.classes.iter().map(|c| (c.name.name, c.span, true));
+    let classes = (program.classes.iter()).map(|c| (c.decl.name.name, c.decl.span, true));
     let mut cases = 0;
     for (name, span, is_class) in region_kinds.chain(classes) {
         let (start, end) = (span.start as usize, span.end as usize);

@@ -136,6 +136,48 @@ fn served_request_variants_agree_across_engines() {
     }
 }
 
+/// Programs whose cost sums pass `u64::MAX`: two `workload` calls that
+/// overflow the pending sum, the same with a flush between them, and a
+/// region kind whose three LT subregions overflow the reserved bytes.
+/// Every addition to the virtual clock saturates, so both engines run
+/// them to the end and agree, in every check mode.
+const SATURATING: [(&str, &str); 3] = [
+    (
+        "pending-sum-overflow",
+        "{ workload(9223372036854775807); workload(9223372036854775807); print(1); }",
+    ),
+    (
+        "clock-overflow",
+        "{ workload(9223372036854775807); print(1); workload(9223372036854775807); print(1); }",
+    ),
+    (
+        "lt-reserve-overflow",
+        r#"
+        regionKind Big extends SharedRegion {
+            subregion Leaf : LT(9223372036854775807) NoRT a;
+            subregion Leaf : LT(9223372036854775807) NoRT b;
+            subregion Leaf : LT(9223372036854775807) NoRT c;
+        }
+        regionKind Leaf extends SharedRegion { }
+        { (RHandle<Big : VT r> h) { print(1); } }
+        "#,
+    ),
+];
+
+#[test]
+fn saturated_cost_sums_agree_across_engines() {
+    for (name, src) in SATURATING {
+        for mode in CHECK_MODES {
+            assert_identical(name, src, mode);
+            let out = run_on(src, mode, Engine::Vm);
+            assert!(out.error.is_none(), "{name} ({mode:?}): {:?}", out.error);
+            if name != "lt-reserve-overflow" {
+                assert_eq!(out.cycles, u64::MAX, "{name} ({mode:?})");
+            }
+        }
+    }
+}
+
 /// Error paths: the engines must halt with the same message after the
 /// same number of virtual cycles, with identical partial output.
 #[test]
